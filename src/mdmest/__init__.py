@@ -19,10 +19,8 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     kron,
-    kron_power,
     left_null_space,
     numerical_rank,
-    pinv,
     replication_matrix,
     unification_matrix,
     unvec,
@@ -44,12 +42,7 @@ from .model import (
 )
 from .residue import (
     AugmentedBlock,
-    RegressionRow,
-    ResidueBundle,
     build_augmented_block,
-    regression_row,
-    residue_known_input,
-    residue_unknown_input,
     stack_measurements,
 )
 from .estimator import (
@@ -64,8 +57,8 @@ from .estimator import (
     identifiability_report,
     min_feasible_window,
     ordinary_mdm,
-    three_step_weighted_pipeline,
     weighted_mdm,
+    weighted_pipeline,
 )
 from .benchmarks import (
     BenchmarkSpec,

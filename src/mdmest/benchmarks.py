@@ -19,19 +19,12 @@ from __future__ import annotations
 import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .estimator import (
-    _compute_obs,
-    _design_rank,
-    _equilibrated,
-    _pipeline_from_system,
-    build_design,
-)
-from .errors import MdmError, RankDeficientDesign
+from .estimator import build_design, ordinary_mdm, weighted_pipeline
+from .errors import MdmError
 from .linalg import Tolerance, DEFAULT_TOL
 from .model import (
     KNOWN_INPUT,
@@ -184,15 +177,9 @@ def _estimator_mode(spec_mode: str) -> str:
 
 
 def _run_range(spec: BenchmarkSpec, method: str, indices, tol: Tolerance):
-    """Identify runs ``indices``; geometry and the design QR are built once."""
-    mode = _estimator_mode(spec.mode)
-    sys0 = build_design(spec.model, spec.structure, spec.L, mode, tol,
-                        n_windows=spec.tau + 2 - spec.L)
-    d, scale = _equilibrated(sys0.design, tol)
-    rank, _, _ = _design_rank(d, tol)
-    if rank < sys0.n_alpha:
-        raise RankDeficientDesign(rank, sys0.n_alpha)
-    q_fac, r_fac = scipy.linalg.qr(d, mode="economic")
+    """Identify runs ``indices``; the design is built once for all of them."""
+    design = build_design(spec.model, spec.structure, spec.L,
+                          _estimator_mode(spec.mode), tol)
     u_sim = benchmark_input_signal(spec)
     include_u = spec.mode == KNOWN_INPUT and spec.model.has_input
 
@@ -205,13 +192,11 @@ def _run_range(spec: BenchmarkSpec, method: str, indices, tol: Tolerance):
         data = MeasurementData.from_trajectory(traj, include_u=include_u)
         t0 = time.perf_counter()
         try:
-            obs = _compute_obs(sys0.windows, data, spec.L, mode)
+            sys = design.with_data(data)
             if method == "ordinary":
-                beta = scipy.linalg.solve_triangular(r_fac, q_fac.T @ obs)
-                alphas[row] = beta / scale
+                alphas[row] = ordinary_mdm(sys, tol).alpha_hat
             else:
-                est = _pipeline_from_system(replace(sys0, obs=obs),
-                                            spec.structure, tol)
+                est = weighted_pipeline(sys, spec.structure, tol)
                 alphas[row] = est.alpha_hat
                 ecovs[row] = np.diag(est.cov)
         except MdmError as exc:
@@ -219,11 +204,6 @@ def _run_range(spec: BenchmarkSpec, method: str, indices, tol: Tolerance):
             raise
         elapsed += time.perf_counter() - t0
     return alphas, ecovs, elapsed
-
-
-def _mc_worker(payload):
-    spec, method, indices, tol = payload
-    return _run_range(spec, method, indices, tol)
 
 
 def run_mc(spec: BenchmarkSpec, method: str = "ordinary",
@@ -240,9 +220,10 @@ def run_mc(spec: BenchmarkSpec, method: str = "ordinary",
     indices = np.arange(n_mc)
     if workers > 1 and n_mc > 1:
         chunks = np.array_split(indices, min(workers, n_mc))
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(_mc_worker,
-                                  [(spec, method, c, tol) for c in chunks]))
+        n = len(chunks)
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            parts = list(pool.map(_run_range, [spec] * n, [method] * n, chunks,
+                                  [tol] * n))
         alphas = np.vstack([p[0] for p in parts])
         ecovs = np.vstack([p[1] for p in parts]) if method == "weighted" else None
         elapsed = sum(p[2] for p in parts)

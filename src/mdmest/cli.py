@@ -28,12 +28,12 @@ from .errors import (
     ValidationError,
 )
 from .estimator import (
-    _pipeline_from_system,
     build_design,
     build_stacked_system,
     identifiability_report,
     min_feasible_window,
     ordinary_mdm,
+    weighted_pipeline,
 )
 from .linalg import Tolerance
 from .model import (
@@ -65,16 +65,20 @@ def _mode(args) -> str:
 def _resolve_l(args, model, mode, tol, n_records, structure=None) -> int:
     if args.L != "auto":
         return int(args.L)
+    l_max = max(model.n_x + 2, 12)
     if structure is not None:
-        found = min_feasible_window(model, mode, tol, n_records=n_records,
-                                    structure=structure)
+        found = min_feasible_window(model, mode, tol, l_max=l_max,
+                                    n_records=n_records, structure=structure)
         if found is not None:
             return found
         # no window makes every parameter identifiable; fall back to the
         # smallest window with an annihilator and let the solver report it
-    found = min_feasible_window(model, mode, tol, n_records=n_records)
+    found = min_feasible_window(model, mode, tol, l_max=l_max, n_records=n_records)
     if found is None:
-        raise NoAnnihilator(rows=0, rank=0)
+        raise MdmError(
+            f"no window length up to L={min(l_max, n_records)} has an "
+            f"annihilator for {n_records} records"
+        )
     return found
 
 
@@ -125,7 +129,7 @@ def cmd_identify(args) -> int:
         if args.method == "ordinary":
             est = ordinary_mdm(sys_full, tol)
         else:
-            est = _pipeline_from_system(sys_full, bundle.structure, tol)
+            est = weighted_pipeline(sys_full, bundle.structure, tol)
     except RankDeficientDesign:
         _print_identifiability(ident)
         raise

@@ -27,21 +27,24 @@ class NoAnnihilator(MdmError):
 
     For residue construction this signals that the window length L is too
     small; ``minimal_feasible_l`` is filled in when a scan found a larger
-    window that works.
+    window that works.  The message is built from the fields when shown.
     """
 
     def __init__(self, rows: int, rank: int, k: int | None = None,
                  minimal_feasible_l: int | None = None):
+        super().__init__(rows, rank)
         self.rows = rows
         self.rank = rank
         self.k = k
         self.minimal_feasible_l = minimal_feasible_l
-        msg = f"matrix with {rows} rows has full row rank {rank}; no annihilator"
-        if k is not None:
-            msg += f" (time index k={k})"
-        if minimal_feasible_l is not None:
-            msg += f"; smallest feasible window length is L={minimal_feasible_l}"
-        super().__init__(msg)
+
+    def __str__(self) -> str:
+        msg = f"matrix with {self.rows} rows has full row rank {self.rank}; no annihilator"
+        if self.k is not None:
+            msg += f" (time index k={self.k})"
+        if self.minimal_feasible_l is not None:
+            msg += f"; smallest feasible window length is L={self.minimal_feasible_l}"
+        return msg
 
 
 class RankDeficientDesign(MdmError):

@@ -30,7 +30,15 @@ from .errors import (
     NotPositiveSemidefinite,
     RankDeficientDesign,
 )
-from .linalg import Tolerance, DEFAULT_TOL, swap_permutation, sym_pair_indices, vec
+from .linalg import (
+    Tolerance,
+    DEFAULT_TOL,
+    numerical_rank,
+    svd_rank,
+    swap_permutation,
+    sym_pair_indices,
+    vec,
+)
 from .model import (
     KNOWN_INPUT,
     UNKNOWN_INPUT,
@@ -41,7 +49,7 @@ from .model import (
     assemble_qr,
     defining_replication,
 )
-from .residue import build_augmented_block, stack_measurements
+from .residue import build_augmented_block
 
 __all__ = [
     "WindowGeometry",
@@ -55,7 +63,7 @@ __all__ = [
     "gaussian_eta_covariances",
     "assemble_p",
     "weighted_mdm",
-    "three_step_weighted_pipeline",
+    "weighted_pipeline",
     "identifiability_report",
     "min_feasible_window",
 ]
@@ -71,12 +79,10 @@ P_DENSE_MAX_ROWS = 8000
 class WindowGeometry:
     """Data-independent quantities of one window (shared across MC runs)."""
 
-    k: int
     n_a: int
     annihilator: np.ndarray            # N, (n_a, n_zkL)
     gamma_g: np.ndarray | None         # Gamma @ scriptG for the known-input correction
-    a_mat: np.ndarray                  # N [Gamma, I]
-    ac: np.ndarray                     # A @ C, (n_a, n_eps)
+    ac: np.ndarray                     # N [Gamma, I] blkdiag(scriptE, scriptD), (n_a, n_eps)
     sel_i: np.ndarray                  # unique-pair index arrays of length n_rows
     sel_j: np.ndarray
     design_block: np.ndarray           # (n_rows, n_alpha)
@@ -89,22 +95,29 @@ class WindowGeometry:
 
 @dataclass
 class StackedSystem:
-    """The full regression: obs = design @ alpha + blkdiag(noisemaps) @ eta.
+    """The full regression: obs = design @ alpha + blkdiag(noisemap blocks) @ eta.
 
-    ``obs`` is None for design-only systems (identifiability analysis needs
-    no data).  ``windows`` carries the per-window geometry; for LTI models
-    all entries reference one shared object.
+    ``obs`` is None for design-only systems; ``with_data`` attaches data.
+    ``windows`` carries the per-window geometry; for LTI models all entries
+    reference one shared object.  The design facts below are computed once,
+    by ``build_design``, from one SVD and one thin QR of design / scale.
     """
 
     obs: np.ndarray | None
     design: np.ndarray
-    noisemaps: list[np.ndarray]
     row_offsets: np.ndarray
     L: int
     mode: str
     windows: list[WindowGeometry]
-    upsilon: np.ndarray
     n_eps: int
+    model: LtvModel
+    scale: np.ndarray                  # column scale: design == (design / scale) * scale
+    rank: int                          # numerical rank of design / scale
+    rank_threshold: float
+    cond: float
+    null_basis: np.ndarray | None      # (n_alpha, deficiency), orthonormal columns
+    q: np.ndarray                      # thin QR of design / scale
+    r: np.ndarray
 
     @property
     def n_alpha(self) -> int:
@@ -117,6 +130,39 @@ class StackedSystem:
     @property
     def n_windows(self) -> int:
         return len(self.windows)
+
+    def with_data(self, data) -> "StackedSystem":
+        """This design with the squared residues of ``data`` (a Trajectory or
+        MeasurementData holding exactly the records the windows span) as obs.
+
+        Raises DataError for records that do not fit the model or give a
+        non-finite residue.
+        """
+        if isinstance(data, Trajectory):
+            data = MeasurementData.from_trajectory(data)
+        zs, us = _checked_records(self.model, data, self.mode)
+        L = self.L
+        n_records = self.n_windows + L - 1
+        if len(zs) != n_records:
+            raise DataError(
+                f"data has {len(zs)} records but the design's {self.n_windows} "
+                f"windows of length L={L} span {n_records}"
+            )
+        parts = []
+        for k, w in enumerate(self.windows):
+            z = np.concatenate(zs[k:k + L])
+            if us is not None and w.gamma_g is not None:
+                z = z - w.gamma_g @ np.concatenate(us[k:k + L - 1])
+            zt = w.annihilator @ z
+            parts.append(zt[w.sel_i] * zt[w.sel_j])
+        obs = np.concatenate(parts)
+        finite = np.isfinite(obs)
+        if not finite.all():
+            window = int(np.searchsorted(self.row_offsets, np.argmin(finite),
+                                         side="right")) - 1
+            raise DataError(f"record k={_first_nonfinite(zs, us, window, L)}: "
+                            "measurement or residue is not finite")
+        return replace(self, obs=obs)
 
 
 @dataclass
@@ -140,11 +186,16 @@ class IdentifiabilityReport:
     participation: np.ndarray | None     # per-parameter weight in the null space
 
 
+def _annihilated_target(block, mode: str) -> np.ndarray:
+    """O, or [O, Gamma scriptG] when an unknown input must be cancelled too."""
+    if mode == UNKNOWN_INPUT and block.scriptG.shape[1] > 0:
+        return np.hstack([block.O, block.Gamma @ block.scriptG])
+    return block.O
+
+
 def _annihilator(target: np.ndarray, k: int, tol: Tolerance) -> np.ndarray:
-    u, s, _ = np.linalg.svd(target, full_matrices=True)
-    thr = tol.rank_tol * (s[0] if s.size else 0.0) * max(target.shape)
-    rank = int(np.count_nonzero(s > thr))
-    if s.size and thr > 0.0:
+    u, s, _, rank, thr = svd_rank(target, tol, full_matrices=True)
+    if thr > 0.0:
         near = np.count_nonzero((s > thr / 10.0) & (s < thr * 10.0))
         if near:
             logger.warning(
@@ -156,54 +207,22 @@ def _annihilator(target: np.ndarray, k: int, tol: Tolerance) -> np.ndarray:
     return u[:, rank:].T
 
 
-def _window_geometry(model: LtvModel, structure: NoiseStructure, k: int, L: int,
-                     mode: str, upsilon: np.ndarray, tol: Tolerance) -> WindowGeometry:
+def _window_geometry(model: LtvModel, k: int, L: int, mode: str,
+                     upsilon: np.ndarray, tol: Tolerance) -> WindowGeometry:
     block = build_augmented_block(model, k, L)
-    gamma_g = block.Gamma @ block.scriptG if block.scriptG.shape[1] > 0 else None
-    if mode == UNKNOWN_INPUT:
-        target = block.O if gamma_g is None else np.hstack([block.O, gamma_g])
-    else:
-        target = block.O
-    n = _annihilator(target, k, tol)
-    a_mat = np.hstack([n @ block.Gamma, n])
+    n = _annihilator(_annihilated_target(block, mode), k, tol)
+    gamma_g = None
+    if mode == KNOWN_INPUT and block.scriptG.shape[1] > 0:
+        gamma_g = block.Gamma @ block.scriptG
     c_mat = scipy.linalg.block_diag(block.scriptE, block.scriptD)
-    ac = a_mat @ c_mat
+    ac = np.hstack([n @ block.Gamma, n]) @ c_mat
     sel_i, sel_j = sym_pair_indices(n.shape[0])
     noisemap = np.einsum("ta,tb->tab", ac[sel_j], ac[sel_i]).reshape(sel_i.size, -1)
-    design = noisemap @ upsilon
     return WindowGeometry(
-        k=k, n_a=n.shape[0], annihilator=n,
-        gamma_g=gamma_g if mode == KNOWN_INPUT else None,
-        a_mat=a_mat, ac=ac, sel_i=sel_i, sel_j=sel_j,
-        design_block=design, noisemap_block=noisemap,
+        n_a=n.shape[0], annihilator=n, gamma_g=gamma_g, ac=ac,
+        sel_i=sel_i, sel_j=sel_j,
+        design_block=noisemap @ upsilon, noisemap_block=noisemap,
     )
-
-
-def _build_windows(model, structure, L, mode, n_windows, tol):
-    upsilon = defining_replication(structure, L)
-    if model.is_lti:
-        w0 = _window_geometry(model, structure, 0, L, mode, upsilon, tol)
-        windows = [w0] * n_windows
-    else:
-        windows = [
-            _window_geometry(model, structure, k, L, mode, upsilon, tol)
-            for k in range(n_windows)
-        ]
-    row_offsets = np.concatenate(
-        ([0], np.cumsum([w.n_rows for w in windows]))
-    ).astype(int)
-    return windows, upsilon, row_offsets
-
-
-def _window_feasible(model: LtvModel, k: int, L: int, mode: str, tol: Tolerance) -> bool:
-    block = build_augmented_block(model, k, L)
-    if mode == UNKNOWN_INPUT and block.scriptG.shape[1] > 0:
-        target = np.hstack([block.O, block.Gamma @ block.scriptG])
-    else:
-        target = block.O
-    s = np.linalg.svd(target, compute_uv=False)
-    thr = tol.rank_tol * (s[0] if s.size else 0.0) * max(target.shape)
-    return int(np.count_nonzero(s > thr)) < target.shape[0]
 
 
 def min_feasible_window(model: LtvModel, mode: str, tol: Tolerance = DEFAULT_TOL,
@@ -215,7 +234,8 @@ def min_feasible_window(model: LtvModel, mode: str, tol: Tolerance = DEFAULT_TOL
     the rank of the annihilated matrix at every k.  When ``structure`` is
     given, the window must additionally yield a full-column-rank design (an
     annihilator can exist at an L too short to carry any state-noise
-    information, e.g. single-step windows).
+    information, e.g. single-step windows).  ``l_max`` defaults to
+    max(n_x + 2, 12); no L above ``n_records`` is tried.
     """
     if n_records is None:
         n_records = model.tau + 1
@@ -225,79 +245,93 @@ def min_feasible_window(model: LtvModel, mode: str, tol: Tolerance = DEFAULT_TOL
     for L in range(1, l_max + 1):
         n_windows = n_records - L + 1
         ks = (0,) if model.is_lti else range(n_windows)
-        if not all(_window_feasible(model, k, L, mode, tol) for k in ks):
+        targets = (_annihilated_target(build_augmented_block(model, k, L), mode)
+                   for k in ks)
+        if not all(numerical_rank(t, tol) < t.shape[0] for t in targets):
             continue
         if structure is not None:
             sys0 = build_design(model, structure, L, mode, tol,
                                 n_windows=n_windows)
-            d, _ = _equilibrated(sys0.design, tol)
-            rank, _, _ = _design_rank(d, tol)
-            if rank < structure.n_alpha:
+            if sys0.rank < structure.n_alpha:
                 continue
         return L
     return None
 
 
-def _scan_minimal_l(model, mode, tol, n_records) -> int | None:
-    try:
-        return min_feasible_window(model, mode, tol, n_records=n_records)
-    except MdmError:
-        return None
-
-
 def build_design(model: LtvModel, structure: NoiseStructure, L: int, mode: str,
                  tol: Tolerance = DEFAULT_TOL, n_windows: int | None = None) -> StackedSystem:
-    """Assemble the design matrix only; needs no measurement data."""
+    """Assemble the design matrix only; ``with_data`` attaches measurements."""
     if n_windows is None:
         n_windows = model.tau + 2 - L
     if n_windows < 1:
         raise DataError(f"horizon too short: no full window of length L={L}")
+    upsilon = defining_replication(structure, L)
     try:
-        windows, upsilon, row_offsets = _build_windows(
-            model, structure, L, mode, n_windows, tol)
+        if model.is_lti:
+            windows = [_window_geometry(model, 0, L, mode, upsilon, tol)] * n_windows
+        else:
+            windows = [_window_geometry(model, k, L, mode, upsilon, tol)
+                       for k in range(n_windows)]
     except NoAnnihilator as exc:
-        exc.minimal_feasible_l = _scan_minimal_l(model, mode, tol, model.tau + 1)
+        try:
+            exc.minimal_feasible_l = min_feasible_window(model, mode, tol)
+        except MdmError:
+            pass
         raise
+    row_offsets = np.concatenate(
+        ([0], np.cumsum([w.n_rows for w in windows]))
+    ).astype(int)
     design = np.vstack([w.design_block for w in windows])
-    n_eps = (L - 1) * model.n_w + L * model.n_v
-    return StackedSystem(obs=None, design=design,
-                         noisemaps=[w.noisemap_block for w in windows],
-                         row_offsets=row_offsets, L=L, mode=mode,
-                         windows=windows, upsilon=upsilon, n_eps=n_eps)
+    d, scale = _equilibrated(design, tol)
+    _, s, vt, rank, thr = svd_rank(d, tol)
+    null_basis = None
+    if rank < design.shape[1]:
+        # re-orthonormalise after undoing the column scaling
+        null_basis, _ = np.linalg.qr(vt[rank:].T / scale[:, None])
+    q, r = scipy.linalg.qr(d, mode="economic")
+    return StackedSystem(
+        obs=None, design=design, row_offsets=row_offsets, L=L, mode=mode,
+        windows=windows, n_eps=(L - 1) * model.n_w + L * model.n_v, model=model,
+        scale=scale, rank=rank, rank_threshold=thr,
+        cond=float(s[0] / s[-1]) if s.size and s[-1] > 0 else np.inf,
+        null_basis=null_basis, q=q, r=r,
+    )
 
 
-def _check_data(model: LtvModel, data: MeasurementData, mode: str) -> None:
+def _records(kind: str, values, expected) -> list[np.ndarray]:
+    """``values`` as 1-D arrays; record k must have length ``expected(k)``."""
+    records = [np.atleast_1d(v) for v in values]
+    for k, v in enumerate(records):
+        if v.shape[0] != expected(k):
+            raise DataError(
+                f"record k={k}: {kind} has length {v.shape[0]}, model expects {expected(k)}"
+            )
+    return records
+
+
+def _checked_records(model: LtvModel, data: MeasurementData, mode: str):
+    """The z records and, for a known input, the u records (else None)."""
     if len(data) > model.tau + 1:
         raise DataError(
             f"data has {len(data)} records but the model horizon is tau={model.tau}"
         )
-    for k, z in enumerate(data.zs):
-        if np.atleast_1d(z).shape[0] != model.n_z(k):
-            raise DataError(
-                f"record k={k}: z has length {np.atleast_1d(z).shape[0]}, "
-                f"model expects {model.n_z(k)}"
-            )
-    if mode == KNOWN_INPUT and data.us is not None:
-        for k, u in enumerate(data.us):
-            if np.atleast_1d(u).shape[0] != model.n_u(k):
-                raise DataError(
-                    f"record k={k}: u has length {np.atleast_1d(u).shape[0]}, "
-                    f"model expects {model.n_u(k)}"
-                )
-    if mode == KNOWN_INPUT and data.us is None and model.has_input:
-        logger.warning("data carries no input records; assuming zero input")
+    zs = _records("z", data.zs, model.n_z)
+    if mode != KNOWN_INPUT:
+        return zs, None
+    if data.us is None:
+        if any(np.any(model.G[k]) for k in range(len(model.G))):
+            logger.warning("data carries no input records; assuming zero input")
+        return zs, None
+    return zs, _records("u", data.us, model.n_u)
 
 
-def _compute_obs(windows: list[WindowGeometry], data: MeasurementData,
-                 L: int, mode: str) -> np.ndarray:
-    parts = []
-    for k, w in enumerate(windows):
-        z, u = stack_measurements(data, k, L)
-        if mode == KNOWN_INPUT and u is not None and w.gamma_g is not None:
-            z = z - w.gamma_g @ u
-        zt = w.annihilator @ z
-        parts.append(zt[w.sel_i] * zt[w.sel_j])
-    return np.concatenate(parts)
+def _first_nonfinite(zs, us, window: int, L: int) -> int:
+    """First record of ``window`` whose z or u is not finite, else its first."""
+    for k in range(window, window + L):
+        u = us[k] if us is not None and k < len(us) else 0.0
+        if not (np.all(np.isfinite(zs[k])) and np.all(np.isfinite(u))):
+            return k
+    return window
 
 
 def build_stacked_system(model: LtvModel, structure: NoiseStructure, data,
@@ -306,19 +340,18 @@ def build_stacked_system(model: LtvModel, structure: NoiseStructure, data,
     """Assemble the full regression from measurement data.
 
     ``data`` may be a Trajectory or MeasurementData; windows run over every
-    full length-L span of the records, in time order.
+    full length-L span of the records, in time order.  This is
+    ``build_design`` for those windows followed by ``with_data``.
     """
     if isinstance(data, Trajectory):
         data = MeasurementData.from_trajectory(data)
-    _check_data(model, data, mode)
     n_windows = len(data) - L + 1
     if n_windows < 1:
         raise DataError(
             f"horizon too short: {len(data)} records cannot hold a window of length L={L}"
         )
-    sys = build_design(model, structure, L, mode, tol, n_windows=n_windows)
-    obs = _compute_obs(sys.windows, data, L, mode)
-    return replace(sys, obs=obs)
+    return build_design(model, structure, L, mode, tol,
+                        n_windows=n_windows).with_data(data)
 
 
 def _equilibrated(design: np.ndarray,
@@ -333,14 +366,6 @@ def _equilibrated(design: np.ndarray,
     dust = scale <= tol.rank_tol * (np.max(scale) if scale.size else 0.0)
     scale[dust] = 1.0
     return design / scale, scale
-
-
-def _design_rank(d: np.ndarray, tol: Tolerance) -> tuple[int, float, float]:
-    s = np.linalg.svd(d, compute_uv=False)
-    thr = tol.rank_tol * (s[0] if s.size else 0.0) * max(d.shape)
-    rank = int(np.count_nonzero(s > thr))
-    cond = float(s[0] / s[-1]) if s.size and s[-1] > 0 else np.inf
-    return rank, thr, cond
 
 
 def _ls_with_cov(a: np.ndarray, b: np.ndarray, tol: Tolerance):
@@ -360,22 +385,21 @@ def _ls_with_cov(a: np.ndarray, b: np.ndarray, tol: Tolerance):
 def ordinary_mdm(sys: StackedSystem, tol: Tolerance = DEFAULT_TOL) -> Estimate:
     """Unweighted LS solution of the stacked regression.
 
-    Solved by QR on the column-equilibrated design (the clock benchmark spans
-    19 decades across parameters); no covariance is reported.
+    Solved with the thin QR of the column-equilibrated design that
+    ``build_design`` computed (the clock benchmark spans 19 decades across
+    parameters); no covariance is reported.  The rank decision is the one
+    ``build_design`` made with its tolerance, so ``tol`` is not used here.
     """
     if sys.obs is None:
         raise ValueError("system carries no observations")
     t0 = time.perf_counter()
-    d, scale = _equilibrated(sys.design, tol)
-    rank, thr, cond = _design_rank(d, tol)
-    if rank < sys.n_alpha:
-        raise RankDeficientDesign(rank, sys.n_alpha)
-    beta, *_ = np.linalg.lstsq(d, sys.obs, rcond=None)
-    alpha = beta / scale
+    if sys.rank < sys.n_alpha:
+        raise RankDeficientDesign(sys.rank, sys.n_alpha)
+    beta = scipy.linalg.solve_triangular(sys.r, sys.q.T @ sys.obs)
     return Estimate(
-        alpha_hat=alpha, cov=None, method="ordinary",
-        rank=rank, rank_threshold=thr,
-        diagnostics={"design_cond": cond, "runtime_s": time.perf_counter() - t0},
+        alpha_hat=beta / sys.scale, cov=None, method="ordinary",
+        rank=sys.rank, rank_threshold=sys.rank_threshold,
+        diagnostics={"design_cond": sys.cond, "runtime_s": time.perf_counter() - t0},
     )
 
 
@@ -543,17 +567,16 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
     if sys.obs is None:
         raise ValueError("system carries no observations")
     t0 = time.perf_counter()
-    d, _ = _equilibrated(sys.design, tol)
-    rank, thr, cond = _design_rank(d, tol)
-    if rank < sys.n_alpha:
-        raise RankDeficientDesign(rank, sys.n_alpha)
+    if sys.rank < sys.n_alpha:
+        raise RankDeficientDesign(sys.rank, sys.n_alpha)
 
     p = 0.5 * (p_hat + p_hat.T)
     lam = np.linalg.eigvalsh(p)
     lam_max = float(lam[-1]) if lam.size else 0.0
-    # negativity floor uses the regression scale too, so a numerically-zero
-    # weight (all-dust eigenvalues) falls through to the constrained branch
-    design_scale = float(np.linalg.norm(sys.design, 2)) ** 2
+    # negativity floor uses the regression scale ||design||_2^2 too, so a
+    # numerically-zero weight (all-dust eigenvalues) falls through to the
+    # constrained branch; design == q @ (r * scale) gives the norm from r
+    design_scale = float(np.linalg.norm(sys.r * sys.scale, 2)) ** 2
     floor = tol.rank_tol * max(lam_max, design_scale)
     if lam.size and lam[0] < -floor:
         raise IndefiniteWeight(
@@ -582,14 +605,20 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
         cov = cov - np.eye(sys.n_alpha)
         method = "weighted-constrained"
     return Estimate(
-        alpha_hat=alpha, cov=cov, method=method, rank=rank, rank_threshold=thr,
-        diagnostics={"design_cond": cond, "weight_eig_min": float(lam[0]) if lam.size else 0.0,
+        alpha_hat=alpha, cov=cov, method=method, rank=sys.rank,
+        rank_threshold=sys.rank_threshold,
+        diagnostics={"design_cond": sys.cond, "weight_eig_min": float(lam[0]) if lam.size else 0.0,
                      "weight_eig_max": lam_max, "runtime_s": time.perf_counter() - t0},
     )
 
 
-def _pipeline_from_system(sys: StackedSystem, structure: NoiseStructure,
-                          tol: Tolerance) -> Estimate:
+def weighted_pipeline(sys: StackedSystem, structure: NoiseStructure,
+                      tol: Tolerance = DEFAULT_TOL) -> Estimate:
+    """Ordinary estimate, Gaussian eta covariances from it, weighted solve.
+
+    ``sys`` must carry observations (``build_stacked_system`` or
+    ``with_data``); the first-pass estimate is kept in the diagnostics.
+    """
     est_o = ordinary_mdm(sys, tol)
     etas = gaussian_eta_covariances(structure, est_o.alpha_hat, sys.L,
                                     tol=tol, repair=True)
@@ -601,31 +630,18 @@ def _pipeline_from_system(sys: StackedSystem, structure: NoiseStructure,
     return est_w
 
 
-def three_step_weighted_pipeline(model: LtvModel, structure: NoiseStructure,
-                                 data, L: int, mode: str = KNOWN_INPUT,
-                                 tol: Tolerance = DEFAULT_TOL) -> Estimate:
-    """Ordinary estimate, Gaussian eta covariances from it, weighted solve."""
-    sys = build_stacked_system(model, structure, data, L, mode, tol)
-    return _pipeline_from_system(sys, structure, tol)
-
-
 def identifiability_report(sys: StackedSystem,
                            tol: Tolerance = DEFAULT_TOL) -> IdentifiabilityReport:
     """Numerical rank of the design and, if deficient, the blind directions.
 
     The design depends on the known model and structure matrices only, so
-    this needs no measurement data.
+    this needs no measurement data.  The rank decision and null basis are
+    the ones ``build_design`` made with its tolerance; ``tol`` is not used.
     """
-    d, scale = _equilibrated(sys.design, tol)
-    u, s, vt = np.linalg.svd(d, full_matrices=False)
-    thr = tol.rank_tol * (s[0] if s.size else 0.0) * max(d.shape)
-    rank = int(np.count_nonzero(s > thr))
-    null_basis = None
     participation = None
-    if rank < sys.n_alpha:
-        raw = (vt[rank:].T / scale[:, None])
-        # re-orthonormalise after undoing the column scaling
-        null_basis, _ = np.linalg.qr(raw)
-        participation = np.linalg.norm(null_basis, axis=1)
-    return IdentifiabilityReport(rank=rank, n_alpha=sys.n_alpha, threshold=thr,
-                                 null_basis=null_basis, participation=participation)
+    if sys.null_basis is not None:
+        participation = np.linalg.norm(sys.null_basis, axis=1)
+    return IdentifiabilityReport(rank=sys.rank, n_alpha=sys.n_alpha,
+                                 threshold=sys.rank_threshold,
+                                 null_basis=sys.null_basis,
+                                 participation=participation)

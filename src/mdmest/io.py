@@ -135,6 +135,13 @@ def write_data(path, data: MeasurementData) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
+def _finite_entry(record: dict, key: str, line_no: int) -> np.ndarray:
+    value = np.asarray(record[key], dtype=float)
+    if not np.all(np.isfinite(value)):
+        raise DataError(f"line {line_no + 1}: '{key}' is not finite")
+    return value
+
+
 def read_data(path) -> MeasurementData:
     """Read a JSON Lines data file; records must cover k = 0..tau in order."""
     zs: list[np.ndarray] = []
@@ -150,10 +157,10 @@ def read_data(path) -> MeasurementData:
                 raise DataError(
                     f"line {line_no + 1}: expected record k={len(zs)}, got {record.get('k')}"
                 )
-            zs.append(np.asarray(record["z"], dtype=float))
+            zs.append(_finite_entry(record, "z", line_no))
             if "u" in record:
                 have_u += 1
-                us.append(np.asarray(record["u"], dtype=float))
+                us.append(_finite_entry(record, "u", line_no))
     if not zs:
         raise DataError(f"no records in {Path(path)}")
     if have_u not in (0, len(zs)):

@@ -1,16 +1,15 @@
 """Dense matrix utilities underlying the identification algebra.
 
-Kronecker products and powers, column-wise vectorisation, SVD-based
-rank/null-space/pseudo-inverse with a shared thresholding rule, and the 0/1
-unification (unique-element selection) and replication matrices for
-vectorised symmetric matrices.
+Kronecker products, column-wise vectorisation, the one SVD rank rule (a
+singular value counts when it exceeds rank_tol * sigma_max * max(rows, cols))
+with the rank and left null space built on it, and the 0/1 unification
+(unique-element selection) and replication matrices for vectorised
+symmetric matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-
 import numpy as np
 
 from .errors import NoAnnihilator
@@ -19,12 +18,11 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "kron",
-    "kron_power",
     "vec",
     "unvec",
+    "svd_rank",
     "numerical_rank",
     "left_null_space",
-    "pinv",
     "sym_pair_indices",
     "unification_matrix",
     "replication_matrix",
@@ -64,14 +62,6 @@ def kron(a, b) -> np.ndarray:
     return np.kron(_as_matrix(a), _as_matrix(b))
 
 
-def kron_power(a, n: int) -> np.ndarray:
-    """n-fold Kronecker product of a matrix with itself; n must be >= 1."""
-    if n < 1:
-        raise ValueError("kron_power requires n >= 1")
-    m = _as_matrix(a)
-    return reduce(np.kron, [m] * n)
-
-
 def vec(m) -> np.ndarray:
     """Column-wise stacking of a matrix into a vector."""
     return _as_matrix(m).ravel(order="F")
@@ -89,6 +79,17 @@ def _rank_threshold(s: np.ndarray, shape: tuple[int, int], tol: Tolerance) -> fl
     if s.size == 0:
         return 0.0
     return tol.rank_tol * s[0] * max(shape)
+
+
+def svd_rank(m, tol: Tolerance = DEFAULT_TOL, full_matrices: bool = False):
+    """``np.linalg.svd(m, full_matrices)`` plus (rank, threshold) by the shared rule.
+
+    Returns (u, s, vt, rank, threshold).
+    """
+    m = _as_matrix(m)
+    u, s, vt = np.linalg.svd(m, full_matrices=full_matrices)
+    thr = _rank_threshold(s, m.shape, tol)
+    return u, s, vt, int(np.count_nonzero(s > thr)), thr
 
 
 def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -110,22 +111,10 @@ def left_null_space(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     rows = m.shape[0]
     if rows == 0:
         raise ValueError("left_null_space requires a nonempty matrix")
-    u, s, _ = np.linalg.svd(m, full_matrices=True)
-    rank = int(np.count_nonzero(s > _rank_threshold(s, m.shape, tol)))
+    u, _, _, rank, _ = svd_rank(m, tol, full_matrices=True)
     if rank >= rows:
         raise NoAnnihilator(rows=rows, rank=rank)
     return u[:, rank:].T
-
-
-def pinv(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse with the shared singular value cutoff."""
-    m = _as_matrix(m)
-    if m.size == 0:
-        return m.T.copy()
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    thr = _rank_threshold(s, m.shape, tol)
-    inv = np.where(s > thr, 1.0 / np.where(s > thr, s, 1.0), 0.0)
-    return (vt.T * inv) @ u.T
 
 
 def sym_pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:

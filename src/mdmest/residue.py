@@ -1,4 +1,4 @@
-"""Per-window residue construction.
+"""Per-window matrices of the residue construction.
 
 For a window of L consecutive measurements starting at time k, the augmented
 measurement vector satisfies
@@ -14,7 +14,9 @@ unknown) removes the state (and input), leaving the residue
     ztilde_k = N (Z_k - Gamma_k scriptG_k U_k) = A_k C_k [W_k; V_k]
 
 a pure linear function of the noises.  Squaring and selecting unique entries
-turns each window into one block of a linear regression for alpha.
+turns each window into one block of a linear regression for alpha; the
+estimator module builds the annihilators, residues and regression blocks
+from the window matrices assembled here.
 """
 
 from __future__ import annotations
@@ -24,20 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DataError, NoAnnihilator
-from .linalg import Tolerance, DEFAULT_TOL, left_null_space, sym_pair_indices
+from .errors import DataError
 from .model import LtvModel, MeasurementData, Trajectory
 
-__all__ = [
-    "AugmentedBlock",
-    "ResidueBundle",
-    "RegressionRow",
-    "build_augmented_block",
-    "stack_measurements",
-    "residue_known_input",
-    "residue_unknown_input",
-    "regression_row",
-]
+__all__ = ["AugmentedBlock", "build_augmented_block", "stack_measurements"]
 
 
 @dataclass
@@ -59,33 +51,6 @@ class AugmentedBlock:
     @property
     def n_eps(self) -> int:
         return self.scriptE.shape[1] + self.scriptD.shape[1]
-
-
-@dataclass
-class ResidueBundle:
-    """Residue of one window plus the noise map it certifies.
-
-    ``ztilde == A @ C @ [W; V]`` holds exactly for the noises that generated
-    the data; n_a is the residue dimension n_zkL - rank of the annihilated
-    target.
-    """
-
-    k: int
-    ztilde: np.ndarray
-    A: np.ndarray          # annihilator applied to [Gamma, I]
-    C: np.ndarray          # blkdiag(scriptE, scriptD)
-    n_a: int
-    mode: str
-
-
-@dataclass
-class RegressionRow:
-    """One window's contribution to the stacked regression in alpha."""
-
-    k: int
-    obs: np.ndarray        # unique entries of ztilde ztilde^T
-    design: np.ndarray     # rows multiplying alpha
-    noisemap: np.ndarray   # rows multiplying the eta noise vector
 
 
 def build_augmented_block(model: LtvModel, k: int, L: int) -> AugmentedBlock:
@@ -147,62 +112,3 @@ def stack_measurements(data, k: int, L: int):
         parts = [np.atleast_1d(data.us[k + i]) for i in range(L - 1)]
         u = np.concatenate(parts) if parts else np.zeros(0)
     return z, u
-
-
-def _bundle(n: np.ndarray, block: AugmentedBlock, ztilde: np.ndarray,
-            mode: str) -> ResidueBundle:
-    a = np.hstack([n @ block.Gamma, n])
-    c = scipy.linalg.block_diag(block.scriptE, block.scriptD)
-    return ResidueBundle(k=block.k, ztilde=ztilde, A=a, C=c,
-                         n_a=n.shape[0], mode=mode)
-
-
-def residue_known_input(block: AugmentedBlock, Z, U=None,
-                        tol: Tolerance = DEFAULT_TOL) -> ResidueBundle:
-    """Residue when the input sequence is available (or absent from the model)."""
-    try:
-        n = left_null_space(block.O, tol)
-    except NoAnnihilator as exc:
-        exc.k = block.k
-        raise
-    z = np.asarray(Z, dtype=float).ravel()
-    if U is not None and block.scriptG.shape[1] > 0:
-        z = z - block.Gamma @ (block.scriptG @ np.asarray(U, dtype=float).ravel())
-    return _bundle(n, block, n @ z, "known-input")
-
-
-def residue_unknown_input(block: AugmentedBlock, Z,
-                          tol: Tolerance = DEFAULT_TOL) -> ResidueBundle:
-    """Residue when the input sequence is unknown.
-
-    The annihilator of [O_k, Gamma_k scriptG_k] cancels the state and the
-    input together, so only the measurements are needed.
-    """
-    target = np.hstack([block.O, block.Gamma @ block.scriptG])
-    try:
-        n = left_null_space(target, tol)
-    except NoAnnihilator as exc:
-        exc.k = block.k
-        raise
-    z = np.asarray(Z, dtype=float).ravel()
-    return _bundle(n, block, n @ z, "unknown-input")
-
-
-def regression_row(bundle: ResidueBundle, upsilon: np.ndarray) -> RegressionRow:
-    """Turn one residue into its regression block.
-
-    obs is the unique-element selection of ztilde kron ztilde; the design and
-    noise-map rows are the matching selections of (A C) kron (A C), using the
-    mixed-product identity to avoid the larger Kronecker factors.
-    """
-    ac = bundle.A @ bundle.C
-    if upsilon.shape[0] != ac.shape[1] ** 2:
-        raise ValueError(
-            f"upsilon has {upsilon.shape[0]} rows, expected {ac.shape[1] ** 2}"
-        )
-    i_idx, j_idx = sym_pair_indices(bundle.n_a)
-    z = bundle.ztilde
-    obs = z[i_idx] * z[j_idx]
-    noisemap = np.einsum("ta,tb->tab", ac[j_idx], ac[i_idx]).reshape(i_idx.size, -1)
-    design = noisemap @ upsilon
-    return RegressionRow(k=bundle.k, obs=obs, design=design, noisemap=noisemap)

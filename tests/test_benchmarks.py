@@ -109,7 +109,7 @@ class TestRunMc:
                         input_signal=u, seed=17)
         sys_full = build_stacked_system(spec.model, spec.structure, traj, spec.L)
         est = ordinary_mdm(sys_full)
-        assert np.max(np.abs(res.estimates[0] - est.alpha_hat)) < 1e-10
+        assert np.array_equal(res.estimates[0], est.alpha_hat)
 
     def test_worker_pool_is_deterministic(self):
         spec = preset("obs-ltv", tau=100, n_mc=8, seed=5)

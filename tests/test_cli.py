@@ -90,6 +90,16 @@ class TestSimulateIdentify:
         assert code == 3
         assert "horizon too short" in capsys.readouterr().err
 
+    def test_nonfinite_data_is_a_validation_error(self, tmp_path, obs_ltv_model_file,
+                                                   capsys):
+        data = tmp_path / "nan.jsonl"
+        data.write_text("".join(f'{{"k": {k}, "z": [{"NaN" if k == 3 else 1.0}]}}\n'
+                                for k in range(10)))
+        code = main(["identify", "--model", str(obs_ltv_model_file),
+                     "--data", str(data), "--out", str(tmp_path)])
+        assert code == 3
+        assert "line 4: 'z' is not finite" in capsys.readouterr().err
+
     def test_simulate_reproducible_bytes(self, tmp_path, obs_ltv_model_file):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["simulate", "--model", str(obs_ltv_model_file), "--seed", "9",
@@ -155,6 +165,27 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "rank 1 of 2" in captured.out
         assert not (out / "identify_result.json").exists()
+
+    def test_too_short_window_names_smallest_feasible(self, tmp_path, capsys,
+                                                      obs_ltv_model_file):
+        out = tmp_path / "o"
+        assert main(["simulate", "--model", str(obs_ltv_model_file),
+                     "--out", str(out)]) == 0
+        code = main(["identify", "--model", str(obs_ltv_model_file),
+                     "--data", str(out / "data.jsonl"), "--L", "1",
+                     "--out", str(out)])
+        assert code == 4
+        assert "smallest feasible window length is L=2" in capsys.readouterr().err
+
+    def test_auto_window_without_annihilator(self, tmp_path, capsys,
+                                             obs_ltv_model_file):
+        data = tmp_path / "one.jsonl"
+        data.write_text('{"k": 0, "z": [1.0]}\n')
+        code = main(["identify", "--model", str(obs_ltv_model_file),
+                     "--data", str(data), "--out", str(tmp_path)])
+        assert code == 4
+        assert ("no window length up to L=1 has an annihilator for 1 records"
+                in capsys.readouterr().err)
 
     def test_missing_model_file(self, tmp_path):
         assert main(["identify", "--model", str(tmp_path / "nope.json"),

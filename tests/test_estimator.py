@@ -19,11 +19,10 @@ from mdmest import (
     ordinary_mdm,
     preset,
     simulate,
-    three_step_weighted_pipeline,
     weighted_mdm,
+    weighted_pipeline,
 )
 from mdmest.benchmarks import benchmark_input_signal
-from mdmest.estimator import _pipeline_from_system
 from mdmest.model import MeasurementData
 
 
@@ -73,11 +72,34 @@ class TestBuildStackedSystem:
         with pytest.raises(NoAnnihilator) as err:
             build_design(spec.model, spec.structure, 1, KNOWN_INPUT)
         assert err.value.minimal_feasible_l == 2
+        assert "smallest feasible window length is L=2" in str(err.value)
 
     def test_ragged_data_rejected(self, scalar_lti_model, scalar_structure):
         data = MeasurementData(zs=[np.array([1.0]), np.array([2.0, 3.0])])
         with pytest.raises(DataError, match="record k=1"):
             build_stacked_system(scalar_lti_model, scalar_structure, data, 2)
+
+    @pytest.mark.parametrize("field", ["zs", "us"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_data_rejected(self, field, bad):
+        spec = preset("obs-ltv", tau=30)
+        traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
+                        input_signal=benchmark_input_signal(spec), seed=0)
+        data = MeasurementData.from_trajectory(traj)
+        getattr(data, field)[5] = np.array([bad])
+        with pytest.raises(DataError, match="record k=5"):
+            build_stacked_system(spec.model, spec.structure, data, 2)
+
+    @pytest.mark.parametrize("name, warns", [("clock-ensemble", False),
+                                             ("obs-ltv", True)])
+    def test_zero_input_warning_only_for_effective_input(self, caplog, name, warns):
+        spec = preset(name, tau=30)
+        traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
+                        input_signal=benchmark_input_signal(spec), seed=0)
+        data = MeasurementData.from_trajectory(traj, include_u=False)
+        with caplog.at_level("WARNING", logger="mdmest.estimator"):
+            build_stacked_system(spec.model, spec.structure, data, spec.L)
+        assert ("assuming zero input" in caplog.text) == warns
 
 
 class TestMinFeasibleWindow:
@@ -196,7 +218,8 @@ class TestAssembleP:
         for j in range(sys_full.L):
             band = etas.band(j)
             for r in range(sys_full.n_windows - j):
-                blk = (sys_full.noisemaps[r] @ band @ sys_full.noisemaps[r + j].T)
+                blk = (sys_full.windows[r].noisemap_block @ band
+                       @ sys_full.windows[r + j].noisemap_block.T)
                 direct[offs[r]:offs[r + 1], offs[r + j]:offs[r + j + 1]] = blk
                 if j:
                     direct[offs[r + j]:offs[r + j + 1], offs[r]:offs[r + 1]] = blk.T
@@ -294,21 +317,17 @@ class TestThreeStepPipeline:
         u = benchmark_input_signal(spec)
         traj = simulate(spec.model, spec.structure, np.zeros(2), init,
                         input_signal=u, seed=0)
-        est = three_step_weighted_pipeline(spec.model, spec.structure, traj, 2)
+        est = weighted_pipeline(
+            build_stacked_system(spec.model, spec.structure, traj, 2), spec.structure)
         assert est.method == "weighted-constrained"
         assert np.max(np.abs(est.alpha_hat)) < 1e-8
 
     def test_pipeline_records_first_pass(self):
         spec, sys_full = simulated_system("obs-ltv", tau=400, seed=9)
-        est = _pipeline_from_system(sys_full, spec.structure, est_tol())
+        est = weighted_pipeline(sys_full, spec.structure)
         assert "alpha_ordinary" in est.diagnostics
         assert est.method == "weighted-full-rank"
         assert np.all(np.diag(est.cov) > 0)
-
-
-def est_tol():
-    from mdmest import DEFAULT_TOL
-    return DEFAULT_TOL
 
 
 class TestIdentifiability:

@@ -81,3 +81,11 @@ class TestDataFiles:
         path.write_text('{"k": 0, "z": [1.0], "u": [0.0]}\n{"k": 1, "z": [2.0]}\n')
         with pytest.raises(DataError):
             io.read_data(path)
+
+    @pytest.mark.parametrize("record", ['{"k": 1, "z": [NaN], "u": [0.0]}',
+                                        '{"k": 1, "z": [1.0], "u": [Infinity]}'])
+    def test_nonfinite_values_rejected(self, tmp_path, record):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"k": 0, "z": [1.0], "u": [0.0]}\n' + record + "\n")
+        with pytest.raises(DataError, match="line 2: '[zu]' is not finite"):
+            io.read_data(path)

@@ -5,10 +5,8 @@ from mdmest import (
     NoAnnihilator,
     Tolerance,
     kron,
-    kron_power,
     left_null_space,
     numerical_rank,
-    pinv,
     replication_matrix,
     unification_matrix,
     unvec,
@@ -37,29 +35,6 @@ class TestKron:
         lhs = kron(a, b) @ kron(c, d)
         rhs = kron(a @ c, b @ d)
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
-
-
-class TestKronPower:
-    def test_two_vector(self):
-        assert np.array_equal(kron_power([[1.0, 2.0]], 2), [[1.0, 2.0, 2.0, 4.0]])
-
-    def test_identity(self):
-        assert np.array_equal(kron_power(np.eye(2), 2), np.eye(4))
-
-    def test_fourth_power_of_sign_vector(self):
-        v = np.array([[1.0], [-1.0]])
-        expected = np.array(
-            [1, -1, -1, 1, -1, 1, 1, -1, -1, 1, 1, -1, 1, -1, -1, 1], dtype=float
-        )[:, None]
-        assert np.array_equal(kron_power(v, 4), expected)
-
-    def test_power_one_returns_input(self):
-        m = np.array([[1.0, 2.0]])
-        assert np.array_equal(kron_power(m, 1), m)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            kron_power(np.eye(2), 0)
 
 
 class TestVec:
@@ -130,23 +105,6 @@ class TestLeftNullSpace:
         m = rng.standard_normal((3, 5))
         with pytest.raises(NoAnnihilator):
             left_null_space(m)
-
-
-class TestPinv:
-    def test_identity(self):
-        assert np.max(np.abs(pinv(np.eye(4)) - np.eye(4))) < 1e-14
-
-    def test_singular_diagonal(self):
-        assert np.allclose(pinv(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]))
-
-    def test_penrose_identities(self, rng):
-        m = rng.standard_normal((6, 4))
-        p = pinv(m)
-        tol = 1e-10
-        assert np.max(np.abs(m @ p @ m - m)) < tol
-        assert np.max(np.abs(p @ m @ p - p)) < tol
-        assert np.max(np.abs((m @ p).T - m @ p)) < tol
-        assert np.max(np.abs((p @ m).T - p @ m)) < tol
 
 
 class TestUnificationReplication:

@@ -2,23 +2,25 @@ import numpy as np
 import pytest
 
 from mdmest import (
+    KNOWN_INPUT,
+    UNKNOWN_INPUT,
     DataError,
     InitialCondition,
     LtvModel,
     NoAnnihilator,
     build_augmented_block,
+    build_design,
+    build_stacked_system,
     defining_replication,
-    regression_row,
+    numerical_rank,
     replication_matrix,
-    residue_known_input,
-    residue_unknown_input,
     simulate,
     stack_measurements,
     unification_matrix,
-    kron_power,
     preset,
 )
 from mdmest.benchmarks import benchmark_input_signal
+from mdmest.linalg import sym_pair_indices
 from mdmest.model import MeasurementData
 
 
@@ -26,6 +28,29 @@ def window_noises(traj, k, L):
     w = np.concatenate([traj.ws[k + i] for i in range(L - 1)]) if L > 1 else np.zeros(0)
     v = np.concatenate([traj.vs[k + i] for i in range(L)])
     return np.concatenate([w, v])
+
+
+def window_residue(sys, data, k):
+    """ztilde = N (Z - Gamma scriptG U) of window k, from the window geometry.
+
+    Also checks that the system's obs block of window k is the unique-pair
+    selection of ztilde ztilde^T.
+    """
+    w = sys.windows[k]
+    z, u = stack_measurements(data, k, sys.L)
+    if sys.mode == KNOWN_INPUT and u is not None and w.gamma_g is not None:
+        z = z - w.gamma_g @ u
+    ztilde = w.annihilator @ z
+    rows = slice(sys.row_offsets[k], sys.row_offsets[k + 1])
+    assert np.array_equal(sys.obs[rows], ztilde[w.sel_i] * ztilde[w.sel_j])
+    return ztilde
+
+
+def regression_rows(ztilde, ac, upsilon):
+    """obs, design and noise-map rows of one window, from ztilde and A C."""
+    si, sj = sym_pair_indices(ztilde.size)
+    noisemap = np.einsum("ta,tb->tab", ac[sj], ac[si]).reshape(si.size, -1)
+    return ztilde[si] * ztilde[sj], noisemap @ upsilon, noisemap
 
 
 class TestBuildAugmentedBlock:
@@ -105,61 +130,54 @@ class TestResidueKnownInput:
         u = benchmark_input_signal(spec)
         traj = simulate(spec.model, spec.structure, np.zeros(2), init,
                         input_signal=u, seed=0)
+        sys = build_stacked_system(spec.model, spec.structure, traj, 2)
         for k in (0, 10, 38):
-            block = build_augmented_block(spec.model, k, 2)
-            z, uu = stack_measurements(traj, k, 2)
-            bundle = residue_known_input(block, z, uu)
-            assert np.max(np.abs(bundle.ztilde)) <= 1e-10 * (1 + np.max(np.abs(z)))
+            z, _ = stack_measurements(traj, k, 2)
+            ztilde = window_residue(sys, traj, k)
+            assert np.max(np.abs(ztilde)) <= 1e-10 * (1 + np.max(np.abs(z)))
 
     def test_dual_path_oracle_obs_ltv(self):
         spec = preset("obs-ltv", tau=60)
         u = benchmark_input_signal(spec)
         traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
                         input_signal=u, seed=5)
+        sys = build_stacked_system(spec.model, spec.structure, traj, 2)
         for k in range(0, 59):
-            block = build_augmented_block(spec.model, k, 2)
-            z, uu = stack_measurements(traj, k, 2)
-            bundle = residue_known_input(block, z, uu)
-            noises = window_noises(traj, k, 2)
-            direct = bundle.A @ bundle.C @ noises
+            ztilde = window_residue(sys, traj, k)
+            direct = sys.windows[k].ac @ window_noises(traj, k, 2)
             scale = 1 + np.max(np.abs(direct))
-            assert np.max(np.abs(bundle.ztilde - direct)) < 1e-9 * scale
+            assert np.max(np.abs(ztilde - direct)) < 1e-9 * scale
 
     def test_clock_residue_dimension(self):
         spec = preset("clock-ensemble", tau=30)
         traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
                         seed=2)
-        block = build_augmented_block(spec.model, 0, 10)
-        z, u = stack_measurements(traj, 0, 10)
-        bundle = residue_known_input(block, z, u)
-        from mdmest import numerical_rank
-        rank = numerical_rank(block.O)
+        sys = build_stacked_system(spec.model, spec.structure, traj, 10)
+        window_residue(sys, traj, 0)
+        rank = numerical_rank(build_augmented_block(spec.model, 0, 10).O)
         assert rank < 6
-        assert bundle.n_a == 20 - rank
+        assert sys.windows[0].n_a == 20 - rank
 
-    def test_no_annihilator_signals_small_window(self):
+    def test_no_annihilator_signals_small_window(self, scalar_structure):
         model = LtvModel.create(n_x=2, n_w=1, n_v=1, tau=10, F=np.eye(2),
                                 G=None, E=np.ones((2, 1)),
                                 H=np.array([[1.0, 0.0], [0.0, 1.0]]),
                                 D=np.ones((2, 1)) * np.array([[1.0], [0.0]]))
-        block = build_augmented_block(model, 0, 1)
         with pytest.raises(NoAnnihilator) as err:
-            residue_known_input(block, np.zeros(2), None)
+            build_design(model, scalar_structure, 1, KNOWN_INPUT)
         assert err.value.k == 0
 
 
 class TestResidueUnknownInput:
-    def test_zero_g_matches_known_subspace(self, rng):
+    def test_zero_g_matches_known_subspace(self, scalar_structure):
         model = LtvModel.create(n_x=1, n_w=1, n_v=1, tau=10,
                                 F=[[0.9]], G=np.zeros((1, 1)), E=[[1.0]],
                                 H=[[1.0]], D=[[1.0]])
-        block = build_augmented_block(model, 0, 2)
-        z = rng.standard_normal(2)
-        known = residue_known_input(block, z, np.zeros(1))
-        unknown = residue_unknown_input(block, z)
+        known = build_design(model, scalar_structure, 2, KNOWN_INPUT).windows[0]
+        unknown = build_design(model, scalar_structure, 2, UNKNOWN_INPUT).windows[0]
         # same null space up to an orthogonal change of basis
-        pk = known.A[:, 1:].T @ known.A[:, 1:]
-        pu = unknown.A[:, 1:].T @ unknown.A[:, 1:]
+        pk = known.annihilator.T @ known.annihilator
+        pu = unknown.annihilator.T @ unknown.annihilator
         assert np.max(np.abs(pk - pu)) < 1e-12
 
     def test_input_invariance_unknown_mode(self):
@@ -171,85 +189,72 @@ class TestResidueUnknownInput:
         t2 = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
                       input_signal=u2, seed=9)
         assert np.array_equal(t1.ws, t2.ws) and np.array_equal(t1.vs, t2.vs)
+        design = build_design(spec.model, spec.structure, 2, UNKNOWN_INPUT)
+        s1, s2 = design.with_data(t1), design.with_data(t2)
         for k in range(0, 49, 7):
-            block = build_augmented_block(spec.model, k, 2)
-            z1, _ = stack_measurements(t1, k, 2)
-            z2, _ = stack_measurements(t2, k, 2)
-            b1 = residue_unknown_input(block, z1)
-            b2 = residue_unknown_input(block, z2)
-            scale = 1 + np.max(np.abs(b1.ztilde))
-            assert np.max(np.abs(b1.ztilde - b2.ztilde)) < 1e-9 * scale
+            b1 = window_residue(s1, t1, k)
+            b2 = window_residue(s2, t2, k)
+            scale = 1 + np.max(np.abs(b1))
+            assert np.max(np.abs(b1 - b2)) < 1e-9 * scale
 
     def test_dual_path_oracle_unknown_input(self):
         spec = preset("unobs-unknown-input", tau=50)
         u = benchmark_input_signal(spec)
         traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
                         input_signal=u, seed=1)
+        sys = build_stacked_system(spec.model, spec.structure, traj, 2, UNKNOWN_INPUT)
         for k in range(0, 49, 5):
-            block = build_augmented_block(spec.model, k, 2)
-            z, _ = stack_measurements(traj, k, 2)
-            bundle = residue_unknown_input(block, z)
-            direct = bundle.A @ bundle.C @ window_noises(traj, k, 2)
+            ztilde = window_residue(sys, traj, k)
+            direct = sys.windows[k].ac @ window_noises(traj, k, 2)
             scale = 1 + np.max(np.abs(direct))
-            assert np.max(np.abs(bundle.ztilde - direct)) < 1e-9 * scale
+            assert np.max(np.abs(ztilde - direct)) < 1e-9 * scale
 
     def test_equal_g_e_kills_state_noise_columns(self, ge_equal_model,
                                                  ge_equal_structure):
-        block = build_augmented_block(ge_equal_model, 0, 2)
-        bundle = residue_unknown_input(block, np.zeros(4))
-        ups = defining_replication(ge_equal_structure, 2)
-        row = regression_row(bundle, ups)
+        w = build_design(ge_equal_model, ge_equal_structure, 2,
+                         UNKNOWN_INPUT).windows[0]
         # Q enters through the first basis column only; it must vanish
-        assert np.max(np.abs(row.design[:, 0])) < 1e-10
-        assert np.max(np.abs(row.design[:, 1])) > 1e-6
+        assert np.max(np.abs(w.design_block[:, 0])) < 1e-10
+        assert np.max(np.abs(w.design_block[:, 1])) > 1e-6
 
 
 class TestRegressionRow:
-    def test_scalar_residue(self, rng):
+    def test_scalar_residue(self):
         spec = preset("obs-ltv", tau=30)
         u = benchmark_input_signal(spec)
         traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
                         input_signal=u, seed=3)
-        block = build_augmented_block(spec.model, 0, 2)
-        z, uu = stack_measurements(traj, 0, 2)
-        bundle = residue_known_input(block, z, uu)
-        assert bundle.n_a == 1
-        ups = defining_replication(spec.structure, 2)
-        row = regression_row(bundle, ups)
-        assert row.obs.shape == (1,)
-        assert np.allclose(row.obs[0], bundle.ztilde[0] ** 2)
-        assert row.design.shape == (1, 2)
+        sys = build_stacked_system(spec.model, spec.structure, traj, 2)
+        ztilde = window_residue(sys, traj, 0)
+        w = sys.windows[0]
+        assert w.n_a == 1
+        obs = sys.obs[sys.row_offsets[0]:sys.row_offsets[1]]
+        assert obs.shape == (1,)
+        assert np.allclose(obs[0], ztilde[0] ** 2)
+        assert w.design_block.shape == (1, 2)
 
     def test_unbiasedness_oracle(self, rng):
         """Mean of obs over noise draws matches design @ alpha."""
         spec = preset("unobs-unknown-input", tau=30)
-        block = build_augmented_block(spec.model, 4, 2)
-        bundle = residue_unknown_input(block, np.zeros(6))
-        ups = defining_replication(spec.structure, 2)
-        row = regression_row(bundle, ups)
+        w = build_design(spec.model, spec.structure, 2, UNKNOWN_INPUT).windows[4]
         q, r = np.array([[1.0, 1, 0], [1, 2, 1], [0, 1, 2.0]]), np.array(
             [[2.0, 0, 1], [0, 4, 1], [1, 1, 2.0]])
         n_draws = 10000
-        w = rng.standard_normal((n_draws, 3)) @ np.linalg.cholesky(q).T
+        wn = rng.standard_normal((n_draws, 3)) @ np.linalg.cholesky(q).T
         v = rng.standard_normal((n_draws, 6)) @ np.kron(
             np.eye(2), np.linalg.cholesky(r)).T
-        zt = np.hstack([w, v]) @ (bundle.A @ bundle.C).T
-        i_idx = row.noisemap  # silence linters; obs built below
-        from mdmest.linalg import sym_pair_indices
-        si, sj = sym_pair_indices(bundle.n_a)
-        samples = zt[:, si] * zt[:, sj]
+        zt = np.hstack([wn, v]) @ w.ac.T
+        samples = zt[:, w.sel_i] * zt[:, w.sel_j]
         mean = samples.mean(axis=0)
         se = samples.std(axis=0, ddof=1) / np.sqrt(n_draws)
-        pred = row.design @ np.array([1.0, 1.0, -1.0, 2.0, 2.0, 1.0])
+        pred = w.design_block @ np.array([1.0, 1.0, -1.0, 2.0, 2.0, 1.0])
         assert np.all(np.abs(mean - pred) <= 4.0 * se)
 
     def test_design_consistent_with_noisemap(self):
         spec = preset("obs-ltv", tau=20)
-        block = build_augmented_block(spec.model, 0, 2)
-        bundle = residue_known_input(block, np.zeros(2), np.zeros(1))
+        w = build_design(spec.model, spec.structure, 2, KNOWN_INPUT).windows[0]
         ups = defining_replication(spec.structure, 2)
-        row = regression_row(bundle, ups)
-        assert np.allclose(row.design, row.noisemap @ ups)
+        assert np.allclose(w.design_block, w.noisemap_block @ ups)
 
     def test_m_transformation_property(self, rng):
         """A nonsingular M on the residue maps the row through Xi M^2 Psi."""
@@ -258,33 +263,34 @@ class TestRegressionRow:
         traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
                         input_signal=u_sig, seed=8)
         k, L = 2, 10
-        block = build_augmented_block(spec.model, k, L)
-        z, _ = stack_measurements(traj, k, L)
-        bundle = residue_known_input(block, z, None)
+        sys = build_stacked_system(spec.model, spec.structure, traj, L)
+        w = sys.windows[k]
+        ztilde = window_residue(sys, traj, k)
         ups = defining_replication(spec.structure, L)
-        row = regression_row(bundle, ups)
+        obs, design, noisemap = regression_rows(ztilde, w.ac, ups)
+        # the rows rebuilt here are the system's own rows for window k
+        assert np.array_equal(obs, sys.obs[sys.row_offsets[k]:sys.row_offsets[k + 1]])
+        assert np.array_equal(noisemap, w.noisemap_block)
+        assert np.array_equal(design, w.design_block)
 
-        n_a = bundle.n_a
+        n_a = w.n_a
         m_mat = rng.standard_normal((n_a, n_a)) + 0.5 * np.eye(n_a)
-        from mdmest.residue import ResidueBundle
-        transformed = ResidueBundle(k=bundle.k, ztilde=m_mat @ bundle.ztilde,
-                                    A=m_mat @ bundle.A, C=bundle.C,
-                                    n_a=n_a, mode=bundle.mode)
-        row_t = regression_row(transformed, ups)
+        obs_t, design_t, noisemap_t = regression_rows(m_mat @ ztilde,
+                                                      m_mat @ w.ac, ups)
 
         xi = unification_matrix(n_a)
         psi = replication_matrix(n_a)
-        t_map = xi @ kron_power(m_mat, 2) @ psi
+        t_map = xi @ np.kron(m_mat, m_mat) @ psi
         assert np.linalg.matrix_rank(t_map) == t_map.shape[0]
-        scale = np.max(np.abs(row_t.obs)) + 1
-        assert np.max(np.abs(row_t.obs - t_map @ row.obs)) < 1e-9 * scale
-        dscale = np.max(np.abs(row_t.design)) + 1
-        assert np.max(np.abs(row_t.design - t_map @ row.design)) < 1e-9 * dscale
+        scale = np.max(np.abs(obs_t)) + 1
+        assert np.max(np.abs(obs_t - t_map @ obs)) < 1e-9 * scale
+        dscale = np.max(np.abs(design_t)) + 1
+        assert np.max(np.abs(design_t - t_map @ design)) < 1e-9 * dscale
         # noisemap agrees as an operator on symmetric-vec vectors
-        s = rng.standard_normal((bundle.C.shape[1], bundle.C.shape[1]))
+        s = rng.standard_normal((w.ac.shape[1], w.ac.shape[1]))
         y = (s + s.T).ravel(order="F")
-        nscale = np.max(np.abs(row_t.noisemap @ y)) + 1
-        assert np.max(np.abs(row_t.noisemap @ y - t_map @ (row.noisemap @ y))) \
+        nscale = np.max(np.abs(noisemap_t @ y)) + 1
+        assert np.max(np.abs(noisemap_t @ y - t_map @ (noisemap @ y))) \
             < 1e-9 * nscale
 
     def test_initial_state_invariance(self):
@@ -297,11 +303,10 @@ class TestRegressionRow:
         t2 = simulate(spec.model, spec.structure, spec.alpha_true, init_b,
                       input_signal=u, seed=21)
         assert np.array_equal(t1.ws, t2.ws)
+        design = build_design(spec.model, spec.structure, 2, KNOWN_INPUT)
+        s1, s2 = design.with_data(t1), design.with_data(t2)
         for k in range(0, 39, 4):
-            block = build_augmented_block(spec.model, k, 2)
-            z1, u1 = stack_measurements(t1, k, 2)
-            z2, u2 = stack_measurements(t2, k, 2)
-            b1 = residue_known_input(block, z1, u1)
-            b2 = residue_known_input(block, z2, u2)
-            scale = 1 + np.max(np.abs(b1.ztilde))
-            assert np.max(np.abs(b1.ztilde - b2.ztilde)) < 1e-9 * scale
+            b1 = window_residue(s1, t1, k)
+            b2 = window_residue(s2, t2, k)
+            scale = 1 + np.max(np.abs(b1))
+            assert np.max(np.abs(b1 - b2)) < 1e-9 * scale

@@ -7,9 +7,9 @@ Every usable window contributes rows
 where obs_k selects the unique entries of the squared residue and eta_k is
 the zero-mean deviation of the squared stacked noise from its expectation.
 The ordinary solver ignores the eta covariance; the weighted solver builds
-it (under a Gaussian assumption, from a first-pass ordinary estimate) and
-solves the generalised LS problem, falling back to a constrained LS form
-when the weight matrix is singular.
+it (under a Gaussian assumption, from a first-pass ordinary estimate) as a
+band matrix and solves the generalised LS problem by banded Cholesky,
+falling back to a constrained LS form when the weight matrix is singular.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import (
     DataError,
@@ -33,6 +34,7 @@ from .errors import (
 from .linalg import (
     Tolerance,
     DEFAULT_TOL,
+    block_diag,
     numerical_rank,
     svd_rank,
     swap_permutation,
@@ -69,10 +71,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-# dense eta-weight assembly above this row count is refused (use ordinary MDM
-# or a shorter horizon instead)
-P_DENSE_MAX_ROWS = 8000
 
 
 @dataclass
@@ -160,7 +158,7 @@ class StackedSystem:
         if not finite.all():
             window = int(np.searchsorted(self.row_offsets, np.argmin(finite),
                                          side="right")) - 1
-            raise DataError(f"record k={_first_nonfinite(zs, us, window, L)}: "
+            raise DataError(f"record k={_first_nonfinite(zs, window, L)}: "
                             "measurement or residue is not finite")
         return replace(self, obs=obs)
 
@@ -214,7 +212,7 @@ def _window_geometry(model: LtvModel, k: int, L: int, mode: str,
     gamma_g = None
     if mode == KNOWN_INPUT and block.scriptG.shape[1] > 0:
         gamma_g = block.Gamma @ block.scriptG
-    c_mat = scipy.linalg.block_diag(block.scriptE, block.scriptD)
+    c_mat = block_diag(block.scriptE, block.scriptD)
     ac = np.hstack([n @ block.Gamma, n]) @ c_mat
     sel_i, sel_j = sym_pair_indices(n.shape[0])
     noisemap = np.einsum("ta,tb->tab", ac[sel_j], ac[sel_i]).reshape(sel_i.size, -1)
@@ -322,14 +320,18 @@ def _checked_records(model: LtvModel, data: MeasurementData, mode: str):
         if any(np.any(model.G[k]) for k in range(len(model.G))):
             logger.warning("data carries no input records; assuming zero input")
         return zs, None
-    return zs, _records("u", data.us, model.n_u)
+    us = _records("u", data.us, model.n_u)
+    # checked before the input correction, whose product would warn
+    if us and not np.isfinite(np.concatenate(us)).all():
+        k = next(k for k, u in enumerate(us) if not np.isfinite(u).all())
+        raise DataError(f"record k={k}: input is not finite")
+    return zs, us
 
 
-def _first_nonfinite(zs, us, window: int, L: int) -> int:
-    """First record of ``window`` whose z or u is not finite, else its first."""
+def _first_nonfinite(zs, window: int, L: int) -> int:
+    """First record of ``window`` whose z is not finite, else its first."""
     for k in range(window, window + L):
-        u = us[k] if us is not None and k < len(us) else 0.0
-        if not (np.all(np.isfinite(zs[k])) and np.all(np.isfinite(u))):
+        if not np.all(np.isfinite(zs[k])):
             return k
     return window
 
@@ -438,10 +440,6 @@ class EtaCovariances:
                                    vec(self.sigma_bots[j]) - self.r_e2)
         return band
 
-    @property
-    def bands(self) -> list[np.ndarray]:
-        return [self.band(j) for j in range(self.L)]
-
 
 def gaussian_eta_covariances(structure: NoiseStructure, alpha, L: int,
                              tol: Tolerance = DEFAULT_TOL,
@@ -469,14 +467,14 @@ def gaussian_eta_covariances(structure: NoiseStructure, alpha, L: int,
 
     lg = L - 1
     n_eps = lg * structure.n_w + L * structure.n_v
-    sigma = scipy.linalg.block_diag(np.kron(np.eye(lg), q), np.kron(np.eye(L), r))
+    sigma = block_diag(np.kron(np.eye(lg), q), np.kron(np.eye(L), r))
     r_e2 = vec(sigma)
 
     tops, bots, crosses = [], [], []
     repaired = False
     for j in range(L):
-        c_j = scipy.linalg.block_diag(
-            np.kron(_shift_matrix(lg, j), q), np.kron(_shift_matrix(L, j), r))
+        c_j = block_diag(np.kron(_shift_matrix(lg, j), q),
+                         np.kron(_shift_matrix(L, j), r))
         if psd_ok:
             tops.append(sigma)
             bots.append(sigma)
@@ -507,16 +505,31 @@ def gaussian_eta_covariances(structure: NoiseStructure, alpha, L: int,
                           sigma_bots=bots, crosses=crosses, repaired=repaired)
 
 
-def _select_unique(mat: np.ndarray, w: WindowGeometry) -> np.ndarray:
-    return mat[w.sel_i, w.sel_j]
+def _stacked_ac(sys: StackedSystem) -> np.ndarray:
+    """The windows' ``ac`` as one (n_windows, max n_a, n_eps) array.
+
+    A window with fewer residue rows is zero-padded at the bottom, so its
+    unique pairs are a prefix of the widest window's (``sym_pair_indices``
+    runs column by column) and the padded entries of every product are 0.
+    """
+    n_a = max(w.n_a for w in sys.windows)
+    ac = np.zeros((sys.n_windows, n_a, sys.n_eps))
+    for r, w in enumerate(sys.windows):
+        ac[r, :w.n_a] = w.ac
+    return ac
 
 
 def assemble_p(sys: StackedSystem, etas: EtaCovariances) -> np.ndarray:
-    """Covariance of the stacked noise term, block banded with bandwidth L-1.
+    """Covariance P of the stacked noise term, in LAPACK lower band storage.
 
-    Block (r, r+j) equals noisemap_r @ band(j) @ noisemap_{r+j}^T; it is
-    computed in the factored form using G = ac_r @ C_j @ ac_{r+j}^T, which
-    never materialises the n_eps^2-sized band matrices.
+    P is block banded: block (r, r+j) is noisemap_r @ band(j) @
+    noisemap_{r+j}^T for j < L and zero beyond.  Each lag's blocks are
+    computed for all windows at once in the factored form
+    G_r = ac_r @ C_j @ ac_{r+j}^T, which never materialises the
+    n_eps^2-sized band matrices.  The result ``ab`` has shape (b+1, m) with
+    ab[i-c, c] == P[i, c] for c <= i <= c+b, b the widest row span of L
+    consecutive windows minus one (L*s - 1 for windows of s rows); entries
+    past the end of a diagonal are 0.  The dense P is never formed.
     """
     if etas.L != sys.L:
         raise ValueError(f"band count {etas.L} does not match system L={sys.L}")
@@ -524,33 +537,63 @@ def assemble_p(sys: StackedSystem, etas: EtaCovariances) -> np.ndarray:
         raise ValueError(
             f"band dimension n_eps={etas.n_eps} does not match system n_eps={sys.n_eps}"
         )
-    m = sys.n_rows
+    n_windows, offs = sys.n_windows, sys.row_offsets
+    span_end = offs[np.minimum(np.arange(n_windows) + sys.L, n_windows)]
+    ab = np.zeros((int(np.max(span_end - offs[:-1])), sys.n_rows))
+    ac = _stacked_ac(sys)
+    ac_t = ac.transpose(0, 2, 1)
+    si, sj = sym_pair_indices(ac.shape[1])
+    pos = np.arange(si.size)
+    rows_of = np.diff(offs)
+    if etas.repaired:
+        rm = etas.r_e2.reshape((etas.n_eps, etas.n_eps), order="F")
+    for j in range(min(sys.L, n_windows)):
+        n = n_windows - j
+        g = ac[:n] @ etas.crosses[j] @ ac_t[j:]
+        blk = (g[:, sj[:, None], sj] * g[:, si[:, None], si]
+               + g[:, sj[:, None], si] * g[:, si[:, None], sj])
+        if etas.repaired:
+            u_r = (ac[:n] @ (etas.sigma_tops[j] - rm) @ ac_t[:n])[:, si, sj]
+            u_c = (ac[j:] @ (etas.sigma_bots[j] - rm) @ ac_t[j:])[:, si, sj]
+            blk = blk + u_r[:, :, None] * u_c[:, None, :]
+        # blk[r, a, b] = P[offs[r] + a, offs[r+j] + b], stored from the lower
+        # triangle as P[offs[r+j] + b, offs[r] + a]
+        col = offs[:n, None, None] + pos[:, None]
+        row = offs[j:n_windows, None, None] + pos
+        keep = ((pos[:, None] < rows_of[:n, None, None])
+                & (pos < rows_of[j:, None, None]))
+        if j == 0:
+            # a diagonal block is symmetric up to roundoff; store its mean
+            blk = 0.5 * (blk + blk.transpose(0, 2, 1))
+            keep &= pos[:, None] <= pos
+        col = np.broadcast_to(col, keep.shape)[keep]
+        ab[np.broadcast_to(row, keep.shape)[keep] - col, col] = blk[keep]
+    return ab
+
+
+# The definiteness test reduces P to tridiagonal form, O(m^2 b), and the
+# constrained branch forms P + design design^T densely, O(m^2) memory and an
+# O(m^3) eigendecomposition; both are refused above this row count (use
+# ordinary MDM or a shorter horizon instead).
+P_DENSE_MAX_ROWS = 8000
+
+
+def _check_weight_rows(m: int) -> None:
     if m > P_DENSE_MAX_ROWS:
         raise MdmError(
             f"weight matrix of size {m} exceeds the dense assembly limit "
             f"{P_DENSE_MAX_ROWS}; use the ordinary method or a shorter horizon"
         )
-    offs = sys.row_offsets
-    n_windows = sys.n_windows
-    rm = None
-    if etas.repaired:
-        rm = etas.r_e2.reshape((etas.n_eps, etas.n_eps), order="F")
+
+
+def _band_to_dense(ab: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose lower band storage is ``ab``."""
+    m = ab.shape[1]
     p = np.zeros((m, m))
-    for j in range(sys.L):
-        c_j = etas.crosses[j]
-        for r in range(n_windows - j):
-            wr = sys.windows[r]
-            wc = sys.windows[r + j]
-            g = wr.ac @ c_j @ wc.ac.T
-            blk = (g[np.ix_(wr.sel_j, wc.sel_j)] * g[np.ix_(wr.sel_i, wc.sel_i)]
-                   + g[np.ix_(wr.sel_j, wc.sel_i)] * g[np.ix_(wr.sel_i, wc.sel_j)])
-            if etas.repaired:
-                u_r = _select_unique(wr.ac @ (etas.sigma_tops[j] - rm) @ wr.ac.T, wr)
-                u_c = _select_unique(wc.ac @ (etas.sigma_bots[j] - rm) @ wc.ac.T, wc)
-                blk = blk + np.outer(u_r, u_c)
-            p[offs[r]:offs[r + 1], offs[r + j]:offs[r + j + 1]] = blk
-            if j > 0:
-                p[offs[r + j]:offs[r + j + 1], offs[r]:offs[r + 1]] = blk.T
+    for d in range(ab.shape[0]):
+        i = np.arange(d, m)
+        p[i, i - d] = ab[d, :m - d]
+        p[i - d, i] = ab[d, :m - d]
     return p
 
 
@@ -558,45 +601,66 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
                  tol: Tolerance = DEFAULT_TOL, branch: str = "auto") -> Estimate:
     """Weighted LS solution with the eta covariance estimate as weight.
 
-    A numerically full-rank weight is factored by Cholesky and the whitened
-    problem solved by QR; a rank-deficient weight takes the constrained LS
-    form built from the pseudo-inverse of (P + design design^T), whose
-    reported covariance subtracts the identity.  ``branch`` may force either
-    path ("full-rank" / "constrained") for verification.
+    ``p_hat`` is the symmetric weight P in LAPACK lower band storage, as
+    ``assemble_p`` returns it: shape (b+1, m), p_hat[i-c, c] == P[i, c], and
+    zeros past the end of each diagonal (np.ones((1, m)) is the identity).
+    A numerically full-rank weight is factored by banded Cholesky, in
+    O(m b^2), and the whitened problem solved by QR; the diagnostics then
+    carry the fit statistic J = r^T P^{-1} r of the residual r and its
+    degrees of freedom m - n_alpha.  A rank-deficient weight takes the
+    constrained LS form built from the pseudo-inverse of
+    (P + design design^T), whose reported covariance subtracts the identity.
+    ``branch`` may force either path ("full-rank" / "constrained") for
+    verification.
     """
     if sys.obs is None:
         raise ValueError("system carries no observations")
     t0 = time.perf_counter()
     if sys.rank < sys.n_alpha:
         raise RankDeficientDesign(sys.rank, sys.n_alpha)
+    m = sys.n_rows
+    ab = np.asarray(p_hat, dtype=float)
+    if ab.ndim != 2 or not 1 <= ab.shape[0] <= m or ab.shape[1] != m:
+        raise ValueError(f"weight must be in band storage of shape (b+1, {m}), "
+                         f"got {ab.shape}")
+    if np.any(ab[np.arange(m) >= m - np.arange(ab.shape[0])[:, None]]):
+        raise ValueError("weight band storage has entries past the end of a diagonal")
+    _check_weight_rows(m)
 
-    p = 0.5 * (p_hat + p_hat.T)
-    lam = np.linalg.eigvalsh(p)
-    lam_max = float(lam[-1]) if lam.size else 0.0
+    lam_min = float(scipy.linalg.eigvals_banded(ab, lower=True, select="i",
+                                                select_range=(0, 0))[0])
+    lam_max = float(scipy.linalg.eigvals_banded(ab, lower=True, select="i",
+                                                select_range=(m - 1, m - 1))[0])
     # negativity floor uses the regression scale ||design||_2^2 too, so a
     # numerically-zero weight (all-dust eigenvalues) falls through to the
     # constrained branch; design == q @ (r * scale) gives the norm from r
     design_scale = float(np.linalg.norm(sys.r * sys.scale, 2)) ** 2
     floor = tol.rank_tol * max(lam_max, design_scale)
-    if lam.size and lam[0] < -floor:
+    if lam_min < -floor:
         raise IndefiniteWeight(
-            f"weight matrix has eigenvalue {lam[0]:.3e} below -{floor:.3e}"
+            f"weight matrix has eigenvalue {lam_min:.3e} below -{floor:.3e}"
         )
-    full_rank = lam_max > 0.0 and lam[0] > tol.rank_tol * lam_max
+    full_rank = lam_max > 0.0 and lam_min > tol.rank_tol * lam_max
     if branch == "full-rank" and not full_rank:
         raise IndefiniteWeight("full-rank branch forced but the weight is singular")
     use_full = full_rank if branch == "auto" else branch == "full-rank"
 
+    fit_j = fit_dof = None
     if use_full:
-        chol = scipy.linalg.cholesky(p, lower=True, check_finite=False)
-        a_t = scipy.linalg.solve_triangular(chol, sys.design, lower=True,
-                                            check_finite=False)
-        b_t = scipy.linalg.solve_triangular(chol, sys.obs, lower=True,
-                                            check_finite=False)
+        chol, info = scipy.linalg.lapack.dpbtrf(ab, lower=1)
+        if info == 0:
+            whitened, info = scipy.linalg.lapack.dtbtrs(
+                chol, np.column_stack([sys.design, sys.obs]), uplo="L")
+        if info != 0:
+            raise IndefiniteWeight(
+                f"banded Cholesky whitening of the weight failed (LAPACK info {info})")
+        a_t, b_t = whitened[:, :-1], whitened[:, -1]
         alpha, cov = _ls_with_cov(a_t, b_t, tol)
+        resid = b_t - a_t @ alpha
+        fit_j, fit_dof = float(resid @ resid), m - sys.n_alpha
         method = "weighted-full-rank"
     else:
-        w_base = p + sys.design @ sys.design.T
+        w_base = _band_to_dense(ab) + sys.design @ sys.design.T
         lam2, v2 = np.linalg.eigh(w_base)
         thr2 = tol.rank_tol * max(float(lam2[-1]), 0.0) * w_base.shape[0]
         inv_sqrt = np.where(lam2 > thr2, 1.0 / np.sqrt(np.where(lam2 > thr2, lam2, 1.0)), 0.0)
@@ -607,8 +671,9 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
     return Estimate(
         alpha_hat=alpha, cov=cov, method=method, rank=sys.rank,
         rank_threshold=sys.rank_threshold,
-        diagnostics={"design_cond": sys.cond, "weight_eig_min": float(lam[0]) if lam.size else 0.0,
-                     "weight_eig_max": lam_max, "runtime_s": time.perf_counter() - t0},
+        diagnostics={"design_cond": sys.cond, "weight_eig_min": lam_min,
+                     "weight_eig_max": lam_max, "fit_j": fit_j, "fit_dof": fit_dof,
+                     "runtime_s": time.perf_counter() - t0},
     )
 
 
@@ -622,6 +687,8 @@ def weighted_pipeline(sys: StackedSystem, structure: NoiseStructure,
     est_o = ordinary_mdm(sys, tol)
     etas = gaussian_eta_covariances(structure, est_o.alpha_hat, sys.L,
                                     tol=tol, repair=True)
+    # refuse a weight the solve would refuse before assembling its band
+    _check_weight_rows(sys.n_rows)
     p_hat = assemble_p(sys, etas)
     est_w = weighted_mdm(sys, p_hat, tol)
     est_w.diagnostics["alpha_ordinary"] = est_o.alpha_hat

@@ -153,6 +153,10 @@ def read_data(path) -> MeasurementData:
             if not line:
                 continue
             record = json.loads(line)
+            if not isinstance(record, dict) or "z" not in record:
+                raise DataError(
+                    f"line {line_no + 1}: expected a JSON object with a 'z' entry"
+                )
             if record.get("k") != len(zs):
                 raise DataError(
                     f"line {line_no + 1}: expected record k={len(zs)}, got {record.get('k')}"

@@ -1,10 +1,10 @@
 """Dense matrix utilities underlying the identification algebra.
 
-Kronecker products, column-wise vectorisation, the one SVD rank rule (a
-singular value counts when it exceeds rank_tol * sigma_max * max(rows, cols))
-with the rank and left null space built on it, and the 0/1 unification
-(unique-element selection) and replication matrices for vectorised
-symmetric matrices.
+Kronecker products, block-diagonal assembly, column-wise vectorisation, the
+one SVD rank rule (a singular value counts when it exceeds
+rank_tol * sigma_max * max(rows, cols)) with the rank and left null space
+built on it, and the 0/1 unification (unique-element selection) and
+replication matrices for vectorised symmetric matrices.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "kron",
+    "block_diag",
     "vec",
     "unvec",
     "svd_rank",
@@ -60,6 +61,21 @@ def _as_matrix(a) -> np.ndarray:
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two matrices."""
     return np.kron(_as_matrix(a), _as_matrix(b))
+
+
+def block_diag(*blocks: np.ndarray) -> np.ndarray:
+    """Block-diagonal matrix of the 2-D float ``blocks``, in order.
+
+    Blocks with zero rows or columns still shift the placement of the next
+    one; no blocks give a 0 x 0 matrix.
+    """
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r += b.shape[0]
+        c += b.shape[1]
+    return out
 
 
 def vec(m) -> np.ndarray:

@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotPositiveSemidefinite, ValidationError
-from .linalg import kron, vec
+from .linalg import block_diag, kron, vec
 
 __all__ = [
     "MatrixSequence",
@@ -246,7 +245,7 @@ def defining_replication(structure: NoiseStructure, L: int) -> np.ndarray:
     lg = L - 1
     cols = []
     for bq, br in zip(structure.bq, structure.br):
-        blk = scipy.linalg.block_diag(kron(np.eye(lg), bq), kron(np.eye(L), br))
+        blk = block_diag(kron(np.eye(lg), bq), kron(np.eye(L), br))
         cols.append(vec(blk))
     return np.column_stack(cols)
 

@@ -24,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DataError
+from .linalg import block_diag
 from .model import LtvModel, MeasurementData, Trajectory
 
 __all__ = ["AugmentedBlock", "build_augmented_block", "stack_measurements"]
@@ -43,14 +43,6 @@ class AugmentedBlock:
     scriptG: np.ndarray    # ((L-1) n_x, n_ukL) blkdiag of G_k..G_{k+L-2}
     scriptE: np.ndarray    # ((L-1) n_x, (L-1) n_w) blkdiag of E_k..E_{k+L-2}
     scriptD: np.ndarray    # (n_zkL, L n_v) blkdiag of D_k..D_{k+L-1}
-
-    @property
-    def n_zkL(self) -> int:
-        return self.O.shape[0]
-
-    @property
-    def n_eps(self) -> int:
-        return self.scriptE.shape[1] + self.scriptD.shape[1]
 
 
 def build_augmented_block(model: LtvModel, k: int, L: int) -> AugmentedBlock:
@@ -81,17 +73,11 @@ def build_augmented_block(model: LtvModel, k: int, L: int) -> AugmentedBlock:
             t = t @ model.F[k + j]
         obs[rows, :] = t
 
-    g_blocks = [model.G[k + i] for i in range(lg)]
-    e_blocks = [model.E[k + i] for i in range(lg)]
-    d_blocks = [model.D[k + i] for i in range(L)]
-    script_g = scipy.linalg.block_diag(*g_blocks) if g_blocks else np.zeros((0, 0))
-    script_e = scipy.linalg.block_diag(*e_blocks) if e_blocks else np.zeros((0, 0))
-    script_d = scipy.linalg.block_diag(*d_blocks)
-    # degenerate L=1 window: zero-column/zero-row empties must keep n_x-consistent dims
-    if lg == 0:
-        script_g = np.zeros((0, 0))
-        script_e = np.zeros((0, 0))
-        gamma = np.zeros((n_zkL, 0))
+    # an L=1 window has no steps between measurements: scriptG and scriptE
+    # are 0 x 0 and Gamma has no columns
+    script_g = block_diag(*(model.G[k + i] for i in range(lg)))
+    script_e = block_diag(*(model.E[k + i] for i in range(lg)))
+    script_d = block_diag(*(model.D[k + i] for i in range(L)))
     return AugmentedBlock(k=k, L=L, O=obs, Gamma=gamma, scriptG=script_g,
                           scriptE=script_e, scriptD=script_d)
 

@@ -8,6 +8,43 @@ from mdmest import (
 )
 
 
+def dense_from_band(ab):
+    """The symmetric matrix whose LAPACK lower band storage is ``ab``."""
+    m = ab.shape[1]
+    p = np.zeros((m, m))
+    for d in range(ab.shape[0]):
+        p += np.diag(ab[d, :m - d], -d)
+        if d:
+            p += np.diag(ab[d, :m - d], d)
+    return p
+
+
+def make_ragged_ltv_model(tau=12):
+    """Scalar-state LTV model whose sensor count alternates 1, 1, 2, 2, ...
+
+    Windows of length 2 then hold 2, 3, 4 or 3 measurements, so their
+    annihilators have 1, 2, 3 or 2 rows.
+    """
+    h, d = [], []
+    for k in range(tau + 1):
+        if (k // 2) % 2:
+            h.append([[1.0], [0.5 + 0.1 * k]])
+            d.append(np.eye(2))
+        else:
+            h.append([[1.0]])
+            d.append([[1.0, 0.3]])
+    f = [[[0.9 - 0.02 * k]] for k in range(tau + 1)]
+    return LtvModel.create(n_x=1, n_w=1, n_v=2, tau=tau, F=f, G=None,
+                           E=[[1.0]], H=h, D=d)
+
+
+def make_ragged_ltv_structure():
+    return NoiseStructure.from_pairs([
+        (np.array([[1.0]]), np.zeros((2, 2))),
+        (np.array([[0.0]]), np.eye(2)),
+    ])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

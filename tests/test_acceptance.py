@@ -349,7 +349,8 @@ def test_criterion_5e_weighted_branch_equivalences():
     est_con = weighted_mdm(sys_full, p_hat, branch="constrained")
     branch_dev = np.max(np.abs(est_full.alpha_hat - est_con.alpha_hat)) \
         / np.max(np.abs(est_full.alpha_hat))
-    est_eye = weighted_mdm(sys_full, np.eye(sys_full.n_rows))
+    # identity weight, in the band storage weighted_mdm takes
+    est_eye = weighted_mdm(sys_full, np.ones((1, sys_full.n_rows)))
     eye_dev = np.max(np.abs(est_eye.alpha_hat - est_o.alpha_hat)) \
         / np.max(np.abs(est_o.alpha_hat))
     ok = report(

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +100,33 @@ class TestSimulateIdentify:
                      "--data", str(data), "--out", str(tmp_path)])
         assert code == 3
         assert "line 4: 'z' is not finite" in capsys.readouterr().err
+
+    def test_record_without_z_is_a_validation_error(self, tmp_path,
+                                                     obs_ltv_model_file, capsys):
+        data = tmp_path / "noz.jsonl"
+        data.write_text('{"k": 0, "u": [1.0]}\n')
+        code = main(["identify", "--model", str(obs_ltv_model_file),
+                     "--data", str(data), "--out", str(tmp_path)])
+        assert code == 3
+        assert "line 1: expected a JSON object with a 'z' entry" in capsys.readouterr().err
+
+    def test_indefinite_weight_message(self, tmp_path, capsys):
+        # the first-pass estimate of this short unknown-input run gives an
+        # indefinite weight; the message form is the one scripts match
+        spec = preset("unobs-unknown-input", tau=100)
+        model = tmp_path / "model.json"
+        io.save_model(model, spec.model, spec.structure,
+                      alpha_true=spec.alpha_true, init=spec.init)
+        out = tmp_path / "o"
+        assert main(["simulate", "--model", str(model), "--seed", "0",
+                     "--out", str(out)]) == 0
+        with pytest.warns(RuntimeWarning, match="indefinite"):
+            code = main(["identify", "--model", str(model),
+                         "--data", str(out / "data.jsonl"), "--method", "weighted",
+                         "--input-mode", "unknown", "--out", str(out)])
+        assert code == 4
+        assert re.search(r"^error: weight matrix has eigenvalue -\S+ below -\S+$",
+                         capsys.readouterr().err, re.MULTILINE)
 
     def test_simulate_reproducible_bytes(self, tmp_path, obs_ltv_model_file):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -25,6 +25,8 @@ from mdmest import (
 from mdmest.benchmarks import benchmark_input_signal
 from mdmest.model import MeasurementData
 
+from conftest import dense_from_band, make_ragged_ltv_model, make_ragged_ltv_structure
+
 
 def simulated_system(name, tau, seed, method_mode=None, alpha=None):
     spec = preset(name, tau=tau)
@@ -81,6 +83,7 @@ class TestBuildStackedSystem:
 
     @pytest.mark.parametrize("field", ["zs", "us"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("error")
     def test_nonfinite_data_rejected(self, field, bad):
         spec = preset("obs-ltv", tau=30)
         traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
@@ -201,29 +204,53 @@ class TestAssembleP:
         data = MeasurementData(zs=[np.array([float(k), 1.0]) for k in range(6)])
         sys_full = build_stacked_system(model, structure, data, 1)
         etas = gaussian_eta_covariances(structure, [0.0, 1.3], 1)
-        p = assemble_p(sys_full, etas)
+        ab = assemble_p(sys_full, etas)
+        assert ab.shape == (1, sys_full.n_rows)
+        p = dense_from_band(ab)
         off_diag = p - np.diag(np.diag(p))
         assert np.max(np.abs(off_diag)) == 0.0
         assert np.all(np.diag(p) > 0)
 
     def test_symmetry_and_direct_route(self):
-        spec, sys_full = simulated_system("obs-ltv", tau=30, seed=0)
-        etas = gaussian_eta_covariances(spec.structure, spec.alpha_true, 2)
-        p = assemble_p(sys_full, etas)
-        assert np.max(np.abs(p - p.T)) < 1e-10 * np.max(np.abs(p))
-        # direct route through materialised band matrices
-        m = sys_full.n_rows
-        direct = np.zeros((m, m))
-        offs = sys_full.row_offsets
-        for j in range(sys_full.L):
-            band = etas.band(j)
-            for r in range(sys_full.n_windows - j):
-                blk = (sys_full.windows[r].noisemap_block @ band
-                       @ sys_full.windows[r + j].noisemap_block.T)
-                direct[offs[r]:offs[r + 1], offs[r + j]:offs[r + j + 1]] = blk
-                if j:
-                    direct[offs[r + j]:offs[r + j + 1], offs[r]:offs[r + 1]] = blk.T
-        assert np.allclose(p, direct, rtol=1e-10, atol=1e-12)
+        """The band equals the dense direct route, which is 0 outside it.
+
+        Runs on obs-ltv, on unobs-unknown-input with an indefinite first-pass
+        estimate (the repair branch) and on a model whose windows have 1, 2
+        or 3 residue rows.
+        """
+        spec, sys_obs = simulated_system("obs-ltv", tau=30, seed=0)
+        etas_obs = gaussian_eta_covariances(spec.structure, spec.alpha_true, 2)
+        spec, sys_ui = simulated_system("unobs-unknown-input", tau=40, seed=0)
+        with pytest.warns(RuntimeWarning, match="indefinite"):
+            etas_ui = gaussian_eta_covariances(spec.structure,
+                                               ordinary_mdm(sys_ui).alpha_hat, 2,
+                                               repair=True)
+        assert etas_ui.repaired
+        structure = make_ragged_ltv_structure()
+        sys_rag = build_design(make_ragged_ltv_model(), structure, 2, KNOWN_INPUT)
+        assert len({w.n_a for w in sys_rag.windows}) == 3
+        etas_rag = gaussian_eta_covariances(structure, [1.5, 0.7], 2)
+        for sys_full, etas in ((sys_obs, etas_obs), (sys_ui, etas_ui),
+                               (sys_rag, etas_rag)):
+            ab = assemble_p(sys_full, etas)
+            p = dense_from_band(ab)
+            assert np.max(np.abs(p - p.T)) < 1e-10 * np.max(np.abs(p))
+            # direct route through materialised band matrices
+            m = sys_full.n_rows
+            direct = np.zeros((m, m))
+            offs = sys_full.row_offsets
+            for j in range(sys_full.L):
+                band = etas.band(j)
+                for r in range(sys_full.n_windows - j):
+                    blk = (sys_full.windows[r].noisemap_block @ band
+                           @ sys_full.windows[r + j].noisemap_block.T)
+                    direct[offs[r]:offs[r + 1], offs[r + j]:offs[r + j + 1]] = blk
+                    if j:
+                        direct[offs[r + j]:offs[r + j + 1], offs[r]:offs[r + 1]] = blk.T
+            assert np.allclose(p, direct, rtol=1e-10, atol=1e-12)
+            lag = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+            assert np.all(direct[lag >= ab.shape[0]] == 0.0)
+            assert np.all(ab[np.arange(m) >= m - np.arange(ab.shape[0])[:, None]] == 0.0)
 
     def test_monte_carlo_covariance_oracle(self):
         """Empirical moments of the stacked residual match P(alpha_true).
@@ -262,7 +289,7 @@ class TestAssembleP:
         assert np.all(np.abs(mean) <= 4.0 * se)
 
         etas = gaussian_eta_covariances(spec.structure, spec.alpha_true, 2)
-        p = assemble_p(sys0, etas)
+        p = dense_from_band(assemble_p(sys0, etas))
         for j in (0, 1):
             prods = resid[: tau - j] * resid[j:]
             emp = prods.mean(axis=1)
@@ -281,7 +308,7 @@ class TestWeightedMdm:
     def test_identity_weight_equals_ordinary(self):
         spec, sys_full = simulated_system("obs-ltv", tau=300, seed=5)
         est_o = ordinary_mdm(sys_full)
-        est_w = weighted_mdm(sys_full, np.eye(sys_full.n_rows))
+        est_w = weighted_mdm(sys_full, np.ones((1, sys_full.n_rows)))
         scale = np.max(np.abs(est_o.alpha_hat))
         assert np.max(np.abs(est_w.alpha_hat - est_o.alpha_hat)) < 1e-9 * scale
         assert est_w.method == "weighted-full-rank"
@@ -304,10 +331,34 @@ class TestWeightedMdm:
 
     def test_indefinite_weight_rejected(self):
         spec, sys_full = simulated_system("obs-ltv", tau=30, seed=7)
-        bad = np.eye(sys_full.n_rows)
+        bad = np.ones((1, sys_full.n_rows))
         bad[0, 0] = -1.0
         with pytest.raises(IndefiniteWeight):
             weighted_mdm(sys_full, bad)
+
+    def test_dense_weight_rejected(self):
+        spec, sys_full = simulated_system("obs-ltv", tau=30, seed=7)
+        m = sys_full.n_rows
+        with pytest.raises(ValueError, match="past the end of a diagonal"):
+            weighted_mdm(sys_full, np.eye(m))
+        with pytest.raises(ValueError, match="band storage of shape"):
+            weighted_mdm(sys_full, np.ones((1, m + 1)))
+
+    def test_fit_statistic_matches_dense(self):
+        spec, sys_full = simulated_system("obs-ltv", tau=50, seed=0)
+        est_o = ordinary_mdm(sys_full)
+        etas = gaussian_eta_covariances(spec.structure, est_o.alpha_hat, 2,
+                                        repair=True)
+        ab = assemble_p(sys_full, etas)
+        est = weighted_mdm(sys_full, ab)
+        assert est.method == "weighted-full-rank"
+        r = sys_full.obs - sys_full.design @ est.alpha_hat
+        j_dense = r @ np.linalg.solve(dense_from_band(ab), r)
+        assert abs(est.diagnostics["fit_j"] - j_dense) < 1e-10 * j_dense
+        assert est.diagnostics["fit_dof"] == sys_full.n_rows - 2
+        est_con = weighted_mdm(sys_full, ab, branch="constrained")
+        assert est_con.diagnostics["fit_j"] is None
+        assert est_con.diagnostics["fit_dof"] is None
 
 
 class TestThreeStepPipeline:

@@ -82,6 +82,13 @@ class TestDataFiles:
         with pytest.raises(DataError):
             io.read_data(path)
 
+    @pytest.mark.parametrize("record", ['{"k": 1, "u": [1.0]}', '[1.0]'])
+    def test_record_without_z_rejected(self, tmp_path, record):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"k": 0, "z": [1.0], "u": [0.0]}\n' + record + "\n")
+        with pytest.raises(DataError, match="line 2: expected a JSON object with a 'z'"):
+            io.read_data(path)
+
     @pytest.mark.parametrize("record", ['{"k": 1, "z": [NaN], "u": [0.0]}',
                                         '{"k": 1, "z": [1.0], "u": [Infinity]}'])
     def test_nonfinite_values_rejected(self, tmp_path, record):

@@ -12,7 +12,7 @@ from mdmest import (
     unvec,
     vec,
 )
-from mdmest.linalg import swap_permutation, sym_pair_indices
+from mdmest.linalg import block_diag, swap_permutation, sym_pair_indices
 
 
 class TestKron:
@@ -35,6 +35,19 @@ class TestKron:
         lhs = kron(a, b) @ kron(c, d)
         rhs = kron(a @ c, b @ d)
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
+
+
+class TestBlockDiag:
+    def test_matches_scipy(self, rng):
+        import scipy.linalg
+        shapes = [(2, 3), (1, 1), (3, 0), (0, 2), (4, 2)]
+        blocks = [rng.standard_normal(s) for s in shapes]
+        for k in range(1, len(blocks) + 1):
+            assert np.array_equal(block_diag(*blocks[:k]),
+                                  scipy.linalg.block_diag(*blocks[:k]))
+
+    def test_no_blocks(self):
+        assert block_diag().shape == (0, 0)
 
 
 class TestVec:

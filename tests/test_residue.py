@@ -91,6 +91,30 @@ class TestBuildAugmentedBlock:
         assert np.allclose(block.Gamma[2, 2:], h_seq[3][0])          # H_{k+2}
         assert np.allclose(block.O[2], h_seq[3][0] @ f_seq[2] @ f_seq[1])
 
+    def test_geometry_bitwise_with_scipy_block_diag(self, monkeypatch):
+        """The local block_diag leaves every window's geometry, the design
+        and the residues bitwise as scipy.linalg.block_diag gives them."""
+        import scipy.linalg
+        from mdmest import estimator, residue
+        built = []
+        for patched in (False, True):
+            if patched:
+                monkeypatch.setattr(residue, "block_diag", scipy.linalg.block_diag)
+                monkeypatch.setattr(estimator, "block_diag", scipy.linalg.block_diag)
+            for name, mode in (("obs-ltv", KNOWN_INPUT),
+                               ("unobs-unknown-input", UNKNOWN_INPUT)):
+                spec = preset(name, tau=40)
+                traj = simulate(spec.model, spec.structure, spec.alpha_true,
+                                spec.init, input_signal=benchmark_input_signal(spec),
+                                seed=1)
+                built.append(build_stacked_system(spec.model, spec.structure,
+                                                  traj, 2, mode))
+        for ours, theirs in zip(built[:2], built[2:]):
+            assert np.array_equal(ours.design, theirs.design)
+            assert np.array_equal(ours.obs, theirs.obs)
+            for w1, w2 in zip(ours.windows, theirs.windows):
+                assert np.array_equal(w1.annihilator, w2.annihilator)
+
     def test_horizon_overrun(self, scalar_lti_model):
         with pytest.raises(DataError):
             build_augmented_block(scalar_lti_model, 49, 3)

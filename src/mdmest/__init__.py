@@ -42,8 +42,10 @@ from .model import (
 )
 from .residue import (
     AugmentedBlock,
+    WindowBlocks,
     build_augmented_block,
     stack_measurements,
+    window_blocks,
 )
 from .estimator import (
     Estimate,
@@ -53,6 +55,7 @@ from .estimator import (
     assemble_p,
     build_design,
     build_stacked_system,
+    feasible_design,
     gaussian_eta_covariances,
     identifiability_report,
     min_feasible_window,

@@ -30,6 +30,7 @@ from .errors import (
 from .estimator import (
     build_design,
     build_stacked_system,
+    feasible_design,
     identifiability_report,
     min_feasible_window,
     ordinary_mdm,
@@ -62,15 +63,17 @@ def _mode(args) -> str:
     return KNOWN_INPUT if args.input_mode == "known" else UNKNOWN_INPUT
 
 
-def _resolve_l(args, model, mode, tol, n_records, structure=None) -> int:
+def _resolve_l(args, model, mode, tol, n_records, structure=None):
+    """The window length, and its design for ``n_records`` records when the
+    ``--L auto`` scan built one (else None)."""
     if args.L != "auto":
-        return int(args.L)
+        return int(args.L), None
     l_max = max(model.n_x + 2, 12)
     if structure is not None:
-        found = min_feasible_window(model, mode, tol, l_max=l_max,
-                                    n_records=n_records, structure=structure)
-        if found is not None:
-            return found
+        design = feasible_design(model, structure, mode, tol, l_max=l_max,
+                                 n_records=n_records)
+        if design is not None:
+            return design.L, design
         # no window makes every parameter identifiable; fall back to the
         # smallest window with an annihilator and let the solver report it
     found = min_feasible_window(model, mode, tol, l_max=l_max, n_records=n_records)
@@ -79,7 +82,7 @@ def _resolve_l(args, model, mode, tol, n_records, structure=None) -> int:
             f"no window length up to L={min(l_max, n_records)} has an "
             f"annihilator for {n_records} records"
         )
-    return found
+    return found, None
 
 
 def _with_tau(model: LtvModel, tau: int) -> LtvModel:
@@ -118,12 +121,14 @@ def cmd_identify(args) -> int:
     data = io.read_data(args.data)
     tol = _tolerance(args)
     mode = _mode(args)
-    l_win = _resolve_l(args, bundle.model, mode, tol, n_records=len(data),
-                       structure=bundle.structure)
-
     t0 = time.perf_counter()
-    sys_full = build_stacked_system(bundle.model, bundle.structure, data,
-                                    l_win, mode, tol)
+    l_win, design = _resolve_l(args, bundle.model, mode, tol, n_records=len(data),
+                               structure=bundle.structure)
+    if design is None:
+        sys_full = build_stacked_system(bundle.model, bundle.structure, data,
+                                        l_win, mode, tol)
+    else:
+        sys_full = design.with_data(data)
     ident = identifiability_report(sys_full, tol)
     try:
         if args.method == "ordinary":
@@ -227,8 +232,8 @@ def cmd_identifiability(args) -> int:
         raise ValidationError(report.findings)
     tol = _tolerance(args)
     mode = _mode(args)
-    l_win = _resolve_l(args, bundle.model, mode, tol,
-                       n_records=bundle.model.tau + 1)
+    l_win, _ = _resolve_l(args, bundle.model, mode, tol,
+                          n_records=bundle.model.tau + 1)
     sys0 = build_design(bundle.model, bundle.structure, l_win, mode, tol)
     _print_identifiability(identifiability_report(sys0, tol))
     return EXIT_OK

@@ -51,7 +51,7 @@ from .model import (
     assemble_qr,
     defining_replication,
 )
-from .residue import build_augmented_block
+from .residue import window_blocks
 
 __all__ = [
     "WindowGeometry",
@@ -61,6 +61,7 @@ __all__ = [
     "IdentifiabilityReport",
     "build_design",
     "build_stacked_system",
+    "feasible_design",
     "ordinary_mdm",
     "gaussian_eta_covariances",
     "assemble_p",
@@ -75,7 +76,11 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class WindowGeometry:
-    """Data-independent quantities of one window (shared across MC runs)."""
+    """Data-independent quantities of one window (shared across MC runs).
+
+    ``build_design`` computes them for many windows at once; the arrays are
+    views into those stacks.
+    """
 
     n_a: int
     annihilator: np.ndarray            # N, (n_a, n_zkL)
@@ -138,28 +143,33 @@ class StackedSystem:
         """
         if isinstance(data, Trajectory):
             data = MeasurementData.from_trajectory(data)
-        zs, us = _checked_records(self.model, data, self.mode)
+        z, z_off, u, u_off = _checked_records(self.model, data, self.mode)
         L = self.L
         n_records = self.n_windows + L - 1
-        if len(zs) != n_records:
+        if z_off.size - 1 != n_records:
             raise DataError(
-                f"data has {len(zs)} records but the design's {self.n_windows} "
+                f"data has {z_off.size - 1} records but the design's {self.n_windows} "
                 f"windows of length L={L} span {n_records}"
             )
+        finite = np.isfinite(z)
+        if not finite.all():
+            raise DataError(f"record k={_record_of(z_off, np.argmin(finite))}: "
+                            "measurement or residue is not finite")
+        z_off = z_off.tolist()
+        u_off = u_off.tolist() if u is not None else None
         parts = []
         for k, w in enumerate(self.windows):
-            z = np.concatenate(zs[k:k + L])
-            if us is not None and w.gamma_g is not None:
-                z = z - w.gamma_g @ np.concatenate(us[k:k + L - 1])
-            zt = w.annihilator @ z
+            zk = z[z_off[k]:z_off[k + L]]
+            if u is not None and w.gamma_g is not None:
+                zk = zk - w.gamma_g @ u[u_off[k]:u_off[k + L - 1]]
+            zt = w.annihilator @ zk
             parts.append(zt[w.sel_i] * zt[w.sel_j])
         obs = np.concatenate(parts)
         finite = np.isfinite(obs)
         if not finite.all():
-            window = int(np.searchsorted(self.row_offsets, np.argmin(finite),
-                                         side="right")) - 1
-            raise DataError(f"record k={_first_nonfinite(zs, window, L)}: "
-                            "measurement or residue is not finite")
+            # finite measurements whose residue overflows
+            window = _record_of(self.row_offsets, np.argmin(finite))
+            raise DataError(f"record k={window}: measurement or residue is not finite")
         return replace(self, obs=obs)
 
 
@@ -184,43 +194,101 @@ class IdentifiabilityReport:
     participation: np.ndarray | None     # per-parameter weight in the null space
 
 
-def _annihilated_target(block, mode: str) -> np.ndarray:
-    """O, or [O, Gamma scriptG] when an unknown input must be cancelled too."""
-    if mode == UNKNOWN_INPUT and block.scriptG.shape[1] > 0:
-        return np.hstack([block.O, block.Gamma @ block.scriptG])
-    return block.O
+def _annihilated_target(blocks, mode: str) -> np.ndarray:
+    """O, or [O, Gamma scriptG] when an unknown input must be cancelled too;
+    per window for a WindowBlocks stack."""
+    if mode == UNKNOWN_INPUT and blocks.scriptG.shape[-1] > 0:
+        return np.concatenate([blocks.O, blocks.Gamma @ blocks.scriptG], axis=-1)
+    return blocks.O
 
 
-def _annihilator(target: np.ndarray, k: int, tol: Tolerance) -> np.ndarray:
-    u, s, _, rank, thr = svd_rank(target, tol, full_matrices=True)
-    if thr > 0.0:
-        near = np.count_nonzero((s > thr / 10.0) & (s < thr * 10.0))
-        if near:
-            logger.warning(
-                "window k=%d: %d singular value(s) within a decade of the rank "
-                "threshold %.3e; keeping rank %d", k, near, thr, rank,
-            )
-    if rank >= target.shape[0]:
-        raise NoAnnihilator(rows=target.shape[0], rank=rank, k=k)
-    return u[:, rank:].T
+def _all_window_blocks(model: LtvModel, L: int, n_windows: int):
+    """Window matrices of windows 0..n_windows-1, or of window 0 alone for an
+    LTI model, whose windows all share it."""
+    return window_blocks(model, np.arange(1 if model.is_lti else n_windows), L)
 
 
-def _window_geometry(model: LtvModel, k: int, L: int, mode: str,
-                     upsilon: np.ndarray, tol: Tolerance) -> WindowGeometry:
-    block = build_augmented_block(model, k, L)
-    n = _annihilator(_annihilated_target(block, mode), k, tol)
-    gamma_g = None
-    if mode == KNOWN_INPUT and block.scriptG.shape[1] > 0:
-        gamma_g = block.Gamma @ block.scriptG
-    c_mat = block_diag(block.scriptE, block.scriptD)
-    ac = np.hstack([n @ block.Gamma, n]) @ c_mat
-    sel_i, sel_j = sym_pair_indices(n.shape[0])
-    noisemap = np.einsum("ta,tb->tab", ac[sel_j], ac[sel_i]).reshape(sel_i.size, -1)
-    return WindowGeometry(
-        n_a=n.shape[0], annihilator=n, gamma_g=gamma_g, ac=ac,
-        sel_i=sel_i, sel_j=sel_j,
-        design_block=noisemap @ upsilon, noisemap_block=noisemap,
-    )
+def _warn_near_threshold(factored) -> None:
+    """One warning for every window with singular values within a decade of
+    its rank threshold: how many windows, and the closest call."""
+    count, closest = 0, None
+    for b, _, s, rank, thr in factored:
+        t = thr[:, None]
+        near = (t > 0.0) & (s > t / 10.0) & (s < t * 10.0)
+        if not near.any():
+            continue
+        count += int(np.count_nonzero(near.any(axis=1)))
+        ratio = np.where(near, s / np.where(t > 0.0, t, 1.0), 1.0)
+        dist = np.where(near, np.abs(np.log(ratio)), np.inf)
+        w, i = np.unravel_index(np.argmin(dist), dist.shape)
+        if closest is None or dist[w, i] < closest[0]:
+            closest = (dist[w, i], ratio[w, i], int(b.ks[w]), int(rank[w]))
+    if count:
+        _, ratio, k, rank = closest
+        logger.warning(
+            "%d window(s) have singular values within a decade of the rank "
+            "threshold; closest: sigma/threshold = %.3g at window k=%d, rank %d kept",
+            count, ratio, k, rank,
+        )
+
+
+def _window_geometries(blocks, mode: str, upsilon: np.ndarray,
+                       tol: Tolerance) -> list[WindowGeometry]:
+    """The geometry of the windows in ``blocks``, indexed by window start.
+
+    One SVD call per shape group gives every window's annihilator by the
+    shared rank rule; the windows are then regrouped by rank and their
+    products computed in stacks.  Each window's arrays are views into those
+    stacks, bitwise equal to the same steps taken for one window alone.
+    """
+    factored = []
+    for b in blocks:
+        u, s, _, rank, thr = svd_rank(_annihilated_target(b, mode), tol,
+                                      full_matrices=True)
+        factored.append((b, u, s, rank, thr))
+    _warn_near_threshold(factored)
+    failed = [(int(b.ks[w]), u.shape[1], int(rank[w]))
+              for b, u, _, rank, _ in factored
+              for w in np.flatnonzero(rank >= u.shape[1])[:1]]
+    if failed:
+        k, rows, rank = min(failed)
+        raise NoAnnihilator(rows=rows, rank=rank, k=k)
+
+    windows = [None] * sum(b.ks.size for b in blocks)
+    for b, u, _, rank, _ in factored:
+        gamma_g = None
+        if mode == KNOWN_INPUT and b.scriptG.shape[-1] > 0:
+            gamma_g = b.Gamma @ b.scriptG
+        c_mat = b.C
+        for r in np.unique(rank).tolist():
+            idx = np.flatnonzero(rank == r)
+            n = u[idx][:, :, r:].transpose(0, 2, 1)
+            ac = np.concatenate([n @ b.Gamma[idx], n], axis=2) @ c_mat[idx]
+            sel_i, sel_j = sym_pair_indices(n.shape[1])
+            noisemap = np.einsum("wta,wtb->wtab", ac[:, sel_j], ac[:, sel_i]
+                                 ).reshape(idx.size, sel_i.size, -1)
+            design = noisemap @ upsilon
+            for p, w in enumerate(idx.tolist()):
+                windows[b.ks[w]] = WindowGeometry(
+                    n_a=n.shape[1], annihilator=n[p],
+                    gamma_g=None if gamma_g is None else gamma_g[w], ac=ac[p],
+                    sel_i=sel_i, sel_j=sel_j,
+                    design_block=design[p], noisemap_block=noisemap[p],
+                )
+    return windows
+
+
+def _feasible_windows(model: LtvModel, mode: str, tol: Tolerance,
+                      l_max: int | None, n_records: int):
+    """(L, window matrices) for each L up to ``l_max`` whose every window has
+    an annihilator, by increasing L."""
+    if l_max is None:
+        l_max = max(model.n_x + 2, 12)
+    for L in range(1, min(l_max, n_records) + 1):
+        blocks = _all_window_blocks(model, L, n_records - L + 1)
+        targets = (_annihilated_target(b, mode) for b in blocks)
+        if all((numerical_rank(t, tol) < t.shape[1]).all() for t in targets):
+            yield L, blocks
 
 
 def min_feasible_window(model: LtvModel, mode: str, tol: Tolerance = DEFAULT_TOL,
@@ -232,27 +300,35 @@ def min_feasible_window(model: LtvModel, mode: str, tol: Tolerance = DEFAULT_TOL
     the rank of the annihilated matrix at every k.  When ``structure`` is
     given, the window must additionally yield a full-column-rank design (an
     annihilator can exist at an L too short to carry any state-noise
-    information, e.g. single-step windows).  ``l_max`` defaults to
-    max(n_x + 2, 12); no L above ``n_records`` is tried.
+    information, e.g. single-step windows); this is the L of
+    ``feasible_design``.  ``l_max`` defaults to max(n_x + 2, 12); no L above
+    ``n_records`` is tried.
+    """
+    if structure is not None:
+        design = feasible_design(model, structure, mode, tol, l_max, n_records)
+        return None if design is None else design.L
+    if n_records is None:
+        n_records = model.tau + 1
+    return next((L for L, _ in _feasible_windows(model, mode, tol, l_max, n_records)),
+                None)
+
+
+def feasible_design(model: LtvModel, structure: NoiseStructure, mode: str,
+                    tol: Tolerance = DEFAULT_TOL, l_max: int | None = None,
+                    n_records: int | None = None) -> StackedSystem | None:
+    """The design at the L that ``min_feasible_window`` picks with ``structure``.
+
+    None when no L up to ``l_max`` gives every window an annihilator and the
+    design full column rank.  Each candidate L's window matrices are built
+    once and serve both its rank scan and its design; ``with_data`` attaches
+    the ``n_records`` measurements.
     """
     if n_records is None:
         n_records = model.tau + 1
-    if l_max is None:
-        l_max = max(model.n_x + 2, 12)
-    l_max = min(l_max, n_records)
-    for L in range(1, l_max + 1):
-        n_windows = n_records - L + 1
-        ks = (0,) if model.is_lti else range(n_windows)
-        targets = (_annihilated_target(build_augmented_block(model, k, L), mode)
-                   for k in ks)
-        if not all(numerical_rank(t, tol) < t.shape[0] for t in targets):
-            continue
-        if structure is not None:
-            sys0 = build_design(model, structure, L, mode, tol,
-                                n_windows=n_windows)
-            if sys0.rank < structure.n_alpha:
-                continue
-        return L
+    for L, blocks in _feasible_windows(model, mode, tol, l_max, n_records):
+        design = _design(model, structure, L, mode, tol, n_records - L + 1, blocks)
+        if design.rank >= structure.n_alpha:
+            return design
     return None
 
 
@@ -263,23 +339,27 @@ def build_design(model: LtvModel, structure: NoiseStructure, L: int, mode: str,
         n_windows = model.tau + 2 - L
     if n_windows < 1:
         raise DataError(f"horizon too short: no full window of length L={L}")
+    return _design(model, structure, L, mode, tol, n_windows,
+                   _all_window_blocks(model, L, n_windows))
+
+
+def _design(model: LtvModel, structure: NoiseStructure, L: int, mode: str,
+            tol: Tolerance, n_windows: int, blocks) -> StackedSystem:
     upsilon = defining_replication(structure, L)
     try:
-        if model.is_lti:
-            windows = [_window_geometry(model, 0, L, mode, upsilon, tol)] * n_windows
-        else:
-            windows = [_window_geometry(model, k, L, mode, upsilon, tol)
-                       for k in range(n_windows)]
+        windows = _window_geometries(blocks, mode, upsilon, tol)
     except NoAnnihilator as exc:
         try:
             exc.minimal_feasible_l = min_feasible_window(model, mode, tol)
         except MdmError:
             pass
         raise
+    if model.is_lti:
+        windows = windows * n_windows
     row_offsets = np.concatenate(
         ([0], np.cumsum([w.n_rows for w in windows]))
     ).astype(int)
-    design = np.vstack([w.design_block for w in windows])
+    design = np.concatenate([w.design_block for w in windows])
     d, scale = _equilibrated(design, tol)
     _, s, vt, rank, thr = svd_rank(d, tol)
     null_basis = None
@@ -296,44 +376,49 @@ def build_design(model: LtvModel, structure: NoiseStructure, L: int, mode: str,
     )
 
 
-def _records(kind: str, values, expected) -> list[np.ndarray]:
-    """``values`` as 1-D arrays; record k must have length ``expected(k)``."""
-    records = [np.atleast_1d(v) for v in values]
-    for k, v in enumerate(records):
-        if v.shape[0] != expected(k):
-            raise DataError(
-                f"record k={k}: {kind} has length {v.shape[0]}, model expects {expected(k)}"
-            )
-    return records
+def _record_of(offsets: np.ndarray, pos) -> int:
+    """The record (or window) whose slice offsets[k]:offsets[k+1] holds ``pos``."""
+    return int(np.searchsorted(offsets, pos, side="right")) - 1
+
+
+def _flat_records(kind: str, values, expected: np.ndarray):
+    """``values`` concatenated, and offsets: record k is flat[off[k]:off[k+1]].
+
+    Record k must have length ``expected[k]`` (records past the end of
+    ``expected`` are not checked).
+    """
+    lengths = np.fromiter(map(np.size, values), dtype=int, count=len(values))
+    bad = np.flatnonzero(lengths[:expected.size] != expected[:lengths.size])
+    if bad.size:
+        k = int(bad[0])
+        raise DataError(
+            f"record k={k}: {kind} has length {lengths[k]}, model expects {expected[k]}"
+        )
+    flat = np.concatenate(values, axis=None, dtype=float) if values else np.zeros(0)
+    return flat, np.concatenate(([0], np.cumsum(lengths)))
 
 
 def _checked_records(model: LtvModel, data: MeasurementData, mode: str):
-    """The z records and, for a known input, the u records (else None)."""
+    """(z, z offsets, u, u offsets) of the records, flat; u and its offsets
+    are None unless a known input is given."""
     if len(data) > model.tau + 1:
         raise DataError(
             f"data has {len(data)} records but the model horizon is tau={model.tau}"
         )
-    zs = _records("z", data.zs, model.n_z)
+    z, z_off = _flat_records("z", data.zs, model.n_z_steps())
     if mode != KNOWN_INPUT:
-        return zs, None
+        return z, z_off, None, None
     if data.us is None:
         if any(np.any(model.G[k]) for k in range(len(model.G))):
             logger.warning("data carries no input records; assuming zero input")
-        return zs, None
-    us = _records("u", data.us, model.n_u)
+        return z, z_off, None, None
+    u, u_off = _flat_records("u", data.us, model.n_u_steps())
     # checked before the input correction, whose product would warn
-    if us and not np.isfinite(np.concatenate(us)).all():
-        k = next(k for k, u in enumerate(us) if not np.isfinite(u).all())
-        raise DataError(f"record k={k}: input is not finite")
-    return zs, us
-
-
-def _first_nonfinite(zs, window: int, L: int) -> int:
-    """First record of ``window`` whose z is not finite, else its first."""
-    for k in range(window, window + L):
-        if not np.all(np.isfinite(zs[k])):
-            return k
-    return window
+    finite = np.isfinite(u)
+    if not finite.all():
+        raise DataError(f"record k={_record_of(u_off, np.argmin(finite))}: "
+                        "input is not finite")
+    return z, z_off, u, u_off
 
 
 def build_stacked_system(model: LtvModel, structure: NoiseStructure, data,

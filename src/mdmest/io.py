@@ -135,38 +135,53 @@ def write_data(path, data: MeasurementData) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
-def _finite_entry(record: dict, key: str, line_no: int) -> np.ndarray:
-    value = np.asarray(record[key], dtype=float)
-    if not np.all(np.isfinite(value)):
+def _check_finite(zs, z_lines, us, u_lines) -> None:
+    """Raise for the first line, in file order, with a non-finite 'z' or 'u'
+    ('z' first within a line).  All values are checked at once; the line is
+    looked for only when one is not finite."""
+    first = []
+    for key, values, lines in (("z", zs, z_lines), ("u", us, u_lines)):
+        if values and not np.isfinite(np.concatenate(values, axis=None)).all():
+            line_no = next(n for n, v in zip(lines, values) if not np.isfinite(v).all())
+            first.append((line_no, key != "z", key))
+    if first:
+        line_no, _, key = min(first)
         raise DataError(f"line {line_no + 1}: '{key}' is not finite")
-    return value
 
 
 def read_data(path) -> MeasurementData:
     """Read a JSON Lines data file; records must cover k = 0..tau in order."""
     zs: list[np.ndarray] = []
     us: list[np.ndarray] = []
-    have_u = 0
+    z_lines: list[int] = []
+    u_lines: list[int] = []
     with open(path) as fh:
-        for line_no, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if not isinstance(record, dict) or "z" not in record:
-                raise DataError(
-                    f"line {line_no + 1}: expected a JSON object with a 'z' entry"
-                )
-            if record.get("k") != len(zs):
-                raise DataError(
-                    f"line {line_no + 1}: expected record k={len(zs)}, got {record.get('k')}"
-                )
-            zs.append(_finite_entry(record, "z", line_no))
-            if "u" in record:
-                have_u += 1
-                us.append(_finite_entry(record, "u", line_no))
+        try:
+            for line_no, line in enumerate(fh):
+                line = line.strip()
+                if not line:
+                    continue
+                record = json.loads(line)
+                if not isinstance(record, dict) or "z" not in record:
+                    raise DataError(
+                        f"line {line_no + 1}: expected a JSON object with a 'z' entry"
+                    )
+                if record.get("k") != len(zs):
+                    raise DataError(
+                        f"line {line_no + 1}: expected record k={len(zs)}, got {record.get('k')}"
+                    )
+                zs.append(np.asarray(record["z"], dtype=float))
+                z_lines.append(line_no)
+                if "u" in record:
+                    us.append(np.asarray(record["u"], dtype=float))
+                    u_lines.append(line_no)
+        except (DataError, ValueError, TypeError):
+            # a non-finite entry on an earlier line is the first error
+            _check_finite(zs, z_lines, us, u_lines)
+            raise
+    _check_finite(zs, z_lines, us, u_lines)
     if not zs:
         raise DataError(f"no records in {Path(path)}")
-    if have_u not in (0, len(zs)):
+    if len(us) not in (0, len(zs)):
         raise DataError("some records carry 'u' and some do not")
-    return MeasurementData(zs=zs, us=us if have_u else None)
+    return MeasurementData(zs=zs, us=us or None)

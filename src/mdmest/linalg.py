@@ -91,30 +91,49 @@ def unvec(v, rows: int, cols: int) -> np.ndarray:
     return v.reshape((rows, cols), order="F")
 
 
-def _rank_threshold(s: np.ndarray, shape: tuple[int, int], tol: Tolerance) -> float:
-    if s.size == 0:
-        return 0.0
-    return tol.rank_tol * s[0] * max(shape)
+def _as_stack(a) -> np.ndarray:
+    m = np.asarray(a, dtype=float)
+    if m.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
+    return m
+
+
+def _rank_threshold(s: np.ndarray, shape: tuple[int, int], tol: Tolerance):
+    """rank_tol * sigma_max * max(shape) for the descending singular values
+    in the last axis of ``s``; one threshold per matrix of a stack."""
+    if s.shape[-1] == 0:
+        return np.zeros(s.shape[:-1]) if s.ndim > 1 else 0.0
+    return tol.rank_tol * s[..., 0] * max(shape)
+
+
+def _rank_and_threshold(s: np.ndarray, shape: tuple[int, int], tol: Tolerance):
+    thr = _rank_threshold(s, shape, tol)
+    rank = np.count_nonzero(s > np.expand_dims(thr, -1), axis=-1)
+    return (int(rank) if s.ndim == 1 else rank), thr
 
 
 def svd_rank(m, tol: Tolerance = DEFAULT_TOL, full_matrices: bool = False):
     """``np.linalg.svd(m, full_matrices)`` plus (rank, threshold) by the shared rule.
 
-    Returns (u, s, vt, rank, threshold).
+    Returns (u, s, vt, rank, threshold).  ``m`` may be a stack
+    (..., rows, cols); rank and threshold are then arrays over the stack,
+    and each matrix gets exactly the factors and rank it gets alone.
     """
-    m = _as_matrix(m)
+    m = _as_stack(m)
     u, s, vt = np.linalg.svd(m, full_matrices=full_matrices)
-    thr = _rank_threshold(s, m.shape, tol)
-    return u, s, vt, int(np.count_nonzero(s > thr)), thr
+    return (u, s, vt) + _rank_and_threshold(s, m.shape[-2:], tol)
 
 
-def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Number of singular values above rank_tol * sigma_max * max(dims)."""
-    m = _as_matrix(m)
+def numerical_rank(m, tol: Tolerance = DEFAULT_TOL):
+    """Number of singular values above rank_tol * sigma_max * max(dims).
+
+    For a stack (..., rows, cols) this is an int array over the stack.
+    """
+    m = _as_stack(m)
     if m.size == 0:
-        return 0
+        return 0 if m.ndim == 2 else np.zeros(m.shape[:-2], dtype=int)
     s = np.linalg.svd(m, compute_uv=False)
-    return int(np.count_nonzero(s > _rank_threshold(s, m.shape, tol)))
+    return _rank_and_threshold(s, m.shape[-2:], tol)[0]
 
 
 def left_null_space(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -49,9 +49,11 @@ class MatrixSequence:
     have one matrix per k = 0..tau.
     """
 
-    __slots__ = ("_const", "_seq")
+    __slots__ = ("_const", "_seq", "_shapes", "_stack")
 
     def __init__(self, value, tau: int | None = None):
+        # derived from the matrices on first use
+        self._shapes = self._stack = None
         if isinstance(value, MatrixSequence):
             self._const = value._const
             self._seq = value._seq
@@ -92,6 +94,38 @@ class MatrixSequence:
     def __len__(self) -> int:
         return 1 if self._seq is None else len(self._seq)
 
+    @property
+    def shapes(self) -> np.ndarray:
+        """(len, 2) int array: the shape of each stored matrix ((-1, -1)
+        for an entry that is not 2-D)."""
+        if self._shapes is None:
+            mats = (self._const,) if self._seq is None else self._seq
+            self._shapes = np.array([m.shape if m.ndim == 2 else (-1, -1)
+                                     for m in mats], dtype=int)
+        return self._shapes
+
+    def take(self, ks) -> np.ndarray:
+        """The matrices at time indices ``ks``, stacked on a leading axis.
+
+        They must share one shape.  A constant sequence gives a view of its
+        matrix (callers must not write to it); a sequence of one shape
+        throughout is stacked once and indexed.
+        """
+        ks = np.asarray(ks, dtype=int)
+        if self._seq is None:
+            if ks.shape == (1,):
+                return self._const[None]
+            return np.broadcast_to(self._const, ks.shape + self._const.shape)
+        if self._stack is None and (self.shapes == self.shapes[0]).all():
+            self._stack = np.stack(self._seq)
+        if self._stack is not None:
+            return self._stack[ks]
+        return np.stack([self._seq[k] for k in ks.tolist()])
+
+    def all_finite(self) -> bool:
+        mats = (self._const,) if self._seq is None else self._seq
+        return bool(np.isfinite(np.concatenate(mats, axis=None)).all())
+
 
 @dataclass(frozen=True)
 class LtvModel:
@@ -122,11 +156,16 @@ class LtvModel:
             D=MatrixSequence(D, tau),
         )
 
-    def n_z(self, k: int) -> int:
-        return self.H[k].shape[0]
-
     def n_u(self, k: int) -> int:
         return self.G[k].shape[1]
+
+    def n_z_steps(self) -> np.ndarray:
+        """The measurement dimension at each k = 0..tau."""
+        return np.broadcast_to(self.H.shapes[:, 0], self.tau + 1)
+
+    def n_u_steps(self) -> np.ndarray:
+        """The input dimension at each k = 0..tau."""
+        return np.broadcast_to(self.G.shapes[:, 1], self.tau + 1)
 
     @property
     def is_lti(self) -> bool:
@@ -134,7 +173,7 @@ class LtvModel:
 
     @property
     def has_input(self) -> bool:
-        return any(self.n_u(k) > 0 for k in range(self.tau + 1))
+        return bool(self.n_u_steps().any())
 
 
 @dataclass(frozen=True)
@@ -253,21 +292,31 @@ def defining_replication(structure: NoiseStructure, L: int) -> np.ndarray:
 def validate(model: LtvModel, structure: NoiseStructure) -> ValidationReport:
     """Check dimension consistency, finiteness, and basis symmetry."""
     findings: list[str] = []
-    for name, seq, shape_of in (
-        ("F", model.F, lambda k: (model.n_x, model.n_x)),
-        ("G", model.G, lambda k: (model.n_x, model.G[k].shape[1])),
-        ("E", model.E, lambda k: (model.n_x, model.n_w)),
-        ("H", model.H, lambda k: (model.H[k].shape[0], model.n_x)),
-        ("D", model.D, lambda k: (model.H[k].shape[0], model.n_v)),
+    h_rows = model.H.shapes[:, 0]
+    for name, seq, expected_rows, expected_cols in (
+        ("F", model.F, model.n_x, model.n_x),
+        ("G", model.G, model.n_x, model.G.shapes[:, 1]),
+        ("E", model.E, model.n_x, model.n_w),
+        ("H", model.H, h_rows, model.n_x),
+        ("D", model.D, h_rows, model.n_v),
     ):
         if not seq.is_constant and len(seq) != model.tau + 1:
             findings.append(f"{name} sequence has {len(seq)} entries, expected tau+1")
             continue
-        ks = (0,) if seq.is_constant else range(model.tau + 1)
-        for k in ks:
+        n = len(seq)
+        # a constant H stands for every k; a sequence is checked at k < n
+        expected = np.column_stack([
+            np.broadcast_to(e if np.size(e) == 1 else e[:n], n)
+            for e in (expected_rows, expected_cols)
+        ])
+        bad = set(np.flatnonzero((seq.shapes != expected).any(axis=1)).tolist())
+        if not seq.all_finite():
+            bad.update(k for k in range(n) if not np.all(np.isfinite(seq[k])))
+        for k in sorted(bad):
             m = seq[k]
-            if m.shape != shape_of(k):
-                findings.append(f"{name}_{k} has shape {m.shape}, expected {shape_of(k)}")
+            shape = tuple(int(d) for d in expected[k])
+            if m.shape != shape:
+                findings.append(f"{name}_{k} has shape {m.shape}, expected {shape}")
             if not np.all(np.isfinite(m)):
                 findings.append(f"{name}_{k} contains non-finite entries")
     for i, (bq, br) in enumerate(zip(structure.bq, structure.br), start=1):

@@ -22,6 +22,7 @@ from the window matrices assembled here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -29,7 +30,8 @@ from .errors import DataError
 from .linalg import block_diag
 from .model import LtvModel, MeasurementData, Trajectory
 
-__all__ = ["AugmentedBlock", "build_augmented_block", "stack_measurements"]
+__all__ = ["AugmentedBlock", "WindowBlocks", "build_augmented_block",
+           "window_blocks", "stack_measurements"]
 
 
 @dataclass
@@ -45,41 +47,102 @@ class AugmentedBlock:
     scriptD: np.ndarray    # (n_zkL, L n_v) blkdiag of D_k..D_{k+L-1}
 
 
-def build_augmented_block(model: LtvModel, k: int, L: int) -> AugmentedBlock:
-    """Assemble O, Gamma, scriptG, scriptE, scriptD for window [k, k+L-1]."""
-    if L < 1:
-        raise ValueError("window length L must be >= 1")
-    if k < 0 or k + L - 1 > model.tau:
-        raise DataError(
-            f"window k={k}, L={L} overruns the model horizon tau={model.tau}"
-        )
-    n_x = model.n_x
-    lg = L - 1
+@dataclass
+class WindowBlocks:
+    """The window matrices of the windows starting at ``ks``, which share one
+    shape (the same n_z and n_u sequences), stacked on a leading window axis.
+    """
 
-    h_list = [model.H[k + i] for i in range(L)]
-    n_z_steps = [h.shape[0] for h in h_list]
-    n_zkL = sum(n_z_steps)
-    row_off = np.concatenate(([0], np.cumsum(n_z_steps)))
+    ks: np.ndarray         # (n,) window start times
+    L: int
+    O: np.ndarray          # (n, n_zkL, n_x)
+    Gamma: np.ndarray      # (n, n_zkL, (L-1) n_x)
+    scriptG: np.ndarray    # (n, (L-1) n_x, n_ukL)
+    scriptE: np.ndarray    # (n, (L-1) n_x, (L-1) n_w)
+    scriptD: np.ndarray    # (n, n_zkL, L n_v)
 
-    obs = np.zeros((n_zkL, n_x))
-    gamma = np.zeros((n_zkL, lg * n_x))
+    @property
+    def C(self) -> np.ndarray:
+        """blkdiag(scriptE, scriptD) per window: the noises enter Z_k as
+        [Gamma_k, I] C_k [W_k; V_k]."""
+        return _stacked_block_diag([self.scriptE, self.scriptD], self.ks.size)
+
+    def block(self, i: int) -> AugmentedBlock:
+        """The matrices of the i-th window of the stack (views)."""
+        return AugmentedBlock(k=int(self.ks[i]), L=self.L, O=self.O[i],
+                              Gamma=self.Gamma[i], scriptG=self.scriptG[i],
+                              scriptE=self.scriptE[i], scriptD=self.scriptD[i])
+
+
+def _stacked_block_diag(blocks: list[np.ndarray], n: int) -> np.ndarray:
+    """Block diagonals of n windows at once; blocks[i] has shape (n, r_i, c_i)."""
+    rows = sum(b.shape[1] for b in blocks)
+    cols = sum(b.shape[2] for b in blocks)
+    # in (row, column, window) order each block is one 2-D r_i x (c_i n)
+    # block, so a single 2-D block_diag places every window's copy
+    flat = block_diag(*(b.transpose(1, 2, 0).reshape(b.shape[1], b.shape[2] * n)
+                        for b in blocks))
+    return np.ascontiguousarray(flat.reshape(rows, cols, n).transpose(2, 0, 1))
+
+
+def _window_group(model: LtvModel, ks: np.ndarray, L: int) -> WindowBlocks:
+    n_x, lg, n = model.n_x, L - 1, ks.size
+    h = [model.H.take(ks + i) for i in range(L)]
+    f = [model.F.take(ks + j) for j in range(lg)]
+    row_off = list(accumulate((m.shape[1] for m in h), initial=0))
+
+    obs = np.zeros((n, row_off[-1], n_x))
+    gamma = np.zeros((n, row_off[-1], lg * n_x))
     for i in range(L):
-        h = h_list[i]
         rows = slice(row_off[i], row_off[i + 1])
         # t holds H_{k+i} Phi(k+j+1 -> k+i); built right to left over j
-        t = h.copy()
+        t = h[i].copy()
         for j in range(i - 1, -1, -1):
-            gamma[rows, j * n_x:(j + 1) * n_x] = t
-            t = t @ model.F[k + j]
-        obs[rows, :] = t
+            gamma[:, rows, j * n_x:(j + 1) * n_x] = t
+            t = t @ f[j]
+        obs[:, rows] = t
 
     # an L=1 window has no steps between measurements: scriptG and scriptE
     # are 0 x 0 and Gamma has no columns
-    script_g = block_diag(*(model.G[k + i] for i in range(lg)))
-    script_e = block_diag(*(model.E[k + i] for i in range(lg)))
-    script_d = block_diag(*(model.D[k + i] for i in range(L)))
-    return AugmentedBlock(k=k, L=L, O=obs, Gamma=gamma, scriptG=script_g,
-                          scriptE=script_e, scriptD=script_d)
+    return WindowBlocks(
+        ks=ks, L=L, O=obs, Gamma=gamma,
+        scriptG=_stacked_block_diag([model.G.take(ks + i) for i in range(lg)], n),
+        scriptE=_stacked_block_diag([model.E.take(ks + i) for i in range(lg)], n),
+        scriptD=_stacked_block_diag([model.D.take(ks + i) for i in range(L)], n),
+    )
+
+
+def window_blocks(model: LtvModel, ks, L: int) -> list[WindowBlocks]:
+    """The window matrices of the windows [k, k+L-1], k in ``ks``.
+
+    Windows are grouped by shape (their n_z and n_u sequences), one
+    WindowBlocks per group.  The work loops over the L^2 block positions of
+    a window, never over windows, and each window's matrices are bitwise
+    the ones it gets on its own.
+    """
+    if L < 1:
+        raise ValueError("window length L must be >= 1")
+    ks = np.asarray(ks, dtype=int).ravel()
+    over = (ks < 0) | (ks + L - 1 > model.tau)
+    if over.any():
+        raise DataError(
+            f"window k={ks[np.argmax(over)]}, L={L} overruns the model "
+            f"horizon tau={model.tau}"
+        )
+    if ks.size > 1:
+        steps = ks[:, None] + np.arange(L)
+        shape = np.hstack([model.n_z_steps()[steps], model.n_u_steps()[steps[:, :-1]]])
+        if (shape != shape[0]).any():
+            _, group = np.unique(shape, axis=0, return_inverse=True)
+            group = group.ravel()
+            return [_window_group(model, ks[group == g], L)
+                    for g in range(group.max() + 1)]
+    return [_window_group(model, ks, L)]
+
+
+def build_augmented_block(model: LtvModel, k: int, L: int) -> AugmentedBlock:
+    """Assemble O, Gamma, scriptG, scriptE, scriptD for window [k, k+L-1]."""
+    return window_blocks(model, [k], L)[0].block(0)
 
 
 def stack_measurements(data, k: int, L: int):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mdmest import (
     InitialCondition,
@@ -94,3 +95,10 @@ def ge_equal_structure():
 @pytest.fixture
 def default_init():
     return InitialCondition.default(1)
+
+
+# Property tests run a fixed, bounded set of examples so the suite is
+# reproducible and stays fast; no example database is written.
+settings.register_profile("tier1", derandomize=True, max_examples=60,
+                          deadline=None, database=None)
+settings.load_profile("tier1")

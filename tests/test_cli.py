@@ -144,6 +144,32 @@ class TestSimulateIdentify:
                      "--out", str(tmp_path)]) == 3
 
 
+class TestAutoWindow:
+    @pytest.mark.parametrize("method", ["ordinary", "weighted"])
+    def test_each_candidate_geometry_built_once(self, tmp_path, monkeypatch,
+                                                obs_ltv_model_file, method):
+        """--L auto scans L = 1 (no annihilator) and L = 2 (accepted) and
+        identifies with the scan's design: no window length's geometry is
+        built twice."""
+        from mdmest import estimator
+        built = []
+        real = estimator.window_blocks
+
+        def counting(model, ks, L):
+            built.append(L)
+            return real(model, ks, L)
+
+        out = tmp_path / "o"
+        assert main(["simulate", "--model", str(obs_ltv_model_file),
+                     "--out", str(out)]) == 0
+        monkeypatch.setattr(estimator, "window_blocks", counting)
+        assert main(["identify", "--model", str(obs_ltv_model_file),
+                     "--data", str(out / "data.jsonl"), "--method", method,
+                     "--out", str(out)]) == 0
+        assert built == [1, 2]
+        assert json.loads((out / "identify_result.json").read_text())["L"] == 2
+
+
 class TestBenchmarkCommand:
     def test_writes_three_files(self, tmp_path, capsys):
         out = tmp_path / "bench"

@@ -79,7 +79,7 @@ class WindowGeometry:
     """Data-independent quantities of one window (shared across MC runs).
 
     ``build_design`` computes them for many windows at once; the arrays are
-    views into those stacks.
+    views into those stacks (``ac`` into ``StackedSystem.ac``).
     """
 
     n_a: int
@@ -102,8 +102,10 @@ class StackedSystem:
 
     ``obs`` is None for design-only systems; ``with_data`` attaches data.
     ``windows`` carries the per-window geometry; for LTI models all entries
-    reference one shared object.  The design facts below are computed once,
-    by ``build_design``, from one SVD and one thin QR of design / scale.
+    reference one shared object.  ``ac`` stacks every window's ``ac``,
+    zero-padded at the bottom to the widest window's rows (a broadcast view
+    for LTI models).  The design facts below are computed once, by
+    ``build_design``, from one SVD and one thin QR of design / scale.
     """
 
     obs: np.ndarray | None
@@ -112,6 +114,7 @@ class StackedSystem:
     L: int
     mode: str
     windows: list[WindowGeometry]
+    ac: np.ndarray                     # (n_windows, max n_a, n_eps)
     n_eps: int
     model: LtvModel
     scale: np.ndarray                  # column scale: design == (design / scale) * scale
@@ -233,8 +236,9 @@ def _warn_near_threshold(factored) -> None:
 
 
 def _window_geometries(blocks, mode: str, upsilon: np.ndarray,
-                       tol: Tolerance) -> list[WindowGeometry]:
-    """The geometry of the windows in ``blocks``, indexed by window start.
+                       tol: Tolerance) -> tuple[list[WindowGeometry], np.ndarray]:
+    """The geometry of the windows in ``blocks``, indexed by window start,
+    and their ``ac`` stacked as ``StackedSystem.ac`` holds it.
 
     One SVD call per shape group gives every window's annihilator by the
     shared rank rule; the windows are then regrouped by rank and their
@@ -255,6 +259,9 @@ def _window_geometries(blocks, mode: str, upsilon: np.ndarray,
         raise NoAnnihilator(rows=rows, rank=rank, k=k)
 
     windows = [None] * sum(b.ks.size for b in blocks)
+    n_a_max = max(u.shape[1] - int(np.min(rank)) for _, u, _, rank, _ in factored)
+    n_eps = blocks[0].scriptE.shape[-1] + blocks[0].scriptD.shape[-1]
+    ac_all = np.zeros((len(windows), n_a_max, n_eps))
     for b, u, _, rank, _ in factored:
         gamma_g = None
         if mode == KNOWN_INPUT and b.scriptG.shape[-1] > 0:
@@ -264,6 +271,7 @@ def _window_geometries(blocks, mode: str, upsilon: np.ndarray,
             idx = np.flatnonzero(rank == r)
             n = u[idx][:, :, r:].transpose(0, 2, 1)
             ac = np.concatenate([n @ b.Gamma[idx], n], axis=2) @ c_mat[idx]
+            ac_all[b.ks[idx], :n.shape[1]] = ac
             sel_i, sel_j = sym_pair_indices(n.shape[1])
             noisemap = np.einsum("wta,wtb->wtab", ac[:, sel_j], ac[:, sel_i]
                                  ).reshape(idx.size, sel_i.size, -1)
@@ -271,11 +279,12 @@ def _window_geometries(blocks, mode: str, upsilon: np.ndarray,
             for p, w in enumerate(idx.tolist()):
                 windows[b.ks[w]] = WindowGeometry(
                     n_a=n.shape[1], annihilator=n[p],
-                    gamma_g=None if gamma_g is None else gamma_g[w], ac=ac[p],
+                    gamma_g=None if gamma_g is None else gamma_g[w],
+                    ac=ac_all[b.ks[w], :n.shape[1]],
                     sel_i=sel_i, sel_j=sel_j,
                     design_block=design[p], noisemap_block=noisemap[p],
                 )
-    return windows
+    return windows, ac_all
 
 
 def _feasible_windows(model: LtvModel, mode: str, tol: Tolerance,
@@ -347,7 +356,7 @@ def _design(model: LtvModel, structure: NoiseStructure, L: int, mode: str,
             tol: Tolerance, n_windows: int, blocks) -> StackedSystem:
     upsilon = defining_replication(structure, L)
     try:
-        windows = _window_geometries(blocks, mode, upsilon, tol)
+        windows, ac = _window_geometries(blocks, mode, upsilon, tol)
     except NoAnnihilator as exc:
         try:
             exc.minimal_feasible_l = min_feasible_window(model, mode, tol)
@@ -356,6 +365,7 @@ def _design(model: LtvModel, structure: NoiseStructure, L: int, mode: str,
         raise
     if model.is_lti:
         windows = windows * n_windows
+        ac = np.broadcast_to(ac, (n_windows,) + ac.shape[1:])
     row_offsets = np.concatenate(
         ([0], np.cumsum([w.n_rows for w in windows]))
     ).astype(int)
@@ -369,8 +379,8 @@ def _design(model: LtvModel, structure: NoiseStructure, L: int, mode: str,
     q, r = scipy.linalg.qr(d, mode="economic")
     return StackedSystem(
         obs=None, design=design, row_offsets=row_offsets, L=L, mode=mode,
-        windows=windows, n_eps=(L - 1) * model.n_w + L * model.n_v, model=model,
-        scale=scale, rank=rank, rank_threshold=thr,
+        windows=windows, ac=ac, n_eps=(L - 1) * model.n_w + L * model.n_v,
+        model=model, scale=scale, rank=rank, rank_threshold=thr,
         cond=float(s[0] / s[-1]) if s.size and s[-1] > 0 else np.inf,
         null_basis=null_basis, q=q, r=r,
     )
@@ -501,16 +511,21 @@ class EtaCovariances:
     For offsets j = 0..L-1 the band matrix E[eta_k eta_{k+j}^T] follows from
     the Gaussian fourth-moment factorisation; ``band(j)`` materialises it as
     an n_eps^2 x n_eps^2 matrix (zero for j >= L, where the stacked noise
-    vectors share no components).
+    vectors share no components).  ``projection`` holds, for Q and R, the
+    most negative eigenvalue relative to the largest |eigenvalue| when they
+    were projected onto the PSD cone first, and (0, 0) when they were not.
     """
 
     L: int
     n_eps: int
     r_e2: np.ndarray                     # vectorised stacked-noise covariance
-    sigma_tops: list[np.ndarray]         # per-j marginal of the earlier stack
-    sigma_bots: list[np.ndarray]         # per-j marginal of the later stack
     crosses: list[np.ndarray]            # per-j cross covariance C_j
-    repaired: bool
+    projection: tuple[float, float]
+
+    @property
+    def repaired(self) -> bool:
+        """Whether Q and R were projected onto the PSD cone."""
+        return any(self.projection)
 
     def band(self, j: int) -> np.ndarray:
         n = self.n_eps
@@ -518,12 +533,7 @@ class EtaCovariances:
             return np.zeros((n * n, n * n))
         c = self.crosses[j]
         base = np.kron(c, c)
-        band = base + base[:, swap_permutation(n)]
-        if self.repaired:
-            # eta subtracts r_e2 while the repaired stack has mean vec(sigma)
-            band = band + np.outer(vec(self.sigma_tops[j]) - self.r_e2,
-                                   vec(self.sigma_bots[j]) - self.r_e2)
-        return band
+        return base + base[:, swap_permutation(n)]
 
 
 def gaussian_eta_covariances(structure: NoiseStructure, alpha, L: int,
@@ -538,70 +548,34 @@ def gaussian_eta_covariances(structure: NoiseStructure, alpha, L: int,
     squared means cancelled against the subtracted expectation).
 
     With ``repair=True`` an indefinite Q or R (as can happen for a raw LS
-    estimate) has the negative eigenvalues of the implied joint covariance
-    clipped to zero, with a warning; otherwise it raises.
+    estimate) is projected onto the PSD cone, with a warning: one
+    eigendecomposition each, negative eigenvalues clipped to zero.  The
+    bands are then the exact moments of noises with the projected
+    covariances.  Otherwise it raises.
     """
     q, r = assemble_qr(structure, alpha)
-    lam_q = np.linalg.eigvalsh((q + q.T) / 2.0) if q.size else np.zeros(0)
-    lam_r = np.linalg.eigvalsh((r + r.T) / 2.0) if r.size else np.zeros(0)
-    scale = max(1.0, *(np.max(np.abs(lam)) for lam in (lam_q, lam_r) if lam.size))
-    psd_ok = all(lam.size == 0 or lam[0] >= -tol.zero_tol * scale
-                 for lam in (lam_q, lam_r))
-    if not psd_ok and not repair:
-        raise NotPositiveSemidefinite("Q(alpha) or R(alpha) is indefinite")
-
-    lg = L - 1
-    n_eps = lg * structure.n_w + L * structure.n_v
-    sigma = block_diag(np.kron(np.eye(lg), q), np.kron(np.eye(L), r))
-    r_e2 = vec(sigma)
-
-    tops, bots, crosses = [], [], []
-    repaired = False
-    for j in range(L):
-        c_j = block_diag(np.kron(_shift_matrix(lg, j), q),
-                         np.kron(_shift_matrix(L, j), r))
-        if psd_ok:
-            tops.append(sigma)
-            bots.append(sigma)
-            crosses.append(c_j)
-            continue
-        if j == 0:
-            joint = sigma
-        else:
-            joint = np.block([[sigma, c_j], [c_j.T, sigma]])
-        lam, v = np.linalg.eigh((joint + joint.T) / 2.0)
-        rep = (v * np.clip(lam, 0.0, None)) @ v.T
-        if j == 0:
-            tops.append(rep)
-            bots.append(rep)
-            crosses.append(rep)
-        else:
-            tops.append(rep[:n_eps, :n_eps])
-            bots.append(rep[n_eps:, n_eps:])
-            crosses.append(rep[:n_eps, n_eps:])
-        repaired = True
-    if repaired:
+    eigs = [np.linalg.eigh((m + m.T) / 2.0) for m in (q, r)]
+    tops = [np.max(np.abs(lam), initial=0.0) for lam, _ in eigs]
+    scale = max(1.0, *tops)
+    projection = (0.0, 0.0)
+    if any(lam.size and lam[0] < -tol.zero_tol * scale for lam, _ in eigs):
+        if not repair:
+            raise NotPositiveSemidefinite("Q(alpha) or R(alpha) is indefinite")
+        q, r = ((v * np.clip(lam, 0.0, None)) @ v.T for lam, v in eigs)
+        projection = tuple(float(min(lam[0], 0.0) / top) if top > 0.0 else 0.0
+                           for (lam, _), top in zip(eigs, tops))
         warnings.warn(
-            "Q/R estimate is indefinite; clipped negative eigenvalues of the "
-            "joint noise covariance before the fourth-moment expansion",
+            "Q/R estimate is indefinite; projected it onto the positive "
+            "semidefinite cone before the fourth-moment expansion",
             RuntimeWarning, stacklevel=2,
         )
-    return EtaCovariances(L=L, n_eps=n_eps, r_e2=r_e2, sigma_tops=tops,
-                          sigma_bots=bots, crosses=crosses, repaired=repaired)
 
-
-def _stacked_ac(sys: StackedSystem) -> np.ndarray:
-    """The windows' ``ac`` as one (n_windows, max n_a, n_eps) array.
-
-    A window with fewer residue rows is zero-padded at the bottom, so its
-    unique pairs are a prefix of the widest window's (``sym_pair_indices``
-    runs column by column) and the padded entries of every product are 0.
-    """
-    n_a = max(w.n_a for w in sys.windows)
-    ac = np.zeros((sys.n_windows, n_a, sys.n_eps))
-    for r, w in enumerate(sys.windows):
-        ac[r, :w.n_a] = w.ac
-    return ac
+    lg = L - 1
+    sigma = block_diag(np.kron(np.eye(lg), q), np.kron(np.eye(L), r))
+    crosses = [block_diag(np.kron(_shift_matrix(lg, j), q),
+                          np.kron(_shift_matrix(L, j), r)) for j in range(L)]
+    return EtaCovariances(L=L, n_eps=lg * structure.n_w + L * structure.n_v,
+                          r_e2=vec(sigma), crosses=crosses, projection=projection)
 
 
 def assemble_p(sys: StackedSystem, etas: EtaCovariances) -> np.ndarray:
@@ -615,6 +589,10 @@ def assemble_p(sys: StackedSystem, etas: EtaCovariances) -> np.ndarray:
     ab[i-c, c] == P[i, c] for c <= i <= c+b, b the widest row span of L
     consecutive windows minus one (L*s - 1 for windows of s rows); entries
     past the end of a diagonal are 0.  The dense P is never formed.
+
+    ``sys.ac`` pads a window with fewer residue rows at the bottom, so its
+    unique pairs are a prefix of the widest window's (``sym_pair_indices``
+    runs column by column) and the padded entries of every product are 0.
     """
     if etas.L != sys.L:
         raise ValueError(f"band count {etas.L} does not match system L={sys.L}")
@@ -625,22 +603,16 @@ def assemble_p(sys: StackedSystem, etas: EtaCovariances) -> np.ndarray:
     n_windows, offs = sys.n_windows, sys.row_offsets
     span_end = offs[np.minimum(np.arange(n_windows) + sys.L, n_windows)]
     ab = np.zeros((int(np.max(span_end - offs[:-1])), sys.n_rows))
-    ac = _stacked_ac(sys)
+    ac = sys.ac
     ac_t = ac.transpose(0, 2, 1)
     si, sj = sym_pair_indices(ac.shape[1])
     pos = np.arange(si.size)
     rows_of = np.diff(offs)
-    if etas.repaired:
-        rm = etas.r_e2.reshape((etas.n_eps, etas.n_eps), order="F")
     for j in range(min(sys.L, n_windows)):
         n = n_windows - j
         g = ac[:n] @ etas.crosses[j] @ ac_t[j:]
         blk = (g[:, sj[:, None], sj] * g[:, si[:, None], si]
                + g[:, sj[:, None], si] * g[:, si[:, None], sj])
-        if etas.repaired:
-            u_r = (ac[:n] @ (etas.sigma_tops[j] - rm) @ ac_t[:n])[:, si, sj]
-            u_c = (ac[j:] @ (etas.sigma_bots[j] - rm) @ ac_t[j:])[:, si, sj]
-            blk = blk + u_r[:, :, None] * u_c[:, None, :]
         # blk[r, a, b] = P[offs[r] + a, offs[r+j] + b], stored from the lower
         # triangle as P[offs[r+j] + b, offs[r] + a]
         col = offs[:n, None, None] + pos[:, None]
@@ -656,10 +628,9 @@ def assemble_p(sys: StackedSystem, etas: EtaCovariances) -> np.ndarray:
     return ab
 
 
-# The definiteness test reduces P to tridiagonal form, O(m^2 b), and the
-# constrained branch forms P + design design^T densely, O(m^2) memory and an
-# O(m^3) eigendecomposition; both are refused above this row count (use
-# ordinary MDM or a shorter horizon instead).
+# The constrained branch forms P + design design^T densely, O(m^2) memory,
+# and factors it by pivoted Cholesky, O(m^2 r) for its rank r; it is refused
+# above this row count (use ordinary MDM or a shorter horizon instead).
 P_DENSE_MAX_ROWS = 8000
 
 
@@ -671,15 +642,12 @@ def _check_weight_rows(m: int) -> None:
         )
 
 
-def _band_to_dense(ab: np.ndarray) -> np.ndarray:
-    """The symmetric matrix whose lower band storage is ``ab``."""
-    m = ab.shape[1]
-    p = np.zeros((m, m))
-    for d in range(ab.shape[0]):
-        i = np.arange(d, m)
-        p[i, i - d] = ab[d, :m - d]
-        p[i - d, i] = ab[d, :m - d]
-    return p
+def _factors_shifted(ab: np.ndarray, shift: float) -> bool:
+    """Whether P + shift * I, P in lower band storage, has a banded Cholesky
+    factor."""
+    shifted = ab.copy()
+    shifted[0] += shift
+    return scipy.linalg.lapack.dpbtrf(shifted, lower=1)[1] == 0
 
 
 def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
@@ -689,14 +657,17 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
     ``p_hat`` is the symmetric weight P in LAPACK lower band storage, as
     ``assemble_p`` returns it: shape (b+1, m), p_hat[i-c, c] == P[i, c], and
     zeros past the end of each diagonal (np.ones((1, m)) is the identity).
-    A numerically full-rank weight is factored by banded Cholesky, in
-    O(m b^2), and the whitened problem solved by QR; the diagnostics then
-    carry the fit statistic J = r^T P^{-1} r of the residual r and its
-    degrees of freedom m - n_alpha.  A rank-deficient weight takes the
-    constrained LS form built from the pseudo-inverse of
-    (P + design design^T), whose reported covariance subtracts the identity.
-    ``branch`` may force either path ("full-rank" / "constrained") for
-    verification.
+    Two shifted banded Cholesky factorisations, O(m b^2) each, decide the
+    branch.  With d = max diag P, P is numerically full rank when
+    P - rank_tol d I factors; P is indefinite, and IndefiniteWeight raised,
+    when P + rank_tol max(d, ||design||_2^2) I does not.  A full-rank weight
+    is factored by banded Cholesky and the whitened problem solved by QR;
+    the diagnostics then carry the fit statistic J = r^T P^{-1} r of the
+    residual r and its degrees of freedom m - n_alpha.  A singular weight
+    takes Rao's unified LS form with a g-inverse of T = P + design design^T
+    from its pivoted Cholesky factor; the reported covariance subtracts the
+    identity.  ``branch`` may force either path ("full-rank" /
+    "constrained") for verification.
     """
     if sys.obs is None:
         raise ValueError("system carries no observations")
@@ -712,20 +683,20 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
         raise ValueError("weight band storage has entries past the end of a diagonal")
     _check_weight_rows(m)
 
-    lam_min = float(scipy.linalg.eigvals_banded(ab, lower=True, select="i",
-                                                select_range=(0, 0))[0])
-    lam_max = float(scipy.linalg.eigvals_banded(ab, lower=True, select="i",
-                                                select_range=(m - 1, m - 1))[0])
-    # negativity floor uses the regression scale ||design||_2^2 too, so a
-    # numerically-zero weight (all-dust eigenvalues) falls through to the
-    # constrained branch; design == q @ (r * scale) gives the norm from r
-    design_scale = float(np.linalg.norm(sys.r * sys.scale, 2)) ** 2
-    floor = tol.rank_tol * max(lam_max, design_scale)
-    if lam_min < -floor:
-        raise IndefiniteWeight(
-            f"weight matrix has eigenvalue {lam_min:.3e} below -{floor:.3e}"
-        )
-    full_rank = lam_max > 0.0 and lam_min > tol.rank_tol * lam_max
+    d = float(np.max(ab[0]))
+    full_rank = d > 0.0 and _factors_shifted(ab, -tol.rank_tol * d)
+    if not full_rank:
+        # the negativity floor uses the regression scale ||design||_2^2 too,
+        # so a numerically-zero weight falls through to the constrained
+        # branch; design == q @ (r * scale) gives the norm from r
+        design_scale = float(np.linalg.norm(sys.r * sys.scale, 2)) ** 2
+        floor = tol.rank_tol * max(d, design_scale)
+        if not _factors_shifted(ab, floor):
+            lam_min = float(scipy.linalg.eigvals_banded(
+                ab, lower=True, select="i", select_range=(0, 0))[0])
+            raise IndefiniteWeight(
+                f"weight matrix has eigenvalue {lam_min:.3e} below -{floor:.3e}"
+            )
     if branch == "full-rank" and not full_rank:
         raise IndefiniteWeight("full-rank branch forced but the weight is singular")
     use_full = full_rank if branch == "auto" else branch == "full-rank"
@@ -745,19 +716,30 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
         fit_j, fit_dof = float(resid @ resid), m - sys.n_alpha
         method = "weighted-full-rank"
     else:
-        w_base = _band_to_dense(ab) + sys.design @ sys.design.T
-        lam2, v2 = np.linalg.eigh(w_base)
-        thr2 = tol.rank_tol * max(float(lam2[-1]), 0.0) * w_base.shape[0]
-        inv_sqrt = np.where(lam2 > thr2, 1.0 / np.sqrt(np.where(lam2 > thr2, lam2, 1.0)), 0.0)
-        half = (v2 * inv_sqrt).T
-        alpha, cov = _ls_with_cov(half @ sys.design, half @ sys.obs, tol)
+        # T = P + design design^T, of which pstrf reads the lower triangle;
+        # the transpose of the symmetric product is Fortran-ordered, so T is
+        # built and factored in place
+        t = (sys.design @ sys.design.T).T
+        for j in range(ab.shape[0]):
+            i = np.arange(j, m)
+            t[i, i - j] += ab[j, :m - j]
+        # the shared rank rule, with max diag T standing for sigma_max
+        thr = tol.rank_tol * float(np.max(np.diag(t))) * m
+        c, piv, rank, _ = scipy.linalg.lapack.dpstrf(t, tol=thr, lower=1,
+                                                     overwrite_a=1)
+        # T[piv][:, piv] = F F^T, F = c[:, :rank] lower; with F_11 its leading
+        # block, the pivot rows whitened by F_11 give the g-inverse form
+        rows = piv[:rank] - 1
+        whitened = scipy.linalg.solve_triangular(
+            c[:rank, :rank], np.column_stack([sys.design[rows], sys.obs[rows]]),
+            lower=True)
+        alpha, cov = _ls_with_cov(whitened[:, :-1], whitened[:, -1], tol)
         cov = cov - np.eye(sys.n_alpha)
         method = "weighted-constrained"
     return Estimate(
         alpha_hat=alpha, cov=cov, method=method, rank=sys.rank,
         rank_threshold=sys.rank_threshold,
-        diagnostics={"design_cond": sys.cond, "weight_eig_min": lam_min,
-                     "weight_eig_max": lam_max, "fit_j": fit_j, "fit_dof": fit_dof,
+        diagnostics={"design_cond": sys.cond, "fit_j": fit_j, "fit_dof": fit_dof,
                      "runtime_s": time.perf_counter() - t0},
     )
 
@@ -767,7 +749,8 @@ def weighted_pipeline(sys: StackedSystem, structure: NoiseStructure,
     """Ordinary estimate, Gaussian eta covariances from it, weighted solve.
 
     ``sys`` must carry observations (``build_stacked_system`` or
-    ``with_data``); the first-pass estimate is kept in the diagnostics.
+    ``with_data``); the first-pass estimate and the size of its PSD
+    projection (``EtaCovariances.projection``) are kept in the diagnostics.
     """
     est_o = ordinary_mdm(sys, tol)
     etas = gaussian_eta_covariances(structure, est_o.alpha_hat, sys.L,
@@ -777,7 +760,7 @@ def weighted_pipeline(sys: StackedSystem, structure: NoiseStructure,
     p_hat = assemble_p(sys, etas)
     est_w = weighted_mdm(sys, p_hat, tol)
     est_w.diagnostics["alpha_ordinary"] = est_o.alpha_hat
-    est_w.diagnostics["eta_repaired"] = etas.repaired
+    est_w.diagnostics["eta_projection"] = etas.projection
     est_w.diagnostics["runtime_s"] += est_o.diagnostics["runtime_s"]
     return est_w
 

@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from mdmest import preset
-from mdmest import io
+from mdmest import preset, weighted_mdm
+from mdmest import cli, io
 from mdmest.cli import main
 
 
@@ -110,9 +110,15 @@ class TestSimulateIdentify:
         assert code == 3
         assert "line 1: expected a JSON object with a 'z' entry" in capsys.readouterr().err
 
-    def test_indefinite_weight_message(self, tmp_path, capsys):
-        # the first-pass estimate of this short unknown-input run gives an
-        # indefinite weight; the message form is the one scripts match
+    def test_indefinite_weight_message(self, tmp_path, capsys, monkeypatch):
+        # the weight has a -1 diagonal entry, so it is indefinite whatever the
+        # data; the message form is the one scripts match
+        def indefinite_pipeline(sys_full, structure, tol):
+            bad = np.ones((1, sys_full.n_rows))
+            bad[0, 0] = -1.0
+            return weighted_mdm(sys_full, bad, tol)
+
+        monkeypatch.setattr(cli, "weighted_pipeline", indefinite_pipeline)
         spec = preset("unobs-unknown-input", tau=100)
         model = tmp_path / "model.json"
         io.save_model(model, spec.model, spec.structure,
@@ -120,10 +126,9 @@ class TestSimulateIdentify:
         out = tmp_path / "o"
         assert main(["simulate", "--model", str(model), "--seed", "0",
                      "--out", str(out)]) == 0
-        with pytest.warns(RuntimeWarning, match="indefinite"):
-            code = main(["identify", "--model", str(model),
-                         "--data", str(out / "data.jsonl"), "--method", "weighted",
-                         "--input-mode", "unknown", "--out", str(out)])
+        code = main(["identify", "--model", str(model),
+                     "--data", str(out / "data.jsonl"), "--method", "weighted",
+                     "--input-mode", "unknown", "--out", str(out)])
         assert code == 4
         assert re.search(r"^error: weight matrix has eigenvalue -\S+ below -\S+$",
                          capsys.readouterr().err, re.MULTILINE)

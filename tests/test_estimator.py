@@ -1,5 +1,9 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mdmest import (
     DataError,
@@ -7,6 +11,7 @@ from mdmest import (
     InitialCondition,
     KNOWN_INPUT,
     NoAnnihilator,
+    NoiseStructure,
     NotPositiveSemidefinite,
     RankDeficientDesign,
     UNKNOWN_INPUT,
@@ -26,6 +31,9 @@ from mdmest.benchmarks import benchmark_input_signal
 from mdmest.model import MeasurementData
 
 from conftest import dense_from_band, make_ragged_ltv_model, make_ragged_ltv_structure
+from test_geometry import window_cases
+
+INDEFINITE_MESSAGE = r"^weight matrix has eigenvalue -\S+ below -\S+$"
 
 
 def simulated_system(name, tau, seed, method_mode=None, alpha=None):
@@ -170,6 +178,22 @@ class TestGaussianEtaCovariances:
         band0 = etas.band(0)
         lam = np.linalg.eigvalsh(0.5 * (band0 + band0.T))
         assert lam[0] > -1e-9
+
+    def test_projection_is_exact_bands_of_projected_covariances(self):
+        # Q = diag(2, -1) projects to diag(2, 0); R = I needs no projection
+        structure = NoiseStructure.from_pairs([
+            (np.diag([1.0, 0.0]), np.zeros((1, 1))),
+            (np.diag([0.0, 1.0]), np.zeros((1, 1))),
+            (np.zeros((2, 2)), np.eye(1)),
+        ])
+        with pytest.warns(RuntimeWarning, match="indefinite"):
+            etas = gaussian_eta_covariances(structure, [2.0, -1.0, 1.0], 2,
+                                            repair=True)
+        assert etas.projection == (-0.5, 0.0)
+        exact = gaussian_eta_covariances(structure, [2.0, 0.0, 1.0], 2)
+        assert exact.projection == (0.0, 0.0) and not exact.repaired
+        for j in range(2):
+            assert np.array_equal(etas.band(j), exact.band(j))
 
     def test_sampling_oracle_obs_ltv(self, rng):
         """Every band entry matches empirical fourth moments of the noises."""
@@ -333,8 +357,46 @@ class TestWeightedMdm:
         spec, sys_full = simulated_system("obs-ltv", tau=30, seed=7)
         bad = np.ones((1, sys_full.n_rows))
         bad[0, 0] = -1.0
-        with pytest.raises(IndefiniteWeight):
+        with pytest.raises(IndefiniteWeight, match=INDEFINITE_MESSAGE):
             weighted_mdm(sys_full, bad)
+
+    def test_singular_weight_takes_constrained_branch(self):
+        spec, sys_full = simulated_system("obs-ltv", tau=30, seed=7)
+        ab = np.ones((1, sys_full.n_rows))
+        ab[0, 0] = 0.0
+        assert weighted_mdm(sys_full, ab).method == "weighted-constrained"
+
+    @pytest.mark.parametrize("case", ["unobs-unknown-input", "noise-free"])
+    def test_constrained_branch_matches_rao_reference(self, case):
+        """Rao's unified LS estimator with the Moore-Penrose inverse of
+        T = P + X X^T, from a dense eigendecomposition of T."""
+        if case == "noise-free":
+            # P = 0 and residues the model explains exactly; the estimators
+            # agree for every g-inverse only when obs lies in the range of T
+            spec = preset("obs-ltv", tau=100)
+            sys_full = build_design(spec.model, spec.structure, 2, KNOWN_INPUT)
+            sys_full = replace(sys_full, obs=sys_full.design @ spec.alpha_true)
+            ab = np.zeros((1, sys_full.n_rows))
+        else:
+            spec, sys_full = simulated_system(case, tau=100, seed=0)
+            with pytest.warns(RuntimeWarning, match="indefinite"):
+                etas = gaussian_eta_covariances(
+                    spec.structure, ordinary_mdm(sys_full).alpha_hat, 2, repair=True)
+            ab = assemble_p(sys_full, etas)
+        est = weighted_mdm(sys_full, ab)
+        assert est.method == "weighted-constrained"
+
+        x, y = sys_full.design, sys_full.obs
+        lam, v = np.linalg.eigh(dense_from_band(ab) + x @ x.T)
+        keep = lam > 1e-10 * lam[-1] * lam.size
+        half = v[:, keep].T / np.sqrt(lam[keep])[:, None]
+        x_w, y_w = half @ x, half @ y
+        gram_inv = np.linalg.inv(x_w.T @ x_w)
+        alpha = gram_inv @ (x_w.T @ y_w)
+        # cov = gram_inv - I loses the relative accuracy of gram_inv
+        assert np.max(np.abs(est.alpha_hat - alpha)) <= 1e-12 * np.max(np.abs(alpha))
+        assert (np.max(np.abs(est.cov + np.eye(x.shape[1]) - gram_inv))
+                <= 1e-12 * np.max(np.abs(gram_inv)))
 
     def test_dense_weight_rejected(self):
         spec, sys_full = simulated_system("obs-ltv", tau=30, seed=7)
@@ -377,8 +439,51 @@ class TestThreeStepPipeline:
         spec, sys_full = simulated_system("obs-ltv", tau=400, seed=9)
         est = weighted_pipeline(sys_full, spec.structure)
         assert "alpha_ordinary" in est.diagnostics
+        assert est.diagnostics["eta_projection"] == (0.0, 0.0)
         assert est.method == "weighted-full-rank"
         assert np.all(np.diag(est.cov) > 0)
+
+    def test_unknown_input_short_horizon_succeeds(self):
+        """The paper's case at tau=100: most first passes need the projection,
+        and the weight is PSD, so no seed raises IndefiniteWeight."""
+        for seed in range(20):
+            spec, sys_full = simulated_system("unobs-unknown-input", tau=100,
+                                              seed=seed)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                etas = gaussian_eta_covariances(
+                    spec.structure, ordinary_mdm(sys_full).alpha_hat, 2, repair=True)
+                est = weighted_pipeline(sys_full, spec.structure)
+            lam = np.linalg.eigvalsh(dense_from_band(assemble_p(sys_full, etas)))
+            assert lam[0] >= -1e-12 * lam[-1], seed
+            assert est.diagnostics["eta_projection"] == etas.projection
+            assert np.array_equal(est.cov, est.cov.T)
+            assert np.all(np.diag(est.cov) > 0)
+
+
+@given(window_cases(), st.integers(0, 2**32 - 1))
+def test_projected_weight_is_psd(case, seed):
+    """P from a random, often indefinite, alpha is PSD after the projection,
+    on random small (unobservable, ragged-n_z) models in either input mode."""
+    model, _, L, mode = case
+    rng = np.random.default_rng(seed)
+
+    def sym(n):
+        a = rng.standard_normal((n, n))
+        return a + a.T
+
+    structure = NoiseStructure.from_pairs(
+        [(sym(model.n_w), sym(model.n_v)) for _ in range(3)])
+    try:
+        sys0 = build_design(model, structure, L, mode)
+    except NoAnnihilator:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        etas = gaussian_eta_covariances(structure, rng.standard_normal(3), L,
+                                        repair=True)
+    lam = np.linalg.eigvalsh(dense_from_band(assemble_p(sys0, etas)))
+    assert lam[0] >= -1e-12 * max(lam[-1], 0.0)
 
 
 class TestIdentifiability:

@@ -188,15 +188,16 @@ def cmd_simulate(args) -> int:
 
     u = None
     if args.input_signal != "none" and model.has_input:
+        n_u = model.n_u_steps()
         if args.input_signal == "sine":
-            if any(model.n_u(k) != 1 for k in range(model.tau + 1)):
+            if (n_u != 1).any():
                 raise ValidationError(
                     ["the sine input signal needs a scalar input; use "
                      "--input-signal zero or none"])
             ks = np.arange(model.tau + 1)
             u = np.sin(ks / max(model.tau, 1))[:, None]
         else:
-            u = [np.zeros(model.n_u(k)) for k in range(model.tau + 1)]
+            u = [np.zeros(n) for n in n_u.tolist()]
     traj = simulate(model, bundle.structure, bundle.alpha_true, bundle.init,
                     input_signal=u, seed=args.seed)
     out_dir = Path(args.out)

@@ -15,6 +15,7 @@ falling back to a constrained LS form when the weight matrix is singular.
 from __future__ import annotations
 
 import logging
+import operator
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -160,14 +161,23 @@ class StackedSystem:
                             "measurement or residue is not finite")
         z_off = z_off.tolist()
         u_off = u_off.tolist() if u is not None else None
-        parts = []
-        for k, w in enumerate(self.windows):
-            zk = z[z_off[k]:z_off[k + L]]
-            if u is not None and w.gamma_g is not None:
-                zk = zk - w.gamma_g @ u[u_off[k]:u_off[k + L - 1]]
-            zt = w.annihilator @ zk
-            parts.append(zt[w.sel_i] * zt[w.sel_j])
-        obs = np.concatenate(parts)
+        # one residue stack per residue size; the annihilator is applied
+        # window by window, which batched products do not match bitwise
+        windows, offs = self.windows, self.row_offsets
+        rows = np.diff(offs)
+        obs = np.empty(self.n_rows)
+        for n_rows in np.unique(rows).tolist():
+            ks = np.flatnonzero(rows == n_rows)
+            first = windows[ks[0]]
+            zt = np.empty((ks.size, first.n_a))
+            for p, k in enumerate(ks.tolist()):
+                w = windows[k]
+                zk = z[z_off[k]:z_off[k + L]]
+                if u is not None and w.gamma_g is not None:
+                    zk = zk - w.gamma_g @ u[u_off[k]:u_off[k + L - 1]]
+                zt[p] = w.annihilator @ zk
+            obs[offs[ks, None] + np.arange(n_rows)] = (zt[:, first.sel_i]
+                                                       * zt[:, first.sel_j])
         finite = np.isfinite(obs)
         if not finite.all():
             # finite measurements whose residue overflows
@@ -391,13 +401,20 @@ def _record_of(offsets: np.ndarray, pos) -> int:
     return int(np.searchsorted(offsets, pos, side="right")) - 1
 
 
+_SIZE = operator.attrgetter("size")
+
+
 def _flat_records(kind: str, values, expected: np.ndarray):
     """``values`` concatenated, and offsets: record k is flat[off[k]:off[k+1]].
 
     Record k must have length ``expected[k]`` (records past the end of
     ``expected`` are not checked).
     """
-    lengths = np.fromiter(map(np.size, values), dtype=int, count=len(values))
+    try:
+        lengths = np.fromiter(map(_SIZE, values), dtype=int, count=len(values))
+    except AttributeError:
+        # records given as Python sequences or scalars
+        lengths = np.fromiter(map(np.size, values), dtype=int, count=len(values))
     bad = np.flatnonzero(lengths[:expected.size] != expected[:lengths.size])
     if bad.size:
         k = int(bad[0])

@@ -16,6 +16,7 @@ so identification estimates the weight vector alpha.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import getitem
 
 import numpy as np
 
@@ -155,9 +156,6 @@ class LtvModel:
             E=MatrixSequence(E, tau), H=MatrixSequence(H, tau),
             D=MatrixSequence(D, tau),
         )
-
-    def n_u(self, k: int) -> int:
-        return self.G[k].shape[1]
 
     def n_z_steps(self) -> np.ndarray:
         """The measurement dimension at each k = 0..tau."""
@@ -356,6 +354,69 @@ def psd_factor(m: np.ndarray, zero_tol: float = 1e-8) -> np.ndarray:
     return v * np.sqrt(np.clip(lam, 0.0, None))
 
 
+def _shape_groups(seq: MatrixSequence, n: int):
+    """(rows, cols, steps) for each matrix shape of ``seq`` at steps 0..n-1."""
+    shapes = np.broadcast_to(seq.shapes[:n], (n, 2))
+    key = shapes[:, 0] * (int(shapes[:, 1].max(initial=0)) + 1) + shapes[:, 1]
+    groups = [np.flatnonzero(key == v) for v in np.unique(key).tolist()]
+    return [(*shapes[ks[0]].tolist(), ks) for ks in groups]
+
+
+def _step_products(seq: MatrixSequence, vecs: np.ndarray, n: int,
+                   fill: float = 0.0) -> np.ndarray:
+    """Row k < n holds seq[k] @ vecs[k, :cols] in its first seq[k].shape[0]
+    entries; the rest of the row, and every row whose matrix has no
+    columns, is ``fill``.
+
+    One stacked matmul per matrix shape.  On C-contiguous stacks it takes
+    the same kernel as the per-step product, so the two agree bitwise.
+    """
+    out = np.full((n, int(seq.shapes[:, 0].max())), fill)
+    for rows, cols, ks in _shape_groups(seq, n):
+        if cols:
+            out[ks, :rows] = np.matmul(seq.take(ks), vecs[ks, :cols, None])[:, :, 0]
+    return out
+
+
+def _input_steps(input_signal, n_u: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The first n_u.size steps of ``input_signal`` as a list of vectors and
+    as an array whose row k holds step k in its first n_u[k] entries
+    (zero-padded).  Raises ValidationError naming the first step that is
+    missing, has a length other than n_u[k] or is not finite.
+    """
+    n = n_u.size
+    if isinstance(input_signal, np.ndarray):
+        if input_signal.ndim not in (1, 2):
+            raise ValidationError(["input_signal must be a 1-D or 2-D array, got "
+                                   f"{input_signal.ndim}-D"])
+        padded = np.asarray(input_signal[:n], dtype=float)
+        if padded.ndim == 1:
+            padded = padded[:, None]
+        lengths = np.full(len(padded), padded.shape[1])
+        steps = list(padded)
+    else:
+        steps = list(input_signal[:n])
+        lengths = np.fromiter(map(np.size, steps), dtype=int, count=len(steps))
+    if lengths.size < n:
+        raise ValidationError([f"input_signal has {lengths.size} steps, the model needs "
+                               f"tau+1 = {n}; step k={lengths.size} is missing"])
+    bad = np.flatnonzero(lengths != n_u)
+    if bad.size:
+        k = int(bad[0])
+        raise ValidationError([f"input_signal step k={k} has length {lengths[k]}, "
+                               f"model expects n_u = {n_u[k]}"])
+    if not isinstance(input_signal, np.ndarray):
+        flat = np.concatenate(steps, axis=None, dtype=float)
+        steps = np.split(flat, np.cumsum(n_u)[:-1])
+        padded = np.zeros((n, int(n_u.max(initial=0))))
+        padded[np.arange(padded.shape[1]) < n_u[:, None]] = flat
+    finite = np.isfinite(padded).all(axis=1)
+    if not finite.all():
+        raise ValidationError([f"input_signal step k={int(np.argmin(finite))} "
+                               "is not finite"])
+    return steps, padded
+
+
 def simulate(model: LtvModel, structure: NoiseStructure, alpha_true,
              init: InitialCondition | None = None, input_signal=None,
              seed: int = 0) -> Trajectory:
@@ -365,6 +426,13 @@ def simulate(model: LtvModel, structure: NoiseStructure, alpha_true,
     then one row of measurement/state noise per step) is fixed so that runs
     with different initial conditions or inputs share the same noises, and a
     longer horizon extends a shorter one without reshuffling.
+
+    ``input_signal`` gives the input of steps k = 0..tau, one per row of a
+    2-D array, one scalar per entry of a 1-D array, or one vector per entry
+    of any other sequence (whose lengths may then change with k); steps
+    beyond tau are ignored.  E w, G u, H x and D v are formed for all steps
+    at once, one stacked product per matrix shape; only the state recursion
+    runs step by step, adding its terms in the order F x + E w + G u.
     """
     if init is None:
         init = InitialCondition.default(model.n_x)
@@ -381,16 +449,21 @@ def simulate(model: LtvModel, structure: NoiseStructure, alpha_true,
     ws = noise[: tau, model.n_v:] @ s_q.T
 
     us: list[np.ndarray] | None = None
+    ew = _step_products(model.E, ws, tau)
     if input_signal is not None:
-        us = [np.atleast_1d(np.asarray(input_signal[k], dtype=float))
-              for k in range(tau + 1)]
+        us, u = _input_steps(input_signal, model.n_u_steps())
+        # -0.0 is the exact identity of addition: a step without inputs
+        # adds nothing, as if skipped
+        gu = _step_products(model.G, u, tau, fill=-0.0)
 
     xs = np.empty((tau + 1, model.n_x))
-    xs[0] = x0
-    for k in range(tau):
-        x_next = model.F[k] @ xs[k] + model.E[k] @ ws[k]
-        if us is not None and model.n_u(k) > 0:
-            x_next = x_next + model.G[k] @ us[k]
-        xs[k + 1] = x_next
-    zs = [model.H[k] @ xs[k] + model.D[k] @ vs[k] for k in range(tau + 1)]
+    xs[0] = x = x0
+    for k, f in enumerate(model.F.take(np.arange(tau))):
+        x = f @ x + ew[k]
+        if us is not None:
+            x += gu[k]
+        xs[k + 1] = x
+    zm = _step_products(model.H, xs, tau + 1) + _step_products(model.D, vs, tau + 1)
+    # z_k is the first n_z[k] entries of row k, a view
+    zs = list(map(getitem, zm, map(slice, model.n_z_steps().tolist())))
     return Trajectory(xs=xs, zs=zs, us=us, ws=ws, vs=vs)

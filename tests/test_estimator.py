@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from mdmest import (
     DataError,
@@ -484,6 +484,21 @@ def test_projected_weight_is_psd(case, seed):
                                         repair=True)
     lam = np.linalg.eigvalsh(dense_from_band(assemble_p(sys0, etas)))
     assert lam[0] >= -1e-12 * max(lam[-1], 0.0)
+
+
+@given(window_cases(), st.integers(0, 2**32 - 1))
+def test_ordinary_recovers_alpha_from_exact_moments(case, seed):
+    """With obs = design @ alpha (the squared residues' expectation), the
+    ordinary estimate is alpha, on random small identifiable designs."""
+    model, structure, L, mode = case
+    try:
+        sys0 = build_design(model, structure, L, mode)
+    except NoAnnihilator:
+        assume(False)
+    assume(sys0.rank == structure.n_alpha)
+    alpha = np.random.default_rng(seed).uniform(-2.0, 2.0, structure.n_alpha)
+    est = ordinary_mdm(replace(sys0, obs=sys0.design @ alpha))
+    assert np.max(np.abs(est.alpha_hat - alpha)) <= 1e-10 * np.max(np.abs(alpha))
 
 
 class TestIdentifiability:

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mdmest import (
+    KNOWN_INPUT,
     InitialCondition,
     LtvModel,
+    NoAnnihilator,
     NoiseStructure,
     NotPositiveSemidefinite,
+    ValidationError,
     assemble_qr,
+    build_design,
     defining_replication,
     kron,
     preset,
@@ -14,7 +19,12 @@ from mdmest import (
     validate,
     vec,
 )
+from mdmest.benchmarks import benchmark_input_signal
+from mdmest.model import MeasurementData, Trajectory, psd_factor
 import scipy.linalg
+
+from test_geometry import bitwise_equal, window_cases
+from test_residue import window_residue
 
 
 def ncv_structure(ts=2.0):
@@ -149,7 +159,6 @@ class TestSimulate:
 
     def test_recursion_replay(self):
         spec = preset("unobs-unknown-input", tau=100)
-        from mdmest.benchmarks import benchmark_input_signal
         u = benchmark_input_signal(spec)
         traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
                         input_signal=u, seed=3)
@@ -166,3 +175,125 @@ class TestSimulate:
     def test_indefinite_q_rejected(self, scalar_lti_model, scalar_structure):
         with pytest.raises(NotPositiveSemidefinite):
             simulate(scalar_lti_model, scalar_structure, [-1.0, 1.0], seed=0)
+
+
+class TestSimulateInputChecks:
+    """A bad input signal is a ValidationError naming the step."""
+
+    @pytest.fixture
+    def spec(self):
+        return preset("obs-ltv", tau=50)
+
+    def run(self, spec, u):
+        return simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
+                        input_signal=u, seed=0)
+
+    def test_too_few_steps(self, spec):
+        with pytest.raises(ValidationError, match=r"has 30 steps, the model needs "
+                           r"tau\+1 = 51; step k=30 is missing"):
+            self.run(spec, np.ones((30, 1)))
+
+    def test_wrong_step_length(self, spec):
+        with pytest.raises(ValidationError,
+                           match="step k=0 has length 2, model expects n_u = 1"):
+            self.run(spec, np.ones((51, 2)))
+
+    def test_wrong_step_length_in_a_sequence(self, spec):
+        u = [np.ones(1)] * 51
+        u[7] = np.ones(3)
+        with pytest.raises(ValidationError,
+                           match="step k=7 has length 3, model expects n_u = 1"):
+            self.run(spec, u)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_step(self, spec, bad):
+        u = benchmark_input_signal(spec).copy()
+        u[17, 0] = bad
+        with pytest.raises(ValidationError, match="step k=17 is not finite"):
+            self.run(spec, u)
+
+    def test_not_one_vector_per_step(self, spec):
+        with pytest.raises(ValidationError, match="1-D or 2-D array, got 3-D"):
+            self.run(spec, np.ones((51, 1, 1)))
+
+    def test_forms_of_one_signal_agree(self, spec):
+        u = benchmark_input_signal(spec)
+        ref = self.run(spec, u)
+        for other in (u[:, 0], list(u), [float(v) for v in u[:, 0]],
+                      np.vstack([u, np.ones((5, 1))])):
+            traj = self.run(spec, other)
+            assert bitwise_equal(traj.xs, ref.xs)
+            assert all(bitwise_equal(a, b) for a, b in zip(traj.us, ref.us))
+
+
+def reference_simulate(model, structure, alpha_true, init=None, input_signal=None,
+                       seed=0):
+    """``simulate`` written step by step: every product inside the loop."""
+    if init is None:
+        init = InitialCondition.default(model.n_x)
+    q, r = assemble_qr(structure, alpha_true)
+    s_q, s_r = psd_factor(q), psd_factor(r)
+    s_x = psd_factor(np.asarray(init.cov, dtype=float))
+    tau = model.tau
+    rng = np.random.default_rng(seed)
+    x0 = np.asarray(init.mean, dtype=float) + s_x @ rng.standard_normal(model.n_x)
+    noise = rng.standard_normal((tau + 1, model.n_v + model.n_w))
+    vs = noise[:, : model.n_v] @ s_r.T
+    ws = noise[: tau, model.n_v:] @ s_q.T
+    us = None
+    if input_signal is not None:
+        us = [np.atleast_1d(np.asarray(input_signal[k], dtype=float))
+              for k in range(tau + 1)]
+    xs = np.empty((tau + 1, model.n_x))
+    xs[0] = x0
+    for k in range(tau):
+        x_next = model.F[k] @ xs[k] + model.E[k] @ ws[k]
+        if us is not None and model.G[k].shape[1] > 0:
+            x_next = x_next + model.G[k] @ us[k]
+        xs[k + 1] = x_next
+    zs = [model.H[k] @ xs[k] + model.D[k] @ vs[k] for k in range(tau + 1)]
+    return Trajectory(xs=xs, zs=zs, us=us, ws=ws, vs=vs)
+
+
+@st.composite
+def simulation_cases(draw):
+    """A ``window_cases`` model, an input signal for it (a 2-D array or a
+    list of per-step vectors), a noise level and a seed."""
+    model, structure, L, mode = draw(window_cases())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.standard_normal((model.tau + 1, int(model.n_u_steps()[0])))
+    if draw(st.booleans()):
+        u = list(u)
+    alpha = rng.uniform(0.1, 2.0, size=structure.n_alpha)
+    return model, structure, L, mode, alpha, u, draw(st.integers(0, 2**32 - 1))
+
+
+@given(simulation_cases())
+def test_simulate_is_bitwise_per_step(case):
+    """With and without the input, the stacked products give the per-step
+    trajectory bit for bit, and ``with_data`` gives the per-window residue
+    formula bit for bit."""
+    model, structure, L, mode, alpha, u, seed = case
+    try:
+        sys0 = build_design(model, structure, L, mode)
+    except NoAnnihilator:
+        sys0 = None
+    for signal in (None, u):
+        traj = simulate(model, structure, alpha, input_signal=signal, seed=seed)
+        ref = reference_simulate(model, structure, alpha, input_signal=signal, seed=seed)
+        for name in ("xs", "ws", "vs"):
+            assert bitwise_equal(getattr(traj, name), getattr(ref, name)), name
+        for name in ("zs", "us"):
+            got, want = getattr(traj, name), getattr(ref, name)
+            assert (got is None) == (want is None), name
+            if got is not None:
+                assert len(got) == len(want), name
+                assert all(bitwise_equal(a, b) for a, b in zip(got, want)), name
+        if sys0 is None:
+            continue
+        data = MeasurementData.from_trajectory(traj, include_u=mode == KNOWN_INPUT)
+        sys1 = sys0.with_data(data)
+        for k, w in enumerate(sys1.windows):
+            zt = window_residue(sys1, data, k)
+            rows = sys1.obs[sys1.row_offsets[k]:sys1.row_offsets[k + 1]]
+            assert bitwise_equal(rows, zt[w.sel_i] * zt[w.sel_j]), k

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mdmest import (
     KNOWN_INPUT,
@@ -22,6 +23,8 @@ from mdmest import (
 from mdmest.benchmarks import benchmark_input_signal
 from mdmest.linalg import sym_pair_indices
 from mdmest.model import MeasurementData
+
+from test_geometry import window_cases
 
 
 def window_noises(traj, k, L):
@@ -334,3 +337,56 @@ class TestRegressionRow:
             b2 = window_residue(s2, t2, k)
             scale = 1 + np.max(np.abs(b1))
             assert np.max(np.abs(b1 - b2)) < 1e-9 * scale
+
+
+def residue_deviation(sys0, data1, data2):
+    """Largest residue difference between two data sets over all windows,
+    relative to 1 + the largest stacked measurement."""
+    sys1, sys2 = sys0.with_data(data1), sys0.with_data(data2)
+    worst = 0.0
+    for k in range(sys0.n_windows):
+        r1, r2 = window_residue(sys1, data1, k), window_residue(sys2, data2, k)
+        z1, _ = stack_measurements(data1, k, sys0.L)
+        z2, _ = stack_measurements(data2, k, sys0.L)
+        scale = 1.0 + max(np.max(np.abs(z1), initial=0.0), np.max(np.abs(z2), initial=0.0))
+        worst = max(worst, np.max(np.abs(r1 - r2), initial=0.0) / scale)
+    return worst
+
+
+@given(window_cases(), st.integers(0, 2**32 - 1))
+def test_residues_invariant_to_initial_state(case, seed):
+    """The annihilator removes the state: two initial conditions, same
+    noises, same residues (either input mode, with a known input)."""
+    model, structure, L, mode = case
+    try:
+        sys0 = build_design(model, structure, L, mode)
+    except NoAnnihilator:
+        return
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((model.tau + 1, int(model.n_u_steps()[0])))
+    inits = [InitialCondition.default(model.n_x),
+             InitialCondition(mean=rng.uniform(-50.0, 50.0, model.n_x),
+                              cov=4.0 * np.eye(model.n_x))]
+    data = [MeasurementData.from_trajectory(
+                simulate(model, structure, [1.0, 0.5], init, input_signal=u, seed=seed),
+                include_u=mode == KNOWN_INPUT)
+            for init in inits]
+    assert residue_deviation(sys0, *data) < 1e-9
+
+
+@given(window_cases(), st.integers(0, 2**32 - 1))
+def test_residues_invariant_to_unknown_input(case, seed):
+    """In unknown-input mode the annihilator also removes the input: two
+    input signals, same noises, same residues."""
+    model, structure, L, _ = case
+    try:
+        sys0 = build_design(model, structure, L, UNKNOWN_INPUT)
+    except NoAnnihilator:
+        return
+    rng = np.random.default_rng(seed)
+    shape = (model.tau + 1, int(model.n_u_steps()[0]))
+    data = [MeasurementData.from_trajectory(
+                simulate(model, structure, [1.0, 0.5], input_signal=u, seed=seed),
+                include_u=False)
+            for u in (rng.standard_normal(shape), rng.uniform(-50.0, 50.0, shape))]
+    assert residue_deviation(sys0, *data) < 1e-9

@@ -29,7 +29,6 @@ from .errors import (
 )
 from .estimator import (
     build_design,
-    build_stacked_system,
     feasible_design,
     identifiability_report,
     min_feasible_window,
@@ -63,26 +62,29 @@ def _mode(args) -> str:
     return KNOWN_INPUT if args.input_mode == "known" else UNKNOWN_INPUT
 
 
-def _resolve_l(args, model, mode, tol, n_records, structure=None):
-    """The window length, and its design for ``n_records`` records when the
-    ``--L auto`` scan built one (else None)."""
+def _resolve_l(args, model, structure, mode, tol, n_records):
+    """The design of window length ``--L`` for ``n_records`` records.
+
+    ``--L auto`` takes the smallest L whose design has full column rank,
+    else the smallest L with an annihilator, whose design the solver or the
+    report then shows to be rank deficient.
+    """
     if args.L != "auto":
-        return int(args.L), None
-    l_max = max(model.n_x + 2, 12)
-    if structure is not None:
+        l_win = int(args.L)
+    else:
+        l_max = max(model.n_x + 2, 12)
         design = feasible_design(model, structure, mode, tol, l_max=l_max,
                                  n_records=n_records)
         if design is not None:
-            return design.L, design
-        # no window makes every parameter identifiable; fall back to the
-        # smallest window with an annihilator and let the solver report it
-    found = min_feasible_window(model, mode, tol, l_max=l_max, n_records=n_records)
-    if found is None:
-        raise MdmError(
-            f"no window length up to L={min(l_max, n_records)} has an "
-            f"annihilator for {n_records} records"
-        )
-    return found, None
+            return design
+        l_win = min_feasible_window(model, mode, tol, l_max=l_max, n_records=n_records)
+        if l_win is None:
+            raise MdmError(
+                f"no window length up to L={min(l_max, n_records)} has an "
+                f"annihilator for {n_records} records"
+            )
+    return build_design(model, structure, l_win, mode, tol,
+                        n_windows=n_records - l_win + 1)
 
 
 def _with_tau(model: LtvModel, tau: int) -> LtvModel:
@@ -122,13 +124,8 @@ def cmd_identify(args) -> int:
     tol = _tolerance(args)
     mode = _mode(args)
     t0 = time.perf_counter()
-    l_win, design = _resolve_l(args, bundle.model, mode, tol, n_records=len(data),
-                               structure=bundle.structure)
-    if design is None:
-        sys_full = build_stacked_system(bundle.model, bundle.structure, data,
-                                        l_win, mode, tol)
-    else:
-        sys_full = design.with_data(data)
+    sys_full = _resolve_l(args, bundle.model, bundle.structure, mode, tol,
+                          n_records=len(data)).with_data(data)
     ident = identifiability_report(sys_full, tol)
     try:
         if args.method == "ordinary":
@@ -148,7 +145,7 @@ def cmd_identify(args) -> int:
         "Q_hat": q_hat.tolist(),
         "R_hat": r_hat.tolist(),
         "method": est.method,
-        "L": l_win,
+        "L": sys_full.L,
         "input_mode": args.input_mode,
         "cov": est.cov.tolist() if est.cov is not None else None,
         "identifiability": {
@@ -168,7 +165,7 @@ def cmd_identify(args) -> int:
         json.dump({"wall_time_s": wall}, fh)
         fh.write("\n")
 
-    print(f"method: {est.method}   L={l_win}   mode={args.input_mode}")
+    print(f"method: {est.method}   L={sys_full.L}   mode={args.input_mode}")
     _print_identifiability(ident)
     print(f"{'param':>10} {'alpha_hat':>16}")
     for i, v in enumerate(est.alpha_hat):
@@ -233,9 +230,8 @@ def cmd_identifiability(args) -> int:
         raise ValidationError(report.findings)
     tol = _tolerance(args)
     mode = _mode(args)
-    l_win, _ = _resolve_l(args, bundle.model, mode, tol,
-                          n_records=bundle.model.tau + 1)
-    sys0 = build_design(bundle.model, bundle.structure, l_win, mode, tol)
+    sys0 = _resolve_l(args, bundle.model, bundle.structure, mode, tol,
+                      n_records=bundle.model.tau + 1)
     _print_identifiability(identifiability_report(sys0, tol))
     return EXIT_OK
 

@@ -90,7 +90,6 @@ class WindowGeometry:
     sel_i: np.ndarray                  # unique-pair index arrays of length n_rows
     sel_j: np.ndarray
     design_block: np.ndarray           # (n_rows, n_alpha)
-    noisemap_block: np.ndarray         # (n_rows, n_eps^2)
 
     @property
     def n_rows(self) -> int:
@@ -106,7 +105,7 @@ class StackedSystem:
     reference one shared object.  ``ac`` stacks every window's ``ac``,
     zero-padded at the bottom to the widest window's rows (a broadcast view
     for LTI models).  The design facts below are computed once, by
-    ``build_design``, from one SVD and one thin QR of design / scale.
+    ``build_design``, from one SVD of design / scale, which ordinary LS reuses.
     """
 
     obs: np.ndarray | None
@@ -121,14 +120,19 @@ class StackedSystem:
     scale: np.ndarray                  # column scale: design == (design / scale) * scale
     rank: int                          # numerical rank of design / scale
     rank_threshold: float
-    cond: float
     null_basis: np.ndarray | None      # (n_alpha, deficiency), orthonormal columns
-    q: np.ndarray                      # thin QR of design / scale
-    r: np.ndarray
+    u: np.ndarray                      # thin SVD design / scale = u diag(s) vt
+    s: np.ndarray
+    vt: np.ndarray
 
     @property
     def n_alpha(self) -> int:
         return self.design.shape[1]
+
+    @property
+    def cond(self) -> float:
+        """Condition number of design / scale."""
+        return float(self.s[0] / self.s[-1]) if self.s.size and self.s[-1] > 0 else np.inf
 
     @property
     def n_rows(self) -> int:
@@ -283,16 +287,15 @@ def _window_geometries(blocks, mode: str, upsilon: np.ndarray,
             ac = np.concatenate([n @ b.Gamma[idx], n], axis=2) @ c_mat[idx]
             ac_all[b.ks[idx], :n.shape[1]] = ac
             sel_i, sel_j = sym_pair_indices(n.shape[1])
-            noisemap = np.einsum("wta,wtb->wtab", ac[:, sel_j], ac[:, sel_i]
-                                 ).reshape(idx.size, sel_i.size, -1)
-            design = noisemap @ upsilon
+            design = np.einsum("wta,wtb->wtab", ac[:, sel_j], ac[:, sel_i]
+                               ).reshape(idx.size, sel_i.size, -1) @ upsilon
             for p, w in enumerate(idx.tolist()):
                 windows[b.ks[w]] = WindowGeometry(
                     n_a=n.shape[1], annihilator=n[p],
                     gamma_g=None if gamma_g is None else gamma_g[w],
                     ac=ac_all[b.ks[w], :n.shape[1]],
                     sel_i=sel_i, sel_j=sel_j,
-                    design_block=design[p], noisemap_block=noisemap[p],
+                    design_block=design[p],
                 )
     return windows, ac_all
 
@@ -380,19 +383,16 @@ def _design(model: LtvModel, structure: NoiseStructure, L: int, mode: str,
         ([0], np.cumsum([w.n_rows for w in windows]))
     ).astype(int)
     design = np.concatenate([w.design_block for w in windows])
-    d, scale = _equilibrated(design, tol)
-    _, s, vt, rank, thr = svd_rank(d, tol)
+    (u, s, vt, rank, scale), thr = _equilibrated_svd(design, tol)
     null_basis = None
     if rank < design.shape[1]:
         # re-orthonormalise after undoing the column scaling
         null_basis, _ = np.linalg.qr(vt[rank:].T / scale[:, None])
-    q, r = scipy.linalg.qr(d, mode="economic")
     return StackedSystem(
         obs=None, design=design, row_offsets=row_offsets, L=L, mode=mode,
         windows=windows, ac=ac, n_eps=(L - 1) * model.n_w + L * model.n_v,
         model=model, scale=scale, rank=rank, rank_threshold=thr,
-        cond=float(s[0] / s[-1]) if s.size and s[-1] > 0 else np.inf,
-        null_basis=null_basis, q=q, r=r,
+        null_basis=null_basis, u=u, s=s, vt=vt,
     )
 
 
@@ -468,38 +468,36 @@ def build_stacked_system(model: LtvModel, structure: NoiseStructure, data,
                         n_windows=n_windows).with_data(data)
 
 
-def _equilibrated(design: np.ndarray,
-                  tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Column-equilibrated copy of the design plus the scales used.
+def _equilibrated_svd(a: np.ndarray, tol: Tolerance):
+    """((u, s, vt, rank, scale), threshold): ``svd_rank`` of the column-
+    equilibrated a / scale, and the column scales.
 
     Columns whose norm is negligible against the largest column are left
     unscaled: they are cancellation dust (e.g. the state-noise columns of a
     G == E model), and normalising them would disguise rank deficiency.
     """
-    scale = np.linalg.norm(design, axis=0)
+    scale = np.linalg.norm(a, axis=0)
     dust = scale <= tol.rank_tol * (np.max(scale) if scale.size else 0.0)
     scale[dust] = 1.0
-    return design / scale, scale
+    u, s, vt, rank, thr = svd_rank(a / scale, tol)
+    return (u, s, vt, rank, scale), thr
 
 
-def _ls_with_cov(a: np.ndarray, b: np.ndarray, tol: Tolerance):
-    """Column-equilibrated thin-QR least squares with (A^T A)^{-1}."""
-    d, scale = _equilibrated(a, tol)
-    q, r = scipy.linalg.qr(d, mode="economic")
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or np.min(diag) <= tol.rank_tol * max(d.shape) * np.max(diag):
-        raise RankDeficientDesign(int(np.count_nonzero(
-            diag > tol.rank_tol * max(d.shape) * np.max(diag))), a.shape[1])
-    beta = scipy.linalg.solve_triangular(r, q.T @ b)
-    r_inv = scipy.linalg.solve_triangular(r, np.eye(r.shape[0]))
-    cov_beta = r_inv @ r_inv.T
-    return beta / scale, cov_beta / np.outer(scale, scale)
+def _ls_solve(factors, b: np.ndarray):
+    """LS solution of a x = b and (a^T a)^{-1} = W W^T, W = diag(1/scale)
+    V diag(1/s), from ``_equilibrated_svd(a)``; W W^T is exactly symmetric.
+    Raises RankDeficientDesign when rank < columns (or rows < columns)."""
+    u, s, vt, rank, scale = factors
+    if rank < scale.size:
+        raise RankDeficientDesign(rank, scale.size)
+    w = vt.T / s / scale[:, None]
+    return w @ (u.T @ b), w @ w.T
 
 
 def ordinary_mdm(sys: StackedSystem, tol: Tolerance = DEFAULT_TOL) -> Estimate:
     """Unweighted LS solution of the stacked regression.
 
-    Solved with the thin QR of the column-equilibrated design that
+    Solved with the SVD of the column-equilibrated design that
     ``build_design`` computed (the clock benchmark spans 19 decades across
     parameters); no covariance is reported.  The rank decision is the one
     ``build_design`` made with its tolerance, so ``tol`` is not used here.
@@ -507,11 +505,9 @@ def ordinary_mdm(sys: StackedSystem, tol: Tolerance = DEFAULT_TOL) -> Estimate:
     if sys.obs is None:
         raise ValueError("system carries no observations")
     t0 = time.perf_counter()
-    if sys.rank < sys.n_alpha:
-        raise RankDeficientDesign(sys.rank, sys.n_alpha)
-    beta = scipy.linalg.solve_triangular(sys.r, sys.q.T @ sys.obs)
+    alpha, _ = _ls_solve((sys.u, sys.s, sys.vt, sys.rank, sys.scale), sys.obs)
     return Estimate(
-        alpha_hat=beta / sys.scale, cov=None, method="ordinary",
+        alpha_hat=alpha, cov=None, method="ordinary",
         rank=sys.rank, rank_threshold=sys.rank_threshold,
         diagnostics={"design_cond": sys.cond, "runtime_s": time.perf_counter() - t0},
     )
@@ -676,15 +672,15 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
     zeros past the end of each diagonal (np.ones((1, m)) is the identity).
     Two shifted banded Cholesky factorisations, O(m b^2) each, decide the
     branch.  With d = max diag P, P is numerically full rank when
-    P - rank_tol d I factors; P is indefinite, and IndefiniteWeight raised,
+    P - rank_tol d m I factors; P is indefinite, and IndefiniteWeight raised,
     when P + rank_tol max(d, ||design||_2^2) I does not.  A full-rank weight
-    is factored by banded Cholesky and the whitened problem solved by QR;
-    the diagnostics then carry the fit statistic J = r^T P^{-1} r of the
-    residual r and its degrees of freedom m - n_alpha.  A singular weight
-    takes Rao's unified LS form with a g-inverse of T = P + design design^T
-    from its pivoted Cholesky factor; the reported covariance subtracts the
-    identity.  ``branch`` may force either path ("full-rank" /
-    "constrained") for verification.
+    is factored by banded Cholesky; the diagnostics then carry the fit
+    statistic J = r^T P^{-1} r of the residual r and its degrees of freedom
+    m - n_alpha.  A singular weight takes Rao's unified LS form with a
+    g-inverse of T = P + design design^T from its pivoted Cholesky factor
+    (pivot tolerance rank_tol max(diag T) m); the reported covariance
+    subtracts the identity.  Either whitened problem is solved like the
+    ordinary one.  ``branch`` ("full-rank" / "constrained") forces a path.
     """
     if sys.obs is None:
         raise ValueError("system carries no observations")
@@ -700,13 +696,17 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
         raise ValueError("weight band storage has entries past the end of a diagonal")
     _check_weight_rows(m)
 
+    def rank_floor(diag):
+        # the shared rank rule, with max diag standing for sigma_max
+        return tol.rank_tol * float(np.max(diag)) * m
+
     d = float(np.max(ab[0]))
-    full_rank = d > 0.0 and _factors_shifted(ab, -tol.rank_tol * d)
+    full_rank = d > 0.0 and _factors_shifted(ab, -rank_floor(ab[0]))
     if not full_rank:
         # the negativity floor uses the regression scale ||design||_2^2 too,
         # so a numerically-zero weight falls through to the constrained
-        # branch; design == q @ (r * scale) gives the norm from r
-        design_scale = float(np.linalg.norm(sys.r * sys.scale, 2)) ** 2
+        # branch; design == u diag(s) vt diag(scale) gives the norm
+        design_scale = np.linalg.norm(sys.s[:, None] * sys.vt * sys.scale, 2) ** 2
         floor = tol.rank_tol * max(d, design_scale)
         if not _factors_shifted(ab, floor):
             lam_min = float(scipy.linalg.eigvals_banded(
@@ -718,7 +718,6 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
         raise IndefiniteWeight("full-rank branch forced but the weight is singular")
     use_full = full_rank if branch == "auto" else branch == "full-rank"
 
-    fit_j = fit_dof = None
     if use_full:
         chol, info = scipy.linalg.lapack.dpbtrf(ab, lower=1)
         if info == 0:
@@ -727,11 +726,6 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
         if info != 0:
             raise IndefiniteWeight(
                 f"banded Cholesky whitening of the weight failed (LAPACK info {info})")
-        a_t, b_t = whitened[:, :-1], whitened[:, -1]
-        alpha, cov = _ls_with_cov(a_t, b_t, tol)
-        resid = b_t - a_t @ alpha
-        fit_j, fit_dof = float(resid @ resid), m - sys.n_alpha
-        method = "weighted-full-rank"
     else:
         # T = P + design design^T, of which pstrf reads the lower triangle;
         # the transpose of the symmetric product is Fortran-ordered, so T is
@@ -740,21 +734,25 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
         for j in range(ab.shape[0]):
             i = np.arange(j, m)
             t[i, i - j] += ab[j, :m - j]
-        # the shared rank rule, with max diag T standing for sigma_max
-        thr = tol.rank_tol * float(np.max(np.diag(t))) * m
-        c, piv, rank, _ = scipy.linalg.lapack.dpstrf(t, tol=thr, lower=1,
-                                                     overwrite_a=1)
+        c, piv, rank, _ = scipy.linalg.lapack.dpstrf(
+            t, tol=rank_floor(np.diag(t)), lower=1, overwrite_a=1)
         # T[piv][:, piv] = F F^T, F = c[:, :rank] lower; with F_11 its leading
         # block, the pivot rows whitened by F_11 give the g-inverse form
         rows = piv[:rank] - 1
         whitened = scipy.linalg.solve_triangular(
             c[:rank, :rank], np.column_stack([sys.design[rows], sys.obs[rows]]),
             lower=True)
-        alpha, cov = _ls_with_cov(whitened[:, :-1], whitened[:, -1], tol)
+    a_w, b_w = whitened[:, :-1], whitened[:, -1]
+    alpha, cov = _ls_solve(_equilibrated_svd(a_w, tol)[0], b_w)
+    fit_j = fit_dof = None
+    if use_full:
+        resid = b_w - a_w @ alpha
+        fit_j, fit_dof = float(resid @ resid), m - sys.n_alpha
+    else:
         cov = cov - np.eye(sys.n_alpha)
-        method = "weighted-constrained"
     return Estimate(
-        alpha_hat=alpha, cov=cov, method=method, rank=sys.rank,
+        alpha_hat=alpha, cov=cov, rank=sys.rank,
+        method="weighted-full-rank" if use_full else "weighted-constrained",
         rank_threshold=sys.rank_threshold,
         diagnostics={"design_cond": sys.cond, "fit_j": fit_j, "fit_dof": fit_dof,
                      "runtime_s": time.perf_counter() - t0},

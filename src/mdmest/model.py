@@ -287,8 +287,10 @@ def defining_replication(structure: NoiseStructure, L: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def validate(model: LtvModel, structure: NoiseStructure) -> ValidationReport:
-    """Check dimension consistency, finiteness, and basis symmetry."""
+def _shape_findings(model: LtvModel, structure: NoiseStructure) -> list[str]:
+    """``validate``'s dimension checks alone: sequence lengths, the shape of
+    every model matrix and of every basis matrix, and the noise dimensions
+    the structure and the model share.  Reads the cached shapes only."""
     findings: list[str] = []
     h_rows = model.H.shapes[:, 0]
     for name, seq, expected_rows, expected_cols in (
@@ -303,32 +305,39 @@ def validate(model: LtvModel, structure: NoiseStructure) -> ValidationReport:
             continue
         n = len(seq)
         # a constant H stands for every k; a sequence is checked at k < n
-        expected = np.column_stack([
-            np.broadcast_to(e if np.size(e) == 1 else e[:n], n)
-            for e in (expected_rows, expected_cols)
-        ])
-        bad = set(np.flatnonzero((seq.shapes != expected).any(axis=1)).tolist())
-        if not seq.all_finite():
-            bad.update(k for k in range(n) if not np.all(np.isfinite(seq[k])))
-        for k in sorted(bad):
-            m = seq[k]
-            shape = tuple(int(d) for d in expected[k])
-            if m.shape != shape:
-                findings.append(f"{name}_{k} has shape {m.shape}, expected {shape}")
-            if not np.all(np.isfinite(m)):
-                findings.append(f"{name}_{k} contains non-finite entries")
+        rows, cols = (e[:n] if isinstance(e, np.ndarray) else e
+                      for e in (expected_rows, expected_cols))
+        shapes = seq.shapes
+        for k in np.flatnonzero((shapes[:, 0] != rows) | (shapes[:, 1] != cols)).tolist():
+            expected = tuple(int(np.broadcast_to(e, n)[k]) for e in (rows, cols))
+            findings.append(f"{name}_{k} has shape {seq[k].shape}, expected {expected}")
+    n_w, n_v = structure.n_w, structure.n_v
     for i, (bq, br) in enumerate(zip(structure.bq, structure.br), start=1):
-        for tag, b, n in (("BQ", bq, structure.n_w), ("BR", br, structure.n_v)):
+        for tag, b, n in (("BQ", bq, n_w), ("BR", br, n_v)):
             if b.shape != (n, n):
                 findings.append(f"{tag}^({i}) has shape {b.shape}, expected ({n}, {n})")
-            elif not np.array_equal(b, b.T):
+    if n_w != model.n_w:
+        findings.append("structure BQ dimension does not match model n_w")
+    if n_v != model.n_v:
+        findings.append("structure BR dimension does not match model n_v")
+    return findings
+
+
+def validate(model: LtvModel, structure: NoiseStructure) -> ValidationReport:
+    """Check dimension consistency (``_shape_findings``), finiteness, and
+    basis symmetry."""
+    findings = _shape_findings(model, structure)
+    for name in "FGEHD":
+        seq = getattr(model, name)
+        if not seq.all_finite():
+            findings.extend(f"{name}_{k} contains non-finite entries"
+                            for k in range(len(seq)) if not np.all(np.isfinite(seq[k])))
+    for i, (bq, br) in enumerate(zip(structure.bq, structure.br), start=1):
+        for tag, b, n in (("BQ", bq, structure.n_w), ("BR", br, structure.n_v)):
+            if b.shape == (n, n) and not np.array_equal(b, b.T):
                 findings.append(f"{tag}^({i}) is not symmetric")
             if not np.all(np.isfinite(b)):
                 findings.append(f"{tag}^({i}) contains non-finite entries")
-    if structure.n_w != model.n_w:
-        findings.append("structure BQ dimension does not match model n_w")
-    if structure.n_v != model.n_v:
-        findings.append("structure BR dimension does not match model n_v")
     return ValidationReport(findings)
 
 
@@ -433,7 +442,13 @@ def simulate(model: LtvModel, structure: NoiseStructure, alpha_true,
     beyond tau are ignored.  E w, G u, H x and D v are formed for all steps
     at once, one stacked product per matrix shape; only the state recursion
     runs step by step, adding its terms in the order F x + E w + G u.
+
+    A model or structure whose shapes do not fit raises ValidationError with
+    ``validate``'s findings; finiteness is left to ``validate``.
     """
+    findings = _shape_findings(model, structure)
+    if findings:
+        raise ValidationError(findings)
     if init is None:
         init = InitialCondition.default(model.n_x)
     q, r = assemble_qr(structure, alpha_true)

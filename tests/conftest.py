@@ -7,6 +7,7 @@ from mdmest import (
     LtvModel,
     NoiseStructure,
 )
+from mdmest.linalg import sym_pair_indices
 
 
 def dense_from_band(ab):
@@ -18,6 +19,13 @@ def dense_from_band(ab):
         if d:
             p += np.diag(ab[d, :m - d], d)
     return p
+
+
+def noise_map(ac):
+    """A window's noise map, (n_rows, n_eps^2), from its ``ac``: row t is
+    ac[sel_j[t]] kron ac[sel_i[t]], the einsum ``build_design`` forms it by."""
+    sel_i, sel_j = sym_pair_indices(ac.shape[0])
+    return np.einsum("ta,tb->tab", ac[sel_j], ac[sel_i]).reshape(sel_i.size, -1)
 
 
 def make_ragged_ltv_model(tau=12):

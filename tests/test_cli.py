@@ -207,6 +207,14 @@ class TestIdentifiabilityCommand:
         assert "rank 1 of 2" in out
         assert "unidentifiable directions" in out
 
+    def test_auto_window_is_the_identify_window(self, tmp_path, capsys,
+                                                unknown_input_model_file):
+        """--L auto reports on the window identify uses (L=2 here), not on
+        the smallest window with an annihilator (L=1, rank 1 of 6)."""
+        assert main(["identifiability", "--model", str(unknown_input_model_file),
+                     "--input-mode", "unknown", "--out", str(tmp_path)]) == 0
+        assert "rank 6 of 6" in capsys.readouterr().out
+
 
 class TestExitCodes:
     def test_rank_deficient_identify_prints_report(self, tmp_path, capsys,

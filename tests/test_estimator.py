@@ -14,6 +14,7 @@ from mdmest import (
     NoiseStructure,
     NotPositiveSemidefinite,
     RankDeficientDesign,
+    Tolerance,
     UNKNOWN_INPUT,
     assemble_p,
     build_design,
@@ -21,6 +22,7 @@ from mdmest import (
     gaussian_eta_covariances,
     identifiability_report,
     min_feasible_window,
+    numerical_rank,
     ordinary_mdm,
     preset,
     simulate,
@@ -30,7 +32,12 @@ from mdmest import (
 from mdmest.benchmarks import benchmark_input_signal
 from mdmest.model import MeasurementData
 
-from conftest import dense_from_band, make_ragged_ltv_model, make_ragged_ltv_structure
+from conftest import (
+    dense_from_band,
+    make_ragged_ltv_model,
+    make_ragged_ltv_structure,
+    noise_map,
+)
 from test_geometry import window_cases
 
 INDEFINITE_MESSAGE = r"^weight matrix has eigenvalue -\S+ below -\S+$"
@@ -266,8 +273,8 @@ class TestAssembleP:
             for j in range(sys_full.L):
                 band = etas.band(j)
                 for r in range(sys_full.n_windows - j):
-                    blk = (sys_full.windows[r].noisemap_block @ band
-                           @ sys_full.windows[r + j].noisemap_block.T)
+                    blk = (noise_map(sys_full.windows[r].ac) @ band
+                           @ noise_map(sys_full.windows[r + j].ac).T)
                     direct[offs[r]:offs[r + 1], offs[r + j]:offs[r + j + 1]] = blk
                     if j:
                         direct[offs[r + j]:offs[r + j + 1], offs[r]:offs[r + 1]] = blk.T
@@ -365,6 +372,35 @@ class TestWeightedMdm:
         ab = np.ones((1, sys_full.n_rows))
         ab[0, 0] = 0.0
         assert weighted_mdm(sys_full, ab).method == "weighted-constrained"
+
+    def test_whitened_rank_uses_the_shared_rule(self):
+        """The whitened solve decides rank by the shared SVD rule.
+
+        Two nearly collinear parameters and a diagonal weight give a
+        whitened, equilibrated design whose sigma_min lies just below
+        rank_tol * sigma_max * m while min |r_ii| of its QR, about twice as
+        large, passes the same threshold.
+        """
+        spec = preset("obs-ltv", tau=40)
+        one = np.ones((1, 1))
+        structure = NoiseStructure.from_pairs([(one, one), (one, 1.0001 * one)])
+        sys0 = build_design(spec.model, structure, 2, KNOWN_INPUT)
+        assert sys0.rank == 2
+        sys0 = replace(sys0, obs=sys0.design @ [1.0, 1.0])
+        m = sys0.n_rows
+        p = np.linspace(1.0, 2.0, m)
+        tol = Tolerance(rank_tol=3e-7)
+        whitened = sys0.design / np.sqrt(p)[:, None]
+        d = whitened / np.linalg.norm(whitened, axis=0)
+        s = np.linalg.svd(d, compute_uv=False)
+        r_diag = np.abs(np.diag(np.linalg.qr(d, mode="r")))
+        thr = tol.rank_tol * m
+        assert 0.5 * thr < s[-1] / s[0] < thr
+        assert np.min(r_diag) > thr * np.max(r_diag)
+        with pytest.raises(RankDeficientDesign) as err:
+            weighted_mdm(sys0, p[None], tol)
+        assert err.value.rank == numerical_rank(d, tol) == 1
+        assert err.value.n_alpha == 2
 
     @pytest.mark.parametrize("case", ["unobs-unknown-input", "noise-free"])
     def test_constrained_branch_matches_rao_reference(self, case):

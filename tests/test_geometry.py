@@ -66,7 +66,7 @@ def reference_geometry(model, k, L, mode, upsilon, tol=DEFAULT_TOL):
     sel_i, sel_j = sym_pair_indices(n.shape[0])
     noisemap = np.einsum("ta,tb->tab", ac[sel_j], ac[sel_i]).reshape(sel_i.size, -1)
     return {"annihilator": n, "gamma_g": gamma_g, "ac": ac,
-            "noisemap_block": noisemap, "design_block": noisemap @ upsilon}
+            "design_block": noisemap @ upsilon}
 
 
 def bitwise_equal(a, b):

@@ -176,6 +176,24 @@ class TestSimulate:
         with pytest.raises(NotPositiveSemidefinite):
             simulate(scalar_lti_model, scalar_structure, [-1.0, 1.0], seed=0)
 
+    @pytest.mark.parametrize("case", ["d-rows-differ-from-h", "e-rows-differ-from-n_x"])
+    def test_inconsistent_shapes_rejected(self, case, scalar_structure):
+        """simulate refuses a model validate refuses, with its findings."""
+        if case == "d-rows-differ-from-h":
+            model = LtvModel.create(
+                n_x=1, n_w=1, n_v=1, tau=2, F=[[0.9]], G=None, E=[[1.0]],
+                H=[np.ones((1, 1)), np.ones((2, 1)), np.ones((1, 1))],
+                D=[np.ones((2, 1)), np.ones((1, 1)), np.ones((1, 1))])
+        else:
+            # a 1x1 E would broadcast E w over both states
+            model = LtvModel.create(n_x=2, n_w=1, n_v=1, tau=5, F=0.9 * np.eye(2),
+                                    G=None, E=[[1.0]], H=[[1.0, 0.0]], D=[[1.0]])
+        findings = validate(model, scalar_structure).findings
+        assert findings
+        with pytest.raises(ValidationError) as err:
+            simulate(model, scalar_structure, [2.0, 1.0], seed=0)
+        assert err.value.findings == findings
+
 
 class TestSimulateInputChecks:
     """A bad input signal is a ValidationError naming the step."""

@@ -24,6 +24,7 @@ from mdmest.benchmarks import benchmark_input_signal
 from mdmest.linalg import sym_pair_indices
 from mdmest.model import MeasurementData
 
+from conftest import noise_map
 from test_geometry import window_cases
 
 
@@ -52,7 +53,7 @@ def window_residue(sys, data, k):
 def regression_rows(ztilde, ac, upsilon):
     """obs, design and noise-map rows of one window, from ztilde and A C."""
     si, sj = sym_pair_indices(ztilde.size)
-    noisemap = np.einsum("ta,tb->tab", ac[sj], ac[si]).reshape(si.size, -1)
+    noisemap = noise_map(ac)
     return ztilde[si] * ztilde[sj], noisemap @ upsilon, noisemap
 
 
@@ -281,7 +282,7 @@ class TestRegressionRow:
         spec = preset("obs-ltv", tau=20)
         w = build_design(spec.model, spec.structure, 2, KNOWN_INPUT).windows[0]
         ups = defining_replication(spec.structure, 2)
-        assert np.allclose(w.design_block, w.noisemap_block @ ups)
+        assert np.allclose(w.design_block, noise_map(w.ac) @ ups)
 
     def test_m_transformation_property(self, rng):
         """A nonsingular M on the residue maps the row through Xi M^2 Psi."""
@@ -297,7 +298,8 @@ class TestRegressionRow:
         obs, design, noisemap = regression_rows(ztilde, w.ac, ups)
         # the rows rebuilt here are the system's own rows for window k
         assert np.array_equal(obs, sys.obs[sys.row_offsets[k]:sys.row_offsets[k + 1]])
-        assert np.array_equal(noisemap, w.noisemap_block)
+        # the paper's form Xi (AC kron AC), exact with a 0/1 Xi
+        assert np.array_equal(noisemap, unification_matrix(w.n_a) @ np.kron(w.ac, w.ac))
         assert np.array_equal(design, w.design_block)
 
         n_a = w.n_a

@@ -31,7 +31,6 @@ from .estimator import (
     build_design,
     feasible_design,
     identifiability_report,
-    min_feasible_window,
     ordinary_mdm,
     weighted_pipeline,
 )
@@ -71,20 +70,17 @@ def _resolve_l(args, model, structure, mode, tol, n_records):
     """
     if args.L != "auto":
         l_win = int(args.L)
-    else:
-        l_max = max(model.n_x + 2, 12)
-        design = feasible_design(model, structure, mode, tol, l_max=l_max,
-                                 n_records=n_records)
-        if design is not None:
-            return design
-        l_win = min_feasible_window(model, mode, tol, l_max=l_max, n_records=n_records)
-        if l_win is None:
-            raise MdmError(
-                f"no window length up to L={min(l_max, n_records)} has an "
-                f"annihilator for {n_records} records"
-            )
-    return build_design(model, structure, l_win, mode, tol,
-                        n_windows=n_records - l_win + 1)
+        return build_design(model, structure, l_win, mode, tol,
+                            n_windows=n_records - l_win + 1)
+    l_max = max(model.n_x + 2, 12)
+    design = feasible_design(model, structure, mode, tol, l_max=l_max,
+                             n_records=n_records, fallback=True)
+    if design is None:
+        raise MdmError(
+            f"no window length up to L={min(l_max, n_records)} has an "
+            f"annihilator for {n_records} records"
+        )
+    return design
 
 
 def _with_tau(model: LtvModel, tau: int) -> LtvModel:

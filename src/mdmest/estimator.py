@@ -97,6 +97,37 @@ class WindowGeometry:
 
 
 @dataclass
+class RowReduction:
+    """The independent rows of the stacked regression.
+
+    Window k may share residue directions with window k-1: measurement
+    functionals that both annihilators produce.  With window k's residue
+    basis rotated to [shared | new], a product row of two shared directions
+    is a combination of window k-1's product rows, in design, observations
+    and eta alike; the kept rows are the products that involve a new
+    direction.  ``transforms[kinds[k]]`` maps window k's product rows
+    (zero-padded to the widest window) to its kept rows, first; a window
+    that shares nothing keeps its rows by the identity.
+    """
+
+    kinds: np.ndarray                  # (n_windows,) index into transforms
+    transforms: np.ndarray             # (n_kinds, max rows, max rows)
+    row_offsets: np.ndarray            # window k keeps row_offsets[k]:row_offsets[k+1]
+
+    @property
+    def n_rows(self) -> int:
+        return int(self.row_offsets[-1])
+
+    def apply(self, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """The kept rows of x, whose window k has rows offsets[k]:offsets[k+1]."""
+        t = self.transforms[self.kinds]
+        pos = np.arange(t.shape[-1])
+        padded = np.zeros((self.kinds.size, pos.size, x.shape[1]))
+        padded[pos < np.diff(offsets)[:, None]] = x
+        return (t @ padded)[pos < np.diff(self.row_offsets)[:, None]]
+
+
+@dataclass
 class StackedSystem:
     """The full regression: obs = design @ alpha + blkdiag(noisemap blocks) @ eta.
 
@@ -105,7 +136,9 @@ class StackedSystem:
     reference one shared object.  ``ac`` stacks every window's ``ac``,
     zero-padded at the bottom to the widest window's rows (a broadcast view
     for LTI models).  The design facts below are computed once, by
-    ``build_design``, from one SVD of design / scale, which ordinary LS reuses.
+    ``build_design``, from one SVD of design / scale, which ordinary LS reuses;
+    ``reduction`` is None when no window shares a residue direction with
+    its predecessor.
     """
 
     obs: np.ndarray | None
@@ -124,6 +157,7 @@ class StackedSystem:
     u: np.ndarray                      # thin SVD design / scale = u diag(s) vt
     s: np.ndarray
     vt: np.ndarray
+    reduction: RowReduction | None
 
     @property
     def n_alpha(self) -> int:
@@ -249,10 +283,10 @@ def _warn_near_threshold(factored) -> None:
         )
 
 
-def _window_geometries(blocks, mode: str, upsilon: np.ndarray,
-                       tol: Tolerance) -> tuple[list[WindowGeometry], np.ndarray]:
+def _window_geometries(blocks, mode: str, upsilon: np.ndarray, tol: Tolerance):
     """The geometry of the windows in ``blocks``, indexed by window start,
-    and their ``ac`` stacked as ``StackedSystem.ac`` holds it.
+    their ``ac`` stacked as ``StackedSystem.ac`` holds it, and their
+    annihilators stacked the same way (zero-padded at the bottom and right).
 
     One SVD call per shape group gives every window's annihilator by the
     shared rank rule; the windows are then regrouped by rank and their
@@ -276,6 +310,7 @@ def _window_geometries(blocks, mode: str, upsilon: np.ndarray,
     n_a_max = max(u.shape[1] - int(np.min(rank)) for _, u, _, rank, _ in factored)
     n_eps = blocks[0].scriptE.shape[-1] + blocks[0].scriptD.shape[-1]
     ac_all = np.zeros((len(windows), n_a_max, n_eps))
+    ann_all = np.zeros((len(windows), n_a_max, max(b.O.shape[1] for b in blocks)))
     for b, u, _, rank, _ in factored:
         gamma_g = None
         if mode == KNOWN_INPUT and b.scriptG.shape[-1] > 0:
@@ -286,6 +321,7 @@ def _window_geometries(blocks, mode: str, upsilon: np.ndarray,
             n = u[idx][:, :, r:].transpose(0, 2, 1)
             ac = np.concatenate([n @ b.Gamma[idx], n], axis=2) @ c_mat[idx]
             ac_all[b.ks[idx], :n.shape[1]] = ac
+            ann_all[b.ks[idx], :n.shape[1], :n.shape[2]] = n
             sel_i, sel_j = sym_pair_indices(n.shape[1])
             design = np.einsum("wta,wtb->wtab", ac[:, sel_j], ac[:, sel_i]
                                ).reshape(idx.size, sel_i.size, -1) @ upsilon
@@ -297,20 +333,109 @@ def _window_geometries(blocks, mode: str, upsilon: np.ndarray,
                     sel_i=sel_i, sel_j=sel_j,
                     design_block=design[p],
                 )
-    return windows, ac_all
+    return windows, ac_all, ann_all
 
 
-def _feasible_windows(model: LtvModel, mode: str, tol: Tolerance,
-                      l_max: int | None, n_records: int):
-    """(L, window matrices) for each L up to ``l_max`` whose every window has
-    an annihilator, by increasing L."""
+def _kept_pair_transforms(q: np.ndarray, d: int) -> np.ndarray:
+    """(g, kept, rows) maps from the unique residue products of g windows to
+    the products of their rotated residues q^T ztilde that involve one of
+    the directions q[:, d:]: pair (i, j), i <= j, is kept when j >= d, a
+    suffix of the ``sym_pair_indices`` order."""
+    si, sj = sym_pair_indices(q.shape[-1])
+    ki, kj = si[d * (d + 1) // 2:], sj[d * (d + 1) // 2:]
+    qi, qj = q[:, si], q[:, sj]
+    # (q^T z)_a (q^T z)_b = sum over p <= r of z_p z_r (q_pa q_rb + q_ra q_pb),
+    # the second term absent for p == r
+    m = qi[:, :, ki] * qj[:, :, kj] + (si != sj)[:, None] * qj[:, :, ki] * qi[:, :, kj]
+    return m.transpose(0, 2, 1)
+
+
+def _row_reduction(model: LtvModel, L: int, windows: list[WindowGeometry],
+                   ann: np.ndarray, tol: Tolerance) -> RowReduction | None:
+    """The rows the weighted solve keeps, or None when no window shares a
+    residue direction with its predecessor.
+
+    ``ann`` stacks the annihilators of the windows built (window 0 alone
+    for an LTI model, whose pairs all share one geometry).  The directions
+    windows k-1 and k share are the left null space of [N_{k-1}, 0; 0, N_k]
+    over the records the pair spans, by the shared rank rule.  The rows of
+    N are orthonormal, so that matrix has singular values sqrt(1 +- c_i)
+    with c_i those of the overlap N_{k-1} N_k^T; a pair whose overlap has
+    Frobenius norm c with sqrt(1 - c) well above the rank threshold shares
+    nothing, and its SVD is skipped.
+    """
+    n_windows = len(windows)
+    if L == 1 or n_windows == 1:
+        return None
+    lti = model.is_lti
+    ks = np.arange(1, 2 if lti else n_windows)
+    prev, cur = (ks * 0, ks * 0) if lti else (ks - 1, ks)
+    n_a = np.array([w.n_a for w in windows[:ann.shape[0]]])
+    n_z = model.n_z_steps()
+    cum = np.concatenate(([0], np.cumsum(n_z)))
+    key = np.column_stack([n_a[prev], n_a[cur], n_z[ks - 1],
+                           cum[ks - 1 + L] - cum[ks - 1], cum[ks + L] - cum[ks]])
+    group = np.zeros(ks.size, dtype=int)
+    if (key != key[0]).any():
+        group = np.unique(key, axis=0, return_inverse=True)[1].ravel()
+    found = []                          # (windows, shared count, rotations)
+    for g in range(group.max() + 1):
+        idx = np.flatnonzero(group == g)
+        n_prev, n_cur, first, c_prev, c_cur = key[idx[0]].tolist()
+        a = ann[prev[idx], :n_prev, :c_prev]
+        b = ann[cur[idx], :n_cur, :c_cur]
+        rows, cols = n_prev + n_cur, first + c_cur
+        c = np.linalg.norm(a[:, :, first:] @ b[:, :, :c_prev - first].transpose(0, 2, 1),
+                           axis=(1, 2))
+        thr = tol.rank_tol * np.sqrt(1.0 + c) * max(rows, cols)
+        maybe = 1.0 - c <= np.maximum(1e-6, (2.0 * thr) ** 2)
+        if not maybe.any():
+            continue
+        idx = idx[maybe]
+        pair = np.zeros((idx.size, rows, cols))
+        pair[:, :n_prev, :c_prev] = a[maybe]
+        pair[:, n_prev:, first:] = b[maybe]
+        u, _, _, rank, _ = svd_rank(pair, tol, full_matrices=True)
+        for r in np.unique(rank[rank < rows]).tolist():
+            sel = rank == r
+            # window k's halves of the null vectors span the shared
+            # directions; a complete QR appends the new ones
+            q = np.linalg.qr(u[sel, n_prev:, r:], mode="complete")[0]
+            found.append((ks[idx[sel]], rows - r, q))
+    if not found:
+        return None
+
+    n_rows = np.array([w.n_rows for w in windows[:ann.shape[0]]])
+    kinds = np.minimum(np.arange(n_windows), 1) if lti else np.arange(n_windows)
+    kind_rows = n_rows[[0, 0]] if lti else n_rows
+    width = int(n_rows.max())
+    transforms = np.zeros((kind_rows.size, width, width))
+    kept = kind_rows.copy()
+    for win, d, q in found:
+        kind = kinds[win]
+        kept[kind] -= d * (d + 1) // 2
+        transforms[kind, :kept[kind[0]], :kind_rows[kind[0]]] = _kept_pair_transforms(q, d)
+    plain = np.flatnonzero(kept == kind_rows)
+    pos = np.arange(width)
+    transforms[plain[:, None], pos, pos] = pos < kept[plain, None]
+    return RowReduction(kinds=kinds, transforms=transforms,
+                        row_offsets=np.concatenate(([0], np.cumsum(kept[kinds]))))
+
+
+def _candidate_lengths(model: LtvModel, l_max: int | None, n_records: int) -> range:
     if l_max is None:
         l_max = max(model.n_x + 2, 12)
-    for L in range(1, min(l_max, n_records) + 1):
-        blocks = _all_window_blocks(model, L, n_records - L + 1)
-        targets = (_annihilated_target(b, mode) for b in blocks)
-        if all((numerical_rank(t, tol) < t.shape[1]).all() for t in targets):
-            yield L, blocks
+    return range(1, min(l_max, n_records) + 1)
+
+
+def _annihilated_blocks(model: LtvModel, mode: str, tol: Tolerance, L: int,
+                        n_records: int):
+    """The window matrices at L when every window has an annihilator, else None."""
+    blocks = _all_window_blocks(model, L, n_records - L + 1)
+    targets = (_annihilated_target(b, mode) for b in blocks)
+    if all((numerical_rank(t, tol) < t.shape[1]).all() for t in targets):
+        return blocks
+    return None
 
 
 def min_feasible_window(model: LtvModel, mode: str, tol: Tolerance = DEFAULT_TOL,
@@ -331,27 +456,54 @@ def min_feasible_window(model: LtvModel, mode: str, tol: Tolerance = DEFAULT_TOL
         return None if design is None else design.L
     if n_records is None:
         n_records = model.tau + 1
-    return next((L for L, _ in _feasible_windows(model, mode, tol, l_max, n_records)),
+    return next((L for L in _candidate_lengths(model, l_max, n_records)
+                 if _annihilated_blocks(model, mode, tol, L, n_records) is not None),
                 None)
 
 
 def feasible_design(model: LtvModel, structure: NoiseStructure, mode: str,
                     tol: Tolerance = DEFAULT_TOL, l_max: int | None = None,
-                    n_records: int | None = None) -> StackedSystem | None:
+                    n_records: int | None = None,
+                    fallback: bool = False) -> StackedSystem | None:
     """The design at the L that ``min_feasible_window`` picks with ``structure``.
 
     None when no L up to ``l_max`` gives every window an annihilator and the
-    design full column rank.  Each candidate L's window matrices are built
-    once and serve both its rank scan and its design; ``with_data`` attaches
-    the ``n_records`` measurements.
+    design full column rank.  A candidate L at which the replication
+    Upsilon (``defining_replication``) has a zero column is skipped unbuilt:
+    that column is a zero column of the design.  Each other candidate's
+    window matrices are built once and serve both its annihilator check and
+    its design; ``with_data`` attaches the ``n_records`` measurements.
+
+    With ``fallback``, when no L gives full rank, the result is instead the
+    (rank-deficient) design at the smallest L with an annihilator, and None
+    only when no L has one; no L's geometry is built twice.
     """
     if n_records is None:
         n_records = model.tau + 1
-    for L, blocks in _feasible_windows(model, mode, tol, l_max, n_records):
-        design = _design(model, structure, L, mode, tol, n_records - L + 1, blocks)
+    first, skipped = None, []
+    for L in _candidate_lengths(model, l_max, n_records):
+        upsilon = defining_replication(structure, L)
+        if not upsilon.any(axis=0).all():
+            skipped.append(L)
+            continue
+        blocks = _annihilated_blocks(model, mode, tol, L, n_records)
+        if blocks is None:
+            continue
+        design = _design(model, upsilon, L, mode, tol, n_records - L + 1, blocks)
         if design.rank >= structure.n_alpha:
             return design
-    return None
+        if first is None:
+            first = design
+    if not fallback:
+        return None
+    for L in skipped:
+        if first is not None and L > first.L:
+            break
+        blocks = _annihilated_blocks(model, mode, tol, L, n_records)
+        if blocks is not None:
+            return _design(model, defining_replication(structure, L), L, mode, tol,
+                           n_records - L + 1, blocks)
+    return first
 
 
 def build_design(model: LtvModel, structure: NoiseStructure, L: int, mode: str,
@@ -361,15 +513,14 @@ def build_design(model: LtvModel, structure: NoiseStructure, L: int, mode: str,
         n_windows = model.tau + 2 - L
     if n_windows < 1:
         raise DataError(f"horizon too short: no full window of length L={L}")
-    return _design(model, structure, L, mode, tol, n_windows,
+    return _design(model, defining_replication(structure, L), L, mode, tol, n_windows,
                    _all_window_blocks(model, L, n_windows))
 
 
-def _design(model: LtvModel, structure: NoiseStructure, L: int, mode: str,
+def _design(model: LtvModel, upsilon: np.ndarray, L: int, mode: str,
             tol: Tolerance, n_windows: int, blocks) -> StackedSystem:
-    upsilon = defining_replication(structure, L)
     try:
-        windows, ac = _window_geometries(blocks, mode, upsilon, tol)
+        windows, ac, ann = _window_geometries(blocks, mode, upsilon, tol)
     except NoAnnihilator as exc:
         try:
             exc.minimal_feasible_l = min_feasible_window(model, mode, tol)
@@ -379,6 +530,7 @@ def _design(model: LtvModel, structure: NoiseStructure, L: int, mode: str,
     if model.is_lti:
         windows = windows * n_windows
         ac = np.broadcast_to(ac, (n_windows,) + ac.shape[1:])
+    reduction = _row_reduction(model, L, windows, ann, tol)
     row_offsets = np.concatenate(
         ([0], np.cumsum([w.n_rows for w in windows]))
     ).astype(int)
@@ -392,7 +544,7 @@ def _design(model: LtvModel, structure: NoiseStructure, L: int, mode: str,
         obs=None, design=design, row_offsets=row_offsets, L=L, mode=mode,
         windows=windows, ac=ac, n_eps=(L - 1) * model.n_w + L * model.n_v,
         model=model, scale=scale, rank=rank, rank_threshold=thr,
-        null_basis=null_basis, u=u, s=s, vt=vt,
+        null_basis=null_basis, u=u, s=s, vt=vt, reduction=reduction,
     )
 
 
@@ -614,45 +766,90 @@ def assemble_p(sys: StackedSystem, etas: EtaCovariances) -> np.ndarray:
             f"band dimension n_eps={etas.n_eps} does not match system n_eps={sys.n_eps}"
         )
     n_windows, offs = sys.n_windows, sys.row_offsets
-    span_end = offs[np.minimum(np.arange(n_windows) + sys.L, n_windows)]
-    ab = np.zeros((int(np.max(span_end - offs[:-1])), sys.n_rows))
+    ab = np.zeros((_band_rows(offs, sys.L), sys.n_rows))
     ac = sys.ac
     ac_t = ac.transpose(0, 2, 1)
     si, sj = sym_pair_indices(ac.shape[1])
-    pos = np.arange(si.size)
-    rows_of = np.diff(offs)
     for j in range(min(sys.L, n_windows)):
         n = n_windows - j
         g = ac[:n] @ etas.crosses[j] @ ac_t[j:]
         blk = (g[:, sj[:, None], sj] * g[:, si[:, None], si]
                + g[:, sj[:, None], si] * g[:, si[:, None], sj])
-        # blk[r, a, b] = P[offs[r] + a, offs[r+j] + b], stored from the lower
-        # triangle as P[offs[r+j] + b, offs[r] + a]
-        col = offs[:n, None, None] + pos[:, None]
-        row = offs[j:n_windows, None, None] + pos
-        keep = ((pos[:, None] < rows_of[:n, None, None])
-                & (pos < rows_of[j:, None, None]))
         if j == 0:
             # a diagonal block is symmetric up to roundoff; store its mean
             blk = 0.5 * (blk + blk.transpose(0, 2, 1))
-            keep &= pos[:, None] <= pos
-        col = np.broadcast_to(col, keep.shape)[keep]
-        ab[np.broadcast_to(row, keep.shape)[keep] - col, col] = blk[keep]
+        _scatter_blocks(ab, blk, offs, j)
     return ab
 
 
-# The constrained branch forms P + design design^T densely, O(m^2) memory,
-# and factors it by pivoted Cholesky, O(m^2 r) for its rank r; it is refused
-# above this row count (use ordinary MDM or a shorter horizon instead).
+def _band_rows(offsets: np.ndarray, L: int) -> int:
+    """Rows of the lower band storage of a matrix whose blocks (r, r+j),
+    j < L, between windows with rows offsets[r]:offsets[r+1] may be nonzero:
+    the widest row span of L consecutive windows."""
+    n_windows = offsets.size - 1
+    span_end = offsets[np.minimum(np.arange(n_windows) + L, n_windows)]
+    return int(np.max(span_end - offsets[:-1]))
+
+
+def _block_index(offsets: np.ndarray, width: int, j: int, shape: tuple[int, int],
+                 mirror: bool) -> np.ndarray:
+    """Flat positions, in lower band storage of the given shape, of the
+    lag-j blocks blk[r, a, b] = P[offsets[r] + a, offsets[r+j] + b] between
+    windows with rows offsets[r]:offsets[r+1], zero-padded to ``width``.
+
+    Entries outside either window's rows or outside the band get the
+    position shape[0] * shape[1], one past the storage, as do those of a
+    diagonal block (j == 0) below its diagonal unless ``mirror``.
+    """
+    n = offsets.size - 1 - j
+    # laid out (a, b, r), so that the long window axis is the inner loop
+    a, b = (x.ravel()[:, None] for x in np.indices((width, width)))
+    rows_of = np.diff(offsets)
+    col = offsets[:n] + a
+    row = offsets[j:j + n] + b
+    diag = row - col
+    if mirror:
+        col = np.minimum(col, row)
+        diag = np.abs(diag)
+    keep = ((a < rows_of[:n]) & (b < rows_of[j:]) & (diag >= 0) & (diag < shape[0]))
+    idx = np.where(keep, diag * shape[1] + col, shape[0] * shape[1])
+    return idx.T.reshape(n, width, width)
+
+
+def _scatter_blocks(ab: np.ndarray, blk: np.ndarray, offsets: np.ndarray, j: int) -> None:
+    """Store the lag-j blocks ``blk`` in the band ``ab``, a diagonal block
+    by its upper triangle (the lower triangle of P)."""
+    idx = _block_index(offsets, blk.shape[1], j, ab.shape, mirror=False)
+    keep = idx < ab.size
+    ab.ravel()[idx[keep]] = blk[keep]
+
+
+def _gather_blocks(ab: np.ndarray, offsets: np.ndarray, width: int, j: int) -> np.ndarray:
+    """The lag-j blocks of the symmetric matrix in band storage ``ab``,
+    zero-padded to ``width``: the inverse of ``_scatter_blocks``."""
+    padded = np.append(ab, 0.0)
+    return padded[_block_index(offsets, width, j, ab.shape, mirror=True)]
+
+
+def _reduced_band(sys: StackedSystem, ab: np.ndarray) -> np.ndarray:
+    """M P M^T in lower band storage for the row map M of ``sys.reduction``
+    and P given by its band ``ab``, computed block by block."""
+    red, offs = sys.reduction, sys.row_offsets
+    t = red.transforms[red.kinds]
+    t_t = t.transpose(0, 2, 1)
+    ab_r = np.zeros((_band_rows(red.row_offsets, sys.L), red.n_rows))
+    for j in range(min(sys.L, sys.n_windows)):
+        blk = _gather_blocks(ab, offs, t.shape[-1], j)
+        _scatter_blocks(ab_r, t[:blk.shape[0]] @ blk @ t_t[j:], red.row_offsets, j)
+    return ab_r
+
+
+# The dense constrained branch forms P + design design^T, O(m^2) memory, and
+# factors it by pivoted Cholesky, O(m^2 r) for its rank r; it is refused
+# above this row count (use ordinary MDM or a shorter horizon instead).  A
+# weight's band storage gets the same memory budget, P_DENSE_MAX_ROWS**2
+# entries.
 P_DENSE_MAX_ROWS = 8000
-
-
-def _check_weight_rows(m: int) -> None:
-    if m > P_DENSE_MAX_ROWS:
-        raise MdmError(
-            f"weight matrix of size {m} exceeds the dense assembly limit "
-            f"{P_DENSE_MAX_ROWS}; use the ordinary method or a shorter horizon"
-        )
 
 
 def _factors_shifted(ab: np.ndarray, shift: float) -> bool:
@@ -674,13 +871,22 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
     branch.  With d = max diag P, P is numerically full rank when
     P - rank_tol d m I factors; P is indefinite, and IndefiniteWeight raised,
     when P + rank_tol max(d, ||design||_2^2) I does not.  A full-rank weight
-    is factored by banded Cholesky; the diagnostics then carry the fit
-    statistic J = r^T P^{-1} r of the residual r and its degrees of freedom
-    m - n_alpha.  A singular weight takes Rao's unified LS form with a
-    g-inverse of T = P + design design^T from its pivoted Cholesky factor
-    (pivot tolerance rank_tol max(diag T) m); the reported covariance
-    subtracts the identity.  Either whitened problem is solved like the
-    ordinary one.  ``branch`` ("full-rank" / "constrained") forces a path.
+    is factored by banded Cholesky.
+
+    A singular weight takes Rao's unified LS estimator.  When the design has
+    shared rows (``StackedSystem.reduction``), that estimator is GLS on the
+    kept rows: their weight M P M^T is mapped block by block from the band,
+    and when it passes the full-rank test on its own m_r rows it is factored
+    by banded Cholesky, O(m_r b_r^2).  Otherwise (P singular beyond the
+    shared rows, no shared rows, or ``branch="constrained"``) the
+    estimator uses a g-inverse of T = P + design design^T from its dense
+    pivoted Cholesky factor (pivot tolerance rank_tol max(diag T) m), and
+    the reported covariance subtracts the identity; this branch alone is
+    refused above P_DENSE_MAX_ROWS rows.  Every whitened problem is solved
+    like the ordinary one.  A banded solve reports the fit statistic
+    J = r^T P^+ r of the residual r, its degrees of freedom (rows solved on
+    minus n_alpha) and those rows (``weight_rows``); the dense branch
+    reports None.  ``branch`` ("full-rank" / "constrained") forces a path.
     """
     if sys.obs is None:
         raise ValueError("system carries no observations")
@@ -694,39 +900,55 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
                          f"got {ab.shape}")
     if np.any(ab[np.arange(m) >= m - np.arange(ab.shape[0])[:, None]]):
         raise ValueError("weight band storage has entries past the end of a diagonal")
-    _check_weight_rows(m)
 
     def rank_floor(diag):
         # the shared rank rule, with max diag standing for sigma_max
-        return tol.rank_tol * float(np.max(diag)) * m
+        return tol.rank_tol * float(np.max(diag)) * diag.size
 
-    d = float(np.max(ab[0]))
-    full_rank = d > 0.0 and _factors_shifted(ab, -rank_floor(ab[0]))
-    if not full_rank:
+    def full_rank(band):
+        return np.max(band[0]) > 0.0 and _factors_shifted(band, -rank_floor(band[0]))
+
+    is_full = full_rank(ab)
+    if not is_full:
         # the negativity floor uses the regression scale ||design||_2^2 too,
         # so a numerically-zero weight falls through to the constrained
         # branch; design == u diag(s) vt diag(scale) gives the norm
         design_scale = np.linalg.norm(sys.s[:, None] * sys.vt * sys.scale, 2) ** 2
-        floor = tol.rank_tol * max(d, design_scale)
+        floor = tol.rank_tol * max(float(np.max(ab[0])), design_scale)
         if not _factors_shifted(ab, floor):
             lam_min = float(scipy.linalg.eigvals_banded(
                 ab, lower=True, select="i", select_range=(0, 0))[0])
             raise IndefiniteWeight(
                 f"weight matrix has eigenvalue {lam_min:.3e} below -{floor:.3e}"
             )
-    if branch == "full-rank" and not full_rank:
+    if branch == "full-rank" and not is_full:
         raise IndefiniteWeight("full-rank branch forced but the weight is singular")
-    use_full = full_rank if branch == "auto" else branch == "full-rank"
+    use_full = is_full if branch == "auto" else branch == "full-rank"
 
+    band = None
+    xy = np.column_stack([sys.design, sys.obs])
     if use_full:
-        chol, info = scipy.linalg.lapack.dpbtrf(ab, lower=1)
+        band = ab
+    elif (branch == "auto" and sys.reduction is not None
+          and ab.shape[0] <= _band_rows(sys.row_offsets, sys.L)):
+        # (a wider band would couple windows L or more apart)
+        ab_r = _reduced_band(sys, ab)
+        if full_rank(ab_r):
+            band = ab_r
+            xy = sys.reduction.apply(xy, sys.row_offsets)
+    if band is not None:
+        chol, info = scipy.linalg.lapack.dpbtrf(band, lower=1)
         if info == 0:
-            whitened, info = scipy.linalg.lapack.dtbtrs(
-                chol, np.column_stack([sys.design, sys.obs]), uplo="L")
+            whitened, info = scipy.linalg.lapack.dtbtrs(chol, xy, uplo="L")
         if info != 0:
             raise IndefiniteWeight(
                 f"banded Cholesky whitening of the weight failed (LAPACK info {info})")
     else:
+        if m > P_DENSE_MAX_ROWS:
+            raise MdmError(
+                f"weight matrix of size {m} exceeds the dense assembly limit "
+                f"{P_DENSE_MAX_ROWS}; use the ordinary method or a shorter horizon"
+            )
         # T = P + design design^T, of which pstrf reads the lower triangle;
         # the transpose of the symmetric product is Fortran-ordered, so T is
         # built and factored in place
@@ -738,16 +960,15 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
             t, tol=rank_floor(np.diag(t)), lower=1, overwrite_a=1)
         # T[piv][:, piv] = F F^T, F = c[:, :rank] lower; with F_11 its leading
         # block, the pivot rows whitened by F_11 give the g-inverse form
-        rows = piv[:rank] - 1
         whitened = scipy.linalg.solve_triangular(
-            c[:rank, :rank], np.column_stack([sys.design[rows], sys.obs[rows]]),
-            lower=True)
+            c[:rank, :rank], xy[piv[:rank] - 1], lower=True)
     a_w, b_w = whitened[:, :-1], whitened[:, -1]
     alpha, cov = _ls_solve(_equilibrated_svd(a_w, tol)[0], b_w)
-    fit_j = fit_dof = None
-    if use_full:
+    fit_j = fit_dof = weight_rows = None
+    if band is not None:
         resid = b_w - a_w @ alpha
-        fit_j, fit_dof = float(resid @ resid), m - sys.n_alpha
+        weight_rows = band.shape[1]
+        fit_j, fit_dof = float(resid @ resid), weight_rows - sys.n_alpha
     else:
         cov = cov - np.eye(sys.n_alpha)
     return Estimate(
@@ -755,6 +976,7 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
         method="weighted-full-rank" if use_full else "weighted-constrained",
         rank_threshold=sys.rank_threshold,
         diagnostics={"design_cond": sys.cond, "fit_j": fit_j, "fit_dof": fit_dof,
+                     "weight_rows": weight_rows,
                      "runtime_s": time.perf_counter() - t0},
     )
 
@@ -766,12 +988,19 @@ def weighted_pipeline(sys: StackedSystem, structure: NoiseStructure,
     ``sys`` must carry observations (``build_stacked_system`` or
     ``with_data``); the first-pass estimate and the size of its PSD
     projection (``EtaCovariances.projection``) are kept in the diagnostics.
+    A weight whose band storage would exceed P_DENSE_MAX_ROWS**2 entries is
+    refused before it is assembled.
     """
     est_o = ordinary_mdm(sys, tol)
     etas = gaussian_eta_covariances(structure, est_o.alpha_hat, sys.L,
                                     tol=tol, repair=True)
-    # refuse a weight the solve would refuse before assembling its band
-    _check_weight_rows(sys.n_rows)
+    band_rows = _band_rows(sys.row_offsets, sys.L)
+    if band_rows * sys.n_rows > P_DENSE_MAX_ROWS ** 2:
+        raise MdmError(
+            f"weight band of {band_rows} x {sys.n_rows} entries exceeds the "
+            f"assembly limit {P_DENSE_MAX_ROWS ** 2}; use the ordinary method "
+            "or a shorter horizon"
+        )
     p_hat = assemble_p(sys, etas)
     est_w = weighted_mdm(sys, p_hat, tol)
     est_w.diagnostics["alpha_ordinary"] = est_o.alpha_hat

@@ -292,7 +292,9 @@ def _shape_findings(model: LtvModel, structure: NoiseStructure) -> list[str]:
     every model matrix and of every basis matrix, and the noise dimensions
     the structure and the model share.  Reads the cached shapes only."""
     findings: list[str] = []
-    h_rows = model.H.shapes[:, 0]
+    # D's rows follow H's; an H sequence of the wrong length gives none
+    h_ok = model.H.is_constant or len(model.H) == model.tau + 1
+    h_rows = model.H.shapes[:, 0] if h_ok else model.D.shapes[:, 0]
     for name, seq, expected_rows, expected_cols in (
         ("F", model.F, model.n_x, model.n_x),
         ("G", model.G, model.n_x, model.G.shapes[:, 1]),

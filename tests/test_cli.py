@@ -153,9 +153,9 @@ class TestAutoWindow:
     @pytest.mark.parametrize("method", ["ordinary", "weighted"])
     def test_each_candidate_geometry_built_once(self, tmp_path, monkeypatch,
                                                 obs_ltv_model_file, method):
-        """--L auto scans L = 1 (no annihilator) and L = 2 (accepted) and
-        identifies with the scan's design: no window length's geometry is
-        built twice."""
+        """--L auto skips L = 1 unbuilt (its Upsilon has a zero Q column),
+        accepts L = 2 and identifies with the scan's design: no window
+        length's geometry is built twice."""
         from mdmest import estimator
         built = []
         real = estimator.window_blocks
@@ -171,8 +171,34 @@ class TestAutoWindow:
         assert main(["identify", "--model", str(obs_ltv_model_file),
                      "--data", str(out / "data.jsonl"), "--method", method,
                      "--out", str(out)]) == 0
-        assert built == [1, 2]
+        assert built == [2]
         assert json.loads((out / "identify_result.json").read_text())["L"] == 2
+
+    def test_rank_deficient_scan_builds_each_length_once(self, tmp_path, monkeypatch,
+                                                         capsys, ge_equal_model,
+                                                         ge_equal_structure):
+        """No L gives the G == E model full rank in unknown-input mode; the
+        report falls back to the smallest L with an annihilator (L = 2, as
+        ``min_feasible_window`` finds) with the design the scan built."""
+        from mdmest import estimator, min_feasible_window
+        from mdmest.model import UNKNOWN_INPUT
+        built = []
+        real = estimator.window_blocks
+
+        def counting(model, ks, L):
+            built.append(L)
+            return real(model, ks, L)
+
+        path = tmp_path / "ge.json"
+        io.save_model(path, ge_equal_model, ge_equal_structure)
+        monkeypatch.setattr(estimator, "window_blocks", counting)
+        assert main(["identifiability", "--model", str(path),
+                     "--input-mode", "unknown", "--out", str(tmp_path)]) == 0
+        assert "rank 1 of 2" in capsys.readouterr().out
+        assert sorted(built) == sorted(set(built))
+        assert 2 in built
+        monkeypatch.setattr(estimator, "window_blocks", real)
+        assert min_feasible_window(ge_equal_model, UNKNOWN_INPUT) == 2
 
 
 class TestBenchmarkCommand:

@@ -3,13 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, event, given, strategies as st
 
 from mdmest import (
     DataError,
     IndefiniteWeight,
     InitialCondition,
     KNOWN_INPUT,
+    MdmError,
     NoAnnihilator,
     NoiseStructure,
     NotPositiveSemidefinite,
@@ -30,6 +31,7 @@ from mdmest import (
     weighted_pipeline,
 )
 from mdmest.benchmarks import benchmark_input_signal
+from mdmest.estimator import P_DENSE_MAX_ROWS
 from mdmest.model import MeasurementData
 
 from conftest import (
@@ -39,6 +41,7 @@ from conftest import (
     noise_map,
 )
 from test_geometry import window_cases
+from test_residue import window_noises
 
 INDEFINITE_MESSAGE = r"^weight matrix has eigenvalue -\S+ below -\S+$"
 
@@ -422,16 +425,10 @@ class TestWeightedMdm:
         est = weighted_mdm(sys_full, ab)
         assert est.method == "weighted-constrained"
 
-        x, y = sys_full.design, sys_full.obs
-        lam, v = np.linalg.eigh(dense_from_band(ab) + x @ x.T)
-        keep = lam > 1e-10 * lam[-1] * lam.size
-        half = v[:, keep].T / np.sqrt(lam[keep])[:, None]
-        x_w, y_w = half @ x, half @ y
-        gram_inv = np.linalg.inv(x_w.T @ x_w)
-        alpha = gram_inv @ (x_w.T @ y_w)
+        alpha, gram_inv = rao_reference(ab, sys_full)
         # cov = gram_inv - I loses the relative accuracy of gram_inv
         assert np.max(np.abs(est.alpha_hat - alpha)) <= 1e-12 * np.max(np.abs(alpha))
-        assert (np.max(np.abs(est.cov + np.eye(x.shape[1]) - gram_inv))
+        assert (np.max(np.abs(est.cov + np.eye(sys_full.n_alpha) - gram_inv))
                 <= 1e-12 * np.max(np.abs(gram_inv)))
 
     def test_dense_weight_rejected(self):
@@ -457,6 +454,139 @@ class TestWeightedMdm:
         est_con = weighted_mdm(sys_full, ab, branch="constrained")
         assert est_con.diagnostics["fit_j"] is None
         assert est_con.diagnostics["fit_dof"] is None
+
+
+def noise_level_obs(sys0, traj):
+    """The squared residues of ``traj``'s windows formed from its noises,
+    ztilde_k = ac_k eps_k, so that rows shared by adjacent windows agree to
+    roundoff of the residues themselves (annihilating a large state first
+    can cost many digits: about 7 on the clock ensemble)."""
+    rows = []
+    for k, w in enumerate(sys0.windows):
+        zt = w.ac @ window_noises(traj, k, sys0.L)
+        rows.append(zt[w.sel_i] * zt[w.sel_j])
+    return replace(sys0, obs=np.concatenate(rows))
+
+
+def rao_reference(ab, sys_full):
+    """Rao's unified LS estimate and its Gram inverse (X^T T^+ X)^{-1}, with
+    the Moore-Penrose inverse of T = P + X X^T from a dense eigendecomposition."""
+    x, y = sys_full.design, sys_full.obs
+    lam, v = np.linalg.eigh(dense_from_band(ab) + x @ x.T)
+    keep = lam > 1e-10 * lam[-1] * lam.size
+    half = v[:, keep].T / np.sqrt(lam[keep])[:, None]
+    x_w, y_w = half @ x, half @ y
+    gram_inv = np.linalg.inv(x_w.T @ x_w)
+    return gram_inv @ (x_w.T @ y_w), gram_inv
+
+
+class TestReducedRows:
+    """A singular weight is solved by GLS on the rows the design keeps."""
+
+    @staticmethod
+    def unobs_weight(seed):
+        spec, sys_full = simulated_system("unobs-unknown-input", tau=100, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            etas = gaussian_eta_covariances(
+                spec.structure, ordinary_mdm(sys_full).alpha_hat, 2, repair=True)
+        return sys_full, assemble_p(sys_full, etas)
+
+    def test_unknown_input_matches_dense_constrained(self):
+        for seed in range(20):
+            sys_full, ab = self.unobs_weight(seed)
+            est = weighted_mdm(sys_full, ab)
+            dense = weighted_mdm(sys_full, ab, branch="constrained")
+            assert est.method == dense.method == "weighted-constrained"
+            # 6 rows of window 0, then 5 new rows for each of 99 windows
+            assert sys_full.reduction.n_rows == est.diagnostics["weight_rows"] == 501
+            assert dense.diagnostics["weight_rows"] is None
+            scale = np.max(np.abs(dense.alpha_hat))
+            assert np.max(np.abs(est.alpha_hat - dense.alpha_hat)) <= 1e-12 * scale, seed
+            cov_scale = np.max(np.abs(dense.cov))
+            assert np.max(np.abs(est.cov - dense.cov)) <= 1e-12 * cov_scale, seed
+            assert np.array_equal(est.cov, est.cov.T)
+
+    def test_fit_statistic_is_pseudo_inverse_form(self):
+        sys_full, ab = self.unobs_weight(0)
+        est = weighted_mdm(sys_full, ab)
+        r = sys_full.obs - sys_full.design @ est.alpha_hat
+        p_pinv = np.linalg.pinv(dense_from_band(ab), rtol=1e-10, hermitian=True)
+        j_dense = r @ p_pinv @ r
+        assert abs(est.diagnostics["fit_j"] - j_dense) <= 1e-12 * j_dense
+        assert est.diagnostics["fit_dof"] == 501 - 6
+
+    def test_clock_ensemble_matches_dense_constrained(self):
+        """On the clock (m = 2992, rank P = 787 = 136 + 21 * 31) P is some 40
+        decades below X X^T, so the dense branch factors T = c P + X X^T with
+        c = ||X||_2^2 / max diag P; the estimate does not depend on c and
+        its covariance scales with it."""
+        spec = preset("clock-ensemble", tau=30)
+        traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
+                        input_signal=benchmark_input_signal(spec), seed=0)
+        sys_full = noise_level_obs(
+            build_design(spec.model, spec.structure, spec.L, spec.mode), traj)
+        ab = assemble_p(sys_full, gaussian_eta_covariances(spec.structure,
+                                                           spec.alpha_true, spec.L))
+        est = weighted_mdm(sys_full, ab)
+        assert est.method == "weighted-constrained"
+        assert (sys_full.n_rows, est.diagnostics["weight_rows"]) == (2992, 787)
+        c = np.linalg.norm(sys_full.design, 2) ** 2 / np.max(ab[0])
+        dense = weighted_mdm(sys_full, c * ab, branch="constrained")
+        scale = np.max(np.abs(dense.alpha_hat))
+        assert np.max(np.abs(est.alpha_hat - dense.alpha_hat)) <= 1e-12 * scale
+        assert (np.max(np.abs(est.cov - dense.cov / c))
+                <= 1e-12 * np.max(np.abs(est.cov)))
+
+    def test_row_cap_only_on_the_dense_branch(self):
+        """A 9000-row full-rank weight is solved banded; the dense branch
+        alone keeps the 8000-row cap."""
+        spec, sys_full = simulated_system("obs-ltv", tau=9000, seed=0)
+        assert sys_full.n_rows > P_DENSE_MAX_ROWS
+        est = weighted_pipeline(sys_full, spec.structure)
+        assert est.method == "weighted-full-rank"
+        assert est.diagnostics["weight_rows"] == sys_full.n_rows
+        etas = gaussian_eta_covariances(spec.structure,
+                                        est.diagnostics["alpha_ordinary"], 2)
+        message = (r"^weight matrix of size 9000 exceeds the dense assembly limit "
+                   r"8000; use the ordinary method or a shorter horizon$")
+        with pytest.raises(MdmError, match=message):
+            weighted_mdm(sys_full, assemble_p(sys_full, etas), branch="constrained")
+
+
+@given(window_cases(), st.integers(0, 2**32 - 1))
+def test_reduced_rows_are_the_rank_of_the_weight(case, seed):
+    """On random small models, the kept rows number rank P and their GLS
+    estimate is Rao's; the dense branch is taken only when P is singular
+    beyond the shared rows.  The dense reference is accurate to about
+    cond * eps, cond being that of P on its range, so only weights with
+    cond < 1e5 are compared."""
+    model, structure, L, mode = case
+    try:
+        sys0 = build_design(model, structure, L, mode)
+    except NoAnnihilator:
+        assume(False)
+    assume(sys0.rank == structure.n_alpha and sys0.reduction is not None)
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(0.5, 2.0, structure.n_alpha)
+    traj = simulate(model, structure, alpha, InitialCondition.default(model.n_x),
+                    seed=seed)
+    sys_full = noise_level_obs(sys0, traj)
+    ab = assemble_p(sys_full, gaussian_eta_covariances(structure, alpha, L))
+    lam = np.linalg.eigvalsh(dense_from_band(ab))
+    lam = lam[lam > 1e-10 * lam[-1] * lam.size]
+    assume(lam[-1] < 1e5 * lam[0])
+    est = weighted_mdm(sys_full, ab)
+    rank = numerical_rank(dense_from_band(ab))
+    if est.diagnostics["weight_rows"] is None:
+        event("dense branch")
+        assert sys0.reduction.n_rows > rank
+        return
+    event("kept rows")
+    assert est.diagnostics["weight_rows"] == sys0.reduction.n_rows == rank
+    alpha_ref, _ = rao_reference(ab, sys_full)
+    assert (np.max(np.abs(est.alpha_hat - alpha_ref))
+            <= 1e-12 * np.max(np.abs(alpha_ref)))
 
 
 class TestThreeStepPipeline:

@@ -20,7 +20,7 @@ from mdmest import (
     vec,
 )
 from mdmest.benchmarks import benchmark_input_signal
-from mdmest.model import MeasurementData, Trajectory, psd_factor
+from mdmest.model import MatrixSequence, MeasurementData, Trajectory, psd_factor
 import scipy.linalg
 
 from test_geometry import bitwise_equal, window_cases
@@ -122,6 +122,22 @@ class TestValidate:
         report = validate(model, NoiseStructure.from_pairs(
             [(np.eye(2), np.zeros((1, 1))), (np.zeros((2, 2)), np.ones((1, 1)))]))
         assert any("H_1" in f for f in report.findings)
+
+    def test_wrong_h_sequence_length_is_a_finding(self):
+        """An H sequence of neither 1 nor tau+1 entries beside a full D
+        sequence is reported, not a broadcasting error (a model built
+        directly; ``LtvModel.create`` rejects such a sequence first)."""
+        ok = LtvModel.create(n_x=1, n_w=1, n_v=1, tau=3, F=np.eye(1), G=None,
+                             E=np.eye(1), H=np.eye(1), D=[np.eye(1)] * 4)
+        model = LtvModel(n_x=1, n_w=1, n_v=1, tau=3, F=ok.F, G=ok.G, E=ok.E,
+                         H=MatrixSequence([np.eye(1)] * 2), D=ok.D)
+        structure = NoiseStructure.from_pairs(
+            [(np.eye(1), np.zeros((1, 1))), (np.zeros((1, 1)), np.eye(1))])
+        findings = ["H sequence has 2 entries, expected tau+1"]
+        assert validate(model, structure).findings == findings
+        with pytest.raises(ValidationError) as err:
+            simulate(model, structure, np.ones(2), seed=0)
+        assert err.value.findings == findings
 
     def test_asymmetric_basis_flagged(self):
         s = NoiseStructure.from_pairs(

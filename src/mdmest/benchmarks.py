@@ -217,6 +217,8 @@ def run_mc(spec: BenchmarkSpec, method: str = "ordinary",
     if method not in ("ordinary", "weighted"):
         raise ValueError("method must be 'ordinary' or 'weighted'")
     n_mc = spec.n_mc if n_mc is None else int(n_mc)
+    if n_mc < 1:
+        raise ValueError(f"n_mc must be at least 1, got {n_mc}")
     indices = np.arange(n_mc)
     if workers > 1 and n_mc > 1:
         chunks = np.array_split(indices, min(workers, n_mc))
@@ -234,7 +236,7 @@ def run_mc(spec: BenchmarkSpec, method: str = "ordinary",
         sample_mean=alphas.mean(axis=0),
         sample_cov_diag=alphas.var(axis=0, ddof=1) if n_mc > 1 else np.zeros(alphas.shape[1]),
         mean_est_cov_diag=ecovs.mean(axis=0) if ecovs is not None else None,
-        wall_time_per_run=elapsed / max(n_mc, 1),
+        wall_time_per_run=elapsed / n_mc,
         method=method,
         n_mc=n_mc,
     )

@@ -53,6 +53,19 @@ EXIT_NUMERICAL = 4
 EXIT_IO = 5
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an int no smaller than ``minimum`` (argparse names the
+    flag when it rejects one)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"              # argparse's message for a non-integer
+    return parse
+
+
 def _tolerance(args) -> Tolerance:
     return Tolerance(rank_tol=args.rank_tol, zero_tol=args.zero_tol)
 
@@ -177,7 +190,7 @@ def cmd_simulate(args) -> int:
     report = validate(bundle.model, bundle.structure)
     if not report.ok:
         raise ValidationError(report.findings)
-    model = _with_tau(bundle.model, args.tau) if args.tau else bundle.model
+    model = bundle.model if args.tau is None else _with_tau(bundle.model, args.tau)
 
     u = None
     if args.input_signal != "none" and model.has_input:
@@ -257,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="simulate a trajectory to a data file")
     p_sim.add_argument("--model", required=True)
-    p_sim.add_argument("--tau", type=int, default=None)
+    p_sim.add_argument("--tau", type=_int_at_least(0), default=None)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--input-signal", choices=("sine", "zero", "none"),
                        default="sine")
@@ -268,8 +281,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("preset", choices=PRESET_NAMES)
     p_bench.add_argument("--method", choices=("ordinary", "weighted"),
                          default="ordinary")
-    p_bench.add_argument("--n-mc", type=int, default=500)
-    p_bench.add_argument("--tau", type=int, default=1000)
+    p_bench.add_argument("--n-mc", type=_int_at_least(1), default=500)
+    p_bench.add_argument("--tau", type=_int_at_least(1), default=1000)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--workers", type=int, default=1)
     add_common(p_bench)

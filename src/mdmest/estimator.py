@@ -80,7 +80,8 @@ class WindowGeometry:
     """Data-independent quantities of one window (shared across MC runs).
 
     ``build_design`` computes them for many windows at once; the arrays are
-    views into those stacks (``ac`` into ``StackedSystem.ac``).
+    views into those stacks (``ac`` into ``StackedSystem.ac``, the
+    annihilator and ``gamma_g`` into the window's ``ResidueGroup``).
     """
 
     n_a: int
@@ -94,6 +95,27 @@ class WindowGeometry:
     @property
     def n_rows(self) -> int:
         return self.sel_i.size
+
+
+@dataclass
+class ResidueGroup:
+    """Windows whose residues N (Z - Gamma scriptG U) are one stacked product.
+
+    ``annihilator`` and ``gamma_g`` are the stacks ``build_design`` computed,
+    of which each window's ``WindowGeometry`` arrays are views: every matrix
+    keeps its own strides, and an LTI model's one window is broadcast with
+    stride 0.  np.matmul over such a stack makes, matrix by matrix, the
+    BLAS call the window's own product makes, so the residues are bitwise
+    the per-window ones; a re-laid-out copy (C- or F-contiguous, padded or
+    np.stack-ed) changes the call and the last bits.  Window ``windows[p]``
+    reads the concatenated records at z[z_index[p]] and u[u_index[p]].
+    """
+
+    windows: np.ndarray                # (g,) window indices
+    annihilator: np.ndarray            # (g, n_a, n_zkL)
+    gamma_g: np.ndarray | None         # (g, n_zkL, n_ukL); None without an input
+    z_index: np.ndarray                # (g, n_zkL)
+    u_index: np.ndarray | None         # (g, n_ukL)
 
 
 @dataclass
@@ -135,10 +157,11 @@ class StackedSystem:
     ``windows`` carries the per-window geometry; for LTI models all entries
     reference one shared object.  ``ac`` stacks every window's ``ac``,
     zero-padded at the bottom to the widest window's rows (a broadcast view
-    for LTI models).  The design facts below are computed once, by
-    ``build_design``, from one SVD of design / scale, which ordinary LS reuses;
-    ``reduction`` is None when no window shares a residue direction with
-    its predecessor.
+    for LTI models).  ``residue_groups`` cover every window once and give
+    ``with_data`` one stacked product per group.  The design facts below
+    are computed once, by ``build_design``, from one SVD of design / scale,
+    which ordinary LS reuses; ``reduction`` is None when no window shares a
+    residue direction with its predecessor.
     """
 
     obs: np.ndarray | None
@@ -147,6 +170,7 @@ class StackedSystem:
     L: int
     mode: str
     windows: list[WindowGeometry]
+    residue_groups: list[ResidueGroup]
     ac: np.ndarray                     # (n_windows, max n_a, n_eps)
     n_eps: int
     model: LtvModel
@@ -185,7 +209,7 @@ class StackedSystem:
         """
         if isinstance(data, Trajectory):
             data = MeasurementData.from_trajectory(data)
-        z, z_off, u, u_off = _checked_records(self.model, data, self.mode)
+        z, z_off, u = _checked_records(self.model, data, self.mode)
         L = self.L
         n_records = self.n_windows + L - 1
         if z_off.size - 1 != n_records:
@@ -197,25 +221,18 @@ class StackedSystem:
         if not finite.all():
             raise DataError(f"record k={_record_of(z_off, np.argmin(finite))}: "
                             "measurement or residue is not finite")
-        z_off = z_off.tolist()
-        u_off = u_off.tolist() if u is not None else None
-        # one residue stack per residue size; the annihilator is applied
-        # window by window, which batched products do not match bitwise
-        windows, offs = self.windows, self.row_offsets
-        rows = np.diff(offs)
+        # one stacked product per residue group: np.matmul over the stored
+        # stacks makes each window's own BLAS call (see ResidueGroup), so
+        # every residue is bitwise the per-window annihilator @ z
         obs = np.empty(self.n_rows)
-        for n_rows in np.unique(rows).tolist():
-            ks = np.flatnonzero(rows == n_rows)
-            first = windows[ks[0]]
-            zt = np.empty((ks.size, first.n_a))
-            for p, k in enumerate(ks.tolist()):
-                w = windows[k]
-                zk = z[z_off[k]:z_off[k + L]]
-                if u is not None and w.gamma_g is not None:
-                    zk = zk - w.gamma_g @ u[u_off[k]:u_off[k + L - 1]]
-                zt[p] = w.annihilator @ zk
-            obs[offs[ks, None] + np.arange(n_rows)] = (zt[:, first.sel_i]
-                                                       * zt[:, first.sel_j])
+        for g in self.residue_groups:
+            zw = z[g.z_index]
+            if u is not None and g.gamma_g is not None:
+                zw = zw - np.matmul(g.gamma_g, u[g.u_index][..., None])[..., 0]
+            zt = np.matmul(g.annihilator, zw[..., None])[..., 0]
+            sel_i, sel_j = sym_pair_indices(zt.shape[1])
+            rows = self.row_offsets[g.windows, None] + np.arange(sel_i.size)
+            obs[rows] = zt[:, sel_i] * zt[:, sel_j]
         finite = np.isfinite(obs)
         if not finite.all():
             # finite measurements whose residue overflows
@@ -285,8 +302,9 @@ def _warn_near_threshold(factored) -> None:
 
 def _window_geometries(blocks, mode: str, upsilon: np.ndarray, tol: Tolerance):
     """The geometry of the windows in ``blocks``, indexed by window start,
-    their ``ac`` stacked as ``StackedSystem.ac`` holds it, and their
-    annihilators stacked the same way (zero-padded at the bottom and right).
+    their ``ac`` stacked as ``StackedSystem.ac`` holds it, their
+    annihilators stacked the same way (zero-padded at the bottom and right),
+    and per shape-and-rank group (window starts, annihilators, gamma_g).
 
     One SVD call per shape group gives every window's annihilator by the
     shared rank rule; the windows are then regrouped by rank and their
@@ -311,6 +329,7 @@ def _window_geometries(blocks, mode: str, upsilon: np.ndarray, tol: Tolerance):
     n_eps = blocks[0].scriptE.shape[-1] + blocks[0].scriptD.shape[-1]
     ac_all = np.zeros((len(windows), n_a_max, n_eps))
     ann_all = np.zeros((len(windows), n_a_max, max(b.O.shape[1] for b in blocks)))
+    groups = []
     for b, u, _, rank, _ in factored:
         gamma_g = None
         if mode == KNOWN_INPUT and b.scriptG.shape[-1] > 0:
@@ -319,6 +338,8 @@ def _window_geometries(blocks, mode: str, upsilon: np.ndarray, tol: Tolerance):
         for r in np.unique(rank).tolist():
             idx = np.flatnonzero(rank == r)
             n = u[idx][:, :, r:].transpose(0, 2, 1)
+            g_g = None if gamma_g is None else gamma_g[idx]
+            groups.append((b.ks[idx], n, g_g))
             ac = np.concatenate([n @ b.Gamma[idx], n], axis=2) @ c_mat[idx]
             ac_all[b.ks[idx], :n.shape[1]] = ac
             ann_all[b.ks[idx], :n.shape[1], :n.shape[2]] = n
@@ -328,12 +349,33 @@ def _window_geometries(blocks, mode: str, upsilon: np.ndarray, tol: Tolerance):
             for p, w in enumerate(idx.tolist()):
                 windows[b.ks[w]] = WindowGeometry(
                     n_a=n.shape[1], annihilator=n[p],
-                    gamma_g=None if gamma_g is None else gamma_g[w],
+                    gamma_g=None if g_g is None else g_g[p],
                     ac=ac_all[b.ks[w], :n.shape[1]],
                     sel_i=sel_i, sel_j=sel_j,
                     design_block=design[p],
                 )
-    return windows, ac_all, ann_all
+    return windows, ac_all, ann_all, groups
+
+
+def _residue_groups(model: LtvModel, n_windows: int, groups) -> list[ResidueGroup]:
+    """``_window_geometries``' groups with their record indices; an LTI
+    model's one window stands for all ``n_windows``, by stride-0 broadcast."""
+    z_start = np.concatenate(([0], np.cumsum(model.n_z_steps())))
+    u_start = np.concatenate(([0], np.cumsum(model.n_u_steps())))
+    out = []
+    for ks, ann, gamma_g in groups:
+        if model.is_lti:
+            ks = np.arange(n_windows)
+            ann = np.broadcast_to(ann, (n_windows,) + ann.shape[1:])
+            if gamma_g is not None:
+                gamma_g = np.broadcast_to(gamma_g, (n_windows,) + gamma_g.shape[1:])
+        out.append(ResidueGroup(
+            windows=ks, annihilator=ann, gamma_g=gamma_g,
+            z_index=z_start[ks, None] + np.arange(ann.shape[2]),
+            u_index=None if gamma_g is None
+            else u_start[ks, None] + np.arange(gamma_g.shape[2]),
+        ))
+    return out
 
 
 def _kept_pair_transforms(q: np.ndarray, d: int) -> np.ndarray:
@@ -520,7 +562,7 @@ def build_design(model: LtvModel, structure: NoiseStructure, L: int, mode: str,
 def _design(model: LtvModel, upsilon: np.ndarray, L: int, mode: str,
             tol: Tolerance, n_windows: int, blocks) -> StackedSystem:
     try:
-        windows, ac, ann = _window_geometries(blocks, mode, upsilon, tol)
+        windows, ac, ann, groups = _window_geometries(blocks, mode, upsilon, tol)
     except NoAnnihilator as exc:
         try:
             exc.minimal_feasible_l = min_feasible_window(model, mode, tol)
@@ -542,7 +584,8 @@ def _design(model: LtvModel, upsilon: np.ndarray, L: int, mode: str,
         null_basis, _ = np.linalg.qr(vt[rank:].T / scale[:, None])
     return StackedSystem(
         obs=None, design=design, row_offsets=row_offsets, L=L, mode=mode,
-        windows=windows, ac=ac, n_eps=(L - 1) * model.n_w + L * model.n_v,
+        windows=windows, residue_groups=_residue_groups(model, n_windows, groups),
+        ac=ac, n_eps=(L - 1) * model.n_w + L * model.n_v,
         model=model, scale=scale, rank=rank, rank_threshold=thr,
         null_basis=null_basis, u=u, s=s, vt=vt, reduction=reduction,
     )
@@ -578,26 +621,29 @@ def _flat_records(kind: str, values, expected: np.ndarray):
 
 
 def _checked_records(model: LtvModel, data: MeasurementData, mode: str):
-    """(z, z offsets, u, u offsets) of the records, flat; u and its offsets
-    are None unless a known input is given."""
+    """(z, z offsets, u) of the records, flat; u is None unless a known
+    input is given."""
     if len(data) > model.tau + 1:
         raise DataError(
             f"data has {len(data)} records but the model horizon is tau={model.tau}"
         )
     z, z_off = _flat_records("z", data.zs, model.n_z_steps())
     if mode != KNOWN_INPUT:
-        return z, z_off, None, None
+        return z, z_off, None
     if data.us is None:
         if any(np.any(model.G[k]) for k in range(len(model.G))):
             logger.warning("data carries no input records; assuming zero input")
-        return z, z_off, None, None
+        return z, z_off, None
+    if len(data.us) < len(data) - 1:
+        raise DataError(f"data has {len(data.us)} input records but its "
+                        f"{len(data)} measurement records need {len(data) - 1}")
     u, u_off = _flat_records("u", data.us, model.n_u_steps())
     # checked before the input correction, whose product would warn
     finite = np.isfinite(u)
     if not finite.all():
         raise DataError(f"record k={_record_of(u_off, np.argmin(finite))}: "
                         "input is not finite")
-    return z, z_off, u, u_off
+    return z, z_off, u
 
 
 def build_stacked_system(model: LtvModel, structure: NoiseStructure, data,
@@ -860,6 +906,11 @@ def _factors_shifted(ab: np.ndarray, shift: float) -> bool:
     return scipy.linalg.lapack.dpbtrf(shifted, lower=1)[1] == 0
 
 
+def _design_norm2(sys: StackedSystem) -> float:
+    """||design||_2^2, from design == u diag(s) vt diag(scale)."""
+    return float(np.linalg.norm(sys.s[:, None] * sys.vt * sys.scale, 2) ** 2)
+
+
 def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
                  tol: Tolerance = DEFAULT_TOL, branch: str = "auto") -> Estimate:
     """Weighted LS solution with the eta covariance estimate as weight.
@@ -879,11 +930,12 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
     and when it passes the full-rank test on its own m_r rows it is factored
     by banded Cholesky, O(m_r b_r^2).  Otherwise (P singular beyond the
     shared rows, no shared rows, or ``branch="constrained"``) the
-    estimator uses a g-inverse of T = P + design design^T from its dense
-    pivoted Cholesky factor (pivot tolerance rank_tol max(diag T) m), and
-    the reported covariance subtracts the identity; this branch alone is
-    refused above P_DENSE_MAX_ROWS rows.  Every whitened problem is solved
-    like the ordinary one.  A banded solve reports the fit statistic
+    estimator uses a g-inverse of T = c P + design design^T from its dense
+    pivoted Cholesky factor (pivot tolerance rank_tol max(diag T) m), with
+    c = ||design||_2^2 / max diag P (1 when P == 0) balancing the terms; the
+    reported covariance subtracts the identity and divides by c.  This
+    branch alone is refused above P_DENSE_MAX_ROWS rows.  Every whitened
+    problem is solved like the ordinary one.  A banded solve reports the fit statistic
     J = r^T P^+ r of the residual r, its degrees of freedom (rows solved on
     minus n_alpha) and those rows (``weight_rows``); the dense branch
     reports None.  ``branch`` ("full-rank" / "constrained") forces a path.
@@ -911,10 +963,8 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
     is_full = full_rank(ab)
     if not is_full:
         # the negativity floor uses the regression scale ||design||_2^2 too,
-        # so a numerically-zero weight falls through to the constrained
-        # branch; design == u diag(s) vt diag(scale) gives the norm
-        design_scale = np.linalg.norm(sys.s[:, None] * sys.vt * sys.scale, 2) ** 2
-        floor = tol.rank_tol * max(float(np.max(ab[0])), design_scale)
+        # so a numerically-zero weight falls through to the constrained branch
+        floor = tol.rank_tol * max(float(np.max(ab[0])), _design_norm2(sys))
         if not _factors_shifted(ab, floor):
             lam_min = float(scipy.linalg.eigvals_banded(
                 ab, lower=True, select="i", select_range=(0, 0))[0])
@@ -949,13 +999,18 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
                 f"weight matrix of size {m} exceeds the dense assembly limit "
                 f"{P_DENSE_MAX_ROWS}; use the ordinary method or a shorter horizon"
             )
-        # T = P + design design^T, of which pstrf reads the lower triangle;
+        # T = c P + design design^T, of which pstrf reads the lower triangle;
         # the transpose of the symmetric product is Fortran-ordered, so T is
-        # built and factored in place
+        # built and factored in place.  c (``balance``) = ||design||_2^2 /
+        # max diag P balances the two terms, so that P is not lost below
+        # design design^T; the estimate does not depend on c, the
+        # covariance scales with it
+        d_max = float(np.max(ab[0]))
+        balance = _design_norm2(sys) / d_max if d_max > 0.0 else 1.0
         t = (sys.design @ sys.design.T).T
         for j in range(ab.shape[0]):
             i = np.arange(j, m)
-            t[i, i - j] += ab[j, :m - j]
+            t[i, i - j] += balance * ab[j, :m - j]
         c, piv, rank, _ = scipy.linalg.lapack.dpstrf(
             t, tol=rank_floor(np.diag(t)), lower=1, overwrite_a=1)
         # T[piv][:, piv] = F F^T, F = c[:, :rank] lower; with F_11 its leading
@@ -970,7 +1025,7 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
         weight_rows = band.shape[1]
         fit_j, fit_dof = float(resid @ resid), weight_rows - sys.n_alpha
     else:
-        cov = cov - np.eye(sys.n_alpha)
+        cov = (cov - np.eye(sys.n_alpha)) / balance
     return Estimate(
         alpha_hat=alpha, cov=cov, rank=sys.rank,
         method="weighted-full-rank" if use_full else "weighted-constrained",

@@ -106,7 +106,11 @@ def default_init():
 
 
 # Property tests run a fixed, bounded set of examples so the suite is
-# reproducible and stays fast; no example database is written.
+# reproducible and stays fast; no example database is written.  The
+# "bitwise" profile is the same with ten times the examples, for a deeper
+# run of the bitwise guards (pytest --hypothesis-profile=bitwise; a profile
+# named on the command line is loaded after this file).
 settings.register_profile("tier1", derandomize=True, max_examples=60,
                           deadline=None, database=None)
+settings.register_profile("bitwise", settings.get_profile("tier1"), max_examples=600)
 settings.load_profile("tier1")

@@ -15,6 +15,7 @@ from mdmest import (
     preset,
     run_mc,
     simulate,
+    weighted_pipeline,
 )
 from mdmest.benchmarks import benchmark_input_signal
 
@@ -110,6 +111,29 @@ class TestRunMc:
         sys_full = build_stacked_system(spec.model, spec.structure, traj, spec.L)
         est = ordinary_mdm(sys_full)
         assert np.array_equal(res.estimates[0], est.alpha_hat)
+
+    @pytest.mark.parametrize("name, tau", [("obs-ltv", 200), ("unobs-unknown-input", 100)])
+    def test_weighted_matches_public_pipeline(self, name, tau):
+        """Each run's weighted estimate and covariance are, bit for bit,
+        ``weighted_pipeline`` on ``build_stacked_system`` of its trajectory."""
+        spec = preset(name, tau=tau, n_mc=5, seed=11)
+        res = run_mc(spec, "weighted")
+        mode = UNKNOWN_INPUT if spec.mode == UNKNOWN_INPUT else KNOWN_INPUT
+        covs = []
+        for i in range(spec.n_mc):
+            traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
+                            input_signal=benchmark_input_signal(spec), seed=spec.seed + i)
+            sys_full = build_stacked_system(spec.model, spec.structure, traj, spec.L,
+                                            mode)
+            est = weighted_pipeline(sys_full, spec.structure)
+            assert np.array_equal(res.estimates[i], est.alpha_hat), i
+            covs.append(np.diag(est.cov))
+        assert np.array_equal(res.mean_est_cov_diag, np.array(covs).mean(axis=0))
+
+    @pytest.mark.parametrize("n_mc", [0, -2])
+    def test_run_count_below_one_is_rejected(self, n_mc):
+        with pytest.raises(ValueError, match="n_mc must be at least 1"):
+            run_mc(preset("obs-ltv", tau=50), "ordinary", n_mc=n_mc)
 
     def test_worker_pool_is_deterministic(self):
         spec = preset("obs-ltv", tau=100, n_mc=8, seed=5)

@@ -141,6 +141,22 @@ class TestSimulateIdentify:
               "--out", str(out2)])
         assert (out1 / "data.jsonl").read_bytes() == (out2 / "data.jsonl").read_bytes()
 
+    def test_simulate_tau_zero_writes_one_record(self, tmp_path, obs_ltv_model_file):
+        out = tmp_path / "o"
+        assert main(["simulate", "--model", str(obs_ltv_model_file), "--tau", "0",
+                     "--out", str(out)]) == 0
+        assert len((out / "data.jsonl").read_text().splitlines()) == 1
+        assert json.loads((out / "data.meta.json").read_text())["tau"] == 0
+
+    @pytest.mark.parametrize("model", ["obs_ltv_model_file", "unknown_input_model_file"])
+    def test_simulate_negative_tau_names_the_flag(self, tmp_path, capsys, request,
+                                                  model):
+        path = request.getfixturevalue(model)
+        assert main(["simulate", "--model", str(path), "--tau=-1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "argument --tau: must be at least 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_simulate_requires_alpha_true(self, tmp_path):
         spec = preset("obs-ltv", tau=50)
         path = tmp_path / "model.json"
@@ -211,6 +227,14 @@ class TestBenchmarkCommand:
                      "obs-ltv_ordinary_runs.csv"):
             assert (out / name).exists()
         assert "alpha_1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n_mc", ["0", "-2"])
+    def test_run_count_below_one_names_the_flag(self, tmp_path, capsys, n_mc):
+        assert main(["benchmark", "obs-ltv", f"--n-mc={n_mc}", "--tau", "50",
+                     "--out", str(tmp_path / "b")]) == 2
+        assert (f"argument --n-mc: must be at least 1, got {n_mc}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "b").exists()
 
     def test_unknown_preset_usage_error(self, tmp_path):
         assert main(["benchmark", "not-a-preset", "--out", str(tmp_path)]) == 2

@@ -111,6 +111,18 @@ class TestBuildStackedSystem:
         with pytest.raises(DataError, match="record k=5"):
             build_stacked_system(spec.model, spec.structure, data, 2)
 
+    def test_missing_input_records_rejected(self):
+        spec = preset("obs-ltv", tau=20)
+        traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
+                        input_signal=benchmark_input_signal(spec), seed=0)
+        data = MeasurementData.from_trajectory(traj)
+        data.us = data.us[:-2]
+        with pytest.raises(DataError, match="data has 19 input records but its "
+                                            "21 measurement records need 20"):
+            build_stacked_system(spec.model, spec.structure, data, 2)
+        data.us = data.us[:-1] + [np.zeros(1)] * 2
+        build_stacked_system(spec.model, spec.structure, data, 2)
+
     @pytest.mark.parametrize("name, warns", [("clock-ensemble", False),
                                              ("obs-ltv", True)])
     def test_zero_input_warning_only_for_effective_input(self, caplog, name, warns):
@@ -537,6 +549,25 @@ class TestReducedRows:
         assert np.max(np.abs(est.alpha_hat - dense.alpha_hat)) <= 1e-12 * scale
         assert (np.max(np.abs(est.cov - dense.cov / c))
                 <= 1e-12 * np.max(np.abs(est.cov)))
+
+    def test_clock_ensemble_dense_branch_balances_the_weight(self):
+        """The dense branch balances P against X X^T itself: on the clock at
+        tau=30, where an unbalanced T loses P (rank 4 < 8), it gives the
+        kept-row estimate from the unscaled weight."""
+        spec = preset("clock-ensemble", tau=30)
+        traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
+                        input_signal=benchmark_input_signal(spec), seed=0)
+        sys_full = noise_level_obs(
+            build_design(spec.model, spec.structure, spec.L, spec.mode), traj)
+        ab = assemble_p(sys_full, gaussian_eta_covariances(spec.structure,
+                                                           spec.alpha_true, spec.L))
+        est = weighted_mdm(sys_full, ab)
+        dense = weighted_mdm(sys_full, ab, branch="constrained")
+        assert dense.method == "weighted-constrained"
+        assert dense.diagnostics["weight_rows"] is None
+        scale = np.max(np.abs(dense.alpha_hat))
+        assert np.max(np.abs(est.alpha_hat - dense.alpha_hat)) <= 1e-12 * scale
+        assert np.max(np.abs(est.cov - dense.cov)) <= 1e-12 * np.max(np.abs(est.cov))
 
     def test_row_cap_only_on_the_dense_branch(self):
         """A 9000-row full-rank weight is solved banded; the dense branch

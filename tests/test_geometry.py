@@ -75,6 +75,11 @@ def bitwise_equal(a, b):
     return a.shape == b.shape and a.tobytes() == np.ascontiguousarray(b).tobytes()
 
 
+def layout(a):
+    """The strides of a's axes longer than 1 (the others are never stepped)."""
+    return tuple(st for st, n in zip(a.strides, a.shape) if n > 1)
+
+
 def assert_geometry_matches_reference(model, structure, L, mode):
     n_windows = model.tau + 2 - L
     upsilon = defining_replication(structure, L)
@@ -98,6 +103,21 @@ def assert_geometry_matches_reference(model, structure, L, mode):
                                  getattr(reference_block(model, k, L), name))
     if model.is_lti:
         assert all(w is sys0.windows[0] for w in sys0.windows)
+    # the residue groups cover every window once, and their stacks hold
+    # each window's own arrays at the window's own strides
+    covered = np.concatenate([g.windows for g in sys0.residue_groups])
+    assert np.array_equal(np.sort(covered), np.arange(n_windows))
+    for g in sys0.residue_groups:
+        for p, k in enumerate(g.windows.tolist()):
+            w = sys0.windows[k]
+            for name in ("annihilator", "gamma_g"):
+                stacked, own = getattr(g, name), getattr(w, name)
+                if own is None:
+                    assert stacked is None
+                    continue
+                assert layout(stacked[p]) == layout(own), (k, name)
+                assert np.shares_memory(stacked, own), (k, name)
+                assert bitwise_equal(stacked[p], own), (k, name)
     blocks = [refs[0 if model.is_lti else k]["design_block"] for k in range(n_windows)]
     assert bitwise_equal(sys0.design, np.vstack(blocks))
 

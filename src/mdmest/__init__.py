@@ -38,6 +38,7 @@ from .model import (
     assemble_qr,
     defining_replication,
     simulate,
+    simulate_runs,
     validate,
 )
 from .residue import (

@@ -34,13 +34,20 @@ from .model import (
     LtvModel,
     MeasurementData,
     NoiseStructure,
-    simulate,
+    simulate_runs,
 )
 
 __all__ = ["BenchmarkSpec", "McResult", "PRESET_NAMES", "preset",
            "benchmark_input_signal", "run_mc", "emit_table", "emit_plot_data"]
 
 PRESET_NAMES = ("clock-ensemble", "unobs-unknown-input", "obs-ltv")
+
+# Monte-Carlo runs are simulated in chunks of at most _RUN_CHUNK runs, and of
+# few enough that a chunk's (runs, tau+1, width) arrays hold at most
+# _CHUNK_ELEMENTS floats each (256 KiB); a chunk's arrays live until its
+# last run is identified
+_RUN_CHUNK = 32
+_CHUNK_ELEMENTS = 2 ** 15
 
 
 @dataclass
@@ -176,20 +183,31 @@ def _estimator_mode(spec_mode: str) -> str:
     return UNKNOWN_INPUT if spec_mode == UNKNOWN_INPUT else KNOWN_INPUT
 
 
+def _trajectories(spec: BenchmarkSpec, indices):
+    """The trajectories of runs ``indices`` (seeds seed + i), simulated a
+    chunk of runs at a time as the caller reaches them."""
+    model = spec.model
+    width = max(model.n_x, model.n_w, model.n_v, int(model.n_z_steps().max()))
+    size = max(1, min(_RUN_CHUNK, _CHUNK_ELEMENTS // ((model.tau + 1) * width)))
+    u_sim = benchmark_input_signal(spec)
+    for start in range(0, len(indices), size):
+        seeds = [spec.seed + int(i) for i in indices[start:start + size]]
+        yield from simulate_runs(model, spec.structure, spec.alpha_true, spec.init,
+                                 input_signal=u_sim, seeds=seeds)
+
+
 def _run_range(spec: BenchmarkSpec, method: str, indices, tol: Tolerance):
     """Identify runs ``indices``; the design is built once for all of them."""
     design = build_design(spec.model, spec.structure, spec.L,
                           _estimator_mode(spec.mode), tol)
-    u_sim = benchmark_input_signal(spec)
     include_u = spec.mode == KNOWN_INPUT and spec.model.has_input
 
     alphas = np.empty((len(indices), spec.structure.n_alpha))
     ecovs = np.empty_like(alphas) if method == "weighted" else None
     elapsed = 0.0
+    trajectories = _trajectories(spec, indices)
     for row, i in enumerate(indices):
-        traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
-                        input_signal=u_sim, seed=spec.seed + i)
-        data = MeasurementData.from_trajectory(traj, include_u=include_u)
+        data = MeasurementData.from_trajectory(next(trajectories), include_u=include_u)
         t0 = time.perf_counter()
         try:
             sys = design.with_data(data)
@@ -203,6 +221,9 @@ def _run_range(spec: BenchmarkSpec, method: str, indices, tol: Tolerance):
             exc.args = (f"run with seed {spec.seed + i} failed: {exc}",)
             raise
         elapsed += time.perf_counter() - t0
+        # no view of this chunk outlives its last run: the next chunk is
+        # simulated while the loop waits for its first run
+        del data, sys
     return alphas, ecovs, elapsed
 
 

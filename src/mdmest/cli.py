@@ -46,6 +46,8 @@ from .model import (
     validate,
 )
 
+logger = logging.getLogger(__name__)
+
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
@@ -135,6 +137,9 @@ def cmd_identify(args) -> int:
     t0 = time.perf_counter()
     sys_full = _resolve_l(args, bundle.model, bundle.structure, mode, tol,
                           n_records=len(data)).with_data(data)
+    logger.info("identify: L=%d, %d windows, %d rows, design rank %d of %d",
+                sys_full.L, sys_full.n_windows, sys_full.n_rows, sys_full.rank,
+                sys_full.n_alpha)
     ident = identifiability_report(sys_full, tol)
     try:
         if args.method == "ordinary":
@@ -145,6 +150,8 @@ def cmd_identify(args) -> int:
         _print_identifiability(ident)
         raise
     wall = time.perf_counter() - t0
+    logger.debug("identify: %s estimate in %.3f s, diagnostics %s", est.method, wall,
+                 est.diagnostics)
 
     q_hat, r_hat = assemble_qr(bundle.structure, est.alpha_hat)
     out_dir = Path(args.out)
@@ -250,6 +257,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="mdmest",
         description="Noise covariance identification for linear state-space models",
     )
+    parser.add_argument("--log-level", choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                        default="WARNING",
+                        help="least severe log record shown on stderr "
+                             "(default WARNING)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
@@ -306,6 +317,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    logging.getLogger(__package__).setLevel(args.log_level)
     try:
         return args.func(args)
     except (ValidationError, DataError) as exc:

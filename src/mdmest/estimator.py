@@ -1024,8 +1024,12 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
         resid = b_w - a_w @ alpha
         weight_rows = band.shape[1]
         fit_j, fit_dof = float(resid @ resid), weight_rows - sys.n_alpha
+        logger.info("weighted solve: banded Cholesky of the %s weight on %d of %d rows",
+                    "full-rank" if use_full else "kept-row", weight_rows, m)
     else:
         cov = (cov - np.eye(sys.n_alpha)) / balance
+        logger.info("weighted solve: dense g-inverse of the singular weight, "
+                    "pivoted rank %d of %d rows", rank, m)
     return Estimate(
         alpha_hat=alpha, cov=cov, rank=sys.rank,
         method="weighted-full-rank" if use_full else "weighted-constrained",

@@ -15,7 +15,9 @@ so identification estimates the weight vector alpha.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import getitem
 
 import numpy as np
@@ -35,6 +37,7 @@ __all__ = [
     "defining_replication",
     "validate",
     "simulate",
+    "simulate_runs",
     "psd_factor",
 ]
 
@@ -375,17 +378,18 @@ def _shape_groups(seq: MatrixSequence, n: int):
 
 def _step_products(seq: MatrixSequence, vecs: np.ndarray, n: int,
                    fill: float = 0.0) -> np.ndarray:
-    """Row k < n holds seq[k] @ vecs[k, :cols] in its first seq[k].shape[0]
-    entries; the rest of the row, and every row whose matrix has no
-    columns, is ``fill``.
+    """``out[r, k]`` (k < n) holds seq[k] @ vecs[r, k, :cols] in its first
+    seq[k].shape[0] entries; the rest of the row, and every row whose
+    matrix has no columns, is ``fill``.  ``vecs`` is (runs, steps, width).
 
-    One stacked matmul per matrix shape.  On C-contiguous stacks it takes
-    the same kernel as the per-step product, so the two agree bitwise.
+    One stacked matmul per matrix shape over the (runs, steps) axes.  On
+    C-contiguous stacks it takes the same kernel as the per-step product,
+    so the two agree bitwise.
     """
-    out = np.full((n, int(seq.shapes[:, 0].max())), fill)
+    out = np.full((vecs.shape[0], n, int(seq.shapes[:, 0].max())), fill)
     for rows, cols, ks in _shape_groups(seq, n):
         if cols:
-            out[ks, :rows] = np.matmul(seq.take(ks), vecs[ks, :cols, None])[:, :, 0]
+            out[:, ks, :rows] = np.matmul(seq.take(ks), vecs[:, ks, :cols, None])[..., 0]
     return out
 
 
@@ -428,6 +432,97 @@ def _input_steps(input_signal, n_u: np.ndarray) -> tuple[list[np.ndarray], np.nd
     return steps, padded
 
 
+def _initial_state(init: InitialCondition, n_x: int) -> tuple[np.ndarray, np.ndarray]:
+    """``init``'s mean and covariance as float arrays; raises ValidationError
+    naming each one whose shape is not (n_x,) / (n_x, n_x) or that holds a
+    non-finite entry."""
+    mean = np.asarray(init.mean, dtype=float)
+    cov = np.asarray(init.cov, dtype=float)
+    findings = []
+    for name, a, shape in (("init.mean", mean, (n_x,)), ("init.cov", cov, (n_x, n_x))):
+        if a.shape != shape:
+            findings.append(f"{name} has shape {a.shape}, expected {shape}")
+        elif not np.isfinite(a).all():
+            findings.append(f"{name} contains non-finite entries")
+    if findings:
+        raise ValidationError(findings)
+    return mean, cov
+
+
+def simulate_runs(model: LtvModel, structure: NoiseStructure, alpha_true,
+                  init: InitialCondition | None = None, input_signal=None,
+                  seeds=(0,)) -> Iterator[Trajectory]:
+    """One trajectory per entry of ``seeds``, each exactly ``simulate``'s
+    for that seed, simulated together.
+
+    The checks, the noise factors and the input are made once for all
+    runs.  Each run draws its own noises from its own seed; E w, G u, H x
+    and D v are stacked products over the (runs, steps) axes, and the state
+    recursion steps all runs at once: np.matmul(F_k, X[..., None]) on the
+    (runs, n_x) state X is a per-matrix product, so per run it gives the
+    bits of F_k @ x (X @ F_k.T would not).  Returns an iterator that builds
+    each run's Trajectory only when it is reached; the trajectories are
+    views of arrays shared by the runs.
+    """
+    findings = _shape_findings(model, structure)
+    if findings:
+        raise ValidationError(findings)
+    if init is None:
+        init = InitialCondition.default(model.n_x)
+    mean, cov = _initial_state(init, model.n_x)
+    if not np.isfinite(np.asarray(alpha_true, dtype=float)).all():
+        raise ValidationError(["alpha_true contains non-finite entries"])
+    q, r = assemble_qr(structure, alpha_true)
+    s_q = psd_factor(q)
+    s_r = psd_factor(r)
+    s_x = psd_factor(cov)
+    us: list[np.ndarray] | None = None
+    if input_signal is not None:
+        us, u = _input_steps(input_signal, model.n_u_steps())
+
+    tau, n_x, n_v = model.tau, model.n_x, model.n_v
+    seeds = list(seeds)
+    xs = np.empty((len(seeds), tau + 1, n_x))
+    ws = np.empty((len(seeds), tau, model.n_w))
+    vs = np.empty((len(seeds), tau + 1, n_v))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        xs[i, 0] = mean + s_x @ rng.standard_normal(n_x)
+        noise = rng.standard_normal((tau + 1, n_v + model.n_w))
+        vs[i] = noise[:, :n_v] @ s_r.T
+        ws[i] = noise[:tau, n_v:] @ s_q.T
+
+    ew = _step_products(model.E, ws, tau)
+    gu = repeat(None)
+    if us is not None:
+        # -0.0 is the exact identity of addition: a step without inputs
+        # adds nothing, as if skipped
+        gu = _step_products(model.G, u[None], tau, fill=-0.0)[0, :, :, None]
+    # step k of the state is the (runs, n_x, 1) view xk[k]; each step is
+    # written in place
+    xk = xs.transpose(1, 0, 2)[..., None]
+    for f, e, g, x, x_next in zip(model.F.take(np.arange(tau)),
+                                  ew.transpose(1, 0, 2)[..., None], gu, xk, xk[1:]):
+        np.add(np.matmul(f, x), e, out=x_next)
+        if g is not None:
+            x_next += g
+    del ew
+    zm = _step_products(model.H, xs, tau + 1)
+    zm += _step_products(model.D, vs, tau + 1)
+    # z_k is the first n_z[k] entries of row k, a view (the whole row when
+    # n_z does not change with k)
+    n_z = model.n_z_steps()
+    cuts = list(map(slice, n_z.tolist())) if (n_z != zm.shape[2]).any() else None
+
+    def trajectories():
+        for i in range(len(seeds)):
+            zs = list(zm[i]) if cuts is None else list(map(getitem, zm[i], cuts))
+            yield Trajectory(xs=xs[i], zs=zs, us=None if us is None else list(us),
+                             ws=ws[i], vs=vs[i])
+
+    return trajectories()
+
+
 def simulate(model: LtvModel, structure: NoiseStructure, alpha_true,
              init: InitialCondition | None = None, input_signal=None,
              seed: int = 0) -> Trajectory:
@@ -443,44 +538,13 @@ def simulate(model: LtvModel, structure: NoiseStructure, alpha_true,
     of any other sequence (whose lengths may then change with k); steps
     beyond tau are ignored.  E w, G u, H x and D v are formed for all steps
     at once, one stacked product per matrix shape; only the state recursion
-    runs step by step, adding its terms in the order F x + E w + G u.
+    runs step by step, adding its terms in the order F x + E w + G u.  This
+    is ``simulate_runs`` for the one seed.
 
     A model or structure whose shapes do not fit raises ValidationError with
-    ``validate``'s findings; finiteness is left to ``validate``.
+    ``validate``'s findings (their finiteness is left to ``validate``); so
+    does an ``init`` of the wrong shape, and a non-finite ``alpha_true`` or
+    ``init``.
     """
-    findings = _shape_findings(model, structure)
-    if findings:
-        raise ValidationError(findings)
-    if init is None:
-        init = InitialCondition.default(model.n_x)
-    q, r = assemble_qr(structure, alpha_true)
-    s_q = psd_factor(q)
-    s_r = psd_factor(r)
-    s_x = psd_factor(np.asarray(init.cov, dtype=float))
-
-    tau = model.tau
-    rng = np.random.default_rng(seed)
-    x0 = np.asarray(init.mean, dtype=float) + s_x @ rng.standard_normal(model.n_x)
-    noise = rng.standard_normal((tau + 1, model.n_v + model.n_w))
-    vs = noise[:, : model.n_v] @ s_r.T
-    ws = noise[: tau, model.n_v:] @ s_q.T
-
-    us: list[np.ndarray] | None = None
-    ew = _step_products(model.E, ws, tau)
-    if input_signal is not None:
-        us, u = _input_steps(input_signal, model.n_u_steps())
-        # -0.0 is the exact identity of addition: a step without inputs
-        # adds nothing, as if skipped
-        gu = _step_products(model.G, u, tau, fill=-0.0)
-
-    xs = np.empty((tau + 1, model.n_x))
-    xs[0] = x = x0
-    for k, f in enumerate(model.F.take(np.arange(tau))):
-        x = f @ x + ew[k]
-        if us is not None:
-            x += gu[k]
-        xs[k + 1] = x
-    zm = _step_products(model.H, xs, tau + 1) + _step_products(model.D, vs, tau + 1)
-    # z_k is the first n_z[k] entries of row k, a view
-    zs = list(map(getitem, zm, map(slice, model.n_z_steps().tolist())))
-    return Trajectory(xs=xs, zs=zs, us=us, ws=ws, vs=vs)
+    return next(simulate_runs(model, structure, alpha_true, init, input_signal,
+                              seeds=(seed,)))

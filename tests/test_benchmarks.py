@@ -17,6 +17,7 @@ from mdmest import (
     simulate,
     weighted_pipeline,
 )
+from mdmest import benchmarks
 from mdmest.benchmarks import benchmark_input_signal
 
 
@@ -140,6 +141,35 @@ class TestRunMc:
         serial = run_mc(spec, "ordinary", workers=1)
         parallel = run_mc(spec, "ordinary", workers=4)
         assert np.array_equal(serial.estimates, parallel.estimates)
+
+    @pytest.mark.parametrize("name, method, tau", [("obs-ltv", "weighted", 120),
+                                                   ("clock-ensemble", "ordinary", 60)])
+    def test_chunk_size_does_not_change_results(self, monkeypatch, name, method, tau):
+        """Runs simulated one at a time, three at a time (7 runs: chunks of
+        3, 3, 1) or all at once, in one process or two, give the same
+        estimates and mean estimate covariances bit for bit."""
+        spec = preset(name, tau=tau, n_mc=7, seed=4)
+        real = benchmarks.simulate_runs
+        chunks = []
+
+        def recording(*args, seeds, **kwargs):
+            chunks.append(len(seeds))
+            return real(*args, seeds=seeds, **kwargs)
+
+        monkeypatch.setattr(benchmarks, "simulate_runs", recording)
+        results = []
+        for chunk, workers in ((1, 1), (3, 1), (spec.n_mc, 1), (3, 2)):
+            monkeypatch.setattr(benchmarks, "_RUN_CHUNK", chunk)
+            results.append(run_mc(spec, method, workers=workers))
+        # the worker processes record in their own copies of the list
+        assert chunks == [1] * 7 + [3, 3, 1] + [7]
+        first = results[0]
+        for res in results[1:]:
+            assert np.array_equal(res.estimates, first.estimates)
+            if method == "weighted":
+                assert np.array_equal(res.mean_est_cov_diag, first.mean_est_cov_diag)
+            else:
+                assert res.mean_est_cov_diag is None
 
     def test_weighted_collects_estimate_covariances(self):
         spec = preset("obs-ltv", tau=150, n_mc=3, seed=2)

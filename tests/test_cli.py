@@ -1,4 +1,5 @@
 import json
+import logging
 import re
 
 import numpy as np
@@ -163,6 +164,62 @@ class TestSimulateIdentify:
         io.save_model(path, spec.model, spec.structure)  # no alpha_true
         assert main(["simulate", "--model", str(path),
                      "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("field, value, finding", [
+        ("alpha_true", [float("nan"), 1.0], "alpha_true contains non-finite entries"),
+        ("init", {"mean": [float("inf")], "cov": [[1.0]]},
+         "init.mean contains non-finite entries"),
+        ("init", {"mean": [1.0], "cov": [[float("nan")]]},
+         "init.cov contains non-finite entries"),
+        ("init", {"mean": [1.0, 2.0], "cov": [[1.0]]},
+         "init.mean has shape (2,), expected (1,)"),
+        ("init", {"mean": [1.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+         "init.cov has shape (2, 2), expected (1, 1)"),
+    ])
+    def test_simulate_rejects_bad_alpha_or_init(self, tmp_path, capsys,
+                                                obs_ltv_model_file, field, value,
+                                                finding):
+        """A non-finite or wrongly shaped alpha_true / init in the model file
+        is a validation error (exit 3) naming it; no data file is written."""
+        raw = json.loads(obs_ltv_model_file.read_text())
+        raw[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["simulate", "--model", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {finding}\n"
+        assert not (out / "data.jsonl").exists()
+
+
+class TestLogLevel:
+    @pytest.fixture(autouse=True)
+    def restore_level(self):
+        logger = logging.getLogger("mdmest")
+        level = logger.level
+        yield
+        logger.setLevel(level)
+
+    def test_info_and_debug_records_only_when_asked(self, tmp_path, caplog,
+                                                    obs_ltv_model_file):
+        out = tmp_path / "o"
+        assert main(["simulate", "--model", str(obs_ltv_model_file),
+                     "--out", str(out)]) == 0
+        argv = ["identify", "--model", str(obs_ltv_model_file), "--data",
+                str(out / "data.jsonl"), "--method", "weighted", "--out", str(out)]
+        seen = {}
+        for level in ("WARNING", "INFO", "DEBUG", None):
+            caplog.clear()
+            flag = [] if level is None else ["--log-level", level]
+            assert main(flag + argv) == 0
+            seen[level] = {(r.levelname, r.getMessage().split(":")[0])
+                           for r in caplog.records if r.name.startswith("mdmest")}
+        assert seen[None] == seen["WARNING"] == set()
+        assert seen["INFO"] == {("INFO", "identify"), ("INFO", "weighted solve")}
+        assert seen["DEBUG"] == seen["INFO"] | {("DEBUG", "identify")}
+
+    def test_unknown_level_is_a_usage_error(self, capsys):
+        assert main(["--log-level", "LOUD", "identify"]) == 2
+        assert "argument --log-level: invalid choice" in capsys.readouterr().err
 
 
 class TestAutoWindow:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +18,7 @@ from mdmest import (
     kron,
     preset,
     simulate,
+    simulate_runs,
     validate,
     vec,
 )
@@ -211,6 +214,52 @@ class TestSimulate:
         assert err.value.findings == findings
 
 
+class TestSimulateInitAndAlphaChecks:
+    """A non-finite alpha_true or initial condition, or an initial condition
+    of the wrong shape, is a ValidationError naming it."""
+
+    @pytest.fixture
+    def spec(self):
+        return preset("unobs-unknown-input", tau=20)
+
+    def run(self, spec, alpha=None, mean=None, cov=None):
+        init = InitialCondition(mean=spec.init.mean if mean is None else mean,
+                                cov=spec.init.cov if cov is None else cov)
+        return simulate(spec.model, spec.structure,
+                        spec.alpha_true if alpha is None else alpha, init, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_alpha(self, spec, bad):
+        alpha = spec.alpha_true.copy()
+        alpha[3] = bad
+        with pytest.raises(ValidationError) as err:
+            self.run(spec, alpha=alpha)
+        assert err.value.findings == ["alpha_true contains non-finite entries"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_init(self, spec, bad):
+        mean = np.ones(3)
+        mean[1] = bad
+        cov = np.eye(3)
+        cov[2, 0] = bad
+        with pytest.raises(ValidationError) as err:
+            self.run(spec, mean=mean)
+        assert err.value.findings == ["init.mean contains non-finite entries"]
+        with pytest.raises(ValidationError) as err:
+            self.run(spec, cov=cov)
+        assert err.value.findings == ["init.cov contains non-finite entries"]
+
+    def test_wrongly_shaped_init(self, spec):
+        # a length-1 mean would otherwise broadcast over the state
+        with pytest.raises(ValidationError) as err:
+            self.run(spec, mean=np.ones(1))
+        assert err.value.findings == ["init.mean has shape (1,), expected (3,)"]
+        with pytest.raises(ValidationError) as err:
+            self.run(spec, mean=np.ones((3, 1)), cov=np.eye(2))
+        assert err.value.findings == ["init.mean has shape (3, 1), expected (3,)",
+                                      "init.cov has shape (2, 2), expected (3, 3)"]
+
+
 class TestSimulateInputChecks:
     """A bad input signal is a ValidationError naming the step."""
 
@@ -331,3 +380,41 @@ def test_simulate_is_bitwise_per_step(case):
             zt = window_residue(sys1, data, k)
             rows = sys1.obs[sys1.row_offsets[k]:sys1.row_offsets[k + 1]]
             assert bitwise_equal(rows, zt[w.sel_i] * zt[w.sel_j]), k
+
+
+@st.composite
+def batched_simulation_cases(draw):
+    """A ``simulation_cases`` model and input (the input width may also
+    change with k: an LTV G of per-step widths 0..2, with a signal to
+    match), and one to four seeds."""
+    model, structure, _, _, alpha, u, _ = draw(simulation_cases())
+    if not model.G.is_constant and draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n_u = [draw(st.integers(0, 2)) for _ in range(model.tau + 1)]
+        model = replace(model, G=MatrixSequence(
+            [rng.standard_normal((model.n_x, n)) for n in n_u], model.tau))
+        u = [rng.standard_normal(n) for n in n_u]
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+    return model, structure, alpha, u, seeds
+
+
+@given(batched_simulation_cases())
+def test_simulate_runs_is_bitwise_per_seed(case):
+    """Several runs simulated together give, seed by seed, the step-by-step
+    trajectory bit for bit, with and without the input."""
+    model, structure, alpha, u, seeds = case
+    for signal in (None, u):
+        runs = list(simulate_runs(model, structure, alpha, input_signal=signal,
+                                  seeds=seeds))
+        assert len(runs) == len(seeds)
+        for traj, seed in zip(runs, seeds):
+            ref = reference_simulate(model, structure, alpha, input_signal=signal,
+                                     seed=seed)
+            for name in ("xs", "ws", "vs"):
+                assert bitwise_equal(getattr(traj, name), getattr(ref, name)), name
+            for name in ("zs", "us"):
+                got, want = getattr(traj, name), getattr(ref, name)
+                assert (got is None) == (want is None), name
+                if got is not None:
+                    assert len(got) == len(want), name
+                    assert all(bitwise_equal(a, b) for a, b in zip(got, want)), name

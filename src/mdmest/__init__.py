@@ -34,6 +34,7 @@ from .model import (
     LtvModel,
     MeasurementData,
     NoiseStructure,
+    SimulatedRuns,
     Trajectory,
     assemble_qr,
     defining_replication,
@@ -60,6 +61,7 @@ from .estimator import (
     gaussian_eta_covariances,
     identifiability_report,
     min_feasible_window,
+    ordinary_estimates,
     ordinary_mdm,
     weighted_mdm,
     weighted_pipeline,

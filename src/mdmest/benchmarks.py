@@ -19,12 +19,12 @@ from __future__ import annotations
 import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimator import build_design, ordinary_mdm, weighted_pipeline
-from .errors import MdmError
+from .estimator import build_design, ordinary_estimates, weighted_pipeline
+from .errors import DataError, MdmError
 from .linalg import Tolerance, DEFAULT_TOL
 from .model import (
     KNOWN_INPUT,
@@ -32,7 +32,6 @@ from .model import (
     UNKNOWN_INPUT,
     InitialCondition,
     LtvModel,
-    MeasurementData,
     NoiseStructure,
     simulate_runs,
 )
@@ -44,8 +43,8 @@ PRESET_NAMES = ("clock-ensemble", "unobs-unknown-input", "obs-ltv")
 
 # Monte-Carlo runs are simulated in chunks of at most _RUN_CHUNK runs, and of
 # few enough that a chunk's (runs, tau+1, width) arrays hold at most
-# _CHUNK_ELEMENTS floats each (256 KiB); a chunk's arrays live until its
-# last run is identified
+# _CHUNK_ELEMENTS floats each (256 KiB); their residues are formed for as
+# many runs at a time as fit the same bound in a (runs, n_rows) array
 _RUN_CHUNK = 32
 _CHUNK_ELEMENTS = 2 ** 15
 
@@ -183,47 +182,90 @@ def _estimator_mode(spec_mode: str) -> str:
     return UNKNOWN_INPUT if spec_mode == UNKNOWN_INPUT else KNOWN_INPUT
 
 
-def _trajectories(spec: BenchmarkSpec, indices):
-    """The trajectories of runs ``indices`` (seeds seed + i), simulated a
-    chunk of runs at a time as the caller reaches them."""
+def _chunk_sizes(spec: BenchmarkSpec, design) -> tuple[int, int]:
+    """Runs simulated together, and runs whose residues are formed together:
+    at most _RUN_CHUNK, and few enough that each (runs, tau+1, width) array
+    of the simulation, and the (runs, n_rows) squared residues, hold at most
+    _CHUNK_ELEMENTS floats."""
     model = spec.model
     width = max(model.n_x, model.n_w, model.n_v, int(model.n_z_steps().max()))
-    size = max(1, min(_RUN_CHUNK, _CHUNK_ELEMENTS // ((model.tau + 1) * width)))
-    u_sim = benchmark_input_signal(spec)
-    for start in range(0, len(indices), size):
-        seeds = [spec.seed + int(i) for i in indices[start:start + size]]
-        yield from simulate_runs(model, spec.structure, spec.alpha_true, spec.init,
-                                 input_signal=u_sim, seeds=seeds)
+    return tuple(max(1, min(_RUN_CHUNK, _CHUNK_ELEMENTS // per_run))
+                 for per_run in ((model.tau + 1) * width, design.n_rows))
+
+
+def _failed(exc: MdmError, seed: int) -> MdmError:
+    exc.args = (f"run with seed {seed} failed: {exc}",)
+    return exc
+
+
+def _estimate_runs(design, structure, method, z, u, seeds, tol, alphas, ecovs):
+    """Estimates of the runs whose measurement records are the rows of ``z``
+    (seeds ``seeds``), written to the rows of ``alphas`` and ``ecovs``.
+
+    One ``residues`` call gives all their squared residues, and with the
+    ordinary method one ``ordinary_estimates`` call all their estimates;
+    the weighted solve runs per run.  When a run's records are not finite,
+    the runs before it are identified first, as one run at a time would,
+    and may fail first.
+    """
+    failure = None
+    try:
+        obs = design.residues(z, u)
+    except DataError as exc:
+        failure = exc
+        obs = design.residues(z[:exc.run], u)
+    if method == "ordinary":
+        if len(obs):
+            try:
+                alphas[:len(obs)] = ordinary_estimates(design, obs)
+            except MdmError as exc:
+                # only a design without full rank fails, and it fails every run
+                raise _failed(exc, seeds[0])
+    else:
+        for row, (o, seed) in enumerate(zip(obs, seeds)):
+            try:
+                est = weighted_pipeline(replace(design, obs=o), structure, tol)
+            except MdmError as exc:
+                raise _failed(exc, seed)
+            alphas[row] = est.alpha_hat
+            ecovs[row] = np.diag(est.cov)
+    if failure is not None:
+        raise _failed(failure, seeds[failure.run])
 
 
 def _run_range(spec: BenchmarkSpec, method: str, indices, tol: Tolerance):
-    """Identify runs ``indices``; the design is built once for all of them."""
+    """Identify runs ``indices``; the design is built once for all of them.
+
+    The runs are simulated a chunk at a time (``simulate_runs``) and
+    identified from the chunk's measurement array (``_estimate_runs``),
+    with no per-run trajectory or record list.  Every estimate is bitwise
+    the per-run pipeline's.
+    """
     design = build_design(spec.model, spec.structure, spec.L,
                           _estimator_mode(spec.mode), tol)
     include_u = spec.mode == KNOWN_INPUT and spec.model.has_input
+    u_sim = benchmark_input_signal(spec)
 
     alphas = np.empty((len(indices), spec.structure.n_alpha))
     ecovs = np.empty_like(alphas) if method == "weighted" else None
     elapsed = 0.0
-    trajectories = _trajectories(spec, indices)
-    for row, i in enumerate(indices):
-        data = MeasurementData.from_trajectory(next(trajectories), include_u=include_u)
-        t0 = time.perf_counter()
-        try:
-            sys = design.with_data(data)
-            if method == "ordinary":
-                alphas[row] = ordinary_mdm(sys, tol).alpha_hat
-            else:
-                est = weighted_pipeline(sys, spec.structure, tol)
-                alphas[row] = est.alpha_hat
-                ecovs[row] = np.diag(est.cov)
-        except MdmError as exc:
-            exc.args = (f"run with seed {spec.seed + i} failed: {exc}",)
-            raise
-        elapsed += time.perf_counter() - t0
-        # no view of this chunk outlives its last run: the next chunk is
-        # simulated while the loop waits for its first run
-        del data, sys
+    sim_size, res_size = _chunk_sizes(spec, design)
+    for start in range(0, len(indices), sim_size):
+        seeds = [spec.seed + int(i) for i in indices[start:start + sim_size]]
+        runs = simulate_runs(spec.model, spec.structure, spec.alpha_true, spec.init,
+                             input_signal=u_sim, seeds=seeds)
+        z = runs.z_records
+        u = runs.u_records[None] if include_u else None
+        chunk = slice(start, start + len(seeds))
+        for first in range(0, len(seeds), res_size):
+            part = slice(first, first + res_size)
+            t0 = time.perf_counter()
+            _estimate_runs(design, spec.structure, method, z[part], u, seeds[part], tol,
+                           alphas[chunk][part],
+                           None if ecovs is None else ecovs[chunk][part])
+            elapsed += time.perf_counter() - t0
+        # freed before the next chunk is simulated
+        del runs, z
     return alphas, ecovs, elapsed
 
 
@@ -240,6 +282,8 @@ def run_mc(spec: BenchmarkSpec, method: str = "ordinary",
     n_mc = spec.n_mc if n_mc is None else int(n_mc)
     if n_mc < 1:
         raise ValueError(f"n_mc must be at least 1, got {n_mc}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     indices = np.arange(n_mc)
     if workers > 1 and n_mc > 1:
         chunks = np.array_split(indices, min(workers, n_mc))

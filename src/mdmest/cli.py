@@ -68,6 +68,18 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _tolerance_value(text: str) -> float:
+    """argparse type: a finite nonnegative float, as ``Tolerance`` takes
+    (argparse names the flag when it rejects one)."""
+    value = float(text)
+    if not 0.0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text}")
+    return value
+
+
+_tolerance_value.__name__ = "float"     # argparse's message for a non-number
+
+
 def _tolerance(args) -> Tolerance:
     return Tolerance(rank_tol=args.rank_tol, zero_tol=args.zero_tol)
 
@@ -264,8 +276,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--rank-tol", type=float, default=1e-10)
-        p.add_argument("--zero-tol", type=float, default=1e-8)
+        p.add_argument("--rank-tol", type=_tolerance_value, default=1e-10)
+        p.add_argument("--zero-tol", type=_tolerance_value, default=1e-8)
         p.add_argument("--out", default=".", help="output directory")
 
     p_id = sub.add_parser("identify", help="estimate Q/R parameters from data")
@@ -295,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--n-mc", type=_int_at_least(1), default=500)
     p_bench.add_argument("--tau", type=_int_at_least(1), default=1000)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--workers", type=int, default=1)
+    p_bench.add_argument("--workers", type=_int_at_least(1), default=1)
     add_common(p_bench)
     p_bench.set_defaults(func=cmd_benchmark)
 

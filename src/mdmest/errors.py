@@ -19,7 +19,15 @@ class ValidationError(MdmError):
 
 
 class DataError(MdmError):
-    """Measurement data is missing, ragged, or too short for the request."""
+    """Measurement data is missing, ragged, or too short for the request.
+
+    ``run`` is the index of the failing run when the records of a batch of
+    runs were checked (``StackedSystem.residues``), else None.
+    """
+
+    def __init__(self, message: str, run: int | None = None):
+        super().__init__(message)
+        self.run = run
 
 
 class NoAnnihilator(MdmError):

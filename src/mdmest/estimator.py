@@ -64,6 +64,7 @@ __all__ = [
     "build_stacked_system",
     "feasible_design",
     "ordinary_mdm",
+    "ordinary_estimates",
     "gaussian_eta_covariances",
     "assemble_p",
     "weighted_mdm",
@@ -205,7 +206,7 @@ class StackedSystem:
         MeasurementData holding exactly the records the windows span) as obs.
 
         Raises DataError for records that do not fit the model or give a
-        non-finite residue.
+        non-finite residue.  The residues are ``residues`` of one run.
         """
         if isinstance(data, Trajectory):
             data = MeasurementData.from_trajectory(data)
@@ -217,28 +218,60 @@ class StackedSystem:
                 f"data has {z_off.size - 1} records but the design's {self.n_windows} "
                 f"windows of length L={L} span {n_records}"
             )
+        return replace(self, obs=self.residues(z[None], None if u is None else u[None])[0])
+
+    def residues(self, z: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
+        """The squared residues (obs rows) of runs of data on this design.
+
+        ``z`` is (runs, n): each run's measurement records z_0, z_1, ...
+        end to end, exactly those the windows span.  ``u`` is None or
+        (runs, n_u) (or (1, n_u) for an input the runs share): the input
+        records end to end, as far as the windows read them.  Returns
+        (runs, n_rows).  The first run whose measurements or residues are
+        not finite raises DataError naming its record and, as ``run``, its
+        index.
+
+        One stacked product per residue group over the (runs, windows)
+        axes: np.matmul over the stored stacks, broadcast over the runs,
+        makes each window's own BLAS call (see ResidueGroup), so every
+        residue is bitwise the per-window annihilator @ z of its run.
+        """
+        n_z = self.model.n_z_steps()[:self.n_windows + self.L - 1]
+        z_off = np.concatenate(([0], np.cumsum(n_z)))
+        if z.ndim != 2 or z.shape[1] != z_off[-1]:
+            raise DataError(f"measurement records of shape {z.shape}; the design's "
+                            f"windows span (runs, {z_off[-1]})")
         finite = np.isfinite(z)
-        if not finite.all():
-            raise DataError(f"record k={_record_of(z_off, np.argmin(finite))}: "
-                            "measurement or residue is not finite")
-        # one stacked product per residue group: np.matmul over the stored
-        # stacks makes each window's own BLAS call (see ResidueGroup), so
-        # every residue is bitwise the per-window annihilator @ z
-        obs = np.empty(self.n_rows)
-        for g in self.residue_groups:
-            zw = z[g.z_index]
-            if u is not None and g.gamma_g is not None:
-                zw = zw - np.matmul(g.gamma_g, u[g.u_index][..., None])[..., 0]
-            zt = np.matmul(g.annihilator, zw[..., None])[..., 0]
-            sel_i, sel_j = sym_pair_indices(zt.shape[1])
-            rows = self.row_offsets[g.windows, None] + np.arange(sel_i.size)
-            obs[rows] = zt[:, sel_i] * zt[:, sel_j]
-        finite = np.isfinite(obs)
-        if not finite.all():
+        bad_z = np.flatnonzero(~finite.all(axis=1))
+        # runs from the first with a non-finite measurement on are not formed
+        n_ok = int(bad_z[0]) if bad_z.size else z.shape[0]
+        obs = np.empty((n_ok, self.n_rows))
+        # a residue that overflows is reported below, not warned of
+        with np.errstate(over="ignore", invalid="ignore"):
+            for g in self.residue_groups:
+                # np.take lays the gathered records out run by run (z[:, idx]
+                # would put the run axis innermost, and a run's vectors at a
+                # stride that BLAS does not take)
+                zw = np.take(z[:n_ok], g.z_index, axis=1)
+                if u is not None and g.gamma_g is not None:
+                    uw = np.take(u[:n_ok], g.u_index, axis=1)
+                    zw = zw - np.matmul(g.gamma_g, uw[..., None])[..., 0]
+                zt = np.matmul(g.annihilator, zw[..., None])[..., 0]
+                sel_i, sel_j = sym_pair_indices(zt.shape[-1])
+                rows = self.row_offsets[g.windows, None] + np.arange(sel_i.size)
+                obs[:, rows] = zt[..., sel_i] * zt[..., sel_j]
+        bad_obs = np.flatnonzero(~np.isfinite(obs).all(axis=1))
+        if bad_obs.size:
             # finite measurements whose residue overflows
-            window = _record_of(self.row_offsets, np.argmin(finite))
-            raise DataError(f"record k={window}: measurement or residue is not finite")
-        return replace(self, obs=obs)
+            run = int(bad_obs[0])
+            record = _record_of(self.row_offsets, np.argmin(np.isfinite(obs[run])))
+        elif bad_z.size:
+            run = n_ok
+            record = _record_of(z_off, np.argmin(finite[run]))
+        else:
+            return obs
+        raise DataError(f"record k={record}: measurement or residue is not finite",
+                        run=run)
 
 
 @dataclass
@@ -684,12 +717,24 @@ def _equilibrated_svd(a: np.ndarray, tol: Tolerance):
 def _ls_solve(factors, b: np.ndarray):
     """LS solution of a x = b and (a^T a)^{-1} = W W^T, W = diag(1/scale)
     V diag(1/s), from ``_equilibrated_svd(a)``; W W^T is exactly symmetric.
-    Raises RankDeficientDesign when rank < columns (or rows < columns)."""
+    ``b`` is (m,) or (runs, m), one solution per run.  Raises
+    RankDeficientDesign when rank < columns (or rows < columns).
+
+    W (U^T b) is a stacked np.matmul of matrix-vector products, so a run's
+    solution has the bits of its own; W @ (U^T @ B) on the (m, runs) matrix
+    B would not.
+    """
     u, s, vt, rank, scale = factors
     if rank < scale.size:
         raise RankDeficientDesign(rank, scale.size)
     w = vt.T / s / scale[:, None]
-    return w @ (u.T @ b), w @ w.T
+    return np.matmul(w, np.matmul(u.T, b[..., None]))[..., 0], w @ w.T
+
+
+def ordinary_estimates(sys: StackedSystem, obs: np.ndarray) -> np.ndarray:
+    """``ordinary_mdm``'s alpha_hat for each row of ``obs`` ((runs, n_rows),
+    as ``StackedSystem.residues`` gives them; (n_rows,) for one run)."""
+    return _ls_solve((sys.u, sys.s, sys.vt, sys.rank, sys.scale), obs)[0]
 
 
 def ordinary_mdm(sys: StackedSystem, tol: Tolerance = DEFAULT_TOL) -> Estimate:
@@ -703,7 +748,7 @@ def ordinary_mdm(sys: StackedSystem, tol: Tolerance = DEFAULT_TOL) -> Estimate:
     if sys.obs is None:
         raise ValueError("system carries no observations")
     t0 = time.perf_counter()
-    alpha, _ = _ls_solve((sys.u, sys.s, sys.vt, sys.rank, sys.scale), sys.obs)
+    alpha = ordinary_estimates(sys, sys.obs)
     return Estimate(
         alpha_hat=alpha, cov=None, method="ordinary",
         rank=sys.rank, rank_threshold=sys.rank_threshold,

@@ -37,15 +37,17 @@ class Tolerance:
 
     ``rank_tol`` is relative: a singular value counts towards the rank when
     it exceeds rank_tol * sigma_max * max(rows, cols).  ``zero_tol`` is the
-    absolute scale for "is numerically zero" checks.
+    absolute scale for "is numerically zero" checks.  Both must be finite
+    and nonnegative.
     """
 
     rank_tol: float = 1e-10
     zero_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.rank_tol < 0 or self.zero_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
+        if not all(0.0 <= t < np.inf for t in (self.rank_tol, self.zero_tol)):
+            raise ValueError("tolerances must be finite and nonnegative, got "
+                             f"rank_tol={self.rank_tol}, zero_tol={self.zero_tol}")
 
 
 DEFAULT_TOL = Tolerance()

@@ -31,6 +31,7 @@ __all__ = [
     "NoiseStructure",
     "InitialCondition",
     "Trajectory",
+    "SimulatedRuns",
     "MeasurementData",
     "ValidationReport",
     "assemble_qr",
@@ -449,9 +450,59 @@ def _initial_state(init: InitialCondition, n_x: int) -> tuple[np.ndarray, np.nda
     return mean, cov
 
 
+@dataclass
+class SimulatedRuns:
+    """Runs ``simulate_runs`` drew together, as arrays with a leading run axis.
+
+    Iterating gives each run's ``Trajectory``, built only when it is
+    reached: views of these arrays, with per-record lists.  ``z_records``
+    and ``u_records`` give the records end to end, as the estimator reads
+    them, without any per-record list.
+    """
+
+    xs: np.ndarray                      # (runs, tau+1, n_x)
+    zs: np.ndarray                      # (runs, tau+1, max n_z), z_k in row k's first n_z[k]
+    ws: np.ndarray                      # (runs, tau, n_w)
+    vs: np.ndarray                      # (runs, tau+1, n_v)
+    n_z: np.ndarray                     # (tau+1,) measurement dimension per step
+    us: list[np.ndarray] | None         # per-k input the runs share, when one was applied
+    u: np.ndarray | None                # (tau+1, max n_u), u_k in row k's first n_u[k]
+
+    def __len__(self) -> int:
+        return self.xs.shape[0]
+
+    def __iter__(self) -> Iterator[Trajectory]:
+        return map(self.trajectory, range(len(self)))
+
+    def trajectory(self, i: int) -> Trajectory:
+        """Run ``i`` as a Trajectory; z_k is a view of row k of zs[i]."""
+        row = self.zs[i]
+        zs = (list(row) if (self.n_z == row.shape[1]).all()
+              else list(map(getitem, row, map(slice, self.n_z.tolist()))))
+        return Trajectory(xs=self.xs[i], zs=zs,
+                          us=None if self.us is None else list(self.us),
+                          ws=self.ws[i], vs=self.vs[i])
+
+    @property
+    def z_records(self) -> np.ndarray:
+        """(runs, sum of n_z): each run's z_0, z_1, ... end to end (a view
+        when n_z does not change with k)."""
+        if (self.n_z == self.zs.shape[2]).all():
+            return self.zs.reshape(len(self), -1)
+        return self.zs[:, np.arange(self.zs.shape[2]) < self.n_z[:, None]]
+
+    @property
+    def u_records(self) -> np.ndarray | None:
+        """(sum of n_u,): u_0, u_1, ... end to end; None without an input."""
+        if self.us is None:
+            return None
+        n_u = np.fromiter(map(len, self.us), dtype=int, count=len(self.us))
+        return self.u[np.arange(self.u.shape[1]) < n_u[:, None]]
+
+
 def simulate_runs(model: LtvModel, structure: NoiseStructure, alpha_true,
                   init: InitialCondition | None = None, input_signal=None,
-                  seeds=(0,)) -> Iterator[Trajectory]:
+                  seeds=(0,)) -> SimulatedRuns:
     """One trajectory per entry of ``seeds``, each exactly ``simulate``'s
     for that seed, simulated together.
 
@@ -460,9 +511,8 @@ def simulate_runs(model: LtvModel, structure: NoiseStructure, alpha_true,
     and D v are stacked products over the (runs, steps) axes, and the state
     recursion steps all runs at once: np.matmul(F_k, X[..., None]) on the
     (runs, n_x) state X is a per-matrix product, so per run it gives the
-    bits of F_k @ x (X @ F_k.T would not).  Returns an iterator that builds
-    each run's Trajectory only when it is reached; the trajectories are
-    views of arrays shared by the runs.
+    bits of F_k @ x (X @ F_k.T would not).  Returns the runs' arrays, which
+    iterate as the runs' trajectories.
     """
     findings = _shape_findings(model, structure)
     if findings:
@@ -476,7 +526,7 @@ def simulate_runs(model: LtvModel, structure: NoiseStructure, alpha_true,
     s_q = psd_factor(q)
     s_r = psd_factor(r)
     s_x = psd_factor(cov)
-    us: list[np.ndarray] | None = None
+    us = u = None
     if input_signal is not None:
         us, u = _input_steps(input_signal, model.n_u_steps())
 
@@ -509,18 +559,7 @@ def simulate_runs(model: LtvModel, structure: NoiseStructure, alpha_true,
     del ew
     zm = _step_products(model.H, xs, tau + 1)
     zm += _step_products(model.D, vs, tau + 1)
-    # z_k is the first n_z[k] entries of row k, a view (the whole row when
-    # n_z does not change with k)
-    n_z = model.n_z_steps()
-    cuts = list(map(slice, n_z.tolist())) if (n_z != zm.shape[2]).any() else None
-
-    def trajectories():
-        for i in range(len(seeds)):
-            zs = list(zm[i]) if cuts is None else list(map(getitem, zm[i], cuts))
-            yield Trajectory(xs=xs[i], zs=zs, us=None if us is None else list(us),
-                             ws=ws[i], vs=vs[i])
-
-    return trajectories()
+    return SimulatedRuns(xs=xs, zs=zm, ws=ws, vs=vs, n_z=model.n_z_steps(), us=us, u=u)
 
 
 def simulate(model: LtvModel, structure: NoiseStructure, alpha_true,
@@ -546,5 +585,5 @@ def simulate(model: LtvModel, structure: NoiseStructure, alpha_true,
     does an ``init`` of the wrong shape, and a non-finite ``alpha_true`` or
     ``init``.
     """
-    return next(simulate_runs(model, structure, alpha_true, init, input_signal,
-                              seeds=(seed,)))
+    return simulate_runs(model, structure, alpha_true, init, input_signal,
+                         seeds=(seed,)).trajectory(0)

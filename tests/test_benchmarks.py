@@ -1,4 +1,5 @@
 import csv
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,9 @@ from mdmest import (
     KNOWN_INPUT,
     NO_INPUT,
     UNKNOWN_INPUT,
+    InitialCondition,
+    MdmError,
+    build_design,
     build_stacked_system,
     emit_plot_data,
     emit_table,
@@ -19,6 +23,7 @@ from mdmest import (
 )
 from mdmest import benchmarks
 from mdmest.benchmarks import benchmark_input_signal
+from mdmest.model import MatrixSequence
 
 
 class TestPresetFidelity:
@@ -136,6 +141,13 @@ class TestRunMc:
         with pytest.raises(ValueError, match="n_mc must be at least 1"):
             run_mc(preset("obs-ltv", tau=50), "ordinary", n_mc=n_mc)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_is_rejected(self, monkeypatch, workers):
+        # rejected before any run is simulated or any process started
+        monkeypatch.setattr(benchmarks, "build_design", None)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            run_mc(preset("obs-ltv", tau=50), "ordinary", workers=workers)
+
     def test_worker_pool_is_deterministic(self):
         spec = preset("obs-ltv", tau=100, n_mc=8, seed=5)
         serial = run_mc(spec, "ordinary", workers=1)
@@ -170,6 +182,56 @@ class TestRunMc:
                 assert np.array_equal(res.mean_est_cov_diag, first.mean_est_cov_diag)
             else:
                 assert res.mean_est_cov_diag is None
+
+    @pytest.mark.parametrize("name, tau, sizes", [("clock-ensemble", 1000, (5, 1)),
+                                                  ("clock-ensemble", 60, (32, 4)),
+                                                  ("obs-ltv", 1000, (32, 32)),
+                                                  ("unobs-unknown-input", 100, (32, 32))])
+    def test_chunk_bound_covers_the_residues(self, name, tau, sizes):
+        """The (runs, n_rows) squared residues formed together stay within
+        the element bound: the clock's 134,912 rows per run at tau=1000
+        are formed one run at a time, while its runs are still simulated
+        five at a time."""
+        spec = preset(name, tau=tau)
+        mode = UNKNOWN_INPUT if spec.mode == UNKNOWN_INPUT else KNOWN_INPUT
+        design = build_design(spec.model, spec.structure, spec.L, mode)
+        assert benchmarks._chunk_sizes(spec, design) == sizes
+        assert sizes[1] == 1 or sizes[1] * design.n_rows <= benchmarks._CHUNK_ELEMENTS
+
+    # (chunk size, method, run_mc's error text).  The first run (seed 1)
+    # of a state that doubles each step overflows its measurements at
+    # record 528; of noises near the largest float, the run with seed 6
+    # (the third) overflows a residue at record 51, while the weighted
+    # solve of the run with seed 4 fails before it.
+    OVERFLOWS = [
+        ("measurement", "ordinary",
+         "run with seed 1 failed: record k=528: measurement or residue is not finite"),
+        ("measurement", "weighted",
+         "run with seed 1 failed: record k=528: measurement or residue is not finite"),
+        ("residue", "ordinary",
+         "run with seed 6 failed: record k=51: measurement or residue is not finite"),
+        ("residue", "weighted",
+         "run with seed 4 failed: design matrix rank 0 < 2 parameters"),
+    ]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 32])
+    @pytest.mark.parametrize("what, method, text", OVERFLOWS)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_names_the_run_and_record(self, monkeypatch, chunk, what,
+                                               method, text):
+        """A run whose measurements or residues overflow fails with the
+        seed of the first run that fails and its record, whatever the
+        chunk size."""
+        if what == "measurement":
+            spec = preset("obs-ltv", tau=600, n_mc=3, seed=1)
+            spec = replace(spec, model=replace(spec.model, F=MatrixSequence(np.array([[2.0]]))),
+                           init=InitialCondition(mean=np.zeros(1), cov=np.array([[1e300]])))
+        else:
+            spec = replace(preset("obs-ltv", tau=100, n_mc=7, seed=4),
+                           alpha_true=np.array([1.2e307, 1.2e307]))
+        monkeypatch.setattr(benchmarks, "_RUN_CHUNK", chunk)
+        with pytest.raises(MdmError, match=re.escape(text)):
+            run_mc(spec, method)
 
     def test_weighted_collects_estimate_covariances(self):
         spec = preset("obs-ltv", tau=150, n_mc=3, seed=2)

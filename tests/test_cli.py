@@ -293,6 +293,14 @@ class TestBenchmarkCommand:
                 in capsys.readouterr().err)
         assert not (tmp_path / "b").exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_names_the_flag(self, tmp_path, capsys, workers):
+        assert main(["benchmark", "obs-ltv", f"--workers={workers}", "--tau", "50",
+                     "--out", str(tmp_path / "b")]) == 2
+        assert (f"argument --workers: must be at least 1, got {workers}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "b").exists()
+
     def test_unknown_preset_usage_error(self, tmp_path):
         assert main(["benchmark", "not-a-preset", "--out", str(tmp_path)]) == 2
 
@@ -324,6 +332,21 @@ class TestIdentifiabilityCommand:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command", ["identify", "identifiability"])
+    @pytest.mark.parametrize("flag, value", [("--rank-tol", "-1"), ("--rank-tol", "nan"),
+                                             ("--zero-tol", "nan"), ("--zero-tol", "inf"),
+                                             ("--rank-tol", "-inf")])
+    def test_bad_tolerance_names_the_flag(self, tmp_path, capsys, obs_ltv_model_file,
+                                          command, flag, value):
+        argv = [command, "--model", str(obs_ltv_model_file), f"{flag}={value}",
+                "--out", str(tmp_path / "o")]
+        if command == "identify":
+            argv += ["--data", str(tmp_path / "nope.jsonl")]
+        assert main(argv) == 2
+        assert (f"argument {flag}: must be finite and nonnegative, got {value}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_rank_deficient_identify_prints_report(self, tmp_path, capsys,
                                                    ge_equal_model,
                                                    ge_equal_structure):

@@ -171,3 +171,9 @@ class TestTolerance:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             Tolerance(rank_tol=-1.0)
+
+    @pytest.mark.parametrize("field", ["rank_tol", "zero_tol"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, field, bad):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            Tolerance(**{field: bad})

@@ -11,11 +11,14 @@ from mdmest import (
     NoAnnihilator,
     NoiseStructure,
     NotPositiveSemidefinite,
+    RankDeficientDesign,
     ValidationError,
     assemble_qr,
     build_design,
     defining_replication,
     kron,
+    ordinary_estimates,
+    ordinary_mdm,
     preset,
     simulate,
     simulate_runs,
@@ -384,10 +387,10 @@ def test_simulate_is_bitwise_per_step(case):
 
 @st.composite
 def batched_simulation_cases(draw):
-    """A ``simulation_cases`` model and input (the input width may also
-    change with k: an LTV G of per-step widths 0..2, with a signal to
-    match), and one to four seeds."""
-    model, structure, _, _, alpha, u, _ = draw(simulation_cases())
+    """A ``simulation_cases`` model, window length, mode and input (the
+    input width may also change with k: an LTV G of per-step widths 0..2,
+    with a signal to match), and one to four seeds."""
+    model, structure, L, mode, alpha, u, _ = draw(simulation_cases())
     if not model.G.is_constant and draw(st.booleans()):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         n_u = [draw(st.integers(0, 2)) for _ in range(model.tau + 1)]
@@ -395,14 +398,14 @@ def batched_simulation_cases(draw):
             [rng.standard_normal((model.n_x, n)) for n in n_u], model.tau))
         u = [rng.standard_normal(n) for n in n_u]
     seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
-    return model, structure, alpha, u, seeds
+    return model, structure, L, mode, alpha, u, seeds
 
 
 @given(batched_simulation_cases())
 def test_simulate_runs_is_bitwise_per_seed(case):
     """Several runs simulated together give, seed by seed, the step-by-step
     trajectory bit for bit, with and without the input."""
-    model, structure, alpha, u, seeds = case
+    model, structure, _, _, alpha, u, seeds = case
     for signal in (None, u):
         runs = list(simulate_runs(model, structure, alpha, input_signal=signal,
                                   seeds=seeds))
@@ -418,3 +421,36 @@ def test_simulate_runs_is_bitwise_per_seed(case):
                 if got is not None:
                     assert len(got) == len(want), name
                     assert all(bitwise_equal(a, b) for a, b in zip(got, want)), name
+
+
+@given(batched_simulation_cases())
+def test_run_batched_estimates_are_bitwise_per_run(case):
+    """The squared residues of runs simulated together, formed from their
+    measurement array by one ``residues`` call, and their ordinary
+    estimates, from one ``ordinary_estimates`` call, equal run by run
+    ``with_data`` and ``ordinary_mdm`` bit for bit, with and without the
+    input."""
+    model, structure, L, mode, alpha, u, seeds = case
+    try:
+        design = build_design(model, structure, L, mode)
+    except NoAnnihilator:
+        return
+    for signal in (None, u):
+        runs = simulate_runs(model, structure, alpha, input_signal=signal, seeds=seeds)
+        u_records = runs.u_records if mode == KNOWN_INPUT else None
+        obs = design.residues(runs.z_records,
+                              None if u_records is None else u_records[None])
+        assert obs.shape == (len(seeds), design.n_rows)
+        try:
+            alphas = ordinary_estimates(design, obs)
+        except RankDeficientDesign:
+            alphas = None
+        for r, traj in enumerate(runs):
+            one = design.with_data(
+                MeasurementData.from_trajectory(traj, include_u=mode == KNOWN_INPUT))
+            assert bitwise_equal(obs[r], one.obs), r
+            if alphas is None:
+                with pytest.raises(RankDeficientDesign):
+                    ordinary_mdm(one)
+            else:
+                assert bitwise_equal(alphas[r], ordinary_mdm(one).alpha_hat), r

@@ -52,6 +52,7 @@ from .residue import (
 from .estimator import (
     Estimate,
     EtaCovariances,
+    WeightedRuns,
     IdentifiabilityReport,
     StackedSystem,
     assemble_p,
@@ -63,6 +64,7 @@ from .estimator import (
     min_feasible_window,
     ordinary_estimates,
     ordinary_mdm,
+    weighted_estimates,
     weighted_mdm,
     weighted_pipeline,
 )

@@ -19,11 +19,11 @@ from __future__ import annotations
 import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import build_design, ordinary_estimates, weighted_pipeline
+from .estimator import BRANCHES, build_design, ordinary_estimates, weighted_estimates
 from .errors import DataError, MdmError
 from .linalg import Tolerance, DEFAULT_TOL
 from .model import (
@@ -43,8 +43,9 @@ PRESET_NAMES = ("clock-ensemble", "unobs-unknown-input", "obs-ltv")
 
 # Monte-Carlo runs are simulated in chunks of at most _RUN_CHUNK runs, and of
 # few enough that a chunk's (runs, tau+1, width) arrays hold at most
-# _CHUNK_ELEMENTS floats each (256 KiB); their residues are formed for as
-# many runs at a time as fit the same bound in a (runs, n_rows) array
+# _CHUNK_ELEMENTS floats each (256 KiB); their residues are formed, and
+# their estimates solved, for as many runs at a time as fit the same bound
+# in a (runs, n_rows) array, and weighted in a (runs, band rows, n_rows) one
 _RUN_CHUNK = 32
 _CHUNK_ELEMENTS = 2 ** 15
 
@@ -72,6 +73,9 @@ class McResult:
     wall_time_per_run: float
     method: str
     n_mc: int
+    # weighted runs per solve branch (estimator.BRANCHES) and "psd-repaired",
+    # the runs whose first pass was projected onto the PSD cone
+    weighted_branches: dict[str, int] | None = None
 
 
 def _clock_ensemble(tau: int, n_mc: int, seed: int) -> BenchmarkSpec:
@@ -182,15 +186,18 @@ def _estimator_mode(spec_mode: str) -> str:
     return UNKNOWN_INPUT if spec_mode == UNKNOWN_INPUT else KNOWN_INPUT
 
 
-def _chunk_sizes(spec: BenchmarkSpec, design) -> tuple[int, int]:
-    """Runs simulated together, and runs whose residues are formed together:
-    at most _RUN_CHUNK, and few enough that each (runs, tau+1, width) array
-    of the simulation, and the (runs, n_rows) squared residues, hold at most
-    _CHUNK_ELEMENTS floats."""
+def _chunk_sizes(spec: BenchmarkSpec, design,
+                 method: str = "ordinary") -> tuple[int, int]:
+    """Runs simulated together, and runs estimated together: at most
+    _RUN_CHUNK, and few enough that each (runs, tau+1, width) array of the
+    simulation, and the (runs, n_rows) squared residues (weighted: the
+    (runs, band rows, n_rows) weight bands), hold at most _CHUNK_ELEMENTS
+    floats."""
     model = spec.model
     width = max(model.n_x, model.n_w, model.n_v, int(model.n_z_steps().max()))
+    rows = design.n_rows * (design.band_rows if method == "weighted" else 1)
     return tuple(max(1, min(_RUN_CHUNK, _CHUNK_ELEMENTS // per_run))
-                 for per_run in ((model.tau + 1) * width, design.n_rows))
+                 for per_run in ((model.tau + 1) * width, rows))
 
 
 def _failed(exc: MdmError, seed: int) -> MdmError:
@@ -198,15 +205,16 @@ def _failed(exc: MdmError, seed: int) -> MdmError:
     return exc
 
 
-def _estimate_runs(design, structure, method, z, u, seeds, tol, alphas, ecovs):
+def _estimate_runs(design, structure, method, z, u, seeds, tol, alphas, ecovs,
+                   branches):
     """Estimates of the runs whose measurement records are the rows of ``z``
-    (seeds ``seeds``), written to the rows of ``alphas`` and ``ecovs``.
+    (seeds ``seeds``), written to the rows of ``alphas`` and ``ecovs``;
+    weighted runs are counted into ``branches``.
 
-    One ``residues`` call gives all their squared residues, and with the
-    ordinary method one ``ordinary_estimates`` call all their estimates;
-    the weighted solve runs per run.  When a run's records are not finite,
-    the runs before it are identified first, as one run at a time would,
-    and may fail first.
+    One ``residues`` call gives all their squared residues, and one
+    ``ordinary_estimates`` or ``weighted_estimates`` call all their
+    estimates.  When a run's records are not finite, the runs before it are
+    identified first, as one run at a time would, and may fail first.
     """
     failure = None
     try:
@@ -214,21 +222,21 @@ def _estimate_runs(design, structure, method, z, u, seeds, tol, alphas, ecovs):
     except DataError as exc:
         failure = exc
         obs = design.residues(z[:exc.run], u)
-    if method == "ordinary":
-        if len(obs):
-            try:
+    if len(obs):
+        try:
+            if method == "ordinary":
                 alphas[:len(obs)] = ordinary_estimates(design, obs)
-            except MdmError as exc:
-                # only a design without full rank fails, and it fails every run
-                raise _failed(exc, seeds[0])
-    else:
-        for row, (o, seed) in enumerate(zip(obs, seeds)):
-            try:
-                est = weighted_pipeline(replace(design, obs=o), structure, tol)
-            except MdmError as exc:
-                raise _failed(exc, seed)
-            alphas[row] = est.alpha_hat
-            ecovs[row] = np.diag(est.cov)
+            else:
+                runs = weighted_estimates(design, obs, structure, tol)
+                alphas[:len(obs)] = runs.alpha_hat
+                ecovs[:len(obs)] = np.diagonal(runs.cov, axis1=1, axis2=2)
+                for name in BRANCHES:
+                    branches[name] += int(np.count_nonzero(runs.branch == name))
+                branches["psd-repaired"] += int(np.count_nonzero(runs.repaired))
+        except MdmError as exc:
+            # a run's own failure names it; a design without full rank
+            # fails every run, as the first
+            raise _failed(exc, seeds[exc.run or 0])
     if failure is not None:
         raise _failed(failure, seeds[failure.run])
 
@@ -247,9 +255,12 @@ def _run_range(spec: BenchmarkSpec, method: str, indices, tol: Tolerance):
     u_sim = benchmark_input_signal(spec)
 
     alphas = np.empty((len(indices), spec.structure.n_alpha))
-    ecovs = np.empty_like(alphas) if method == "weighted" else None
+    ecovs = branches = None
+    if method == "weighted":
+        ecovs = np.empty_like(alphas)
+        branches = dict.fromkeys(BRANCHES + ("psd-repaired",), 0)
     elapsed = 0.0
-    sim_size, res_size = _chunk_sizes(spec, design)
+    sim_size, res_size = _chunk_sizes(spec, design, method)
     for start in range(0, len(indices), sim_size):
         seeds = [spec.seed + int(i) for i in indices[start:start + sim_size]]
         runs = simulate_runs(spec.model, spec.structure, spec.alpha_true, spec.init,
@@ -262,11 +273,11 @@ def _run_range(spec: BenchmarkSpec, method: str, indices, tol: Tolerance):
             t0 = time.perf_counter()
             _estimate_runs(design, spec.structure, method, z[part], u, seeds[part], tol,
                            alphas[chunk][part],
-                           None if ecovs is None else ecovs[chunk][part])
+                           None if ecovs is None else ecovs[chunk][part], branches)
             elapsed += time.perf_counter() - t0
         # freed before the next chunk is simulated
         del runs, z
-    return alphas, ecovs, elapsed
+    return alphas, ecovs, elapsed, branches
 
 
 def run_mc(spec: BenchmarkSpec, method: str = "ordinary",
@@ -292,10 +303,13 @@ def run_mc(spec: BenchmarkSpec, method: str = "ordinary",
             parts = list(pool.map(_run_range, [spec] * n, [method] * n, chunks,
                                   [tol] * n))
         alphas = np.vstack([p[0] for p in parts])
-        ecovs = np.vstack([p[1] for p in parts]) if method == "weighted" else None
+        ecovs = branches = None
+        if method == "weighted":
+            ecovs = np.vstack([p[1] for p in parts])
+            branches = {name: sum(p[3][name] for p in parts) for name in parts[0][3]}
         elapsed = sum(p[2] for p in parts)
     else:
-        alphas, ecovs, elapsed = _run_range(spec, method, indices, tol)
+        alphas, ecovs, elapsed, branches = _run_range(spec, method, indices, tol)
     return McResult(
         estimates=alphas,
         sample_mean=alphas.mean(axis=0),
@@ -304,6 +318,7 @@ def run_mc(spec: BenchmarkSpec, method: str = "ordinary",
         wall_time_per_run=elapsed / n_mc,
         method=method,
         n_mc=n_mc,
+        weighted_branches=branches,
     )
 
 
@@ -340,6 +355,9 @@ def emit_table(result: McResult, spec: BenchmarkSpec, out_dir) -> tuple[str, str
         cells = [f"{row['param']:>{widths['param']}}"]
         cells += [f"{row[c]:>{widths[c]}.6e}" for c in columns[1:]]
         lines.append("  ".join(cells))
+    if result.weighted_branches is not None:
+        lines.append("weighted_branches  " + "  ".join(
+            f"{name} {count}" for name, count in result.weighted_branches.items()))
     lines.append(f"runtime_per_run_s  {result.wall_time_per_run:.6e}")
     with open(txt_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -242,7 +242,7 @@ def cmd_benchmark(args) -> int:
     if args.preset == "clock-ensemble" and args.method == "weighted":
         print("note: weighted identification on the clock ensemble is expensive",
               file=sys.stderr)
-    result = run_mc(spec, args.method, workers=args.workers)
+    result = run_mc(spec, args.method, workers=args.workers, tol=_tolerance(args))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     txt_path, _ = emit_table(result, spec, out_dir)

@@ -3,8 +3,31 @@
 from __future__ import annotations
 
 
+def _rebuilt(cls, args, state):
+    """The error ``cls`` with the message ``args`` and the fields ``state``,
+    made without calling its ``__init__``."""
+    exc = cls.__new__(cls)
+    exc.args = args
+    exc.__dict__.update(state)
+    return exc
+
+
 class MdmError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``run`` is the index of the failing run when a batch of runs was
+    processed together (``StackedSystem.residues``,
+    ``weighted_estimates``) and the error is that run's alone, else None.
+    An error pickles as its message and fields, so that one raised in a
+    worker process (``run_mc(..., workers=N)``) reaches the caller as it
+    was raised: the ``__init__`` of a subclass takes fields, not the
+    message, and unpickling by calling it again would fail.
+    """
+
+    run: int | None = None
+
+    def __reduce__(self):
+        return _rebuilt, (type(self), self.args, self.__dict__)
 
 
 class ValidationError(MdmError):
@@ -19,11 +42,7 @@ class ValidationError(MdmError):
 
 
 class DataError(MdmError):
-    """Measurement data is missing, ragged, or too short for the request.
-
-    ``run`` is the index of the failing run when the records of a batch of
-    runs were checked (``StackedSystem.residues``), else None.
-    """
+    """Measurement data is missing, ragged, or too short for the request."""
 
     def __init__(self, message: str, run: int | None = None):
         super().__init__(message)

@@ -19,6 +19,7 @@ import operator
 import time
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -35,7 +36,6 @@ from .errors import (
 from .linalg import (
     Tolerance,
     DEFAULT_TOL,
-    block_diag,
     numerical_rank,
     svd_rank,
     swap_permutation,
@@ -49,7 +49,6 @@ from .model import (
     MeasurementData,
     NoiseStructure,
     Trajectory,
-    assemble_qr,
     defining_replication,
 )
 from .residue import window_blocks
@@ -68,7 +67,10 @@ __all__ = [
     "gaussian_eta_covariances",
     "assemble_p",
     "weighted_mdm",
+    "weighted_estimates",
     "weighted_pipeline",
+    "WeightedRuns",
+    "BRANCHES",
     "identifiability_report",
     "min_feasible_window",
 ]
@@ -200,6 +202,17 @@ class StackedSystem:
     @property
     def n_windows(self) -> int:
         return len(self.windows)
+
+    @property
+    def band_rows(self) -> int:
+        """Rows of the weight's lower band storage (``assemble_p``): the
+        widest row span of L consecutive windows."""
+        return _band_rows(self.row_offsets, self.L)
+
+    @cached_property
+    def _design_norm2(self) -> float:
+        """||design||_2^2, from design == u diag(s) vt diag(scale)."""
+        return float(np.linalg.norm(self.s[:, None] * self.vt * self.scale, 2) ** 2)
 
     def with_data(self, data) -> "StackedSystem":
         """This design with the squared residues of ``data`` (a Trajectory or
@@ -707,17 +720,18 @@ def _equilibrated_svd(a: np.ndarray, tol: Tolerance):
     unscaled: they are cancellation dust (e.g. the state-noise columns of a
     G == E model), and normalising them would disguise rank deficiency.
     """
-    scale = np.linalg.norm(a, axis=0)
-    dust = scale <= tol.rank_tol * (np.max(scale) if scale.size else 0.0)
+    scale = np.linalg.norm(a, axis=-2)
+    dust = scale <= tol.rank_tol * np.max(scale, axis=-1, keepdims=True, initial=0.0)
     scale[dust] = 1.0
-    u, s, vt, rank, thr = svd_rank(a / scale, tol)
+    u, s, vt, rank, thr = svd_rank(a / scale[..., None, :], tol)
     return (u, s, vt, rank, scale), thr
 
 
 def _ls_solve(factors, b: np.ndarray):
     """LS solution of a x = b and (a^T a)^{-1} = W W^T, W = diag(1/scale)
     V diag(1/s), from ``_equilibrated_svd(a)``; W W^T is exactly symmetric.
-    ``b`` is (m,) or (runs, m), one solution per run.  Raises
+    ``b`` is (m,) or (runs, m), one solution per run; for a stack of
+    matrices a (runs, m, n) and their factors, (runs, m).  Raises
     RankDeficientDesign when rank < columns (or rows < columns).
 
     W (U^T b) is a stacked np.matmul of matrix-vector products, so a run's
@@ -725,10 +739,11 @@ def _ls_solve(factors, b: np.ndarray):
     B would not.
     """
     u, s, vt, rank, scale = factors
-    if rank < scale.size:
-        raise RankDeficientDesign(rank, scale.size)
-    w = vt.T / s / scale[:, None]
-    return np.matmul(w, np.matmul(u.T, b[..., None]))[..., 0], w @ w.T
+    if np.min(rank) < scale.shape[-1]:
+        raise RankDeficientDesign(int(np.min(rank)), scale.shape[-1])
+    w = vt.swapaxes(-1, -2) / s[..., None, :] / scale[..., :, None]
+    return (np.matmul(w, np.matmul(u.swapaxes(-1, -2), b[..., None]))[..., 0],
+            w @ w.swapaxes(-1, -2))
 
 
 def ordinary_estimates(sys: StackedSystem, obs: np.ndarray) -> np.ndarray:
@@ -754,10 +769,6 @@ def ordinary_mdm(sys: StackedSystem, tol: Tolerance = DEFAULT_TOL) -> Estimate:
         rank=sys.rank, rank_threshold=sys.rank_threshold,
         diagnostics={"design_cond": sys.cond, "runtime_s": time.perf_counter() - t0},
     )
-
-
-def _shift_matrix(m: int, j: int) -> np.ndarray:
-    return np.eye(m, k=-j) if m > 0 else np.zeros((0, 0))
 
 
 @dataclass
@@ -792,6 +803,136 @@ class EtaCovariances:
         return base + base[:, swap_permutation(n)]
 
 
+@dataclass
+class WeightedRuns:
+    """Weighted estimates of a batch of runs, row r for run r
+    (``weighted_estimates``; ``weighted_mdm`` and ``weighted_pipeline`` are
+    its one-run case).
+
+    ``branch`` names the solve each run took: banded Cholesky of the
+    full-rank weight ("full-rank") or of its kept rows ("kept-row"), or the
+    dense g-inverse ("dense").  ``weight_rows`` are the rows solved on (the
+    pivoted rank on the dense branch) and ``fit_j`` the fit statistic of a
+    banded solve (NaN on the dense branch).  ``alpha_ordinary``,
+    ``projection`` and ``repaired`` are the first pass, its PSD projection
+    (``EtaCovariances.projection``) and whether it was applied; None when
+    the weight was given.
+    """
+
+    alpha_hat: np.ndarray                # (runs, n_alpha)
+    cov: np.ndarray                      # (runs, n_alpha, n_alpha)
+    branch: np.ndarray                   # (runs,) of BRANCHES
+    weight_rows: np.ndarray              # (runs,)
+    fit_j: np.ndarray                    # (runs,)
+    alpha_ordinary: np.ndarray | None = None
+    projection: np.ndarray | None = None  # (runs, 2)
+    repaired: np.ndarray | None = None    # (runs,)
+
+
+BRANCHES = ("full-rank", "kept-row", "dense")
+
+_PROJECTED = ("Q/R estimate is indefinite; projected it onto the positive "
+              "semidefinite cone before the fourth-moment expansion")
+
+
+# what a run's own values can make its solve raise: the package's errors,
+# scipy's refusal of non-finite input and LAPACK failing to converge
+_RUN_ERRORS = (MdmError, ValueError, np.linalg.LinAlgError)
+
+
+class _FirstFailure:
+    """The first run of a batch that failed, and its error.
+
+    A batch is solved stage by stage over the run axis.  A run that fails
+    drops itself and every later run (``live`` runs remain), so the batch
+    stops at the run a one-run-at-a-time loop would stop at, with that
+    run's error, whichever stage each run failed in.
+    """
+
+    def __init__(self, runs: int):
+        self.live = runs
+        self.error: Exception | None = None
+
+    def record(self, run: int, error: Exception) -> None:
+        if run < self.live:
+            self.live, self.error = run, error
+
+    def raise_error(self) -> None:
+        """Raise the first failing run's error, its index as ``run``."""
+        if self.error is not None:
+            self.error.run = self.live
+            raise self.error
+
+
+def _stacked(fn, arrays, fail: _FirstFailure, runs: np.ndarray | None = None):
+    """fn of the stacks ``arrays`` cut to the rows of live runs; row i is
+    run ``runs[i]`` (ascending), or run i.
+
+    np.linalg raises for a whole stack when one of its matrices fails (a
+    run gone non-finite); the rows are then tried one at a time, the first
+    that raises fails its run, and fn is applied to the rows before it.
+    """
+    n = fail.live if runs is None else int(np.searchsorted(runs, fail.live))
+    try:
+        return fn(*(a[:n] for a in arrays))
+    except np.linalg.LinAlgError:
+        for i in range(n):
+            try:
+                fn(*(a[i:i + 1] for a in arrays))
+            except _RUN_ERRORS as exc:
+                fail.record(i if runs is None else int(runs[i]), exc)
+                return fn(*(a[:i] for a in arrays))
+        raise
+
+
+def _symmetric_eigh(*stacks):
+    """eigh of the symmetric part of each stack."""
+    return tuple(np.linalg.eigh((m + m.swapaxes(-1, -2)) / 2.0) for m in stacks)
+
+
+def _eta_crosses(structure: NoiseStructure, alphas: np.ndarray, L: int,
+                 tol: Tolerance, fail: _FirstFailure):
+    """(crosses, projection, repaired) of ``gaussian_eta_covariances`` for
+    each row of ``alphas`` (runs, n_alpha), up to the first failing run:
+    crosses[r, j] is run r's C_j, projection[r] its
+    ``EtaCovariances.projection`` and repaired[r] whether it was applied.
+
+    Q and R come from one row-vector product per run
+    (``NoiseStructure.covariances``), one stacked eigh each tests them,
+    and the runs that need it are projected together.  C_j is filled by
+    block slices: blkdiag(S_j kron Q, S_j kron R), S_j the shift by j.
+    """
+    q, r = structure.covariances(alphas)
+    eigs = _stacked(_symmetric_eigh, (q, r), fail)
+    runs = fail.live
+    q, r = q[:runs], r[:runs]
+    tops = [np.max(np.abs(lam), axis=-1, initial=0.0) for lam, _ in eigs]
+    floor = -tol.zero_tol * np.maximum(1.0, np.maximum(*tops))
+    lows = [lam[:, 0] if lam.shape[-1] else np.zeros(runs) for lam, _ in eigs]
+    repaired = (lows[0] < floor) | (lows[1] < floor)
+    projection = np.zeros((runs, 2))
+    fix = np.flatnonzero(repaired)
+    if fix.size:
+        q[fix], r[fix] = (np.matmul(v[fix] * np.clip(lam[fix], 0.0, None)[:, None, :],
+                                    v[fix].swapaxes(-1, -2)) for lam, v in eigs)
+        for i, (low, top) in enumerate(zip(lows, tops)):
+            # min(low, 0) / top, 0 where top is 0
+            low, top = np.where(low[fix] > 0.0, 0.0, low[fix]), top[fix]
+            projection[fix, i] = np.where(top > 0.0,
+                                          low / np.where(top > 0.0, top, 1.0), 0.0)
+
+    lg = L - 1
+    n_eps = lg * q.shape[-1] + L * r.shape[-1]
+    crosses = np.zeros((runs, L, n_eps, n_eps))
+    for j in range(L):
+        for m, count, off in ((q, lg - j, 0), (r, L - j, lg * q.shape[-1])):
+            n = m.shape[-1]
+            for i in range(count):
+                crosses[:, j, off + (i + j) * n:off + (i + j + 1) * n,
+                        off + i * n:off + (i + 1) * n] = m
+    return crosses, projection, repaired
+
+
 def gaussian_eta_covariances(structure: NoiseStructure, alpha, L: int,
                              tol: Tolerance = DEFAULT_TOL,
                              repair: bool = False) -> EtaCovariances:
@@ -807,31 +948,20 @@ def gaussian_eta_covariances(structure: NoiseStructure, alpha, L: int,
     estimate) is projected onto the PSD cone, with a warning: one
     eigendecomposition each, negative eigenvalues clipped to zero.  The
     bands are then the exact moments of noises with the projected
-    covariances.  Otherwise it raises.
+    covariances.  Otherwise it raises.  This is the one-run case of
+    ``weighted_estimates``' eta stage.
     """
-    q, r = assemble_qr(structure, alpha)
-    eigs = [np.linalg.eigh((m + m.T) / 2.0) for m in (q, r)]
-    tops = [np.max(np.abs(lam), initial=0.0) for lam, _ in eigs]
-    scale = max(1.0, *tops)
-    projection = (0.0, 0.0)
-    if any(lam.size and lam[0] < -tol.zero_tol * scale for lam, _ in eigs):
+    fail = _FirstFailure(1)
+    crosses, projection, repaired = _eta_crosses(
+        structure, np.asarray(alpha, dtype=float).reshape(1, -1), L, tol, fail)
+    fail.raise_error()
+    if repaired[0]:
         if not repair:
             raise NotPositiveSemidefinite("Q(alpha) or R(alpha) is indefinite")
-        q, r = ((v * np.clip(lam, 0.0, None)) @ v.T for lam, v in eigs)
-        projection = tuple(float(min(lam[0], 0.0) / top) if top > 0.0 else 0.0
-                           for (lam, _), top in zip(eigs, tops))
-        warnings.warn(
-            "Q/R estimate is indefinite; projected it onto the positive "
-            "semidefinite cone before the fourth-moment expansion",
-            RuntimeWarning, stacklevel=2,
-        )
-
-    lg = L - 1
-    sigma = block_diag(np.kron(np.eye(lg), q), np.kron(np.eye(L), r))
-    crosses = [block_diag(np.kron(_shift_matrix(lg, j), q),
-                          np.kron(_shift_matrix(L, j), r)) for j in range(L)]
-    return EtaCovariances(L=L, n_eps=lg * structure.n_w + L * structure.n_v,
-                          r_e2=vec(sigma), crosses=crosses, projection=projection)
+        warnings.warn(_PROJECTED, RuntimeWarning, stacklevel=2)
+    return EtaCovariances(L=L, n_eps=crosses.shape[-1], r_e2=vec(crosses[0, 0]),
+                          crosses=list(crosses[0]),
+                          projection=tuple(float(p) for p in projection[0]))
 
 
 def assemble_p(sys: StackedSystem, etas: EtaCovariances) -> np.ndarray:
@@ -842,9 +972,10 @@ def assemble_p(sys: StackedSystem, etas: EtaCovariances) -> np.ndarray:
     computed for all windows at once in the factored form
     G_r = ac_r @ C_j @ ac_{r+j}^T, which never materialises the
     n_eps^2-sized band matrices.  The result ``ab`` has shape (b+1, m) with
-    ab[i-c, c] == P[i, c] for c <= i <= c+b, b the widest row span of L
-    consecutive windows minus one (L*s - 1 for windows of s rows); entries
-    past the end of a diagonal are 0.  The dense P is never formed.
+    ab[i-c, c] == P[i, c] for c <= i <= c+b, b + 1 = ``sys.band_rows``
+    (L*s for windows of s rows); entries past the end of a diagonal are 0.
+    The dense P is never formed.  This is the one-run case of
+    ``weighted_estimates``' band stage.
 
     ``sys.ac`` pads a window with fewer residue rows at the bottom, so its
     unique pairs are a prefix of the widest window's (``sym_pair_indices``
@@ -856,20 +987,33 @@ def assemble_p(sys: StackedSystem, etas: EtaCovariances) -> np.ndarray:
         raise ValueError(
             f"band dimension n_eps={etas.n_eps} does not match system n_eps={sys.n_eps}"
         )
-    n_windows, offs = sys.n_windows, sys.row_offsets
-    ab = np.zeros((_band_rows(offs, sys.L), sys.n_rows))
-    ac = sys.ac
-    ac_t = ac.transpose(0, 2, 1)
-    si, sj = sym_pair_indices(ac.shape[1])
-    for j in range(min(sys.L, n_windows)):
-        n = n_windows - j
-        g = ac[:n] @ etas.crosses[j] @ ac_t[j:]
-        blk = (g[:, sj[:, None], sj] * g[:, si[:, None], si]
-               + g[:, sj[:, None], si] * g[:, si[:, None], sj])
+    return _assemble_bands(sys, np.stack(etas.crosses)[None])[0]
+
+
+def _assemble_bands(sys: StackedSystem, crosses: np.ndarray) -> np.ndarray:
+    """``assemble_p``'s band of each run, (runs, b+1, m), from the runs' lag
+    crosses (runs, L, n_eps, n_eps).
+
+    The lag loop runs on ac[None, :n] @ C[:, None] @ ac_t[None, j:]: per
+    (run, window) it is the per-window product of one run, and so its bits.
+    The scatter positions are computed once per batch, not per run.
+    """
+    runs = crosses.shape[0]
+    ab = np.zeros((runs, sys.band_rows, sys.n_rows))
+    if not runs:
+        return ab
+    ac = sys.ac[None]
+    ac_t = ac.swapaxes(-1, -2)
+    si, sj = sym_pair_indices(sys.ac.shape[1])
+    for j in range(min(sys.L, sys.n_windows)):
+        n = sys.n_windows - j
+        g = ac[:, :n] @ crosses[:, j, None] @ ac_t[:, j:]
+        blk = (g[..., sj[:, None], sj] * g[..., si[:, None], si]
+               + g[..., sj[:, None], si] * g[..., si[:, None], sj])
         if j == 0:
             # a diagonal block is symmetric up to roundoff; store its mean
-            blk = 0.5 * (blk + blk.transpose(0, 2, 1))
-        _scatter_blocks(ab, blk, offs, j)
+            blk = 0.5 * (blk + blk.swapaxes(-1, -2))
+        _scatter_blocks(ab, blk, sys.row_offsets, j)
     return ab
 
 
@@ -909,10 +1053,13 @@ def _block_index(offsets: np.ndarray, width: int, j: int, shape: tuple[int, int]
 
 def _scatter_blocks(ab: np.ndarray, blk: np.ndarray, offsets: np.ndarray, j: int) -> None:
     """Store the lag-j blocks ``blk`` in the band ``ab``, a diagonal block
-    by its upper triangle (the lower triangle of P)."""
-    idx = _block_index(offsets, blk.shape[1], j, ab.shape, mirror=False)
-    keep = idx < ab.size
-    ab.ravel()[idx[keep]] = blk[keep]
+    by its upper triangle (the lower triangle of P); both may lead with a
+    run axis."""
+    idx = _block_index(offsets, blk.shape[-1], j, ab.shape[-2:], mirror=False)
+    idx = idx.ravel()
+    src = np.flatnonzero(idx < ab.shape[-2] * ab.shape[-1])
+    lead = ab.shape[:-2]
+    ab.reshape(lead + (-1,))[..., idx[src]] = blk.reshape(lead + (-1,))[..., src]
 
 
 def _gather_blocks(ab: np.ndarray, offsets: np.ndarray, width: int, j: int) -> np.ndarray:
@@ -951,9 +1098,171 @@ def _factors_shifted(ab: np.ndarray, shift: float) -> bool:
     return scipy.linalg.lapack.dpbtrf(shifted, lower=1)[1] == 0
 
 
-def _design_norm2(sys: StackedSystem) -> float:
-    """||design||_2^2, from design == u diag(s) vt diag(scale)."""
-    return float(np.linalg.norm(sys.s[:, None] * sys.vt * sys.scale, 2) ** 2)
+def _rank_floor(diag: np.ndarray, tol: Tolerance) -> float:
+    # the shared rank rule, with max diag standing for sigma_max
+    return tol.rank_tol * float(np.max(diag)) * diag.size
+
+
+def _full_rank(band: np.ndarray, tol: Tolerance) -> bool:
+    """Whether the weight in lower band storage ``band`` is numerically
+    full rank: P - rank_tol max(diag P) m I factors."""
+    return np.max(band[0]) > 0.0 and _factors_shifted(band, -_rank_floor(band[0], tol))
+
+
+def _whiten_run(sys: StackedSystem, ab: np.ndarray, xyt: np.ndarray, tol: Tolerance,
+                branch: str):
+    """One run's branch tests and whitened problem: (branch, w, balance).
+
+    ``ab`` is the run's weight band and ``xyt`` its [design | obs],
+    transposed: (n_alpha+1, m), C-ordered, so that xyt.T is the
+    Fortran-ordered matrix LAPACK takes; the full-rank branch whitens it in
+    place.  ``w`` is the whitened [design | obs], transposed the same way
+    (LAPACK returns it Fortran-ordered), and ``balance`` the dense
+    branch's c (1 on the banded ones).
+    """
+    m = sys.n_rows
+    is_full = _full_rank(ab, tol)
+    if not is_full:
+        # the negativity floor uses the regression scale ||design||_2^2 too,
+        # so a numerically-zero weight falls through to the constrained branch
+        floor = tol.rank_tol * max(float(np.max(ab[0])), sys._design_norm2)
+        if not _factors_shifted(ab, floor):
+            lam_min = float(scipy.linalg.eigvals_banded(
+                ab, lower=True, select="i", select_range=(0, 0))[0])
+            raise IndefiniteWeight(
+                f"weight matrix has eigenvalue {lam_min:.3e} below -{floor:.3e}"
+            )
+    if branch == "full-rank" and not is_full:
+        raise IndefiniteWeight("full-rank branch forced but the weight is singular")
+    use_full = is_full if branch == "auto" else branch == "full-rank"
+
+    band = None
+    if use_full:
+        band, xy = ab, xyt.T
+    elif (branch == "auto" and sys.reduction is not None
+          and ab.shape[0] <= sys.band_rows):
+        # (a wider band would couple windows L or more apart)
+        ab_r = _reduced_band(sys, ab)
+        if _full_rank(ab_r, tol):
+            band, xy = ab_r, sys.reduction.apply(xyt.T, sys.row_offsets)
+    if band is not None:
+        chol, info = scipy.linalg.lapack.dpbtrf(band, lower=1)
+        if info == 0:
+            whitened, info = scipy.linalg.lapack.dtbtrs(chol, xy, uplo="L",
+                                                        overwrite_b=1)
+        if info != 0:
+            raise IndefiniteWeight(
+                f"banded Cholesky whitening of the weight failed (LAPACK info {info})")
+        return ("full-rank" if use_full else "kept-row"), whitened.T, 1.0
+    if m > P_DENSE_MAX_ROWS:
+        raise MdmError(
+            f"weight matrix of size {m} exceeds the dense assembly limit "
+            f"{P_DENSE_MAX_ROWS}; use the ordinary method or a shorter horizon"
+        )
+    # T = c P + design design^T, of which pstrf reads the lower triangle;
+    # the transpose of the symmetric product is Fortran-ordered, so T is
+    # built and factored in place.  c (``balance``) = ||design||_2^2 /
+    # max diag P balances the two terms, so that P is not lost below
+    # design design^T; the estimate does not depend on c, the
+    # covariance scales with it
+    d_max = float(np.max(ab[0]))
+    balance = sys._design_norm2 / d_max if d_max > 0.0 else 1.0
+    t = (sys.design @ sys.design.T).T
+    for j in range(ab.shape[0]):
+        i = np.arange(j, m)
+        t[i, i - j] += balance * ab[j, :m - j]
+    c, piv, rank, _ = scipy.linalg.lapack.dpstrf(
+        t, tol=_rank_floor(np.diag(t), tol), lower=1, overwrite_a=1)
+    # T[piv][:, piv] = F F^T, F = c[:, :rank] lower; with F_11 its leading
+    # block, the pivot rows whitened by F_11 give the g-inverse form
+    whitened = scipy.linalg.solve_triangular(
+        c[:rank, :rank], xyt.T[piv[:rank] - 1], lower=True)
+    return "dense", whitened.T, balance
+
+
+def _weighted_solves(sys: StackedSystem, obs: np.ndarray, ab: np.ndarray,
+                     tol: Tolerance, branch: str, fail: _FirstFailure) -> WeightedRuns:
+    """``weighted_mdm``'s solve of the live runs: run r's squared residues
+    obs[r], its weight band ab[r].
+
+    The branch tests, factorisations and whitening are per run (LAPACK has
+    no batched banded routines).  The whitened problems of the runs that
+    took one branch on as many rows are then solved together, by one
+    stacked equilibrated SVD and solve.  Each run's slice of that stack
+    keeps the Fortran order LAPACK gave it (the stack is (runs,
+    n_alpha+1, rows), transposed), so every run gets the bits of its own
+    solve.  What a run raises is recorded in ``fail``.
+    """
+    k, m = sys.n_alpha, sys.n_rows
+    xyt = np.empty((fail.live, k + 1, m))
+    xyt[:, :k] = sys.design.T
+    xyt[:, k] = obs[:fail.live]
+    groups = {}
+    for r in range(fail.live):
+        try:
+            name, w, balance = _whiten_run(sys, ab[r], xyt[r], tol, branch)
+        except _RUN_ERRORS as exc:
+            fail.record(r, exc)
+            break
+        groups.setdefault((name, w.shape[1]), []).append((r, w, balance))
+
+    factored = []
+    for (name, rows), members in groups.items():
+        runs = np.array([r for r, _, _ in members])
+        wt = np.stack([w for _, w, _ in members]).swapaxes(1, 2)
+        a_w, b_w = wt[..., :-1], wt[..., -1]
+        factors = _stacked(lambda a: _equilibrated_svd(a, tol)[0], (a_w,), fail, runs)
+        rank = factors[3]
+        short = np.flatnonzero(rank < k)
+        if short.size:
+            fail.record(int(runs[short[0]]), RankDeficientDesign(int(rank[short[0]]), k))
+        balance = np.array([b for _, _, b in members])
+        factored.append((name, rows, runs, a_w, b_w, factors, balance))
+
+    live = fail.live
+    out = WeightedRuns(alpha_hat=np.empty((live, k)), cov=np.empty((live, k, k)),
+                       branch=np.empty(live, dtype=object),
+                       weight_rows=np.zeros(live, dtype=int),
+                       fit_j=np.full(live, np.nan))
+    for name, rows, runs, a_w, b_w, factors, balance in factored:
+        n = int(np.searchsorted(runs, live))
+        if not n:
+            continue
+        alpha, cov = _ls_solve(tuple(f[:n] for f in factors), b_w[:n])
+        runs = runs[:n]
+        if name == "dense":
+            cov = (cov - np.eye(k)) / balance[:n, None, None]
+        else:
+            resid = b_w[:n] - np.matmul(a_w[:n], alpha[..., None])[..., 0]
+            out.fit_j[runs] = np.matmul(resid[:, None, :], resid[..., None])[:, 0, 0]
+        out.alpha_hat[runs], out.cov[runs] = alpha, cov
+        out.branch[runs], out.weight_rows[runs] = name, rows
+    if logger.isEnabledFor(logging.INFO):
+        for name, rows in zip(out.branch, out.weight_rows):
+            if name == "dense":
+                logger.info("weighted solve: dense g-inverse of the singular weight, "
+                            "pivoted rank %d of %d rows", rows, m)
+            else:
+                logger.info("weighted solve: banded Cholesky of the %s weight on "
+                            "%d of %d rows", name, rows, m)
+    return out
+
+
+def _weighted_estimate(sys: StackedSystem, runs: WeightedRuns, t0: float) -> Estimate:
+    """The Estimate of the one run of ``runs``."""
+    banded = runs.branch[0] != "dense"
+    rows = int(runs.weight_rows[0]) if banded else None
+    return Estimate(
+        alpha_hat=runs.alpha_hat[0], cov=runs.cov[0], rank=sys.rank,
+        method="weighted-full-rank" if runs.branch[0] == "full-rank"
+        else "weighted-constrained",
+        rank_threshold=sys.rank_threshold,
+        diagnostics={"design_cond": sys.cond,
+                     "fit_j": float(runs.fit_j[0]) if banded else None,
+                     "fit_dof": rows - sys.n_alpha if banded else None,
+                     "weight_rows": rows,
+                     "runtime_s": time.perf_counter() - t0},
+    )
 
 
 def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
@@ -984,6 +1293,7 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
     J = r^T P^+ r of the residual r, its degrees of freedom (rows solved on
     minus n_alpha) and those rows (``weight_rows``); the dense branch
     reports None.  ``branch`` ("full-rank" / "constrained") forces a path.
+    This is the one-run case of ``weighted_estimates``' solve.
     """
     if sys.obs is None:
         raise ValueError("system carries no observations")
@@ -997,97 +1307,55 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
                          f"got {ab.shape}")
     if np.any(ab[np.arange(m) >= m - np.arange(ab.shape[0])[:, None]]):
         raise ValueError("weight band storage has entries past the end of a diagonal")
+    fail = _FirstFailure(1)
+    runs = _weighted_solves(sys, sys.obs[None], ab[None], tol, branch, fail)
+    fail.raise_error()
+    return _weighted_estimate(sys, runs, t0)
 
-    def rank_floor(diag):
-        # the shared rank rule, with max diag standing for sigma_max
-        return tol.rank_tol * float(np.max(diag)) * diag.size
 
-    def full_rank(band):
-        return np.max(band[0]) > 0.0 and _factors_shifted(band, -rank_floor(band[0]))
+def weighted_estimates(sys: StackedSystem, obs: np.ndarray, structure: NoiseStructure,
+                       tol: Tolerance = DEFAULT_TOL) -> WeightedRuns:
+    """``weighted_pipeline``'s estimates for each row of ``obs`` ((runs,
+    n_rows) squared residues, as ``StackedSystem.residues`` gives them).
 
-    is_full = full_rank(ab)
-    if not is_full:
-        # the negativity floor uses the regression scale ||design||_2^2 too,
-        # so a numerically-zero weight falls through to the constrained branch
-        floor = tol.rank_tol * max(float(np.max(ab[0])), _design_norm2(sys))
-        if not _factors_shifted(ab, floor):
-            lam_min = float(scipy.linalg.eigvals_banded(
-                ab, lower=True, select="i", select_range=(0, 0))[0])
-            raise IndefiniteWeight(
-                f"weight matrix has eigenvalue {lam_min:.3e} below -{floor:.3e}"
-            )
-    if branch == "full-rank" and not is_full:
-        raise IndefiniteWeight("full-rank branch forced but the weight is singular")
-    use_full = is_full if branch == "auto" else branch == "full-rank"
+    The stages run over the run axis, and each run gets the bits of its
+    own pipeline: one ``ordinary_estimates`` call gives the first passes;
+    Q and R are one row-vector product per run and one stacked eigh tests
+    them, the runs that need it projected onto the PSD cone; one lag loop
+    assembles every run's weight band (``assemble_p``); the branch tests
+    and banded factorisations are per run, and one stacked equilibrated
+    SVD per branch and row count solves the whitened problems
+    (``weighted_mdm``).
 
-    band = None
-    xy = np.column_stack([sys.design, sys.obs])
-    if use_full:
-        band = ab
-    elif (branch == "auto" and sys.reduction is not None
-          and ab.shape[0] <= _band_rows(sys.row_offsets, sys.L)):
-        # (a wider band would couple windows L or more apart)
-        ab_r = _reduced_band(sys, ab)
-        if full_rank(ab_r):
-            band = ab_r
-            xy = sys.reduction.apply(xy, sys.row_offsets)
-    if band is not None:
-        chol, info = scipy.linalg.lapack.dpbtrf(band, lower=1)
-        if info == 0:
-            whitened, info = scipy.linalg.lapack.dtbtrs(chol, xy, uplo="L")
-        if info != 0:
-            raise IndefiniteWeight(
-                f"banded Cholesky whitening of the weight failed (LAPACK info {info})")
-    else:
-        if m > P_DENSE_MAX_ROWS:
-            raise MdmError(
-                f"weight matrix of size {m} exceeds the dense assembly limit "
-                f"{P_DENSE_MAX_ROWS}; use the ordinary method or a shorter horizon"
-            )
-        # T = c P + design design^T, of which pstrf reads the lower triangle;
-        # the transpose of the symmetric product is Fortran-ordered, so T is
-        # built and factored in place.  c (``balance``) = ||design||_2^2 /
-        # max diag P balances the two terms, so that P is not lost below
-        # design design^T; the estimate does not depend on c, the
-        # covariance scales with it
-        d_max = float(np.max(ab[0]))
-        balance = _design_norm2(sys) / d_max if d_max > 0.0 else 1.0
-        t = (sys.design @ sys.design.T).T
-        for j in range(ab.shape[0]):
-            i = np.arange(j, m)
-            t[i, i - j] += balance * ab[j, :m - j]
-        c, piv, rank, _ = scipy.linalg.lapack.dpstrf(
-            t, tol=rank_floor(np.diag(t)), lower=1, overwrite_a=1)
-        # T[piv][:, piv] = F F^T, F = c[:, :rank] lower; with F_11 its leading
-        # block, the pivot rows whitened by F_11 give the g-inverse form
-        whitened = scipy.linalg.solve_triangular(
-            c[:rank, :rank], xy[piv[:rank] - 1], lower=True)
-    a_w, b_w = whitened[:, :-1], whitened[:, -1]
-    alpha, cov = _ls_solve(_equilibrated_svd(a_w, tol)[0], b_w)
-    fit_j = fit_dof = weight_rows = None
-    if band is not None:
-        resid = b_w - a_w @ alpha
-        weight_rows = band.shape[1]
-        fit_j, fit_dof = float(resid @ resid), weight_rows - sys.n_alpha
-        logger.info("weighted solve: banded Cholesky of the %s weight on %d of %d rows",
-                    "full-rank" if use_full else "kept-row", weight_rows, m)
-    else:
-        cov = (cov - np.eye(sys.n_alpha)) / balance
-        logger.info("weighted solve: dense g-inverse of the singular weight, "
-                    "pivoted rank %d of %d rows", rank, m)
-    return Estimate(
-        alpha_hat=alpha, cov=cov, rank=sys.rank,
-        method="weighted-full-rank" if use_full else "weighted-constrained",
-        rank_threshold=sys.rank_threshold,
-        diagnostics={"design_cond": sys.cond, "fit_j": fit_j, "fit_dof": fit_dof,
-                     "weight_rows": weight_rows,
-                     "runtime_s": time.perf_counter() - t0},
-    )
+    A run that fails raises its error, with its index as ``run``, once the
+    runs before it are solved, as one run at a time would; every run whose
+    first pass is projected onto the PSD cone, up to that one, warns.  A
+    weight whose band storage would exceed P_DENSE_MAX_ROWS**2 entries
+    fails every run.
+    """
+    alphas = ordinary_estimates(sys, obs)
+    fail = _FirstFailure(len(alphas))
+    crosses, projection, repaired = _eta_crosses(structure, alphas, sys.L, tol, fail)
+    if sys.band_rows * sys.n_rows > P_DENSE_MAX_ROWS ** 2:
+        fail.record(0, MdmError(
+            f"weight band of {sys.band_rows} x {sys.n_rows} entries exceeds the "
+            f"assembly limit {P_DENSE_MAX_ROWS ** 2}; use the ordinary method "
+            "or a shorter horizon"
+        ))
+    runs = _weighted_solves(sys, obs, _assemble_bands(sys, crosses[:fail.live]), tol,
+                            "auto", fail)
+    # the failing run itself was tested, and warned, before it failed
+    for _ in range(np.count_nonzero(repaired[:fail.live + 1])):
+        warnings.warn(_PROJECTED, RuntimeWarning, stacklevel=2)
+    fail.raise_error()
+    runs.alpha_ordinary, runs.projection, runs.repaired = alphas, projection, repaired
+    return runs
 
 
 def weighted_pipeline(sys: StackedSystem, structure: NoiseStructure,
                       tol: Tolerance = DEFAULT_TOL) -> Estimate:
-    """Ordinary estimate, Gaussian eta covariances from it, weighted solve.
+    """Ordinary estimate, Gaussian eta covariances from it, weighted solve:
+    the one-run case of ``weighted_estimates``.
 
     ``sys`` must carry observations (``build_stacked_system`` or
     ``with_data``); the first-pass estimate and the size of its PSD
@@ -1095,22 +1363,14 @@ def weighted_pipeline(sys: StackedSystem, structure: NoiseStructure,
     A weight whose band storage would exceed P_DENSE_MAX_ROWS**2 entries is
     refused before it is assembled.
     """
-    est_o = ordinary_mdm(sys, tol)
-    etas = gaussian_eta_covariances(structure, est_o.alpha_hat, sys.L,
-                                    tol=tol, repair=True)
-    band_rows = _band_rows(sys.row_offsets, sys.L)
-    if band_rows * sys.n_rows > P_DENSE_MAX_ROWS ** 2:
-        raise MdmError(
-            f"weight band of {band_rows} x {sys.n_rows} entries exceeds the "
-            f"assembly limit {P_DENSE_MAX_ROWS ** 2}; use the ordinary method "
-            "or a shorter horizon"
-        )
-    p_hat = assemble_p(sys, etas)
-    est_w = weighted_mdm(sys, p_hat, tol)
-    est_w.diagnostics["alpha_ordinary"] = est_o.alpha_hat
-    est_w.diagnostics["eta_projection"] = etas.projection
-    est_w.diagnostics["runtime_s"] += est_o.diagnostics["runtime_s"]
-    return est_w
+    if sys.obs is None:
+        raise ValueError("system carries no observations")
+    t0 = time.perf_counter()
+    runs = weighted_estimates(sys, sys.obs[None], structure, tol)
+    est = _weighted_estimate(sys, runs, t0)
+    est.diagnostics["alpha_ordinary"] = runs.alpha_ordinary[0]
+    est.diagnostics["eta_projection"] = tuple(float(p) for p in runs.projection[0])
+    return est
 
 
 def identifiability_report(sys: StackedSystem,

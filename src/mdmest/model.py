@@ -207,6 +207,21 @@ class NoiseStructure:
     def n_v(self) -> int:
         return self.br[0].shape[0]
 
+    def covariances(self, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Q(alpha), R(alpha) of each row of the (runs, n_alpha) ``alphas``,
+        as (runs, n_w, n_w) and (runs, n_v, n_v) stacks.
+
+        Run r's sums are the row-vector product alpha_r @ [vec BQ_1; ...],
+        one np.matmul over the runs, so each has the bits it has alone.
+        """
+        alphas = np.asarray(alphas, dtype=float)
+        if alphas.ndim != 2 or alphas.shape[1] != self.n_alpha:
+            raise ValidationError([f"alpha has length {alphas.shape[-1]}, "
+                                   f"structure defines {self.n_alpha}"])
+        runs = alphas.shape[0]
+        return tuple(np.matmul(alphas[:, None, :], np.stack(b).reshape(self.n_alpha, -1))
+                     .reshape((runs,) + b[0].shape) for b in (self.bq, self.br))
+
 
 @dataclass(frozen=True)
 class InitialCondition:
@@ -264,15 +279,10 @@ class ValidationReport:
 
 
 def assemble_qr(structure: NoiseStructure, alpha) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted sums Q(alpha), R(alpha) of the structure-defining matrices."""
-    alpha = np.asarray(alpha, dtype=float).ravel()
-    if alpha.size != structure.n_alpha:
-        raise ValidationError(
-            [f"alpha has length {alpha.size}, structure defines {structure.n_alpha}"]
-        )
-    q = np.tensordot(alpha, np.stack(structure.bq), axes=1)
-    r = np.tensordot(alpha, np.stack(structure.br), axes=1)
-    return q, r
+    """Weighted sums Q(alpha), R(alpha) of the structure-defining matrices:
+    the one-run case of ``NoiseStructure.covariances``."""
+    q, r = structure.covariances(np.asarray(alpha, dtype=float).reshape(1, -1))
+    return q[0], r[0]
 
 
 def defining_replication(structure: NoiseStructure, L: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 import csv
+import pickle
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +11,13 @@ from mdmest import (
     KNOWN_INPUT,
     NO_INPUT,
     UNKNOWN_INPUT,
+    DataError,
+    IndefiniteWeight,
     InitialCondition,
     MdmError,
+    NoAnnihilator,
+    RankDeficientDesign,
+    ValidationError,
     build_design,
     build_stacked_system,
     emit_plot_data,
@@ -23,6 +30,7 @@ from mdmest import (
 )
 from mdmest import benchmarks
 from mdmest.benchmarks import benchmark_input_signal
+from mdmest.linalg import Tolerance
 from mdmest.model import MatrixSequence
 
 
@@ -198,6 +206,23 @@ class TestRunMc:
         assert benchmarks._chunk_sizes(spec, design) == sizes
         assert sizes[1] == 1 or sizes[1] * design.n_rows <= benchmarks._CHUNK_ELEMENTS
 
+    @pytest.mark.parametrize("name, tau, size", [("obs-ltv", 1000, 16),
+                                                 ("clock-ensemble", 30, 1),
+                                                 ("unobs-unknown-input", 100, 4)])
+    def test_chunk_bound_covers_the_weight_band(self, name, tau, size):
+        """Weighted runs are estimated together only as far as their
+        (runs, band rows, n_rows) weight bands stay within the element
+        bound: obs-ltv's 2 x 1000 band per run at tau=1000 gives batches of
+        16, the clock's 1360 x 2992 at tau=30 one run at a time.  The
+        simulation chunk is the ordinary one."""
+        spec = preset(name, tau=tau)
+        mode = UNKNOWN_INPUT if spec.mode == UNKNOWN_INPUT else KNOWN_INPUT
+        design = build_design(spec.model, spec.structure, spec.L, mode)
+        sim_size = benchmarks._chunk_sizes(spec, design)[0]
+        assert benchmarks._chunk_sizes(spec, design, "weighted") == (sim_size, size)
+        band = design.band_rows * design.n_rows
+        assert size == 1 or size * band <= benchmarks._CHUNK_ELEMENTS
+
     # (chunk size, method, run_mc's error text).  The first run (seed 1)
     # of a state that doubles each step overflows its measurements at
     # record 528; of noises near the largest float, the run with seed 6
@@ -232,6 +257,87 @@ class TestRunMc:
         monkeypatch.setattr(benchmarks, "_RUN_CHUNK", chunk)
         with pytest.raises(MdmError, match=re.escape(text)):
             run_mc(spec, method)
+
+    # (spec, tolerance, run_mc's error text).  At rank_tol 0.006 the obs-ltv
+    # design at tau=40 keeps full rank, and the whitened design of the run
+    # with seed 11 alone (the fourth) loses it.  With noises near 1e306,
+    # the run with seed 1 fails the same way in its weighted solve while
+    # the next one's first pass overflows, which fails np.linalg (the
+    # parent's texts, one run at a time).
+    MID_CHUNK = [
+        ("obs-ltv", 40, 8, 5, None, 0.006,
+         "run with seed 11 failed: design matrix rank 1 < 2 parameters"),
+        ("obs-ltv", 100, 1, 4, 1e306, 1e-10,
+         "run with seed 1 failed: design matrix rank 0 < 2 parameters"),
+    ]
+
+    @pytest.mark.parametrize("chunk, workers", [(1, 1), (2, 1), (32, 1), (32, 2)])
+    @pytest.mark.parametrize("name, tau, seed, n_mc, noise, rank_tol, text", MID_CHUNK)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_weighted_failure_names_the_first_failing_run(
+            self, monkeypatch, chunk, workers, name, tau, seed, n_mc, noise, rank_tol,
+            text):
+        """A batch of weighted runs fails on its first failing run, in seed
+        order, whichever stage each run fails in; so does a pool of worker
+        processes, whose errors reach the caller as raised."""
+        spec = preset(name, tau=tau, n_mc=n_mc, seed=seed)
+        if noise is not None:
+            spec = replace(spec, alpha_true=np.full(2, noise))
+        monkeypatch.setattr(benchmarks, "_RUN_CHUNK", chunk)
+        with pytest.raises(MdmError, match=re.escape(text)):
+            run_mc(spec, "weighted", workers=workers, tol=Tolerance(rank_tol=rank_tol))
+
+    @pytest.mark.parametrize("error", [
+        RankDeficientDesign(1, 2), NoAnnihilator(rows=3, rank=3, k=4),
+        DataError("record k=7: measurement or residue is not finite", run=2),
+        ValidationError(["alpha has length 1, structure defines 2"]),
+        IndefiniteWeight("weight matrix has eigenvalue -1.000e+00 below -1.000e-10"),
+    ])
+    def test_errors_cross_process_boundaries(self, error):
+        """An error, its run and the "run with seed" prefix survive pickling,
+        as a worker process's error must: a RankDeficientDesign used to
+        break the process pool instead."""
+        failed = benchmarks._failed(error, 9)
+        failed.run = 3
+        back = pickle.loads(pickle.dumps(failed))
+        assert type(back) is type(error)
+        assert str(back) == str(failed) and back.run == 3
+        assert back.__dict__ == failed.__dict__
+
+    def test_weight_band_budget_names_the_first_run(self):
+        """A weight band beyond the assembly budget (the clock at tau=1000:
+        1360 x 134,912 entries) fails the batch's first run, as before."""
+        with pytest.raises(MdmError, match=re.escape(
+                "run with seed 0 failed: weight band of 1360 x 134912 entries "
+                "exceeds the assembly limit")):
+            run_mc(preset("clock-ensemble", tau=1000, n_mc=1), "weighted")
+
+    @pytest.mark.parametrize("name, tau, n_mc, counts", [
+        ("obs-ltv", 200, 5, {"full-rank": 5, "kept-row": 0, "dense": 0,
+                             "psd-repaired": 0}),
+        ("unobs-unknown-input", 100, 6, {"full-rank": 0, "kept-row": 6, "dense": 0,
+                                         "psd-repaired": 6}),
+        ("clock-ensemble", 30, 2, {"full-rank": 0, "kept-row": 1, "dense": 1,
+                                   "psd-repaired": 0}),
+    ])
+    def test_weighted_branch_counts(self, tmp_path, name, tau, n_mc, counts):
+        """run_mc counts the weighted runs per solve branch and the runs
+        whose first pass was projected (each of which warns), in one or two
+        processes; the text table prints the counts, the CSV does not."""
+        spec = preset(name, tau=tau, n_mc=n_mc, seed=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = run_mc(spec, "weighted")
+        assert res.weighted_branches == counts
+        warned = sum("indefinite" in str(w.message) for w in caught)
+        assert warned == counts["psd-repaired"]
+        # the worker processes warn in their own streams
+        assert run_mc(spec, "weighted", workers=2).weighted_branches == counts
+        assert run_mc(spec, "ordinary").weighted_branches is None
+        txt_path, csv_path = emit_table(res, spec, tmp_path)
+        line = "weighted_branches  " + "  ".join(f"{k} {v}" for k, v in counts.items())
+        assert line in open(txt_path).read().splitlines()
+        assert "weighted_branches" not in open(csv_path).read()
 
     def test_weighted_collects_estimate_covariances(self):
         spec = preset("obs-ltv", tau=150, n_mc=3, seed=2)

@@ -304,6 +304,18 @@ class TestBenchmarkCommand:
     def test_unknown_preset_usage_error(self, tmp_path):
         assert main(["benchmark", "not-a-preset", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_tolerances_reach_the_runs(self, tmp_path, capsys, workers):
+        """--rank-tol is the rank rule of every run, in one process or two:
+        at 0.9 the obs-ltv design is rank deficient, and the default still
+        writes its table."""
+        args = ["benchmark", "obs-ltv", "--tau", "50", "--n-mc", "3", "--workers", workers]
+        assert main(args + ["--rank-tol", "0.9", "--out", str(tmp_path / "a")]) == \
+            cli.EXIT_NUMERICAL
+        assert "design matrix rank" in capsys.readouterr().err
+        assert main(args + ["--out", str(tmp_path / "b")]) == cli.EXIT_OK
+        assert (tmp_path / "b" / "obs-ltv_ordinary_table.csv").exists()
+
 
 class TestIdentifiabilityCommand:
     def test_full_rank_report(self, tmp_path, obs_ltv_model_file, capsys):

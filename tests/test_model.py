@@ -1,11 +1,13 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, strategies as st
 
 from mdmest import (
     KNOWN_INPUT,
+    UNKNOWN_INPUT,
     InitialCondition,
     LtvModel,
     NoAnnihilator,
@@ -24,6 +26,8 @@ from mdmest import (
     simulate_runs,
     validate,
     vec,
+    weighted_estimates,
+    weighted_pipeline,
 )
 from mdmest.benchmarks import benchmark_input_signal
 from mdmest.model import MatrixSequence, MeasurementData, Trajectory, psd_factor
@@ -454,3 +458,75 @@ def test_run_batched_estimates_are_bitwise_per_run(case):
                     ordinary_mdm(one)
             else:
                 assert bitwise_equal(alphas[r], ordinary_mdm(one).alpha_hat), r
+
+
+def assert_weighted_batch_is_bitwise(design, structure, obs, ones):
+    """``weighted_estimates`` on the residues ``obs`` of a batch of runs
+    equals, run by run, ``weighted_pipeline`` on the runs' systems ``ones``:
+    alpha_hat and diag(cov) bit for bit.  A batch that fails raises the
+    first failing run's error, with its index as ``run``: the runs before
+    it succeed alone and it fails alone, with that text.  Returns the
+    branch each run took ("fails" for a failing batch)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            batch = weighted_estimates(design, obs, structure)
+        except Exception as exc:
+            # a design-level failure (run None) fails every run alike
+            first = getattr(exc, "run", None) or 0
+            for one in ones[:first]:
+                weighted_pipeline(one, structure)
+            with pytest.raises(type(exc)) as alone:
+                weighted_pipeline(ones[first], structure)
+            assert str(alone.value) == str(exc), first
+            return ["fails"]
+        for r, one in enumerate(ones):
+            est = weighted_pipeline(one, structure)
+            assert bitwise_equal(est.alpha_hat, batch.alpha_hat[r]), r
+            assert bitwise_equal(np.diag(est.cov), np.diag(batch.cov[r])), r
+    return list(batch.branch)
+
+
+@given(batched_simulation_cases())
+def test_run_batched_weighted_is_bitwise_per_run(case):
+    """Runs simulated together, their residues formed by one ``residues``
+    call and their weighted estimates by one ``weighted_estimates`` call,
+    give run by run the bits of ``weighted_pipeline(with_data(...))``,
+    on whichever branch each run takes (most of these small random cases
+    have a singular weight)."""
+    model, structure, L, mode, alpha, u, seeds = case
+    try:
+        design = build_design(model, structure, L, mode)
+    except NoAnnihilator:
+        return
+    runs = simulate_runs(model, structure, alpha, input_signal=u, seeds=seeds)
+    u_records = runs.u_records if mode == KNOWN_INPUT else None
+    obs = design.residues(runs.z_records, None if u_records is None else u_records[None])
+    ones = [design.with_data(MeasurementData.from_trajectory(
+        traj, include_u=mode == KNOWN_INPUT)) for traj in runs]
+    for took in assert_weighted_batch_is_bitwise(design, structure, obs, ones):
+        event(took)
+
+
+@pytest.mark.parametrize("name, tau, seed, n_runs, branches", [
+    ("obs-ltv", 120, 0, 5, {"full-rank"}),
+    ("unobs-unknown-input", 60, 0, 5, {"kept-row"}),
+    ("clock-ensemble", 20, 1, 2, {"kept-row", "dense"}),
+])
+def test_run_batched_weighted_is_bitwise_on_the_presets(name, tau, seed, n_runs,
+                                                        branches):
+    """The same on the three presets, which between them take every
+    branch: a full-rank weight (obs-ltv), a singular one solved on its kept
+    rows (unobs) and, on the clock, both that and the dense g-inverse."""
+    spec = preset(name, tau=tau)
+    mode = UNKNOWN_INPUT if spec.mode == UNKNOWN_INPUT else KNOWN_INPUT
+    design = build_design(spec.model, spec.structure, spec.L, mode)
+    runs = simulate_runs(spec.model, spec.structure, spec.alpha_true, spec.init,
+                         input_signal=benchmark_input_signal(spec),
+                         seeds=range(seed, seed + n_runs))
+    include_u = spec.mode == KNOWN_INPUT and spec.model.has_input
+    obs = design.residues(runs.z_records, runs.u_records[None] if include_u else None)
+    ones = [design.with_data(MeasurementData.from_trajectory(traj, include_u=include_u))
+            for traj in runs]
+    assert set(assert_weighted_batch_is_bitwise(design, spec.structure, obs,
+                                                ones)) == branches

@@ -99,12 +99,11 @@ class TestBuildAugmentedBlock:
         """The local block_diag leaves every window's geometry, the design
         and the residues bitwise as scipy.linalg.block_diag gives them."""
         import scipy.linalg
-        from mdmest import estimator, residue
+        from mdmest import residue
         built = []
         for patched in (False, True):
             if patched:
                 monkeypatch.setattr(residue, "block_diag", scipy.linalg.block_diag)
-                monkeypatch.setattr(estimator, "block_diag", scipy.linalg.block_diag)
             for name, mode in (("obs-ltv", KNOWN_INPUT),
                                ("unobs-unknown-input", UNKNOWN_INPUT)):
                 spec = preset(name, tau=40)

@@ -68,6 +68,15 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _window_length(text: str):
+    """argparse type: 'auto' or a window length of at least 1 (argparse
+    names the flag when it rejects one)."""
+    return text if text == "auto" else _int_at_least(1)(text)
+
+
+_window_length.__name__ = "window length"   # argparse's message for a non-integer
+
+
 def _tolerance_value(text: str) -> float:
     """argparse type: a finite nonnegative float, as ``Tolerance`` takes
     (argparse names the flag when it rejects one)."""
@@ -96,9 +105,8 @@ def _resolve_l(args, model, structure, mode, tol, n_records):
     report then shows to be rank deficient.
     """
     if args.L != "auto":
-        l_win = int(args.L)
-        return build_design(model, structure, l_win, mode, tol,
-                            n_windows=n_records - l_win + 1)
+        return build_design(model, structure, args.L, mode, tol,
+                            n_windows=n_records - args.L + 1)
     l_max = max(model.n_x + 2, 12)
     design = feasible_design(model, structure, mode, tol, l_max=l_max,
                              n_records=n_records, fallback=True)
@@ -283,7 +291,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_id = sub.add_parser("identify", help="estimate Q/R parameters from data")
     p_id.add_argument("--model", required=True)
     p_id.add_argument("--data", required=True)
-    p_id.add_argument("--L", default="auto", help="window length or 'auto'")
+    p_id.add_argument("--L", type=_window_length, default="auto",
+                      help="window length or 'auto'")
     p_id.add_argument("--method", choices=("ordinary", "weighted"),
                       default="ordinary")
     p_id.add_argument("--input-mode", choices=("known", "unknown"),
@@ -314,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ident = sub.add_parser("identifiability",
                              help="rank analysis of the design matrix (no data needed)")
     p_ident.add_argument("--model", required=True)
-    p_ident.add_argument("--L", default="auto")
+    p_ident.add_argument("--L", type=_window_length, default="auto")
     p_ident.add_argument("--input-mode", choices=("known", "unknown"),
                          default="known")
     add_common(p_ident)

@@ -17,7 +17,11 @@ class MdmError(Exception):
 
     ``run`` is the index of the failing run when a batch of runs was
     processed together (``StackedSystem.residues``,
-    ``weighted_estimates``) and the error is that run's alone, else None.
+    ``ordinary_estimates``, ``weighted_estimates``) and the error is that
+    run's alone, else None: a failure of the design itself (a rank-deficient
+    design, a weight band over the assembly budget) fails every run alike
+    and carries None.  ``weighted_estimates`` finds the run by solving a
+    failed batch again one run at a time.
     An error pickles as its message and fields, so that one raised in a
     worker process (``run_mc(..., workers=N)``) reaches the caller as it
     was raised: the ``__init__`` of a subclass takes fields, not the

@@ -239,10 +239,11 @@ class StackedSystem:
         ``z`` is (runs, n): each run's measurement records z_0, z_1, ...
         end to end, exactly those the windows span.  ``u`` is None or
         (runs, n_u) (or (1, n_u) for an input the runs share): the input
-        records end to end, as far as the windows read them.  Returns
-        (runs, n_rows).  The first run whose measurements or residues are
-        not finite raises DataError naming its record and, as ``run``, its
-        index.
+        records end to end, at least as far as the windows read them; any
+        other shape raises DataError.  Returns (runs, n_rows).  The first
+        run whose measurements or residues are not finite raises DataError
+        naming, as ``run``, its index and its first non-finite measurement
+        record, or else the window of its first non-finite residue.
 
         One stacked product per residue group over the (runs, windows)
         axes: np.matmul over the stored stacks, broadcast over the runs,
@@ -254,35 +255,38 @@ class StackedSystem:
         if z.ndim != 2 or z.shape[1] != z_off[-1]:
             raise DataError(f"measurement records of shape {z.shape}; the design's "
                             f"windows span (runs, {z_off[-1]})")
-        finite = np.isfinite(z)
-        bad_z = np.flatnonzero(~finite.all(axis=1))
-        # runs from the first with a non-finite measurement on are not formed
-        n_ok = int(bad_z[0]) if bad_z.size else z.shape[0]
-        obs = np.empty((n_ok, self.n_rows))
-        # a residue that overflows is reported below, not warned of
+        if u is not None:
+            n_u = max((int(g.u_index.max()) + 1 for g in self.residue_groups
+                       if g.u_index is not None), default=0)
+            if u.ndim != 2 or u.shape[0] not in (1, z.shape[0]) or u.shape[1] < n_u:
+                raise DataError(f"input records of shape {u.shape}; the design's "
+                                f"windows read ({z.shape[0]} or 1, {n_u})")
+        obs = np.empty((z.shape[0], self.n_rows))
+        # a measurement or residue that is not finite is reported below, not
+        # warned of
         with np.errstate(over="ignore", invalid="ignore"):
             for g in self.residue_groups:
                 # np.take lays the gathered records out run by run (z[:, idx]
                 # would put the run axis innermost, and a run's vectors at a
                 # stride that BLAS does not take)
-                zw = np.take(z[:n_ok], g.z_index, axis=1)
+                zw = np.take(z, g.z_index, axis=1)
                 if u is not None and g.gamma_g is not None:
-                    uw = np.take(u[:n_ok], g.u_index, axis=1)
+                    uw = np.take(u, g.u_index, axis=1)
                     zw = zw - np.matmul(g.gamma_g, uw[..., None])[..., 0]
                 zt = np.matmul(g.annihilator, zw[..., None])[..., 0]
                 sel_i, sel_j = sym_pair_indices(zt.shape[-1])
                 rows = self.row_offsets[g.windows, None] + np.arange(sel_i.size)
                 obs[:, rows] = zt[..., sel_i] * zt[..., sel_j]
-        bad_obs = np.flatnonzero(~np.isfinite(obs).all(axis=1))
-        if bad_obs.size:
-            # finite measurements whose residue overflows
-            run = int(bad_obs[0])
-            record = _record_of(self.row_offsets, np.argmin(np.isfinite(obs[run])))
-        elif bad_z.size:
-            run = n_ok
-            record = _record_of(z_off, np.argmin(finite[run]))
-        else:
+        finite_z, finite_obs = np.isfinite(z), np.isfinite(obs)
+        bad = np.flatnonzero(~(finite_z.all(axis=1) & finite_obs.all(axis=1)))
+        if not bad.size:
             return obs
+        run = int(bad[0])
+        if finite_z[run].all():
+            # finite measurements whose residue overflows
+            record = _record_of(self.row_offsets, np.argmin(finite_obs[run]))
+        else:
+            record = _record_of(z_off, np.argmin(finite_z[run]))
         raise DataError(f"record k={record}: measurement or residue is not finite",
                         run=run)
 
@@ -748,7 +752,26 @@ def _ls_solve(factors, b: np.ndarray):
 
 def ordinary_estimates(sys: StackedSystem, obs: np.ndarray) -> np.ndarray:
     """``ordinary_mdm``'s alpha_hat for each row of ``obs`` ((runs, n_rows),
-    as ``StackedSystem.residues`` gives them; (n_rows,) for one run)."""
+    as ``StackedSystem.residues`` gives them; (n_rows,) for one run).
+
+    ``obs`` of another shape raises DataError, a design without full rank
+    RankDeficientDesign, and then the first run with a squared residue that
+    is not finite DataError naming its window and, as ``run``, its index
+    (None for one run given as (n_rows,)).
+    """
+    obs = np.asarray(obs, dtype=float)
+    if obs.ndim not in (1, 2) or obs.shape[-1] != sys.n_rows:
+        raise DataError(f"squared residues of shape {obs.shape}; the design "
+                        f"has {sys.n_rows} rows")
+    if sys.rank < sys.n_alpha:
+        raise RankDeficientDesign(sys.rank, sys.n_alpha)
+    finite = np.isfinite(obs).reshape(-1, sys.n_rows)
+    bad = np.flatnonzero(~finite.all(axis=1))
+    if bad.size:
+        run = int(bad[0])
+        raise DataError(f"record k={_record_of(sys.row_offsets, np.argmin(finite[run]))}"
+                        ": squared residue is not finite",
+                        run=run if obs.ndim == 2 else None)
     return _ls_solve((sys.u, sys.s, sys.vt, sys.rank, sys.scale), obs)[0]
 
 
@@ -840,62 +863,12 @@ _PROJECTED = ("Q/R estimate is indefinite; projected it onto the positive "
 _RUN_ERRORS = (MdmError, ValueError, np.linalg.LinAlgError)
 
 
-class _FirstFailure:
-    """The first run of a batch that failed, and its error.
-
-    A batch is solved stage by stage over the run axis.  A run that fails
-    drops itself and every later run (``live`` runs remain), so the batch
-    stops at the run a one-run-at-a-time loop would stop at, with that
-    run's error, whichever stage each run failed in.
-    """
-
-    def __init__(self, runs: int):
-        self.live = runs
-        self.error: Exception | None = None
-
-    def record(self, run: int, error: Exception) -> None:
-        if run < self.live:
-            self.live, self.error = run, error
-
-    def raise_error(self) -> None:
-        """Raise the first failing run's error, its index as ``run``."""
-        if self.error is not None:
-            self.error.run = self.live
-            raise self.error
-
-
-def _stacked(fn, arrays, fail: _FirstFailure, runs: np.ndarray | None = None):
-    """fn of the stacks ``arrays`` cut to the rows of live runs; row i is
-    run ``runs[i]`` (ascending), or run i.
-
-    np.linalg raises for a whole stack when one of its matrices fails (a
-    run gone non-finite); the rows are then tried one at a time, the first
-    that raises fails its run, and fn is applied to the rows before it.
-    """
-    n = fail.live if runs is None else int(np.searchsorted(runs, fail.live))
-    try:
-        return fn(*(a[:n] for a in arrays))
-    except np.linalg.LinAlgError:
-        for i in range(n):
-            try:
-                fn(*(a[i:i + 1] for a in arrays))
-            except _RUN_ERRORS as exc:
-                fail.record(i if runs is None else int(runs[i]), exc)
-                return fn(*(a[:i] for a in arrays))
-        raise
-
-
-def _symmetric_eigh(*stacks):
-    """eigh of the symmetric part of each stack."""
-    return tuple(np.linalg.eigh((m + m.swapaxes(-1, -2)) / 2.0) for m in stacks)
-
-
 def _eta_crosses(structure: NoiseStructure, alphas: np.ndarray, L: int,
-                 tol: Tolerance, fail: _FirstFailure):
+                 tol: Tolerance):
     """(crosses, projection, repaired) of ``gaussian_eta_covariances`` for
-    each row of ``alphas`` (runs, n_alpha), up to the first failing run:
-    crosses[r, j] is run r's C_j, projection[r] its
-    ``EtaCovariances.projection`` and repaired[r] whether it was applied.
+    each row of ``alphas`` (runs, n_alpha): crosses[r, j] is run r's C_j,
+    projection[r] its ``EtaCovariances.projection`` and repaired[r]
+    whether it was applied.
 
     Q and R come from one row-vector product per run
     (``NoiseStructure.covariances``), one stacked eigh each tests them,
@@ -903,9 +876,8 @@ def _eta_crosses(structure: NoiseStructure, alphas: np.ndarray, L: int,
     block slices: blkdiag(S_j kron Q, S_j kron R), S_j the shift by j.
     """
     q, r = structure.covariances(alphas)
-    eigs = _stacked(_symmetric_eigh, (q, r), fail)
-    runs = fail.live
-    q, r = q[:runs], r[:runs]
+    eigs = [np.linalg.eigh((m + m.swapaxes(-1, -2)) / 2.0) for m in (q, r)]
+    runs = len(alphas)
     tops = [np.max(np.abs(lam), axis=-1, initial=0.0) for lam, _ in eigs]
     floor = -tol.zero_tol * np.maximum(1.0, np.maximum(*tops))
     lows = [lam[:, 0] if lam.shape[-1] else np.zeros(runs) for lam, _ in eigs]
@@ -951,10 +923,8 @@ def gaussian_eta_covariances(structure: NoiseStructure, alpha, L: int,
     covariances.  Otherwise it raises.  This is the one-run case of
     ``weighted_estimates``' eta stage.
     """
-    fail = _FirstFailure(1)
     crosses, projection, repaired = _eta_crosses(
-        structure, np.asarray(alpha, dtype=float).reshape(1, -1), L, tol, fail)
-    fail.raise_error()
+        structure, np.asarray(alpha, dtype=float).reshape(1, -1), L, tol)
     if repaired[0]:
         if not repair:
             raise NotPositiveSemidefinite("Q(alpha) or R(alpha) is indefinite")
@@ -1181,9 +1151,10 @@ def _whiten_run(sys: StackedSystem, ab: np.ndarray, xyt: np.ndarray, tol: Tolera
 
 
 def _weighted_solves(sys: StackedSystem, obs: np.ndarray, ab: np.ndarray,
-                     tol: Tolerance, branch: str, fail: _FirstFailure) -> WeightedRuns:
-    """``weighted_mdm``'s solve of the live runs: run r's squared residues
-    obs[r], its weight band ab[r].
+                     tol: Tolerance, branch: str) -> WeightedRuns:
+    """``weighted_mdm``'s solve of each run: run r's squared residues
+    obs[r], its weight band ab[r].  Bands that are not finite raise
+    MdmError before any factorisation.
 
     The branch tests, factorisations and whitening are per run (LAPACK has
     no batched banded routines).  The whitened problems of the runs that
@@ -1191,52 +1162,37 @@ def _weighted_solves(sys: StackedSystem, obs: np.ndarray, ab: np.ndarray,
     stacked equilibrated SVD and solve.  Each run's slice of that stack
     keeps the Fortran order LAPACK gave it (the stack is (runs,
     n_alpha+1, rows), transposed), so every run gets the bits of its own
-    solve.  What a run raises is recorded in ``fail``.
+    solve.
     """
+    if not np.isfinite(ab).all():
+        raise MdmError("weight matrix is not finite")
     k, m = sys.n_alpha, sys.n_rows
-    xyt = np.empty((fail.live, k + 1, m))
+    runs = len(obs)
+    xyt = np.empty((runs, k + 1, m))
     xyt[:, :k] = sys.design.T
-    xyt[:, k] = obs[:fail.live]
+    xyt[:, k] = obs
     groups = {}
-    for r in range(fail.live):
-        try:
-            name, w, balance = _whiten_run(sys, ab[r], xyt[r], tol, branch)
-        except _RUN_ERRORS as exc:
-            fail.record(r, exc)
-            break
+    for r in range(runs):
+        name, w, balance = _whiten_run(sys, ab[r], xyt[r], tol, branch)
         groups.setdefault((name, w.shape[1]), []).append((r, w, balance))
 
-    factored = []
+    out = WeightedRuns(alpha_hat=np.empty((runs, k)), cov=np.empty((runs, k, k)),
+                       branch=np.empty(runs, dtype=object),
+                       weight_rows=np.zeros(runs, dtype=int),
+                       fit_j=np.full(runs, np.nan))
     for (name, rows), members in groups.items():
-        runs = np.array([r for r, _, _ in members])
+        idx = [r for r, _, _ in members]
         wt = np.stack([w for _, w, _ in members]).swapaxes(1, 2)
         a_w, b_w = wt[..., :-1], wt[..., -1]
-        factors = _stacked(lambda a: _equilibrated_svd(a, tol)[0], (a_w,), fail, runs)
-        rank = factors[3]
-        short = np.flatnonzero(rank < k)
-        if short.size:
-            fail.record(int(runs[short[0]]), RankDeficientDesign(int(rank[short[0]]), k))
-        balance = np.array([b for _, _, b in members])
-        factored.append((name, rows, runs, a_w, b_w, factors, balance))
-
-    live = fail.live
-    out = WeightedRuns(alpha_hat=np.empty((live, k)), cov=np.empty((live, k, k)),
-                       branch=np.empty(live, dtype=object),
-                       weight_rows=np.zeros(live, dtype=int),
-                       fit_j=np.full(live, np.nan))
-    for name, rows, runs, a_w, b_w, factors, balance in factored:
-        n = int(np.searchsorted(runs, live))
-        if not n:
-            continue
-        alpha, cov = _ls_solve(tuple(f[:n] for f in factors), b_w[:n])
-        runs = runs[:n]
+        alpha, cov = _ls_solve(_equilibrated_svd(a_w, tol)[0], b_w)
         if name == "dense":
-            cov = (cov - np.eye(k)) / balance[:n, None, None]
+            balance = np.array([b for _, _, b in members])
+            cov = (cov - np.eye(k)) / balance[:, None, None]
         else:
-            resid = b_w[:n] - np.matmul(a_w[:n], alpha[..., None])[..., 0]
-            out.fit_j[runs] = np.matmul(resid[:, None, :], resid[..., None])[:, 0, 0]
-        out.alpha_hat[runs], out.cov[runs] = alpha, cov
-        out.branch[runs], out.weight_rows[runs] = name, rows
+            resid = b_w - np.matmul(a_w, alpha[..., None])[..., 0]
+            out.fit_j[idx] = np.matmul(resid[:, None, :], resid[..., None])[:, 0, 0]
+        out.alpha_hat[idx], out.cov[idx] = alpha, cov
+        out.branch[idx], out.weight_rows[idx] = name, rows
     if logger.isEnabledFor(logging.INFO):
         for name, rows in zip(out.branch, out.weight_rows):
             if name == "dense":
@@ -1307,9 +1263,10 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
                          f"got {ab.shape}")
     if np.any(ab[np.arange(m) >= m - np.arange(ab.shape[0])[:, None]]):
         raise ValueError("weight band storage has entries past the end of a diagonal")
-    fail = _FirstFailure(1)
-    runs = _weighted_solves(sys, sys.obs[None], ab[None], tol, branch, fail)
-    fail.raise_error()
+    if branch not in ("auto", "full-rank", "constrained"):
+        raise ValueError(f"unknown branch {branch!r}; choose 'auto', 'full-rank' "
+                         "or 'constrained'")
+    runs = _weighted_solves(sys, sys.obs[None], ab[None], tol, branch)
     return _weighted_estimate(sys, runs, t0)
 
 
@@ -1325,31 +1282,55 @@ def weighted_estimates(sys: StackedSystem, obs: np.ndarray, structure: NoiseStru
     assembles every run's weight band (``assemble_p``); the branch tests
     and banded factorisations are per run, and one stacked equilibrated
     SVD per branch and row count solves the whitened problems
-    (``weighted_mdm``).
+    (``weighted_mdm``).  Every run whose first pass is projected onto the
+    PSD cone warns.
 
-    A run that fails raises its error, with its index as ``run``, once the
-    runs before it are solved, as one run at a time would; every run whose
-    first pass is projected onto the PSD cone, up to that one, warns.  A
-    weight whose band storage would exceed P_DENSE_MAX_ROWS**2 entries
-    fails every run.
+    A design without full rank, or a weight whose band storage would
+    exceed P_DENSE_MAX_ROWS**2 entries, fails every run and is raised
+    first, with ``run`` None; ``ordinary_estimates``' refusals of ``obs``
+    come next.  When a later stage fails, the runs are solved again one
+    at a time, as their one-run case, and the first failing run's error
+    is raised with its index as ``run``, after the warnings one run at a
+    time gives up to and including that run.
     """
-    alphas = ordinary_estimates(sys, obs)
-    fail = _FirstFailure(len(alphas))
-    crosses, projection, repaired = _eta_crosses(structure, alphas, sys.L, tol, fail)
+    obs = np.asarray(obs, dtype=float)
+    if obs.ndim != 2:
+        raise DataError(f"squared residues of shape {obs.shape}; weighted_estimates "
+                        f"takes (runs, {sys.n_rows})")
+    if sys.rank < sys.n_alpha:
+        raise RankDeficientDesign(sys.rank, sys.n_alpha)
     if sys.band_rows * sys.n_rows > P_DENSE_MAX_ROWS ** 2:
-        fail.record(0, MdmError(
+        raise MdmError(
             f"weight band of {sys.band_rows} x {sys.n_rows} entries exceeds the "
             f"assembly limit {P_DENSE_MAX_ROWS ** 2}; use the ordinary method "
             "or a shorter horizon"
-        ))
-    runs = _weighted_solves(sys, obs, _assemble_bands(sys, crosses[:fail.live]), tol,
-                            "auto", fail)
-    # the failing run itself was tested, and warned, before it failed
-    for _ in range(np.count_nonzero(repaired[:fail.live + 1])):
-        warnings.warn(_PROJECTED, RuntimeWarning, stacklevel=2)
-    fail.raise_error()
+        )
+    alphas = ordinary_estimates(sys, obs)
+    try:
+        crosses, projection, repaired = _eta_crosses(structure, alphas, sys.L, tol)
+        runs = _weighted_solves(sys, obs, _assemble_bands(sys, crosses), tol, "auto")
+    except _RUN_ERRORS:
+        for r in range(len(obs)):
+            one = slice(r, r + 1)
+            try:
+                crosses, _, repaired = _eta_crosses(structure, alphas[one], sys.L, tol)
+                _warn_projected(repaired)
+                _weighted_solves(sys, obs[one], _assemble_bands(sys, crosses), tol,
+                                 "auto")
+            except _RUN_ERRORS as exc:
+                exc.run = r
+                raise exc from None
+        raise
+    _warn_projected(repaired)
     runs.alpha_ordinary, runs.projection, runs.repaired = alphas, projection, repaired
     return runs
+
+
+def _warn_projected(repaired: np.ndarray) -> None:
+    """One warning per run whose first pass was projected, at the caller
+    of ``weighted_estimates``."""
+    for _ in range(np.count_nonzero(repaired)):
+        warnings.warn(_PROJECTED, RuntimeWarning, stacklevel=3)
 
 
 def weighted_pipeline(sys: StackedSystem, structure: NoiseStructure,

@@ -226,8 +226,8 @@ class TestRunMc:
     # (chunk size, method, run_mc's error text).  The first run (seed 1)
     # of a state that doubles each step overflows its measurements at
     # record 528; of noises near the largest float, the run with seed 6
-    # (the third) overflows a residue at record 51, while the weighted
-    # solve of the run with seed 4 fails before it.
+    # (the third) overflows a residue at record 51, while the weight band
+    # of the run with seed 4 overflows before it.
     OVERFLOWS = [
         ("measurement", "ordinary",
          "run with seed 1 failed: record k=528: measurement or residue is not finite"),
@@ -236,7 +236,7 @@ class TestRunMc:
         ("residue", "ordinary",
          "run with seed 6 failed: record k=51: measurement or residue is not finite"),
         ("residue", "weighted",
-         "run with seed 4 failed: design matrix rank 0 < 2 parameters"),
+         "run with seed 4 failed: weight matrix is not finite"),
     ]
 
     @pytest.mark.parametrize("chunk", [1, 2, 32])
@@ -261,14 +261,13 @@ class TestRunMc:
     # (spec, tolerance, run_mc's error text).  At rank_tol 0.006 the obs-ltv
     # design at tau=40 keeps full rank, and the whitened design of the run
     # with seed 11 alone (the fourth) loses it.  With noises near 1e306,
-    # the run with seed 1 fails the same way in its weighted solve while
-    # the next one's first pass overflows, which fails np.linalg (the
-    # parent's texts, one run at a time).
+    # the weight band of every run overflows, and the run with seed 1, the
+    # first, fails first.
     MID_CHUNK = [
         ("obs-ltv", 40, 8, 5, None, 0.006,
          "run with seed 11 failed: design matrix rank 1 < 2 parameters"),
         ("obs-ltv", 100, 1, 4, 1e306, 1e-10,
-         "run with seed 1 failed: design matrix rank 0 < 2 parameters"),
+         "run with seed 1 failed: weight matrix is not finite"),
     ]
 
     @pytest.mark.parametrize("chunk, workers", [(1, 1), (2, 1), (32, 1), (32, 2)])

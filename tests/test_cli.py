@@ -359,6 +359,25 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["identify", "identifiability"])
+    @pytest.mark.parametrize("value, message", [
+        ("0", "must be at least 1, got 0"), ("-1", "must be at least 1, got -1"),
+        ("abc", "invalid window length value: 'abc'"),
+        ("2.5", "invalid window length value: '2.5'"),
+    ])
+    def test_bad_window_length_names_the_flag(self, tmp_path, capsys,
+                                              obs_ltv_model_file, command, value,
+                                              message):
+        """--L takes 'auto' or an integer of at least 1; anything else is a
+        usage error naming the flag, not a traceback."""
+        argv = [command, "--model", str(obs_ltv_model_file), f"--L={value}",
+                "--out", str(tmp_path / "o")]
+        if command == "identify":
+            argv += ["--data", str(tmp_path / "nope.jsonl")]
+        assert main(argv) == 2
+        assert f"argument --L: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_rank_deficient_identify_prints_report(self, tmp_path, capsys,
                                                    ge_equal_model,
                                                    ge_equal_structure):

@@ -24,9 +24,12 @@ from mdmest import (
     identifiability_report,
     min_feasible_window,
     numerical_rank,
+    ordinary_estimates,
     ordinary_mdm,
     preset,
     simulate,
+    simulate_runs,
+    weighted_estimates,
     weighted_mdm,
     weighted_pipeline,
 )
@@ -133,6 +136,70 @@ class TestBuildStackedSystem:
         with caplog.at_level("WARNING", logger="mdmest.estimator"):
             build_stacked_system(spec.model, spec.structure, data, spec.L)
         assert ("assuming zero input" in caplog.text) == warns
+
+
+class TestBatchEntryPoints:
+    """Malformed input to ``residues``, ``ordinary_estimates`` and
+    ``weighted_estimates`` raises DataError, naming the run and window of
+    a value that is not finite."""
+
+    @staticmethod
+    def batch():
+        spec = preset("obs-ltv", tau=30)
+        design = build_design(spec.model, spec.structure, spec.L, KNOWN_INPUT)
+        runs = simulate_runs(spec.model, spec.structure, spec.alpha_true, spec.init,
+                             input_signal=benchmark_input_signal(spec),
+                             seeds=range(3))
+        return spec, design, runs.z_records, runs.u_records[None]
+
+    @pytest.mark.parametrize("cut", ["short", "flat", "runs"])
+    def test_residues_reject_misshapen_input(self, cut):
+        _, design, z, u = self.batch()
+        u = {"short": u[:, :-2], "flat": u[0], "runs": np.vstack([u, u])}[cut]
+        with pytest.raises(DataError, match=r"input records of shape"):
+            design.residues(z, u)
+
+    @pytest.mark.filterwarnings("error")
+    def test_residues_name_the_first_nonfinite_run(self):
+        _, design, z, u = self.batch()
+        z[2, 4], z[1, 7] = np.inf, np.nan
+        with pytest.raises(DataError, match="^record k=7: measurement") as err:
+            design.residues(z, u)
+        assert err.value.run == 1
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_nonfinite_squared_residue_names_its_run_and_window(self, weighted):
+        spec, design, z, u = self.batch()
+        obs = design.residues(z, u)
+        obs[2, design.row_offsets[9]] = np.nan
+        with pytest.raises(DataError, match="^record k=9: squared residue is not "
+                                            "finite$") as err:
+            if weighted:
+                weighted_estimates(design, obs, spec.structure)
+            else:
+                ordinary_estimates(design, obs)
+        assert err.value.run == 2
+        with pytest.raises(DataError, match="^record k=9:") as err:
+            ordinary_estimates(design, obs[2])
+        assert err.value.run is None
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_wrong_row_count_rejected(self, weighted):
+        spec, design, z, u = self.batch()
+        obs = design.residues(z, u)[:, :-1]
+        with pytest.raises(DataError, match=rf"shape \(3, {design.n_rows - 1}\); "
+                                            rf"the design has {design.n_rows} rows"):
+            if weighted:
+                weighted_estimates(design, obs, spec.structure)
+            else:
+                ordinary_estimates(design, obs)
+
+    def test_weighted_estimates_take_runs_of_rows(self):
+        spec, design, z, u = self.batch()
+        obs = design.residues(z, u)
+        with pytest.raises(DataError, match=rf"shape \({design.n_rows},\); "
+                                            rf"weighted_estimates takes \(runs, "):
+            weighted_estimates(design, obs[0], spec.structure)
 
 
 class TestMinFeasibleWindow:
@@ -442,6 +509,23 @@ class TestWeightedMdm:
         assert np.max(np.abs(est.alpha_hat - alpha)) <= 1e-12 * np.max(np.abs(alpha))
         assert (np.max(np.abs(est.cov + np.eye(sys_full.n_alpha) - gram_inv))
                 <= 1e-12 * np.max(np.abs(gram_inv)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_weight_rejected(self, bad):
+        """A weight entry that is not finite is refused before any
+        factorisation, on every branch, instead of changing the estimate."""
+        spec, sys_full = simulated_system("obs-ltv", tau=300, seed=6)
+        etas = gaussian_eta_covariances(spec.structure, ordinary_mdm(sys_full).alpha_hat, 2)
+        ab = assemble_p(sys_full, etas)
+        ab[0, 10] = bad
+        for branch in ("auto", "full-rank", "constrained"):
+            with pytest.raises(MdmError, match="^weight matrix is not finite$"):
+                weighted_mdm(sys_full, ab, branch=branch)
+
+    def test_unknown_branch_rejected(self):
+        spec, sys_full = simulated_system("obs-ltv", tau=30, seed=7)
+        with pytest.raises(ValueError, match="unknown branch 'bogus'"):
+            weighted_mdm(sys_full, np.ones((1, sys_full.n_rows)), branch="bogus")
 
     def test_dense_weight_rejected(self):
         spec, sys_full = simulated_system("obs-ltv", tau=30, seed=7)

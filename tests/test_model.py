@@ -508,6 +508,56 @@ def test_run_batched_weighted_is_bitwise_per_run(case):
         event(took)
 
 
+def weighted_outcome(call):
+    """(None or the error's (type, text, run), projection warnings) of ``call``."""
+    outcome = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            call()
+        except Exception as exc:
+            outcome = (type(exc), str(exc), getattr(exc, "run", None))
+    return outcome, sum("indefinite" in str(w.message) for w in caught)
+
+
+@given(batched_simulation_cases(), st.data())
+def test_weighted_batch_failure_is_the_first_failing_run(case, data):
+    """A batch in which one run's squared residues are scaled by 1e160
+    (which makes that run fail inside its weighted solve) raises what
+    solving the runs one at a time raises first: the same type, text and,
+    as ``run``, index (None for a design-level failure); and it warns of a
+    projected first pass as often as those one-run solves do, up to and
+    including the failing run (``test_run_batched_weighted_is_bitwise_per_run``
+    checks the estimates of batches that succeed)."""
+    model, structure, L, mode, alpha, u, seeds = case
+    try:
+        design = build_design(model, structure, L, mode)
+    except NoAnnihilator:
+        return
+    runs = simulate_runs(model, structure, alpha, input_signal=u, seeds=seeds)
+    u_records = runs.u_records if mode == KNOWN_INPUT else None
+    obs = design.residues(runs.z_records, None if u_records is None else u_records[None])
+    obs[data.draw(st.integers(0, len(seeds) - 1), label="scaled run")] *= 1e160
+    batch, batch_warned = weighted_outcome(
+        lambda: weighted_estimates(design, obs, structure))
+    warned = 0
+    for r in range(len(seeds)):
+        one, one_warned = weighted_outcome(
+            lambda: weighted_estimates(design, obs[r:r + 1], structure))
+        warned += one_warned
+        if one is not None:
+            kind, text, run = one
+            assert batch == (kind, text, None if run is None else r)
+            event(f"fails: {kind.__name__}, " + ("design-level" if run is None
+                                                 else "first run" if r == 0
+                                                 else "later run"))
+            break
+    else:
+        assert batch is None
+        event("succeeds")
+    assert batch_warned == warned
+
+
 @pytest.mark.parametrize("name, tau, seed, n_runs, branches", [
     ("obs-ltv", 120, 0, 5, {"full-rank"}),
     ("unobs-unknown-input", 60, 0, 5, {"kept-row"}),

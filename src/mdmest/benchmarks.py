@@ -144,6 +144,9 @@ def _unobs_unknown_input(tau: int, n_mc: int, seed: int) -> BenchmarkSpec:
 
 
 def _obs_ltv(tau: int, n_mc: int, seed: int) -> BenchmarkSpec:
+    """H_k = 1 + 0.99 sin(100 pi k / tau) is 1 at every k when 100/tau is an
+    integer (tau 20, 25, 50, 100): the measurement map is then constant and
+    the design ill-conditioned (cond 29.6, against 2.0-2.4 at tau 30-300)."""
     f_seq = [np.array([[0.8 - 0.1 * np.sin(7.0 * np.pi * k / tau)]])
              for k in range(tau + 1)]
     h_seq = [np.array([[1.0 + 0.99 * np.sin(100.0 * np.pi * k / tau)]])

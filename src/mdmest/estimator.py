@@ -8,8 +8,9 @@ where obs_k selects the unique entries of the squared residue and eta_k is
 the zero-mean deviation of the squared stacked noise from its expectation.
 The ordinary solver ignores the eta covariance; the weighted solver builds
 it (under a Gaussian assumption, from a first-pass ordinary estimate) as a
-band matrix and solves the generalised LS problem by banded Cholesky,
-falling back to a constrained LS form when the weight matrix is singular.
+band matrix on the independent rows and solves the generalised LS problem
+by banded Cholesky, falling back to a constrained LS form when the weight
+matrix is singular.
 """
 
 from __future__ import annotations
@@ -132,7 +133,8 @@ class RowReduction:
     and eta alike; the kept rows are the products that involve a new
     direction.  ``transforms[kinds[k]]`` maps window k's product rows
     (zero-padded to the widest window) to its kept rows, first; a window
-    that shares nothing keeps its rows by the identity.
+    that shares nothing keeps its rows by the identity.  With M the map of
+    all windows, the design's weighted problem is (M design, M obs, M P M^T).
     """
 
     kinds: np.ndarray                  # (n_windows,) index into transforms
@@ -205,13 +207,23 @@ class StackedSystem:
 
     @property
     def band_rows(self) -> int:
-        """Rows of the weight's lower band storage (``assemble_p``): the
-        widest row span of L consecutive windows."""
+        """Rows of the lower band storage of the weight on all rows, the
+        widest row span of L consecutive windows: the assembly budget's
+        band, also when the weight is the kept rows' (``assemble_p``)."""
         return _band_rows(self.row_offsets, self.L)
 
     @cached_property
+    def _weight_offsets(self) -> np.ndarray:
+        """Window row offsets of the weighted problem: the kept rows' if reduced."""
+        return self.row_offsets if self.reduction is None else self.reduction.row_offsets
+
+    @cached_property
     def _design_norm2(self) -> float:
-        """||design||_2^2, from design == u diag(s) vt diag(scale)."""
+        """||design||_2^2 of the weighted problem: of the kept rows with a
+        ``reduction``, else from design == u diag(s) vt diag(scale)."""
+        if self.reduction is not None:
+            kept = self.reduction.apply(self.design, self.row_offsets)
+            return float(np.linalg.norm(kept, 2) ** 2)
         return float(np.linalg.norm(self.s[:, None] * self.vt * self.scale, 2) ** 2)
 
     def with_data(self, data) -> "StackedSystem":
@@ -935,17 +947,21 @@ def gaussian_eta_covariances(structure: NoiseStructure, alpha, L: int,
 
 
 def assemble_p(sys: StackedSystem, etas: EtaCovariances) -> np.ndarray:
-    """Covariance P of the stacked noise term, in LAPACK lower band storage.
+    """Covariance P of the stacked noise term, or M P M^T on the kept rows
+    of a design with a ``reduction`` (M its row map), in LAPACK lower band
+    storage: the weight of the weighted problem.
 
     P is block banded: block (r, r+j) is noisemap_r @ band(j) @
     noisemap_{r+j}^T for j < L and zero beyond.  Each lag's blocks are
     computed for all windows at once in the factored form
     G_r = ac_r @ C_j @ ac_{r+j}^T, which never materialises the
-    n_eps^2-sized band matrices.  The result ``ab`` has shape (b+1, m) with
-    ab[i-c, c] == P[i, c] for c <= i <= c+b, b + 1 = ``sys.band_rows``
-    (L*s for windows of s rows); entries past the end of a diagonal are 0.
-    The dense P is never formed.  This is the one-run case of
-    ``weighted_estimates``' band stage.
+    n_eps^2-sized band matrices, and mapped to t_r @ block @ t_{r+j}^T by
+    the windows' transforms when there is a reduction.  The result ``ab``
+    has shape (b+1, m) with ab[i-c, c] == P[i, c] for c <= i <= c+b, b + 1
+    the widest row span of L consecutive windows (L*s for windows of s
+    rows); entries past the end of a diagonal are 0.  Neither the dense
+    matrix nor the full-row band of a reduced design is formed.  This is
+    the one-run case of ``weighted_estimates``' band stage.
 
     ``sys.ac`` pads a window with fewer residue rows at the bottom, so its
     unique pairs are a prefix of the widest window's (``sym_pair_indices``
@@ -964,16 +980,21 @@ def _assemble_bands(sys: StackedSystem, crosses: np.ndarray) -> np.ndarray:
     """``assemble_p``'s band of each run, (runs, b+1, m), from the runs' lag
     crosses (runs, L, n_eps, n_eps).
 
-    The lag loop runs on ac[None, :n] @ C[:, None] @ ac_t[None, j:]: per
-    (run, window) it is the per-window product of one run, and so its bits.
+    The lag loop runs on ac[None, :n] @ C[:, None] @ ac_t[None, j:], and
+    the kept-row map on t[None, :n] @ blk @ t_t[None, j:]: per (run,
+    window) each is the per-window product of one run, and so its bits.
     The scatter positions are computed once per batch, not per run.
     """
     runs = crosses.shape[0]
-    ab = np.zeros((runs, sys.band_rows, sys.n_rows))
+    red, offsets = sys.reduction, sys._weight_offsets
+    ab = np.zeros((runs, _band_rows(offsets, sys.L), int(offsets[-1])))
     if not runs:
         return ab
     ac = sys.ac[None]
     ac_t = ac.swapaxes(-1, -2)
+    if red is not None:
+        t = red.transforms[red.kinds][None]
+        t_t = t.swapaxes(-1, -2)
     si, sj = sym_pair_indices(sys.ac.shape[1])
     for j in range(min(sys.L, sys.n_windows)):
         n = sys.n_windows - j
@@ -983,7 +1004,9 @@ def _assemble_bands(sys: StackedSystem, crosses: np.ndarray) -> np.ndarray:
         if j == 0:
             # a diagonal block is symmetric up to roundoff; store its mean
             blk = 0.5 * (blk + blk.swapaxes(-1, -2))
-        _scatter_blocks(ab, blk, sys.row_offsets, j)
+        if red is not None:
+            blk = t[:, :n] @ blk @ t_t[:, j:]
+        _scatter_blocks(ab, blk, offsets, j)
     return ab
 
 
@@ -996,26 +1019,22 @@ def _band_rows(offsets: np.ndarray, L: int) -> int:
     return int(np.max(span_end - offsets[:-1]))
 
 
-def _block_index(offsets: np.ndarray, width: int, j: int, shape: tuple[int, int],
-                 mirror: bool) -> np.ndarray:
+def _block_index(offsets: np.ndarray, width: int, j: int,
+                 shape: tuple[int, int]) -> np.ndarray:
     """Flat positions, in lower band storage of the given shape, of the
     lag-j blocks blk[r, a, b] = P[offsets[r] + a, offsets[r+j] + b] between
     windows with rows offsets[r]:offsets[r+1], zero-padded to ``width``.
 
     Entries outside either window's rows or outside the band get the
     position shape[0] * shape[1], one past the storage, as do those of a
-    diagonal block (j == 0) below its diagonal unless ``mirror``.
+    diagonal block (j == 0) below its diagonal.
     """
     n = offsets.size - 1 - j
     # laid out (a, b, r), so that the long window axis is the inner loop
     a, b = (x.ravel()[:, None] for x in np.indices((width, width)))
     rows_of = np.diff(offsets)
     col = offsets[:n] + a
-    row = offsets[j:j + n] + b
-    diag = row - col
-    if mirror:
-        col = np.minimum(col, row)
-        diag = np.abs(diag)
+    diag = offsets[j:j + n] + b - col
     keep = ((a < rows_of[:n]) & (b < rows_of[j:]) & (diag >= 0) & (diag < shape[0]))
     idx = np.where(keep, diag * shape[1] + col, shape[0] * shape[1])
     return idx.T.reshape(n, width, width)
@@ -1025,38 +1044,17 @@ def _scatter_blocks(ab: np.ndarray, blk: np.ndarray, offsets: np.ndarray, j: int
     """Store the lag-j blocks ``blk`` in the band ``ab``, a diagonal block
     by its upper triangle (the lower triangle of P); both may lead with a
     run axis."""
-    idx = _block_index(offsets, blk.shape[-1], j, ab.shape[-2:], mirror=False)
-    idx = idx.ravel()
+    idx = _block_index(offsets, blk.shape[-1], j, ab.shape[-2:]).ravel()
     src = np.flatnonzero(idx < ab.shape[-2] * ab.shape[-1])
     lead = ab.shape[:-2]
     ab.reshape(lead + (-1,))[..., idx[src]] = blk.reshape(lead + (-1,))[..., src]
 
 
-def _gather_blocks(ab: np.ndarray, offsets: np.ndarray, width: int, j: int) -> np.ndarray:
-    """The lag-j blocks of the symmetric matrix in band storage ``ab``,
-    zero-padded to ``width``: the inverse of ``_scatter_blocks``."""
-    padded = np.append(ab, 0.0)
-    return padded[_block_index(offsets, width, j, ab.shape, mirror=True)]
-
-
-def _reduced_band(sys: StackedSystem, ab: np.ndarray) -> np.ndarray:
-    """M P M^T in lower band storage for the row map M of ``sys.reduction``
-    and P given by its band ``ab``, computed block by block."""
-    red, offs = sys.reduction, sys.row_offsets
-    t = red.transforms[red.kinds]
-    t_t = t.transpose(0, 2, 1)
-    ab_r = np.zeros((_band_rows(red.row_offsets, sys.L), red.n_rows))
-    for j in range(min(sys.L, sys.n_windows)):
-        blk = _gather_blocks(ab, offs, t.shape[-1], j)
-        _scatter_blocks(ab_r, t[:blk.shape[0]] @ blk @ t_t[j:], red.row_offsets, j)
-    return ab_r
-
-
-# The dense constrained branch forms P + design design^T, O(m^2) memory, and
-# factors it by pivoted Cholesky, O(m^2 r) for its rank r; it is refused
-# above this row count (use ordinary MDM or a shorter horizon instead).  A
-# weight's band storage gets the same memory budget, P_DENSE_MAX_ROWS**2
-# entries.
+# The dense constrained branch forms c P + design design^T on the m rows of
+# the weighted problem, O(m^2) memory, and factors it by pivoted Cholesky,
+# O(m^2 r) for its rank r; it is refused above this row count (use ordinary
+# MDM or a shorter horizon instead).  A design's full-row weight band gets
+# the same memory budget, P_DENSE_MAX_ROWS**2 entries.
 P_DENSE_MAX_ROWS = 8000
 
 
@@ -1083,14 +1081,19 @@ def _whiten_run(sys: StackedSystem, ab: np.ndarray, xyt: np.ndarray, tol: Tolera
                 branch: str):
     """One run's branch tests and whitened problem: (branch, w, balance).
 
-    ``ab`` is the run's weight band and ``xyt`` its [design | obs],
-    transposed: (n_alpha+1, m), C-ordered, so that xyt.T is the
-    Fortran-ordered matrix LAPACK takes; the full-rank branch whitens it in
-    place.  ``w`` is the whitened [design | obs], transposed the same way
-    (LAPACK returns it Fortran-ordered), and ``balance`` the dense
-    branch's c (1 on the banded ones).
+    ``ab`` is the run's weight band and ``xyt`` its [design | obs] on all
+    rows, transposed: (n_alpha+1, n_rows), C-ordered, so that xyt.T is the
+    Fortran-ordered matrix LAPACK takes; a ``reduction`` keeps its rows, and
+    the banded branch whitens the problem in place.  ``w`` is the whitened
+    problem, transposed the same way, and ``balance`` the dense branch's c
+    (1 on the banded one).
     """
-    m = sys.n_rows
+    if sys.reduction is None:
+        design, xy = sys.design, xyt.T
+    else:
+        xy = sys.reduction.apply(xyt.T, sys.row_offsets)
+        design = xy[:, :-1]
+    m = xy.shape[0]
     is_full = _full_rank(ab, tol)
     if not is_full:
         # the negativity floor uses the regression scale ||design||_2^2 too,
@@ -1104,26 +1107,16 @@ def _whiten_run(sys: StackedSystem, ab: np.ndarray, xyt: np.ndarray, tol: Tolera
             )
     if branch == "full-rank" and not is_full:
         raise IndefiniteWeight("full-rank branch forced but the weight is singular")
-    use_full = is_full if branch == "auto" else branch == "full-rank"
 
-    band = None
-    if use_full:
-        band, xy = ab, xyt.T
-    elif (branch == "auto" and sys.reduction is not None
-          and ab.shape[0] <= sys.band_rows):
-        # (a wider band would couple windows L or more apart)
-        ab_r = _reduced_band(sys, ab)
-        if _full_rank(ab_r, tol):
-            band, xy = ab_r, sys.reduction.apply(xyt.T, sys.row_offsets)
-    if band is not None:
-        chol, info = scipy.linalg.lapack.dpbtrf(band, lower=1)
+    if is_full and branch != "constrained":
+        chol, info = scipy.linalg.lapack.dpbtrf(ab, lower=1)
         if info == 0:
             whitened, info = scipy.linalg.lapack.dtbtrs(chol, xy, uplo="L",
                                                         overwrite_b=1)
         if info != 0:
             raise IndefiniteWeight(
                 f"banded Cholesky whitening of the weight failed (LAPACK info {info})")
-        return ("full-rank" if use_full else "kept-row"), whitened.T, 1.0
+        return ("full-rank" if sys.reduction is None else "kept-row"), whitened.T, 1.0
     if m > P_DENSE_MAX_ROWS:
         raise MdmError(
             f"weight matrix of size {m} exceeds the dense assembly limit "
@@ -1137,7 +1130,7 @@ def _whiten_run(sys: StackedSystem, ab: np.ndarray, xyt: np.ndarray, tol: Tolera
     # covariance scales with it
     d_max = float(np.max(ab[0]))
     balance = sys._design_norm2 / d_max if d_max > 0.0 else 1.0
-    t = (sys.design @ sys.design.T).T
+    t = (design @ design.T).T
     for j in range(ab.shape[0]):
         i = np.arange(j, m)
         t[i, i - j] += balance * ab[j, :m - j]
@@ -1145,8 +1138,8 @@ def _whiten_run(sys: StackedSystem, ab: np.ndarray, xyt: np.ndarray, tol: Tolera
         t, tol=_rank_floor(np.diag(t), tol), lower=1, overwrite_a=1)
     # T[piv][:, piv] = F F^T, F = c[:, :rank] lower; with F_11 its leading
     # block, the pivot rows whitened by F_11 give the g-inverse form
-    whitened = scipy.linalg.solve_triangular(
-        c[:rank, :rank], xyt.T[piv[:rank] - 1], lower=True)
+    whitened = scipy.linalg.solve_triangular(c[:rank, :rank], xy[piv[:rank] - 1],
+                                             lower=True)
     return "dense", whitened.T, balance
 
 
@@ -1166,9 +1159,8 @@ def _weighted_solves(sys: StackedSystem, obs: np.ndarray, ab: np.ndarray,
     """
     if not np.isfinite(ab).all():
         raise MdmError("weight matrix is not finite")
-    k, m = sys.n_alpha, sys.n_rows
-    runs = len(obs)
-    xyt = np.empty((runs, k + 1, m))
+    k, runs = sys.n_alpha, len(obs)
+    xyt = np.empty((runs, k + 1, sys.n_rows))
     xyt[:, :k] = sys.design.T
     xyt[:, k] = obs
     groups = {}
@@ -1197,10 +1189,10 @@ def _weighted_solves(sys: StackedSystem, obs: np.ndarray, ab: np.ndarray,
         for name, rows in zip(out.branch, out.weight_rows):
             if name == "dense":
                 logger.info("weighted solve: dense g-inverse of the singular weight, "
-                            "pivoted rank %d of %d rows", rows, m)
+                            "pivoted rank %d of %d rows", rows, sys._weight_offsets[-1])
             else:
                 logger.info("weighted solve: banded Cholesky of the %s weight on "
-                            "%d of %d rows", name, rows, m)
+                            "%d of %d rows", name, rows, sys.n_rows)
     return out
 
 
@@ -1225,29 +1217,27 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
                  tol: Tolerance = DEFAULT_TOL, branch: str = "auto") -> Estimate:
     """Weighted LS solution with the eta covariance estimate as weight.
 
-    ``p_hat`` is the symmetric weight P in LAPACK lower band storage, as
-    ``assemble_p`` returns it: shape (b+1, m), p_hat[i-c, c] == P[i, c], and
-    zeros past the end of each diagonal (np.ones((1, m)) is the identity).
-    Two shifted banded Cholesky factorisations, O(m b^2) each, decide the
-    branch.  With d = max diag P, P is numerically full rank when
-    P - rank_tol d m I factors; P is indefinite, and IndefiniteWeight raised,
-    when P + rank_tol max(d, ||design||_2^2) I does not.  A full-rank weight
-    is factored by banded Cholesky.
-
-    A singular weight takes Rao's unified LS estimator.  When the design has
-    shared rows (``StackedSystem.reduction``), that estimator is GLS on the
-    kept rows: their weight M P M^T is mapped block by block from the band,
-    and when it passes the full-rank test on its own m_r rows it is factored
-    by banded Cholesky, O(m_r b_r^2).  Otherwise (P singular beyond the
-    shared rows, no shared rows, or ``branch="constrained"``) the
-    estimator uses a g-inverse of T = c P + design design^T from its dense
-    pivoted Cholesky factor (pivot tolerance rank_tol max(diag T) m), with
-    c = ||design||_2^2 / max diag P (1 when P == 0) balancing the terms; the
-    reported covariance subtracts the identity and divides by c.  This
-    branch alone is refused above P_DENSE_MAX_ROWS rows.  Every whitened
-    problem is solved like the ordinary one.  A banded solve reports the fit statistic
-    J = r^T P^+ r of the residual r, its degrees of freedom (rows solved on
-    minus n_alpha) and those rows (``weight_rows``); the dense branch
+    The weighted problem is (design, obs, P) on all m rows or, with shared
+    rows (``StackedSystem.reduction``, row map M), (M design, M obs,
+    M P M^T) on the m kept rows: P is then singular by construction, and
+    GLS on the kept rows is Rao's unified LS estimator.  ``p_hat`` is the
+    problem's weight in LAPACK lower band storage, as ``assemble_p``
+    returns it: shape (b+1, m), p_hat[i-c, c] == P[i, c], zeros past the
+    end of each diagonal (np.ones((1, m)) is the identity).  With
+    d = max diag P, P is numerically full rank when P - rank_tol d m I has
+    a banded Cholesky factor, which then whitens the problem ("full-rank",
+    or "kept-row" on kept rows); P is indefinite, and IndefiniteWeight
+    raised, when P + rank_tol max(d, ||design||_2^2) I has none.  A
+    singular P (P == 0 on noise-free data, P singular beyond the shared
+    rows), or ``branch="constrained"``, takes Rao's estimator with a
+    g-inverse of T = c P + design design^T from its dense pivoted Cholesky
+    factor (pivot tolerance rank_tol max(diag T) m), c = ||design||_2^2 /
+    max diag P (1 when P == 0) balancing the terms; the reported covariance
+    subtracts the identity and divides by c.  This branch alone is refused
+    above P_DENSE_MAX_ROWS rows.  Every whitened problem is solved like the
+    ordinary one.  A banded solve reports the fit statistic J = r^T P^-1 r
+    of the residual r on the rows solved on, its degrees of freedom (those
+    rows minus n_alpha) and those rows (``weight_rows``); the dense branch
     reports None.  ``branch`` ("full-rank" / "constrained") forces a path.
     This is the one-run case of ``weighted_estimates``' solve.
     """
@@ -1256,7 +1246,7 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
     t0 = time.perf_counter()
     if sys.rank < sys.n_alpha:
         raise RankDeficientDesign(sys.rank, sys.n_alpha)
-    m = sys.n_rows
+    m = int(sys._weight_offsets[-1])
     ab = np.asarray(p_hat, dtype=float)
     if ab.ndim != 2 or not 1 <= ab.shape[0] <= m or ab.shape[1] != m:
         raise ValueError(f"weight must be in band storage of shape (b+1, {m}), "
@@ -1285,13 +1275,14 @@ def weighted_estimates(sys: StackedSystem, obs: np.ndarray, structure: NoiseStru
     (``weighted_mdm``).  Every run whose first pass is projected onto the
     PSD cone warns.
 
-    A design without full rank, or a weight whose band storage would
-    exceed P_DENSE_MAX_ROWS**2 entries, fails every run and is raised
-    first, with ``run`` None; ``ordinary_estimates``' refusals of ``obs``
-    come next.  When a later stage fails, the runs are solved again one
-    at a time, as their one-run case, and the first failing run's error
-    is raised with its index as ``run``, after the warnings one run at a
-    time gives up to and including that run.
+    A design without full rank, or one whose full-row weight band
+    (``band_rows`` x ``n_rows``) would exceed P_DENSE_MAX_ROWS**2 entries,
+    fails every run and is raised first, with ``run`` None;
+    ``ordinary_estimates``' refusals of ``obs`` come next.  When a later
+    stage fails, the runs are solved again one at a time, as their one-run
+    case, and the first failing run's error is raised with its index as
+    ``run``, after the warnings one run at a time gives up to and
+    including that run.
     """
     obs = np.asarray(obs, dtype=float)
     if obs.ndim != 2:
@@ -1341,8 +1332,8 @@ def weighted_pipeline(sys: StackedSystem, structure: NoiseStructure,
     ``sys`` must carry observations (``build_stacked_system`` or
     ``with_data``); the first-pass estimate and the size of its PSD
     projection (``EtaCovariances.projection``) are kept in the diagnostics.
-    A weight whose band storage would exceed P_DENSE_MAX_ROWS**2 entries is
-    refused before it is assembled.
+    A design whose full-row weight band (``StackedSystem.band_rows`` x
+    ``n_rows``) would exceed P_DENSE_MAX_ROWS**2 entries is refused unbuilt.
     """
     if sys.obs is None:
         raise ValueError("system carries no observations")

@@ -35,61 +35,66 @@ class ModelBundle:
 
 def _nesting_depth(value) -> int:
     depth = 0
-    v = value
-    while isinstance(v, list):
+    while isinstance(value, list):
         depth += 1
-        if not v:
-            break
-        v = v[0]
+        value = value[0] if value else None
     return depth
+
+
+def _array(value, key: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError([f"'{key}' must be a rectangular array of numbers"]) from None
 
 
 def _parse_matrix_entry(value, key: str):
     depth = _nesting_depth(value)
     if depth == 2:
-        return np.asarray(value, dtype=float)
+        return _array(value, key)
     if depth == 3:
-        return [np.asarray(m, dtype=float) for m in value]
+        return [_array(m, key) for m in value]
     raise ValidationError(
         [f"'{key}' must be a matrix (list of rows) or an array of matrices"]
     )
 
 
 def load_model(path) -> ModelBundle:
-    """Read a model specification file."""
+    """Read a model specification file; a malformed one raises
+    ValidationError naming the key."""
     with open(path) as fh:
         raw = json.load(fh)
     for key in ("n_x", "n_w", "n_v", "tau", "F", "E", "H", "D", "basis"):
         if key not in raw:
             raise ValidationError([f"model file is missing required key '{key}'"])
-    tau = int(raw["tau"])
-    mats = {}
-    for key in ("F", "G", "E", "H", "D"):
-        if key == "G" and key not in raw:
-            mats[key] = None
-            continue
-        mats[key] = _parse_matrix_entry(raw[key], key)
-    model = LtvModel.create(
-        n_x=raw["n_x"], n_w=raw["n_w"], n_v=raw["n_v"], tau=tau,
-        F=mats["F"], G=mats["G"], E=mats["E"], H=mats["H"], D=mats["D"],
-    )
+    dims = {}
+    for key in ("n_x", "n_w", "n_v", "tau"):
+        try:
+            dims[key] = int(raw[key])
+        except (TypeError, ValueError):
+            raise ValidationError([f"'{key}' must be an integer"]) from None
+    mats = {key: _parse_matrix_entry(raw[key], key) if key in raw else None
+            for key in ("F", "G", "E", "H", "D")}
+    model = LtvModel.create(**dims, **mats)
+    if not isinstance(raw["basis"], list):
+        raise ValidationError(["'basis' must be an array of BQ/BR pairs"])
     pairs = []
     for i, entry in enumerate(raw["basis"]):
-        if "BQ" not in entry or "BR" not in entry:
+        if not isinstance(entry, dict) or "BQ" not in entry or "BR" not in entry:
             raise ValidationError([f"basis entry {i} needs both 'BQ' and 'BR'"])
-        pairs.append((np.asarray(entry["BQ"], dtype=float),
-                      np.asarray(entry["BR"], dtype=float)))
+        pairs.append((_array(entry["BQ"], f"basis[{i}].BQ"),
+                      _array(entry["BR"], f"basis[{i}].BR")))
     structure = NoiseStructure.from_pairs(pairs)
-    alpha_true = None
-    if raw.get("alpha_true") is not None:
-        alpha_true = np.asarray(raw["alpha_true"], dtype=float)
-    if raw.get("init") is not None:
-        init = InitialCondition(
-            mean=np.asarray(raw["init"]["mean"], dtype=float),
-            cov=np.asarray(raw["init"]["cov"], dtype=float),
-        )
-    else:
+    alpha_true = raw.get("alpha_true")
+    alpha_true = None if alpha_true is None else _array(alpha_true, "alpha_true")
+    init = raw.get("init")
+    if init is None:
         init = InitialCondition.default(model.n_x)
+    elif not isinstance(init, dict) or "mean" not in init or "cov" not in init:
+        raise ValidationError(["'init' needs both 'mean' and 'cov'"])
+    else:
+        init = InitialCondition(mean=_array(init["mean"], "init.mean"),
+                                cov=_array(init["cov"], "init.cov"))
     return ModelBundle(model=model, structure=structure,
                        alpha_true=alpha_true, init=init)
 

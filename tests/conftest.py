@@ -28,6 +28,66 @@ def noise_map(ac):
     return np.einsum("ta,tb->tab", ac[sel_j], ac[sel_i]).reshape(sel_i.size, -1)
 
 
+def direct_p(sys, etas):
+    """The weight P of all rows of ``sys``, dense, through the materialised
+    band matrices: block (r, r+j) is noise_map(ac_r) @ etas.band(j) @
+    noise_map(ac_{r+j})^T for j < L, and zero beyond."""
+    m = sys.n_rows
+    p = np.zeros((m, m))
+    offs = sys.row_offsets
+    for j in range(sys.L):
+        band = etas.band(j)
+        for r in range(sys.n_windows - j):
+            blk = (noise_map(sys.windows[r].ac) @ band
+                   @ noise_map(sys.windows[r + j].ac).T)
+            p[offs[r]:offs[r + 1], offs[r + j]:offs[r + j + 1]] = blk
+            if j:
+                p[offs[r + j]:offs[r + j + 1], offs[r]:offs[r + 1]] = blk.T
+    return p
+
+
+def isserlis_p(sys, etas):
+    """``direct_p`` without the band matrices, whose n_eps^2 x n_eps^2 size
+    (5476^2 on the clock ensemble) rules them out: by the mixed-product
+    rule, noise_map(a) band(j) noise_map(b)^T has entries
+    g[s, u] g[t, v] + g[s, v] g[t, u] for rows (s, t), (u, v) of the two
+    maps' pairs, g = a C_j b^T."""
+    m = sys.n_rows
+    p = np.zeros((m, m))
+    offs = sys.row_offsets
+    for j in range(sys.L):
+        c = etas.crosses[j]
+        for r in range(sys.n_windows - j):
+            wa, wb = sys.windows[r], sys.windows[r + j]
+            g = wa.ac @ c @ wb.ac.T
+            blk = (g[wa.sel_j[:, None], wb.sel_j] * g[wa.sel_i[:, None], wb.sel_i]
+                   + g[wa.sel_j[:, None], wb.sel_i] * g[wa.sel_i[:, None], wb.sel_j])
+            p[offs[r]:offs[r + 1], offs[r + j]:offs[r + j + 1]] = blk
+            if j:
+                p[offs[r + j]:offs[r + j + 1], offs[r]:offs[r + 1]] = blk.T
+    return p
+
+
+def kept_rows(sys, p):
+    """M P M^T for the row map M of ``sys.reduction``: ``RowReduction.apply``
+    to the rows of the all-row matrix ``p``, then to the columns."""
+    red, offs = sys.reduction, sys.row_offsets
+    return red.apply(red.apply(p, offs).T, offs)
+
+
+def rao_reference(p, sys_full):
+    """Rao's unified LS estimate on all rows and its Gram inverse
+    (X^T T^+ X)^{-1}, with the Moore-Penrose inverse of T = P + X X^T from a
+    dense eigendecomposition; ``p`` is the dense all-row weight."""
+    x, y = sys_full.design, sys_full.obs
+    lam, v = np.linalg.eigh(p + x @ x.T)
+    keep = lam > 1e-10 * lam[-1] * lam.size
+    half = v[:, keep].T / np.sqrt(lam[keep])[:, None]
+    x_w, y_w = half @ x, half @ y
+    gram_inv = np.linalg.inv(x_w.T @ x_w)
+    return gram_inv @ (x_w.T @ y_w), gram_inv
+
+
 def make_ragged_ltv_model(tau=12):
     """Scalar-state LTV model whose sensor count alternates 1, 1, 2, 2, ...
 

@@ -259,13 +259,13 @@ class TestRunMc:
             run_mc(spec, method)
 
     # (spec, tolerance, run_mc's error text).  At rank_tol 0.006 the obs-ltv
-    # design at tau=40 keeps full rank, and the whitened design of the run
-    # with seed 11 alone (the fourth) loses it.  With noises near 1e306,
-    # the weight band of every run overflows, and the run with seed 1, the
-    # first, fails first.
+    # design at tau=40 keeps full rank (on 30 kept of its 40 rows), and the
+    # whitened design of the run with seed 4 alone (the fourth) loses it.
+    # With noises near 1e306, the weight band of every run overflows, and
+    # the run with seed 1, the first, fails first.
     MID_CHUNK = [
-        ("obs-ltv", 40, 8, 5, None, 0.006,
-         "run with seed 11 failed: design matrix rank 1 < 2 parameters"),
+        ("obs-ltv", 40, 1, 5, None, 0.006,
+         "run with seed 4 failed: design matrix rank 1 < 2 parameters"),
         ("obs-ltv", 100, 1, 4, 1e306, 1e-10,
          "run with seed 1 failed: weight matrix is not finite"),
     ]

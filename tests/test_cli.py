@@ -111,11 +111,40 @@ class TestSimulateIdentify:
         assert code == 3
         assert "line 1: expected a JSON object with a 'z' entry" in capsys.readouterr().err
 
+    SCALAR_MODEL = {
+        "n_x": 1, "n_w": 1, "n_v": 1, "tau": 5, "F": [[0.9]], "G": [[1.0]],
+        "E": [[1.0]], "H": [[1.0]], "D": [[1.0]],
+        "basis": [{"BQ": [[1.0]], "BR": [[0.0]]}, {"BQ": [[0.0]], "BR": [[1.0]]}],
+        "alpha_true": [2.0, 1.0], "init": {"mean": [1.0], "cov": [[1.0]]},
+    }
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("F", [[0.9, 0.1], [0.2]], "'F'"),
+        ("F", [["a"]], "'F'"),
+        ("tau", "abc", "'tau'"),
+        ("n_x", "x", "'n_x'"),
+        ("basis", 5, "'basis'"),
+        ("basis", [{"BQ": [[1.0, 0.0], [1.0]], "BR": [[0.0]]},
+                   {"BQ": [[0.0]], "BR": [[1.0]]}], "'basis[0].BQ'"),
+        ("init", {"mean": [1.0]}, "'init'"),
+    ])
+    def test_malformed_model_file_is_a_validation_error(self, tmp_path, capsys,
+                                                        key, value, named):
+        """A ragged or non-numeric matrix, a non-integer size, a basis that
+        is not an array of pairs and an init without cov exit 3 naming the
+        key, instead of a traceback."""
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({**self.SCALAR_MODEL, key: value}))
+        code = main(["simulate", "--model", str(model), "--out", str(tmp_path)])
+        assert code == 3
+        assert named in capsys.readouterr().err
+
     def test_indefinite_weight_message(self, tmp_path, capsys, monkeypatch):
-        # the weight has a -1 diagonal entry, so it is indefinite whatever the
-        # data; the message form is the one scripts match
+        # the weight (of the design's kept rows, the rows it is solved on)
+        # has a -1 diagonal entry, so it is indefinite whatever the data; the
+        # message form is the one scripts match
         def indefinite_pipeline(sys_full, structure, tol):
-            bad = np.ones((1, sys_full.n_rows))
+            bad = np.ones((1, sys_full.reduction.n_rows))
             bad[0, 0] = -1.0
             return weighted_mdm(sys_full, bad, tol)
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, strategies as st
+from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
 
 from mdmest import (
     DataError,
@@ -39,9 +39,12 @@ from mdmest.model import MeasurementData
 
 from conftest import (
     dense_from_band,
+    direct_p,
+    isserlis_p,
+    kept_rows,
     make_ragged_ltv_model,
     make_ragged_ltv_structure,
-    noise_map,
+    rao_reference,
 )
 from test_geometry import window_cases
 from test_residue import window_noises
@@ -49,7 +52,7 @@ from test_residue import window_noises
 INDEFINITE_MESSAGE = r"^weight matrix has eigenvalue -\S+ below -\S+$"
 
 
-def simulated_system(name, tau, seed, method_mode=None, alpha=None):
+def simulated_system(name, tau, seed, method_mode=None, alpha=None, tol=Tolerance()):
     spec = preset(name, tau=tau)
     u = benchmark_input_signal(spec)
     traj = simulate(spec.model, spec.structure,
@@ -58,7 +61,7 @@ def simulated_system(name, tau, seed, method_mode=None, alpha=None):
     mode = method_mode or (UNKNOWN_INPUT if spec.mode == UNKNOWN_INPUT else KNOWN_INPUT)
     include_u = mode == KNOWN_INPUT and spec.model.has_input
     data = MeasurementData.from_trajectory(traj, include_u=include_u)
-    sys_full = build_stacked_system(spec.model, spec.structure, data, spec.L, mode)
+    sys_full = build_stacked_system(spec.model, spec.structure, data, spec.L, mode, tol)
     return spec, sys_full
 
 
@@ -348,22 +351,43 @@ class TestAssembleP:
             ab = assemble_p(sys_full, etas)
             p = dense_from_band(ab)
             assert np.max(np.abs(p - p.T)) < 1e-10 * np.max(np.abs(p))
-            # direct route through materialised band matrices
-            m = sys_full.n_rows
-            direct = np.zeros((m, m))
-            offs = sys_full.row_offsets
-            for j in range(sys_full.L):
-                band = etas.band(j)
-                for r in range(sys_full.n_windows - j):
-                    blk = (noise_map(sys_full.windows[r].ac) @ band
-                           @ noise_map(sys_full.windows[r + j].ac).T)
-                    direct[offs[r]:offs[r + 1], offs[r + j]:offs[r + j + 1]] = blk
-                    if j:
-                        direct[offs[r + j]:offs[r + j + 1], offs[r]:offs[r + 1]] = blk.T
+            # direct route through materialised band matrices, on the kept
+            # rows when the design has them
+            direct = direct_p(sys_full, etas)
+            if sys_full.reduction is not None:
+                direct = kept_rows(sys_full, direct)
             assert np.allclose(p, direct, rtol=1e-10, atol=1e-12)
+            m = ab.shape[1]
             lag = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
             assert np.all(direct[lag >= ab.shape[0]] == 0.0)
             assert np.all(ab[np.arange(m) >= m - np.arange(ab.shape[0])[:, None]] == 0.0)
+
+    @pytest.mark.parametrize("name, tau", [("unobs-unknown-input", 100),
+                                           ("clock-ensemble", 30)])
+    def test_kept_row_weight_is_the_reduced_weight(self, name, tau):
+        """With shared rows, the band is that of M P M^T on the kept rows,
+        with M the row map of the reduction and P the all-row weight built
+        in the test.  The clock's band matrices are too large to form, so
+        its P is built by the mixed-product rule, which is checked against
+        the band route on unobs."""
+        spec = preset(name, tau=tau)
+        mode = UNKNOWN_INPUT if spec.mode == UNKNOWN_INPUT else KNOWN_INPUT
+        sys0 = build_design(spec.model, spec.structure, spec.L, mode)
+        etas = gaussian_eta_covariances(spec.structure, spec.alpha_true, spec.L)
+        p = isserlis_p(sys0, etas)
+        if name == "unobs-unknown-input":
+            direct = direct_p(sys0, etas)
+            assert np.max(np.abs(p - direct)) <= 1e-13 * np.max(np.abs(direct))
+        red = sys0.reduction
+        ends = red.row_offsets[np.minimum(np.arange(sys0.n_windows) + sys0.L,
+                                          sys0.n_windows)]
+        band_rows = int(np.max(ends - red.row_offsets[:-1]))
+        ab = assemble_p(sys0, etas)
+        assert ab.shape == (band_rows, red.n_rows)
+        assert band_rows < sys0.band_rows and red.n_rows < sys0.n_rows
+        expected = kept_rows(sys0, p)
+        assert np.max(np.abs(dense_from_band(ab) - expected)) <= (
+            1e-12 * np.max(np.abs(expected)))
 
     def test_monte_carlo_covariance_oracle(self):
         """Empirical moments of the stacked residual match P(alpha_true).
@@ -495,16 +519,18 @@ class TestWeightedMdm:
             sys_full = build_design(spec.model, spec.structure, 2, KNOWN_INPUT)
             sys_full = replace(sys_full, obs=sys_full.design @ spec.alpha_true)
             ab = np.zeros((1, sys_full.n_rows))
+            p = np.zeros((sys_full.n_rows, sys_full.n_rows))
         else:
             spec, sys_full = simulated_system(case, tau=100, seed=0)
             with pytest.warns(RuntimeWarning, match="indefinite"):
                 etas = gaussian_eta_covariances(
                     spec.structure, ordinary_mdm(sys_full).alpha_hat, 2, repair=True)
             ab = assemble_p(sys_full, etas)
+            p = direct_p(sys_full, etas)
         est = weighted_mdm(sys_full, ab)
         assert est.method == "weighted-constrained"
 
-        alpha, gram_inv = rao_reference(ab, sys_full)
+        alpha, gram_inv = rao_reference(p, sys_full)
         # cov = gram_inv - I loses the relative accuracy of gram_inv
         assert np.max(np.abs(est.alpha_hat - alpha)) <= 1e-12 * np.max(np.abs(alpha))
         assert (np.max(np.abs(est.cov + np.eye(sys_full.n_alpha) - gram_inv))
@@ -536,7 +562,7 @@ class TestWeightedMdm:
             weighted_mdm(sys_full, np.ones((1, m + 1)))
 
     def test_fit_statistic_matches_dense(self):
-        spec, sys_full = simulated_system("obs-ltv", tau=50, seed=0)
+        spec, sys_full = simulated_system("obs-ltv", tau=60, seed=0)
         est_o = ordinary_mdm(sys_full)
         etas = gaussian_eta_covariances(spec.structure, est_o.alpha_hat, 2,
                                         repair=True)
@@ -564,20 +590,9 @@ def noise_level_obs(sys0, traj):
     return replace(sys0, obs=np.concatenate(rows))
 
 
-def rao_reference(ab, sys_full):
-    """Rao's unified LS estimate and its Gram inverse (X^T T^+ X)^{-1}, with
-    the Moore-Penrose inverse of T = P + X X^T from a dense eigendecomposition."""
-    x, y = sys_full.design, sys_full.obs
-    lam, v = np.linalg.eigh(dense_from_band(ab) + x @ x.T)
-    keep = lam > 1e-10 * lam[-1] * lam.size
-    half = v[:, keep].T / np.sqrt(lam[keep])[:, None]
-    x_w, y_w = half @ x, half @ y
-    gram_inv = np.linalg.inv(x_w.T @ x_w)
-    return gram_inv @ (x_w.T @ y_w), gram_inv
-
-
 class TestReducedRows:
-    """A singular weight is solved by GLS on the rows the design keeps."""
+    """A design with shared rows is solved on the rows it keeps; the
+    estimate is Rao's unified LS estimator on all rows."""
 
     @staticmethod
     def unobs_weight(seed):
@@ -586,11 +601,25 @@ class TestReducedRows:
             warnings.simplefilter("ignore", RuntimeWarning)
             etas = gaussian_eta_covariances(
                 spec.structure, ordinary_mdm(sys_full).alpha_hat, 2, repair=True)
-        return sys_full, assemble_p(sys_full, etas)
+        return sys_full, etas, assemble_p(sys_full, etas)
+
+    @pytest.fixture(scope="class")
+    def clock_weight(self):
+        """The clock at tau=30 with noise-level residues and its weight at
+        alpha_true: (system, kept-row band, all-row P)."""
+        spec = preset("clock-ensemble", tau=30)
+        traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
+                        input_signal=benchmark_input_signal(spec), seed=0)
+        sys_full = noise_level_obs(
+            build_design(spec.model, spec.structure, spec.L, spec.mode), traj)
+        etas = gaussian_eta_covariances(spec.structure, spec.alpha_true, spec.L)
+        return sys_full, assemble_p(sys_full, etas), isserlis_p(sys_full, etas)
 
     def test_unknown_input_matches_dense_constrained(self):
+        """The banded kept-row solve is the dense g-inverse on the kept rows
+        and Rao's estimator on all rows, with its Gram inverse."""
         for seed in range(20):
-            sys_full, ab = self.unobs_weight(seed)
+            sys_full, etas, ab = self.unobs_weight(seed)
             est = weighted_mdm(sys_full, ab)
             dense = weighted_mdm(sys_full, ab, branch="constrained")
             assert est.method == dense.method == "weighted-constrained"
@@ -602,28 +631,28 @@ class TestReducedRows:
             cov_scale = np.max(np.abs(dense.cov))
             assert np.max(np.abs(est.cov - dense.cov)) <= 1e-12 * cov_scale, seed
             assert np.array_equal(est.cov, est.cov.T)
+            alpha, gram_inv = rao_reference(direct_p(sys_full, etas), sys_full)
+            assert np.max(np.abs(est.alpha_hat - alpha)) <= 1e-12 * np.max(np.abs(alpha))
+            assert (np.max(np.abs(est.cov + np.eye(sys_full.n_alpha) - gram_inv))
+                    <= 1e-12 * np.max(np.abs(gram_inv))), seed
 
     def test_fit_statistic_is_pseudo_inverse_form(self):
-        sys_full, ab = self.unobs_weight(0)
+        sys_full, etas, ab = self.unobs_weight(0)
         est = weighted_mdm(sys_full, ab)
         r = sys_full.obs - sys_full.design @ est.alpha_hat
-        p_pinv = np.linalg.pinv(dense_from_band(ab), rtol=1e-10, hermitian=True)
+        p_pinv = np.linalg.pinv(direct_p(sys_full, etas), rtol=1e-10, hermitian=True)
         j_dense = r @ p_pinv @ r
         assert abs(est.diagnostics["fit_j"] - j_dense) <= 1e-12 * j_dense
         assert est.diagnostics["fit_dof"] == 501 - 6
 
-    def test_clock_ensemble_matches_dense_constrained(self):
+    def test_clock_ensemble_matches_dense_constrained(self, clock_weight):
         """On the clock (m = 2992, rank P = 787 = 136 + 21 * 31) P is some 40
         decades below X X^T, so the dense branch factors T = c P + X X^T with
         c = ||X||_2^2 / max diag P; the estimate does not depend on c and
-        its covariance scales with it."""
-        spec = preset("clock-ensemble", tau=30)
-        traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
-                        input_signal=benchmark_input_signal(spec), seed=0)
-        sys_full = noise_level_obs(
-            build_design(spec.model, spec.structure, spec.L, spec.mode), traj)
-        ab = assemble_p(sys_full, gaussian_eta_covariances(spec.structure,
-                                                           spec.alpha_true, spec.L))
+        its covariance scales with it.  The kept-row estimate is that of the
+        dense branch on the kept rows and of Rao's estimator on all rows,
+        whose T is balanced the same way."""
+        sys_full, ab, p = clock_weight
         est = weighted_mdm(sys_full, ab)
         assert est.method == "weighted-constrained"
         assert (sys_full.n_rows, est.diagnostics["weight_rows"]) == (2992, 787)
@@ -633,18 +662,17 @@ class TestReducedRows:
         assert np.max(np.abs(est.alpha_hat - dense.alpha_hat)) <= 1e-12 * scale
         assert (np.max(np.abs(est.cov - dense.cov / c))
                 <= 1e-12 * np.max(np.abs(est.cov)))
+        c = np.linalg.norm(sys_full.design, 2) ** 2 / np.max(np.diag(p))
+        alpha, gram_inv = rao_reference(c * p, sys_full)
+        assert np.max(np.abs(est.alpha_hat - alpha)) <= 1e-12 * np.max(np.abs(alpha))
+        assert (np.max(np.abs(est.cov - (gram_inv - np.eye(sys_full.n_alpha)) / c))
+                <= 1e-12 * np.max(np.abs(est.cov)))
 
-    def test_clock_ensemble_dense_branch_balances_the_weight(self):
+    def test_clock_ensemble_dense_branch_balances_the_weight(self, clock_weight):
         """The dense branch balances P against X X^T itself: on the clock at
         tau=30, where an unbalanced T loses P (rank 4 < 8), it gives the
         kept-row estimate from the unscaled weight."""
-        spec = preset("clock-ensemble", tau=30)
-        traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
-                        input_signal=benchmark_input_signal(spec), seed=0)
-        sys_full = noise_level_obs(
-            build_design(spec.model, spec.structure, spec.L, spec.mode), traj)
-        ab = assemble_p(sys_full, gaussian_eta_covariances(spec.structure,
-                                                           spec.alpha_true, spec.L))
+        sys_full, ab, _ = clock_weight
         est = weighted_mdm(sys_full, ab)
         dense = weighted_mdm(sys_full, ab, branch="constrained")
         assert dense.method == "weighted-constrained"
@@ -652,6 +680,27 @@ class TestReducedRows:
         scale = np.max(np.abs(dense.alpha_hat))
         assert np.max(np.abs(est.alpha_hat - dense.alpha_hat)) <= 1e-12 * scale
         assert np.max(np.abs(est.cov - dense.cov)) <= 1e-12 * np.max(np.abs(est.cov))
+
+    def test_loose_rank_tol_keeps_fewer_rows(self):
+        """The shared rows are found with the given rank_tol: at 0.006 the
+        obs-ltv design at tau=40 counts nearly shared directions as shared
+        and keeps 30 of its 40 rows (at the default it shares none), and
+        every weighted run is solved on those 30.  Seed 11's kept-row weight
+        is singular; the dense branch on the kept rows keeps the design's
+        rank, which on all 40 rows it loses."""
+        tol = Tolerance(rank_tol=0.006)
+        spec, sys_full = simulated_system("obs-ltv", tau=40, seed=11, tol=tol)
+        assert build_design(spec.model, spec.structure, spec.L, spec.mode).reduction is None
+        assert (sys_full.n_rows, sys_full.reduction.n_rows) == (40, 30)
+        est = weighted_pipeline(sys_full, spec.structure, tol)
+        assert est.method == "weighted-constrained"
+        assert est.diagnostics["weight_rows"] is None
+        assert np.allclose(est.alpha_hat, [11.94353484, -8.68549093], rtol=1e-6, atol=0.0)
+        all_rows = replace(sys_full, reduction=None)
+        etas = gaussian_eta_covariances(spec.structure, est.diagnostics["alpha_ordinary"],
+                                        spec.L)
+        with pytest.raises(RankDeficientDesign):
+            weighted_mdm(all_rows, assemble_p(all_rows, etas), tol)
 
     def test_row_cap_only_on_the_dense_branch(self):
         """A 9000-row full-rank weight is solved banded; the dense branch
@@ -669,12 +718,15 @@ class TestReducedRows:
             weighted_mdm(sys_full, assemble_p(sys_full, etas), branch="constrained")
 
 
+# most random models share no residue direction between windows, so most
+# draws are filtered out by design
+@settings(suppress_health_check=[HealthCheck.filter_too_much])
 @given(window_cases(), st.integers(0, 2**32 - 1))
 def test_reduced_rows_are_the_rank_of_the_weight(case, seed):
     """On random small models, the kept rows number rank P and their GLS
-    estimate is Rao's; the dense branch is taken only when P is singular
-    beyond the shared rows.  The dense reference is accurate to about
-    cond * eps, cond being that of P on its range, so only weights with
+    estimate is Rao's on all rows; the dense branch is taken only when P is
+    singular beyond the shared rows.  The dense reference is accurate to
+    about cond * eps, cond being that of P on its range, so only weights with
     cond < 1e5 are compared."""
     model, structure, L, mode = case
     try:
@@ -687,19 +739,20 @@ def test_reduced_rows_are_the_rank_of_the_weight(case, seed):
     traj = simulate(model, structure, alpha, InitialCondition.default(model.n_x),
                     seed=seed)
     sys_full = noise_level_obs(sys0, traj)
-    ab = assemble_p(sys_full, gaussian_eta_covariances(structure, alpha, L))
-    lam = np.linalg.eigvalsh(dense_from_band(ab))
+    etas = gaussian_eta_covariances(structure, alpha, L)
+    p = direct_p(sys_full, etas)
+    lam = np.linalg.eigvalsh(p)
     lam = lam[lam > 1e-10 * lam[-1] * lam.size]
     assume(lam[-1] < 1e5 * lam[0])
-    est = weighted_mdm(sys_full, ab)
-    rank = numerical_rank(dense_from_band(ab))
+    est = weighted_mdm(sys_full, assemble_p(sys_full, etas))
+    rank = numerical_rank(p)
     if est.diagnostics["weight_rows"] is None:
         event("dense branch")
         assert sys0.reduction.n_rows > rank
         return
     event("kept rows")
     assert est.diagnostics["weight_rows"] == sys0.reduction.n_rows == rank
-    alpha_ref, _ = rao_reference(ab, sys_full)
+    alpha_ref, _ = rao_reference(p, sys_full)
     assert (np.max(np.abs(est.alpha_hat - alpha_ref))
             <= 1e-12 * np.max(np.abs(alpha_ref)))
 

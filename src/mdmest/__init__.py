@@ -46,7 +46,6 @@ from .residue import (
     AugmentedBlock,
     WindowBlocks,
     build_augmented_block,
-    stack_measurements,
     window_blocks,
 )
 from .estimator import (

@@ -55,7 +55,6 @@ from .model import (
 from .residue import window_blocks
 
 __all__ = [
-    "WindowGeometry",
     "StackedSystem",
     "EtaCovariances",
     "Estimate",
@@ -80,39 +79,18 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass
-class WindowGeometry:
-    """Data-independent quantities of one window (shared across MC runs).
-
-    ``build_design`` computes them for many windows at once; the arrays are
-    views into those stacks (``ac`` into ``StackedSystem.ac``, the
-    annihilator and ``gamma_g`` into the window's ``ResidueGroup``).
-    """
-
-    n_a: int
-    annihilator: np.ndarray            # N, (n_a, n_zkL)
-    gamma_g: np.ndarray | None         # Gamma @ scriptG for the known-input correction
-    ac: np.ndarray                     # N [Gamma, I] blkdiag(scriptE, scriptD), (n_a, n_eps)
-    sel_i: np.ndarray                  # unique-pair index arrays of length n_rows
-    sel_j: np.ndarray
-    design_block: np.ndarray           # (n_rows, n_alpha)
-
-    @property
-    def n_rows(self) -> int:
-        return self.sel_i.size
-
-
-@dataclass
 class ResidueGroup:
     """Windows whose residues N (Z - Gamma scriptG U) are one stacked product.
 
-    ``annihilator`` and ``gamma_g`` are the stacks ``build_design`` computed,
-    of which each window's ``WindowGeometry`` arrays are views: every matrix
-    keeps its own strides, and an LTI model's one window is broadcast with
-    stride 0.  np.matmul over such a stack makes, matrix by matrix, the
-    BLAS call the window's own product makes, so the residues are bitwise
-    the per-window ones; a re-laid-out copy (C- or F-contiguous, padded or
-    np.stack-ed) changes the call and the last bits.  Window ``windows[p]``
-    reads the concatenated records at z[z_index[p]] and u[u_index[p]].
+    ``annihilator`` and ``gamma_g`` are the stacks ``build_design`` computed
+    the windows' products with, and the only copy of them: every matrix
+    keeps the strides of its own one-window product, and an LTI model's one
+    window is broadcast with stride 0.  np.matmul over such a stack makes,
+    matrix by matrix, the BLAS call the window's own product makes, so the
+    residues are bitwise the per-window ones; a re-laid-out copy (C- or
+    F-contiguous, padded or np.stack-ed) changes the call and the last
+    bits.  Window ``windows[p]`` reads the concatenated records at
+    z[z_index[p]] and u[u_index[p]].
     """
 
     windows: np.ndarray                # (g,) window indices
@@ -159,14 +137,16 @@ class StackedSystem:
     """The full regression: obs = design @ alpha + blkdiag(noisemap blocks) @ eta.
 
     ``obs`` is None for design-only systems; ``with_data`` attaches data.
-    ``windows`` carries the per-window geometry; for LTI models all entries
-    reference one shared object.  ``ac`` stacks every window's ``ac``,
-    zero-padded at the bottom to the widest window's rows (a broadcast view
-    for LTI models).  ``residue_groups`` cover every window once and give
-    ``with_data`` one stacked product per group.  The design facts below
-    are computed once, by ``build_design``, from one SVD of design / scale,
-    which ordinary LS reuses; ``reduction`` is None when no window shares a
-    residue direction with its predecessor.
+    The stacks are the only copy of each window's geometry: window k's
+    regression block is design[row_offsets[k]:row_offsets[k+1]], its
+    n_a x n_eps map from the noises to its residue is ac[k, :n_a], and its
+    annihilator and known-input correction are in the ``ResidueGroup``
+    that holds it.  ``ac`` is zero-padded at the bottom to the widest
+    window's rows (a stride-0 broadcast for LTI models).  ``residue_groups``
+    cover every window once and give ``residues`` one stacked product per
+    group.  The design facts below are computed once, by ``build_design``,
+    from one SVD of design / scale, which ordinary LS reuses; ``reduction``
+    is None when no window shares a residue direction with its predecessor.
     """
 
     obs: np.ndarray | None
@@ -174,10 +154,8 @@ class StackedSystem:
     row_offsets: np.ndarray
     L: int
     mode: str
-    windows: list[WindowGeometry]
     residue_groups: list[ResidueGroup]
     ac: np.ndarray                     # (n_windows, max n_a, n_eps)
-    n_eps: int
     model: LtvModel
     scale: np.ndarray                  # column scale: design == (design / scale) * scale
     rank: int                          # numerical rank of design / scale
@@ -203,7 +181,12 @@ class StackedSystem:
 
     @property
     def n_windows(self) -> int:
-        return len(self.windows)
+        return self.row_offsets.size - 1
+
+    @property
+    def n_eps(self) -> int:
+        """Length of a window's stacked noise [W_k; V_k]."""
+        return self.ac.shape[-1]
 
     @property
     def band_rows(self) -> int:
@@ -362,35 +345,48 @@ def _warn_near_threshold(factored) -> None:
         )
 
 
-def _window_geometries(blocks, mode: str, upsilon: np.ndarray, tol: Tolerance):
-    """The geometry of the windows in ``blocks``, indexed by window start,
-    their ``ac`` stacked as ``StackedSystem.ac`` holds it, their
-    annihilators stacked the same way (zero-padded at the bottom and right),
-    and per shape-and-rank group (window starts, annihilators, gamma_g).
+def _window_geometries(model: LtvModel, blocks, mode: str, upsilon: np.ndarray,
+                       tol: Tolerance, n_windows: int):
+    """The geometry of ``n_windows`` windows from their matrices ``blocks``
+    (window 0 alone for an LTI model, whose windows all share it): (ac,
+    ann, n_a, groups, design, row_offsets).
+
+    ``ac`` stacks every window's ``ac`` as ``StackedSystem.ac`` holds it;
+    ``ann`` stacks the annihilators of the windows in ``blocks`` the same
+    way (zero-padded at the bottom and right) and ``n_a`` counts their
+    rows.  ``groups`` are the ``ResidueGroup``s, and ``design`` holds window
+    k's regression block at rows row_offsets[k]:row_offsets[k+1].
 
     One SVD call per shape group gives every window's annihilator by the
-    shared rank rule; the windows are then regrouped by rank and their
-    products computed in stacks.  Each window's arrays are views into those
-    stacks, bitwise equal to the same steps taken for one window alone.
+    shared rank rule; a window without one raises NoAnnihilator before any
+    near-threshold warning is logged.  The windows are then regrouped by
+    rank and their products computed in stacks, bitwise equal to the same
+    steps taken for one window alone.
     """
     factored = []
     for b in blocks:
         u, s, _, rank, thr = svd_rank(_annihilated_target(b, mode), tol,
                                       full_matrices=True)
         factored.append((b, u, s, rank, thr))
-    _warn_near_threshold(factored)
     failed = [(int(b.ks[w]), u.shape[1], int(rank[w]))
               for b, u, _, rank, _ in factored
               for w in np.flatnonzero(rank >= u.shape[1])[:1]]
     if failed:
         k, rows, rank = min(failed)
         raise NoAnnihilator(rows=rows, rank=rank, k=k)
+    _warn_near_threshold(factored)
 
-    windows = [None] * sum(b.ks.size for b in blocks)
-    n_a_max = max(u.shape[1] - int(np.min(rank)) for _, u, _, rank, _ in factored)
+    n_a = np.empty(sum(b.ks.size for b in blocks), dtype=int)
+    for b, u, _, rank, _ in factored:
+        n_a[b.ks] = u.shape[1] - rank
+    n_rows = np.broadcast_to(n_a * (n_a + 1) // 2, (n_windows,))
+    row_offsets = np.concatenate(([0], np.cumsum(n_rows)))
     n_eps = blocks[0].scriptE.shape[-1] + blocks[0].scriptD.shape[-1]
-    ac_all = np.zeros((len(windows), n_a_max, n_eps))
-    ann_all = np.zeros((len(windows), n_a_max, max(b.O.shape[1] for b in blocks)))
+    ac_all = np.zeros((n_a.size, n_a.max(), n_eps))
+    ann_all = np.zeros((n_a.size, n_a.max(), max(b.O.shape[1] for b in blocks)))
+    design = np.empty((row_offsets[-1], upsilon.shape[1]))
+    z_start = np.concatenate(([0], np.cumsum(model.n_z_steps())))
+    u_start = np.concatenate(([0], np.cumsum(model.n_u_steps())))
     groups = []
     for b, u, _, rank, _ in factored:
         gamma_g = None
@@ -399,45 +395,31 @@ def _window_geometries(blocks, mode: str, upsilon: np.ndarray, tol: Tolerance):
         c_mat = b.C
         for r in np.unique(rank).tolist():
             idx = np.flatnonzero(rank == r)
+            ks = b.ks[idx]
             n = u[idx][:, :, r:].transpose(0, 2, 1)
             g_g = None if gamma_g is None else gamma_g[idx]
-            groups.append((b.ks[idx], n, g_g))
             ac = np.concatenate([n @ b.Gamma[idx], n], axis=2) @ c_mat[idx]
-            ac_all[b.ks[idx], :n.shape[1]] = ac
-            ann_all[b.ks[idx], :n.shape[1], :n.shape[2]] = n
+            ac_all[ks, :n.shape[1]] = ac
+            ann_all[ks, :n.shape[1], :n.shape[2]] = n
             sel_i, sel_j = sym_pair_indices(n.shape[1])
-            design = np.einsum("wta,wtb->wtab", ac[:, sel_j], ac[:, sel_i]
-                               ).reshape(idx.size, sel_i.size, -1) @ upsilon
-            for p, w in enumerate(idx.tolist()):
-                windows[b.ks[w]] = WindowGeometry(
-                    n_a=n.shape[1], annihilator=n[p],
-                    gamma_g=None if g_g is None else g_g[p],
-                    ac=ac_all[b.ks[w], :n.shape[1]],
-                    sel_i=sel_i, sel_j=sel_j,
-                    design_block=design[p],
-                )
-    return windows, ac_all, ann_all, groups
-
-
-def _residue_groups(model: LtvModel, n_windows: int, groups) -> list[ResidueGroup]:
-    """``_window_geometries``' groups with their record indices; an LTI
-    model's one window stands for all ``n_windows``, by stride-0 broadcast."""
-    z_start = np.concatenate(([0], np.cumsum(model.n_z_steps())))
-    u_start = np.concatenate(([0], np.cumsum(model.n_u_steps())))
-    out = []
-    for ks, ann, gamma_g in groups:
-        if model.is_lti:
-            ks = np.arange(n_windows)
-            ann = np.broadcast_to(ann, (n_windows,) + ann.shape[1:])
-            if gamma_g is not None:
-                gamma_g = np.broadcast_to(gamma_g, (n_windows,) + gamma_g.shape[1:])
-        out.append(ResidueGroup(
-            windows=ks, annihilator=ann, gamma_g=gamma_g,
-            z_index=z_start[ks, None] + np.arange(ann.shape[2]),
-            u_index=None if gamma_g is None
-            else u_start[ks, None] + np.arange(gamma_g.shape[2]),
-        ))
-    return out
+            block = np.einsum("wta,wtb->wtab", ac[:, sel_j], ac[:, sel_i]
+                              ).reshape(idx.size, sel_i.size, -1) @ upsilon
+            if model.is_lti:
+                # the one window stands for all, by stride-0 broadcast
+                ks = np.arange(n_windows)
+                n = np.broadcast_to(n, (n_windows,) + n.shape[1:])
+                if g_g is not None:
+                    g_g = np.broadcast_to(g_g, (n_windows,) + g_g.shape[1:])
+            design[row_offsets[ks, None] + np.arange(sel_i.size)] = block
+            groups.append(ResidueGroup(
+                windows=ks, annihilator=n, gamma_g=g_g,
+                z_index=z_start[ks, None] + np.arange(n.shape[2]),
+                u_index=None if g_g is None
+                else u_start[ks, None] + np.arange(g_g.shape[2]),
+            ))
+    if model.is_lti:
+        ac_all = np.broadcast_to(ac_all, (n_windows,) + ac_all.shape[1:])
+    return ac_all, ann_all, n_a, groups, design, row_offsets
 
 
 def _kept_pair_transforms(q: np.ndarray, d: int) -> np.ndarray:
@@ -454,27 +436,27 @@ def _kept_pair_transforms(q: np.ndarray, d: int) -> np.ndarray:
     return m.transpose(0, 2, 1)
 
 
-def _row_reduction(model: LtvModel, L: int, windows: list[WindowGeometry],
+def _row_reduction(model: LtvModel, L: int, n_windows: int, n_a: np.ndarray,
                    ann: np.ndarray, tol: Tolerance) -> RowReduction | None:
-    """The rows the weighted solve keeps, or None when no window shares a
-    residue direction with its predecessor.
+    """The rows the weighted solve keeps among those of ``n_windows``
+    windows, or None when no window shares a residue direction with its
+    predecessor.
 
     ``ann`` stacks the annihilators of the windows built (window 0 alone
-    for an LTI model, whose pairs all share one geometry).  The directions
-    windows k-1 and k share are the left null space of [N_{k-1}, 0; 0, N_k]
-    over the records the pair spans, by the shared rank rule.  The rows of
-    N are orthonormal, so that matrix has singular values sqrt(1 +- c_i)
-    with c_i those of the overlap N_{k-1} N_k^T; a pair whose overlap has
-    Frobenius norm c with sqrt(1 - c) well above the rank threshold shares
-    nothing, and its SVD is skipped.
+    for an LTI model, whose pairs all share one geometry), zero-padded, and
+    ``n_a`` counts their rows, as ``_window_geometries`` gives them.  The
+    directions windows k-1 and k share are the left null space of
+    [N_{k-1}, 0; 0, N_k] over the records the pair spans, by the shared
+    rank rule.  The rows of N are orthonormal, so that matrix has singular
+    values sqrt(1 +- c_i) with c_i those of the overlap N_{k-1} N_k^T; a
+    pair whose overlap has Frobenius norm c with sqrt(1 - c) well above the
+    rank threshold shares nothing, and its SVD is skipped.
     """
-    n_windows = len(windows)
     if L == 1 or n_windows == 1:
         return None
     lti = model.is_lti
     ks = np.arange(1, 2 if lti else n_windows)
     prev, cur = (ks * 0, ks * 0) if lti else (ks - 1, ks)
-    n_a = np.array([w.n_a for w in windows[:ann.shape[0]]])
     n_z = model.n_z_steps()
     cum = np.concatenate(([0], np.cumsum(n_z)))
     key = np.column_stack([n_a[prev], n_a[cur], n_z[ks - 1],
@@ -509,7 +491,7 @@ def _row_reduction(model: LtvModel, L: int, windows: list[WindowGeometry],
     if not found:
         return None
 
-    n_rows = np.array([w.n_rows for w in windows[:ann.shape[0]]])
+    n_rows = n_a * (n_a + 1) // 2
     kinds = np.minimum(np.arange(n_windows), 1) if lti else np.arange(n_windows)
     kind_rows = n_rows[[0, 0]] if lti else n_rows
     width = int(n_rows.max())
@@ -532,16 +514,6 @@ def _candidate_lengths(model: LtvModel, l_max: int | None, n_records: int) -> ra
     return range(1, min(l_max, n_records) + 1)
 
 
-def _annihilated_blocks(model: LtvModel, mode: str, tol: Tolerance, L: int,
-                        n_records: int):
-    """The window matrices at L when every window has an annihilator, else None."""
-    blocks = _all_window_blocks(model, L, n_records - L + 1)
-    targets = (_annihilated_target(b, mode) for b in blocks)
-    if all((numerical_rank(t, tol) < t.shape[1]).all() for t in targets):
-        return blocks
-    return None
-
-
 def min_feasible_window(model: LtvModel, mode: str, tol: Tolerance = DEFAULT_TOL,
                         l_max: int | None = None, n_records: int | None = None,
                         structure: NoiseStructure | None = None) -> int | None:
@@ -560,9 +532,12 @@ def min_feasible_window(model: LtvModel, mode: str, tol: Tolerance = DEFAULT_TOL
         return None if design is None else design.L
     if n_records is None:
         n_records = model.tau + 1
-    return next((L for L in _candidate_lengths(model, l_max, n_records)
-                 if _annihilated_blocks(model, mode, tol, L, n_records) is not None),
-                None)
+    for L in _candidate_lengths(model, l_max, n_records):
+        targets = (_annihilated_target(b, mode)
+                   for b in _all_window_blocks(model, L, n_records - L + 1))
+        if all((numerical_rank(t, tol) < t.shape[1]).all() for t in targets):
+            return L
+    return None
 
 
 def feasible_design(model: LtvModel, structure: NoiseStructure, mode: str,
@@ -575,8 +550,10 @@ def feasible_design(model: LtvModel, structure: NoiseStructure, mode: str,
     design full column rank.  A candidate L at which the replication
     Upsilon (``defining_replication``) has a zero column is skipped unbuilt:
     that column is a zero column of the design.  Each other candidate's
-    window matrices are built once and serve both its annihilator check and
-    its design; ``with_data`` attaches the ``n_records`` measurements.
+    design is built once, and the annihilator check is the one its
+    geometry makes: an L at which a window has none is passed over (and
+    logs no near-threshold warning).  ``with_data`` attaches the
+    ``n_records`` measurements.
 
     With ``fallback``, when no L gives full rank, the result is instead the
     (rank-deficient) design at the smallest L with an annihilator, and None
@@ -590,10 +567,10 @@ def feasible_design(model: LtvModel, structure: NoiseStructure, mode: str,
         if not upsilon.any(axis=0).all():
             skipped.append(L)
             continue
-        blocks = _annihilated_blocks(model, mode, tol, L, n_records)
-        if blocks is None:
+        try:
+            design = _design(model, upsilon, L, mode, tol, n_records - L + 1)
+        except NoAnnihilator:
             continue
-        design = _design(model, upsilon, L, mode, tol, n_records - L + 1, blocks)
         if design.rank >= structure.n_alpha:
             return design
         if first is None:
@@ -603,42 +580,41 @@ def feasible_design(model: LtvModel, structure: NoiseStructure, mode: str,
     for L in skipped:
         if first is not None and L > first.L:
             break
-        blocks = _annihilated_blocks(model, mode, tol, L, n_records)
-        if blocks is not None:
+        try:
             return _design(model, defining_replication(structure, L), L, mode, tol,
-                           n_records - L + 1, blocks)
+                           n_records - L + 1)
+        except NoAnnihilator:
+            continue
     return first
 
 
 def build_design(model: LtvModel, structure: NoiseStructure, L: int, mode: str,
                  tol: Tolerance = DEFAULT_TOL, n_windows: int | None = None) -> StackedSystem:
-    """Assemble the design matrix only; ``with_data`` attaches measurements."""
+    """Assemble the design matrix only; ``with_data`` attaches measurements.
+
+    A window without an annihilator raises NoAnnihilator, carrying as
+    ``minimal_feasible_l`` the smallest L at which every window has one.
+    """
     if n_windows is None:
         n_windows = model.tau + 2 - L
     if n_windows < 1:
         raise DataError(f"horizon too short: no full window of length L={L}")
-    return _design(model, defining_replication(structure, L), L, mode, tol, n_windows,
-                   _all_window_blocks(model, L, n_windows))
-
-
-def _design(model: LtvModel, upsilon: np.ndarray, L: int, mode: str,
-            tol: Tolerance, n_windows: int, blocks) -> StackedSystem:
     try:
-        windows, ac, ann, groups = _window_geometries(blocks, mode, upsilon, tol)
+        return _design(model, defining_replication(structure, L), L, mode, tol,
+                       n_windows)
     except NoAnnihilator as exc:
         try:
             exc.minimal_feasible_l = min_feasible_window(model, mode, tol)
         except MdmError:
             pass
         raise
-    if model.is_lti:
-        windows = windows * n_windows
-        ac = np.broadcast_to(ac, (n_windows,) + ac.shape[1:])
-    reduction = _row_reduction(model, L, windows, ann, tol)
-    row_offsets = np.concatenate(
-        ([0], np.cumsum([w.n_rows for w in windows]))
-    ).astype(int)
-    design = np.concatenate([w.design_block for w in windows])
+
+
+def _design(model: LtvModel, upsilon: np.ndarray, L: int, mode: str,
+            tol: Tolerance, n_windows: int) -> StackedSystem:
+    ac, ann, n_a, groups, design, row_offsets = _window_geometries(
+        model, _all_window_blocks(model, L, n_windows), mode, upsilon, tol, n_windows)
+    reduction = _row_reduction(model, L, n_windows, n_a, ann, tol)
     (u, s, vt, rank, scale), thr = _equilibrated_svd(design, tol)
     null_basis = None
     if rank < design.shape[1]:
@@ -646,10 +622,9 @@ def _design(model: LtvModel, upsilon: np.ndarray, L: int, mode: str,
         null_basis, _ = np.linalg.qr(vt[rank:].T / scale[:, None])
     return StackedSystem(
         obs=None, design=design, row_offsets=row_offsets, L=L, mode=mode,
-        windows=windows, residue_groups=_residue_groups(model, n_windows, groups),
-        ac=ac, n_eps=(L - 1) * model.n_w + L * model.n_v,
-        model=model, scale=scale, rank=rank, rank_threshold=thr,
-        null_basis=null_basis, u=u, s=s, vt=vt, reduction=reduction,
+        residue_groups=groups, ac=ac, model=model, scale=scale, rank=rank,
+        rank_threshold=thr, null_basis=null_basis, u=u, s=s, vt=vt,
+        reduction=reduction,
     )
 
 

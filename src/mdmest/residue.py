@@ -28,10 +28,10 @@ import numpy as np
 
 from .errors import DataError
 from .linalg import block_diag
-from .model import LtvModel, MeasurementData, Trajectory
+from .model import LtvModel
 
 __all__ = ["AugmentedBlock", "WindowBlocks", "build_augmented_block",
-           "window_blocks", "stack_measurements"]
+           "window_blocks"]
 
 
 @dataclass
@@ -144,20 +144,3 @@ def build_augmented_block(model: LtvModel, k: int, L: int) -> AugmentedBlock:
     """Assemble O, Gamma, scriptG, scriptE, scriptD for window [k, k+L-1]."""
     return window_blocks(model, [k], L)[0].block(0)
 
-
-def stack_measurements(data, k: int, L: int):
-    """Concatenate z_k..z_{k+L-1} and, when available, u_k..u_{k+L-2}.
-
-    Accepts a Trajectory or MeasurementData.  Returns (Z, U) with U None when
-    the data carries no inputs.
-    """
-    if isinstance(data, Trajectory):
-        data = MeasurementData.from_trajectory(data)
-    if k < 0 or k + L - 1 >= len(data.zs):
-        raise DataError(f"records k={k}..{k + L - 1} not all present")
-    z = np.concatenate([np.atleast_1d(data.zs[k + i]) for i in range(L)])
-    u = None
-    if data.us is not None:
-        parts = [np.atleast_1d(data.us[k + i]) for i in range(L - 1)]
-        u = np.concatenate(parts) if parts else np.zeros(0)
-    return z, u

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -28,6 +30,24 @@ def noise_map(ac):
     return np.einsum("ta,tb->tab", ac[sel_j], ac[sel_i]).reshape(sel_i.size, -1)
 
 
+def window_arrays(sys, k):
+    """Window k's geometry, read from the stacks of ``sys``: its annihilator
+    and ``gamma_g`` from the residue group that holds it, its ``ac`` from
+    sys.ac[k, :n_a], its unique pairs ``sel_i``/``sel_j`` from
+    sym_pair_indices(n_a) and its ``design_block`` from the design rows
+    row_offsets[k]:row_offsets[k+1]."""
+    g = next(g for g in sys.residue_groups if k in g.windows)
+    p = int(np.flatnonzero(g.windows == k)[0])
+    n_a = g.annihilator.shape[1]
+    sel_i, sel_j = sym_pair_indices(n_a)
+    return SimpleNamespace(
+        n_a=n_a, annihilator=g.annihilator[p],
+        gamma_g=None if g.gamma_g is None else g.gamma_g[p],
+        ac=sys.ac[k, :n_a], sel_i=sel_i, sel_j=sel_j,
+        design_block=sys.design[sys.row_offsets[k]:sys.row_offsets[k + 1]],
+    )
+
+
 def direct_p(sys, etas):
     """The weight P of all rows of ``sys``, dense, through the materialised
     band matrices: block (r, r+j) is noise_map(ac_r) @ etas.band(j) @
@@ -38,8 +58,8 @@ def direct_p(sys, etas):
     for j in range(sys.L):
         band = etas.band(j)
         for r in range(sys.n_windows - j):
-            blk = (noise_map(sys.windows[r].ac) @ band
-                   @ noise_map(sys.windows[r + j].ac).T)
+            blk = (noise_map(window_arrays(sys, r).ac) @ band
+                   @ noise_map(window_arrays(sys, r + j).ac).T)
             p[offs[r]:offs[r + 1], offs[r + j]:offs[r + j + 1]] = blk
             if j:
                 p[offs[r + j]:offs[r + j + 1], offs[r]:offs[r + 1]] = blk.T
@@ -58,7 +78,7 @@ def isserlis_p(sys, etas):
     for j in range(sys.L):
         c = etas.crosses[j]
         for r in range(sys.n_windows - j):
-            wa, wb = sys.windows[r], sys.windows[r + j]
+            wa, wb = window_arrays(sys, r), window_arrays(sys, r + j)
             g = wa.ac @ c @ wb.ac.T
             blk = (g[wa.sel_j[:, None], wb.sel_j] * g[wa.sel_i[:, None], wb.sel_i]
                    + g[wa.sel_j[:, None], wb.sel_i] * g[wa.sel_i[:, None], wb.sel_j])

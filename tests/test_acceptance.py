@@ -25,7 +25,6 @@ from mdmest import (
     replication_matrix,
     run_mc,
     simulate,
-    stack_measurements,
     unification_matrix,
     vec,
     weighted_mdm,
@@ -33,6 +32,8 @@ from mdmest import (
 from mdmest.benchmarks import benchmark_input_signal
 from mdmest.model import MeasurementData
 from mdmest.residue import build_augmented_block
+
+from conftest import window_arrays
 
 # frozen reference statistics (sample variances of the published MC studies)
 OBS_LTV_TRUE = np.array([2.0, 1.0])
@@ -169,10 +170,11 @@ def _windows_with_residues(name, tau, seed):
     sys0 = build_design(spec.model, spec.structure, spec.L, mode,
                         n_windows=tau + 2 - spec.L)
     out = []
-    for k, w in enumerate(sys0.windows):
-        z, uu = stack_measurements(data, k, spec.L)
-        if mode == KNOWN_INPUT and uu is not None and w.gamma_g is not None:
-            z = z - w.gamma_g @ uu
+    for k in range(sys0.n_windows):
+        w = window_arrays(sys0, k)
+        z = np.concatenate(data.zs[k:k + spec.L], axis=None)
+        if mode == KNOWN_INPUT and data.us is not None and w.gamma_g is not None:
+            z = z - w.gamma_g @ np.concatenate(data.us[k:k + spec.L - 1], axis=None)
         zt = w.annihilator @ z
         noises = np.concatenate([traj.ws[k:k + spec.L - 1].ravel(),
                                  traj.vs[k:k + spec.L].ravel()])
@@ -221,12 +223,12 @@ def test_criterion_5b_residue_invariances():
         d2 = MeasurementData.from_trajectory(t2, include_u=include_u)
         sys0 = build_design(spec.model, spec.structure, spec.L, mode,
                             n_windows=152 - spec.L)
-        for k, w in enumerate(sys0.windows):
-            z1, u1 = stack_measurements(d1, k, spec.L)
-            z2, u2 = stack_measurements(d2, k, spec.L)
-            if u1 is not None and w.gamma_g is not None:
-                z1 = z1 - w.gamma_g @ u1
-                z2 = z2 - w.gamma_g @ u2
+        for k in range(sys0.n_windows):
+            w = window_arrays(sys0, k)
+            z1, z2 = (np.concatenate(d.zs[k:k + spec.L], axis=None) for d in (d1, d2))
+            if d1.us is not None and w.gamma_g is not None:
+                z1 = z1 - w.gamma_g @ np.concatenate(d1.us[k:k + spec.L - 1], axis=None)
+                z2 = z2 - w.gamma_g @ np.concatenate(d2.us[k:k + spec.L - 1], axis=None)
             r1, r2 = w.annihilator @ z1, w.annihilator @ z2
             worst_init = max(worst_init,
                              np.max(np.abs(r1 - r2)) / (1 + np.max(np.abs(r1))))
@@ -241,9 +243,9 @@ def test_criterion_5b_residue_invariances():
     sys0 = build_design(spec.model, spec.structure, spec.L, UNKNOWN_INPUT,
                         n_windows=150)
     worst_input = 0.0
-    for k, w in enumerate(sys0.windows):
-        z1, _ = stack_measurements(MeasurementData(zs=t1.zs), k, spec.L)
-        z2, _ = stack_measurements(MeasurementData(zs=t2.zs), k, spec.L)
+    for k in range(sys0.n_windows):
+        w = window_arrays(sys0, k)
+        z1, z2 = (np.concatenate(t.zs[k:k + spec.L], axis=None) for t in (t1, t2))
         r1, r2 = w.annihilator @ z1, w.annihilator @ z2
         worst_input = max(worst_input,
                           np.max(np.abs(r1 - r2)) / (1 + np.max(np.abs(r1))))

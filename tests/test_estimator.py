@@ -1,3 +1,4 @@
+import logging
 import warnings
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from mdmest import (
     IndefiniteWeight,
     InitialCondition,
     KNOWN_INPUT,
+    LtvModel,
     MdmError,
     NoAnnihilator,
     NoiseStructure,
@@ -20,6 +22,7 @@ from mdmest import (
     assemble_p,
     build_design,
     build_stacked_system,
+    feasible_design,
     gaussian_eta_covariances,
     identifiability_report,
     min_feasible_window,
@@ -43,10 +46,13 @@ from conftest import (
     isserlis_p,
     kept_rows,
     make_ragged_ltv_model,
+    make_ge_equal_model,
+    make_ge_equal_structure,
     make_ragged_ltv_structure,
     rao_reference,
+    window_arrays,
 )
-from test_geometry import window_cases
+from test_geometry import bitwise_equal, window_cases
 from test_residue import window_noises
 
 INDEFINITE_MESSAGE = r"^weight matrix has eigenvalue -\S+ below -\S+$"
@@ -83,7 +89,7 @@ class TestBuildStackedSystem:
 
     def test_clock_row_counts(self):
         spec, sys_full = simulated_system("clock-ensemble", tau=30, seed=0)
-        n_a = sys_full.windows[0].n_a
+        n_a = window_arrays(sys_full, 0).n_a
         assert n_a == 16
         per = n_a * (n_a + 1) // 2
         assert sys_full.n_rows == per * sys_full.n_windows
@@ -213,6 +219,58 @@ class TestMinFeasibleWindow:
 
     def test_unknown_input_needs_wider_window(self, ge_equal_model):
         assert min_feasible_window(ge_equal_model, UNKNOWN_INPUT) == 2
+
+    @pytest.mark.parametrize("name, tau, mode", [
+        ("obs-ltv", 60, KNOWN_INPUT),
+        ("unobs-unknown-input", 40, UNKNOWN_INPUT),
+        ("clock-ensemble", 20, KNOWN_INPUT),
+        ("ge-equal", 60, UNKNOWN_INPUT),
+    ])
+    def test_feasible_design_is_build_design_at_its_l(self, name, tau, mode):
+        """With and without ``fallback``, the design ``feasible_design``
+        returns is bitwise the one ``build_design`` builds at its L (the
+        G == E model has full rank at no L, so only ``fallback`` gives one)."""
+        if name == "ge-equal":
+            model, structure = make_ge_equal_model(tau), make_ge_equal_structure()
+        else:
+            spec = preset(name, tau=tau)
+            model, structure = spec.model, spec.structure
+        for fallback in (False, True):
+            got = feasible_design(model, structure, mode, fallback=fallback)
+            if got is None:
+                assert name == "ge-equal" and not fallback
+                continue
+            want = build_design(model, structure, got.L, mode)
+            assert (got.L, got.rank, got.rank_threshold) == (want.L, want.rank,
+                                                             want.rank_threshold)
+            for field in ("design", "row_offsets", "ac", "scale", "u", "s", "vt",
+                          "null_basis"):
+                assert bitwise_equal(getattr(got, field), getattr(want, field)), field
+            assert len(got.residue_groups) == len(want.residue_groups)
+            for g1, g2 in zip(got.residue_groups, want.residue_groups):
+                for field in ("windows", "annihilator", "gamma_g", "z_index", "u_index"):
+                    assert bitwise_equal(getattr(g1, field), getattr(g2, field)), field
+            assert (got.reduction is None) == (want.reduction is None)
+            if got.reduction is not None:
+                for field in ("kinds", "transforms", "row_offsets"):
+                    assert bitwise_equal(getattr(got.reduction, field),
+                                         getattr(want.reduction, field)), field
+
+    def test_rejected_length_logs_no_near_threshold_warning(self, caplog):
+        """L = 1 has no annihilator: each window's H has singular values 1
+        and 1e-9, five times its rank threshold 2e-10, so rank 2 of 2 rows.
+        Rejecting it, in the scan or for an explicit L, logs nothing; at
+        L = 2 every singular value is near 1."""
+        model = LtvModel.create(n_x=2, n_w=1, n_v=2, tau=8,
+                                F=np.array([[0.0, 1.0], [1.0, 0.0]]), G=None,
+                                E=np.ones((2, 1)), H=np.diag([1.0, 1e-9]), D=np.eye(2))
+        structure = NoiseStructure.from_pairs([(np.eye(1), np.eye(2))])
+        with caplog.at_level(logging.WARNING, logger="mdmest.estimator"):
+            assert feasible_design(model, structure, KNOWN_INPUT).L == 2
+            with pytest.raises(NoAnnihilator) as err:
+                build_design(model, structure, 1, KNOWN_INPUT)
+        assert err.value.minimal_feasible_l == 2
+        assert caplog.records == []
 
 
 class TestOrdinaryMdm:
@@ -344,7 +402,8 @@ class TestAssembleP:
         assert etas_ui.repaired
         structure = make_ragged_ltv_structure()
         sys_rag = build_design(make_ragged_ltv_model(), structure, 2, KNOWN_INPUT)
-        assert len({w.n_a for w in sys_rag.windows}) == 3
+        n_a = {window_arrays(sys_rag, k).n_a for k in range(sys_rag.n_windows)}
+        assert len(n_a) == 3
         etas_rag = gaussian_eta_covariances(structure, [1.5, 0.7], 2)
         for sys_full, etas in ((sys_obs, etas_obs), (sys_ui, etas_ui),
                                (sys_rag, etas_rag)):
@@ -415,7 +474,7 @@ class TestAssembleP:
 
         obs = np.empty((tau, n_runs))
         for k in range(tau):
-            wg = sys0.windows[k]
+            wg = window_arrays(sys0, k)
             zw = np.vstack([zs[k], zs[k + 1]]) - wg.gamma_g @ np.array([[u_k[k]]])
             zt = wg.annihilator @ zw
             obs[k] = zt[0] ** 2
@@ -584,7 +643,8 @@ def noise_level_obs(sys0, traj):
     roundoff of the residues themselves (annihilating a large state first
     can cost many digits: about 7 on the clock ensemble)."""
     rows = []
-    for k, w in enumerate(sys0.windows):
+    for k in range(sys0.n_windows):
+        w = window_arrays(sys0, k)
         zt = w.ac @ window_noises(traj, k, sys0.L)
         rows.append(zt[w.sel_i] * zt[w.sel_j])
     return replace(sys0, obs=np.concatenate(rows))

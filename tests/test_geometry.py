@@ -26,6 +26,8 @@ from mdmest import (
 from mdmest.linalg import DEFAULT_TOL, block_diag, svd_rank, sym_pair_indices
 from mdmest.residue import AugmentedBlock
 
+from conftest import window_arrays
+
 
 def reference_block(model, k, L):
     """O, Gamma, scriptG, scriptE, scriptD of window k, built alone."""
@@ -94,7 +96,7 @@ def assert_geometry_matches_reference(model, structure, L, mode):
     sys0 = build_design(model, structure, L, mode)
     assert sys0.n_windows == n_windows
     for k, ref in zip(ks, refs):
-        w = sys0.windows[k]
+        w = window_arrays(sys0, k)
         assert w.n_a == ref["annihilator"].shape[0]
         for name, value in ref.items():
             assert bitwise_equal(getattr(w, name), value), (k, name)
@@ -102,21 +104,23 @@ def assert_geometry_matches_reference(model, structure, L, mode):
             assert bitwise_equal(getattr(build_augmented_block(model, k, L), name),
                                  getattr(reference_block(model, k, L), name))
     if model.is_lti:
-        assert all(w is sys0.windows[0] for w in sys0.windows)
+        # ac and every group stack are stride-0 broadcasts of window 0
+        stacks = [sys0.ac] + [a for g in sys0.residue_groups
+                              for a in (g.annihilator, g.gamma_g) if a is not None]
+        assert all(a.shape[0] == 1 or a.strides[0] == 0 for a in stacks)
     # the residue groups cover every window once, and their stacks hold
-    # each window's own arrays at the window's own strides
+    # each window's own arrays at the strides of the window's own products
     covered = np.concatenate([g.windows for g in sys0.residue_groups])
     assert np.array_equal(np.sort(covered), np.arange(n_windows))
     for g in sys0.residue_groups:
         for p, k in enumerate(g.windows.tolist()):
-            w = sys0.windows[k]
+            ref = refs[0 if model.is_lti else k]
             for name in ("annihilator", "gamma_g"):
-                stacked, own = getattr(g, name), getattr(w, name)
+                stacked, own = getattr(g, name), ref[name]
                 if own is None:
                     assert stacked is None
                     continue
                 assert layout(stacked[p]) == layout(own), (k, name)
-                assert np.shares_memory(stacked, own), (k, name)
                 assert bitwise_equal(stacked[p], own), (k, name)
     blocks = [refs[0 if model.is_lti else k]["design_block"] for k in range(n_windows)]
     assert bitwise_equal(sys0.design, np.vstack(blocks))
@@ -201,7 +205,7 @@ def test_near_threshold_windows_give_one_warning(caplog):
     ])
     with caplog.at_level(logging.WARNING, logger="mdmest.estimator"):
         sys0 = build_design(model, structure, 1, KNOWN_INPUT)
-    assert all(w.n_a == 1 for w in sys0.windows)
+    assert all(window_arrays(sys0, k).n_a == 1 for k in range(sys0.n_windows))
     assert len(caplog.records) == 1
     message = caplog.records[0].getMessage()
     assert message.startswith("5 window(s) have singular values within a decade")

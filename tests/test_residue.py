@@ -16,7 +16,6 @@ from mdmest import (
     numerical_rank,
     replication_matrix,
     simulate,
-    stack_measurements,
     unification_matrix,
     preset,
 )
@@ -24,7 +23,7 @@ from mdmest.benchmarks import benchmark_input_signal
 from mdmest.linalg import sym_pair_indices
 from mdmest.model import MeasurementData
 
-from conftest import noise_map
+from conftest import noise_map, window_arrays
 from test_geometry import window_cases
 
 
@@ -40,10 +39,10 @@ def window_residue(sys, data, k):
     Also checks that the system's obs block of window k is the unique-pair
     selection of ztilde ztilde^T.
     """
-    w = sys.windows[k]
-    z, u = stack_measurements(data, k, sys.L)
-    if sys.mode == KNOWN_INPUT and u is not None and w.gamma_g is not None:
-        z = z - w.gamma_g @ u
+    w = window_arrays(sys, k)
+    z = np.concatenate(data.zs[k:k + sys.L], axis=None)
+    if sys.mode == KNOWN_INPUT and data.us is not None and w.gamma_g is not None:
+        z = z - w.gamma_g @ np.concatenate(data.us[k:k + sys.L - 1], axis=None)
     ztilde = w.annihilator @ z
     rows = slice(sys.row_offsets[k], sys.row_offsets[k + 1])
     assert np.array_equal(sys.obs[rows], ztilde[w.sel_i] * ztilde[w.sel_j])
@@ -115,39 +114,13 @@ class TestBuildAugmentedBlock:
         for ours, theirs in zip(built[:2], built[2:]):
             assert np.array_equal(ours.design, theirs.design)
             assert np.array_equal(ours.obs, theirs.obs)
-            for w1, w2 in zip(ours.windows, theirs.windows):
-                assert np.array_equal(w1.annihilator, w2.annihilator)
+            for k in range(ours.n_windows):
+                assert np.array_equal(window_arrays(ours, k).annihilator,
+                                      window_arrays(theirs, k).annihilator)
 
     def test_horizon_overrun(self, scalar_lti_model):
         with pytest.raises(DataError):
             build_augmented_block(scalar_lti_model, 49, 3)
-
-
-class TestStackMeasurements:
-    def test_window_one(self):
-        data = MeasurementData(zs=[np.array([1.0]), np.array([2.0])],
-                               us=[np.array([5.0]), np.array([6.0])])
-        z, u = stack_measurements(data, 0, 1)
-        assert np.array_equal(z, [1.0])
-        assert u.size == 0
-
-    def test_ragged_concatenation(self):
-        data = MeasurementData(zs=[np.array([1.0]), np.array([2.0, 3.0])])
-        z, u = stack_measurements(data, 0, 2)
-        assert np.array_equal(z, [1.0, 2.0, 3.0])
-        assert u is None
-
-    def test_clock_window_length(self):
-        spec = preset("clock-ensemble", tau=30)
-        traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
-                        seed=0)
-        z, u = stack_measurements(traj, 0, 10)
-        assert z.shape == (20,)
-
-    def test_missing_records(self):
-        data = MeasurementData(zs=[np.array([1.0])])
-        with pytest.raises(DataError):
-            stack_measurements(data, 0, 2)
 
 
 class TestResidueKnownInput:
@@ -159,7 +132,7 @@ class TestResidueKnownInput:
                         input_signal=u, seed=0)
         sys = build_stacked_system(spec.model, spec.structure, traj, 2)
         for k in (0, 10, 38):
-            z, _ = stack_measurements(traj, k, 2)
+            z = np.concatenate(traj.zs[k:k + 2], axis=None)
             ztilde = window_residue(sys, traj, k)
             assert np.max(np.abs(ztilde)) <= 1e-10 * (1 + np.max(np.abs(z)))
 
@@ -171,7 +144,7 @@ class TestResidueKnownInput:
         sys = build_stacked_system(spec.model, spec.structure, traj, 2)
         for k in range(0, 59):
             ztilde = window_residue(sys, traj, k)
-            direct = sys.windows[k].ac @ window_noises(traj, k, 2)
+            direct = window_arrays(sys, k).ac @ window_noises(traj, k, 2)
             scale = 1 + np.max(np.abs(direct))
             assert np.max(np.abs(ztilde - direct)) < 1e-9 * scale
 
@@ -183,7 +156,7 @@ class TestResidueKnownInput:
         window_residue(sys, traj, 0)
         rank = numerical_rank(build_augmented_block(spec.model, 0, 10).O)
         assert rank < 6
-        assert sys.windows[0].n_a == 20 - rank
+        assert window_arrays(sys, 0).n_a == 20 - rank
 
     def test_no_annihilator_signals_small_window(self, scalar_structure):
         model = LtvModel.create(n_x=2, n_w=1, n_v=1, tau=10, F=np.eye(2),
@@ -200,8 +173,8 @@ class TestResidueUnknownInput:
         model = LtvModel.create(n_x=1, n_w=1, n_v=1, tau=10,
                                 F=[[0.9]], G=np.zeros((1, 1)), E=[[1.0]],
                                 H=[[1.0]], D=[[1.0]])
-        known = build_design(model, scalar_structure, 2, KNOWN_INPUT).windows[0]
-        unknown = build_design(model, scalar_structure, 2, UNKNOWN_INPUT).windows[0]
+        known, unknown = (window_arrays(build_design(model, scalar_structure, 2, mode), 0)
+                          for mode in (KNOWN_INPUT, UNKNOWN_INPUT))
         # same null space up to an orthogonal change of basis
         pk = known.annihilator.T @ known.annihilator
         pu = unknown.annihilator.T @ unknown.annihilator
@@ -232,14 +205,14 @@ class TestResidueUnknownInput:
         sys = build_stacked_system(spec.model, spec.structure, traj, 2, UNKNOWN_INPUT)
         for k in range(0, 49, 5):
             ztilde = window_residue(sys, traj, k)
-            direct = sys.windows[k].ac @ window_noises(traj, k, 2)
+            direct = window_arrays(sys, k).ac @ window_noises(traj, k, 2)
             scale = 1 + np.max(np.abs(direct))
             assert np.max(np.abs(ztilde - direct)) < 1e-9 * scale
 
     def test_equal_g_e_kills_state_noise_columns(self, ge_equal_model,
                                                  ge_equal_structure):
-        w = build_design(ge_equal_model, ge_equal_structure, 2,
-                         UNKNOWN_INPUT).windows[0]
+        w = window_arrays(build_design(ge_equal_model, ge_equal_structure, 2,
+                                       UNKNOWN_INPUT), 0)
         # Q enters through the first basis column only; it must vanish
         assert np.max(np.abs(w.design_block[:, 0])) < 1e-10
         assert np.max(np.abs(w.design_block[:, 1])) > 1e-6
@@ -253,7 +226,7 @@ class TestRegressionRow:
                         input_signal=u, seed=3)
         sys = build_stacked_system(spec.model, spec.structure, traj, 2)
         ztilde = window_residue(sys, traj, 0)
-        w = sys.windows[0]
+        w = window_arrays(sys, 0)
         assert w.n_a == 1
         obs = sys.obs[sys.row_offsets[0]:sys.row_offsets[1]]
         assert obs.shape == (1,)
@@ -263,7 +236,7 @@ class TestRegressionRow:
     def test_unbiasedness_oracle(self, rng):
         """Mean of obs over noise draws matches design @ alpha."""
         spec = preset("unobs-unknown-input", tau=30)
-        w = build_design(spec.model, spec.structure, 2, UNKNOWN_INPUT).windows[4]
+        w = window_arrays(build_design(spec.model, spec.structure, 2, UNKNOWN_INPUT), 4)
         q, r = np.array([[1.0, 1, 0], [1, 2, 1], [0, 1, 2.0]]), np.array(
             [[2.0, 0, 1], [0, 4, 1], [1, 1, 2.0]])
         n_draws = 10000
@@ -279,7 +252,7 @@ class TestRegressionRow:
 
     def test_design_consistent_with_noisemap(self):
         spec = preset("obs-ltv", tau=20)
-        w = build_design(spec.model, spec.structure, 2, KNOWN_INPUT).windows[0]
+        w = window_arrays(build_design(spec.model, spec.structure, 2, KNOWN_INPUT), 0)
         ups = defining_replication(spec.structure, 2)
         assert np.allclose(w.design_block, noise_map(w.ac) @ ups)
 
@@ -291,7 +264,7 @@ class TestRegressionRow:
                         input_signal=u_sig, seed=8)
         k, L = 2, 10
         sys = build_stacked_system(spec.model, spec.structure, traj, L)
-        w = sys.windows[k]
+        w = window_arrays(sys, k)
         ztilde = window_residue(sys, traj, k)
         ups = defining_replication(spec.structure, L)
         obs, design, noisemap = regression_rows(ztilde, w.ac, ups)
@@ -347,8 +320,8 @@ def residue_deviation(sys0, data1, data2):
     worst = 0.0
     for k in range(sys0.n_windows):
         r1, r2 = window_residue(sys1, data1, k), window_residue(sys2, data2, k)
-        z1, _ = stack_measurements(data1, k, sys0.L)
-        z2, _ = stack_measurements(data2, k, sys0.L)
+        z1 = np.concatenate(data1.zs[k:k + sys0.L], axis=None)
+        z2 = np.concatenate(data2.zs[k:k + sys0.L], axis=None)
         scale = 1.0 + max(np.max(np.abs(z1), initial=0.0), np.max(np.abs(z2), initial=0.0))
         worst = max(worst, np.max(np.abs(r1 - r2), initial=0.0) / scale)
     return worst

@@ -19,8 +19,6 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     kron,
-    left_null_space,
-    numerical_rank,
     replication_matrix,
     unification_matrix,
     unvec,

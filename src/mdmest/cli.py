@@ -98,24 +98,13 @@ def _mode(args) -> str:
 
 
 def _resolve_l(args, model, structure, mode, tol, n_records):
-    """The design of window length ``--L`` for ``n_records`` records.
-
-    ``--L auto`` takes the smallest L whose design has full column rank,
-    else the smallest L with an annihilator, whose design the solver or the
-    report then shows to be rank deficient.
-    """
+    """The design of window length ``--L`` for ``n_records`` records; for
+    ``--L auto``, the one ``feasible_design(..., fallback=True)`` finds."""
     if args.L != "auto":
         return build_design(model, structure, args.L, mode, tol,
                             n_windows=n_records - args.L + 1)
-    l_max = max(model.n_x + 2, 12)
-    design = feasible_design(model, structure, mode, tol, l_max=l_max,
-                             n_records=n_records, fallback=True)
-    if design is None:
-        raise MdmError(
-            f"no window length up to L={min(l_max, n_records)} has an "
-            f"annihilator for {n_records} records"
-        )
-    return design
+    return feasible_design(model, structure, mode, tol, n_records=n_records,
+                           fallback=True)
 
 
 def _with_tau(model: LtvModel, tau: int) -> LtvModel:

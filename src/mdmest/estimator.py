@@ -37,7 +37,6 @@ from .errors import (
 from .linalg import (
     Tolerance,
     DEFAULT_TOL,
-    numerical_rank,
     svd_rank,
     swap_permutation,
     sym_pair_indices,
@@ -345,23 +344,14 @@ def _warn_near_threshold(factored) -> None:
         )
 
 
-def _window_geometries(model: LtvModel, blocks, mode: str, upsilon: np.ndarray,
-                       tol: Tolerance, n_windows: int):
-    """The geometry of ``n_windows`` windows from their matrices ``blocks``
-    (window 0 alone for an LTI model, whose windows all share it): (ac,
-    ann, n_a, groups, design, row_offsets).
+def _annihilators(blocks, mode: str, tol: Tolerance) -> list:
+    """(b, u, s, rank, threshold) of every shape group ``b`` of ``blocks``:
+    one full SVD of the group's annihilated targets by the shared rank rule,
+    whose last rows - rank left singular vectors are each window's
+    annihilator.
 
-    ``ac`` stacks every window's ``ac`` as ``StackedSystem.ac`` holds it;
-    ``ann`` stacks the annihilators of the windows in ``blocks`` the same
-    way (zero-padded at the bottom and right) and ``n_a`` counts their
-    rows.  ``groups`` are the ``ResidueGroup``s, and ``design`` holds window
-    k's regression block at rows row_offsets[k]:row_offsets[k+1].
-
-    One SVD call per shape group gives every window's annihilator by the
-    shared rank rule; a window without one raises NoAnnihilator before any
-    near-threshold warning is logged.  The windows are then regrouped by
-    rank and their products computed in stacks, bitwise equal to the same
-    steps taken for one window alone.
+    This is the one annihilator test: the first window (smallest k) whose
+    target has full row rank raises NoAnnihilator.  It logs nothing.
     """
     factored = []
     for b in blocks:
@@ -374,8 +364,28 @@ def _window_geometries(model: LtvModel, blocks, mode: str, upsilon: np.ndarray,
     if failed:
         k, rows, rank = min(failed)
         raise NoAnnihilator(rows=rows, rank=rank, k=k)
-    _warn_near_threshold(factored)
+    return factored
 
+
+def _window_geometries(model: LtvModel, blocks, mode: str, upsilon: np.ndarray,
+                       tol: Tolerance, n_windows: int):
+    """The geometry of ``n_windows`` windows from their matrices ``blocks``
+    (window 0 alone for an LTI model, whose windows all share it): (ac,
+    ann, n_a, groups, design, row_offsets).
+
+    ``ac`` stacks every window's ``ac`` as ``StackedSystem.ac`` holds it;
+    ``ann`` stacks the annihilators of the windows in ``blocks`` the same
+    way (zero-padded at the bottom and right) and ``n_a`` counts their
+    rows.  ``groups`` are the ``ResidueGroup``s, and ``design`` holds window
+    k's regression block at rows row_offsets[k]:row_offsets[k+1].
+
+    The annihilators come from ``_annihilators``, so a window without one
+    raises NoAnnihilator before any near-threshold warning is logged.  The
+    windows are then regrouped by rank and their products computed in
+    stacks, bitwise equal to the same steps taken for one window alone.
+    """
+    factored = _annihilators(blocks, mode, tol)
+    _warn_near_threshold(factored)
     n_a = np.empty(sum(b.ks.size for b in blocks), dtype=int)
     for b, u, _, rank, _ in factored:
         n_a[b.ks] = u.shape[1] - rank
@@ -482,6 +492,10 @@ def _row_reduction(model: LtvModel, L: int, n_windows: int, n_a: np.ndarray,
         pair[:, :n_prev, :c_prev] = a[maybe]
         pair[:, n_prev:, first:] = b[maybe]
         u, _, _, rank, _ = svd_rank(pair, tol, full_matrices=True)
+        # each block's rows are orthonormal, so the pair has rank at least
+        # max(n_prev, n_cur); a rank_tol so loose that it finds less is held
+        # to that, and no window shares more directions than it has
+        rank = np.maximum(rank, max(n_prev, n_cur))
         for r in np.unique(rank[rank < rows]).tolist():
             sel = rank == r
             # window k's halves of the null vectors span the shared
@@ -520,23 +534,27 @@ def min_feasible_window(model: LtvModel, mode: str, tol: Tolerance = DEFAULT_TOL
     """Smallest L whose annihilator exists for every window, or None.
 
     The existence condition is that the stacked measurement dimension exceed
-    the rank of the annihilated matrix at every k.  When ``structure`` is
-    given, the window must additionally yield a full-column-rank design (an
+    the rank of the annihilated matrix at every k; it is tested by the SVD
+    that ``build_design`` takes the annihilators from, so an L passes here
+    exactly when ``build_design`` accepts it for the windows of
+    ``n_records`` records (default tau + 1).  When ``structure`` is given,
+    the window must additionally yield a full-column-rank design (an
     annihilator can exist at an L too short to carry any state-noise
     information, e.g. single-step windows); this is the L of
     ``feasible_design``.  ``l_max`` defaults to max(n_x + 2, 12); no L above
     ``n_records`` is tried.
     """
+    if n_records is None:
+        n_records = model.tau + 1
     if structure is not None:
         design = feasible_design(model, structure, mode, tol, l_max, n_records)
         return None if design is None else design.L
-    if n_records is None:
-        n_records = model.tau + 1
     for L in _candidate_lengths(model, l_max, n_records):
-        targets = (_annihilated_target(b, mode)
-                   for b in _all_window_blocks(model, L, n_records - L + 1))
-        if all((numerical_rank(t, tol) < t.shape[1]).all() for t in targets):
-            return L
+        try:
+            _annihilators(_all_window_blocks(model, L, n_records - L + 1), mode, tol)
+        except NoAnnihilator:
+            continue
+        return L
     return None
 
 
@@ -546,54 +564,73 @@ def feasible_design(model: LtvModel, structure: NoiseStructure, mode: str,
                     fallback: bool = False) -> StackedSystem | None:
     """The design at the L that ``min_feasible_window`` picks with ``structure``.
 
-    None when no L up to ``l_max`` gives every window an annihilator and the
-    design full column rank.  A candidate L at which the replication
-    Upsilon (``defining_replication``) has a zero column is skipped unbuilt:
-    that column is a zero column of the design.  Each other candidate's
-    design is built once, and the annihilator check is the one its
-    geometry makes: an L at which a window has none is passed over (and
-    logs no near-threshold warning).  ``with_data`` attaches the
-    ``n_records`` measurements.
+    This is the L search of ``--L auto``: the first L of 1, 2, ... up to
+    ``l_max`` (default max(n_x + 2, 12)) and ``n_records`` (default tau + 1)
+    whose design has full column rank, else None.  A candidate L at which
+    the replication Upsilon (``defining_replication``) has a zero column is
+    skipped unbuilt: that column is a zero column of the design.  Each other
+    candidate's design is built once, and its geometry makes the annihilator
+    test; an L without an annihilator logs no near-threshold warning.  Each
+    L passed over logs one INFO line with the reason: a zero column's
+    parameter, a window without an annihilator, or the design's rank.
+    ``with_data`` attaches the ``n_records`` measurements.
 
     With ``fallback``, when no L gives full rank, the result is instead the
-    (rank-deficient) design at the smallest L with an annihilator, and None
-    only when no L has one; no L's geometry is built twice.
+    (rank-deficient) design at the smallest L with an annihilator, and no
+    L's geometry is built twice; when no L has one, MdmError is raised.
     """
     if n_records is None:
         n_records = model.tau + 1
+    lengths = _candidate_lengths(model, l_max, n_records)
     first, skipped = None, []
-    for L in _candidate_lengths(model, l_max, n_records):
+    for L in lengths:
         upsilon = defining_replication(structure, L)
-        if not upsilon.any(axis=0).all():
+        zero = np.flatnonzero(~upsilon.any(axis=0))
+        if zero.size:
+            logger.info("L=%d passed over: Upsilon has a zero column for %s", L,
+                        ", ".join(f"alpha_{j + 1}" for j in zero.tolist()))
             skipped.append(L)
             continue
         try:
             design = _design(model, upsilon, L, mode, tol, n_records - L + 1)
-        except NoAnnihilator:
+        except NoAnnihilator as exc:
+            logger.info("L=%d passed over: window k=%d has no annihilator "
+                        "(rank %d of %d rows)", L, exc.k, exc.rank, exc.rows)
             continue
         if design.rank >= structure.n_alpha:
             return design
+        logger.info("L=%d passed over: the design has rank %d of %d", L,
+                    design.rank, structure.n_alpha)
         if first is None:
             first = design
     if not fallback:
         return None
+    design = first
     for L in skipped:
         if first is not None and L > first.L:
             break
         try:
-            return _design(model, defining_replication(structure, L), L, mode, tol,
-                           n_records - L + 1)
+            design = _design(model, defining_replication(structure, L), L, mode, tol,
+                             n_records - L + 1)
+            break
         except NoAnnihilator:
             continue
-    return first
+    if design is None:
+        raise MdmError(f"no window length up to L={len(lengths)} has an "
+                       f"annihilator for {n_records} records")
+    logger.info("no L up to %d gives full rank; L=%d, the smallest with an "
+                "annihilator, is kept", len(lengths), design.L)
+    return design
 
 
 def build_design(model: LtvModel, structure: NoiseStructure, L: int, mode: str,
                  tol: Tolerance = DEFAULT_TOL, n_windows: int | None = None) -> StackedSystem:
-    """Assemble the design matrix only; ``with_data`` attaches measurements.
+    """Assemble the design matrix of ``n_windows`` windows (default all of
+    the model's tau + 1 records); ``with_data`` attaches measurements.
 
     A window without an annihilator raises NoAnnihilator, carrying as
-    ``minimal_feasible_l`` the smallest L at which every window has one.
+    ``minimal_feasible_l`` the smallest L at which every window of the same
+    n_windows + L - 1 records has one (``min_feasible_window``), or None.
     """
     if n_windows is None:
         n_windows = model.tau + 2 - L
@@ -604,7 +641,8 @@ def build_design(model: LtvModel, structure: NoiseStructure, L: int, mode: str,
                        n_windows)
     except NoAnnihilator as exc:
         try:
-            exc.minimal_feasible_l = min_feasible_window(model, mode, tol)
+            exc.minimal_feasible_l = min_feasible_window(
+                model, mode, tol, n_records=n_windows + L - 1)
         except MdmError:
             pass
         raise

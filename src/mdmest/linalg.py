@@ -1,18 +1,18 @@
 """Dense matrix utilities underlying the identification algebra.
 
 Kronecker products, block-diagonal assembly, column-wise vectorisation, the
-one SVD rank rule (a singular value counts when it exceeds
-rank_tol * sigma_max * max(rows, cols)) with the rank and left null space
-built on it, and the 0/1 unification (unique-element selection) and
-replication matrices for vectorised symmetric matrices.
+one SVD rank rule (``svd_rank``: a singular value counts when it exceeds
+rank_tol * sigma_max * max(rows, cols)), and the 0/1 unification
+(unique-element selection) and replication matrices for vectorised
+symmetric matrices.  A matrix's rank is ``svd_rank(m)[3]``, and with
+``full_matrices=True`` the rows of u[:, rank:].T are its left null space,
+the annihilator the estimator takes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
-
-from .errors import NoAnnihilator
 
 __all__ = [
     "Tolerance",
@@ -22,8 +22,6 @@ __all__ = [
     "vec",
     "unvec",
     "svd_rank",
-    "numerical_rank",
-    "left_null_space",
     "sym_pair_indices",
     "unification_matrix",
     "replication_matrix",
@@ -124,34 +122,6 @@ def svd_rank(m, tol: Tolerance = DEFAULT_TOL, full_matrices: bool = False):
     m = _as_stack(m)
     u, s, vt = np.linalg.svd(m, full_matrices=full_matrices)
     return (u, s, vt) + _rank_and_threshold(s, m.shape[-2:], tol)
-
-
-def numerical_rank(m, tol: Tolerance = DEFAULT_TOL):
-    """Number of singular values above rank_tol * sigma_max * max(dims).
-
-    For a stack (..., rows, cols) this is an int array over the stack.
-    """
-    m = _as_stack(m)
-    if m.size == 0:
-        return 0 if m.ndim == 2 else np.zeros(m.shape[:-2], dtype=int)
-    s = np.linalg.svd(m, compute_uv=False)
-    return _rank_and_threshold(s, m.shape[-2:], tol)[0]
-
-
-def left_null_space(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the left null space of ``m``, as rows.
-
-    Returns N with N @ m == 0 (to roundoff) and rows(N) == rows(m) - rank(m).
-    Raises ``NoAnnihilator`` when m has full row rank.
-    """
-    m = _as_matrix(m)
-    rows = m.shape[0]
-    if rows == 0:
-        raise ValueError("left_null_space requires a nonempty matrix")
-    u, _, _, rank, _ = svd_rank(m, tol, full_matrices=True)
-    if rank >= rows:
-        raise NoAnnihilator(rows=rows, rank=rank)
-    return u[:, rank:].T
 
 
 def sym_pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -170,6 +170,25 @@ def make_ge_equal_structure():
     ])
 
 
+def make_switching_h_model(tau=10):
+    """n_x = 2 with F = E = I and H_k = [1, 0] up to k = 5, [0, 1] after.
+
+    Every window of length 2 over records 0..5 has an annihilator (its O
+    has two equal rows); window k = 5 of length 2 has O = I and none, so
+    over all records the smallest feasible L is 3."""
+    h = [np.array([[1.0, 0.0]]) if k <= 5 else np.array([[0.0, 1.0]])
+         for k in range(tau + 1)]
+    return LtvModel.create(n_x=2, n_w=2, n_v=1, tau=tau, F=np.eye(2), G=None,
+                           E=np.eye(2), H=h, D=np.eye(1))
+
+
+def make_switching_h_structure():
+    return NoiseStructure.from_pairs([
+        (np.eye(2), np.zeros((1, 1))),
+        (np.zeros((2, 2)), np.eye(1)),
+    ])
+
+
 @pytest.fixture
 def ge_equal_model():
     return make_ge_equal_model()

@@ -9,6 +9,8 @@ from mdmest import preset, weighted_mdm
 from mdmest import cli, io
 from mdmest.cli import main
 
+from conftest import make_switching_h_model, make_switching_h_structure
+
 
 @pytest.fixture
 def obs_ltv_model_file(tmp_path):
@@ -243,7 +245,9 @@ class TestLogLevel:
             seen[level] = {(r.levelname, r.getMessage().split(":")[0])
                            for r in caplog.records if r.name.startswith("mdmest")}
         assert seen[None] == seen["WARNING"] == set()
-        assert seen["INFO"] == {("INFO", "identify"), ("INFO", "weighted solve")}
+        # --L auto passes over L = 1, whose Upsilon has a zero Q column
+        assert seen["INFO"] == {("INFO", "L=1 passed over"), ("INFO", "identify"),
+                                ("INFO", "weighted solve")}
         assert seen["DEBUG"] == seen["INFO"] | {("DEBUG", "identify")}
 
     def test_unknown_level_is_a_usage_error(self, capsys):
@@ -431,6 +435,17 @@ class TestExitCodes:
         code = main(["identify", "--model", str(obs_ltv_model_file),
                      "--data", str(out / "data.jsonl"), "--L", "1",
                      "--out", str(out)])
+        assert code == 4
+        assert "smallest feasible window length is L=2" in capsys.readouterr().err
+
+    def test_too_short_window_hint_is_for_the_data_records(self, tmp_path, capsys):
+        """On its first five records the model has an annihilator at L = 2;
+        over its whole horizon only at L = 3."""
+        model_path, data = tmp_path / "switch.json", tmp_path / "five.jsonl"
+        io.save_model(model_path, make_switching_h_model(), make_switching_h_structure())
+        data.write_text("".join(f'{{"k": {k}, "z": [1.0]}}\n' for k in range(5)))
+        code = main(["identify", "--model", str(model_path), "--data", str(data),
+                     "--L", "1", "--out", str(tmp_path)])
         assert code == 4
         assert "smallest feasible window length is L=2" in capsys.readouterr().err
 

@@ -26,7 +26,6 @@ from mdmest import (
     gaussian_eta_covariances,
     identifiability_report,
     min_feasible_window,
-    numerical_rank,
     ordinary_estimates,
     ordinary_mdm,
     preset,
@@ -38,7 +37,9 @@ from mdmest import (
 )
 from mdmest.benchmarks import benchmark_input_signal
 from mdmest.estimator import P_DENSE_MAX_ROWS
+from mdmest.linalg import svd_rank
 from mdmest.model import MeasurementData
+from mdmest.residue import window_blocks
 
 from conftest import (
     dense_from_band,
@@ -48,6 +49,8 @@ from conftest import (
     make_ragged_ltv_model,
     make_ge_equal_model,
     make_ge_equal_structure,
+    make_switching_h_model,
+    make_switching_h_structure,
     make_ragged_ltv_structure,
     rao_reference,
     window_arrays,
@@ -211,6 +214,45 @@ class TestBatchEntryPoints:
             weighted_estimates(design, obs[0], spec.structure)
 
 
+def smallest_built_length(model, structure, mode, tol):
+    """The smallest L at which ``build_design`` accepts the model's tau + 1
+    records (None if none does), and the ``minimal_feasible_l`` that each
+    shorter L's NoAnnihilator names."""
+    hints = []
+    for L in range(1, model.tau + 2):
+        try:
+            build_design(model, structure, L, mode, tol)
+        except NoAnnihilator as exc:
+            hints.append(exc.minimal_feasible_l)
+            continue
+        return L, hints
+    return None, hints
+
+
+@given(window_cases(), st.data())
+def test_length_decisions_agree_at_a_drawn_threshold(case, data):
+    """With rank_tol at a window target's sigma_r / (sigma_1 max(shape)), so
+    that its rank threshold lands on sigma_r up to rounding, and at rank_tol's
+    two neighbouring floats: ``min_feasible_window``, the smallest L that
+    ``build_design`` accepts and the L its refusals name all agree."""
+    model, structure, L, mode = case
+    blocks = window_blocks(model, np.arange(1 if model.is_lti else model.tau + 2 - L), L)
+    b = data.draw(st.sampled_from(blocks))
+    target = b.O
+    if mode == UNKNOWN_INPUT and b.scriptG.shape[-1] > 0:
+        target = np.concatenate([b.O, b.Gamma @ b.scriptG], axis=-1)
+    s = svd_rank(target, full_matrices=True)[1]
+    w = data.draw(st.integers(0, s.shape[0] - 1))
+    assume(s[w, 0] > 0)
+    r = data.draw(st.integers(0, s.shape[1] - 1))
+    base = float(s[w, r] / (s[w, 0] * max(target.shape[-2:])))
+    for rank_tol in (float(np.nextafter(base, 0.0)), base, float(np.nextafter(base, 1.0))):
+        tol = Tolerance(rank_tol=rank_tol)
+        built, hints = smallest_built_length(model, structure, mode, tol)
+        assert min_feasible_window(model, mode, tol) == built
+        assert set(hints) <= {built}
+
+
 class TestMinFeasibleWindow:
     def test_presets(self):
         for name, expected in (("obs-ltv", 2), ("clock-ensemble", 3)):
@@ -265,12 +307,76 @@ class TestMinFeasibleWindow:
                                 F=np.array([[0.0, 1.0], [1.0, 0.0]]), G=None,
                                 E=np.ones((2, 1)), H=np.diag([1.0, 1e-9]), D=np.eye(2))
         structure = NoiseStructure.from_pairs([(np.eye(1), np.eye(2))])
-        with caplog.at_level(logging.WARNING, logger="mdmest.estimator"):
+        with caplog.at_level(logging.INFO, logger="mdmest.estimator"):
             assert feasible_design(model, structure, KNOWN_INPUT).L == 2
             with pytest.raises(NoAnnihilator) as err:
                 build_design(model, structure, 1, KNOWN_INPUT)
         assert err.value.minimal_feasible_l == 2
-        assert caplog.records == []
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.INFO, "L=1 passed over: window k=0 has no annihilator "
+                           "(rank 2 of 2 rows)")]
+
+    def test_scan_logs_a_skipped_length(self, caplog):
+        """obs-ltv's Upsilon has a zero Q column at L = 1 (one-step windows
+        carry no state noise), so the scan passes over it unbuilt."""
+        spec = preset("obs-ltv", tau=60)
+        with caplog.at_level(logging.INFO, logger="mdmest.estimator"):
+            design = feasible_design(spec.model, spec.structure, KNOWN_INPUT,
+                                     fallback=True)
+        assert design.L == 2
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.INFO, "L=1 passed over: Upsilon has a zero column for alpha_1")]
+
+    def test_fallback_logs_every_rank_deficient_length(self, caplog, ge_equal_model,
+                                                       ge_equal_structure):
+        with caplog.at_level(logging.INFO, logger="mdmest.estimator"):
+            design = feasible_design(ge_equal_model, ge_equal_structure,
+                                     UNKNOWN_INPUT, fallback=True)
+        assert (design.L, design.rank) == (2, 1)
+        assert {r.levelno for r in caplog.records} == {logging.INFO}
+        assert [r.getMessage() for r in caplog.records] == (
+            ["L=1 passed over: Upsilon has a zero column for alpha_1"]
+            + [f"L={L} passed over: the design has rank 1 of 2" for L in range(2, 13)]
+            + ["no L up to 12 gives full rank; L=2, the smallest with an "
+               "annihilator, is kept"])
+
+    def test_fallback_without_annihilator_raises(self):
+        spec = preset("obs-ltv", tau=20)
+        with pytest.raises(MdmError, match="^no window length up to L=1 has an "
+                                           "annihilator for 1 records$"):
+            feasible_design(spec.model, spec.structure, KNOWN_INPUT, n_records=1,
+                            fallback=True)
+        assert feasible_design(spec.model, spec.structure, KNOWN_INPUT,
+                               n_records=1) is None
+
+    def test_hint_scans_the_designs_own_records(self):
+        model, structure = make_switching_h_model(), make_switching_h_structure()
+        assert min_feasible_window(model, KNOWN_INPUT, n_records=5) == 2
+        assert min_feasible_window(model, KNOWN_INPUT) == 3
+        for n_windows, hint in ((5, 2), (None, 3)):
+            with pytest.raises(NoAnnihilator) as err:
+                build_design(model, structure, 1, KNOWN_INPUT, n_windows=n_windows)
+            assert err.value.minimal_feasible_l == hint
+
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_length_decisions_agree_at_the_rank_threshold(self, step):
+        """The clock's L = 2 window has a 4 x 6 target O.  With rank_tol at
+        sigma_4 / (6 sigma_1) its threshold lands on sigma_4 up to rounding,
+        and one ulp of rank_tol decides whether L = 2 has an annihilator:
+        every window-length decision must make the same call."""
+        spec = preset("clock-ensemble", tau=40)
+        model, structure = spec.model, spec.structure
+        target = window_blocks(model, np.arange(1), 2)[0].O
+        assert target.shape[-2:] == (4, 6)
+        s = svd_rank(target, full_matrices=True)[1][0]
+        rank_tol = float(s[3] / (6 * s[0]))
+        rank_tol = float(np.nextafter(rank_tol, step * np.inf)) if step else rank_tol
+        tol = Tolerance(rank_tol=rank_tol)
+        built, hints = smallest_built_length(model, structure, KNOWN_INPUT, tol)
+        assert hints and set(hints) == {built}
+        assert min_feasible_window(model, KNOWN_INPUT, tol) == built
+        assert feasible_design(model, structure, KNOWN_INPUT, tol,
+                               fallback=True).L == built
 
 
 class TestOrdinaryMdm:
@@ -564,7 +670,7 @@ class TestWeightedMdm:
         assert np.min(r_diag) > thr * np.max(r_diag)
         with pytest.raises(RankDeficientDesign) as err:
             weighted_mdm(sys0, p[None], tol)
-        assert err.value.rank == numerical_rank(d, tol) == 1
+        assert err.value.rank == svd_rank(d, tol)[3] == 1
         assert err.value.n_alpha == 2
 
     @pytest.mark.parametrize("case", ["unobs-unknown-input", "noise-free"])
@@ -762,6 +868,18 @@ class TestReducedRows:
         with pytest.raises(RankDeficientDesign):
             weighted_mdm(all_rows, assemble_p(all_rows, etas), tol)
 
+    @pytest.mark.parametrize("rank_tol", [0.2, 0.3, 0.5])
+    def test_very_loose_rank_tol_shares_no_more_than_a_window_has(self, rank_tol):
+        """At these tolerances the pair SVD's threshold reaches its blocks'
+        own unit singular values; the shared directions are still at most
+        the window's own, so every window keeps between 0 and all of its
+        rows (at 0.3, L = 3 counted -53 kept rows before)."""
+        spec = preset("obs-ltv", tau=10)
+        sys0 = build_design(spec.model, spec.structure, 3, KNOWN_INPUT,
+                            Tolerance(rank_tol=rank_tol))
+        kept = np.diff(sys0.reduction.row_offsets)
+        assert np.all((kept >= 0) & (kept <= np.diff(sys0.row_offsets)))
+
     def test_row_cap_only_on_the_dense_branch(self):
         """A 9000-row full-rank weight is solved banded; the dense branch
         alone keeps the 8000-row cap."""
@@ -805,7 +923,7 @@ def test_reduced_rows_are_the_rank_of_the_weight(case, seed):
     lam = lam[lam > 1e-10 * lam[-1] * lam.size]
     assume(lam[-1] < 1e5 * lam[0])
     est = weighted_mdm(sys_full, assemble_p(sys_full, etas))
-    rank = numerical_rank(p)
+    rank = svd_rank(p)[3]
     if est.diagnostics["weight_rows"] is None:
         event("dense branch")
         assert sys0.reduction.n_rows > rank

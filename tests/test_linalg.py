@@ -2,17 +2,14 @@ import numpy as np
 import pytest
 
 from mdmest import (
-    NoAnnihilator,
     Tolerance,
     kron,
-    left_null_space,
-    numerical_rank,
     replication_matrix,
     unification_matrix,
     unvec,
     vec,
 )
-from mdmest.linalg import block_diag, swap_permutation, sym_pair_indices
+from mdmest.linalg import block_diag, svd_rank, swap_permutation, sym_pair_indices
 
 
 class TestKron:
@@ -72,52 +69,63 @@ class TestVec:
             unvec([1.0, 2.0, 3.0], 2, 2)
 
 
-class TestNumericalRank:
+def rank(m):
+    return svd_rank(m)[3]
+
+
+def left_null_rows(m):
+    """The rows of u[:, rank:].T from ``svd_rank(m, full_matrices=True)``,
+    the left null space ``build_design`` takes each annihilator from."""
+    u, _, _, r, _ = svd_rank(m, full_matrices=True)
+    return u[:, r:].T
+
+
+class TestSvdRank:
     def test_identity(self):
-        assert numerical_rank(np.eye(3)) == 3
+        assert rank(np.eye(3)) == 3
 
     def test_repeated_column(self):
-        assert numerical_rank([[1.0, 1.0], [1.0, 1.0]]) == 1
+        assert rank([[1.0, 1.0], [1.0, 1.0]]) == 1
 
     def test_zero(self):
-        assert numerical_rank(np.zeros((4, 4))) == 0
+        assert rank(np.zeros((4, 4))) == 0
 
 
-class TestLeftNullSpace:
+class TestSvdRankLeftNullSpace:
     def test_two_equal_rows(self):
-        n = left_null_space([[1.0], [1.0]])
+        n = left_null_rows([[1.0], [1.0]])
         assert n.shape == (1, 2)
         expected = np.array([1.0, -1.0]) / np.sqrt(2.0)
         assert min(np.max(np.abs(n[0] - expected)),
                    np.max(np.abs(n[0] + expected))) < 1e-12
 
     def test_zero_matrix(self):
-        n = left_null_space(np.zeros((3, 2)))
+        n = left_null_rows(np.zeros((3, 2)))
         assert n.shape == (3, 3)
         assert np.max(np.abs(n @ n.T - np.eye(3))) < 1e-12
 
     def test_random_rank_two(self, rng):
         base = rng.standard_normal((5, 2))
         m = base @ rng.standard_normal((2, 2))
-        n = left_null_space(m)
+        n = left_null_rows(m)
         assert n.shape == (3, 5)
         assert np.max(np.abs(n @ m)) < 1e-10
 
     def test_orthonormal_rows_and_rank_sum(self, rng):
         for _ in range(10):
             rows, cols = rng.integers(2, 8, size=2)
-            rank = int(rng.integers(0, min(rows - 1, cols) + 1))
-            m = (rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
-                 if rank else np.zeros((rows, cols)))
-            n = left_null_space(m)
-            assert n.shape[0] + numerical_rank(m) == rows
+            r = int(rng.integers(0, min(rows - 1, cols) + 1))
+            m = (rng.standard_normal((rows, r)) @ rng.standard_normal((r, cols))
+                 if r else np.zeros((rows, cols)))
+            n = left_null_rows(m)
+            assert n.shape[0] + rank(m) == rows
             assert np.max(np.abs(n @ n.T - np.eye(n.shape[0]))) < 1e-10
             assert np.max(np.abs(n @ m)) <= 1e-8 * (1.0 + np.max(np.abs(m)))
 
-    def test_full_row_rank_raises(self, rng):
+    def test_full_row_rank_has_none(self, rng):
         m = rng.standard_normal((3, 5))
-        with pytest.raises(NoAnnihilator):
-            left_null_space(m)
+        assert rank(m) == 3
+        assert left_null_rows(m).shape == (0, 3)
 
 
 class TestUnificationReplication:

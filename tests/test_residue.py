@@ -13,14 +13,13 @@ from mdmest import (
     build_design,
     build_stacked_system,
     defining_replication,
-    numerical_rank,
     replication_matrix,
     simulate,
     unification_matrix,
     preset,
 )
 from mdmest.benchmarks import benchmark_input_signal
-from mdmest.linalg import sym_pair_indices
+from mdmest.linalg import svd_rank, sym_pair_indices
 from mdmest.model import MeasurementData
 
 from conftest import noise_map, window_arrays
@@ -154,7 +153,7 @@ class TestResidueKnownInput:
                         seed=2)
         sys = build_stacked_system(spec.model, spec.structure, traj, 10)
         window_residue(sys, traj, 0)
-        rank = numerical_rank(build_augmented_block(spec.model, 0, 10).O)
+        rank = svd_rank(build_augmented_block(spec.model, 0, 10).O)[3]
         assert rank < 6
         assert window_arrays(sys, 0).n_a == 20 - rank
 

@@ -45,23 +45,30 @@ PRESET_NAMES = ("clock-ensemble", "unobs-unknown-input", "obs-ltv")
 # few enough that a chunk's (runs, tau+1, width) arrays hold at most
 # _CHUNK_ELEMENTS floats each (256 KiB); their residues are formed, and
 # their estimates solved, for as many runs at a time as fit the same bound
-# in a (runs, n_rows) array, and weighted in a (runs, band rows, n_rows) one
+# in a (runs, n_rows) array, and weighted in assemble_p's (runs, b+1, m) bands
 _RUN_CHUNK = 32
 _CHUNK_ELEMENTS = 2 ** 15
 
 
 @dataclass
 class BenchmarkSpec:
+    """A stock benchmark: model, noise structure, true alpha, the L and input
+    mode it is identified with, n_mc runs of seeds seed, seed + 1, ...; tau
+    is the model's horizon."""
+
     name: str
     model: LtvModel
     structure: NoiseStructure
     alpha_true: np.ndarray
     L: int
     mode: str
-    tau: int
     n_mc: int
     seed: int
     init: InitialCondition
+
+    @property
+    def tau(self) -> int:
+        return self.model.tau
 
 
 @dataclass
@@ -109,7 +116,7 @@ def _clock_ensemble(tau: int, n_mc: int, seed: int) -> BenchmarkSpec:
     return BenchmarkSpec(
         name="clock-ensemble", model=model,
         structure=NoiseStructure.from_pairs(pairs), alpha_true=alpha,
-        L=10, mode=NO_INPUT, tau=tau, n_mc=n_mc, seed=seed,
+        L=10, mode=NO_INPUT, n_mc=n_mc, seed=seed,
         init=InitialCondition.default(6),
     )
 
@@ -138,7 +145,7 @@ def _unobs_unknown_input(tau: int, n_mc: int, seed: int) -> BenchmarkSpec:
     return BenchmarkSpec(
         name="unobs-unknown-input", model=model,
         structure=NoiseStructure.from_pairs(pairs), alpha_true=alpha,
-        L=2, mode=UNKNOWN_INPUT, tau=tau, n_mc=n_mc, seed=seed,
+        L=2, mode=UNKNOWN_INPUT, n_mc=n_mc, seed=seed,
         init=InitialCondition.default(3),
     )
 
@@ -159,7 +166,7 @@ def _obs_ltv(tau: int, n_mc: int, seed: int) -> BenchmarkSpec:
     return BenchmarkSpec(
         name="obs-ltv", model=model, structure=structure,
         alpha_true=np.array([2.0, 1.0]),
-        L=2, mode=KNOWN_INPUT, tau=tau, n_mc=n_mc, seed=seed,
+        L=2, mode=KNOWN_INPUT, n_mc=n_mc, seed=seed,
         init=InitialCondition.default(1),
     )
 
@@ -185,20 +192,17 @@ def benchmark_input_signal(spec: BenchmarkSpec) -> np.ndarray | None:
     return np.sin(np.arange(spec.tau + 1) / spec.tau)[:, None]
 
 
-def _estimator_mode(spec_mode: str) -> str:
-    return UNKNOWN_INPUT if spec_mode == UNKNOWN_INPUT else KNOWN_INPUT
-
-
 def _chunk_sizes(spec: BenchmarkSpec, design,
                  method: str = "ordinary") -> tuple[int, int]:
     """Runs simulated together, and runs estimated together: at most
     _RUN_CHUNK, and few enough that each (runs, tau+1, width) array of the
     simulation, and the (runs, n_rows) squared residues (weighted: the
-    (runs, band rows, n_rows) weight bands), hold at most _CHUNK_ELEMENTS
-    floats."""
+    (runs, b+1, m) weight bands of ``design.weight_band_shape``), hold at
+    most _CHUNK_ELEMENTS floats."""
     model = spec.model
     width = max(model.n_x, model.n_w, model.n_v, int(model.n_z_steps().max()))
-    rows = design.n_rows * (design.band_rows if method == "weighted" else 1)
+    rows = (int(np.prod(design.weight_band_shape)) if method == "weighted"
+            else design.n_rows)
     return tuple(max(1, min(_RUN_CHUNK, _CHUNK_ELEMENTS // per_run))
                  for per_run in ((model.tau + 1) * width, rows))
 
@@ -252,8 +256,7 @@ def _run_range(spec: BenchmarkSpec, method: str, indices, tol: Tolerance):
     with no per-run trajectory or record list.  Every estimate is bitwise
     the per-run pipeline's.
     """
-    design = build_design(spec.model, spec.structure, spec.L,
-                          _estimator_mode(spec.mode), tol)
+    design = build_design(spec.model, spec.structure, spec.L, spec.mode, tol)
     include_u = spec.mode == KNOWN_INPUT and spec.model.has_input
     u_sim = benchmark_input_signal(spec)
 

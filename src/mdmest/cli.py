@@ -18,15 +18,7 @@ import numpy as np
 
 from . import io
 from .benchmarks import PRESET_NAMES, emit_plot_data, emit_table, preset, run_mc
-from .errors import (
-    DataError,
-    IndefiniteWeight,
-    MdmError,
-    NoAnnihilator,
-    NotPositiveSemidefinite,
-    RankDeficientDesign,
-    ValidationError,
-)
+from .errors import DataError, MdmError, RankDeficientDesign, ValidationError
 from .estimator import (
     build_design,
     feasible_design,
@@ -34,7 +26,7 @@ from .estimator import (
     ordinary_mdm,
     weighted_pipeline,
 )
-from .linalg import Tolerance
+from .linalg import DEFAULT_TOL, Tolerance
 from .model import (
     KNOWN_INPUT,
     UNKNOWN_INPUT,
@@ -89,10 +81,6 @@ def _tolerance_value(text: str) -> float:
 _tolerance_value.__name__ = "float"     # argparse's message for a non-number
 
 
-def _tolerance(args) -> Tolerance:
-    return Tolerance(rank_tol=args.rank_tol, zero_tol=args.zero_tol)
-
-
 def _mode(args) -> str:
     return KNOWN_INPUT if args.input_mode == "known" else UNKNOWN_INPUT
 
@@ -141,7 +129,7 @@ def cmd_identify(args) -> int:
     if not report.ok:
         raise ValidationError(report.findings)
     data = io.read_data(args.data)
-    tol = _tolerance(args)
+    tol = Tolerance(rank_tol=args.rank_tol, zero_tol=args.zero_tol)
     mode = _mode(args)
     t0 = time.perf_counter()
     sys_full = _resolve_l(args, bundle.model, bundle.structure, mode, tol,
@@ -239,7 +227,8 @@ def cmd_benchmark(args) -> int:
     if args.preset == "clock-ensemble" and args.method == "weighted":
         print("note: weighted identification on the clock ensemble is expensive",
               file=sys.stderr)
-    result = run_mc(spec, args.method, workers=args.workers, tol=_tolerance(args))
+    tol = Tolerance(rank_tol=args.rank_tol, zero_tol=args.zero_tol)
+    result = run_mc(spec, args.method, workers=args.workers, tol=tol)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     txt_path, _ = emit_table(result, spec, out_dir)
@@ -253,9 +242,8 @@ def cmd_identifiability(args) -> int:
     report = validate(bundle.model, bundle.structure)
     if not report.ok:
         raise ValidationError(report.findings)
-    tol = _tolerance(args)
-    mode = _mode(args)
-    sys0 = _resolve_l(args, bundle.model, bundle.structure, mode, tol,
+    tol = Tolerance(rank_tol=args.rank_tol)
+    sys0 = _resolve_l(args, bundle.model, bundle.structure, _mode(args), tol,
                       n_records=bundle.model.tau + 1)
     _print_identifiability(identifiability_report(sys0, tol))
     return EXIT_OK
@@ -272,10 +260,13 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(default WARNING)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--rank-tol", type=_tolerance_value, default=1e-10)
-        p.add_argument("--zero-tol", type=_tolerance_value, default=1e-8)
-        p.add_argument("--out", default=".", help="output directory")
+    shared = {"--rank-tol": dict(type=_tolerance_value, default=DEFAULT_TOL.rank_tol),
+              "--zero-tol": dict(type=_tolerance_value, default=DEFAULT_TOL.zero_tol),
+              "--out": dict(default=".", help="output directory")}
+
+    def add_shared(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     p_id = sub.add_parser("identify", help="estimate Q/R parameters from data")
     p_id.add_argument("--model", required=True)
@@ -286,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       default="ordinary")
     p_id.add_argument("--input-mode", choices=("known", "unknown"),
                       default="known")
-    add_common(p_id)
+    add_shared(p_id, "--rank-tol", "--zero-tol", "--out")
     p_id.set_defaults(func=cmd_identify)
 
     p_sim = sub.add_parser("simulate", help="simulate a trajectory to a data file")
@@ -295,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--input-signal", choices=("sine", "zero", "none"),
                        default="sine")
-    add_common(p_sim)
+    add_shared(p_sim, "--out")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_bench = sub.add_parser("benchmark", help="run a Monte-Carlo benchmark")
@@ -306,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--tau", type=_int_at_least(1), default=1000)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--workers", type=_int_at_least(1), default=1)
-    add_common(p_bench)
+    add_shared(p_bench, "--rank-tol", "--zero-tol", "--out")
     p_bench.set_defaults(func=cmd_benchmark)
 
     p_ident = sub.add_parser("identifiability",
@@ -315,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ident.add_argument("--L", type=_window_length, default="auto")
     p_ident.add_argument("--input-mode", choices=("known", "unknown"),
                          default="known")
-    add_common(p_ident)
+    add_shared(p_ident, "--rank-tol")
     p_ident.set_defaults(func=cmd_identifiability)
     return parser
 
@@ -333,8 +324,7 @@ def main(argv=None) -> int:
     except (ValidationError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NoAnnihilator, RankDeficientDesign, IndefiniteWeight,
-            NotPositiveSemidefinite, MdmError) as exc:
+    except MdmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (OSError, json.JSONDecodeError) as exc:

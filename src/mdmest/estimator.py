@@ -44,6 +44,7 @@ from .linalg import (
 )
 from .model import (
     KNOWN_INPUT,
+    NO_INPUT,
     UNKNOWN_INPUT,
     LtvModel,
     MeasurementData,
@@ -191,13 +192,18 @@ class StackedSystem:
     def band_rows(self) -> int:
         """Rows of the lower band storage of the weight on all rows, the
         widest row span of L consecutive windows: the assembly budget's
-        band, also when the weight is the kept rows' (``assemble_p``)."""
+        band, also when the weight is the kept rows' (``weight_band_shape``)."""
         return _band_rows(self.row_offsets, self.L)
 
     @cached_property
     def _weight_offsets(self) -> np.ndarray:
         """Window row offsets of the weighted problem: the kept rows' if reduced."""
         return self.row_offsets if self.reduction is None else self.reduction.row_offsets
+
+    @cached_property
+    def weight_band_shape(self) -> tuple[int, int]:
+        """Shape (b+1, m) of ``assemble_p``'s band, the weighted problem's weight."""
+        return _band_rows(self._weight_offsets, self.L), int(self._weight_offsets[-1])
 
     @cached_property
     def _design_norm2(self) -> float:
@@ -522,14 +528,18 @@ def _row_reduction(model: LtvModel, L: int, n_windows: int, n_a: np.ndarray,
                         row_offsets=np.concatenate(([0], np.cumsum(kept[kinds]))))
 
 
-def _candidate_lengths(model: LtvModel, l_max: int | None, n_records: int) -> range:
-    if l_max is None:
-        l_max = max(model.n_x + 2, 12)
-    return range(1, min(l_max, n_records) + 1)
+def _check_mode(mode: str) -> None:
+    modes = (KNOWN_INPUT, UNKNOWN_INPUT, NO_INPUT)
+    if mode not in modes:
+        raise ValueError(f"unknown input mode {mode!r}; choose from {modes}")
+
+
+def _candidate_lengths(model: LtvModel, n_records: int) -> range:
+    return range(1, min(max(model.n_x + 2, 12), n_records) + 1)
 
 
 def min_feasible_window(model: LtvModel, mode: str, tol: Tolerance = DEFAULT_TOL,
-                        l_max: int | None = None, n_records: int | None = None,
+                        n_records: int | None = None,
                         structure: NoiseStructure | None = None) -> int | None:
     """Smallest L whose annihilator exists for every window, or None.
 
@@ -541,15 +551,16 @@ def min_feasible_window(model: LtvModel, mode: str, tol: Tolerance = DEFAULT_TOL
     the window must additionally yield a full-column-rank design (an
     annihilator can exist at an L too short to carry any state-noise
     information, e.g. single-step windows); this is the L of
-    ``feasible_design``.  ``l_max`` defaults to max(n_x + 2, 12); no L above
-    ``n_records`` is tried.
+    ``feasible_design``.  L runs up to max(n_x + 2, 12) and ``n_records``.
+    ``mode`` is checked as by ``build_design``.
     """
     if n_records is None:
         n_records = model.tau + 1
     if structure is not None:
-        design = feasible_design(model, structure, mode, tol, l_max, n_records)
+        design = feasible_design(model, structure, mode, tol, n_records)
         return None if design is None else design.L
-    for L in _candidate_lengths(model, l_max, n_records):
+    _check_mode(mode)
+    for L in _candidate_lengths(model, n_records):
         try:
             _annihilators(_all_window_blocks(model, L, n_records - L + 1), mode, tol)
         except NoAnnihilator:
@@ -559,29 +570,30 @@ def min_feasible_window(model: LtvModel, mode: str, tol: Tolerance = DEFAULT_TOL
 
 
 def feasible_design(model: LtvModel, structure: NoiseStructure, mode: str,
-                    tol: Tolerance = DEFAULT_TOL, l_max: int | None = None,
-                    n_records: int | None = None,
+                    tol: Tolerance = DEFAULT_TOL, n_records: int | None = None,
                     fallback: bool = False) -> StackedSystem | None:
     """The design at the L that ``min_feasible_window`` picks with ``structure``.
 
     This is the L search of ``--L auto``: the first L of 1, 2, ... up to
-    ``l_max`` (default max(n_x + 2, 12)) and ``n_records`` (default tau + 1)
-    whose design has full column rank, else None.  A candidate L at which
-    the replication Upsilon (``defining_replication``) has a zero column is
-    skipped unbuilt: that column is a zero column of the design.  Each other
-    candidate's design is built once, and its geometry makes the annihilator
-    test; an L without an annihilator logs no near-threshold warning.  Each
-    L passed over logs one INFO line with the reason: a zero column's
-    parameter, a window without an annihilator, or the design's rank.
+    max(n_x + 2, 12) and ``n_records`` (default tau + 1) whose design has
+    full column rank, else None; ``mode`` is checked as by ``build_design``.
+    A candidate L at which the replication Upsilon (``defining_replication``)
+    has a zero column is skipped unbuilt: that column is a zero column of
+    the design.  Each other candidate's design is built once, and its
+    geometry makes the annihilator test; an L without an annihilator logs
+    no near-threshold warning.  Each L passed over logs one INFO line with
+    the reason: a zero column's parameter, a window without an annihilator,
+    or the design's rank.
     ``with_data`` attaches the ``n_records`` measurements.
 
     With ``fallback``, when no L gives full rank, the result is instead the
     (rank-deficient) design at the smallest L with an annihilator, and no
     L's geometry is built twice; when no L has one, MdmError is raised.
     """
+    _check_mode(mode)
     if n_records is None:
         n_records = model.tau + 1
-    lengths = _candidate_lengths(model, l_max, n_records)
+    lengths = _candidate_lengths(model, n_records)
     first, skipped = None, []
     for L in lengths:
         upsilon = defining_replication(structure, L)
@@ -631,7 +643,9 @@ def build_design(model: LtvModel, structure: NoiseStructure, L: int, mode: str,
     A window without an annihilator raises NoAnnihilator, carrying as
     ``minimal_feasible_l`` the smallest L at which every window of the same
     n_windows + L - 1 records has one (``min_feasible_window``), or None.
+    ``mode`` is KNOWN_INPUT, UNKNOWN_INPUT or NO_INPUT (else ValueError, first).
     """
+    _check_mode(mode)
     if n_windows is None:
         n_windows = model.tau + 2 - L
     if n_windows < 1:
@@ -732,13 +746,8 @@ def build_stacked_system(model: LtvModel, structure: NoiseStructure, data,
     """
     if isinstance(data, Trajectory):
         data = MeasurementData.from_trajectory(data)
-    n_windows = len(data) - L + 1
-    if n_windows < 1:
-        raise DataError(
-            f"horizon too short: {len(data)} records cannot hold a window of length L={L}"
-        )
     return build_design(model, structure, L, mode, tol,
-                        n_windows=n_windows).with_data(data)
+                        n_windows=len(data) - L + 1).with_data(data)
 
 
 def _equilibrated_svd(a: np.ndarray, tol: Tolerance):
@@ -823,7 +832,9 @@ def ordinary_mdm(sys: StackedSystem, tol: Tolerance = DEFAULT_TOL) -> Estimate:
 class EtaCovariances:
     """Second moments of the eta process, stored compactly per band offset.
 
-    For offsets j = 0..L-1 the band matrix E[eta_k eta_{k+j}^T] follows from
+    ``crosses`` holds the lag-j cross covariance C_j of the stacked noise
+    for j = 0..L-1; L, n_eps and the vectorised covariance r_e2 = vec(C_0)
+    are read from it.  The band matrix E[eta_k eta_{k+j}^T] follows from
     the Gaussian fourth-moment factorisation; ``band(j)`` materialises it as
     an n_eps^2 x n_eps^2 matrix (zero for j >= L, where the stacked noise
     vectors share no components).  ``projection`` holds, for Q and R, the
@@ -831,11 +842,20 @@ class EtaCovariances:
     were projected onto the PSD cone first, and (0, 0) when they were not.
     """
 
-    L: int
-    n_eps: int
-    r_e2: np.ndarray                     # vectorised stacked-noise covariance
     crosses: list[np.ndarray]            # per-j cross covariance C_j
     projection: tuple[float, float]
+
+    @property
+    def L(self) -> int:
+        return len(self.crosses)
+
+    @property
+    def n_eps(self) -> int:
+        return self.crosses[0].shape[-1]
+
+    @property
+    def r_e2(self) -> np.ndarray:
+        return vec(self.crosses[0])
 
     @property
     def repaired(self) -> bool:
@@ -954,8 +974,7 @@ def gaussian_eta_covariances(structure: NoiseStructure, alpha, L: int,
         if not repair:
             raise NotPositiveSemidefinite("Q(alpha) or R(alpha) is indefinite")
         warnings.warn(_PROJECTED, RuntimeWarning, stacklevel=2)
-    return EtaCovariances(L=L, n_eps=crosses.shape[-1], r_e2=vec(crosses[0, 0]),
-                          crosses=list(crosses[0]),
+    return EtaCovariances(crosses=list(crosses[0]),
                           projection=tuple(float(p) for p in projection[0]))
 
 
@@ -1000,7 +1019,7 @@ def _assemble_bands(sys: StackedSystem, crosses: np.ndarray) -> np.ndarray:
     """
     runs = crosses.shape[0]
     red, offsets = sys.reduction, sys._weight_offsets
-    ab = np.zeros((runs, _band_rows(offsets, sys.L), int(offsets[-1])))
+    ab = np.zeros((runs,) + sys.weight_band_shape)
     if not runs:
         return ab
     ac = sys.ac[None]
@@ -1202,7 +1221,7 @@ def _weighted_solves(sys: StackedSystem, obs: np.ndarray, ab: np.ndarray,
         for name, rows in zip(out.branch, out.weight_rows):
             if name == "dense":
                 logger.info("weighted solve: dense g-inverse of the singular weight, "
-                            "pivoted rank %d of %d rows", rows, sys._weight_offsets[-1])
+                            "pivoted rank %d of %d rows", rows, sys.weight_band_shape[1])
             else:
                 logger.info("weighted solve: banded Cholesky of the %s weight on "
                             "%d of %d rows", name, rows, sys.n_rows)
@@ -1259,7 +1278,7 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
     t0 = time.perf_counter()
     if sys.rank < sys.n_alpha:
         raise RankDeficientDesign(sys.rank, sys.n_alpha)
-    m = int(sys._weight_offsets[-1])
+    m = sys.weight_band_shape[1]
     ab = np.asarray(p_hat, dtype=float)
     if ab.ndim != 2 or not 1 <= ab.shape[0] <= m or ab.shape[1] != m:
         raise ValueError(f"weight must be in band storage of shape (b+1, {m}), "

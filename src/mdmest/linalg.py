@@ -91,37 +91,24 @@ def unvec(v, rows: int, cols: int) -> np.ndarray:
     return v.reshape((rows, cols), order="F")
 
 
-def _as_stack(a) -> np.ndarray:
-    m = np.asarray(a, dtype=float)
-    if m.ndim < 2:
-        raise ValueError(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
-    return m
-
-
-def _rank_threshold(s: np.ndarray, shape: tuple[int, int], tol: Tolerance):
-    """rank_tol * sigma_max * max(shape) for the descending singular values
-    in the last axis of ``s``; one threshold per matrix of a stack."""
-    if s.shape[-1] == 0:
-        return np.zeros(s.shape[:-1]) if s.ndim > 1 else 0.0
-    return tol.rank_tol * s[..., 0] * max(shape)
-
-
-def _rank_and_threshold(s: np.ndarray, shape: tuple[int, int], tol: Tolerance):
-    thr = _rank_threshold(s, shape, tol)
-    rank = np.count_nonzero(s > np.expand_dims(thr, -1), axis=-1)
-    return (int(rank) if s.ndim == 1 else rank), thr
-
-
 def svd_rank(m, tol: Tolerance = DEFAULT_TOL, full_matrices: bool = False):
     """``np.linalg.svd(m, full_matrices)`` plus (rank, threshold) by the shared rule.
 
     Returns (u, s, vt, rank, threshold).  ``m`` may be a stack
     (..., rows, cols); rank and threshold are then arrays over the stack,
-    and each matrix gets exactly the factors and rank it gets alone.
+    and each matrix gets exactly the factors and rank it gets alone; the
+    threshold of a matrix without columns is 0.
     """
-    m = _as_stack(m)
+    m = np.asarray(m, dtype=float)
+    if m.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
     u, s, vt = np.linalg.svd(m, full_matrices=full_matrices)
-    return (u, s, vt) + _rank_and_threshold(s, m.shape[-2:], tol)
+    if s.shape[-1] == 0:
+        thr = np.zeros(s.shape[:-1]) if s.ndim > 1 else 0.0
+    else:
+        thr = tol.rank_tol * s[..., 0] * max(m.shape[-2:])
+    rank = np.count_nonzero(s > np.expand_dims(thr, -1), axis=-1)
+    return u, s, vt, (int(rank) if s.ndim == 1 else rank), thr
 
 
 def sym_pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ from operator import getitem
 import numpy as np
 
 from .errors import NotPositiveSemidefinite, ValidationError
-from .linalg import block_diag, kron, vec
+from .linalg import DEFAULT_TOL, block_diag, kron, vec
 
 __all__ = [
     "MatrixSequence",
@@ -357,7 +357,7 @@ def validate(model: LtvModel, structure: NoiseStructure) -> ValidationReport:
     return ValidationReport(findings)
 
 
-def psd_factor(m: np.ndarray, zero_tol: float = 1e-8) -> np.ndarray:
+def psd_factor(m: np.ndarray) -> np.ndarray:
     """Factor S with S @ S.T == m for symmetric PSD m.
 
     Uses Cholesky when positive definite; falls back to an eigendecomposition
@@ -372,7 +372,7 @@ def psd_factor(m: np.ndarray, zero_tol: float = 1e-8) -> np.ndarray:
         pass
     lam, v = np.linalg.eigh(m)
     scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
-    if lam.size and lam[0] < -zero_tol * scale:
+    if lam.size and lam[0] < -DEFAULT_TOL.zero_tol * scale:
         raise NotPositiveSemidefinite(
             f"matrix has negative eigenvalue {lam[0]:.3e}"
         )

@@ -201,27 +201,26 @@ class TestRunMc:
         are formed one run at a time, while its runs are still simulated
         five at a time."""
         spec = preset(name, tau=tau)
-        mode = UNKNOWN_INPUT if spec.mode == UNKNOWN_INPUT else KNOWN_INPUT
-        design = build_design(spec.model, spec.structure, spec.L, mode)
+        design = build_design(spec.model, spec.structure, spec.L, spec.mode)
         assert benchmarks._chunk_sizes(spec, design) == sizes
         assert sizes[1] == 1 or sizes[1] * design.n_rows <= benchmarks._CHUNK_ELEMENTS
 
     @pytest.mark.parametrize("name, tau, size", [("obs-ltv", 1000, 16),
                                                  ("clock-ensemble", 30, 1),
-                                                 ("unobs-unknown-input", 100, 4)])
+                                                 ("unobs-unknown-input", 100, 5)])
     def test_chunk_bound_covers_the_weight_band(self, name, tau, size):
-        """Weighted runs are estimated together only as far as their
-        (runs, band rows, n_rows) weight bands stay within the element
-        bound: obs-ltv's 2 x 1000 band per run at tau=1000 gives batches of
-        16, the clock's 1360 x 2992 at tau=30 one run at a time.  The
-        simulation chunk is the ordinary one."""
+        """Weighted runs are estimated together only as far as the
+        (runs, b+1, m) weight bands ``assemble_p`` builds stay within the
+        element bound: obs-ltv's 2 x 1000 band per run at tau=1000 gives
+        batches of 16, unobs-unknown-input's kept rows' 11 x 501 at tau=100
+        batches of 5, and the clock's kept rows' 415 x 787 at tau=30 one run
+        at a time.  The simulation chunk is the ordinary one."""
         spec = preset(name, tau=tau)
-        mode = UNKNOWN_INPUT if spec.mode == UNKNOWN_INPUT else KNOWN_INPUT
-        design = build_design(spec.model, spec.structure, spec.L, mode)
+        design = build_design(spec.model, spec.structure, spec.L, spec.mode)
         sim_size = benchmarks._chunk_sizes(spec, design)[0]
         assert benchmarks._chunk_sizes(spec, design, "weighted") == (sim_size, size)
-        band = design.band_rows * design.n_rows
-        assert size == 1 or size * band <= benchmarks._CHUNK_ELEMENTS
+        b1, m = design.weight_band_shape
+        assert size == 1 or size * b1 * m <= benchmarks._CHUNK_ELEMENTS
 
     # (chunk size, method, run_mc's error text).  The first run (seed 1)
     # of a state that doubles each step overflows its measurements at

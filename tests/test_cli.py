@@ -299,7 +299,7 @@ class TestAutoWindow:
         io.save_model(path, ge_equal_model, ge_equal_structure)
         monkeypatch.setattr(estimator, "window_blocks", counting)
         assert main(["identifiability", "--model", str(path),
-                     "--input-mode", "unknown", "--out", str(tmp_path)]) == 0
+                     "--input-mode", "unknown"]) == 0
         assert "rank 1 of 2" in capsys.readouterr().out
         assert sorted(built) == sorted(set(built))
         assert 2 in built
@@ -352,8 +352,7 @@ class TestBenchmarkCommand:
 
 class TestIdentifiabilityCommand:
     def test_full_rank_report(self, tmp_path, obs_ltv_model_file, capsys):
-        assert main(["identifiability", "--model", str(obs_ltv_model_file),
-                     "--out", str(tmp_path)]) == 0
+        assert main(["identifiability", "--model", str(obs_ltv_model_file)]) == 0
         out = capsys.readouterr().out
         assert "rank 2 of 2" in out
 
@@ -362,7 +361,7 @@ class TestIdentifiabilityCommand:
         path = tmp_path / "ge.json"
         io.save_model(path, ge_equal_model, ge_equal_structure)
         assert main(["identifiability", "--model", str(path),
-                     "--input-mode", "unknown", "--out", str(tmp_path)]) == 0
+                     "--input-mode", "unknown"]) == 0
         out = capsys.readouterr().out
         assert "rank 1 of 2" in out
         assert "unidentifiable directions" in out
@@ -372,21 +371,22 @@ class TestIdentifiabilityCommand:
         """--L auto reports on the window identify uses (L=2 here), not on
         the smallest window with an annihilator (L=1, rank 1 of 6)."""
         assert main(["identifiability", "--model", str(unknown_input_model_file),
-                     "--input-mode", "unknown", "--out", str(tmp_path)]) == 0
+                     "--input-mode", "unknown"]) == 0
         assert "rank 6 of 6" in capsys.readouterr().out
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("command", ["identify", "identifiability"])
-    @pytest.mark.parametrize("flag, value", [("--rank-tol", "-1"), ("--rank-tol", "nan"),
-                                             ("--zero-tol", "nan"), ("--zero-tol", "inf"),
-                                             ("--rank-tol", "-inf")])
+    @pytest.mark.parametrize("flag, value, command", [
+        (flag, value, command) for command in ("identify", "identifiability")
+        for flag, value in [("--rank-tol", "-1"), ("--rank-tol", "nan"),
+                            ("--zero-tol", "nan"), ("--zero-tol", "inf"),
+                            ("--rank-tol", "-inf")]
+        if command == "identify" or flag == "--rank-tol"])
     def test_bad_tolerance_names_the_flag(self, tmp_path, capsys, obs_ltv_model_file,
                                           command, flag, value):
-        argv = [command, "--model", str(obs_ltv_model_file), f"{flag}={value}",
-                "--out", str(tmp_path / "o")]
+        argv = [command, "--model", str(obs_ltv_model_file), f"{flag}={value}"]
         if command == "identify":
-            argv += ["--data", str(tmp_path / "nope.jsonl")]
+            argv += ["--data", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o")]
         assert main(argv) == 2
         assert (f"argument {flag}: must be finite and nonnegative, got {value}"
                 in capsys.readouterr().err)
@@ -403,12 +403,27 @@ class TestExitCodes:
                                               message):
         """--L takes 'auto' or an integer of at least 1; anything else is a
         usage error naming the flag, not a traceback."""
-        argv = [command, "--model", str(obs_ltv_model_file), f"--L={value}",
-                "--out", str(tmp_path / "o")]
+        argv = [command, "--model", str(obs_ltv_model_file), f"--L={value}"]
         if command == "identify":
-            argv += ["--data", str(tmp_path / "nope.jsonl")]
+            argv += ["--data", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o")]
         assert main(argv) == 2
         assert f"argument --L: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("simulate", "--rank-tol", "0.5"), ("simulate", "--zero-tol", "3"),
+        ("identifiability", "--zero-tol", "5"), ("identifiability", "--out", None)])
+    def test_flag_the_command_does_not_read_is_refused(self, tmp_path, capsys,
+                                                       obs_ltv_model_file, command,
+                                                       flag, value):
+        """A command takes only the flags it reads: one it would ignore is a
+        usage error, and no output is written."""
+        value = value or str(tmp_path / "o")
+        argv = [command, "--model", str(obs_ltv_model_file), flag, value]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_rank_deficient_identify_prints_report(self, tmp_path, capsys,

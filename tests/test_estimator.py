@@ -1,4 +1,5 @@
 import logging
+import re
 import warnings
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from mdmest import (
     KNOWN_INPUT,
     LtvModel,
     MdmError,
+    NO_INPUT,
     NoAnnihilator,
     NoiseStructure,
     NotPositiveSemidefinite,
@@ -35,6 +37,7 @@ from mdmest import (
     weighted_mdm,
     weighted_pipeline,
 )
+from mdmest import estimator
 from mdmest.benchmarks import benchmark_input_signal
 from mdmest.estimator import P_DENSE_MAX_ROWS
 from mdmest.linalg import svd_rank
@@ -348,6 +351,37 @@ class TestMinFeasibleWindow:
                             fallback=True)
         assert feasible_design(spec.model, spec.structure, KNOWN_INPUT,
                                n_records=1) is None
+
+    @pytest.mark.parametrize("mode", ["unknown", "no input"])
+    @pytest.mark.parametrize("entry", ["build_design", "build_stacked_system",
+                                       "feasible_design", "min_feasible_window",
+                                       "min_feasible_window(structure)"])
+    def test_unknown_mode_is_refused(self, monkeypatch, entry, mode):
+        """An input mode other than the three raises ValueError naming them
+        before any window is built: "unknown" used to build a design that
+        left the unknown input in the residues."""
+        spec = preset("unobs-unknown-input", tau=30)
+        model, structure = spec.model, spec.structure
+        data = MeasurementData(zs=[np.zeros(3)] * 31)
+        calls = {
+            "build_design": lambda: build_design(model, structure, 2, mode),
+            "build_stacked_system": lambda: build_stacked_system(model, structure,
+                                                                 data, 2, mode),
+            "feasible_design": lambda: feasible_design(model, structure, mode,
+                                                       fallback=True),
+            "min_feasible_window": lambda: min_feasible_window(model, mode),
+            "min_feasible_window(structure)": lambda: min_feasible_window(
+                model, mode, structure=structure),
+        }
+
+        def no_windows(*args):
+            raise AssertionError("a window was built")
+
+        monkeypatch.setattr(estimator, "window_blocks", no_windows)
+        modes = (KNOWN_INPUT, UNKNOWN_INPUT, NO_INPUT)
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown input mode {mode!r}; choose from {modes}")):
+            calls[entry]()
 
     def test_hint_scans_the_designs_own_records(self):
         model, structure = make_switching_h_model(), make_switching_h_structure()

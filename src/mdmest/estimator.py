@@ -881,10 +881,9 @@ class WeightedRuns:
     full-rank weight ("full-rank") or of its kept rows ("kept-row"), or the
     dense g-inverse ("dense").  ``weight_rows`` are the rows solved on (the
     pivoted rank on the dense branch) and ``fit_j`` the fit statistic of a
-    banded solve (NaN on the dense branch).  ``alpha_ordinary``,
-    ``projection`` and ``repaired`` are the first pass, its PSD projection
-    (``EtaCovariances.projection``) and whether it was applied; None when
-    the weight was given.
+    banded solve (NaN on the dense branch).  ``alpha_ordinary`` and
+    ``projection`` are the first pass and its PSD projection
+    (``EtaCovariances.projection``); None when the weight was given.
     """
 
     alpha_hat: np.ndarray                # (runs, n_alpha)
@@ -894,7 +893,11 @@ class WeightedRuns:
     fit_j: np.ndarray                    # (runs,)
     alpha_ordinary: np.ndarray | None = None
     projection: np.ndarray | None = None  # (runs, 2)
-    repaired: np.ndarray | None = None    # (runs,)
+
+    @property
+    def repaired(self) -> np.ndarray | None:
+        """(runs,) ``EtaCovariances.repaired`` of each run's first pass."""
+        return None if self.projection is None else self.projection.any(axis=1)
 
 
 BRANCHES = ("full-rank", "kept-row", "dense")
@@ -910,10 +913,10 @@ _RUN_ERRORS = (MdmError, ValueError, np.linalg.LinAlgError)
 
 def _eta_crosses(structure: NoiseStructure, alphas: np.ndarray, L: int,
                  tol: Tolerance):
-    """(crosses, projection, repaired) of ``gaussian_eta_covariances`` for
-    each row of ``alphas`` (runs, n_alpha): crosses[r, j] is run r's C_j,
-    projection[r] its ``EtaCovariances.projection`` and repaired[r]
-    whether it was applied.
+    """(crosses, projection) of ``gaussian_eta_covariances`` for each row
+    of ``alphas`` (runs, n_alpha): crosses[r, j] is run r's C_j and
+    projection[r] its ``EtaCovariances.projection``, nonzero exactly for
+    the runs that were projected.
 
     Q and R come from one row-vector product per run
     (``NoiseStructure.covariances``), one stacked eigh each tests them,
@@ -926,9 +929,8 @@ def _eta_crosses(structure: NoiseStructure, alphas: np.ndarray, L: int,
     tops = [np.max(np.abs(lam), axis=-1, initial=0.0) for lam, _ in eigs]
     floor = -tol.zero_tol * np.maximum(1.0, np.maximum(*tops))
     lows = [lam[:, 0] if lam.shape[-1] else np.zeros(runs) for lam, _ in eigs]
-    repaired = (lows[0] < floor) | (lows[1] < floor)
     projection = np.zeros((runs, 2))
-    fix = np.flatnonzero(repaired)
+    fix = np.flatnonzero((lows[0] < floor) | (lows[1] < floor))
     if fix.size:
         q[fix], r[fix] = (np.matmul(v[fix] * np.clip(lam[fix], 0.0, None)[:, None, :],
                                     v[fix].swapaxes(-1, -2)) for lam, v in eigs)
@@ -947,7 +949,7 @@ def _eta_crosses(structure: NoiseStructure, alphas: np.ndarray, L: int,
             for i in range(count):
                 crosses[:, j, off + (i + j) * n:off + (i + j + 1) * n,
                         off + i * n:off + (i + 1) * n] = m
-    return crosses, projection, repaired
+    return crosses, projection
 
 
 def gaussian_eta_covariances(structure: NoiseStructure, alpha, L: int,
@@ -968,14 +970,15 @@ def gaussian_eta_covariances(structure: NoiseStructure, alpha, L: int,
     covariances.  Otherwise it raises.  This is the one-run case of
     ``weighted_estimates``' eta stage.
     """
-    crosses, projection, repaired = _eta_crosses(
+    crosses, projection = _eta_crosses(
         structure, np.asarray(alpha, dtype=float).reshape(1, -1), L, tol)
-    if repaired[0]:
+    etas = EtaCovariances(crosses=list(crosses[0]),
+                          projection=tuple(float(p) for p in projection[0]))
+    if etas.repaired:
         if not repair:
             raise NotPositiveSemidefinite("Q(alpha) or R(alpha) is indefinite")
         warnings.warn(_PROJECTED, RuntimeWarning, stacklevel=2)
-    return EtaCovariances(crosses=list(crosses[0]),
-                          projection=tuple(float(p) for p in projection[0]))
+    return etas
 
 
 def assemble_p(sys: StackedSystem, etas: EtaCovariances) -> np.ndarray:
@@ -1330,29 +1333,29 @@ def weighted_estimates(sys: StackedSystem, obs: np.ndarray, structure: NoiseStru
         )
     alphas = ordinary_estimates(sys, obs)
     try:
-        crosses, projection, repaired = _eta_crosses(structure, alphas, sys.L, tol)
+        crosses, projection = _eta_crosses(structure, alphas, sys.L, tol)
         runs = _weighted_solves(sys, obs, _assemble_bands(sys, crosses), tol, "auto")
     except _RUN_ERRORS:
         for r in range(len(obs)):
             one = slice(r, r + 1)
             try:
-                crosses, _, repaired = _eta_crosses(structure, alphas[one], sys.L, tol)
-                _warn_projected(repaired)
+                crosses, projection = _eta_crosses(structure, alphas[one], sys.L, tol)
+                _warn_projected(projection)
                 _weighted_solves(sys, obs[one], _assemble_bands(sys, crosses), tol,
                                  "auto")
             except _RUN_ERRORS as exc:
                 exc.run = r
                 raise exc from None
         raise
-    _warn_projected(repaired)
-    runs.alpha_ordinary, runs.projection, runs.repaired = alphas, projection, repaired
+    _warn_projected(projection)
+    runs.alpha_ordinary, runs.projection = alphas, projection
     return runs
 
 
-def _warn_projected(repaired: np.ndarray) -> None:
-    """One warning per run whose first pass was projected, at the caller
-    of ``weighted_estimates``."""
-    for _ in range(np.count_nonzero(repaired)):
+def _warn_projected(projection: np.ndarray) -> None:
+    """One warning per run whose first pass was projected (a nonzero
+    ``projection`` row), at the caller of ``weighted_estimates``."""
+    for _ in range(np.count_nonzero(projection.any(axis=1))):
         warnings.warn(_PROJECTED, RuntimeWarning, stacklevel=3)
 
 

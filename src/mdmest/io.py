@@ -2,25 +2,29 @@
 
 Model file keys: n_x, n_w, n_v, tau, F, G, E, H, D, basis, alpha_true?,
 init?.  Each of F/G/E/H/D is either one matrix (constant over k) or an array
-of per-step matrices of length tau+1; ``basis`` is an array of {"BQ": ...,
-"BR": ...} pairs; ``init`` holds {"mean": [...], "cov": [[...]]} and defaults
-to mean 1, covariance I.  G may be omitted for input-free models.
+of per-step matrices of length tau+1 (read as one array when they share a
+shape); ``basis`` is an array of {"BQ": ..., "BR": ...} pairs; ``init``
+holds {"mean": [...], "cov": [[...]]} and defaults to mean 1, covariance I.
+G may be omitted for input-free models.
 
 Data files are JSON Lines with one record per time step:
     {"k": 0, "z": [...], "u": [...]}
-where "u" is optional and "z" may change length with k.
+where "u" is optional, "z" may change length with k, and each is a flat
+list of numbers.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, ValidationError
-from .model import InitialCondition, LtvModel, MeasurementData, NoiseStructure
+from .model import (InitialCondition, LtvModel, MatrixSequence, MeasurementData,
+                    NoiseStructure)
 
 __all__ = ["ModelBundle", "load_model", "save_model", "read_data", "write_data"]
 
@@ -33,35 +37,21 @@ class ModelBundle:
     init: InitialCondition
 
 
-def _nesting_depth(value) -> int:
-    depth = 0
-    while isinstance(value, list):
-        depth += 1
-        value = value[0] if value else None
-    return depth
-
-
-def _array(value, key: str) -> np.ndarray:
+def _array(value, key: str, make=partial(np.asarray, dtype=float)):
+    """``make(value)``; any failure is a ValidationError naming ``key``."""
     try:
-        return np.asarray(value, dtype=float)
+        return make(value)
+    except ValidationError as err:
+        raise ValidationError([f"'{key}': {f}" for f in err.findings]) from None
     except (TypeError, ValueError):
         raise ValidationError([f"'{key}' must be a rectangular array of numbers"]) from None
 
 
-def _parse_matrix_entry(value, key: str):
-    depth = _nesting_depth(value)
-    if depth == 2:
-        return _array(value, key)
-    if depth == 3:
-        return [_array(m, key) for m in value]
-    raise ValidationError(
-        [f"'{key}' must be a matrix (list of rows) or an array of matrices"]
-    )
-
-
 def load_model(path) -> ModelBundle:
     """Read a model specification file; a malformed one raises
-    ValidationError naming the key."""
+    ValidationError naming the key.  Each F/G/E/H/D entry is converted once,
+    straight to a MatrixSequence: one array when its matrices share a
+    shape."""
     with open(path) as fh:
         raw = json.load(fh)
     for key in ("n_x", "n_w", "n_v", "tau", "F", "E", "H", "D", "basis"):
@@ -73,7 +63,8 @@ def load_model(path) -> ModelBundle:
             dims[key] = int(raw[key])
         except (TypeError, ValueError):
             raise ValidationError([f"'{key}' must be an integer"]) from None
-    mats = {key: _parse_matrix_entry(raw[key], key) if key in raw else None
+    per_step = partial(MatrixSequence, tau=dims["tau"])
+    mats = {key: _array(raw[key], key, per_step) if key in raw else None
             for key in ("F", "G", "E", "H", "D")}
     model = LtvModel.create(**dims, **mats)
     if not isinstance(raw["basis"], list):
@@ -154,8 +145,20 @@ def _check_finite(zs, z_lines, us, u_lines) -> None:
         raise DataError(f"line {line_no + 1}: '{key}' is not finite")
 
 
+def _numbers(record: dict, key: str, line_no: int) -> np.ndarray:
+    """``record[key]`` as a float vector; DataError naming the line unless
+    it is a flat list of numbers (JSON's true and false are not numbers)."""
+    value = record[key]
+    if not isinstance(value, list) or not {int, float}.issuperset(map(type, value)):
+        raise DataError(f"line {line_no + 1}: '{key}' must be a flat list of numbers")
+    return np.array(value, dtype=float)
+
+
 def read_data(path) -> MeasurementData:
-    """Read a JSON Lines data file; records must cover k = 0..tau in order."""
+    """Read a JSON Lines data file; records must cover k = 0..tau in order,
+    each 'z' and 'u' a flat list of numbers.  A malformed or non-finite
+    record raises DataError naming its line (the first non-finite line, if
+    it comes earlier)."""
     zs: list[np.ndarray] = []
     us: list[np.ndarray] = []
     z_lines: list[int] = []
@@ -175,12 +178,12 @@ def read_data(path) -> MeasurementData:
                     raise DataError(
                         f"line {line_no + 1}: expected record k={len(zs)}, got {record.get('k')}"
                     )
-                zs.append(np.asarray(record["z"], dtype=float))
+                zs.append(_numbers(record, "z", line_no))
                 z_lines.append(line_no)
                 if "u" in record:
-                    us.append(np.asarray(record["u"], dtype=float))
+                    us.append(_numbers(record, "u", line_no))
                     u_lines.append(line_no)
-        except (DataError, ValueError, TypeError):
+        except (DataError, ValueError):
             # a non-finite entry on an earlier line is the first error
             _check_finite(zs, z_lines, us, u_lines)
             raise

@@ -48,88 +48,67 @@ NO_INPUT = "no-input"
 
 
 class MatrixSequence:
-    """A per-step matrix sequence, stored either constant or as tuple over k.
+    """The matrices of a per-step quantity, k = 0..tau, converted and stored
+    once.
 
-    Constant matrices are broadcast over all time steps; a full sequence must
-    have one matrix per k = 0..tau.
+    A 2-D array (or nested list) is one matrix for every k.  A 3-D array,
+    or a list or tuple of matrices, is one matrix per step and must have
+    tau+1 of them.  Matrices of one shape are stored as one (steps, rows,
+    cols) array; only matrices whose shape changes with k are kept as a
+    tuple.  ``shapes`` is the (len, 2) int array of the stored matrices'
+    shapes.
     """
 
-    __slots__ = ("_const", "_seq", "_shapes", "_stack")
+    __slots__ = ("_mats", "shapes")
 
     def __init__(self, value, tau: int | None = None):
-        # derived from the matrices on first use
-        self._shapes = self._stack = None
         if isinstance(value, MatrixSequence):
-            self._const = value._const
-            self._seq = value._seq
+            self._mats, self.shapes = value._mats, value.shapes
             return
-        if isinstance(value, np.ndarray) and value.ndim == 2:
-            self._const = np.asarray(value, dtype=float)
-            self._seq = None
-        elif isinstance(value, (list, tuple)):
-            first = np.asarray(value[0], dtype=float)
-            if first.ndim == 2:
-                self._const = None
-                self._seq = tuple(np.asarray(m, dtype=float) for m in value)
-                if tau is not None and len(self._seq) != tau + 1:
-                    raise ValidationError(
-                        [f"matrix sequence length {len(self._seq)} != tau+1 = {tau + 1}"]
-                    )
-            else:
-                self._const = np.asarray(value, dtype=float)
-                self._seq = None
-                if self._const.ndim != 2:
-                    raise ValidationError(["matrices must be 2-D"])
+        try:
+            mats = np.asarray(value, dtype=float)
+        except ValueError:
+            # matrices whose shape changes with k
+            mats = tuple(np.asarray(m, dtype=float) for m in value)
+            if any(m.ndim != 2 for m in mats):
+                raise ValidationError(["matrices must be 2-D"]) from None
+            self.shapes = np.array([m.shape for m in mats], dtype=int)
         else:
-            arr = np.asarray(value, dtype=float)
-            if arr.ndim != 2:
+            if mats.ndim not in (2, 3):
                 raise ValidationError(["matrices must be 2-D arrays or sequences of them"])
-            self._const = arr
-            self._seq = None
+            self.shapes = np.tile(mats.shape[-2:], (len(mats) if mats.ndim == 3 else 1, 1))
+        self._mats = mats
+        if tau is not None and not self.is_constant and len(mats) != tau + 1:
+            raise ValidationError([f"matrix sequence length {len(mats)} != tau+1 = {tau + 1}"])
 
     @property
     def is_constant(self) -> bool:
-        return self._seq is None
+        return isinstance(self._mats, np.ndarray) and self._mats.ndim == 2
 
     def __getitem__(self, k: int) -> np.ndarray:
-        if self._seq is None:
-            return self._const
-        return self._seq[k]
+        return self._mats if self.is_constant else self._mats[k]
 
     def __len__(self) -> int:
-        return 1 if self._seq is None else len(self._seq)
-
-    @property
-    def shapes(self) -> np.ndarray:
-        """(len, 2) int array: the shape of each stored matrix ((-1, -1)
-        for an entry that is not 2-D)."""
-        if self._shapes is None:
-            mats = (self._const,) if self._seq is None else self._seq
-            self._shapes = np.array([m.shape if m.ndim == 2 else (-1, -1)
-                                     for m in mats], dtype=int)
-        return self._shapes
+        return len(self.shapes)
 
     def take(self, ks) -> np.ndarray:
         """The matrices at time indices ``ks``, stacked on a leading axis.
 
         They must share one shape.  A constant sequence gives a view of its
-        matrix (callers must not write to it); a sequence of one shape
-        throughout is stacked once and indexed.
+        matrix (callers must not write to it).
         """
         ks = np.asarray(ks, dtype=int)
-        if self._seq is None:
+        if self.is_constant:
             if ks.shape == (1,):
-                return self._const[None]
-            return np.broadcast_to(self._const, ks.shape + self._const.shape)
-        if self._stack is None and (self.shapes == self.shapes[0]).all():
-            self._stack = np.stack(self._seq)
-        if self._stack is not None:
-            return self._stack[ks]
-        return np.stack([self._seq[k] for k in ks.tolist()])
+                return self._mats[None]
+            return np.broadcast_to(self._mats, ks.shape + self._mats.shape)
+        if isinstance(self._mats, np.ndarray):
+            return self._mats[ks]
+        return np.stack([self._mats[k] for k in ks.tolist()])
 
     def all_finite(self) -> bool:
-        mats = (self._const,) if self._seq is None else self._seq
-        return bool(np.isfinite(np.concatenate(mats, axis=None)).all())
+        return bool(np.isfinite(np.concatenate(self._mats, axis=None)
+                                if isinstance(self._mats, tuple) else self._mats).all())
 
 
 @dataclass(frozen=True)
@@ -304,7 +283,7 @@ def defining_replication(structure: NoiseStructure, L: int) -> np.ndarray:
 def _shape_findings(model: LtvModel, structure: NoiseStructure) -> list[str]:
     """``validate``'s dimension checks alone: sequence lengths, the shape of
     every model matrix and of every basis matrix, and the noise dimensions
-    the structure and the model share.  Reads the cached shapes only."""
+    the structure and the model share.  Reads the stored shapes only."""
     findings: list[str] = []
     # D's rows follow H's; an H sequence of the wrong length gives none
     h_ok = model.H.is_constant or len(model.H) == model.tau + 1
@@ -404,11 +383,11 @@ def _step_products(seq: MatrixSequence, vecs: np.ndarray, n: int,
     return out
 
 
-def _input_steps(input_signal, n_u: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """The first n_u.size steps of ``input_signal`` as a list of vectors and
-    as an array whose row k holds step k in its first n_u[k] entries
-    (zero-padded).  Raises ValidationError naming the first step that is
-    missing, has a length other than n_u[k] or is not finite.
+def _input_steps(input_signal, n_u: np.ndarray) -> np.ndarray:
+    """The first n_u.size steps of ``input_signal`` as an array whose row k
+    holds step k in its first n_u[k] entries (zero-padded).  Raises
+    ValidationError naming the first step that is missing, has a length
+    other than n_u[k] or is not finite.
     """
     n = n_u.size
     if isinstance(input_signal, np.ndarray):
@@ -419,7 +398,6 @@ def _input_steps(input_signal, n_u: np.ndarray) -> tuple[list[np.ndarray], np.nd
         if padded.ndim == 1:
             padded = padded[:, None]
         lengths = np.full(len(padded), padded.shape[1])
-        steps = list(padded)
     else:
         steps = list(input_signal[:n])
         lengths = np.fromiter(map(np.size, steps), dtype=int, count=len(steps))
@@ -432,15 +410,14 @@ def _input_steps(input_signal, n_u: np.ndarray) -> tuple[list[np.ndarray], np.nd
         raise ValidationError([f"input_signal step k={k} has length {lengths[k]}, "
                                f"model expects n_u = {n_u[k]}"])
     if not isinstance(input_signal, np.ndarray):
-        flat = np.concatenate(steps, axis=None, dtype=float)
-        steps = np.split(flat, np.cumsum(n_u)[:-1])
         padded = np.zeros((n, int(n_u.max(initial=0))))
-        padded[np.arange(padded.shape[1]) < n_u[:, None]] = flat
+        padded[np.arange(padded.shape[1]) < n_u[:, None]] = np.concatenate(
+            steps, axis=None, dtype=float)
     finite = np.isfinite(padded).all(axis=1)
     if not finite.all():
         raise ValidationError([f"input_signal step k={int(np.argmin(finite))} "
                                "is not finite"])
-    return steps, padded
+    return padded
 
 
 def _initial_state(init: InitialCondition, n_x: int) -> tuple[np.ndarray, np.ndarray]:
@@ -460,9 +437,19 @@ def _initial_state(init: InitialCondition, n_x: int) -> tuple[np.ndarray, np.nda
     return mean, cov
 
 
+def _step_rows(a: np.ndarray, n: np.ndarray) -> list[np.ndarray]:
+    """Row k of the zero-padded (steps, width) ``a`` cut to its first n[k]
+    entries: one view per step."""
+    if (n == a.shape[1]).all():
+        return list(a)
+    return list(map(getitem, a, map(slice, n.tolist())))
+
+
 @dataclass
 class SimulatedRuns:
-    """Runs ``simulate_runs`` drew together, as arrays with a leading run axis.
+    """Runs ``simulate_runs`` drew together, as arrays with a leading run
+    axis, and the input they share, as one zero-padded array and its
+    per-step widths.
 
     Iterating gives each run's ``Trajectory``, built only when it is
     reached: views of these arrays, with per-record lists.  ``z_records``
@@ -475,8 +462,9 @@ class SimulatedRuns:
     ws: np.ndarray                      # (runs, tau, n_w)
     vs: np.ndarray                      # (runs, tau+1, n_v)
     n_z: np.ndarray                     # (tau+1,) measurement dimension per step
-    us: list[np.ndarray] | None         # per-k input the runs share, when one was applied
-    u: np.ndarray | None                # (tau+1, max n_u), u_k in row k's first n_u[k]
+    u: np.ndarray | None                # (tau+1, max n_u), u_k in row k's first n_u[k];
+                                        # None without an input
+    n_u: np.ndarray                     # (tau+1,) input dimension per step
 
     def __len__(self) -> int:
         return self.xs.shape[0]
@@ -485,12 +473,10 @@ class SimulatedRuns:
         return map(self.trajectory, range(len(self)))
 
     def trajectory(self, i: int) -> Trajectory:
-        """Run ``i`` as a Trajectory; z_k is a view of row k of zs[i]."""
-        row = self.zs[i]
-        zs = (list(row) if (self.n_z == row.shape[1]).all()
-              else list(map(getitem, row, map(slice, self.n_z.tolist()))))
-        return Trajectory(xs=self.xs[i], zs=zs,
-                          us=None if self.us is None else list(self.us),
+        """Run ``i`` as a Trajectory; z_k is a view of row k of zs[i], u_k
+        of row k of u."""
+        return Trajectory(xs=self.xs[i], zs=_step_rows(self.zs[i], self.n_z),
+                          us=None if self.u is None else _step_rows(self.u, self.n_u),
                           ws=self.ws[i], vs=self.vs[i])
 
     @property
@@ -504,10 +490,9 @@ class SimulatedRuns:
     @property
     def u_records(self) -> np.ndarray | None:
         """(sum of n_u,): u_0, u_1, ... end to end; None without an input."""
-        if self.us is None:
+        if self.u is None:
             return None
-        n_u = np.fromiter(map(len, self.us), dtype=int, count=len(self.us))
-        return self.u[np.arange(self.u.shape[1]) < n_u[:, None]]
+        return self.u[np.arange(self.u.shape[1]) < self.n_u[:, None]]
 
 
 def simulate_runs(model: LtvModel, structure: NoiseStructure, alpha_true,
@@ -536,9 +521,8 @@ def simulate_runs(model: LtvModel, structure: NoiseStructure, alpha_true,
     s_q = psd_factor(q)
     s_r = psd_factor(r)
     s_x = psd_factor(cov)
-    us = u = None
-    if input_signal is not None:
-        us, u = _input_steps(input_signal, model.n_u_steps())
+    n_u = model.n_u_steps()
+    u = None if input_signal is None else _input_steps(input_signal, n_u)
 
     tau, n_x, n_v = model.tau, model.n_x, model.n_v
     seeds = list(seeds)
@@ -554,7 +538,7 @@ def simulate_runs(model: LtvModel, structure: NoiseStructure, alpha_true,
 
     ew = _step_products(model.E, ws, tau)
     gu = repeat(None)
-    if us is not None:
+    if u is not None:
         # -0.0 is the exact identity of addition: a step without inputs
         # adds nothing, as if skipped
         gu = _step_products(model.G, u[None], tau, fill=-0.0)[0, :, :, None]
@@ -569,7 +553,7 @@ def simulate_runs(model: LtvModel, structure: NoiseStructure, alpha_true,
     del ew
     zm = _step_products(model.H, xs, tau + 1)
     zm += _step_products(model.D, vs, tau + 1)
-    return SimulatedRuns(xs=xs, zs=zm, ws=ws, vs=vs, n_z=model.n_z_steps(), us=us, u=u)
+    return SimulatedRuns(xs=xs, zs=zm, ws=ws, vs=vs, n_z=model.n_z_steps(), u=u, n_u=n_u)
 
 
 def simulate(model: LtvModel, structure: NoiseStructure, alpha_true,

@@ -113,6 +113,22 @@ class TestSimulateIdentify:
         assert code == 3
         assert "line 1: expected a JSON object with a 'z' entry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["z", "u"])
+    @pytest.mark.parametrize("value", [["a"], {"x": 1}, [[1.0, 2.0], [3.0]]])
+    def test_malformed_data_record_is_a_validation_error(self, tmp_path,
+                                                         obs_ltv_model_file, capsys,
+                                                         key, value):
+        data = tmp_path / "bad.jsonl"
+        data.write_text("".join(
+            json.dumps({"k": k, "z": [1.0], "u": [0.0],
+                        **({key: value} if k == 3 else {})}) + "\n"
+            for k in range(10)))
+        code = main(["identify", "--model", str(obs_ltv_model_file),
+                     "--data", str(data), "--out", str(tmp_path)])
+        assert code == 3
+        assert (f"line 4: '{key}' must be a flat list of numbers"
+                in capsys.readouterr().err)
+
     SCALAR_MODEL = {
         "n_x": 1, "n_w": 1, "n_v": 1, "tau": 5, "F": [[0.9]], "G": [[1.0]],
         "E": [[1.0]], "H": [[1.0]], "D": [[1.0]],
@@ -179,6 +195,22 @@ class TestSimulateIdentify:
                      "--out", str(out)]) == 0
         assert len((out / "data.jsonl").read_text().splitlines()) == 1
         assert json.loads((out / "data.meta.json").read_text())["tau"] == 0
+
+    def test_simulate_tau_beyond_the_horizon_is_a_validation_error(
+            self, tmp_path, capsys, obs_ltv_model_file):
+        assert main(["simulate", "--model", str(obs_ltv_model_file), "--tau", "401",
+                     "--out", str(tmp_path / "o")]) == 3
+        assert ("requested tau=401 exceeds the model horizon 400"
+                in capsys.readouterr().err)
+
+    def test_simulate_tau_at_the_horizon_is_the_whole_model(self, tmp_path,
+                                                          obs_ltv_model_file):
+        full, cut = tmp_path / "full", tmp_path / "cut"
+        assert main(["simulate", "--model", str(obs_ltv_model_file), "--seed", "5",
+                     "--out", str(full)]) == 0
+        assert main(["simulate", "--model", str(obs_ltv_model_file), "--seed", "5",
+                     "--tau", "400", "--out", str(cut)]) == 0
+        assert (cut / "data.jsonl").read_bytes() == (full / "data.jsonl").read_bytes()
 
     @pytest.mark.parametrize("model", ["obs_ltv_model_file", "unknown_input_model_file"])
     def test_simulate_negative_tau_names_the_flag(self, tmp_path, capsys, request,

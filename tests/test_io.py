@@ -96,3 +96,22 @@ class TestDataFiles:
         path.write_text('{"k": 0, "z": [1.0], "u": [0.0]}\n' + record + "\n")
         with pytest.raises(DataError, match="line 2: '[zu]' is not finite"):
             io.read_data(path)
+
+    @pytest.mark.parametrize("key", ["z", "u"])
+    @pytest.mark.parametrize("value", ['["a"]', '{"x": 1}', '[[1.0, 2.0], [3.0]]',
+                                       '[[1.0]]', '1.0', '[true]'])
+    def test_malformed_values_rejected(self, tmp_path, key, value):
+        entries = {"z": "[1.0]", "u": "[0.0]", key: value}
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"k": 0, "z": [1.0], "u": [0.0]}\n'
+                        f'{{"k": 1, "z": {entries["z"]}, "u": {entries["u"]}}}\n')
+        with pytest.raises(DataError, match=f"line 2: '{key}' must be a flat list "
+                           "of numbers"):
+            io.read_data(path)
+
+    def test_earlier_nonfinite_line_is_reported_before_a_malformed_one(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"k": 0, "z": [1.0], "u": [NaN]}\n'
+                        '{"k": 1, "z": ["a"], "u": [0.0]}\n')
+        with pytest.raises(DataError, match="line 1: 'u' is not finite"):
+            io.read_data(path)

@@ -1,5 +1,7 @@
+import tempfile
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from mdmest import (
     weighted_estimates,
     weighted_pipeline,
 )
+from mdmest import io
 from mdmest.benchmarks import benchmark_input_signal
 from mdmest.model import MatrixSequence, MeasurementData, Trajectory, psd_factor
 import scipy.linalg
@@ -316,6 +319,62 @@ class TestSimulateInputChecks:
             traj = self.run(spec, other)
             assert bitwise_equal(traj.xs, ref.xs)
             assert all(bitwise_equal(a, b) for a, b in zip(traj.us, ref.us))
+
+
+@st.composite
+def matrix_sequences(draw):
+    """(kind, matrices, value): the matrices of a constant, uniform or
+    ragged sequence (one, or one per step; a ragged one has two shapes or
+    more), and ``value`` giving them as a list, a tuple or, when uniform, a
+    3-D array (a constant one as a 2-D array, nested lists or nested
+    tuples).  Some entries may be NaN or inf."""
+    kind = draw(st.sampled_from(["constant", "uniform", "ragged"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = 1 if kind == "constant" else draw(st.integers(1 + (kind == "ragged"), 6))
+    shape = st.tuples(st.integers(1, 3), st.integers(0, 3))
+    shapes = ([draw(shape)] * steps if kind != "ragged"
+              else draw(st.lists(shape, min_size=steps, max_size=steps)))
+    if kind == "ragged" and len(set(shapes)) == 1:
+        shapes[-1] = (shapes[0][0] % 3 + 1, shapes[0][1])
+    mats = [rng.standard_normal(s) for s in shapes]
+    m = mats[draw(st.integers(0, steps - 1))]
+    if m.size and draw(st.booleans()):
+        m.flat[draw(st.integers(0, m.size - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    if kind == "constant":
+        forms = [mats[0], mats[0].tolist(), tuple(map(tuple, mats[0].tolist()))]
+    else:
+        forms = [list(mats), tuple(mats)] + ([np.stack(mats)] if kind == "uniform" else [])
+    return kind, mats, draw(st.sampled_from(forms))
+
+
+@given(matrix_sequences(), st.data())
+def test_matrix_sequence_reads_back_its_matrices(case, data):
+    """A MatrixSequence gives back, bit for bit, the matrices it was made
+    from, in every form it takes, and a model file round-trips them."""
+    kind, mats, value = case
+    tau = len(mats) - 1 if kind != "constant" else data.draw(st.integers(0, 5))
+    seq = MatrixSequence(value, tau)
+    assert seq.is_constant == (kind == "constant")
+    assert len(seq) == len(mats)
+    assert seq.shapes.tolist() == [list(m.shape) for m in mats]
+    assert seq.all_finite() == all(np.isfinite(m).all() for m in mats)
+    at = mats * (tau + 1) if kind == "constant" else mats  # the matrix at each k
+    assert all(bitwise_equal(seq[k], m) for k, m in enumerate(at))
+    for s in {m.shape for m in mats}:
+        same = [k for k, m in enumerate(at) if m.shape == s]
+        ks = data.draw(st.lists(st.sampled_from(same), min_size=1, max_size=8))
+        assert bitwise_equal(seq.take(ks), np.stack([at[k] for k in ks]))
+    model = LtvModel.create(n_x=1, n_w=1, n_v=1, tau=tau, F=seq, E=np.eye(1),
+                            H=np.eye(1), D=np.eye(1))
+    structure = NoiseStructure.from_pairs([(np.eye(1), np.eye(1))])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        io.save_model(path, model, structure)
+        back = io.load_model(path).model.F
+    assert back.is_constant == seq.is_constant
+    assert bitwise_equal(back.shapes, seq.shapes)
+    assert all(bitwise_equal(back[k], m) for k, m in enumerate(at))
 
 
 def reference_simulate(model, structure, alpha_true, init=None, input_signal=None,

@@ -293,6 +293,9 @@ def run_mc(spec: BenchmarkSpec, method: str = "ordinary",
 
     Statistics are computed from the estimates in run-index order, so results
     are deterministic for a fixed spec and seed regardless of worker count.
+    The runs are split into min(workers, n_mc) chunks of consecutive runs,
+    whose estimates, branch counts and times are merged in order; a process
+    pool is started only for more than one chunk.
     """
     if method not in ("ordinary", "weighted"):
         raise ValueError("method must be 'ordinary' or 'weighted'")
@@ -301,21 +304,20 @@ def run_mc(spec: BenchmarkSpec, method: str = "ordinary",
         raise ValueError(f"n_mc must be at least 1, got {n_mc}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    indices = np.arange(n_mc)
-    if workers > 1 and n_mc > 1:
-        chunks = np.array_split(indices, min(workers, n_mc))
-        n = len(chunks)
+    chunks = np.array_split(np.arange(n_mc), min(workers, n_mc))
+    n = len(chunks)
+    args = (_run_range, [spec] * n, [method] * n, chunks, [tol] * n)
+    if n > 1:
         with ProcessPoolExecutor(max_workers=n) as pool:
-            parts = list(pool.map(_run_range, [spec] * n, [method] * n, chunks,
-                                  [tol] * n))
-        alphas = np.vstack([p[0] for p in parts])
-        ecovs = branches = None
-        if method == "weighted":
-            ecovs = np.vstack([p[1] for p in parts])
-            branches = {name: sum(p[3][name] for p in parts) for name in parts[0][3]}
-        elapsed = sum(p[2] for p in parts)
+            parts = list(pool.map(*args))
     else:
-        alphas, ecovs, elapsed, branches = _run_range(spec, method, indices, tol)
+        parts = list(map(*args))
+    alphas = np.vstack([p[0] for p in parts])
+    ecovs = branches = None
+    if method == "weighted":
+        ecovs = np.vstack([p[1] for p in parts])
+        branches = {name: sum(p[3][name] for p in parts) for name in parts[0][3]}
+    elapsed = sum(p[2] for p in parts)
     return McResult(
         estimates=alphas,
         sample_mean=alphas.mean(axis=0),

@@ -32,7 +32,6 @@ from .model import (
     UNKNOWN_INPUT,
     LtvModel,
     MatrixSequence,
-    MeasurementData,
     assemble_qr,
     simulate,
     validate,
@@ -213,7 +212,7 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     data_path = out_dir / "data.jsonl"
-    io.write_data(data_path, MeasurementData.from_trajectory(traj))
+    io.write_data(data_path, traj)
     with open(out_dir / "data.meta.json", "w") as fh:
         json.dump({"seed": args.seed, "model": str(args.model),
                    "tau": model.tau, "input_signal": args.input_signal}, fh)

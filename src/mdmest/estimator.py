@@ -16,7 +16,6 @@ matrix is singular.
 from __future__ import annotations
 
 import logging
-import operator
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -49,7 +48,6 @@ from .model import (
     LtvModel,
     MeasurementData,
     NoiseStructure,
-    Trajectory,
     defining_replication,
 )
 from .residue import window_blocks
@@ -215,20 +213,18 @@ class StackedSystem:
         return float(np.linalg.norm(self.s[:, None] * self.vt * self.scale, 2) ** 2)
 
     def with_data(self, data) -> "StackedSystem":
-        """This design with the squared residues of ``data`` (a Trajectory or
-        MeasurementData holding exactly the records the windows span) as obs.
+        """This design with the squared residues of ``data`` (MeasurementData
+        holding exactly the records the windows span) as obs.
 
         Raises DataError for records that do not fit the model or give a
         non-finite residue.  The residues are ``residues`` of one run.
         """
-        if isinstance(data, Trajectory):
-            data = MeasurementData.from_trajectory(data)
-        z, z_off, u = _checked_records(self.model, data, self.mode)
+        z, u = _checked_records(self.model, data, self.mode)
         L = self.L
         n_records = self.n_windows + L - 1
-        if z_off.size - 1 != n_records:
+        if len(data) != n_records:
             raise DataError(
-                f"data has {z_off.size - 1} records but the design's {self.n_windows} "
+                f"data has {len(data)} records but the design's {self.n_windows} "
                 f"windows of length L={L} span {n_records}"
             )
         return replace(self, obs=self.residues(z[None], None if u is None else u[None])[0])
@@ -685,54 +681,41 @@ def _record_of(offsets: np.ndarray, pos) -> int:
     return int(np.searchsorted(offsets, pos, side="right")) - 1
 
 
-_SIZE = operator.attrgetter("size")
-
-
-def _flat_records(kind: str, values, expected: np.ndarray):
-    """``values`` concatenated, and offsets: record k is flat[off[k]:off[k+1]].
-
-    Record k must have length ``expected[k]`` (records past the end of
-    ``expected`` are not checked).
-    """
-    try:
-        lengths = np.fromiter(map(_SIZE, values), dtype=int, count=len(values))
-    except AttributeError:
-        # records given as Python sequences or scalars
-        lengths = np.fromiter(map(np.size, values), dtype=int, count=len(values))
+def _check_lengths(kind: str, lengths: np.ndarray, expected: np.ndarray) -> None:
+    """DataError naming the first record k whose length is not expected[k]
+    (records past the end of ``expected`` are not checked)."""
     bad = np.flatnonzero(lengths[:expected.size] != expected[:lengths.size])
     if bad.size:
         k = int(bad[0])
         raise DataError(
             f"record k={k}: {kind} has length {lengths[k]}, model expects {expected[k]}"
         )
-    flat = np.concatenate(values, axis=None, dtype=float) if values else np.zeros(0)
-    return flat, np.concatenate(([0], np.cumsum(lengths)))
 
 
 def _checked_records(model: LtvModel, data: MeasurementData, mode: str):
-    """(z, z offsets, u) of the records, flat; u is None unless a known
-    input is given."""
+    """(z, u) of the records, end to end; u is None unless a known input
+    is given."""
     if len(data) > model.tau + 1:
         raise DataError(
             f"data has {len(data)} records but the model horizon is tau={model.tau}"
         )
-    z, z_off = _flat_records("z", data.zs, model.n_z_steps())
+    _check_lengths("z", data.n_z, model.n_z_steps())
     if mode != KNOWN_INPUT:
-        return z, z_off, None
-    if data.us is None:
+        return data.z, None
+    if data.u is None:
         if any(np.any(model.G[k]) for k in range(len(model.G))):
             logger.warning("data carries no input records; assuming zero input")
-        return z, z_off, None
-    if len(data.us) < len(data) - 1:
-        raise DataError(f"data has {len(data.us)} input records but its "
+        return data.z, None
+    if data.n_u.size < len(data) - 1:
+        raise DataError(f"data has {data.n_u.size} input records but its "
                         f"{len(data)} measurement records need {len(data) - 1}")
-    u, u_off = _flat_records("u", data.us, model.n_u_steps())
+    _check_lengths("u", data.n_u, model.n_u_steps())
     # checked before the input correction, whose product would warn
-    finite = np.isfinite(u)
+    finite = np.isfinite(data.u)
     if not finite.all():
-        raise DataError(f"record k={_record_of(u_off, np.argmin(finite))}: "
-                        "input is not finite")
-    return z, z_off, u
+        k = np.searchsorted(np.cumsum(data.n_u), np.argmin(finite), side="right")
+        raise DataError(f"record k={k}: input is not finite")
+    return data.z, data.u
 
 
 def build_stacked_system(model: LtvModel, structure: NoiseStructure, data,
@@ -740,12 +723,10 @@ def build_stacked_system(model: LtvModel, structure: NoiseStructure, data,
                          tol: Tolerance = DEFAULT_TOL) -> StackedSystem:
     """Assemble the full regression from measurement data.
 
-    ``data`` may be a Trajectory or MeasurementData; windows run over every
-    full length-L span of the records, in time order.  This is
+    ``data`` is MeasurementData (a Trajectory is one); windows run over
+    every full length-L span of its records, in time order.  This is
     ``build_design`` for those windows followed by ``with_data``.
     """
-    if isinstance(data, Trajectory):
-        data = MeasurementData.from_trajectory(data)
     return build_design(model, structure, L, mode, tol,
                         n_windows=len(data) - L + 1).with_data(data)
 

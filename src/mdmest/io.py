@@ -10,12 +10,13 @@ G may be omitted for input-free models.
 Data files are JSON Lines with one record per time step:
     {"k": 0, "z": [...], "u": [...]}
 where "u" is optional, "z" may change length with k, and each is a flat
-list of numbers.
+list of finite numbers.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -43,26 +44,30 @@ def _array(value, key: str, make=partial(np.asarray, dtype=float)):
         return make(value)
     except ValidationError as err:
         raise ValidationError([f"'{key}': {f}" for f in err.findings]) from None
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError([f"'{key}' must be a rectangular array of numbers"]) from None
 
 
 def load_model(path) -> ModelBundle:
     """Read a model specification file; a malformed one raises
-    ValidationError naming the key.  Each F/G/E/H/D entry is converted once,
-    straight to a MatrixSequence: one array when its matrices share a
-    shape."""
+    ValidationError naming the key.  n_x, n_w, n_v and tau must be JSON
+    integers.  Each F/G/E/H/D entry is converted once, straight to a
+    MatrixSequence: one array when its matrices share a shape.  An empty
+    per-step H or D matrix, as ``save_model`` writes one without rows, is
+    read as (0, n_x) or (0, n_v)."""
     with open(path) as fh:
         raw = json.load(fh)
     for key in ("n_x", "n_w", "n_v", "tau", "F", "E", "H", "D", "basis"):
         if key not in raw:
             raise ValidationError([f"model file is missing required key '{key}'"])
-    dims = {}
-    for key in ("n_x", "n_w", "n_v", "tau"):
-        try:
-            dims[key] = int(raw[key])
-        except (TypeError, ValueError):
-            raise ValidationError([f"'{key}' must be an integer"]) from None
+    dims = {key: raw[key] for key in ("n_x", "n_w", "n_v", "tau")}
+    for key, value in dims.items():
+        # JSON's true and false are not integers
+        if type(value) is not int:
+            raise ValidationError([f"'{key}' must be an integer"])
+    for key, cols in (("H", dims["n_x"]), ("D", dims["n_v"])):
+        if cols and isinstance(raw[key], list) and [] in raw[key]:
+            raw[key] = [np.zeros((0, cols)) if m == [] else m for m in raw[key]]
     per_step = partial(MatrixSequence, tau=dims["tau"])
     mats = {key: _array(raw[key], key, per_step) if key in raw else None
             for key in ("F", "G", "E", "H", "D")}
@@ -123,73 +128,60 @@ def save_model(path, model: LtvModel, structure: NoiseStructure,
 
 def write_data(path, data: MeasurementData) -> None:
     """Write measurements (and inputs, when present) as JSON Lines."""
+    us = data.us
     with open(path, "w") as fh:
         for k, z in enumerate(data.zs):
-            record = {"k": k, "z": np.atleast_1d(z).tolist()}
-            if data.us is not None:
-                record["u"] = np.atleast_1d(data.us[k]).tolist()
+            record = {"k": k, "z": z.tolist()}
+            if us is not None:
+                record["u"] = us[k].tolist()
             fh.write(json.dumps(record) + "\n")
 
 
-def _check_finite(zs, z_lines, us, u_lines) -> None:
-    """Raise for the first line, in file order, with a non-finite 'z' or 'u'
-    ('z' first within a line).  All values are checked at once; the line is
-    looked for only when one is not finite."""
-    first = []
-    for key, values, lines in (("z", zs, z_lines), ("u", us, u_lines)):
-        if values and not np.isfinite(np.concatenate(values, axis=None)).all():
-            line_no = next(n for n, v in zip(lines, values) if not np.isfinite(v).all())
-            first.append((line_no, key != "z", key))
-    if first:
-        line_no, _, key = min(first)
-        raise DataError(f"line {line_no + 1}: '{key}' is not finite")
-
-
-def _numbers(record: dict, key: str, line_no: int) -> np.ndarray:
-    """``record[key]`` as a float vector; DataError naming the line unless
-    it is a flat list of numbers (JSON's true and false are not numbers)."""
+def _numbers(record: dict, key: str, line_no: int) -> list:
+    """``record[key]``; DataError naming the line unless it is a flat list
+    of numbers (JSON's true and false are not numbers), and then unless
+    each is finite as a float."""
     value = record[key]
     if not isinstance(value, list) or not {int, float}.issuperset(map(type, value)):
         raise DataError(f"line {line_no + 1}: '{key}' must be a flat list of numbers")
-    return np.array(value, dtype=float)
+    try:
+        if all(map(math.isfinite, value)):
+            return value
+    except OverflowError:
+        pass  # an integer too large for a float
+    raise DataError(f"line {line_no + 1}: '{key}' is not finite")
 
 
 def read_data(path) -> MeasurementData:
     """Read a JSON Lines data file; records must cover k = 0..tau in order,
-    each 'z' and 'u' a flat list of numbers.  A malformed or non-finite
-    record raises DataError naming its line (the first non-finite line, if
-    it comes earlier)."""
-    zs: list[np.ndarray] = []
-    us: list[np.ndarray] = []
-    z_lines: list[int] = []
-    u_lines: list[int] = []
+    each 'z' and 'u' a flat list of finite numbers.  A malformed record
+    raises DataError naming its line: the first such line, as each value is
+    checked where it is read.  Each key's values are appended to one list
+    and converted once, to the records end to end and their lengths."""
+    z, u, n_z, n_u = [], [], [], []
     with open(path) as fh:
-        try:
-            for line_no, line in enumerate(fh):
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                if not isinstance(record, dict) or "z" not in record:
-                    raise DataError(
-                        f"line {line_no + 1}: expected a JSON object with a 'z' entry"
-                    )
-                if record.get("k") != len(zs):
-                    raise DataError(
-                        f"line {line_no + 1}: expected record k={len(zs)}, got {record.get('k')}"
-                    )
-                zs.append(_numbers(record, "z", line_no))
-                z_lines.append(line_no)
-                if "u" in record:
-                    us.append(_numbers(record, "u", line_no))
-                    u_lines.append(line_no)
-        except (DataError, ValueError):
-            # a non-finite entry on an earlier line is the first error
-            _check_finite(zs, z_lines, us, u_lines)
-            raise
-    _check_finite(zs, z_lines, us, u_lines)
-    if not zs:
+        for line_no, line in enumerate(fh):
+            line = line.strip()
+            if not line:
+                continue
+            record = json.loads(line)
+            if not isinstance(record, dict) or "z" not in record:
+                raise DataError(
+                    f"line {line_no + 1}: expected a JSON object with a 'z' entry"
+                )
+            if record.get("k") != len(n_z):
+                raise DataError(
+                    f"line {line_no + 1}: expected record k={len(n_z)}, got {record.get('k')}"
+                )
+            for key, values, lengths in (("z", z, n_z), ("u", u, n_u)):
+                if key in record:
+                    value = _numbers(record, key, line_no)
+                    values.extend(value)
+                    lengths.append(len(value))
+    if not n_z:
         raise DataError(f"no records in {Path(path)}")
-    if len(us) not in (0, len(zs)):
+    if len(n_u) not in (0, len(n_z)):
         raise DataError("some records carry 'u' and some do not")
-    return MeasurementData(zs=zs, us=us or None)
+    return MeasurementData(np.array(z, dtype=float), np.array(n_z, dtype=int),
+                           *((np.array(u, dtype=float), np.array(n_u, dtype=int))
+                             if n_u else ()))

@@ -18,11 +18,10 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import getitem
 
 import numpy as np
 
-from .errors import NotPositiveSemidefinite, ValidationError
+from .errors import DataError, NotPositiveSemidefinite, ValidationError
 from .linalg import DEFAULT_TOL, block_diag, kron, vec
 
 __all__ = [
@@ -214,35 +213,67 @@ class InitialCondition:
         return cls(mean=np.ones(n_x), cov=np.eye(n_x))
 
 
-@dataclass
-class Trajectory:
-    """A simulated run; noises are retained for test oracles."""
-
-    xs: np.ndarray                      # (tau+1, n_x)
-    zs: list[np.ndarray]                # per-k measurement, dims may vary
-    us: list[np.ndarray] | None         # per-k input when one was applied
-    ws: np.ndarray                      # (tau, n_w)
-    vs: np.ndarray                      # (tau+1, n_v)
-
-    @property
-    def tau(self) -> int:
-        return len(self.zs) - 1
+def _flatten(records) -> tuple[np.ndarray, np.ndarray]:
+    """Per-record vectors as (their entries end to end, their lengths)."""
+    lengths = np.fromiter(map(np.size, records), dtype=int, count=len(records))
+    # the trailing [] makes no records an empty array
+    return np.concatenate([*records, []], axis=None, dtype=float), lengths
 
 
-@dataclass
+def _record_store(key: str, values, lengths) -> tuple[np.ndarray, np.ndarray]:
+    values, lengths = np.asarray(values, dtype=float), np.asarray(lengths)
+    if (values.ndim != 1 or lengths.ndim != 1 or lengths.dtype.kind not in "iu"
+            or (lengths < 0).any() or lengths.sum() != values.size):
+        raise DataError(f"'{key}' must be 1-D and 'n_{key}' its record lengths: "
+                        f"non-negative integers summing to {values.size}")
+    return values, lengths
+
+
 class MeasurementData:
-    """Measurements (and optionally inputs) consumed by the estimator."""
+    """Measurements, and optionally inputs, as the estimator reads them:
+    ``z`` holds the records z_0, z_1, ... end to end (1-D float) and ``n_z``
+    their lengths, which may change with k; ``u`` and ``n_u`` hold the
+    inputs so, or are None.  Lengths that are not 1-D, non-negative integers
+    summing to the records' size raise DataError.  ``zs`` and ``us`` are
+    per-record views of the one store."""
 
-    zs: list[np.ndarray]
-    us: list[np.ndarray] | None = None
+    __slots__ = ("z", "n_z", "u", "n_u")
+
+    def __init__(self, z, n_z, u=None, n_u=None):
+        self.z, self.n_z = _record_store("z", z, n_z)
+        self.u, self.n_u = (None, None) if u is None else _record_store("u", u, n_u)
 
     @classmethod
-    def from_trajectory(cls, traj: Trajectory, include_u: bool = True) -> "MeasurementData":
-        us = traj.us if include_u else None
-        return cls(zs=list(traj.zs), us=list(us) if us is not None else None)
+    def from_records(cls, zs, us=None) -> "MeasurementData":
+        """The records of the per-record vectors ``zs`` (and ``us``)."""
+        return cls(*_flatten(zs), *(() if us is None else _flatten(us)))
+
+    @classmethod
+    def from_trajectory(cls, traj: "Trajectory", include_u: bool = True) -> "MeasurementData":
+        """The records of ``traj`` (its inputs only if ``include_u``), not copied."""
+        return cls(traj.z, traj.n_z, *((traj.u, traj.n_u) if include_u else ()))
+
+    @property
+    def zs(self) -> list[np.ndarray]:
+        return np.split(self.z, np.cumsum(self.n_z))[:-1]
+
+    @property
+    def us(self) -> list[np.ndarray] | None:
+        return None if self.u is None else np.split(self.u, np.cumsum(self.n_u))[:-1]
 
     def __len__(self) -> int:
-        return len(self.zs)
+        return self.n_z.size
+
+
+class Trajectory(MeasurementData):
+    """A simulated run: its records, and its states xs (tau+1, n_x) and
+    noises ws (tau, n_w) and vs (tau+1, n_v), kept for test oracles."""
+
+    __slots__ = ("xs", "ws", "vs")
+
+    def __init__(self, z, n_z, u=None, n_u=None, *, xs, ws, vs):
+        super().__init__(z, n_z, u, n_u)
+        self.xs, self.ws, self.vs = xs, ws, vs
 
 
 @dataclass
@@ -437,12 +468,13 @@ def _initial_state(init: InitialCondition, n_x: int) -> tuple[np.ndarray, np.nda
     return mean, cov
 
 
-def _step_rows(a: np.ndarray, n: np.ndarray) -> list[np.ndarray]:
-    """Row k of the zero-padded (steps, width) ``a`` cut to its first n[k]
-    entries: one view per step."""
-    if (n == a.shape[1]).all():
-        return list(a)
-    return list(map(getitem, a, map(slice, n.tolist())))
+def _records(a: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """a[..., k, :n[k]] for each step k of the zero-padded (..., steps,
+    width) ``a``, end to end on the last axis (a view when n does not
+    change with k)."""
+    if (n == a.shape[-1]).all():
+        return a.reshape(a.shape[:-2] + (-1,))
+    return a[..., np.arange(a.shape[-1]) < n[:, None]]
 
 
 @dataclass
@@ -452,9 +484,8 @@ class SimulatedRuns:
     per-step widths.
 
     Iterating gives each run's ``Trajectory``, built only when it is
-    reached: views of these arrays, with per-record lists.  ``z_records``
-    and ``u_records`` give the records end to end, as the estimator reads
-    them, without any per-record list.
+    reached.  ``z_records`` and ``u_records`` give the records end to end,
+    as the estimator reads them.
     """
 
     xs: np.ndarray                      # (runs, tau+1, n_x)
@@ -473,26 +504,22 @@ class SimulatedRuns:
         return map(self.trajectory, range(len(self)))
 
     def trajectory(self, i: int) -> Trajectory:
-        """Run ``i`` as a Trajectory; z_k is a view of row k of zs[i], u_k
-        of row k of u."""
-        return Trajectory(xs=self.xs[i], zs=_step_rows(self.zs[i], self.n_z),
-                          us=None if self.u is None else _step_rows(self.u, self.n_u),
-                          ws=self.ws[i], vs=self.vs[i])
+        """Run ``i`` as a Trajectory: views of these arrays, but for its
+        measurement records when n_z changes with k."""
+        return Trajectory(_records(self.zs[i], self.n_z), self.n_z,
+                          *(() if self.u is None else (self.u_records, self.n_u)),
+                          xs=self.xs[i], ws=self.ws[i], vs=self.vs[i])
 
     @property
     def z_records(self) -> np.ndarray:
         """(runs, sum of n_z): each run's z_0, z_1, ... end to end (a view
         when n_z does not change with k)."""
-        if (self.n_z == self.zs.shape[2]).all():
-            return self.zs.reshape(len(self), -1)
-        return self.zs[:, np.arange(self.zs.shape[2]) < self.n_z[:, None]]
+        return _records(self.zs, self.n_z)
 
     @property
     def u_records(self) -> np.ndarray | None:
         """(sum of n_u,): u_0, u_1, ... end to end; None without an input."""
-        if self.u is None:
-            return None
-        return self.u[np.arange(self.u.shape[1]) < self.n_u[:, None]]
+        return None if self.u is None else _records(self.u, self.n_u)
 
 
 def simulate_runs(model: LtvModel, structure: NoiseStructure, alpha_true,

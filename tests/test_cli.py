@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from mdmest import preset, weighted_mdm
+from mdmest import LtvModel, NoiseStructure, preset, weighted_mdm
 from mdmest import cli, io
 from mdmest.cli import main
 
@@ -114,10 +114,15 @@ class TestSimulateIdentify:
         assert "line 1: expected a JSON object with a 'z' entry" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["z", "u"])
-    @pytest.mark.parametrize("value", [["a"], {"x": 1}, [[1.0, 2.0], [3.0]]])
+    @pytest.mark.parametrize("value, problem", [
+        (["a"], "must be a flat list of numbers"),
+        ({"x": 1}, "must be a flat list of numbers"),
+        ([[1.0, 2.0], [3.0]], "must be a flat list of numbers"),
+        ([10 ** 400], "is not finite"),             # beyond the largest float
+    ])
     def test_malformed_data_record_is_a_validation_error(self, tmp_path,
                                                          obs_ltv_model_file, capsys,
-                                                         key, value):
+                                                         key, value, problem):
         data = tmp_path / "bad.jsonl"
         data.write_text("".join(
             json.dumps({"k": k, "z": [1.0], "u": [0.0],
@@ -126,8 +131,7 @@ class TestSimulateIdentify:
         code = main(["identify", "--model", str(obs_ltv_model_file),
                      "--data", str(data), "--out", str(tmp_path)])
         assert code == 3
-        assert (f"line 4: '{key}' must be a flat list of numbers"
-                in capsys.readouterr().err)
+        assert f"line 4: '{key}' {problem}" in capsys.readouterr().err
 
     SCALAR_MODEL = {
         "n_x": 1, "n_w": 1, "n_v": 1, "tau": 5, "F": [[0.9]], "G": [[1.0]],
@@ -145,17 +149,41 @@ class TestSimulateIdentify:
         ("basis", [{"BQ": [[1.0, 0.0], [1.0]], "BR": [[0.0]]},
                    {"BQ": [[0.0]], "BR": [[1.0]]}], "'basis[0].BQ'"),
         ("init", {"mean": [1.0]}, "'init'"),
+        ("tau", 5.5, "'tau'"),
+        ("tau", True, "'tau'"),
+        ("tau", "7", "'tau'"),
+        ("n_x", 1.9, "'n_x'"),
+        ("tau", float("inf"), "'tau'"),             # JSON's 1e999 reads as inf too
+        ("D", [[10 ** 400]], "'D'"),                # beyond the largest float
     ])
     def test_malformed_model_file_is_a_validation_error(self, tmp_path, capsys,
                                                         key, value, named):
-        """A ragged or non-numeric matrix, a non-integer size, a basis that
-        is not an array of pairs and an init without cov exit 3 naming the
-        key, instead of a traceback."""
+        """A ragged or non-numeric matrix, a size that is not a JSON integer,
+        a number beyond the largest float, a basis that is not an array of
+        pairs and an init without cov exit 3 naming the key, instead of a
+        traceback."""
         model = tmp_path / "model.json"
         model.write_text(json.dumps({**self.SCALAR_MODEL, key: value}))
         code = main(["simulate", "--model", str(model), "--out", str(tmp_path)])
         assert code == 3
         assert named in capsys.readouterr().err
+
+    def test_steps_without_a_measurement_go_through_a_model_file(self, tmp_path):
+        """H_k and D_k without rows (every 7th step) are saved as [] and read
+        back as (0, n_x) and (0, n_v): the model simulates and identifies."""
+        tau = 40
+        no_z = [k % 7 == 0 for k in range(tau + 1)]
+        model = LtvModel.create(
+            n_x=1, n_w=1, n_v=1, tau=tau, E=[[1.0]], G=[[1.0]],
+            F=[[[0.9 + 0.05 * np.sin(k)]] for k in range(tau + 1)],
+            H=[np.ones((1 - gap, 1)) for gap in no_z],
+            D=[np.ones((1 - gap, 1)) for gap in no_z])
+        structure = NoiseStructure.from_pairs([([[1.0]], [[0.0]]), ([[0.0]], [[1.0]])])
+        path = tmp_path / "model.json"
+        io.save_model(path, model, structure, alpha_true=[2.0, 1.0])
+        assert main(["simulate", "--model", str(path), "--out", str(tmp_path)]) == 0
+        assert main(["identify", "--model", str(path), "--L", "auto",
+                     "--data", str(tmp_path / "data.jsonl"), "--out", str(tmp_path)]) == 0
 
     def test_indefinite_weight_message(self, tmp_path, capsys, monkeypatch):
         # the weight (of the design's kept rows, the rows it is solved on)

@@ -81,7 +81,7 @@ class TestBuildStackedSystem:
     def test_minimal_horizon_single_window(self, scalar_lti_model, scalar_structure):
         # tau = L - 1 leaves exactly one usable window
         L = 4
-        data = MeasurementData(zs=[np.array([float(k)]) for k in range(L)])
+        data = MeasurementData.from_records([np.array([float(k)]) for k in range(L)])
         model = scalar_lti_model
         sys_full = build_stacked_system(model, scalar_structure, data, L)
         assert sys_full.n_windows == 1
@@ -101,7 +101,7 @@ class TestBuildStackedSystem:
         assert sys_full.n_rows == per * sys_full.n_windows
 
     def test_too_short_horizon(self, scalar_lti_model, scalar_structure):
-        data = MeasurementData(zs=[np.array([1.0]), np.array([2.0])])
+        data = MeasurementData.from_records([np.array([1.0]), np.array([2.0])])
         with pytest.raises(DataError, match="horizon too short"):
             build_stacked_system(scalar_lti_model, scalar_structure, data, 5)
 
@@ -113,7 +113,7 @@ class TestBuildStackedSystem:
         assert "smallest feasible window length is L=2" in str(err.value)
 
     def test_ragged_data_rejected(self, scalar_lti_model, scalar_structure):
-        data = MeasurementData(zs=[np.array([1.0]), np.array([2.0, 3.0])])
+        data = MeasurementData.from_records([np.array([1.0]), np.array([2.0, 3.0])])
         with pytest.raises(DataError, match="record k=1"):
             build_stacked_system(scalar_lti_model, scalar_structure, data, 2)
 
@@ -125,7 +125,7 @@ class TestBuildStackedSystem:
         traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
                         input_signal=benchmark_input_signal(spec), seed=0)
         data = MeasurementData.from_trajectory(traj)
-        getattr(data, field)[5] = np.array([bad])
+        getattr(data, field)[5][:] = bad
         with pytest.raises(DataError, match="record k=5"):
             build_stacked_system(spec.model, spec.structure, data, 2)
 
@@ -134,12 +134,12 @@ class TestBuildStackedSystem:
         traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
                         input_signal=benchmark_input_signal(spec), seed=0)
         data = MeasurementData.from_trajectory(traj)
-        data.us = data.us[:-2]
+        short = MeasurementData.from_records(data.zs, data.us[:-2])
         with pytest.raises(DataError, match="data has 19 input records but its "
                                             "21 measurement records need 20"):
-            build_stacked_system(spec.model, spec.structure, data, 2)
-        data.us = data.us[:-1] + [np.zeros(1)] * 2
-        build_stacked_system(spec.model, spec.structure, data, 2)
+            build_stacked_system(spec.model, spec.structure, short, 2)
+        short = MeasurementData.from_records(data.zs, data.us[:-3] + [np.zeros(1)] * 2)
+        build_stacked_system(spec.model, spec.structure, short, 2)
 
     @pytest.mark.parametrize("name, warns", [("clock-ensemble", False),
                                              ("obs-ltv", True)])
@@ -362,7 +362,7 @@ class TestMinFeasibleWindow:
         left the unknown input in the residues."""
         spec = preset("unobs-unknown-input", tau=30)
         model, structure = spec.model, spec.structure
-        data = MeasurementData(zs=[np.zeros(3)] * 31)
+        data = MeasurementData.from_records([np.zeros(3)] * 31)
         calls = {
             "build_design": lambda: build_design(model, structure, 2, mode),
             "build_stacked_system": lambda: build_stacked_system(model, structure,
@@ -515,7 +515,7 @@ class TestAssembleP:
         structure = NoiseStructure.from_pairs(
             [(np.array([[1.0]]), np.zeros((2, 2))),
              (np.array([[0.0]]), np.eye(2))])
-        data = MeasurementData(zs=[np.array([float(k), 1.0]) for k in range(6)])
+        data = MeasurementData.from_records([np.array([float(k), 1.0]) for k in range(6)])
         sys_full = build_stacked_system(model, structure, data, 1)
         etas = gaussian_eta_covariances(structure, [0.0, 1.3], 1)
         ab = assemble_p(sys_full, etas)

@@ -1,9 +1,15 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from mdmest import DataError, MeasurementData, ValidationError, preset, simulate
+from mdmest import (KNOWN_INPUT, DataError, LtvModel, MeasurementData, NoAnnihilator,
+                    NoiseStructure, ValidationError, build_design, preset, simulate)
 from mdmest import io
 from mdmest.benchmarks import benchmark_input_signal
+from test_geometry import bitwise_equal
 
 
 class TestModelFiles:
@@ -115,3 +121,64 @@ class TestDataFiles:
                         '{"k": 1, "z": ["a"], "u": [0.0]}\n')
         with pytest.raises(DataError, match="line 1: 'u' is not finite"):
             io.read_data(path)
+
+
+@st.composite
+def record_sequences(draw):
+    """1-6 measurement records and, or None, as many input records: vectors
+    of 0-3 finite floats, -0.0 and subnormals among them."""
+    vectors = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       max_size=3).map(lambda v: np.array(v, dtype=float))
+    n = draw(st.integers(1, 6))
+    zs = draw(st.lists(vectors, min_size=n, max_size=n))
+    return zs, draw(st.none() | st.lists(vectors, min_size=n, max_size=n))
+
+
+def records_model(n_z, n_u):
+    """A scalar-state model whose step k has n_z[k] measurements (and, when
+    ``n_u`` is given, n_u[k] inputs), and its two-parameter structure."""
+    tau = len(n_z) - 1
+    model = LtvModel.create(
+        n_x=1, n_w=1, n_v=3, tau=tau, F=[[0.5]], E=[[1.0]],
+        G=None if n_u is None else [np.ones((1, n)) for n in n_u],
+        H=[np.ones((n, 1)) for n in n_z], D=[np.eye(3)[:n] for n in n_z])
+    structure = NoiseStructure.from_pairs([([[1.0]], np.zeros((3, 3))),
+                                           ([[0.0]], np.eye(3))])
+    return model, structure
+
+
+def obs_or_error(design, data):
+    try:
+        return design.with_data(data).obs
+    except DataError as err:
+        return str(err)
+
+
+@given(record_sequences())
+def test_measurement_records_read_back(case):
+    """``from_records`` keeps the records bit for bit, a data file gives
+    them back bit for bit, and ``with_data`` reads the same residues (or
+    the same error) from both."""
+    zs, us = case
+    data = MeasurementData.from_records(zs, us)
+    assert len(data) == len(zs)
+    for got, want in ((data.zs, zs), (data.us, us)):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert len(got) == len(want)
+            assert all(bitwise_equal(a, b) for a, b in zip(got, want))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.jsonl"
+        io.write_data(path, data)
+        back = io.read_data(path)
+    for name in ("z", "u"):
+        assert bitwise_equal(getattr(back, name), getattr(data, name)), name
+        assert bitwise_equal(getattr(back, f"n_{name}"), getattr(data, f"n_{name}")), name
+    model, structure = records_model(data.n_z.tolist(),
+                                     None if us is None else data.n_u.tolist())
+    try:
+        design = build_design(model, structure, len(data), KNOWN_INPUT)
+    except NoAnnihilator:
+        return
+    got, want = obs_or_error(design, back), obs_or_error(design, data)
+    assert got == want if isinstance(want, str) else bitwise_equal(got, want)

@@ -10,6 +10,7 @@ from hypothesis import event, given, strategies as st
 from mdmest import (
     KNOWN_INPUT,
     UNKNOWN_INPUT,
+    DataError,
     InitialCondition,
     LtvModel,
     NoAnnihilator,
@@ -321,6 +322,19 @@ class TestSimulateInputChecks:
             assert all(bitwise_equal(a, b) for a, b in zip(traj.us, ref.us))
 
 
+@pytest.mark.parametrize("args, key", [
+    ((np.zeros(3), [1, 1]), "z"),                       # lengths sum to 2, not 3
+    ((np.zeros(3), [4, -1]), "z"),                      # a negative length
+    ((np.zeros(3), [[1, 2]]), "z"),                     # lengths that are not 1-D
+    ((np.zeros(2), [1, 1], np.zeros(2), [3, -1]), "u"),
+    ((np.zeros(2), [1, 1], np.zeros(2), [1, 0]), "u"),
+])
+def test_measurement_data_refuses_record_lengths(args, key):
+    with pytest.raises(DataError, match=f"'{key}' must be 1-D and 'n_{key}' its record "
+                                        "lengths: non-negative integers summing to"):
+        MeasurementData(*args)
+
+
 @st.composite
 def matrix_sequences(draw):
     """(kind, matrices, value): the matrices of a constant, uniform or
@@ -403,7 +417,8 @@ def reference_simulate(model, structure, alpha_true, init=None, input_signal=Non
             x_next = x_next + model.G[k] @ us[k]
         xs[k + 1] = x_next
     zs = [model.H[k] @ xs[k] + model.D[k] @ vs[k] for k in range(tau + 1)]
-    return Trajectory(xs=xs, zs=zs, us=us, ws=ws, vs=vs)
+    data = MeasurementData.from_records(zs, us)
+    return Trajectory(data.z, data.n_z, data.u, data.n_u, xs=xs, ws=ws, vs=vs)
 
 
 @st.composite

@@ -8,6 +8,7 @@ Subcommands: identify, simulate, benchmark, identifiability.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -248,7 +249,10 @@ def cmd_identifiability(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it
+    unchanged)."""
     parser = argparse.ArgumentParser(
         prog="mdmest",
         description="Noise covariance identification for linear state-space models",

@@ -530,6 +530,14 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown input mode {mode!r}; choose from {modes}")
 
 
+def _check_horizon(model: LtvModel, n_records: int) -> None:
+    """DataError unless the model has a step for each of ``n_records`` records."""
+    if n_records > model.tau + 1:
+        raise DataError(
+            f"data has {n_records} records but the model horizon is tau={model.tau}"
+        )
+
+
 def _candidate_lengths(model: LtvModel, n_records: int) -> range:
     return range(1, min(max(model.n_x + 2, 12), n_records) + 1)
 
@@ -548,7 +556,7 @@ def min_feasible_window(model: LtvModel, mode: str, tol: Tolerance = DEFAULT_TOL
     annihilator can exist at an L too short to carry any state-noise
     information, e.g. single-step windows); this is the L of
     ``feasible_design``.  L runs up to max(n_x + 2, 12) and ``n_records``.
-    ``mode`` is checked as by ``build_design``.
+    ``mode`` and ``n_records`` are checked as by ``build_design``.
     """
     if n_records is None:
         n_records = model.tau + 1
@@ -556,6 +564,7 @@ def min_feasible_window(model: LtvModel, mode: str, tol: Tolerance = DEFAULT_TOL
         design = feasible_design(model, structure, mode, tol, n_records)
         return None if design is None else design.L
     _check_mode(mode)
+    _check_horizon(model, n_records)
     for L in _candidate_lengths(model, n_records):
         try:
             _annihilators(_all_window_blocks(model, L, n_records - L + 1), mode, tol)
@@ -572,7 +581,8 @@ def feasible_design(model: LtvModel, structure: NoiseStructure, mode: str,
 
     This is the L search of ``--L auto``: the first L of 1, 2, ... up to
     max(n_x + 2, 12) and ``n_records`` (default tau + 1) whose design has
-    full column rank, else None; ``mode`` is checked as by ``build_design``.
+    full column rank, else None; ``mode`` and ``n_records`` are checked as
+    by ``build_design``.
     A candidate L at which the replication Upsilon (``defining_replication``)
     has a zero column is skipped unbuilt: that column is a zero column of
     the design.  Each other candidate's design is built once, and its
@@ -589,6 +599,7 @@ def feasible_design(model: LtvModel, structure: NoiseStructure, mode: str,
     _check_mode(mode)
     if n_records is None:
         n_records = model.tau + 1
+    _check_horizon(model, n_records)
     lengths = _candidate_lengths(model, n_records)
     first, skipped = None, []
     for L in lengths:
@@ -640,12 +651,15 @@ def build_design(model: LtvModel, structure: NoiseStructure, L: int, mode: str,
     ``minimal_feasible_l`` the smallest L at which every window of the same
     n_windows + L - 1 records has one (``min_feasible_window``), or None.
     ``mode`` is KNOWN_INPUT, UNKNOWN_INPUT or NO_INPUT (else ValueError, first).
+    Windows over more records than the model's tau + 1 steps raise the
+    DataError ``with_data`` gives for such data, before any is built.
     """
     _check_mode(mode)
     if n_windows is None:
         n_windows = model.tau + 2 - L
     if n_windows < 1:
         raise DataError(f"horizon too short: no full window of length L={L}")
+    _check_horizon(model, n_windows + L - 1)
     try:
         return _design(model, defining_replication(structure, L), L, mode, tol,
                        n_windows)
@@ -695,10 +709,7 @@ def _check_lengths(kind: str, lengths: np.ndarray, expected: np.ndarray) -> None
 def _checked_records(model: LtvModel, data: MeasurementData, mode: str):
     """(z, u) of the records, end to end; u is None unless a known input
     is given."""
-    if len(data) > model.tau + 1:
-        raise DataError(
-            f"data has {len(data)} records but the model horizon is tau={model.tau}"
-        )
+    _check_horizon(model, len(data))
     _check_lengths("z", data.n_z, model.n_z_steps())
     if mode != KNOWN_INPUT:
         return data.z, None

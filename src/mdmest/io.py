@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -50,11 +51,11 @@ def _array(value, key: str, make=partial(np.asarray, dtype=float)):
 
 def load_model(path) -> ModelBundle:
     """Read a model specification file; a malformed one raises
-    ValidationError naming the key.  n_x, n_w, n_v and tau must be JSON
-    integers.  Each F/G/E/H/D entry is converted once, straight to a
-    MatrixSequence: one array when its matrices share a shape.  An empty
-    per-step H or D matrix, as ``save_model`` writes one without rows, is
-    read as (0, n_x) or (0, n_v)."""
+    ValidationError naming the key.  n_x, n_w, n_v and tau must be
+    nonnegative JSON integers.  Each F/G/E/H/D entry is converted once,
+    straight to a MatrixSequence: one array when its matrices share a
+    shape.  An empty per-step H or D matrix, as ``save_model`` writes one
+    without rows, is read as (0, n_x) or (0, n_v)."""
     with open(path) as fh:
         raw = json.load(fh)
     for key in ("n_x", "n_w", "n_v", "tau", "F", "E", "H", "D", "basis"):
@@ -65,6 +66,8 @@ def load_model(path) -> ModelBundle:
         # JSON's true and false are not integers
         if type(value) is not int:
             raise ValidationError([f"'{key}' must be an integer"])
+        if value < 0:
+            raise ValidationError([f"'{key}' must be nonnegative, got {value}"])
     for key, cols in (("H", dims["n_x"]), ("D", dims["n_v"])):
         if cols and isinstance(raw[key], list) and [] in raw[key]:
             raw[key] = [np.zeros((0, cols)) if m == [] else m for m in raw[key]]
@@ -127,61 +130,115 @@ def save_model(path, model: LtvModel, structure: NoiseStructure,
 
 
 def write_data(path, data: MeasurementData) -> None:
-    """Write measurements (and inputs, when present) as JSON Lines."""
+    """Write measurements (and inputs, when present) as JSON Lines.  Input
+    records must number none or one per measurement record, as ``read_data``
+    reads them back; other counts raise DataError before the file is
+    opened."""
     us = data.us
+    if us is not None and len(us) not in (0, len(data)):
+        raise DataError(f"data has {len(data)} measurement records and {len(us)} "
+                        "input records; a data file holds one input record per "
+                        "measurement record, or none")
     with open(path, "w") as fh:
         for k, z in enumerate(data.zs):
             record = {"k": k, "z": z.tolist()}
-            if us is not None:
+            if us:
                 record["u"] = us[k].tolist()
             fh.write(json.dumps(record) + "\n")
 
 
-def _numbers(record: dict, key: str, line_no: int) -> list:
-    """``record[key]``; DataError naming the line unless it is a flat list
-    of numbers (JSON's true and false are not numbers), and then unless
-    each is finite as a float."""
-    value = record[key]
-    if not isinstance(value, list) or not {int, float}.issuperset(map(type, value)):
-        raise DataError(f"line {line_no + 1}: '{key}' must be a flat list of numbers")
+def _check_record(record, k: int, line_no: int) -> None:
+    """DataError naming the line unless ``record`` is an object with a 'z'
+    entry, is record k, and its 'z' (and 'u', when present) is a flat list
+    of numbers (JSON's true and false are not numbers), each finite as a
+    float; the checks run in that order."""
+    if not isinstance(record, dict) or "z" not in record:
+        raise DataError(f"line {line_no + 1}: expected a JSON object with a 'z' entry")
+    if record.get("k") != k:
+        raise DataError(f"line {line_no + 1}: expected record k={k}, got {record.get('k')}")
+    for key in ("z", "u"):
+        value = record.get(key, [])
+        if not isinstance(value, list) or not {int, float}.issuperset(map(type, value)):
+            raise DataError(f"line {line_no + 1}: '{key}' must be a flat list of numbers")
+        try:
+            finite = all(map(math.isfinite, value))
+        except OverflowError:   # an integer too large for a float
+            finite = False
+        if not finite:
+            raise DataError(f"line {line_no + 1}: '{key}' is not finite")
+
+
+def _flat_numbers(values: list):
+    """(the lists ``values`` end to end as one float array, their lengths),
+    or None unless each is a flat list of finite numbers: one type pass
+    over every value, one conversion and one finiteness test."""
+    if not all(type(v) is list for v in values):
+        return None
+    flat = list(chain.from_iterable(values))
+    if not {int, float}.issuperset(map(type, flat)):
+        return None
     try:
-        if all(map(math.isfinite, value)):
-            return value
-    except OverflowError:
-        pass  # an integer too large for a float
-    raise DataError(f"line {line_no + 1}: '{key}' is not finite")
+        array = np.array(flat, dtype=float)
+    except OverflowError:   # an integer too large for a float
+        return None
+    if not np.isfinite(array).all():
+        return None
+    return array, np.array([len(v) for v in values], dtype=int)
+
+
+def _record_arrays(records: list):
+    """((z, n_z), (u, n_u)) of the decoded ``records``, the inputs of those
+    that carry 'u'; or None unless every record passes ``_check_record``,
+    tested over all records at once."""
+    if not (all(type(r) is dict and "z" in r for r in records)
+            and [r.get("k") for r in records] == list(range(len(records)))):
+        return None
+    z = _flat_numbers([r["z"] for r in records])
+    u = _flat_numbers([r["u"] for r in records if "u" in r])
+    return None if z is None or u is None else (z, u)
+
+
+def _decode_lines(text: str):
+    """(records, their 0-based line numbers, the first line that does not
+    decode or None): each non-blank line is decoded as one JSON value, up
+    to the first that is not."""
+    decode = json.JSONDecoder().raw_decode
+    records, line_nos = [], []
+    for line_no, line in enumerate(text.split("\n")):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record, end = decode(line)
+        except (ValueError, RecursionError):    # as json.loads(line) raises
+            end = None
+        if end != len(line):
+            return records, line_nos, line
+        records.append(record)
+        line_nos.append(line_no)
+    return records, line_nos, None
 
 
 def read_data(path) -> MeasurementData:
     """Read a JSON Lines data file; records must cover k = 0..tau in order,
-    each 'z' and 'u' a flat list of finite numbers.  A malformed record
-    raises DataError naming its line: the first such line, as each value is
-    checked where it is read.  Each key's values are appended to one list
-    and converted once, to the records end to end and their lengths."""
-    z, u, n_z, n_u = [], [], [], []
+    each 'z' and 'u' a flat list of finite numbers.
+
+    The file is read and decoded in one pass, and every decoded record is
+    checked at once.  A malformed record raises DataError naming its line,
+    and a line that is not JSON raises ``json.loads``' own error: whichever
+    line comes first, as if each line were checked as it is read."""
     with open(path) as fh:
-        for line_no, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if not isinstance(record, dict) or "z" not in record:
-                raise DataError(
-                    f"line {line_no + 1}: expected a JSON object with a 'z' entry"
-                )
-            if record.get("k") != len(n_z):
-                raise DataError(
-                    f"line {line_no + 1}: expected record k={len(n_z)}, got {record.get('k')}"
-                )
-            for key, values, lengths in (("z", z, n_z), ("u", u, n_u)):
-                if key in record:
-                    value = _numbers(record, key, line_no)
-                    values.extend(value)
-                    lengths.append(len(value))
-    if not n_z:
+        records, line_nos, bad_line = _decode_lines(fh.read())
+    arrays = _record_arrays(records)
+    if arrays is None:
+        # the first record that fails raises its line's message
+        for k, (record, line_no) in enumerate(zip(records, line_nos)):
+            _check_record(record, k, line_no)
+    if bad_line is not None:
+        json.loads(bad_line)    # raises the line's decoding error
+    if not records:
         raise DataError(f"no records in {Path(path)}")
-    if len(n_u) not in (0, len(n_z)):
+    (z, n_z), (u, n_u) = arrays
+    if n_u.size not in (0, n_z.size):
         raise DataError("some records carry 'u' and some do not")
-    return MeasurementData(np.array(z, dtype=float), np.array(n_z, dtype=int),
-                           *((np.array(u, dtype=float), np.array(n_u, dtype=int))
-                             if n_u else ()))
+    return MeasurementData(z, n_z, *((u, n_u) if n_u.size else ()))

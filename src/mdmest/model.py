@@ -22,7 +22,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import DataError, NotPositiveSemidefinite, ValidationError
-from .linalg import DEFAULT_TOL, block_diag, kron, vec
+from .linalg import DEFAULT_TOL
 
 __all__ = [
     "MatrixSequence",
@@ -300,15 +300,30 @@ def defining_replication(structure: NoiseStructure, L: int) -> np.ndarray:
 
     Column i is vec(blkdiag(I_{L-1} kron BQ_i, I_L kron BR_i)); hence
     Upsilon @ alpha == vec(blkdiag(I_{L-1} kron Q, I_L kron R)) for all alpha.
+    Each kron is one broadcast product over the stack of BQ_i (or BR_i),
+    the products np.kron forms (so its -0.0 entries too), placed by slicing.
     """
     if L < 1:
         raise ValueError("window length L must be >= 1")
-    lg = L - 1
-    cols = []
-    for bq, br in zip(structure.bq, structure.br):
-        blk = block_diag(kron(np.eye(lg), bq), kron(np.eye(L), br))
-        cols.append(vec(blk))
-    return np.column_stack(cols)
+    blocks = [_stacked_kron(L - 1, np.stack(structure.bq)),
+              _stacked_kron(L, np.stack(structure.br))]
+    rows, cols = (sum(b.shape[axis] for b in blocks) for axis in (1, 2))
+    # (n_alpha, col, row): each matrix transposed, so its rows are vec(blk)
+    out = np.zeros((structure.n_alpha, cols, rows))
+    r = c = 0
+    for b in blocks:
+        out[:, c:c + b.shape[2], r:r + b.shape[1]] = b.transpose(0, 2, 1)
+        r += b.shape[1]
+        c += b.shape[2]
+    return np.ascontiguousarray(out.reshape(structure.n_alpha, -1).T)
+
+
+def _stacked_kron(copies: int, stack: np.ndarray) -> np.ndarray:
+    """I_copies kron B of each B in the (count, rows, cols) ``stack``."""
+    count, rows, cols = stack.shape
+    eye = np.eye(copies)[None, :, None, :, None]
+    return (eye * stack[:, None, :, None, :]).reshape(count, copies * rows,
+                                                      copies * cols)
 
 
 def _shape_findings(model: LtvModel, structure: NoiseStructure) -> list[str]:

@@ -1,3 +1,6 @@
+import json
+import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,8 +8,10 @@ import pytest
 from hypothesis import settings
 
 from mdmest import (
+    DataError,
     InitialCondition,
     LtvModel,
+    MeasurementData,
     NoiseStructure,
 )
 from mdmest.linalg import sym_pair_indices
@@ -106,6 +111,51 @@ def rao_reference(p, sys_full):
     x_w, y_w = half @ x, half @ y
     gram_inv = np.linalg.inv(x_w.T @ x_w)
     return gram_inv @ (x_w.T @ y_w), gram_inv
+
+
+def reference_read_data(path) -> MeasurementData:
+    """``io.read_data`` as a per-line reader: each line is decoded with
+    ``json.loads`` and each value checked as it is read, so the first bad
+    line raises first.  The one-pass reader must give the same data, or
+    the same exception and message."""
+    def numbers(record, key, line_no):
+        value = record[key]
+        if not isinstance(value, list) or not {int, float}.issuperset(map(type, value)):
+            raise DataError(f"line {line_no + 1}: '{key}' must be a flat list of numbers")
+        try:
+            if all(map(math.isfinite, value)):
+                return value
+        except OverflowError:
+            pass
+        raise DataError(f"line {line_no + 1}: '{key}' is not finite")
+
+    z, u, n_z, n_u = [], [], [], []
+    with open(path) as fh:
+        for line_no, line in enumerate(fh):
+            line = line.strip()
+            if not line:
+                continue
+            record = json.loads(line)
+            if not isinstance(record, dict) or "z" not in record:
+                raise DataError(
+                    f"line {line_no + 1}: expected a JSON object with a 'z' entry"
+                )
+            if record.get("k") != len(n_z):
+                raise DataError(
+                    f"line {line_no + 1}: expected record k={len(n_z)}, got {record.get('k')}"
+                )
+            for key, values, lengths in (("z", z, n_z), ("u", u, n_u)):
+                if key in record:
+                    value = numbers(record, key, line_no)
+                    values.extend(value)
+                    lengths.append(len(value))
+    if not n_z:
+        raise DataError(f"no records in {Path(path)}")
+    if len(n_u) not in (0, len(n_z)):
+        raise DataError("some records carry 'u' and some do not")
+    return MeasurementData(np.array(z, dtype=float), np.array(n_z, dtype=int),
+                           *((np.array(u, dtype=float), np.array(n_u, dtype=int))
+                             if n_u else ()))
 
 
 def make_ragged_ltv_model(tau=12):

@@ -1,9 +1,15 @@
+import contextlib
+import io as io_
 import json
 import logging
 import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, strategies as st
 
 from mdmest import LtvModel, NoiseStructure, preset, weighted_mdm
 from mdmest import cli, io
@@ -155,6 +161,10 @@ class TestSimulateIdentify:
         ("n_x", 1.9, "'n_x'"),
         ("tau", float("inf"), "'tau'"),             # JSON's 1e999 reads as inf too
         ("D", [[10 ** 400]], "'D'"),                # beyond the largest float
+        ("tau", -1, "'tau' must be nonnegative, got -1"),
+        ("n_x", -1, "'n_x' must be nonnegative, got -1"),
+        ("n_w", -3, "'n_w' must be nonnegative, got -3"),
+        ("n_v", -2, "'n_v' must be nonnegative, got -2"),
     ])
     def test_malformed_model_file_is_a_validation_error(self, tmp_path, capsys,
                                                         key, value, named):
@@ -167,6 +177,21 @@ class TestSimulateIdentify:
         code = main(["simulate", "--model", str(model), "--out", str(tmp_path)])
         assert code == 3
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", ["2", "auto"])
+    @pytest.mark.parametrize("tau", [2, 3, 5, 10])
+    def test_data_past_the_model_horizon_is_a_validation_error(self, tmp_path, capsys,
+                                                              tau, window):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({**self.SCALAR_MODEL, "tau": tau}))
+        data = tmp_path / "data.jsonl"
+        data.write_text("".join(json.dumps({"k": k, "z": [1.0], "u": [0.0]}) + "\n"
+                                for k in range(21)))
+        code = main(["identify", "--model", str(model), "--data", str(data),
+                     "--L", window, "--out", str(tmp_path)])
+        assert code == 3
+        assert (f"error: data has 21 records but the model horizon is tau={tau}\n"
+                == capsys.readouterr().err)
 
     def test_steps_without_a_measurement_go_through_a_model_file(self, tmp_path):
         """H_k and D_k without rows (every 7th step) are saved as [] and read
@@ -547,3 +572,112 @@ class TestExitCodes:
         bad.write_text('{"n_x": 1}')
         assert main(["identify", "--model", str(bad),
                      "--data", str(bad), "--out", str(tmp_path)]) == 3
+
+
+# constant matrices, so that any tau reads; --L auto takes L = 3, and
+# --L 2 is rank deficient unless F is mutated to a time-varying sequence
+MUTANT_MODEL = {**TestSimulateIdentify.SCALAR_MODEL, "tau": 20}
+MUTANT_RECORDS = [{"k": k, "z": [np.sin(k) + 0.1 * k], "u": [0.0]} for k in range(21)]
+DELETE = object()
+NAN, INF = float("nan"), float("inf")
+# tau - 1 .. tau + 2 matrices, changing with k
+STEPS = [[[[0.9 - 0.02 * k]] for k in range(n)] for n in (19, 20, 21, 22)]
+# the values a model key may be mutated to: any key may be missing, null
+# or of a wrong type; sizes, matrices and the rest each have their own.
+# Sizes stay small: a huge tau is valid and allocates every step
+COMMON_VALUES = [DELETE, None, True, "abc", 1.5, {}, []]
+SIZE_VALUES = [-1, 0, 1, 2, 3, 5, 10, 19, 20, 21, 22]
+MATRIX_VALUES = [[[]], [[0.9]], [[1.0, 2.0]], [[1.0], [1.0, 2.0]], [[NAN]], [[INF]],
+                 [[10 ** 400]], [[[0.9]]], *STEPS]
+MODEL_VALUES = {
+    **dict.fromkeys(["n_x", "n_w", "n_v", "tau"], SIZE_VALUES),
+    **dict.fromkeys(["F", "G", "E", "H", "D"], MATRIX_VALUES),
+    "basis": [[{"BQ": [[1.0]]}], [{"BQ": [[1.0]], "BR": [[1.0]]}],
+              [{"BQ": [[1.0, 0.0], [0.0, 1.0]], "BR": [[0.0]]},
+               {"BQ": [[0.0]], "BR": [[1.0]]}],
+              [{"BQ": [[NAN]], "BR": [[0.0]]}, {"BQ": [[0.0]], "BR": [[1.0]]}]],
+    "alpha_true": [[2.0], [2.0, 1.0, 3.0], [NAN, 1.0], [-2.0, 1.0]],
+    "init": [{"mean": [1.0]}, {"mean": [1.0, 2.0], "cov": [[1.0]]},
+             {"mean": [1.0], "cov": [[-1.0]]}, {"mean": [INF], "cov": [[1.0]]}],
+}
+RECORD_VALUE = st.sampled_from([
+    DELETE, None, "a", 1.0, [], [1.0, 2.0], [NAN], [INF], [[1.0]],
+    [True], [10 ** 400], -1, 0, 20, 21, 1.0e300])
+
+
+@st.composite
+def malformed_files(draw):
+    """A valid scalar model file (tau = 20) and its 21-record data file, with
+    one key of the model or one record of the data mutated; the model file
+    is always JSON, a data line may not be."""
+    model, records = dict(MUTANT_MODEL), [dict(r) for r in MUTANT_RECORDS]
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(model)))
+        value = draw(st.sampled_from(COMMON_VALUES + MODEL_VALUES[key]))
+        if value is DELETE:
+            del model[key]
+        else:
+            model[key] = value
+        return model, [json.dumps(r) for r in records]
+    k = draw(st.integers(0, 21))
+    kind = draw(st.sampled_from(["value", "drop", "extra", "not json"]))
+    lines = [json.dumps(r) for r in records]
+    if kind == "value" and k < 21:
+        key, value = draw(st.sampled_from(["k", "z", "u"])), draw(RECORD_VALUE)
+        if value is DELETE:
+            del records[k][key]
+        else:
+            records[k][key] = value
+        lines[k] = json.dumps(records[k])
+    elif kind == "drop" and k < 21:
+        del lines[k]
+    elif kind == "extra":
+        lines.insert(k, json.dumps({"k": k, "z": [1.0], "u": [0.0]}))
+    elif kind == "not json":
+        lines.insert(k, draw(st.sampled_from(['{"k": 1, "z": [1.0', "x", "{} {}"])))
+    return model, lines
+
+
+def is_json(lines) -> bool:
+    try:
+        for line in lines:
+            json.loads(line)
+    except json.JSONDecodeError:
+        return False
+    return True
+
+
+@given(malformed_files())
+@example(({**MUTANT_MODEL, "tau": 3}, [json.dumps(r) for r in MUTANT_RECORDS]))
+@example(({**MUTANT_MODEL, "tau": -1}, [json.dumps(r) for r in MUTANT_RECORDS]))
+def test_malformed_input_never_escapes(files):
+    """Whatever one key of a model file or one record of a data file holds,
+    ``simulate``, ``identify`` (ordinary and weighted, --L auto and 2) and
+    ``identifiability`` return 0, 3 or 4 (5 only for a data file that is not
+    JSON), raise nothing, and any exit but 0 prints one "error: " line."""
+    model, lines = files
+    commands = [["simulate", "--seed", "1"]] + [
+        ["identify", "--data", "DATA", "--method", method, "--L", window]
+        for method in ("ordinary", "weighted") for window in ("auto", "2")] + [
+        ["identifiability", "--L", window] for window in ("auto", "2")]
+    with tempfile.TemporaryDirectory() as tmp:
+        model_path, data_path = Path(tmp) / "model.json", Path(tmp) / "data.jsonl"
+        model_path.write_text(json.dumps(model))
+        data_path.write_text("\n".join(lines) + "\n")
+        for command in commands:
+            argv = [str(data_path) if a == "DATA" else a for a in command]
+            argv += ["--model", str(model_path)]
+            argv += [] if command[0] == "identifiability" else [
+                "--out", str(Path(tmp) / command[0])]
+            err = io_.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io_.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("ignore")
+                code = main(argv)
+            event(f"{argv[0]} exit {code}")
+            allowed = {0, 3, 4} | ({5} if command[0] == "identify" and not is_json(lines)
+                                   else set())
+            assert code in allowed, (argv[0], code, err.getvalue())
+            errors = [line for line in err.getvalue().splitlines()
+                      if line.startswith("error: ")]
+            assert len(errors) == (code != 0), (argv[0], code, err.getvalue())

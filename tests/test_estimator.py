@@ -105,6 +105,21 @@ class TestBuildStackedSystem:
         with pytest.raises(DataError, match="horizon too short"):
             build_stacked_system(scalar_lti_model, scalar_structure, data, 5)
 
+    @pytest.mark.parametrize("tau", [2, 3, 5, 10])
+    def test_windows_past_the_horizon_rejected(self, scalar_structure, tau):
+        """Windows over 21 records of a model with fewer steps raise the
+        DataError ``with_data`` gives for such data, from each entry point
+        that builds windows."""
+        model = LtvModel.create(n_x=1, n_w=1, n_v=1, tau=tau, F=[[0.9]], G=None,
+                                E=[[1.0]], H=[[1.0]], D=[[1.0]])
+        message = f"^data has 21 records but the model horizon is tau={tau}$"
+        with pytest.raises(DataError, match=message):
+            build_design(model, scalar_structure, 2, KNOWN_INPUT, n_windows=20)
+        with pytest.raises(DataError, match=message):
+            feasible_design(model, scalar_structure, KNOWN_INPUT, n_records=21)
+        with pytest.raises(DataError, match=message):
+            min_feasible_window(model, KNOWN_INPUT, n_records=21)
+
     def test_no_annihilator_reports_minimal_window(self):
         spec = preset("obs-ltv", tau=20)
         with pytest.raises(NoAnnihilator) as err:

@@ -1,14 +1,16 @@
+import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mdmest import (KNOWN_INPUT, DataError, LtvModel, MeasurementData, NoAnnihilator,
                     NoiseStructure, ValidationError, build_design, preset, simulate)
 from mdmest import io
 from mdmest.benchmarks import benchmark_input_signal
+from conftest import reference_read_data
 from test_geometry import bitwise_equal
 
 
@@ -115,6 +117,26 @@ class TestDataFiles:
                            "of numbers"):
             io.read_data(path)
 
+    @pytest.mark.parametrize("n_u", [1, 2, 4])
+    def test_write_data_refuses_input_record_counts(self, tmp_path, n_u):
+        """Input records that are neither none nor one per measurement
+        record raise before the file is created."""
+        data = MeasurementData.from_records([np.ones(1)] * 3, [np.zeros(1)] * n_u)
+        path = tmp_path / "d.jsonl"
+        with pytest.raises(DataError, match=f"^data has 3 measurement records and "
+                           f"{n_u} input records"):
+            io.write_data(path, data)
+        assert not path.exists()
+
+    def test_write_data_without_input_records_writes_no_u(self, tmp_path):
+        data = MeasurementData(np.ones(3), np.ones(3, dtype=int), np.zeros(0),
+                               np.zeros(0, dtype=int))
+        path = tmp_path / "d.jsonl"
+        io.write_data(path, data)
+        back = io.read_data(path)
+        assert back.u is None
+        assert bitwise_equal(back.z, data.z)
+
     def test_earlier_nonfinite_line_is_reported_before_a_malformed_one(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"k": 0, "z": [1.0], "u": [NaN]}\n'
@@ -182,3 +204,107 @@ def test_measurement_records_read_back(case):
         return
     got, want = obs_or_error(design, back), obs_or_error(design, data)
     assert got == want if isinstance(want, str) else bitwise_equal(got, want)
+
+
+NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.integers(-10 ** 6, 10 ** 6)).map(json.dumps)
+# JSON texts a record value may be mutated to: not numbers, not finite,
+# beyond the largest float (2**1024 - 2**970 rounds up to 2**1024), and
+# integers at the top of the float range that still convert
+BAD_VALUE = st.sampled_from([
+    "true", "false", "null", '"a"', "[1.0]", "{}", "NaN", "Infinity", "-Infinity",
+    str(10 ** 400), str(-10 ** 400), str(2 ** 1024 - 2 ** 970),
+    str(2 ** 1024 - 2 ** 971), str(10 ** 30)])
+BAD_K = st.sampled_from([None, "{k}.0", "true", "false", "{k1}", "null", '"{k}"', "-1"])
+BAD_LIST = st.sampled_from(["null", "1.0", '"abc"', "[[1.0, 2.0], [3.0]]", "{}", "[]"])
+BAD_LINE = st.sampled_from([
+    '{"k": 0, "z": [1.0,', "x", '{"k": 0, "z": [1.0]} {}', "[1.0]", "3", '"s"',
+    "{'k': 0}", "[" * 3, "{}", "null"])
+
+
+def render(record) -> str:
+    """One JSON Lines record from its text parts: a k text (None drops the
+    key) and z and u lists of value texts, or a whole text, or None."""
+    parts = [] if record["k"] is None else [f'"k": {record["k"]}']
+    for key in ("z", "u"):
+        value = record[key]
+        if value is not None:
+            text = value if isinstance(value, str) else f"[{', '.join(value)}]"
+            parts.append(f'"{key}": {text}')
+    return "{" + ", ".join(parts) + "}"
+
+
+@st.composite
+def data_files(draw):
+    """The text of a data file: 0-6 valid records (with or without inputs),
+    then 0-3 mutations, each of one line; the lines end in LF, CRLF or CR."""
+    n = draw(st.integers(0, 6))
+    vectors = st.lists(NUMBER, max_size=3)
+    with_u = draw(st.booleans())
+    records = [{"k": str(k), "z": draw(vectors), "u": draw(vectors) if with_u else None}
+               for k in range(n)]
+    lines = [None] * n          # a mutated line's whole text
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["value", "k", "swap", "u", "z", "line", "line",
+                                     "blank"]))
+        if kind == "blank" or not records:
+            at = draw(st.integers(0, len(records)))
+            records.insert(at, None)
+            lines.insert(at, draw(st.sampled_from(["", "  ", "\t", " \t "])))
+            continue
+        i = draw(st.integers(0, len(records) - 1))
+        record = records[i]
+        if record is None:
+            continue
+        if kind == "value":
+            key = "u" if record["u"] is not None and draw(st.booleans()) else "z"
+            if isinstance(record[key], list):
+                pos = draw(st.integers(0, len(record[key])))
+                record[key] = (record[key][:pos] + [draw(BAD_VALUE)]
+                               + record[key][pos + 1:])
+        elif kind == "k":
+            bad = draw(BAD_K)
+            record["k"] = None if bad is None else bad.format(k=i, k1=i + 1)
+        elif kind == "swap" and i + 1 < len(records):
+            records[i], records[i + 1] = records[i + 1], records[i]
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        elif kind in ("u", "z"):
+            record[kind] = draw(st.none() | BAD_LIST | vectors)
+        elif kind == "line":
+            lines[i] = draw(BAD_LINE)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(render(r) if line is None else line
+                    for r, line in zip(records, lines))
+    return text + end if text and draw(st.booleans()) else text
+
+
+def read_outcome(read, path):
+    """The arrays ``read(path)`` gives, as (dtype, shape, bytes), or the
+    type and message of what it raises."""
+    try:
+        data = read(path)
+    except Exception as err:    # compared, not swallowed
+        return type(err), str(err)
+    return tuple(None if a is None else (a.dtype.str, a.shape, a.tobytes())
+                 for a in (data.z, data.n_z, data.u, data.n_u))
+
+
+@given(data_files())
+@example('{"k": 0, "z": [1.0]}\n{"k": 1, "z": [true]}\n{"k": 2, "z": [1.0],\n')
+@example('{"k": 0, "z": [1.0]}\n{"k": 1, "z": [1.0],\n{"k": 2, "z": [NaN]}\n')
+@example('{"k": 0, "z": [1.0]}\r\n\r\n {"k": 1.0, "z": []} \r\n{"k": 2, "z": [2]}\r\n')
+@example('{"k": false, "z": [1e308, -0.0]}\n{"k": true, "z": [2]}\n')
+@example('{"k": 0, "z": [1.0]}\n{"k": 1, "z": [%d]}\n' % 10 ** 400)
+@example('{"k": 0, "z": [1.0], "u": [1]}\n{"k": 1, "z": [1.0], "u": [1, 2]}\n')
+@example('{"k": 0, "z": [1.0], "u": [0]}\n{"k": 1, "z": [1.0]}\n')
+@example("")
+@example(" \n\t\n")
+def test_read_data_matches_the_per_line_reader(text):
+    """The one-pass ``read_data`` gives the per-line reader's data bit for
+    bit, or raises the same exception with the same message: the first bad
+    line's, whether it is a malformed record or a line that is not JSON."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.jsonl"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        assert read_outcome(io.read_data, path) == read_outcome(reference_read_data, path)

@@ -34,10 +34,11 @@ from mdmest import (
 )
 from mdmest import io
 from mdmest.benchmarks import benchmark_input_signal
+from mdmest.linalg import block_diag
 from mdmest.model import MatrixSequence, MeasurementData, Trajectory, psd_factor
 import scipy.linalg
 
-from test_geometry import bitwise_equal, window_cases
+from test_geometry import bitwise_equal, layout, window_cases
 from test_residue import window_residue
 
 from conftest import window_arrays
@@ -122,6 +123,35 @@ class TestDefiningReplication:
         a = rng.standard_normal(2)
         b = rng.standard_normal(2)
         assert np.allclose(ups @ (a + b), ups @ a + ups @ b)
+
+
+ENTRY = st.sampled_from([0.0, -0.0, 1.0, -1.5, 2.5e-300, -3e300, np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def replication_cases(draw):
+    """A structure of 1-3 pairs with 0-3 by 0-3 BQ_i and BR_i of signed
+    zeros, small and large values and non-finite ones, and an L of 1-6."""
+    n_alpha, n_w, n_v = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    pairs = [tuple(np.array(draw(st.lists(ENTRY, min_size=n * n, max_size=n * n)),
+                            dtype=float).reshape(n, n) for n in (n_w, n_v))
+             for _ in range(n_alpha)]
+    return NoiseStructure.from_pairs(pairs), draw(st.integers(1, 6))
+
+
+@given(replication_cases())
+def test_defining_replication_is_the_kron_assembly(case):
+    """Each column is bit for bit vec(blkdiag(I_{L-1} kron BQ_i, I_L kron BR_i))
+    as np.kron forms it (0 * b gives -0.0 for b < 0 and NaN for an infinite
+    b), in the same memory layout."""
+    structure, L = case
+    with np.errstate(invalid="ignore"):
+        want = np.column_stack([
+            vec(block_diag(np.kron(np.eye(L - 1), bq), np.kron(np.eye(L), br)))
+            for bq, br in zip(structure.bq, structure.br)])
+        got = defining_replication(structure, L)
+    assert bitwise_equal(got, want)
+    assert got.size == 0 or layout(got) == layout(want)
 
 
 class TestValidate:

@@ -41,12 +41,13 @@ __all__ = ["BenchmarkSpec", "McResult", "PRESET_NAMES", "preset",
 
 PRESET_NAMES = ("clock-ensemble", "unobs-unknown-input", "obs-ltv")
 
-# Monte-Carlo runs are simulated in chunks of at most _RUN_CHUNK runs, and of
-# few enough that a chunk's (runs, tau+1, width) arrays hold at most
-# _CHUNK_ELEMENTS floats each (256 KiB); their residues are formed, and
-# their estimates solved, for as many runs at a time as fit the same bound
-# in a (runs, n_rows) array, and weighted in assemble_p's (runs, b+1, m) bands
-_RUN_CHUNK = 32
+# Monte-Carlo runs are simulated in chunks of as many runs as keep each of
+# the chunk's (runs, tau+1, width) arrays within _CHUNK_ELEMENTS floats
+# (256 KiB); their residues are formed, and their estimates solved, for as
+# many runs at a time as fit the same bound in a (runs, n_rows) array, and
+# weighted in assemble_p's (runs, b+1, m) bands.  No run count caps a chunk:
+# simulate_runs' per-run work is one generator's draws, and a larger chunk
+# spreads its per-step loop over more runs
 _CHUNK_ELEMENTS = 2 ** 15
 
 
@@ -194,16 +195,18 @@ def benchmark_input_signal(spec: BenchmarkSpec) -> np.ndarray | None:
 
 def _chunk_sizes(spec: BenchmarkSpec, design,
                  method: str = "ordinary") -> tuple[int, int]:
-    """Runs simulated together, and runs estimated together: at most
-    _RUN_CHUNK, and few enough that each (runs, tau+1, width) array of the
-    simulation, and the (runs, n_rows) squared residues (weighted: the
-    (runs, b+1, m) weight bands of ``design.weight_band_shape``), hold at
-    most _CHUNK_ELEMENTS floats."""
+    """Runs simulated together, and runs estimated together: as many as
+    keep each (runs, tau+1, width) array of the simulation (width the
+    largest of n_x, n_w, n_v and n_z; the drawn normals, n_w + n_v wide,
+    are freed before the states are stepped), and the (runs, n_rows)
+    squared residues (weighted: the (runs, b+1, m) weight bands of
+    ``design.weight_band_shape``), within _CHUNK_ELEMENTS floats, and at
+    least one."""
     model = spec.model
     width = max(model.n_x, model.n_w, model.n_v, int(model.n_z_steps().max()))
     rows = (int(np.prod(design.weight_band_shape)) if method == "weighted"
             else design.n_rows)
-    return tuple(max(1, min(_RUN_CHUNK, _CHUNK_ELEMENTS // per_run))
+    return tuple(max(1, _CHUNK_ELEMENTS // per_run)
                  for per_run in ((model.tau + 1) * width, rows))
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -29,6 +30,25 @@ from .model import (InitialCondition, LtvModel, MatrixSequence, MeasurementData,
                     NoiseStructure)
 
 __all__ = ["ModelBundle", "load_model", "save_model", "read_data", "write_data"]
+
+
+def _read_text(path) -> str:
+    """The text of the file at ``path``, read as UTF-8, as JSON is written.
+    A file that is not raises the decoder's UnicodeDecodeError, with the
+    file named at the end of its message."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            exc.reason = f"{exc.reason} in {path}"
+            raise
+
+
+def _too_many_digits() -> str:
+    """What json.loads' one ValueError that is not a JSONDecodeError means:
+    Python converts integers of at most sys.get_int_max_str_digits()
+    digits."""
+    return f"a number has more than {sys.get_int_max_str_digits()} digits"
 
 
 @dataclass
@@ -55,9 +75,17 @@ def load_model(path) -> ModelBundle:
     nonnegative JSON integers.  Each F/G/E/H/D entry is converted once,
     straight to a MatrixSequence: one array when its matrices share a
     shape.  An empty per-step H or D matrix, as ``save_model`` writes one
-    without rows, is read as (0, n_x) or (0, n_v)."""
-    with open(path) as fh:
-        raw = json.load(fh)
+    without rows, is read as (0, n_x) or (0, n_v).  A file that is not JSON
+    raises ``json.loads``' error, and one that is not UTF-8 text the
+    decoder's; a number of more digits than Python converts raises
+    ValidationError naming the file."""
+    text = _read_text(path)
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        raise ValidationError([f"{path}: {_too_many_digits()}"]) from None
     for key in ("n_x", "n_w", "n_v", "tau", "F", "E", "H", "D", "basis"):
         if key not in raw:
             raise ValidationError([f"model file is missing required key '{key}'"])
@@ -200,8 +228,8 @@ def _record_arrays(records: list):
 
 def _decode_lines(text: str):
     """(records, their 0-based line numbers, the first line that does not
-    decode or None): each non-blank line is decoded as one JSON value, up
-    to the first that is not."""
+    decode and its number, or None): each non-blank line is decoded as one
+    JSON value, up to the first that is not."""
     decode = json.JSONDecoder().raw_decode
     records, line_nos = [], []
     for line_no, line in enumerate(text.split("\n")):
@@ -213,10 +241,21 @@ def _decode_lines(text: str):
         except (ValueError, RecursionError):    # as json.loads(line) raises
             end = None
         if end != len(line):
-            return records, line_nos, line
+            return records, line_nos, (line, line_no)
         records.append(record)
         line_nos.append(line_no)
     return records, line_nos, None
+
+
+def _raise_decode_error(line: str, line_no: int) -> None:
+    """Raise the error of the line that does not decode: ``json.loads``'
+    own, or a DataError naming the line for a number of too many digits."""
+    try:
+        json.loads(line)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        raise DataError(f"line {line_no + 1}: {_too_many_digits()}") from None
 
 
 def read_data(path) -> MeasurementData:
@@ -224,18 +263,19 @@ def read_data(path) -> MeasurementData:
     each 'z' and 'u' a flat list of finite numbers.
 
     The file is read and decoded in one pass, and every decoded record is
-    checked at once.  A malformed record raises DataError naming its line,
-    and a line that is not JSON raises ``json.loads``' own error: whichever
-    line comes first, as if each line were checked as it is read."""
-    with open(path) as fh:
-        records, line_nos, bad_line = _decode_lines(fh.read())
+    checked at once.  A malformed record, or a number of more digits than
+    Python converts, raises DataError naming its line, and a line that is
+    not JSON raises ``json.loads``' own error: whichever line comes first,
+    as if each line were checked as it is read.  A file that is not UTF-8
+    text raises the decoder's error."""
+    records, line_nos, bad_line = _decode_lines(_read_text(path))
     arrays = _record_arrays(records)
     if arrays is None:
         # the first record that fails raises its line's message
         for k, (record, line_no) in enumerate(zip(records, line_nos)):
             _check_record(record, k, line_no)
     if bad_line is not None:
-        json.loads(bad_line)    # raises the line's decoding error
+        _raise_decode_error(*bad_line)
     if not records:
         raise DataError(f"no records in {Path(path)}")
     (z, n_z), (u, n_u) = arrays

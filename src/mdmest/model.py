@@ -503,7 +503,7 @@ class SimulatedRuns:
     as the estimator reads them.
     """
 
-    xs: np.ndarray                      # (runs, tau+1, n_x)
+    xs: np.ndarray                      # (runs, tau+1, n_x), a view of step-major states
     zs: np.ndarray                      # (runs, tau+1, max n_z), z_k in row k's first n_z[k]
     ws: np.ndarray                      # (runs, tau, n_w)
     vs: np.ndarray                      # (runs, tau+1, n_v)
@@ -544,12 +544,17 @@ def simulate_runs(model: LtvModel, structure: NoiseStructure, alpha_true,
     for that seed, simulated together.
 
     The checks, the noise factors and the input are made once for all
-    runs.  Each run draws its own noises from its own seed; E w, G u, H x
-    and D v are stacked products over the (runs, steps) axes, and the state
-    recursion steps all runs at once: np.matmul(F_k, X[..., None]) on the
-    (runs, n_x) state X is a per-matrix product, so per run it gives the
-    bits of F_k @ x (X @ F_k.T would not).  Returns the runs' arrays, which
-    iterate as the runs' trajectories.
+    runs; only the generator is per run, and it draws the initial state's
+    and the noises' normals, in ``simulate``'s order, straight into the
+    runs' arrays.  The factor products (S_x x0, S_r v, S_q w) and E w, G u,
+    H x and D v are stacked products over the runs (and steps), whose
+    slices have the strides, and so the bits, of the one-run products.  The
+    state recursion steps all runs at once, in place, in a contiguous
+    (tau+1, runs, n_x, 1) buffer: X_{k+1} = np.matmul(F_k, X_k) + E w, a
+    per-matrix product that per run gives the bits of F_k @ x (X @ F_k.T
+    would not), then += G u, the roundings of F x + E w + G u.  Returns
+    the runs' arrays (the states a view of that buffer), which iterate as
+    the runs' trajectories.
     """
     findings = _shape_findings(model, structure)
     if findings:
@@ -568,15 +573,15 @@ def simulate_runs(model: LtvModel, structure: NoiseStructure, alpha_true,
 
     tau, n_x, n_v = model.tau, model.n_x, model.n_v
     seeds = list(seeds)
-    xs = np.empty((len(seeds), tau + 1, n_x))
-    ws = np.empty((len(seeds), tau, model.n_w))
-    vs = np.empty((len(seeds), tau + 1, n_v))
+    x0 = np.empty((len(seeds), n_x))
+    noise = np.empty((len(seeds), tau + 1, n_v + model.n_w))
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        xs[i, 0] = mean + s_x @ rng.standard_normal(n_x)
-        noise = rng.standard_normal((tau + 1, n_v + model.n_w))
-        vs[i] = noise[:, :n_v] @ s_r.T
-        ws[i] = noise[:tau, n_v:] @ s_q.T
+        rng.standard_normal(out=x0[i])
+        rng.standard_normal(out=noise[i])
+    vs = noise[..., :n_v] @ s_r.T
+    ws = noise[:, :tau, n_v:] @ s_q.T
+    del noise
 
     ew = _step_products(model.E, ws, tau)
     gu = repeat(None)
@@ -584,15 +589,17 @@ def simulate_runs(model: LtvModel, structure: NoiseStructure, alpha_true,
         # -0.0 is the exact identity of addition: a step without inputs
         # adds nothing, as if skipped
         gu = _step_products(model.G, u[None], tau, fill=-0.0)[0, :, :, None]
-    # step k of the state is the (runs, n_x, 1) view xk[k]; each step is
-    # written in place
-    xk = xs.transpose(1, 0, 2)[..., None]
+    # step k of the state is the contiguous (runs, n_x, 1) block xk[k],
+    # each step written in place
+    xk = np.empty((tau + 1, len(seeds), n_x, 1))
+    xk[0, ..., 0] = mean + np.matmul(s_x, x0[..., None])[..., 0]
     for f, e, g, x, x_next in zip(model.F.take(np.arange(tau)),
                                   ew.transpose(1, 0, 2)[..., None], gu, xk, xk[1:]):
         np.add(np.matmul(f, x), e, out=x_next)
         if g is not None:
             x_next += g
     del ew
+    xs = xk[..., 0].transpose(1, 0, 2)
     zm = _step_products(model.H, xs, tau + 1)
     zm += _step_products(model.D, vs, tau + 1)
     return SimulatedRuns(xs=xs, zs=zm, ws=ws, vs=vs, n_z=model.n_z_steps(), u=u, n_u=n_u)

@@ -1,6 +1,7 @@
 import json
 import math
 from pathlib import Path
+from sys import get_int_max_str_digits
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +15,7 @@ from mdmest import (
     MeasurementData,
     NoiseStructure,
 )
+from mdmest import estimator
 from mdmest.linalg import sym_pair_indices
 
 
@@ -93,6 +95,33 @@ def isserlis_p(sys, etas):
     return p
 
 
+def reference_assemble_bands(sys, crosses):
+    """``estimator._assemble_bands`` with every product per (run, window):
+    lag j's blocks are ac[:, :n] @ C[:, j, None] @ ac_t[:, j:] over the
+    windows' own ``ac``, with no stacked first product.  The batched
+    assembly must give the same band bytes."""
+    runs = crosses.shape[0]
+    red, offsets = sys.reduction, sys._weight_offsets
+    ab = np.zeros((runs,) + sys.weight_band_shape)
+    ac = sys.ac[None]
+    ac_t = ac.swapaxes(-1, -2)
+    if red is not None:
+        t = red.transforms[red.kinds][None]
+        t_t = t.swapaxes(-1, -2)
+    si, sj = sym_pair_indices(sys.ac.shape[1])
+    for j in range(min(sys.L, sys.n_windows)):
+        n = sys.n_windows - j
+        g = ac[:, :n] @ crosses[:, j, None] @ ac_t[:, j:]
+        blk = (g[..., sj[:, None], sj] * g[..., si[:, None], si]
+               + g[..., sj[:, None], si] * g[..., si[:, None], sj])
+        if j == 0:
+            blk = 0.5 * (blk + blk.swapaxes(-1, -2))
+        if red is not None:
+            blk = t[:, :n] @ blk @ t_t[:, j:]
+        estimator._scatter_blocks(ab, blk, offsets, j)
+    return ab
+
+
 def kept_rows(sys, p):
     """M P M^T for the row map M of ``sys.reduction``: ``RowReduction.apply``
     to the rows of the all-row matrix ``p``, then to the columns."""
@@ -115,7 +144,8 @@ def rao_reference(p, sys_full):
 
 def reference_read_data(path) -> MeasurementData:
     """``io.read_data`` as a per-line reader: each line is decoded with
-    ``json.loads`` and each value checked as it is read, so the first bad
+    ``json.loads`` (an integer of too many digits to convert is a DataError
+    naming the line) and each value checked as it is read, so the first bad
     line raises first.  The one-pass reader must give the same data, or
     the same exception and message."""
     def numbers(record, key, line_no):
@@ -135,7 +165,13 @@ def reference_read_data(path) -> MeasurementData:
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                raise
+            except ValueError:      # an integer of more digits than Python converts
+                raise DataError(f"line {line_no + 1}: a number has more than "
+                                f"{get_int_max_str_digits()} digits") from None
             if not isinstance(record, dict) or "z" not in record:
                 raise DataError(
                     f"line {line_no + 1}: expected a JSON object with a 'z' entry"

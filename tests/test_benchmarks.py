@@ -33,6 +33,15 @@ from mdmest.benchmarks import benchmark_input_signal
 from mdmest.linalg import Tolerance
 from mdmest.model import MatrixSequence
 
+CHUNK_SIZES = benchmarks._chunk_sizes
+
+
+def cap_chunks(monkeypatch, chunk):
+    """Simulate, and estimate, at most ``chunk`` runs at a time in run_mc
+    (and in the worker processes it forks)."""
+    monkeypatch.setattr(benchmarks, "_chunk_sizes", lambda *args: tuple(
+        min(chunk, size) for size in CHUNK_SIZES(*args)))
+
 
 class TestPresetFidelity:
     def test_clock_constants(self):
@@ -179,7 +188,7 @@ class TestRunMc:
         monkeypatch.setattr(benchmarks, "simulate_runs", recording)
         results = []
         for chunk, workers in ((1, 1), (3, 1), (spec.n_mc, 1), (3, 2)):
-            monkeypatch.setattr(benchmarks, "_RUN_CHUNK", chunk)
+            cap_chunks(monkeypatch, chunk)
             results.append(run_mc(spec, method, workers=workers))
         # the worker processes record in their own copies of the list
         assert chunks == [1] * 7 + [3, 3, 1] + [7]
@@ -192,14 +201,16 @@ class TestRunMc:
                 assert res.mean_est_cov_diag is None
 
     @pytest.mark.parametrize("name, tau, sizes", [("clock-ensemble", 1000, (5, 1)),
-                                                  ("clock-ensemble", 60, (32, 4)),
+                                                  ("clock-ensemble", 60, (89, 4)),
                                                   ("obs-ltv", 1000, (32, 32)),
-                                                  ("unobs-unknown-input", 100, (32, 32))])
+                                                  ("unobs-unknown-input", 100, (108, 54))])
     def test_chunk_bound_covers_the_residues(self, name, tau, sizes):
         """The (runs, n_rows) squared residues formed together stay within
-        the element bound: the clock's 134,912 rows per run at tau=1000
-        are formed one run at a time, while its runs are still simulated
-        five at a time."""
+        the element bound, which alone sizes the chunks: the clock's
+        134,912 rows per run at tau=1000 are formed one run at a time,
+        while its runs are still simulated five at a time, and unobs's 303
+        state entries and 600 rows per run at tau=100 give chunks of 108
+        and 54 runs."""
         spec = preset(name, tau=tau)
         design = build_design(spec.model, spec.structure, spec.L, spec.mode)
         assert benchmarks._chunk_sizes(spec, design) == sizes
@@ -253,7 +264,7 @@ class TestRunMc:
         else:
             spec = replace(preset("obs-ltv", tau=100, n_mc=7, seed=4),
                            alpha_true=np.array([1.2e307, 1.2e307]))
-        monkeypatch.setattr(benchmarks, "_RUN_CHUNK", chunk)
+        cap_chunks(monkeypatch, chunk)
         with pytest.raises(MdmError, match=re.escape(text)):
             run_mc(spec, method)
 
@@ -281,7 +292,7 @@ class TestRunMc:
         spec = preset(name, tau=tau, n_mc=n_mc, seed=seed)
         if noise is not None:
             spec = replace(spec, alpha_true=np.full(2, noise))
-        monkeypatch.setattr(benchmarks, "_RUN_CHUNK", chunk)
+        cap_chunks(monkeypatch, chunk)
         with pytest.raises(MdmError, match=re.escape(text)):
             run_mc(spec, "weighted", workers=workers, tol=Tolerance(rank_tol=rank_tol))
 

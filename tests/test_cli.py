@@ -3,6 +3,7 @@ import io as io_
 import json
 import logging
 import re
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -139,6 +140,42 @@ class TestSimulateIdentify:
         assert code == 3
         assert f"line 4: '{key}' {problem}" in capsys.readouterr().err
 
+    def test_number_of_too_many_digits_in_data_names_the_line(
+            self, tmp_path, obs_ltv_model_file, capsys):
+        """An integer of more digits than Python converts exits 3 naming its
+        line, as a number beyond the largest float does."""
+        long_int = "9" * (sys.get_int_max_str_digits() + 700)
+        data = tmp_path / "long.jsonl"
+        data.write_text("".join(
+            (f'{{"k": 3, "z": [{long_int}], "u": [0.0]}}' if k == 3
+             else json.dumps({"k": k, "z": [1.0], "u": [0.0]})) + "\n"
+            for k in range(10)))
+        code = main(["identify", "--model", str(obs_ltv_model_file),
+                     "--data", str(data), "--out", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: line 4: a number has more than {sys.get_int_max_str_digits()} "
+            "digits\n")
+
+    @pytest.mark.parametrize("which", ["model", "data"])
+    def test_file_that_is_not_utf8_is_an_io_error(self, tmp_path, obs_ltv_model_file,
+                                                 capsys, which):
+        """A model or data file with a byte that is not UTF-8 exits 5 with
+        one error line that names the file, as a file that is not JSON
+        exits 5."""
+        data = tmp_path / "data.jsonl"
+        data.write_text("".join(json.dumps({"k": k, "z": [1.0], "u": [0.0]}) + "\n"
+                                for k in range(10)))
+        bad = {"model": obs_ltv_model_file, "data": data}[which]
+        text = bad.read_bytes()
+        bad.write_bytes(text[:20] + b"\xff" + text[20:])
+        code = main(["identify", "--model", str(obs_ltv_model_file),
+                     "--data", str(data), "--out", str(tmp_path)])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err == ("error: 'utf-8' codec can't decode byte 0xff in position 20: "
+                       f"invalid start byte in {bad}\n")
+
     SCALAR_MODEL = {
         "n_x": 1, "n_w": 1, "n_v": 1, "tau": 5, "F": [[0.9]], "G": [[1.0]],
         "E": [[1.0]], "H": [[1.0]], "D": [[1.0]],
@@ -177,6 +214,19 @@ class TestSimulateIdentify:
         code = main(["simulate", "--model", str(model), "--out", str(tmp_path)])
         assert code == 3
         assert named in capsys.readouterr().err
+
+    def test_number_of_too_many_digits_in_a_model_names_the_file(self, tmp_path,
+                                                                 capsys):
+        """An integer of more digits than Python converts exits 3 naming the
+        model file, as a malformed key does."""
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({**self.SCALAR_MODEL, "alpha_true": [2.0, "LONG"]})
+                         .replace('"LONG"', "1" * (sys.get_int_max_str_digits() + 700)))
+        code = main(["simulate", "--model", str(model), "--out", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {model}: a number has more than {sys.get_int_max_str_digits()} "
+            "digits\n")
 
     @pytest.mark.parametrize("window", ["2", "auto"])
     @pytest.mark.parametrize("tau", [2, 3, 5, 10])

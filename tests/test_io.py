@@ -1,4 +1,5 @@
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -208,13 +209,17 @@ def test_measurement_records_read_back(case):
 
 NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                    st.integers(-10 ** 6, 10 ** 6)).map(json.dumps)
+# an integer of more digits than Python converts (json.loads raises a
+# ValueError that is not a JSONDecodeError)
+LONG_INT = "9" * (sys.get_int_max_str_digits() + 700)
 # JSON texts a record value may be mutated to: not numbers, not finite,
-# beyond the largest float (2**1024 - 2**970 rounds up to 2**1024), and
-# integers at the top of the float range that still convert
+# beyond the largest float (2**1024 - 2**970 rounds up to 2**1024),
+# integers at the top of the float range that still convert, and one that
+# does not decode
 BAD_VALUE = st.sampled_from([
     "true", "false", "null", '"a"', "[1.0]", "{}", "NaN", "Infinity", "-Infinity",
     str(10 ** 400), str(-10 ** 400), str(2 ** 1024 - 2 ** 970),
-    str(2 ** 1024 - 2 ** 971), str(10 ** 30)])
+    str(2 ** 1024 - 2 ** 971), str(10 ** 30), LONG_INT])
 BAD_K = st.sampled_from([None, "{k}.0", "true", "false", "{k1}", "null", '"{k}"', "-1"])
 BAD_LIST = st.sampled_from(["null", "1.0", '"abc"', "[[1.0, 2.0], [3.0]]", "{}", "[]"])
 BAD_LINE = st.sampled_from([
@@ -295,6 +300,8 @@ def read_outcome(read, path):
 @example('{"k": 0, "z": [1.0]}\r\n\r\n {"k": 1.0, "z": []} \r\n{"k": 2, "z": [2]}\r\n')
 @example('{"k": false, "z": [1e308, -0.0]}\n{"k": true, "z": [2]}\n')
 @example('{"k": 0, "z": [1.0]}\n{"k": 1, "z": [%d]}\n' % 10 ** 400)
+@example('{"k": 0, "z": [true]}\n{"k": 1, "z": [%s]}\n' % LONG_INT)
+@example('{"k": 0, "z": [1.0]}\n{"k": 1, "z": [%s]}\n{"k": 2, "z": [NaN]}\n' % LONG_INT)
 @example('{"k": 0, "z": [1.0], "u": [1]}\n{"k": 1, "z": [1.0], "u": [1, 2]}\n')
 @example('{"k": 0, "z": [1.0], "u": [0]}\n{"k": 1, "z": [1.0]}\n')
 @example("")

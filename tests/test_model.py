@@ -512,11 +512,9 @@ def batched_simulation_cases(draw):
     return model, structure, L, mode, alpha, u, seeds
 
 
-@given(batched_simulation_cases())
-def test_simulate_runs_is_bitwise_per_seed(case):
-    """Several runs simulated together give, seed by seed, the step-by-step
-    trajectory bit for bit, with and without the input."""
-    model, structure, _, _, alpha, u, seeds = case
+def assert_runs_are_bitwise_per_seed(model, structure, alpha, u, seeds):
+    """Runs simulated together give, seed by seed, the step-by-step
+    trajectory bit for bit, with and without the input ``u``."""
     for signal in (None, u):
         runs = list(simulate_runs(model, structure, alpha, input_signal=signal,
                                   seeds=seeds))
@@ -532,6 +530,37 @@ def test_simulate_runs_is_bitwise_per_seed(case):
                 if got is not None:
                     assert len(got) == len(want), name
                     assert all(bitwise_equal(a, b) for a, b in zip(got, want)), name
+
+
+@given(batched_simulation_cases())
+def test_simulate_runs_is_bitwise_per_seed(case):
+    """Several runs simulated together give, seed by seed, the step-by-step
+    trajectory bit for bit, with and without the input."""
+    model, structure, _, _, alpha, u, seeds = case
+    assert_runs_are_bitwise_per_seed(model, structure, alpha, u, seeds)
+
+
+@pytest.mark.parametrize("n_seeds", [1, 40])
+@pytest.mark.parametrize("n_w, n_v, tau", [(0, 2, 6), (2, 0, 6), (0, 2, 0),
+                                           (2, 0, 0), (2, 2, 0)])
+def test_simulate_runs_is_bitwise_on_shapes_no_case_draws(n_w, n_v, tau, n_seeds):
+    """Shapes ``window_cases`` never draws: no state noise (n_w = 0), no
+    measurement noise (n_v = 0), no step (tau = 0), and 1 or 40 seeds; an
+    LTV two-state model with an input still gives each seed's step-by-step
+    trajectory bit for bit."""
+    rng = np.random.default_rng(n_w + 3 * n_v + 7 * tau)
+    model = LtvModel.create(
+        n_x=2, n_w=n_w, n_v=n_v, tau=tau,
+        F=[0.5 * rng.standard_normal((2, 2)) for _ in range(tau + 1)],
+        G=rng.standard_normal((2, 1)), E=rng.standard_normal((2, n_w)),
+        H=[rng.standard_normal((2, 2)) for _ in range(tau + 1)],
+        D=rng.standard_normal((2, n_v)))
+    structure = NoiseStructure.from_pairs([(np.eye(n_w), np.zeros((n_v, n_v))),
+                                           (np.zeros((n_w, n_w)), np.eye(n_v))])
+    assert validate(model, structure).ok
+    seeds = list(range(5, 5 + n_seeds))
+    assert_runs_are_bitwise_per_seed(model, structure, np.array([1.5, 0.5]),
+                                     rng.standard_normal((tau + 1, 1)), seeds)
 
 
 @given(batched_simulation_cases())

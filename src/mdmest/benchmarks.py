@@ -47,7 +47,9 @@ PRESET_NAMES = ("clock-ensemble", "unobs-unknown-input", "obs-ltv")
 # many runs at a time as fit the same bound in a (runs, n_rows) array, and
 # weighted in assemble_p's (runs, b+1, m) bands.  No run count caps a chunk:
 # simulate_runs' per-run work is one generator's draws, and a larger chunk
-# spreads its per-step loop over more runs
+# spreads its per-step loop over more runs.  The chunk's drawn normals,
+# n_v + n_w wide, are not counted: they can hold up to twice the bound until
+# the noises are formed, so a chunk's simulation peaks at about twice it
 _CHUNK_ELEMENTS = 2 ** 15
 
 
@@ -198,10 +200,10 @@ def _chunk_sizes(spec: BenchmarkSpec, design,
     """Runs simulated together, and runs estimated together: as many as
     keep each (runs, tau+1, width) array of the simulation (width the
     largest of n_x, n_w, n_v and n_z; the drawn normals, n_w + n_v wide,
-    are freed before the states are stepped), and the (runs, n_rows)
-    squared residues (weighted: the (runs, b+1, m) weight bands of
-    ``design.weight_band_shape``), within _CHUNK_ELEMENTS floats, and at
-    least one."""
+    can hold up to twice the bound and are freed before the states are
+    stepped), and the (runs, n_rows) squared residues (weighted: the
+    (runs, b+1, m) weight bands of ``design.weight_band_shape``), within
+    _CHUNK_ELEMENTS floats, and at least one."""
     model = spec.model
     width = max(model.n_x, model.n_w, model.n_v, int(model.n_z_steps().max()))
     rows = (int(np.prod(design.weight_band_shape)) if method == "weighted"

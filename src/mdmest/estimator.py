@@ -1010,12 +1010,7 @@ def _assemble_bands(sys: StackedSystem, crosses: np.ndarray) -> np.ndarray:
     The lag loop runs on ac[None, :n] @ C[:, None] @ ac_t[None, j:], and
     the kept-row map on t[None, :n] @ blk @ t_t[None, j:]: per (run,
     window) each is the per-window product of one run, and so its bits.
-    An LTI model's windows share one ``ac`` (a stride-0 broadcast), so its
-    first product is formed for that one window per run and broadcast over
-    the second.  Products stacked over windows would not keep the bits: a
-    one-row window's product is a matrix-vector call, and the kernel of a
-    matrix product can change with its row count.  The scatter positions
-    are computed once per batch, not per run.
+    The scatter positions are computed once per batch, not per run.
     """
     runs = crosses.shape[0]
     red, offsets = sys.reduction, sys._weight_offsets
@@ -1024,14 +1019,13 @@ def _assemble_bands(sys: StackedSystem, crosses: np.ndarray) -> np.ndarray:
         return ab
     ac = sys.ac[None]
     ac_t = ac.swapaxes(-1, -2)
-    shared = sys.ac.strides[0] == 0
     if red is not None:
         t = red.transforms[red.kinds][None]
         t_t = t.swapaxes(-1, -2)
     si, sj = sym_pair_indices(sys.ac.shape[1])
     for j in range(min(sys.L, sys.n_windows)):
         n = sys.n_windows - j
-        g = ac[:, :1 if shared else n] @ crosses[:, j, None] @ ac_t[:, j:]
+        g = ac[:, :n] @ crosses[:, j, None] @ ac_t[:, j:]
         blk = (g[..., sj[:, None], sj] * g[..., si[:, None], si]
                + g[..., sj[:, None], si] * g[..., si[:, None], sj])
         if j == 0:

@@ -15,7 +15,6 @@ from mdmest import (
     MeasurementData,
     NoiseStructure,
 )
-from mdmest import estimator
 from mdmest.linalg import sym_pair_indices
 
 
@@ -93,33 +92,6 @@ def isserlis_p(sys, etas):
             if j:
                 p[offs[r + j]:offs[r + j + 1], offs[r]:offs[r + 1]] = blk.T
     return p
-
-
-def reference_assemble_bands(sys, crosses):
-    """``estimator._assemble_bands`` with every product per (run, window):
-    lag j's blocks are ac[:, :n] @ C[:, j, None] @ ac_t[:, j:] over the
-    windows' own ``ac``, with no stacked first product.  The batched
-    assembly must give the same band bytes."""
-    runs = crosses.shape[0]
-    red, offsets = sys.reduction, sys._weight_offsets
-    ab = np.zeros((runs,) + sys.weight_band_shape)
-    ac = sys.ac[None]
-    ac_t = ac.swapaxes(-1, -2)
-    if red is not None:
-        t = red.transforms[red.kinds][None]
-        t_t = t.swapaxes(-1, -2)
-    si, sj = sym_pair_indices(sys.ac.shape[1])
-    for j in range(min(sys.L, sys.n_windows)):
-        n = sys.n_windows - j
-        g = ac[:, :n] @ crosses[:, j, None] @ ac_t[:, j:]
-        blk = (g[..., sj[:, None], sj] * g[..., si[:, None], si]
-               + g[..., sj[:, None], si] * g[..., si[:, None], sj])
-        if j == 0:
-            blk = 0.5 * (blk + blk.swapaxes(-1, -2))
-        if red is not None:
-            blk = t[:, :n] @ blk @ t_t[:, j:]
-        estimator._scatter_blocks(ab, blk, offsets, j)
-    return ab
 
 
 def kept_rows(sys, p):

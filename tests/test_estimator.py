@@ -56,7 +56,6 @@ from conftest import (
     make_switching_h_structure,
     make_ragged_ltv_structure,
     rao_reference,
-    reference_assemble_bands,
     window_arrays,
 )
 from test_geometry import bitwise_equal, window_cases
@@ -1046,63 +1045,6 @@ def test_projected_weight_is_psd(case, seed):
                                         repair=True)
     lam = np.linalg.eigvalsh(dense_from_band(assemble_p(sys0, etas)))
     assert lam[0] >= -1e-12 * max(lam[-1], 0.0)
-
-
-def assert_bands_are_per_window(sys, crosses):
-    """``_assemble_bands`` on the lag crosses of a batch of runs gives the
-    bytes of the per-(run, window) lag loop."""
-    assert bitwise_equal(estimator._assemble_bands(sys, crosses),
-                         reference_assemble_bands(sys, crosses))
-
-
-@given(window_cases(), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
-def test_assembled_bands_are_the_per_window_lag_loop(case, seed, keep_reduction,
-                                                     gaussian):
-    """The stacked first product of each lag (the LTI model's one window,
-    broadcast) gives the band of the per-window products bit for bit, on
-    random small models, with and without a ``reduction``, from one to
-    four runs' crosses: random ones, with exact zeros, or those of the
-    Gaussian noise of random alphas."""
-    model, structure, L, mode = case
-    try:
-        sys0 = build_design(model, structure, L, mode)
-    except NoAnnihilator:
-        return
-    if not keep_reduction:
-        sys0 = replace(sys0, reduction=None)
-    event("lti" if model.is_lti else "ltv")
-    event("reduced" if sys0.reduction is not None else "all rows")
-    rng = np.random.default_rng(seed)
-    runs = int(rng.integers(1, 5))
-    if gaussian:
-        crosses = estimator._eta_crosses(
-            structure, rng.uniform(0.1, 2.0, (runs, structure.n_alpha)), L,
-            Tolerance())[0]
-    else:
-        crosses = rng.standard_normal((runs, L, sys0.n_eps, sys0.n_eps))
-        crosses[rng.random(crosses.shape) < 0.3] = 0.0
-    assert_bands_are_per_window(sys0, crosses)
-
-
-@pytest.mark.parametrize("name, tau, runs", [("obs-ltv", 1000, 16),
-                                             ("unobs-unknown-input", 100, 5),
-                                             ("clock-ensemble", 30, 2)])
-def test_assembled_bands_are_the_per_window_lag_loop_on_the_presets(name, tau, runs):
-    """The same on the presets' weighted batches, with the crosses of their
-    simulated runs' ordinary estimates: obs-ltv's LTV windows of one
-    residue row, unobs's kept rows and the LTI clock's broadcast window."""
-    spec = preset(name, tau=tau)
-    mode = UNKNOWN_INPUT if spec.mode == UNKNOWN_INPUT else KNOWN_INPUT
-    sys0 = build_design(spec.model, spec.structure, spec.L, mode)
-    sim = simulate_runs(spec.model, spec.structure, spec.alpha_true, spec.init,
-                        input_signal=benchmark_input_signal(spec), seeds=range(runs))
-    include_u = spec.mode == KNOWN_INPUT and spec.model.has_input
-    obs = sys0.residues(sim.z_records, sim.u_records[None] if include_u else None)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        crosses = estimator._eta_crosses(spec.structure, ordinary_estimates(sys0, obs),
-                                         spec.L, Tolerance())[0]
-    assert_bands_are_per_window(sys0, crosses)
 
 
 @given(window_cases(), st.integers(0, 2**32 - 1))

@@ -26,7 +26,6 @@ from .linalg import (
 )
 from .model import (
     KNOWN_INPUT,
-    NO_INPUT,
     UNKNOWN_INPUT,
     InitialCondition,
     LtvModel,

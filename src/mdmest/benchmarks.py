@@ -2,9 +2,10 @@
 
 Three stock models exercise the estimator across the regimes it targets:
 
-* ``clock-ensemble``   unobservable LTI model of three two-state clocks
-                       measured through pairwise phase differences; eight
-                       covariance parameters spanning many decades.
+* ``clock-ensemble``   unobservable LTI model, without an input, of three
+                       two-state clocks measured through pairwise phase
+                       differences; eight covariance parameters spanning
+                       many decades.
 * ``unobs-unknown-input``  unobservable LTV model identified without access
                        to the input sequence.
 * ``obs-ltv``          small observable LTV model where both the ordinary
@@ -28,7 +29,6 @@ from .errors import DataError, MdmError
 from .linalg import Tolerance, DEFAULT_TOL
 from .model import (
     KNOWN_INPUT,
-    NO_INPUT,
     UNKNOWN_INPUT,
     InitialCondition,
     LtvModel,
@@ -96,7 +96,6 @@ def _clock_ensemble(tau: int, n_mc: int, seed: int) -> BenchmarkSpec:
     model = LtvModel.create(
         n_x=6, n_w=6, n_v=2, tau=tau,
         F=np.kron(np.eye(3), f_cell),
-        G=np.zeros((6, 1)),
         E=np.eye(6),
         H=np.array([[1.0, 0.0, -1.0, 0.0, 0.0, 0.0],
                     [1.0, 0.0, 0.0, 0.0, -1.0, 0.0]]),
@@ -119,7 +118,7 @@ def _clock_ensemble(tau: int, n_mc: int, seed: int) -> BenchmarkSpec:
     return BenchmarkSpec(
         name="clock-ensemble", model=model,
         structure=NoiseStructure.from_pairs(pairs), alpha_true=alpha,
-        L=10, mode=NO_INPUT, n_mc=n_mc, seed=seed,
+        L=10, mode=KNOWN_INPUT, n_mc=n_mc, seed=seed,
         init=InitialCondition.default(6),
     )
 
@@ -189,8 +188,9 @@ def preset(name: str, *, tau: int = 1000, n_mc: int = 500, seed: int = 0) -> Ben
 
 
 def benchmark_input_signal(spec: BenchmarkSpec) -> np.ndarray | None:
-    """The scalar input u_k = sin(k / tau) applied by every benchmark run."""
-    if spec.mode == NO_INPUT:
+    """The scalar input u_k = sin(k / tau) applied by every benchmark run of
+    a model with an input; None for a model without one."""
+    if not spec.model.has_input:
         return None
     return np.sin(np.arange(spec.tau + 1) / spec.tau)[:, None]
 
@@ -262,7 +262,6 @@ def _run_range(spec: BenchmarkSpec, method: str, indices, tol: Tolerance):
     the per-run pipeline's.
     """
     design = build_design(spec.model, spec.structure, spec.L, spec.mode, tol)
-    include_u = spec.mode == KNOWN_INPUT and spec.model.has_input
     u_sim = benchmark_input_signal(spec)
 
     alphas = np.empty((len(indices), spec.structure.n_alpha))
@@ -277,7 +276,7 @@ def _run_range(spec: BenchmarkSpec, method: str, indices, tol: Tolerance):
         runs = simulate_runs(spec.model, spec.structure, spec.alpha_true, spec.init,
                              input_signal=u_sim, seeds=seeds)
         z = runs.z_records
-        u = runs.u_records[None] if include_u else None
+        u = None if runs.u is None else runs.u_records[None]
         chunk = slice(start, start + len(seeds))
         for first in range(0, len(seeds), res_size):
             part = slice(first, first + res_size)

@@ -16,7 +16,6 @@ matrix is singular.
 from __future__ import annotations
 
 import logging
-import time
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -37,13 +36,10 @@ from .linalg import (
     Tolerance,
     DEFAULT_TOL,
     svd_rank,
-    swap_permutation,
     sym_pair_indices,
-    vec,
 )
 from .model import (
     KNOWN_INPUT,
-    NO_INPUT,
     UNKNOWN_INPUT,
     LtvModel,
     MeasurementData,
@@ -525,7 +521,7 @@ def _row_reduction(model: LtvModel, L: int, n_windows: int, n_a: np.ndarray,
 
 
 def _check_mode(mode: str) -> None:
-    modes = (KNOWN_INPUT, UNKNOWN_INPUT, NO_INPUT)
+    modes = (KNOWN_INPUT, UNKNOWN_INPUT)
     if mode not in modes:
         raise ValueError(f"unknown input mode {mode!r}; choose from {modes}")
 
@@ -650,7 +646,7 @@ def build_design(model: LtvModel, structure: NoiseStructure, L: int, mode: str,
     A window without an annihilator raises NoAnnihilator, carrying as
     ``minimal_feasible_l`` the smallest L at which every window of the same
     n_windows + L - 1 records has one (``min_feasible_window``), or None.
-    ``mode`` is KNOWN_INPUT, UNKNOWN_INPUT or NO_INPUT (else ValueError, first).
+    ``mode`` is KNOWN_INPUT or UNKNOWN_INPUT (else ValueError, first).
     Windows over more records than the model's tau + 1 steps raise the
     DataError ``with_data`` gives for such data, before any is built.
     """
@@ -811,12 +807,11 @@ def ordinary_mdm(sys: StackedSystem, tol: Tolerance = DEFAULT_TOL) -> Estimate:
     """
     if sys.obs is None:
         raise ValueError("system carries no observations")
-    t0 = time.perf_counter()
     alpha = ordinary_estimates(sys, sys.obs)
     return Estimate(
         alpha_hat=alpha, cov=None, method="ordinary",
         rank=sys.rank, rank_threshold=sys.rank_threshold,
-        diagnostics={"design_cond": sys.cond, "runtime_s": time.perf_counter() - t0},
+        diagnostics={"design_cond": sys.cond},
     )
 
 
@@ -825,11 +820,11 @@ class EtaCovariances:
     """Second moments of the eta process, stored compactly per band offset.
 
     ``crosses`` holds the lag-j cross covariance C_j of the stacked noise
-    for j = 0..L-1; L, n_eps and the vectorised covariance r_e2 = vec(C_0)
-    are read from it.  The band matrix E[eta_k eta_{k+j}^T] follows from
-    the Gaussian fourth-moment factorisation; ``band(j)`` materialises it as
-    an n_eps^2 x n_eps^2 matrix (zero for j >= L, where the stacked noise
-    vectors share no components).  ``projection`` holds, for Q and R, the
+    for j = 0..L-1 (the stacked noise vectors of windows L or more apart
+    share no components); L and n_eps are read from it.  The band matrix
+    E[eta_k eta_{k+j}^T] follows from C_j by the Gaussian fourth-moment
+    factorisation, which ``assemble_p`` applies through the windows' noise
+    maps without forming it.  ``projection`` holds, for Q and R, the
     most negative eigenvalue relative to the largest |eigenvalue| when they
     were projected onto the PSD cone first, and (0, 0) when they were not.
     """
@@ -846,21 +841,9 @@ class EtaCovariances:
         return self.crosses[0].shape[-1]
 
     @property
-    def r_e2(self) -> np.ndarray:
-        return vec(self.crosses[0])
-
-    @property
     def repaired(self) -> bool:
         """Whether Q and R were projected onto the PSD cone."""
         return any(self.projection)
-
-    def band(self, j: int) -> np.ndarray:
-        n = self.n_eps
-        if j >= self.L:
-            return np.zeros((n * n, n * n))
-        c = self.crosses[j]
-        base = np.kron(c, c)
-        return base + base[:, swap_permutation(n)]
 
 
 @dataclass
@@ -978,8 +961,9 @@ def assemble_p(sys: StackedSystem, etas: EtaCovariances) -> np.ndarray:
     of a design with a ``reduction`` (M its row map), in LAPACK lower band
     storage: the weight of the weighted problem.
 
-    P is block banded: block (r, r+j) is noisemap_r @ band(j) @
-    noisemap_{r+j}^T for j < L and zero beyond.  Each lag's blocks are
+    P is block banded: block (r, r+j) is noisemap_r @ B_j @
+    noisemap_{r+j}^T, with B_j = E[eta_r eta_{r+j}^T] the band matrix of
+    ``EtaCovariances``, for j < L and zero beyond.  Each lag's blocks are
     computed for all windows at once in the factored form
     G_r = ac_r @ C_j @ ac_{r+j}^T, which never materialises the
     n_eps^2-sized band matrices, and mapped to t_r @ block @ t_{r+j}^T by
@@ -1223,7 +1207,7 @@ def _weighted_solves(sys: StackedSystem, obs: np.ndarray, ab: np.ndarray,
     return out
 
 
-def _weighted_estimate(sys: StackedSystem, runs: WeightedRuns, t0: float) -> Estimate:
+def _weighted_estimate(sys: StackedSystem, runs: WeightedRuns) -> Estimate:
     """The Estimate of the one run of ``runs``."""
     banded = runs.branch[0] != "dense"
     rows = int(runs.weight_rows[0]) if banded else None
@@ -1235,8 +1219,7 @@ def _weighted_estimate(sys: StackedSystem, runs: WeightedRuns, t0: float) -> Est
         diagnostics={"design_cond": sys.cond,
                      "fit_j": float(runs.fit_j[0]) if banded else None,
                      "fit_dof": rows - sys.n_alpha if banded else None,
-                     "weight_rows": rows,
-                     "runtime_s": time.perf_counter() - t0},
+                     "weight_rows": rows},
     )
 
 
@@ -1270,7 +1253,6 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
     """
     if sys.obs is None:
         raise ValueError("system carries no observations")
-    t0 = time.perf_counter()
     if sys.rank < sys.n_alpha:
         raise RankDeficientDesign(sys.rank, sys.n_alpha)
     m = sys.weight_band_shape[1]
@@ -1284,7 +1266,7 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
         raise ValueError(f"unknown branch {branch!r}; choose 'auto', 'full-rank' "
                          "or 'constrained'")
     runs = _weighted_solves(sys, sys.obs[None], ab[None], tol, branch)
-    return _weighted_estimate(sys, runs, t0)
+    return _weighted_estimate(sys, runs)
 
 
 def weighted_estimates(sys: StackedSystem, obs: np.ndarray, structure: NoiseStructure,
@@ -1364,9 +1346,8 @@ def weighted_pipeline(sys: StackedSystem, structure: NoiseStructure,
     """
     if sys.obs is None:
         raise ValueError("system carries no observations")
-    t0 = time.perf_counter()
     runs = weighted_estimates(sys, sys.obs[None], structure, tol)
-    est = _weighted_estimate(sys, runs, t0)
+    est = _weighted_estimate(sys, runs)
     est.diagnostics["alpha_ordinary"] = runs.alpha_ordinary[0]
     est.diagnostics["eta_projection"] = tuple(float(p) for p in runs.projection[0])
     return est

@@ -51,6 +51,11 @@ def _too_many_digits() -> str:
     return f"a number has more than {sys.get_int_max_str_digits()} digits"
 
 
+# what json.loads' RecursionError means: the decoder recurses once per
+# level of nesting, up to Python's recursion limit
+_TOO_DEEP = "a value is nested too deeply to decode"
+
+
 @dataclass
 class ModelBundle:
     model: LtvModel
@@ -77,8 +82,8 @@ def load_model(path) -> ModelBundle:
     shape.  An empty per-step H or D matrix, as ``save_model`` writes one
     without rows, is read as (0, n_x) or (0, n_v).  A file that is not JSON
     raises ``json.loads``' error, and one that is not UTF-8 text the
-    decoder's; a number of more digits than Python converts raises
-    ValidationError naming the file."""
+    decoder's; a number of more digits than Python converts, or a value
+    nested too deeply to decode, raises ValidationError naming the file."""
     text = _read_text(path)
     try:
         raw = json.loads(text)
@@ -86,6 +91,8 @@ def load_model(path) -> ModelBundle:
         raise
     except ValueError:
         raise ValidationError([f"{path}: {_too_many_digits()}"]) from None
+    except RecursionError:
+        raise ValidationError([f"{path}: {_TOO_DEEP}"]) from None
     for key in ("n_x", "n_w", "n_v", "tau", "F", "E", "H", "D", "basis"):
         if key not in raw:
             raise ValidationError([f"model file is missing required key '{key}'"])
@@ -249,13 +256,16 @@ def _decode_lines(text: str):
 
 def _raise_decode_error(line: str, line_no: int) -> None:
     """Raise the error of the line that does not decode: ``json.loads``'
-    own, or a DataError naming the line for a number of too many digits."""
+    own, or a DataError naming the line for a number of too many digits or
+    a value nested too deeply."""
     try:
         json.loads(line)
     except json.JSONDecodeError:
         raise
     except ValueError:
         raise DataError(f"line {line_no + 1}: {_too_many_digits()}") from None
+    except RecursionError:
+        raise DataError(f"line {line_no + 1}: {_TOO_DEEP}") from None
 
 
 def read_data(path) -> MeasurementData:
@@ -263,11 +273,12 @@ def read_data(path) -> MeasurementData:
     each 'z' and 'u' a flat list of finite numbers.
 
     The file is read and decoded in one pass, and every decoded record is
-    checked at once.  A malformed record, or a number of more digits than
-    Python converts, raises DataError naming its line, and a line that is
-    not JSON raises ``json.loads``' own error: whichever line comes first,
-    as if each line were checked as it is read.  A file that is not UTF-8
-    text raises the decoder's error."""
+    checked at once.  A malformed record, a number of more digits than
+    Python converts, or a value nested too deeply to decode, raises
+    DataError naming its line, and a line that is not JSON raises
+    ``json.loads``' own error: whichever line comes first, as if each line
+    were checked as it is read.  A file that is not UTF-8 text raises the
+    decoder's error."""
     records, line_nos, bad_line = _decode_lines(_read_text(path))
     arrays = _record_arrays(records)
     if arrays is None:

@@ -43,7 +43,6 @@ __all__ = [
 
 KNOWN_INPUT = "known-input"
 UNKNOWN_INPUT = "unknown-input"
-NO_INPUT = "no-input"
 
 
 class MatrixSequence:
@@ -249,9 +248,9 @@ class MeasurementData:
         return cls(*_flatten(zs), *(() if us is None else _flatten(us)))
 
     @classmethod
-    def from_trajectory(cls, traj: "Trajectory", include_u: bool = True) -> "MeasurementData":
-        """The records of ``traj`` (its inputs only if ``include_u``), not copied."""
-        return cls(traj.z, traj.n_z, *((traj.u, traj.n_u) if include_u else ()))
+    def from_trajectory(cls, traj: "Trajectory") -> "MeasurementData":
+        """The records of ``traj``, its inputs too, not copied."""
+        return cls(traj.z, traj.n_z, traj.u, traj.n_u)
 
     @property
     def zs(self) -> list[np.ndarray]:

@@ -15,7 +15,7 @@ from mdmest import (
     MeasurementData,
     NoiseStructure,
 )
-from mdmest.linalg import sym_pair_indices
+from mdmest.linalg import swap_permutation, sym_pair_indices, vec
 
 
 def dense_from_band(ab):
@@ -27,6 +27,21 @@ def dense_from_band(ab):
         if d:
             p += np.diag(ab[d, :m - d], d)
     return p
+
+
+def eta_mean(etas):
+    """r_e2 = vec(C_0), the mean of the squared stacked noise."""
+    return vec(etas.crosses[0])
+
+
+def eta_band(etas, j):
+    """The n_eps^2 x n_eps^2 band matrix E[eta_k eta_{k+j}^T]: C_j kron C_j
+    plus its pair-swapped columns (Gaussian fourth moments), zero for j >= L."""
+    n = etas.n_eps
+    if j >= etas.L:
+        return np.zeros((n * n, n * n))
+    base = np.kron(etas.crosses[j], etas.crosses[j])
+    return base + base[:, swap_permutation(n)]
 
 
 def noise_map(ac):
@@ -56,13 +71,13 @@ def window_arrays(sys, k):
 
 def direct_p(sys, etas):
     """The weight P of all rows of ``sys``, dense, through the materialised
-    band matrices: block (r, r+j) is noise_map(ac_r) @ etas.band(j) @
+    band matrices: block (r, r+j) is noise_map(ac_r) @ eta_band(etas, j) @
     noise_map(ac_{r+j})^T for j < L, and zero beyond."""
     m = sys.n_rows
     p = np.zeros((m, m))
     offs = sys.row_offsets
     for j in range(sys.L):
-        band = etas.band(j)
+        band = eta_band(etas, j)
         for r in range(sys.n_windows - j):
             blk = (noise_map(window_arrays(sys, r).ac) @ band
                    @ noise_map(window_arrays(sys, r + j).ac).T)

@@ -13,7 +13,6 @@ import pytest
 
 from mdmest import (
     InitialCondition,
-    KNOWN_INPUT,
     NoiseStructure,
     UNKNOWN_INPUT,
     build_design,
@@ -30,10 +29,10 @@ from mdmest import (
     weighted_mdm,
 )
 from mdmest.benchmarks import benchmark_input_signal
-from mdmest.model import MeasurementData
 from mdmest.residue import build_augmented_block
 
-from conftest import window_arrays
+from conftest import eta_band, eta_mean, window_arrays
+from test_residue import window_residue
 
 # frozen reference statistics (sample variances of the published MC studies)
 OBS_LTV_TRUE = np.array([2.0, 1.0])
@@ -161,36 +160,28 @@ def test_criterion_4_unknown_input_ordinary(ex2_ordinary):
 
 def _windows_with_residues(name, tau, seed):
     spec = preset(name, tau=tau)
-    mode = UNKNOWN_INPUT if spec.mode == UNKNOWN_INPUT else KNOWN_INPUT
-    u = benchmark_input_signal(spec)
     traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
-                    input_signal=u, seed=seed)
-    include_u = mode == KNOWN_INPUT and spec.model.has_input
-    data = MeasurementData.from_trajectory(traj, include_u=include_u)
-    sys0 = build_design(spec.model, spec.structure, spec.L, mode,
-                        n_windows=tau + 2 - spec.L)
+                    input_signal=benchmark_input_signal(spec), seed=seed)
+    sys1 = build_stacked_system(spec.model, spec.structure, traj, spec.L, spec.mode)
     out = []
-    for k in range(sys0.n_windows):
-        w = window_arrays(sys0, k)
-        z = np.concatenate(data.zs[k:k + spec.L], axis=None)
-        if mode == KNOWN_INPUT and data.us is not None and w.gamma_g is not None:
-            z = z - w.gamma_g @ np.concatenate(data.us[k:k + spec.L - 1], axis=None)
-        zt = w.annihilator @ z
+    for k in range(sys1.n_windows):
+        w = window_arrays(sys1, k)
+        zt = window_residue(sys1, traj, k)
         noises = np.concatenate([traj.ws[k:k + spec.L - 1].ravel(),
                                  traj.vs[k:k + spec.L].ravel()])
         out.append((k, w, zt, w.ac @ noises))
-    return spec, mode, out
+    return spec, out
 
 
 def test_criterion_5a_annihilation_and_dual_residue():
     worst_annih = 0.0
     worst_dual = 0.0
     for name in ("obs-ltv", "unobs-unknown-input", "clock-ensemble"):
-        spec, mode, rows = _windows_with_residues(name, tau=200, seed=1)
+        spec, rows = _windows_with_residues(name, tau=200, seed=1)
         for k, w, zt, direct in rows:
             block = build_augmented_block(spec.model, k, spec.L)
             target = block.O
-            if mode == UNKNOWN_INPUT:
+            if spec.mode == UNKNOWN_INPUT:
                 target = np.hstack([block.O, block.Gamma @ block.scriptG])
             annih = np.max(np.abs(w.annihilator @ target)) \
                 / (1.0 + np.max(np.abs(target)))
@@ -217,19 +208,11 @@ def test_criterion_5b_residue_invariances():
                       input_signal=u, seed=5)
         t2 = simulate(spec.model, spec.structure, spec.alpha_true, alt,
                       input_signal=u, seed=5)
-        mode = KNOWN_INPUT
-        include_u = spec.model.has_input and spec.mode == KNOWN_INPUT
-        d1 = MeasurementData.from_trajectory(t1, include_u=include_u)
-        d2 = MeasurementData.from_trajectory(t2, include_u=include_u)
-        sys0 = build_design(spec.model, spec.structure, spec.L, mode,
+        sys0 = build_design(spec.model, spec.structure, spec.L, spec.mode,
                             n_windows=152 - spec.L)
+        s1, s2 = sys0.with_data(t1), sys0.with_data(t2)
         for k in range(sys0.n_windows):
-            w = window_arrays(sys0, k)
-            z1, z2 = (np.concatenate(d.zs[k:k + spec.L], axis=None) for d in (d1, d2))
-            if d1.us is not None and w.gamma_g is not None:
-                z1 = z1 - w.gamma_g @ np.concatenate(d1.us[k:k + spec.L - 1], axis=None)
-                z2 = z2 - w.gamma_g @ np.concatenate(d2.us[k:k + spec.L - 1], axis=None)
-            r1, r2 = w.annihilator @ z1, w.annihilator @ z2
+            r1, r2 = window_residue(s1, t1, k), window_residue(s2, t2, k)
             worst_init = max(worst_init,
                              np.max(np.abs(r1 - r2)) / (1 + np.max(np.abs(r1))))
 
@@ -296,8 +279,8 @@ def _band_oracle_check(structure, alpha, n_samples, seed):
         v = rng.standard_normal((m, 3, n_v)) @ sr.T      # v_k .. v_{k+2}
         eps0 = np.concatenate([w[:, 0], v[:, 0], v[:, 1]], axis=1)
         eps1 = np.concatenate([w[:, 1], v[:, 1], v[:, 2]], axis=1)
-        eta0 = (np.einsum("ni,nj->nij", eps0, eps0).reshape(m, -1) - etas.r_e2)
-        eta1 = (np.einsum("ni,nj->nij", eps1, eps1).reshape(m, -1) - etas.r_e2)
+        eta0 = (np.einsum("ni,nj->nij", eps0, eps0).reshape(m, -1) - eta_mean(etas))
+        eta1 = (np.einsum("ni,nj->nij", eps1, eps1).reshape(m, -1) - eta_mean(etas))
         for j, eta_b in ((0, eta0), (1, eta1)):
             prod = np.einsum("ni,nj->nij", eta0, eta_b).reshape(m, -1)
             sum1[j] += prod.sum(axis=0)
@@ -307,7 +290,7 @@ def _band_oracle_check(structure, alpha, n_samples, seed):
         mean = sum1[j] / n_samples
         var = sum2[j] / n_samples - mean ** 2
         se = np.sqrt(np.maximum(var, 0.0) / n_samples)
-        band = etas.band(j).reshape(-1)
+        band = eta_band(etas, j).reshape(-1)
         dev = np.abs(mean - band) / (4.0 * se + 1e-12)
         worst = max(worst, float(np.max(dev)))
     return worst
@@ -381,8 +364,7 @@ def test_criterion_5g_identifiability():
     details = []
     for name in ("obs-ltv", "unobs-unknown-input", "clock-ensemble"):
         spec = preset(name, tau=60)
-        mode = UNKNOWN_INPUT if spec.mode == UNKNOWN_INPUT else KNOWN_INPUT
-        sys0 = build_design(spec.model, spec.structure, spec.L, mode)
+        sys0 = build_design(spec.model, spec.structure, spec.L, spec.mode)
         rep = identifiability_report(sys0)
         details.append(f"{name}: rank {rep.rank}/{rep.n_alpha}")
         full_ok &= rep.rank == rep.n_alpha

@@ -9,7 +9,6 @@ import pytest
 
 from mdmest import (
     KNOWN_INPUT,
-    NO_INPUT,
     UNKNOWN_INPUT,
     DataError,
     IndefiniteWeight,
@@ -47,10 +46,10 @@ class TestPresetFidelity:
     def test_clock_constants(self):
         spec = preset("clock-ensemble")
         ts = 10.0
-        assert spec.L == 10 and spec.tau == 1000 and spec.mode == NO_INPUT
+        assert spec.L == 10 and spec.tau == 1000 and spec.mode == KNOWN_INPUT
         assert np.array_equal(spec.model.F[0],
                               np.kron(np.eye(3), [[1.0, ts], [0.0, 1.0]]))
-        assert np.array_equal(spec.model.G[0], np.zeros((6, 1)))
+        assert not spec.model.has_input and spec.model.G[0].shape == (6, 0)
         assert np.array_equal(spec.model.E[0], np.eye(6))
         assert np.array_equal(spec.model.H[0],
                               [[1, 0, -1, 0, 0, 0], [1, 0, 0, 0, -1, 0]])
@@ -141,13 +140,12 @@ class TestRunMc:
         ``weighted_pipeline`` on ``build_stacked_system`` of its trajectory."""
         spec = preset(name, tau=tau, n_mc=5, seed=11)
         res = run_mc(spec, "weighted")
-        mode = UNKNOWN_INPUT if spec.mode == UNKNOWN_INPUT else KNOWN_INPUT
         covs = []
         for i in range(spec.n_mc):
             traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
                             input_signal=benchmark_input_signal(spec), seed=spec.seed + i)
             sys_full = build_stacked_system(spec.model, spec.structure, traj, spec.L,
-                                            mode)
+                                            spec.mode)
             est = weighted_pipeline(sys_full, spec.structure)
             assert np.array_equal(res.estimates[i], est.alpha_hat), i
             covs.append(np.diag(est.cov))

@@ -228,6 +228,27 @@ class TestSimulateIdentify:
             f"error: {model}: a number has more than {sys.get_int_max_str_digits()} "
             "digits\n")
 
+    @pytest.mark.parametrize("where", ["data", "model"])
+    def test_value_nested_too_deeply_names_its_line_or_file(self, tmp_path, capsys, where):
+        """A value nested too deeply (z on line 4 of a data file, a model's
+        alpha_true) exits 3 naming the line or the file, as too many digits do."""
+        model, data = tmp_path / "model.json", tmp_path / "data.jsonl"
+        records = [{"k": k, "z": [1.0], "u": [0.0]} for k in range(21)]
+        spec = {**self.SCALAR_MODEL, "tau": 20}
+        if where == "data":
+            records[3]["z"] = TOO_DEEP
+        else:
+            spec["alpha_true"] = TOO_DEEP
+        for path, text in ((model, json.dumps(spec)),
+                           (data, "".join(json.dumps(r) + "\n" for r in records))):
+            path.write_text(text.replace(json.dumps(TOO_DEEP), DEEP))
+        code = main(["identify", "--model", str(model), "--data", str(data),
+                     "--out", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {'line 4' if where == 'data' else model}: a value is nested "
+            "too deeply to decode\n")
+
     @pytest.mark.parametrize("window", ["2", "auto"])
     @pytest.mark.parametrize("tau", [2, 3, 5, 10])
     def test_data_past_the_model_horizon_is_a_validation_error(self, tmp_path, capsys,
@@ -632,10 +653,13 @@ DELETE = object()
 NAN, INF = float("nan"), float("inf")
 # tau - 1 .. tau + 2 matrices, changing with k
 STEPS = [[[[0.9 - 0.02 * k]] for k in range(n)] for n in (19, 20, 21, 22)]
-# the values a model key may be mutated to: any key may be missing, null
-# or of a wrong type; sizes, matrices and the rest each have their own.
-# Sizes stay small: a huge tau is valid and allocates every step
-COMMON_VALUES = [DELETE, None, True, "abc", 1.5, {}, []]
+# a JSON value nested deeper than Python decodes, which json.dumps does not
+# write: mutated files hold the string TOO_DEEP in its place until written
+DEEP, TOO_DEEP = "[" * 100_000 + "]" * 100_000, "too deep"
+# the values a model key may be mutated to: any key may be missing, null, of
+# a wrong type or nested too deeply; sizes, matrices and the rest each have
+# their own.  Sizes stay small: a huge tau is valid and allocates every step
+COMMON_VALUES = [DELETE, None, True, "abc", 1.5, {}, [], TOO_DEEP]
 SIZE_VALUES = [-1, 0, 1, 2, 3, 5, 10, 19, 20, 21, 22]
 MATRIX_VALUES = [[[]], [[0.9]], [[1.0, 2.0]], [[1.0], [1.0, 2.0]], [[NAN]], [[INF]],
                  [[10 ** 400]], [[[0.9]]], *STEPS]
@@ -652,7 +676,7 @@ MODEL_VALUES = {
 }
 RECORD_VALUE = st.sampled_from([
     DELETE, None, "a", 1.0, [], [1.0, 2.0], [NAN], [INF], [[1.0]],
-    [True], [10 ** 400], -1, 0, 20, 21, 1.0e300])
+    [True], [10 ** 400], -1, 0, 20, 21, 1.0e300, TOO_DEEP])
 
 
 @st.composite
@@ -712,8 +736,9 @@ def test_malformed_input_never_escapes(files):
         ["identifiability", "--L", window] for window in ("auto", "2")]
     with tempfile.TemporaryDirectory() as tmp:
         model_path, data_path = Path(tmp) / "model.json", Path(tmp) / "data.jsonl"
-        model_path.write_text(json.dumps(model))
-        data_path.write_text("\n".join(lines) + "\n")
+        for path, text in ((model_path, json.dumps(model)),
+                           (data_path, "\n".join(lines) + "\n")):
+            path.write_text(text.replace(json.dumps(TOO_DEEP), DEEP))
         for command in commands:
             argv = [str(data_path) if a == "DATA" else a for a in command]
             argv += ["--model", str(model_path)]

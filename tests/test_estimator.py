@@ -14,7 +14,6 @@ from mdmest import (
     KNOWN_INPUT,
     LtvModel,
     MdmError,
-    NO_INPUT,
     NoAnnihilator,
     NoiseStructure,
     NotPositiveSemidefinite,
@@ -41,12 +40,14 @@ from mdmest import estimator
 from mdmest.benchmarks import benchmark_input_signal
 from mdmest.estimator import P_DENSE_MAX_ROWS
 from mdmest.linalg import svd_rank
-from mdmest.model import MeasurementData
+from mdmest.model import MatrixSequence, MeasurementData
 from mdmest.residue import window_blocks
 
 from conftest import (
     dense_from_band,
     direct_p,
+    eta_band,
+    eta_mean,
     isserlis_p,
     kept_rows,
     make_ragged_ltv_model,
@@ -64,17 +65,13 @@ from test_residue import window_noises
 INDEFINITE_MESSAGE = r"^weight matrix has eigenvalue -\S+ below -\S+$"
 
 
-def simulated_system(name, tau, seed, method_mode=None, alpha=None, tol=Tolerance()):
+def simulated_system(name, tau, seed, alpha=None, tol=Tolerance()):
     spec = preset(name, tau=tau)
-    u = benchmark_input_signal(spec)
     traj = simulate(spec.model, spec.structure,
                     spec.alpha_true if alpha is None else alpha,
-                    spec.init, input_signal=u, seed=seed)
-    mode = method_mode or (UNKNOWN_INPUT if spec.mode == UNKNOWN_INPUT else KNOWN_INPUT)
-    include_u = mode == KNOWN_INPUT and spec.model.has_input
-    data = MeasurementData.from_trajectory(traj, include_u=include_u)
-    sys_full = build_stacked_system(spec.model, spec.structure, data, spec.L, mode, tol)
-    return spec, sys_full
+                    spec.init, input_signal=benchmark_input_signal(spec), seed=seed)
+    return spec, build_stacked_system(spec.model, spec.structure, traj, spec.L,
+                                      spec.mode, tol)
 
 
 class TestBuildStackedSystem:
@@ -139,32 +136,33 @@ class TestBuildStackedSystem:
         spec = preset("obs-ltv", tau=30)
         traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
                         input_signal=benchmark_input_signal(spec), seed=0)
-        data = MeasurementData.from_trajectory(traj)
-        getattr(data, field)[5][:] = bad
+        getattr(traj, field)[5][:] = bad
         with pytest.raises(DataError, match="record k=5"):
-            build_stacked_system(spec.model, spec.structure, data, 2)
+            build_stacked_system(spec.model, spec.structure, traj, 2)
 
     def test_missing_input_records_rejected(self):
         spec = preset("obs-ltv", tau=20)
         traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
                         input_signal=benchmark_input_signal(spec), seed=0)
-        data = MeasurementData.from_trajectory(traj)
-        short = MeasurementData.from_records(data.zs, data.us[:-2])
+        short = MeasurementData.from_records(traj.zs, traj.us[:-2])
         with pytest.raises(DataError, match="data has 19 input records but its "
                                             "21 measurement records need 20"):
             build_stacked_system(spec.model, spec.structure, short, 2)
-        short = MeasurementData.from_records(data.zs, data.us[:-3] + [np.zeros(1)] * 2)
+        short = MeasurementData.from_records(traj.zs, traj.us[:-3] + [np.zeros(1)] * 2)
         build_stacked_system(spec.model, spec.structure, short, 2)
 
-    @pytest.mark.parametrize("name, warns", [("clock-ensemble", False),
-                                             ("obs-ltv", True)])
-    def test_zero_input_warning_only_for_effective_input(self, caplog, name, warns):
-        spec = preset(name, tau=30)
-        traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
+    @pytest.mark.parametrize("g, warns", [(0.0, False), (1.0, True)],
+                             ids=["zero-G", "obs-ltv"])
+    def test_zero_input_warning_only_for_effective_input(self, caplog, g, warns):
+        """Data without input records warn of a zero input only when G has a
+        nonzero entry, not when its columns are all zero."""
+        spec = preset("obs-ltv", tau=30)
+        model = replace(spec.model, G=MatrixSequence(np.full((1, 1), g), spec.tau))
+        traj = simulate(model, spec.structure, spec.alpha_true, spec.init,
                         input_signal=benchmark_input_signal(spec), seed=0)
-        data = MeasurementData.from_trajectory(traj, include_u=False)
         with caplog.at_level("WARNING", logger="mdmest.estimator"):
-            build_stacked_system(spec.model, spec.structure, data, spec.L)
+            build_stacked_system(model, spec.structure, MeasurementData(traj.z, traj.n_z),
+                                 spec.L)
         assert ("assuming zero input" in caplog.text) == warns
 
 
@@ -367,14 +365,14 @@ class TestMinFeasibleWindow:
         assert feasible_design(spec.model, spec.structure, KNOWN_INPUT,
                                n_records=1) is None
 
-    @pytest.mark.parametrize("mode", ["unknown", "no input"])
+    @pytest.mark.parametrize("mode", ["unknown", "no input", "no-input"])
     @pytest.mark.parametrize("entry", ["build_design", "build_stacked_system",
                                        "feasible_design", "min_feasible_window",
                                        "min_feasible_window(structure)"])
     def test_unknown_mode_is_refused(self, monkeypatch, entry, mode):
-        """An input mode other than the three raises ValueError naming them
+        """An input mode other than the two raises ValueError naming them
         before any window is built: "unknown" used to build a design that
-        left the unknown input in the residues."""
+        left the unknown input in the residues; "no-input" is no longer one."""
         spec = preset("unobs-unknown-input", tau=30)
         model, structure = spec.model, spec.structure
         data = MeasurementData.from_records([np.zeros(3)] * 31)
@@ -393,7 +391,7 @@ class TestMinFeasibleWindow:
             raise AssertionError("a window was built")
 
         monkeypatch.setattr(estimator, "window_blocks", no_windows)
-        modes = (KNOWN_INPUT, UNKNOWN_INPUT, NO_INPUT)
+        modes = (KNOWN_INPUT, UNKNOWN_INPUT)
         with pytest.raises(ValueError, match=re.escape(
                 f"unknown input mode {mode!r}; choose from {modes}")):
             calls[entry]()
@@ -451,8 +449,7 @@ class TestOrdinaryMdm:
     def test_rank_deficient_design_raises(self, ge_equal_model, ge_equal_structure):
         traj = simulate(ge_equal_model, ge_equal_structure, [1.0, 0.5],
                         input_signal=np.sin(np.arange(61) / 60.0)[:, None], seed=1)
-        data = MeasurementData.from_trajectory(traj, include_u=False)
-        sys_full = build_stacked_system(ge_equal_model, ge_equal_structure, data,
+        sys_full = build_stacked_system(ge_equal_model, ge_equal_structure, traj,
                                         2, UNKNOWN_INPUT)
         with pytest.raises(RankDeficientDesign) as err:
             ordinary_mdm(sys_full)
@@ -463,13 +460,13 @@ class TestGaussianEtaCovariances:
     def test_scalar_white_window_one(self, scalar_structure):
         r_var = 1.7
         etas = gaussian_eta_covariances(scalar_structure, [0.0, r_var], 1)
-        band0 = etas.band(0)
+        band0 = eta_band(etas, 0)
         assert band0.shape == (1, 1)
         assert np.allclose(band0[0, 0], 2.0 * r_var ** 2)
 
     def test_band_beyond_window_is_zero(self, scalar_structure):
         etas = gaussian_eta_covariances(scalar_structure, [2.0, 1.0], 2)
-        assert np.array_equal(etas.band(5), np.zeros((9, 9)))
+        assert np.array_equal(eta_band(etas, 5), np.zeros((9, 9)))
 
     def test_indefinite_alpha_raises_without_repair(self, scalar_structure):
         with pytest.raises(NotPositiveSemidefinite):
@@ -480,7 +477,7 @@ class TestGaussianEtaCovariances:
             etas = gaussian_eta_covariances(scalar_structure, [-1e-3, 1.0], 2,
                                             repair=True)
         assert etas.repaired
-        band0 = etas.band(0)
+        band0 = eta_band(etas, 0)
         lam = np.linalg.eigvalsh(0.5 * (band0 + band0.T))
         assert lam[0] > -1e-9
 
@@ -498,7 +495,7 @@ class TestGaussianEtaCovariances:
         exact = gaussian_eta_covariances(structure, [2.0, 0.0, 1.0], 2)
         assert exact.projection == (0.0, 0.0) and not exact.repaired
         for j in range(2):
-            assert np.array_equal(etas.band(j), exact.band(j))
+            assert np.array_equal(eta_band(etas, j), eta_band(exact, j))
 
     def test_sampling_oracle_obs_ltv(self, rng):
         """Every band entry matches empirical fourth moments of the noises."""
@@ -510,14 +507,14 @@ class TestGaussianEtaCovariances:
         v = rng.standard_normal((n, 3)) * np.sqrt(r_var)   # v_k, v_{k+1}, v_{k+2}
         eps_k = np.column_stack([w[:, 0], v[:, 0], v[:, 1]])
         eps_k1 = np.column_stack([w[:, 1], v[:, 1], v[:, 2]])
-        re2 = etas.r_e2
+        re2 = eta_mean(etas)
         eta_k = np.einsum("ni,nj->nij", eps_k, eps_k).reshape(n, 9) - re2
         eta_k1 = np.einsum("ni,nj->nij", eps_k1, eps_k1).reshape(n, 9) - re2
         for j, eta_b in ((0, eta_k), (1, eta_k1)):
             prod = np.einsum("ni,nj->nij", eta_k, eta_b).reshape(n, 81)
             mean = prod.mean(axis=0)
             se = prod.std(axis=0, ddof=1) / np.sqrt(n)
-            band = etas.band(j).reshape(81)
+            band = eta_band(etas, j).reshape(81)
             assert np.all(np.abs(mean - band) <= 4.0 * se + 1e-12)
 
 
@@ -585,8 +582,7 @@ class TestAssembleP:
         its P is built by the mixed-product rule, which is checked against
         the band route on unobs."""
         spec = preset(name, tau=tau)
-        mode = UNKNOWN_INPUT if spec.mode == UNKNOWN_INPUT else KNOWN_INPUT
-        sys0 = build_design(spec.model, spec.structure, spec.L, mode)
+        sys0 = build_design(spec.model, spec.structure, spec.L, spec.mode)
         etas = gaussian_eta_covariances(spec.structure, spec.alpha_true, spec.L)
         p = isserlis_p(sys0, etas)
         if name == "unobs-unknown-input":
@@ -1068,8 +1064,7 @@ class TestIdentifiability:
                                      ("unobs-unknown-input", 2, 6),
                                      ("clock-ensemble", 10, 8)):
             spec = preset(name, tau=40)
-            mode = UNKNOWN_INPUT if spec.mode == UNKNOWN_INPUT else KNOWN_INPUT
-            sys0 = build_design(spec.model, spec.structure, l_win, mode)
+            sys0 = build_design(spec.model, spec.structure, l_win, spec.mode)
             report = identifiability_report(sys0)
             assert report.rank == n_alpha == report.n_alpha
             assert report.null_basis is None

@@ -8,8 +8,6 @@ import pytest
 from hypothesis import event, given, strategies as st
 
 from mdmest import (
-    KNOWN_INPUT,
-    UNKNOWN_INPUT,
     DataError,
     InitialCondition,
     LtvModel,
@@ -487,11 +485,10 @@ def test_simulate_is_bitwise_per_step(case):
                 assert all(bitwise_equal(a, b) for a, b in zip(got, want)), name
         if sys0 is None:
             continue
-        data = MeasurementData.from_trajectory(traj, include_u=mode == KNOWN_INPUT)
-        sys1 = sys0.with_data(data)
+        sys1 = sys0.with_data(traj)
         for k in range(sys1.n_windows):
             w = window_arrays(sys1, k)
-            zt = window_residue(sys1, data, k)
+            zt = window_residue(sys1, traj, k)
             rows = sys1.obs[sys1.row_offsets[k]:sys1.row_offsets[k + 1]]
             assert bitwise_equal(rows, zt[w.sel_i] * zt[w.sel_j]), k
 
@@ -577,17 +574,15 @@ def test_run_batched_estimates_are_bitwise_per_run(case):
         return
     for signal in (None, u):
         runs = simulate_runs(model, structure, alpha, input_signal=signal, seeds=seeds)
-        u_records = runs.u_records if mode == KNOWN_INPUT else None
         obs = design.residues(runs.z_records,
-                              None if u_records is None else u_records[None])
+                              None if runs.u is None else runs.u_records[None])
         assert obs.shape == (len(seeds), design.n_rows)
         try:
             alphas = ordinary_estimates(design, obs)
         except RankDeficientDesign:
             alphas = None
         for r, traj in enumerate(runs):
-            one = design.with_data(
-                MeasurementData.from_trajectory(traj, include_u=mode == KNOWN_INPUT))
+            one = design.with_data(traj)
             assert bitwise_equal(obs[r], one.obs), r
             if alphas is None:
                 with pytest.raises(RankDeficientDesign):
@@ -636,10 +631,8 @@ def test_run_batched_weighted_is_bitwise_per_run(case):
     except NoAnnihilator:
         return
     runs = simulate_runs(model, structure, alpha, input_signal=u, seeds=seeds)
-    u_records = runs.u_records if mode == KNOWN_INPUT else None
-    obs = design.residues(runs.z_records, None if u_records is None else u_records[None])
-    ones = [design.with_data(MeasurementData.from_trajectory(
-        traj, include_u=mode == KNOWN_INPUT)) for traj in runs]
+    obs = design.residues(runs.z_records, None if runs.u is None else runs.u_records[None])
+    ones = [design.with_data(traj) for traj in runs]
     for took in assert_weighted_batch_is_bitwise(design, structure, obs, ones):
         event(took)
 
@@ -671,8 +664,7 @@ def test_weighted_batch_failure_is_the_first_failing_run(case, data):
     except NoAnnihilator:
         return
     runs = simulate_runs(model, structure, alpha, input_signal=u, seeds=seeds)
-    u_records = runs.u_records if mode == KNOWN_INPUT else None
-    obs = design.residues(runs.z_records, None if u_records is None else u_records[None])
+    obs = design.residues(runs.z_records, None if runs.u is None else runs.u_records[None])
     obs[data.draw(st.integers(0, len(seeds) - 1), label="scaled run")] *= 1e160
     batch, batch_warned = weighted_outcome(
         lambda: weighted_estimates(design, obs, structure))
@@ -705,14 +697,11 @@ def test_run_batched_weighted_is_bitwise_on_the_presets(name, tau, seed, n_runs,
     branch: a full-rank weight (obs-ltv), a singular one solved on its kept
     rows (unobs) and, on the clock, both that and the dense g-inverse."""
     spec = preset(name, tau=tau)
-    mode = UNKNOWN_INPUT if spec.mode == UNKNOWN_INPUT else KNOWN_INPUT
-    design = build_design(spec.model, spec.structure, spec.L, mode)
+    design = build_design(spec.model, spec.structure, spec.L, spec.mode)
     runs = simulate_runs(spec.model, spec.structure, spec.alpha_true, spec.init,
                          input_signal=benchmark_input_signal(spec),
                          seeds=range(seed, seed + n_runs))
-    include_u = spec.mode == KNOWN_INPUT and spec.model.has_input
-    obs = design.residues(runs.z_records, runs.u_records[None] if include_u else None)
-    ones = [design.with_data(MeasurementData.from_trajectory(traj, include_u=include_u))
-            for traj in runs]
+    obs = design.residues(runs.z_records, None if runs.u is None else runs.u_records[None])
+    ones = [design.with_data(traj) for traj in runs]
     assert set(assert_weighted_batch_is_bitwise(design, spec.structure, obs,
                                                 ones)) == branches

@@ -20,7 +20,6 @@ from mdmest import (
 )
 from mdmest.benchmarks import benchmark_input_signal
 from mdmest.linalg import svd_rank, sym_pair_indices
-from mdmest.model import MeasurementData
 
 from conftest import noise_map, window_arrays
 from test_geometry import window_cases
@@ -40,7 +39,7 @@ def window_residue(sys, data, k):
     """
     w = window_arrays(sys, k)
     z = np.concatenate(data.zs[k:k + sys.L], axis=None)
-    if sys.mode == KNOWN_INPUT and data.us is not None and w.gamma_g is not None:
+    if data.us is not None and w.gamma_g is not None:
         z = z - w.gamma_g @ np.concatenate(data.us[k:k + sys.L - 1], axis=None)
     ztilde = w.annihilator @ z
     rows = slice(sys.row_offsets[k], sys.row_offsets[k + 1])
@@ -102,14 +101,13 @@ class TestBuildAugmentedBlock:
         for patched in (False, True):
             if patched:
                 monkeypatch.setattr(residue, "block_diag", scipy.linalg.block_diag)
-            for name, mode in (("obs-ltv", KNOWN_INPUT),
-                               ("unobs-unknown-input", UNKNOWN_INPUT)):
+            for name in ("obs-ltv", "unobs-unknown-input"):
                 spec = preset(name, tau=40)
                 traj = simulate(spec.model, spec.structure, spec.alpha_true,
                                 spec.init, input_signal=benchmark_input_signal(spec),
                                 seed=1)
                 built.append(build_stacked_system(spec.model, spec.structure,
-                                                  traj, 2, mode))
+                                                  traj, 2, spec.mode))
         for ours, theirs in zip(built[:2], built[2:]):
             assert np.array_equal(ours.design, theirs.design)
             assert np.array_equal(ours.obs, theirs.obs)
@@ -258,9 +256,7 @@ class TestRegressionRow:
     def test_m_transformation_property(self, rng):
         """A nonsingular M on the residue maps the row through Xi M^2 Psi."""
         spec = preset("clock-ensemble", tau=30)
-        u_sig = None
-        traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
-                        input_signal=u_sig, seed=8)
+        traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init, seed=8)
         k, L = 2, 10
         sys = build_stacked_system(spec.model, spec.structure, traj, L)
         w = window_arrays(sys, k)
@@ -340,9 +336,7 @@ def test_residues_invariant_to_initial_state(case, seed):
     inits = [InitialCondition.default(model.n_x),
              InitialCondition(mean=rng.uniform(-50.0, 50.0, model.n_x),
                               cov=4.0 * np.eye(model.n_x))]
-    data = [MeasurementData.from_trajectory(
-                simulate(model, structure, [1.0, 0.5], init, input_signal=u, seed=seed),
-                include_u=mode == KNOWN_INPUT)
+    data = [simulate(model, structure, [1.0, 0.5], init, input_signal=u, seed=seed)
             for init in inits]
     assert residue_deviation(sys0, *data) < 1e-9
 
@@ -350,7 +344,8 @@ def test_residues_invariant_to_initial_state(case, seed):
 @given(window_cases(), st.integers(0, 2**32 - 1))
 def test_residues_invariant_to_unknown_input(case, seed):
     """In unknown-input mode the annihilator also removes the input: two
-    input signals, same noises, same residues."""
+    input signals, same noises, same residues, with each run's input
+    given to the design, which does not read it."""
     model, structure, L, _ = case
     try:
         sys0 = build_design(model, structure, L, UNKNOWN_INPUT)
@@ -358,8 +353,8 @@ def test_residues_invariant_to_unknown_input(case, seed):
         return
     rng = np.random.default_rng(seed)
     shape = (model.tau + 1, int(model.n_u_steps()[0]))
-    data = [MeasurementData.from_trajectory(
-                simulate(model, structure, [1.0, 0.5], input_signal=u, seed=seed),
-                include_u=False)
+    data = [simulate(model, structure, [1.0, 0.5], input_signal=u, seed=seed)
             for u in (rng.standard_normal(shape), rng.uniform(-50.0, 50.0, shape))]
+    for d in data:
+        assert np.array_equal(sys0.residues(d.z[None], d.u[None]), sys0.residues(d.z[None]))
     assert residue_deviation(sys0, *data) < 1e-9

@@ -217,8 +217,7 @@ def _failed(exc: MdmError, seed: int) -> MdmError:
     return exc
 
 
-def _estimate_runs(design, structure, method, z, u, seeds, tol, alphas, ecovs,
-                   branches):
+def _estimate_runs(design, method, z, u, seeds, alphas, ecovs, branches):
     """Estimates of the runs whose measurement records are the rows of ``z``
     (seeds ``seeds``), written to the rows of ``alphas`` and ``ecovs``;
     weighted runs are counted into ``branches``.
@@ -239,7 +238,7 @@ def _estimate_runs(design, structure, method, z, u, seeds, tol, alphas, ecovs,
             if method == "ordinary":
                 alphas[:len(obs)] = ordinary_estimates(design, obs)
             else:
-                runs = weighted_estimates(design, obs, structure, tol)
+                runs = weighted_estimates(design, obs)
                 alphas[:len(obs)] = runs.alpha_hat
                 ecovs[:len(obs)] = np.diagonal(runs.cov, axis1=1, axis2=2)
                 for name in BRANCHES:
@@ -275,14 +274,12 @@ def _run_range(spec: BenchmarkSpec, method: str, indices, tol: Tolerance):
         seeds = [spec.seed + int(i) for i in indices[start:start + sim_size]]
         runs = simulate_runs(spec.model, spec.structure, spec.alpha_true, spec.init,
                              input_signal=u_sim, seeds=seeds)
-        z = runs.z_records
-        u = None if runs.u is None else runs.u_records[None]
+        z, u = runs.z_records, runs.u_records
         chunk = slice(start, start + len(seeds))
         for first in range(0, len(seeds), res_size):
             part = slice(first, first + res_size)
             t0 = time.perf_counter()
-            _estimate_runs(design, spec.structure, method, z[part], u, seeds[part], tol,
-                           alphas[chunk][part],
+            _estimate_runs(design, method, z[part], u, seeds[part], alphas[chunk][part],
                            None if ecovs is None else ecovs[chunk][part], branches)
             elapsed += time.perf_counter() - t0
         # freed before the next chunk is simulated

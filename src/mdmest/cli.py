@@ -142,7 +142,7 @@ def cmd_identify(args) -> int:
         if args.method == "ordinary":
             est = ordinary_mdm(sys_full, tol)
         else:
-            est = weighted_pipeline(sys_full, bundle.structure, tol)
+            est = weighted_pipeline(sys_full)
     except RankDeficientDesign:
         _print_identifiability(ident)
         raise

@@ -141,6 +141,7 @@ class StackedSystem:
     group.  The design facts below are computed once, by ``build_design``,
     from one SVD of design / scale, which ordinary LS reuses; ``reduction``
     is None when no window shares a residue direction with its predecessor.
+    ``structure`` and ``tol`` are those it was built with, for every stage.
     """
 
     obs: np.ndarray | None
@@ -151,6 +152,8 @@ class StackedSystem:
     residue_groups: list[ResidueGroup]
     ac: np.ndarray                     # (n_windows, max n_a, n_eps)
     model: LtvModel
+    structure: NoiseStructure
+    tol: Tolerance
     scale: np.ndarray                  # column scale: design == (design / scale) * scale
     rank: int                          # numerical rank of design / scale
     rank_threshold: float
@@ -163,11 +166,6 @@ class StackedSystem:
     @property
     def n_alpha(self) -> int:
         return self.design.shape[1]
-
-    @property
-    def cond(self) -> float:
-        """Condition number of design / scale."""
-        return float(self.s[0] / self.s[-1]) if self.s.size and self.s[-1] > 0 else np.inf
 
     @property
     def n_rows(self) -> int:
@@ -285,13 +283,11 @@ class StackedSystem:
 
 @dataclass
 class Estimate:
-    """A parameter estimate with identifiability and solver diagnostics."""
+    """A parameter estimate with its solver diagnostics."""
 
     alpha_hat: np.ndarray
     cov: np.ndarray | None
     method: str
-    rank: int
-    rank_threshold: float
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -318,9 +314,10 @@ def _all_window_blocks(model: LtvModel, L: int, n_windows: int):
     return window_blocks(model, np.arange(1 if model.is_lti else n_windows), L)
 
 
-def _warn_near_threshold(factored) -> None:
-    """One warning for every window with singular values within a decade of
-    its rank threshold: how many windows, and the closest call."""
+def _near_threshold(factored):
+    """(count, sigma/threshold, k, rank kept) of the windows of ``factored``
+    with singular values within a decade of their rank threshold: how many,
+    and the closest call; None when there are none."""
     count, closest = 0, None
     for b, _, s, rank, thr in factored:
         t = thr[:, None]
@@ -333,12 +330,16 @@ def _warn_near_threshold(factored) -> None:
         w, i = np.unravel_index(np.argmin(dist), dist.shape)
         if closest is None or dist[w, i] < closest[0]:
             closest = (dist[w, i], ratio[w, i], int(b.ks[w]), int(rank[w]))
-    if count:
-        _, ratio, k, rank = closest
+    return (count,) + closest[1:] if count else None
+
+
+def _warn_near_threshold(near) -> None:
+    """The one warning, from its ``_near_threshold``, of a design returned."""
+    if near is not None:
         logger.warning(
             "%d window(s) have singular values within a decade of the rank "
             "threshold; closest: sigma/threshold = %.3g at window k=%d, rank %d kept",
-            count, ratio, k, rank,
+            *near,
         )
 
 
@@ -369,7 +370,7 @@ def _window_geometries(model: LtvModel, blocks, mode: str, upsilon: np.ndarray,
                        tol: Tolerance, n_windows: int):
     """The geometry of ``n_windows`` windows from their matrices ``blocks``
     (window 0 alone for an LTI model, whose windows all share it): (ac,
-    ann, n_a, groups, design, row_offsets).
+    ann, n_a, groups, design, row_offsets, near).
 
     ``ac`` stacks every window's ``ac`` as ``StackedSystem.ac`` holds it;
     ``ann`` stacks the annihilators of the windows in ``blocks`` the same
@@ -377,13 +378,12 @@ def _window_geometries(model: LtvModel, blocks, mode: str, upsilon: np.ndarray,
     rows.  ``groups`` are the ``ResidueGroup``s, and ``design`` holds window
     k's regression block at rows row_offsets[k]:row_offsets[k+1].
 
-    The annihilators come from ``_annihilators``, so a window without one
-    raises NoAnnihilator before any near-threshold warning is logged.  The
-    windows are then regrouped by rank and their products computed in
-    stacks, bitwise equal to the same steps taken for one window alone.
+    The annihilators come from ``_annihilators`` (a window without one
+    raises NoAnnihilator), ``near`` from their SVDs.  The windows are then
+    regrouped by rank and their products computed in stacks, bitwise equal
+    to the same steps taken for one window alone.
     """
     factored = _annihilators(blocks, mode, tol)
-    _warn_near_threshold(factored)
     n_a = np.empty(sum(b.ks.size for b in blocks), dtype=int)
     for b, u, _, rank, _ in factored:
         n_a[b.ks] = u.shape[1] - rank
@@ -427,7 +427,7 @@ def _window_geometries(model: LtvModel, blocks, mode: str, upsilon: np.ndarray,
             ))
     if model.is_lti:
         ac_all = np.broadcast_to(ac_all, (n_windows,) + ac_all.shape[1:])
-    return ac_all, ann_all, n_a, groups, design, row_offsets
+    return ac_all, ann_all, n_a, groups, design, row_offsets, _near_threshold(factored)
 
 
 def _kept_pair_transforms(q: np.ndarray, d: int) -> np.ndarray:
@@ -582,10 +582,10 @@ def feasible_design(model: LtvModel, structure: NoiseStructure, mode: str,
     A candidate L at which the replication Upsilon (``defining_replication``)
     has a zero column is skipped unbuilt: that column is a zero column of
     the design.  Each other candidate's design is built once, and its
-    geometry makes the annihilator test; an L without an annihilator logs
-    no near-threshold warning.  Each L passed over logs one INFO line with
-    the reason: a zero column's parameter, a window without an annihilator,
-    or the design's rank.
+    geometry makes the annihilator test.  Each L passed over logs one INFO
+    line with the reason (a zero column's parameter, a window without an
+    annihilator, or the design's rank) and no near-threshold warning: that
+    warning is logged once, for the design returned.
     ``with_data`` attaches the ``n_records`` measurements.
 
     With ``fallback``, when no L gives full rank, the result is instead the
@@ -607,34 +607,38 @@ def feasible_design(model: LtvModel, structure: NoiseStructure, mode: str,
             skipped.append(L)
             continue
         try:
-            design = _design(model, upsilon, L, mode, tol, n_records - L + 1)
+            design, near = _design(model, structure, upsilon, L, mode, tol,
+                                   n_records - L + 1)
         except NoAnnihilator as exc:
             logger.info("L=%d passed over: window k=%d has no annihilator "
                         "(rank %d of %d rows)", L, exc.k, exc.rank, exc.rows)
             continue
         if design.rank >= structure.n_alpha:
+            _warn_near_threshold(near)
             return design
         logger.info("L=%d passed over: the design has rank %d of %d", L,
                     design.rank, structure.n_alpha)
         if first is None:
-            first = design
+            first = design, near
     if not fallback:
         return None
-    design = first
+    kept = first
     for L in skipped:
-        if first is not None and L > first.L:
+        if first is not None and L > first[0].L:
             break
         try:
-            design = _design(model, defining_replication(structure, L), L, mode, tol,
-                             n_records - L + 1)
+            kept = _design(model, structure, defining_replication(structure, L), L,
+                           mode, tol, n_records - L + 1)
             break
         except NoAnnihilator:
             continue
-    if design is None:
+    if kept is None:
         raise MdmError(f"no window length up to L={len(lengths)} has an "
                        f"annihilator for {n_records} records")
+    design, near = kept
     logger.info("no L up to %d gives full rank; L=%d, the smallest with an "
                 "annihilator, is kept", len(lengths), design.L)
+    _warn_near_threshold(near)
     return design
 
 
@@ -657,8 +661,8 @@ def build_design(model: LtvModel, structure: NoiseStructure, L: int, mode: str,
         raise DataError(f"horizon too short: no full window of length L={L}")
     _check_horizon(model, n_windows + L - 1)
     try:
-        return _design(model, defining_replication(structure, L), L, mode, tol,
-                       n_windows)
+        design, near = _design(model, structure, defining_replication(structure, L),
+                               L, mode, tol, n_windows)
     except NoAnnihilator as exc:
         try:
             exc.minimal_feasible_l = min_feasible_window(
@@ -666,11 +670,15 @@ def build_design(model: LtvModel, structure: NoiseStructure, L: int, mode: str,
         except MdmError:
             pass
         raise
+    _warn_near_threshold(near)
+    return design
 
 
-def _design(model: LtvModel, upsilon: np.ndarray, L: int, mode: str,
-            tol: Tolerance, n_windows: int) -> StackedSystem:
-    ac, ann, n_a, groups, design, row_offsets = _window_geometries(
+def _design(model: LtvModel, structure: NoiseStructure, upsilon: np.ndarray, L: int,
+            mode: str, tol: Tolerance, n_windows: int):
+    """(design, its ``_near_threshold``), upsilon the ``defining_replication``
+    of structure and L; the builder that returns the design logs ``near``."""
+    ac, ann, n_a, groups, design, row_offsets, near = _window_geometries(
         model, _all_window_blocks(model, L, n_windows), mode, upsilon, tol, n_windows)
     reduction = _row_reduction(model, L, n_windows, n_a, ann, tol)
     (u, s, vt, rank, scale), thr = _equilibrated_svd(design, tol)
@@ -680,10 +688,10 @@ def _design(model: LtvModel, upsilon: np.ndarray, L: int, mode: str,
         null_basis, _ = np.linalg.qr(vt[rank:].T / scale[:, None])
     return StackedSystem(
         obs=None, design=design, row_offsets=row_offsets, L=L, mode=mode,
-        residue_groups=groups, ac=ac, model=model, scale=scale, rank=rank,
-        rank_threshold=thr, null_basis=null_basis, u=u, s=s, vt=vt,
-        reduction=reduction,
-    )
+        residue_groups=groups, ac=ac, model=model, structure=structure, tol=tol,
+        scale=scale, rank=rank, rank_threshold=thr, null_basis=null_basis,
+        u=u, s=s, vt=vt, reduction=reduction,
+    ), near
 
 
 def _record_of(offsets: np.ndarray, pos) -> int:
@@ -803,16 +811,12 @@ def ordinary_mdm(sys: StackedSystem, tol: Tolerance = DEFAULT_TOL) -> Estimate:
     Solved with the SVD of the column-equilibrated design that
     ``build_design`` computed (the clock benchmark spans 19 decades across
     parameters); no covariance is reported.  The rank decision is the one
-    ``build_design`` made with its tolerance, so ``tol`` is not used here.
+    ``build_design`` made with ``sys.tol``; the ``tol`` argument is unused.
     """
     if sys.obs is None:
         raise ValueError("system carries no observations")
-    alpha = ordinary_estimates(sys, sys.obs)
-    return Estimate(
-        alpha_hat=alpha, cov=None, method="ordinary",
-        rank=sys.rank, rank_threshold=sys.rank_threshold,
-        diagnostics={"design_cond": sys.cond},
-    )
+    return Estimate(alpha_hat=ordinary_estimates(sys, sys.obs), cov=None,
+                    method="ordinary")
 
 
 @dataclass
@@ -1088,8 +1092,7 @@ def _full_rank(band: np.ndarray, tol: Tolerance) -> bool:
     return np.max(band[0]) > 0.0 and _factors_shifted(band, -_rank_floor(band[0], tol))
 
 
-def _whiten_run(sys: StackedSystem, ab: np.ndarray, xyt: np.ndarray, tol: Tolerance,
-                branch: str):
+def _whiten_run(sys: StackedSystem, ab: np.ndarray, xyt: np.ndarray, branch: str):
     """One run's branch tests and whitened problem: (branch, w, balance).
 
     ``ab`` is the run's weight band and ``xyt`` its [design | obs] on all
@@ -1104,7 +1107,7 @@ def _whiten_run(sys: StackedSystem, ab: np.ndarray, xyt: np.ndarray, tol: Tolera
     else:
         xy = sys.reduction.apply(xyt.T, sys.row_offsets)
         design = xy[:, :-1]
-    m = xy.shape[0]
+    m, tol = xy.shape[0], sys.tol
     is_full = _full_rank(ab, tol)
     if not is_full:
         # the negativity floor uses the regression scale ||design||_2^2 too,
@@ -1155,7 +1158,7 @@ def _whiten_run(sys: StackedSystem, ab: np.ndarray, xyt: np.ndarray, tol: Tolera
 
 
 def _weighted_solves(sys: StackedSystem, obs: np.ndarray, ab: np.ndarray,
-                     tol: Tolerance, branch: str) -> WeightedRuns:
+                     branch: str) -> WeightedRuns:
     """``weighted_mdm``'s solve of each run: run r's squared residues
     obs[r], its weight band ab[r].  Bands that are not finite raise
     MdmError before any factorisation.
@@ -1176,7 +1179,7 @@ def _weighted_solves(sys: StackedSystem, obs: np.ndarray, ab: np.ndarray,
     xyt[:, k] = obs
     groups = {}
     for r in range(runs):
-        name, w, balance = _whiten_run(sys, ab[r], xyt[r], tol, branch)
+        name, w, balance = _whiten_run(sys, ab[r], xyt[r], branch)
         groups.setdefault((name, w.shape[1]), []).append((r, w, balance))
 
     out = WeightedRuns(alpha_hat=np.empty((runs, k)), cov=np.empty((runs, k, k)),
@@ -1187,7 +1190,7 @@ def _weighted_solves(sys: StackedSystem, obs: np.ndarray, ab: np.ndarray,
         idx = [r for r, _, _ in members]
         wt = np.stack([w for _, w, _ in members]).swapaxes(1, 2)
         a_w, b_w = wt[..., :-1], wt[..., -1]
-        alpha, cov = _ls_solve(_equilibrated_svd(a_w, tol)[0], b_w)
+        alpha, cov = _ls_solve(_equilibrated_svd(a_w, sys.tol)[0], b_w)
         if name == "dense":
             balance = np.array([b for _, _, b in members])
             cov = (cov - np.eye(k)) / balance[:, None, None]
@@ -1212,12 +1215,10 @@ def _weighted_estimate(sys: StackedSystem, runs: WeightedRuns) -> Estimate:
     banded = runs.branch[0] != "dense"
     rows = int(runs.weight_rows[0]) if banded else None
     return Estimate(
-        alpha_hat=runs.alpha_hat[0], cov=runs.cov[0], rank=sys.rank,
+        alpha_hat=runs.alpha_hat[0], cov=runs.cov[0],
         method="weighted-full-rank" if runs.branch[0] == "full-rank"
         else "weighted-constrained",
-        rank_threshold=sys.rank_threshold,
-        diagnostics={"design_cond": sys.cond,
-                     "fit_j": float(runs.fit_j[0]) if banded else None,
+        diagnostics={"fit_j": float(runs.fit_j[0]) if banded else None,
                      "fit_dof": rows - sys.n_alpha if banded else None,
                      "weight_rows": rows},
     )
@@ -1249,7 +1250,8 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
     of the residual r on the rows solved on, its degrees of freedom (those
     rows minus n_alpha) and those rows (``weight_rows``); the dense branch
     reports None.  ``branch`` ("full-rank" / "constrained") forces a path.
-    This is the one-run case of ``weighted_estimates``' solve.
+    This is the one-run case of ``weighted_estimates``' solve.  rank_tol
+    is that of ``sys.tol``; the ``tol`` argument is unused.
     """
     if sys.obs is None:
         raise ValueError("system carries no observations")
@@ -1265,14 +1267,14 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
     if branch not in ("auto", "full-rank", "constrained"):
         raise ValueError(f"unknown branch {branch!r}; choose 'auto', 'full-rank' "
                          "or 'constrained'")
-    runs = _weighted_solves(sys, sys.obs[None], ab[None], tol, branch)
+    runs = _weighted_solves(sys, sys.obs[None], ab[None], branch)
     return _weighted_estimate(sys, runs)
 
 
-def weighted_estimates(sys: StackedSystem, obs: np.ndarray, structure: NoiseStructure,
-                       tol: Tolerance = DEFAULT_TOL) -> WeightedRuns:
+def weighted_estimates(sys: StackedSystem, obs: np.ndarray) -> WeightedRuns:
     """``weighted_pipeline``'s estimates for each row of ``obs`` ((runs,
-    n_rows) squared residues, as ``StackedSystem.residues`` gives them).
+    n_rows) squared residues, as ``StackedSystem.residues`` gives them),
+    with the design's ``structure`` and ``tol``.
 
     The stages run over the run axis, and each run gets the bits of its
     own pipeline: one ``ordinary_estimates`` call gives the first passes;
@@ -1307,16 +1309,16 @@ def weighted_estimates(sys: StackedSystem, obs: np.ndarray, structure: NoiseStru
         )
     alphas = ordinary_estimates(sys, obs)
     try:
-        crosses, projection = _eta_crosses(structure, alphas, sys.L, tol)
-        runs = _weighted_solves(sys, obs, _assemble_bands(sys, crosses), tol, "auto")
+        crosses, projection = _eta_crosses(sys.structure, alphas, sys.L, sys.tol)
+        runs = _weighted_solves(sys, obs, _assemble_bands(sys, crosses), "auto")
     except _RUN_ERRORS:
         for r in range(len(obs)):
             one = slice(r, r + 1)
             try:
-                crosses, projection = _eta_crosses(structure, alphas[one], sys.L, tol)
+                crosses, projection = _eta_crosses(sys.structure, alphas[one], sys.L,
+                                                   sys.tol)
                 _warn_projected(projection)
-                _weighted_solves(sys, obs[one], _assemble_bands(sys, crosses), tol,
-                                 "auto")
+                _weighted_solves(sys, obs[one], _assemble_bands(sys, crosses), "auto")
             except _RUN_ERRORS as exc:
                 exc.run = r
                 raise exc from None
@@ -1333,8 +1335,7 @@ def _warn_projected(projection: np.ndarray) -> None:
         warnings.warn(_PROJECTED, RuntimeWarning, stacklevel=3)
 
 
-def weighted_pipeline(sys: StackedSystem, structure: NoiseStructure,
-                      tol: Tolerance = DEFAULT_TOL) -> Estimate:
+def weighted_pipeline(sys: StackedSystem) -> Estimate:
     """Ordinary estimate, Gaussian eta covariances from it, weighted solve:
     the one-run case of ``weighted_estimates``.
 
@@ -1346,7 +1347,7 @@ def weighted_pipeline(sys: StackedSystem, structure: NoiseStructure,
     """
     if sys.obs is None:
         raise ValueError("system carries no observations")
-    runs = weighted_estimates(sys, sys.obs[None], structure, tol)
+    runs = weighted_estimates(sys, sys.obs[None])
     est = _weighted_estimate(sys, runs)
     est.diagnostics["alpha_ordinary"] = runs.alpha_ordinary[0]
     est.diagnostics["eta_projection"] = tuple(float(p) for p in runs.projection[0])
@@ -1359,7 +1360,7 @@ def identifiability_report(sys: StackedSystem,
 
     The design depends on the known model and structure matrices only, so
     this needs no measurement data.  The rank decision and null basis are
-    the ones ``build_design`` made with its tolerance; ``tol`` is not used.
+    the ones ``build_design`` made with ``sys.tol``; ``tol`` is unused.
     """
     participation = None
     if sys.null_basis is not None:

@@ -521,7 +521,7 @@ class SimulatedRuns:
         """Run ``i`` as a Trajectory: views of these arrays, but for its
         measurement records when n_z changes with k."""
         return Trajectory(_records(self.zs[i], self.n_z), self.n_z,
-                          *(() if self.u is None else (self.u_records, self.n_u)),
+                          *(() if self.u is None else (self.u_records[0], self.n_u)),
                           xs=self.xs[i], ws=self.ws[i], vs=self.vs[i])
 
     @property
@@ -532,8 +532,9 @@ class SimulatedRuns:
 
     @property
     def u_records(self) -> np.ndarray | None:
-        """(sum of n_u,): u_0, u_1, ... end to end; None without an input."""
-        return None if self.u is None else _records(self.u, self.n_u)
+        """(1, sum of n_u): u_0, u_1, ... end to end, the input the runs
+        share as ``StackedSystem.residues`` takes it; None without one."""
+        return None if self.u is None else _records(self.u, self.n_u)[None]
 
 
 def simulate_runs(model: LtvModel, structure: NoiseStructure, alpha_true,

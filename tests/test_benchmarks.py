@@ -146,7 +146,7 @@ class TestRunMc:
                             input_signal=benchmark_input_signal(spec), seed=spec.seed + i)
             sys_full = build_stacked_system(spec.model, spec.structure, traj, spec.L,
                                             spec.mode)
-            est = weighted_pipeline(sys_full, spec.structure)
+            est = weighted_pipeline(sys_full)
             assert np.array_equal(res.estimates[i], est.alpha_hat), i
             covs.append(np.diag(est.cov))
         assert np.array_equal(res.mean_est_cov_diag, np.array(covs).mean(axis=0))

@@ -285,10 +285,10 @@ class TestSimulateIdentify:
         # the weight (of the design's kept rows, the rows it is solved on)
         # has a -1 diagonal entry, so it is indefinite whatever the data; the
         # message form is the one scripts match
-        def indefinite_pipeline(sys_full, structure, tol):
+        def indefinite_pipeline(sys_full):
             bad = np.ones((1, sys_full.reduction.n_rows))
             bad[0, 0] = -1.0
-            return weighted_mdm(sys_full, bad, tol)
+            return weighted_mdm(sys_full, bad)
 
         monkeypatch.setattr(cli, "weighted_pipeline", indefinite_pipeline)
         spec = preset("unobs-unknown-input", tau=100)

@@ -178,7 +178,7 @@ class TestBatchEntryPoints:
         runs = simulate_runs(spec.model, spec.structure, spec.alpha_true, spec.init,
                              input_signal=benchmark_input_signal(spec),
                              seeds=range(3))
-        return spec, design, runs.z_records, runs.u_records[None]
+        return spec, design, runs.z_records, runs.u_records
 
     @pytest.mark.parametrize("cut", ["short", "flat", "runs"])
     def test_residues_reject_misshapen_input(self, cut):
@@ -203,7 +203,7 @@ class TestBatchEntryPoints:
         with pytest.raises(DataError, match="^record k=9: squared residue is not "
                                             "finite$") as err:
             if weighted:
-                weighted_estimates(design, obs, spec.structure)
+                weighted_estimates(design, obs)
             else:
                 ordinary_estimates(design, obs)
         assert err.value.run == 2
@@ -218,7 +218,7 @@ class TestBatchEntryPoints:
         with pytest.raises(DataError, match=rf"shape \(3, {design.n_rows - 1}\); "
                                             rf"the design has {design.n_rows} rows"):
             if weighted:
-                weighted_estimates(design, obs, spec.structure)
+                weighted_estimates(design, obs)
             else:
                 ordinary_estimates(design, obs)
 
@@ -227,7 +227,7 @@ class TestBatchEntryPoints:
         obs = design.residues(z, u)
         with pytest.raises(DataError, match=rf"shape \({design.n_rows},\); "
                                             rf"weighted_estimates takes \(runs, "):
-            weighted_estimates(design, obs[0], spec.structure)
+            weighted_estimates(design, obs[0])
 
 
 def smallest_built_length(model, structure, mode, tol):
@@ -314,23 +314,45 @@ class TestMinFeasibleWindow:
                     assert bitwise_equal(getattr(got.reduction, field),
                                          getattr(want.reduction, field)), field
 
-    def test_rejected_length_logs_no_near_threshold_warning(self, caplog):
-        """L = 1 has no annihilator: each window's H has singular values 1
+    @pytest.mark.parametrize("rejected_by", ["annihilator", "rank"])
+    def test_rejected_length_logs_no_near_threshold_warning(self, caplog, rejected_by):
+        """An L passed over logs no near-threshold warning; the design
+        returned logs its own, once.
+
+        annihilator: L = 1 has none: each window's H has singular values 1
         and 1e-9, five times its rank threshold 2e-10, so rank 2 of 2 rows.
         Rejecting it, in the scan or for an explicit L, logs nothing; at
-        L = 2 every singular value is near 1."""
-        model = LtvModel.create(n_x=2, n_w=1, n_v=2, tau=8,
-                                F=np.array([[0.0, 1.0], [1.0, 0.0]]), G=None,
-                                E=np.ones((2, 1)), H=np.diag([1.0, 1e-9]), D=np.eye(2))
-        structure = NoiseStructure.from_pairs([(np.eye(1), np.eye(2))])
-        with caplog.at_level(logging.INFO, logger="mdmest.estimator"):
-            assert feasible_design(model, structure, KNOWN_INPUT).L == 2
-            with pytest.raises(NoAnnihilator) as err:
-                build_design(model, structure, 1, KNOWN_INPUT)
-        assert err.value.minimal_feasible_l == 2
-        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
-            (logging.INFO, "L=1 passed over: window k=0 has no annihilator "
-                           "(rank 2 of 2 rows)")]
+        L = 2 every singular value is near 1.
+
+        rank: the clock at tau=40 with rank_tol 1e-2 has a singular value
+        within a decade of its threshold at every L from 2 to 12, each
+        passed over for the design's rank; the fallback L = 2 logs its
+        warning after the scan."""
+        if rejected_by == "rank":
+            spec = preset("clock-ensemble", tau=40)
+            with caplog.at_level(logging.INFO, logger="mdmest.estimator"):
+                design = feasible_design(spec.model, spec.structure, spec.mode,
+                                         Tolerance(rank_tol=1e-2), fallback=True)
+            assert design.L == 2
+            assert [r.levelno for r in caplog.records] == (
+                [logging.INFO] * 13 + [logging.WARNING])
+            assert caplog.records[-1].getMessage() == (
+                "1 window(s) have singular values within a decade of the rank "
+                "threshold; closest: sigma/threshold = 0.953 at window k=0, rank 3 kept")
+        else:
+            model = LtvModel.create(n_x=2, n_w=1, n_v=2, tau=8,
+                                    F=np.array([[0.0, 1.0], [1.0, 0.0]]), G=None,
+                                    E=np.ones((2, 1)), H=np.diag([1.0, 1e-9]),
+                                    D=np.eye(2))
+            structure = NoiseStructure.from_pairs([(np.eye(1), np.eye(2))])
+            with caplog.at_level(logging.INFO, logger="mdmest.estimator"):
+                assert feasible_design(model, structure, KNOWN_INPUT).L == 2
+                with pytest.raises(NoAnnihilator) as err:
+                    build_design(model, structure, 1, KNOWN_INPUT)
+            assert err.value.minimal_feasible_l == 2
+            assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+                (logging.INFO, "L=1 passed over: window k=0 has no annihilator "
+                               "(rank 2 of 2 rows)")]
 
     def test_scan_logs_a_skipped_length(self, caplog):
         """obs-ltv's Upsilon has a zero Q column at L = 1 (one-step windows
@@ -444,7 +466,7 @@ class TestOrdinaryMdm:
         assert np.all(np.abs(est.alpha_hat - [2.0, 1.0]) < bound)
         assert est.method == "ordinary"
         assert est.cov is None
-        assert est.rank == 2
+        assert sys_full.rank == 2
 
     def test_rank_deficient_design_raises(self, ge_equal_model, ge_equal_structure):
         traj = simulate(ge_equal_model, ge_equal_structure, [1.0, 0.5],
@@ -714,7 +736,7 @@ class TestWeightedMdm:
         assert 0.5 * thr < s[-1] / s[0] < thr
         assert np.min(r_diag) > thr * np.max(r_diag)
         with pytest.raises(RankDeficientDesign) as err:
-            weighted_mdm(sys0, p[None], tol)
+            weighted_mdm(replace(sys0, tol=tol), p[None])
         assert err.value.rank == svd_rank(d, tol)[3] == 1
         assert err.value.n_alpha == 2
 
@@ -786,6 +808,35 @@ class TestWeightedMdm:
         est_con = weighted_mdm(sys_full, ab, branch="constrained")
         assert est_con.diagnostics["fit_j"] is None
         assert est_con.diagnostics["fit_dof"] is None
+
+    def test_design_tolerance_decides_the_branch(self):
+        """Every weighted stage takes rank_tol from the design: on obs-ltv
+        at tau=40, seed 11, the weight is full rank by the default and
+        singular by 1e-3."""
+        _, sys_full = simulated_system("obs-ltv", tau=40, seed=11)
+        assert weighted_pipeline(sys_full).method == "weighted-full-rank"
+        loose = replace(sys_full, tol=Tolerance(rank_tol=1e-3))
+        assert weighted_pipeline(loose).method == "weighted-constrained"
+
+    @pytest.mark.parametrize("name, tau, seed", [("obs-ltv", 40, 11),
+                                                 ("unobs-unknown-input", 100, 0)])
+    def test_tol_argument_is_not_used(self, name, tau, seed):
+        """``weighted_mdm`` solves with the design's tolerance, on the
+        full-rank (obs-ltv) and the kept-row (unobs) branch alike: a looser
+        ``tol`` argument, by which the obs-ltv weight would be singular and
+        the whitened unobs design rank deficient, gives the same bits."""
+        spec, sys_full = simulated_system(name, tau=tau, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            etas = gaussian_eta_covariances(
+                spec.structure, ordinary_mdm(sys_full).alpha_hat, 2, repair=True)
+        ab = assemble_p(sys_full, etas)
+        est = weighted_mdm(sys_full, ab)
+        loose = weighted_mdm(sys_full, ab, Tolerance(rank_tol=1e-3))
+        assert est.diagnostics["weight_rows"] is not None
+        assert (loose.method, loose.diagnostics) == (est.method, est.diagnostics)
+        assert bitwise_equal(loose.alpha_hat, est.alpha_hat)
+        assert bitwise_equal(loose.cov, est.cov)
 
 
 def noise_level_obs(sys0, traj):
@@ -903,7 +954,7 @@ class TestReducedRows:
         spec, sys_full = simulated_system("obs-ltv", tau=40, seed=11, tol=tol)
         assert build_design(spec.model, spec.structure, spec.L, spec.mode).reduction is None
         assert (sys_full.n_rows, sys_full.reduction.n_rows) == (40, 30)
-        est = weighted_pipeline(sys_full, spec.structure, tol)
+        est = weighted_pipeline(sys_full)
         assert est.method == "weighted-constrained"
         assert est.diagnostics["weight_rows"] is None
         assert np.allclose(est.alpha_hat, [11.94353484, -8.68549093], rtol=1e-6, atol=0.0)
@@ -911,7 +962,7 @@ class TestReducedRows:
         etas = gaussian_eta_covariances(spec.structure, est.diagnostics["alpha_ordinary"],
                                         spec.L)
         with pytest.raises(RankDeficientDesign):
-            weighted_mdm(all_rows, assemble_p(all_rows, etas), tol)
+            weighted_mdm(all_rows, assemble_p(all_rows, etas))
 
     @pytest.mark.parametrize("rank_tol", [0.2, 0.3, 0.5])
     def test_very_loose_rank_tol_shares_no_more_than_a_window_has(self, rank_tol):
@@ -930,7 +981,7 @@ class TestReducedRows:
         alone keeps the 8000-row cap."""
         spec, sys_full = simulated_system("obs-ltv", tau=9000, seed=0)
         assert sys_full.n_rows > P_DENSE_MAX_ROWS
-        est = weighted_pipeline(sys_full, spec.structure)
+        est = weighted_pipeline(sys_full)
         assert est.method == "weighted-full-rank"
         assert est.diagnostics["weight_rows"] == sys_full.n_rows
         etas = gaussian_eta_covariances(spec.structure,
@@ -987,14 +1038,14 @@ class TestThreeStepPipeline:
         u = benchmark_input_signal(spec)
         traj = simulate(spec.model, spec.structure, np.zeros(2), init,
                         input_signal=u, seed=0)
-        est = weighted_pipeline(
-            build_stacked_system(spec.model, spec.structure, traj, 2), spec.structure)
+        sys_full = build_stacked_system(spec.model, spec.structure, traj, 2)
+        est = weighted_pipeline(sys_full)
         assert est.method == "weighted-constrained"
         assert np.max(np.abs(est.alpha_hat)) < 1e-8
 
     def test_pipeline_records_first_pass(self):
         spec, sys_full = simulated_system("obs-ltv", tau=400, seed=9)
-        est = weighted_pipeline(sys_full, spec.structure)
+        est = weighted_pipeline(sys_full)
         assert "alpha_ordinary" in est.diagnostics
         assert est.diagnostics["eta_projection"] == (0.0, 0.0)
         assert est.method == "weighted-full-rank"
@@ -1010,7 +1061,7 @@ class TestThreeStepPipeline:
                 warnings.simplefilter("ignore", RuntimeWarning)
                 etas = gaussian_eta_covariances(
                     spec.structure, ordinary_mdm(sys_full).alpha_hat, 2, repair=True)
-                est = weighted_pipeline(sys_full, spec.structure)
+                est = weighted_pipeline(sys_full)
             lam = np.linalg.eigvalsh(dense_from_band(assemble_p(sys_full, etas)))
             assert lam[0] >= -1e-12 * lam[-1], seed
             assert est.diagnostics["eta_projection"] == etas.projection

@@ -574,8 +574,7 @@ def test_run_batched_estimates_are_bitwise_per_run(case):
         return
     for signal in (None, u):
         runs = simulate_runs(model, structure, alpha, input_signal=signal, seeds=seeds)
-        obs = design.residues(runs.z_records,
-                              None if runs.u is None else runs.u_records[None])
+        obs = design.residues(runs.z_records, runs.u_records)
         assert obs.shape == (len(seeds), design.n_rows)
         try:
             alphas = ordinary_estimates(design, obs)
@@ -591,7 +590,7 @@ def test_run_batched_estimates_are_bitwise_per_run(case):
                 assert bitwise_equal(alphas[r], ordinary_mdm(one).alpha_hat), r
 
 
-def assert_weighted_batch_is_bitwise(design, structure, obs, ones):
+def assert_weighted_batch_is_bitwise(design, obs, ones):
     """``weighted_estimates`` on the residues ``obs`` of a batch of runs
     equals, run by run, ``weighted_pipeline`` on the runs' systems ``ones``:
     alpha_hat and diag(cov) bit for bit.  A batch that fails raises the
@@ -601,18 +600,18 @@ def assert_weighted_batch_is_bitwise(design, structure, obs, ones):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            batch = weighted_estimates(design, obs, structure)
+            batch = weighted_estimates(design, obs)
         except Exception as exc:
             # a design-level failure (run None) fails every run alike
             first = getattr(exc, "run", None) or 0
             for one in ones[:first]:
-                weighted_pipeline(one, structure)
+                weighted_pipeline(one)
             with pytest.raises(type(exc)) as alone:
-                weighted_pipeline(ones[first], structure)
+                weighted_pipeline(ones[first])
             assert str(alone.value) == str(exc), first
             return ["fails"]
         for r, one in enumerate(ones):
-            est = weighted_pipeline(one, structure)
+            est = weighted_pipeline(one)
             assert bitwise_equal(est.alpha_hat, batch.alpha_hat[r]), r
             assert bitwise_equal(np.diag(est.cov), np.diag(batch.cov[r])), r
     return list(batch.branch)
@@ -631,9 +630,9 @@ def test_run_batched_weighted_is_bitwise_per_run(case):
     except NoAnnihilator:
         return
     runs = simulate_runs(model, structure, alpha, input_signal=u, seeds=seeds)
-    obs = design.residues(runs.z_records, None if runs.u is None else runs.u_records[None])
+    obs = design.residues(runs.z_records, runs.u_records)
     ones = [design.with_data(traj) for traj in runs]
-    for took in assert_weighted_batch_is_bitwise(design, structure, obs, ones):
+    for took in assert_weighted_batch_is_bitwise(design, obs, ones):
         event(took)
 
 
@@ -664,14 +663,14 @@ def test_weighted_batch_failure_is_the_first_failing_run(case, data):
     except NoAnnihilator:
         return
     runs = simulate_runs(model, structure, alpha, input_signal=u, seeds=seeds)
-    obs = design.residues(runs.z_records, None if runs.u is None else runs.u_records[None])
+    obs = design.residues(runs.z_records, runs.u_records)
     obs[data.draw(st.integers(0, len(seeds) - 1), label="scaled run")] *= 1e160
     batch, batch_warned = weighted_outcome(
-        lambda: weighted_estimates(design, obs, structure))
+        lambda: weighted_estimates(design, obs))
     warned = 0
     for r in range(len(seeds)):
         one, one_warned = weighted_outcome(
-            lambda: weighted_estimates(design, obs[r:r + 1], structure))
+            lambda: weighted_estimates(design, obs[r:r + 1]))
         warned += one_warned
         if one is not None:
             kind, text, run = one
@@ -701,7 +700,6 @@ def test_run_batched_weighted_is_bitwise_on_the_presets(name, tau, seed, n_runs,
     runs = simulate_runs(spec.model, spec.structure, spec.alpha_true, spec.init,
                          input_signal=benchmark_input_signal(spec),
                          seeds=range(seed, seed + n_runs))
-    obs = design.residues(runs.z_records, None if runs.u is None else runs.u_records[None])
+    obs = design.residues(runs.z_records, runs.u_records)
     ones = [design.with_data(traj) for traj in runs]
-    assert set(assert_weighted_batch_is_bitwise(design, spec.structure, obs,
-                                                ones)) == branches
+    assert set(assert_weighted_batch_is_bitwise(design, obs, ones)) == branches

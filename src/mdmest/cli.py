@@ -87,12 +87,11 @@ def _mode(args) -> str:
 
 def _resolve_l(args, model, structure, mode, tol, n_records):
     """The design of window length ``--L`` for ``n_records`` records; for
-    ``--L auto``, the one ``feasible_design(..., fallback=True)`` finds."""
+    ``--L auto``, ``feasible_design``'s (full rank first, else highest rank)."""
     if args.L != "auto":
         return build_design(model, structure, args.L, mode, tol,
                             n_windows=n_records - args.L + 1)
-    return feasible_design(model, structure, mode, tol, n_records=n_records,
-                           fallback=True)
+    return feasible_design(model, structure, mode, tol, n_records=n_records)
 
 
 def _with_tau(model: LtvModel, tau: int) -> LtvModel:
@@ -113,9 +112,9 @@ def _with_tau(model: LtvModel, tau: int) -> LtvModel:
                     H=cut(model.H), D=cut(model.D))
 
 
-def _print_identifiability(report) -> None:
-    print(f"identifiability: rank {report.rank} of {report.n_alpha} parameters "
-          f"(threshold {report.threshold:.3e})")
+def _print_identifiability(report, L: int) -> None:
+    print(f"identifiability: L={L}, rank {report.rank} of {report.n_alpha} "
+          f"parameters (threshold {report.threshold:.3e})")
     if report.null_basis is not None:
         print("unidentifiable directions (orthonormal basis columns):")
         for row, score in zip(report.null_basis, report.participation):
@@ -144,7 +143,7 @@ def cmd_identify(args) -> int:
         else:
             est = weighted_pipeline(sys_full)
     except RankDeficientDesign:
-        _print_identifiability(ident)
+        _print_identifiability(ident, sys_full.L)
         raise
     wall = time.perf_counter() - t0
     logger.debug("identify: %s estimate in %.3f s, diagnostics %s", est.method, wall,
@@ -179,7 +178,7 @@ def cmd_identify(args) -> int:
         fh.write("\n")
 
     print(f"method: {est.method}   L={sys_full.L}   mode={args.input_mode}")
-    _print_identifiability(ident)
+    _print_identifiability(ident, sys_full.L)
     print(f"{'param':>10} {'alpha_hat':>16}")
     for i, v in enumerate(est.alpha_hat):
         print(f"{'alpha_' + str(i + 1):>10} {v:>16.6e}")
@@ -245,7 +244,7 @@ def cmd_identifiability(args) -> int:
     tol = Tolerance(rank_tol=args.rank_tol)
     sys0 = _resolve_l(args, bundle.model, bundle.structure, _mode(args), tol,
                       n_records=bundle.model.tau + 1)
-    _print_identifiability(identifiability_report(sys0, tol))
+    _print_identifiability(identifiability_report(sys0, tol), sys0.L)
     return EXIT_OK
 
 
@@ -263,8 +262,14 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(default WARNING)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    shared = {"--rank-tol": dict(type=_tolerance_value, default=DEFAULT_TOL.rank_tol),
-              "--zero-tol": dict(type=_tolerance_value, default=DEFAULT_TOL.zero_tol),
+    shared = {"--rank-tol": dict(type=_tolerance_value, default=DEFAULT_TOL.rank_tol, help=(
+                  "a singular value counts towards a rank when above rank_tol * "
+                  "sigma_max * max(rows, cols), so above 1/rows a matrix of that many "
+                  "rows has rank 0 (default %(default)s)")),
+              "--zero-tol": dict(type=_tolerance_value, default=DEFAULT_TOL.zero_tol, help=(
+                  "read only by the weighted first pass's PSD test, which projects its "
+                  "Q and R when an eigenvalue is below -zero_tol * max(1, largest "
+                  "|eigenvalue|) (default %(default)s)")),
               "--out": dict(default=".", help="output directory")}
 
     def add_shared(p, *flags):

@@ -534,8 +534,46 @@ def _check_horizon(model: LtvModel, n_records: int) -> None:
         )
 
 
-def _candidate_lengths(model: LtvModel, n_records: int) -> range:
+def _candidate_lengths(model: LtvModel, mode: str, n_records: int) -> range:
+    """The L a search tries for ``n_records`` records, checked as by ``build_design``."""
+    _check_mode(mode)
+    _check_horizon(model, n_records)
     return range(1, min(max(model.n_x + 2, 12), n_records) + 1)
+
+
+def _scan(model: LtvModel, structure: NoiseStructure, mode: str, tol: Tolerance,
+          n_records: int, lengths: range):
+    """(design, its ``_near_threshold``) of the ``--L auto`` search, or None
+    when no L has an annihilator; ``feasible_design`` says which design."""
+    best, skipped = None, []
+    for L in lengths:
+        upsilon = defining_replication(structure, L)
+        zero = np.flatnonzero(~upsilon.any(axis=0))
+        if zero.size:
+            logger.info("L=%d passed over: Upsilon has a zero column for %s", L,
+                        ", ".join(f"alpha_{j + 1}" for j in zero.tolist()))
+            skipped.append(L)
+            continue
+        try:
+            built = _design(model, structure, upsilon, L, mode, tol, n_records - L + 1)
+        except NoAnnihilator as exc:
+            logger.info("L=%d passed over: window k=%d has no annihilator "
+                        "(rank %d of %d rows)", L, exc.k, exc.rank, exc.rows)
+            continue
+        rank = built[0].rank
+        if rank >= structure.n_alpha:
+            return built
+        logger.info("L=%d passed over: the design has rank %d of %d", L, rank,
+                    structure.n_alpha)
+        if best is None or rank > best[0].rank:
+            best = built
+    for L in skipped if best is None else ():
+        try:
+            return _design(model, structure, defining_replication(structure, L), L,
+                           mode, tol, n_records - L + 1)
+        except NoAnnihilator:
+            continue
+    return best
 
 
 def min_feasible_window(model: LtvModel, mode: str, tol: Tolerance = DEFAULT_TOL,
@@ -547,21 +585,22 @@ def min_feasible_window(model: LtvModel, mode: str, tol: Tolerance = DEFAULT_TOL
     the rank of the annihilated matrix at every k; it is tested by the SVD
     that ``build_design`` takes the annihilators from, so an L passes here
     exactly when ``build_design`` accepts it for the windows of
-    ``n_records`` records (default tau + 1).  When ``structure`` is given,
-    the window must additionally yield a full-column-rank design (an
-    annihilator can exist at an L too short to carry any state-noise
-    information, e.g. single-step windows); this is the L of
-    ``feasible_design``.  L runs up to max(n_x + 2, 12) and ``n_records``.
-    ``mode`` and ``n_records`` are checked as by ``build_design``.
+    ``n_records`` records (default tau + 1).  With ``structure``, it is the
+    L of ``feasible_design`` when that design has full column rank (an
+    annihilator can exist at an L too short to carry state noise, e.g.
+    single-step windows), else None, with no near-threshold warning.  L runs
+    up to max(n_x + 2, 12) and ``n_records``, checked with ``mode`` as by
+    ``build_design``.
     """
-    if n_records is None:
-        n_records = model.tau + 1
+    n_records = model.tau + 1 if n_records is None else n_records
+    lengths = _candidate_lengths(model, mode, n_records)
     if structure is not None:
-        design = feasible_design(model, structure, mode, tol, n_records)
-        return None if design is None else design.L
-    _check_mode(mode)
-    _check_horizon(model, n_records)
-    for L in _candidate_lengths(model, n_records):
+        found = _scan(model, structure, mode, tol, n_records, lengths)
+        if found is None or found[0].rank < structure.n_alpha:
+            return None
+        _warn_near_threshold(found[1])
+        return found[0].L
+    for L in lengths:
         try:
             _annihilators(_all_window_blocks(model, L, n_records - L + 1), mode, tol)
         except NoAnnihilator:
@@ -571,73 +610,31 @@ def min_feasible_window(model: LtvModel, mode: str, tol: Tolerance = DEFAULT_TOL
 
 
 def feasible_design(model: LtvModel, structure: NoiseStructure, mode: str,
-                    tol: Tolerance = DEFAULT_TOL, n_records: int | None = None,
-                    fallback: bool = False) -> StackedSystem | None:
-    """The design at the L that ``min_feasible_window`` picks with ``structure``.
+                    tol: Tolerance = DEFAULT_TOL,
+                    n_records: int | None = None) -> StackedSystem:
+    """The design ``--L auto`` identifies with, for ``n_records`` records
+    (default tau + 1) checked with ``mode`` as by ``build_design``.
 
-    This is the L search of ``--L auto``: the first L of 1, 2, ... up to
-    max(n_x + 2, 12) and ``n_records`` (default tau + 1) whose design has
-    full column rank, else None; ``mode`` and ``n_records`` are checked as
-    by ``build_design``.
-    A candidate L at which the replication Upsilon (``defining_replication``)
-    has a zero column is skipped unbuilt: that column is a zero column of
-    the design.  Each other candidate's design is built once, and its
-    geometry makes the annihilator test.  Each L passed over logs one INFO
-    line with the reason (a zero column's parameter, a window without an
-    annihilator, or the design's rank) and no near-threshold warning: that
-    warning is logged once, for the design returned.
-    ``with_data`` attaches the ``n_records`` measurements.
-
-    With ``fallback``, when no L gives full rank, the result is instead the
-    (rank-deficient) design at the smallest L with an annihilator, and no
-    L's geometry is built twice; when no L has one, MdmError is raised.
+    L runs over 1, 2, ... up to max(n_x + 2, 12) and ``n_records``, and the
+    first L whose design has full column rank is taken.  Failing that, the
+    highest-rank design built is (the smallest L among equal ranks); failing
+    that, the smallest skipped L with an annihilator; failing that, MdmError.
+    An L at which the replication Upsilon (``defining_replication``) has a
+    zero column is skipped unbuilt: that is a zero column of the design.
+    Each other L is built once, its geometry making the annihilator test.
+    Each L passed over logs one INFO line with its reason, a rank-deficient
+    result one more; only the design returned logs its near-threshold warning.
     """
-    _check_mode(mode)
-    if n_records is None:
-        n_records = model.tau + 1
-    _check_horizon(model, n_records)
-    lengths = _candidate_lengths(model, n_records)
-    first, skipped = None, []
-    for L in lengths:
-        upsilon = defining_replication(structure, L)
-        zero = np.flatnonzero(~upsilon.any(axis=0))
-        if zero.size:
-            logger.info("L=%d passed over: Upsilon has a zero column for %s", L,
-                        ", ".join(f"alpha_{j + 1}" for j in zero.tolist()))
-            skipped.append(L)
-            continue
-        try:
-            design, near = _design(model, structure, upsilon, L, mode, tol,
-                                   n_records - L + 1)
-        except NoAnnihilator as exc:
-            logger.info("L=%d passed over: window k=%d has no annihilator "
-                        "(rank %d of %d rows)", L, exc.k, exc.rank, exc.rows)
-            continue
-        if design.rank >= structure.n_alpha:
-            _warn_near_threshold(near)
-            return design
-        logger.info("L=%d passed over: the design has rank %d of %d", L,
-                    design.rank, structure.n_alpha)
-        if first is None:
-            first = design, near
-    if not fallback:
-        return None
-    kept = first
-    for L in skipped:
-        if first is not None and L > first[0].L:
-            break
-        try:
-            kept = _design(model, structure, defining_replication(structure, L), L,
-                           mode, tol, n_records - L + 1)
-            break
-        except NoAnnihilator:
-            continue
-    if kept is None:
+    n_records = model.tau + 1 if n_records is None else n_records
+    lengths = _candidate_lengths(model, mode, n_records)
+    found = _scan(model, structure, mode, tol, n_records, lengths)
+    if found is None:
         raise MdmError(f"no window length up to L={len(lengths)} has an "
                        f"annihilator for {n_records} records")
-    design, near = kept
-    logger.info("no L up to %d gives full rank; L=%d, the smallest with an "
-                "annihilator, is kept", len(lengths), design.L)
+    design, near = found
+    if design.rank < structure.n_alpha:
+        logger.info("no L up to %d gives full rank; L=%d, rank %d of %d, is kept",
+                    len(lengths), design.L, design.rank, structure.n_alpha)
     _warn_near_threshold(near)
     return design
 
@@ -664,11 +661,8 @@ def build_design(model: LtvModel, structure: NoiseStructure, L: int, mode: str,
         design, near = _design(model, structure, defining_replication(structure, L),
                                L, mode, tol, n_windows)
     except NoAnnihilator as exc:
-        try:
-            exc.minimal_feasible_l = min_feasible_window(
-                model, mode, tol, n_records=n_windows + L - 1)
-        except MdmError:
-            pass
+        exc.minimal_feasible_l = min_feasible_window(model, mode, tol,
+                                                     n_records=n_windows + L - 1)
         raise
     _warn_near_threshold(near)
     return design

@@ -440,8 +440,8 @@ class TestAutoWindow:
                                                          capsys, ge_equal_model,
                                                          ge_equal_structure):
         """No L gives the G == E model full rank in unknown-input mode; the
-        report falls back to the smallest L with an annihilator (L = 2, as
-        ``min_feasible_window`` finds) with the design the scan built."""
+        report is on the highest-rank design the scan built, L = 2 (rank 1
+        at every L from 2 to 12, the smallest kept), not built again."""
         from mdmest import estimator, min_feasible_window
         from mdmest.model import UNKNOWN_INPUT
         built = []
@@ -456,7 +456,7 @@ class TestAutoWindow:
         monkeypatch.setattr(estimator, "window_blocks", counting)
         assert main(["identifiability", "--model", str(path),
                      "--input-mode", "unknown"]) == 0
-        assert "rank 1 of 2" in capsys.readouterr().out
+        assert "L=2, rank 1 of 2" in capsys.readouterr().out
         assert sorted(built) == sorted(set(built))
         assert 2 in built
         monkeypatch.setattr(estimator, "window_blocks", real)
@@ -528,7 +528,34 @@ class TestIdentifiabilityCommand:
         the smallest window with an annihilator (L=1, rank 1 of 6)."""
         assert main(["identifiability", "--model", str(unknown_input_model_file),
                      "--input-mode", "unknown"]) == 0
-        assert "rank 6 of 6" in capsys.readouterr().out
+        assert "identifiability: L=2, rank 6 of 6 parameters" in capsys.readouterr().out
+
+    def test_report_names_an_explicit_window(self, capsys, obs_ltv_model_file):
+        assert main(["identifiability", "--model", str(obs_ltv_model_file),
+                     "--L", "3"]) == 0
+        assert capsys.readouterr().out.startswith(
+            "identifiability: L=3, rank 2 of 2 parameters (threshold ")
+
+    def test_rank_deficient_auto_window_keeps_the_highest_rank(self, tmp_path, capsys):
+        """With --rank-tol 1e-3 no L gives unobs at tau=40 full rank; --L auto
+        reports on L = 2 (rank 3 of 6), not on L = 1 (rank 1 of 6), and
+        identify exits 4 after the same report."""
+        spec = preset("unobs-unknown-input", tau=40)
+        model = tmp_path / "unobs.json"
+        io.save_model(model, spec.model, spec.structure,
+                      alpha_true=spec.alpha_true, init=spec.init)
+        assert main(["identifiability", "--model", str(model), "--input-mode",
+                     "unknown", "--rank-tol", "1e-3"]) == 0
+        assert "identifiability: L=2, rank 3 of 6" in capsys.readouterr().out
+        out = tmp_path / "o"
+        assert main(["simulate", "--model", str(model), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["identify", "--model", str(model), "--data",
+                     str(out / "data.jsonl"), "--L", "auto", "--method", "weighted",
+                     "--input-mode", "unknown", "--rank-tol", "1e-3",
+                     "--out", str(out)]) == cli.EXIT_NUMERICAL
+        assert "identifiability: L=2, rank 3 of 6" in capsys.readouterr().out
+        assert not (out / "identify_result.json").exists()
 
 
 class TestExitCodes:

@@ -18,10 +18,8 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
-    kron,
     replication_matrix,
     unification_matrix,
-    unvec,
     vec,
 )
 from .model import (
@@ -39,12 +37,7 @@ from .model import (
     simulate_runs,
     validate,
 )
-from .residue import (
-    AugmentedBlock,
-    WindowBlocks,
-    build_augmented_block,
-    window_blocks,
-)
+from .residue import WindowBlocks, window_blocks
 from .estimator import (
     Estimate,
     EtaCovariances,

@@ -136,10 +136,10 @@ def cmd_identify(args) -> int:
     logger.info("identify: L=%d, %d windows, %d rows, design rank %d of %d",
                 sys_full.L, sys_full.n_windows, sys_full.n_rows, sys_full.rank,
                 sys_full.n_alpha)
-    ident = identifiability_report(sys_full, tol)
+    ident = identifiability_report(sys_full)
     try:
         if args.method == "ordinary":
-            est = ordinary_mdm(sys_full, tol)
+            est = ordinary_mdm(sys_full)
         else:
             est = weighted_pipeline(sys_full)
     except RankDeficientDesign:
@@ -244,7 +244,7 @@ def cmd_identifiability(args) -> int:
     tol = Tolerance(rank_tol=args.rank_tol)
     sys0 = _resolve_l(args, bundle.model, bundle.structure, _mode(args), tol,
                       n_records=bundle.model.tau + 1)
-    _print_identifiability(identifiability_report(sys0, tol), sys0.L)
+    _print_identifiability(identifiability_report(sys0), sys0.L)
     return EXIT_OK
 
 

@@ -817,9 +817,10 @@ def ordinary_mdm(sys: StackedSystem, tol: Tolerance = DEFAULT_TOL) -> Estimate:
 class EtaCovariances:
     """Second moments of the eta process, stored compactly per band offset.
 
-    ``crosses`` holds the lag-j cross covariance C_j of the stacked noise
-    for j = 0..L-1 (the stacked noise vectors of windows L or more apart
-    share no components); L and n_eps are read from it.  The band matrix
+    ``crosses`` is the (L, n_eps, n_eps) array whose j-th entry is the
+    lag-j cross covariance C_j of the stacked noise, j = 0..L-1 (the
+    stacked noise vectors of windows L or more apart share no components);
+    L and n_eps are read from its shape.  The band matrix
     E[eta_k eta_{k+j}^T] follows from C_j by the Gaussian fourth-moment
     factorisation, which ``assemble_p`` applies through the windows' noise
     maps without forming it.  ``projection`` holds, for Q and R, the
@@ -827,16 +828,16 @@ class EtaCovariances:
     were projected onto the PSD cone first, and (0, 0) when they were not.
     """
 
-    crosses: list[np.ndarray]            # per-j cross covariance C_j
+    crosses: np.ndarray                  # (L, n_eps, n_eps), C_j at [j]
     projection: tuple[float, float]
 
     @property
     def L(self) -> int:
-        return len(self.crosses)
+        return self.crosses.shape[0]
 
     @property
     def n_eps(self) -> int:
-        return self.crosses[0].shape[-1]
+        return self.crosses.shape[-1]
 
     @property
     def repaired(self) -> bool:
@@ -945,7 +946,7 @@ def gaussian_eta_covariances(structure: NoiseStructure, alpha, L: int,
     """
     crosses, projection = _eta_crosses(
         structure, np.asarray(alpha, dtype=float).reshape(1, -1), L, tol)
-    etas = EtaCovariances(crosses=list(crosses[0]),
+    etas = EtaCovariances(crosses=crosses[0],
                           projection=tuple(float(p) for p in projection[0]))
     if etas.repaired:
         if not repair:
@@ -982,7 +983,7 @@ def assemble_p(sys: StackedSystem, etas: EtaCovariances) -> np.ndarray:
         raise ValueError(
             f"band dimension n_eps={etas.n_eps} does not match system n_eps={sys.n_eps}"
         )
-    return _assemble_bands(sys, np.stack(etas.crosses)[None])[0]
+    return _assemble_bands(sys, etas.crosses[None])[0]
 
 
 def _assemble_bands(sys: StackedSystem, crosses: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Dense matrix utilities underlying the identification algebra.
 
-Kronecker products, block-diagonal assembly, column-wise vectorisation, the
-one SVD rank rule (``svd_rank``: a singular value counts when it exceeds
+Block-diagonal assembly, column-wise vectorisation, the one SVD rank rule
+(``svd_rank``: a singular value counts when it exceeds
 rank_tol * sigma_max * max(rows, cols)), and the 0/1 unification
 (unique-element selection) and replication matrices for vectorised
 symmetric matrices.  A matrix's rank is ``svd_rank(m)[3]``, and with
@@ -17,10 +17,8 @@ import numpy as np
 __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
-    "kron",
     "block_diag",
     "vec",
-    "unvec",
     "svd_rank",
     "sym_pair_indices",
     "unification_matrix",
@@ -58,11 +56,6 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
-
-
 def block_diag(*blocks: np.ndarray) -> np.ndarray:
     """Block-diagonal matrix of the 2-D float ``blocks``, in order.
 
@@ -81,14 +74,6 @@ def block_diag(*blocks: np.ndarray) -> np.ndarray:
 def vec(m) -> np.ndarray:
     """Column-wise stacking of a matrix into a vector."""
     return _as_matrix(m).ravel(order="F")
-
-
-def unvec(v, rows: int, cols: int) -> np.ndarray:
-    """Inverse of ``vec``: reshape a vector into a rows x cols matrix."""
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size != rows * cols:
-        raise ValueError(f"cannot unvec length {v.size} into {rows}x{cols}")
-    return v.reshape((rows, cols), order="F")
 
 
 def svd_rank(m, tol: Tolerance = DEFAULT_TOL, full_matrices: bool = False):

@@ -164,13 +164,11 @@ class NoiseStructure:
 
     @classmethod
     def from_pairs(cls, pairs) -> "NoiseStructure":
-        bq = tuple(np.asarray(q, dtype=float) for q, _ in pairs)
-        br = tuple(np.asarray(r, dtype=float) for _, r in pairs)
-        if not bq:
+        pairs = list(pairs)
+        if not pairs:
             raise ValidationError(["noise structure needs at least one basis pair"])
-        if len(bq) != len(br):
-            raise ValidationError(["BQ and BR lists must have equal length"])
-        return cls(bq=bq, br=br)
+        return cls(bq=tuple(np.asarray(q, dtype=float) for q, _ in pairs),
+                   br=tuple(np.asarray(r, dtype=float) for _, r in pairs))
 
     @property
     def n_alpha(self) -> int:
@@ -374,7 +372,7 @@ def validate(model: LtvModel, structure: NoiseStructure) -> ValidationReport:
                             for k in range(len(seq)) if not np.all(np.isfinite(seq[k])))
     for i, (bq, br) in enumerate(zip(structure.bq, structure.br), start=1):
         for tag, b, n in (("BQ", bq, structure.n_w), ("BR", br, structure.n_v)):
-            if b.shape == (n, n) and not np.array_equal(b, b.T):
+            if b.shape == (n, n) and not np.array_equal(b, b.T, equal_nan=True):
                 findings.append(f"{tag}^({i}) is not symmetric")
             if not np.all(np.isfinite(b)):
                 findings.append(f"{tag}^({i}) contains non-finite entries")

@@ -30,48 +30,29 @@ from .errors import DataError
 from .linalg import block_diag
 from .model import LtvModel
 
-__all__ = ["AugmentedBlock", "WindowBlocks", "build_augmented_block",
-           "window_blocks"]
-
-
-@dataclass
-class AugmentedBlock:
-    """The five window matrices for one starting time k."""
-
-    k: int
-    L: int
-    O: np.ndarray          # (n_zkL, n_x) stacked observation map
-    Gamma: np.ndarray      # (n_zkL, (L-1) n_x) strictly block lower triangular
-    scriptG: np.ndarray    # ((L-1) n_x, n_ukL) blkdiag of G_k..G_{k+L-2}
-    scriptE: np.ndarray    # ((L-1) n_x, (L-1) n_w) blkdiag of E_k..E_{k+L-2}
-    scriptD: np.ndarray    # (n_zkL, L n_v) blkdiag of D_k..D_{k+L-1}
+__all__ = ["WindowBlocks", "window_blocks"]
 
 
 @dataclass
 class WindowBlocks:
     """The window matrices of the windows starting at ``ks``, which share one
-    shape (the same n_z and n_u sequences), stacked on a leading window axis.
+    shape (the same n_z and n_u sequences), stacked on a leading window axis;
+    one window is a stack of one.
     """
 
     ks: np.ndarray         # (n,) window start times
     L: int
-    O: np.ndarray          # (n, n_zkL, n_x)
-    Gamma: np.ndarray      # (n, n_zkL, (L-1) n_x)
-    scriptG: np.ndarray    # (n, (L-1) n_x, n_ukL)
-    scriptE: np.ndarray    # (n, (L-1) n_x, (L-1) n_w)
-    scriptD: np.ndarray    # (n, n_zkL, L n_v)
+    O: np.ndarray          # (n, n_zkL, n_x) stacked observation map
+    Gamma: np.ndarray      # (n, n_zkL, (L-1) n_x) strictly block lower triangular
+    scriptG: np.ndarray    # (n, (L-1) n_x, n_ukL) blkdiag of G_k..G_{k+L-2}
+    scriptE: np.ndarray    # (n, (L-1) n_x, (L-1) n_w) blkdiag of E_k..E_{k+L-2}
+    scriptD: np.ndarray    # (n, n_zkL, L n_v) blkdiag of D_k..D_{k+L-1}
 
     @property
     def C(self) -> np.ndarray:
         """blkdiag(scriptE, scriptD) per window: the noises enter Z_k as
         [Gamma_k, I] C_k [W_k; V_k]."""
         return _stacked_block_diag([self.scriptE, self.scriptD], self.ks.size)
-
-    def block(self, i: int) -> AugmentedBlock:
-        """The matrices of the i-th window of the stack (views)."""
-        return AugmentedBlock(k=int(self.ks[i]), L=self.L, O=self.O[i],
-                              Gamma=self.Gamma[i], scriptG=self.scriptG[i],
-                              scriptE=self.scriptE[i], scriptD=self.scriptD[i])
 
 
 def _stacked_block_diag(blocks: list[np.ndarray], n: int) -> np.ndarray:
@@ -140,7 +121,13 @@ def window_blocks(model: LtvModel, ks, L: int) -> list[WindowBlocks]:
     return [_window_group(model, ks, L)]
 
 
-def build_augmented_block(model: LtvModel, k: int, L: int) -> AugmentedBlock:
-    """Assemble O, Gamma, scriptG, scriptE, scriptD for window [k, k+L-1]."""
-    return window_blocks(model, [k], L)[0].block(0)
+def build_augmented_block(model: LtvModel, k: int, L: int) -> WindowBlocks:
+    """``window_blocks(model, [k], L)[0]``: the stack of the one window
+    [k, k+L-1].
+
+    Not exported: only the perfbench traced replay imports it from here, and
+    it goes with that replay's move to ``window_blocks`` (the API trim on
+    ROADMAP.md).
+    """
+    return window_blocks(model, [k], L)[0]
 

@@ -16,6 +16,7 @@ from mdmest import (
     NoiseStructure,
 )
 from mdmest.linalg import swap_permutation, sym_pair_indices, vec
+from mdmest.residue import window_blocks
 
 
 def dense_from_band(ab):
@@ -49,6 +50,14 @@ def noise_map(ac):
     ac[sel_j[t]] kron ac[sel_i[t]], the einsum ``build_design`` forms it by."""
     sel_i, sel_j = sym_pair_indices(ac.shape[0])
     return np.einsum("ta,tb->tab", ac[sel_j], ac[sel_i]).reshape(sel_i.size, -1)
+
+
+def window_matrices(model, k, L):
+    """O, Gamma, scriptG, scriptE and scriptD of the one window [k, k+L-1],
+    as 2-D arrays: ``window_blocks(model, [k], L)[0]`` without its stack axis."""
+    wb = window_blocks(model, [k], L)[0]
+    return SimpleNamespace(**{name: getattr(wb, name)[0] for name in
+                              ("O", "Gamma", "scriptG", "scriptE", "scriptD")})
 
 
 def window_arrays(sys, k):

@@ -29,9 +29,8 @@ from mdmest import (
     weighted_mdm,
 )
 from mdmest.benchmarks import benchmark_input_signal
-from mdmest.residue import build_augmented_block
 
-from conftest import eta_band, eta_mean, window_arrays
+from conftest import eta_band, eta_mean, window_arrays, window_matrices
 from test_residue import window_residue
 
 # frozen reference statistics (sample variances of the published MC studies)
@@ -179,7 +178,7 @@ def test_criterion_5a_annihilation_and_dual_residue():
     for name in ("obs-ltv", "unobs-unknown-input", "clock-ensemble"):
         spec, rows = _windows_with_residues(name, tau=200, seed=1)
         for k, w, zt, direct in rows:
-            block = build_augmented_block(spec.model, k, spec.L)
+            block = window_matrices(spec.model, k, spec.L)
             target = block.O
             if spec.mode == UNKNOWN_INPUT:
                 target = np.hstack([block.O, block.Gamma @ block.scriptG])

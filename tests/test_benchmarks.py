@@ -156,6 +156,12 @@ class TestRunMc:
         with pytest.raises(ValueError, match="n_mc must be at least 1"):
             run_mc(preset("obs-ltv", tau=50), "ordinary", n_mc=n_mc)
 
+    @pytest.mark.parametrize("method", ["weighted-full-rank", "Ordinary", ""])
+    def test_unknown_method_is_rejected(self, monkeypatch, method):
+        monkeypatch.setattr(benchmarks, "build_design", None)
+        with pytest.raises(ValueError, match="^method must be 'ordinary' or 'weighted'$"):
+            run_mc(preset("obs-ltv", tau=50), method)
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_count_below_one_is_rejected(self, monkeypatch, workers):
         # rejected before any run is simulated or any process started

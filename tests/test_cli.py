@@ -198,6 +198,8 @@ class TestSimulateIdentify:
         ("n_x", 1.9, "'n_x'"),
         ("tau", float("inf"), "'tau'"),             # JSON's 1e999 reads as inf too
         ("D", [[10 ** 400]], "'D'"),                # beyond the largest float
+        ("basis", [{"BQ": [[1.0]]}, {"BQ": [[0.0]], "BR": [[1.0]]}],
+         "basis entry 0 needs both 'BQ' and 'BR'"),
         ("tau", -1, "'tau' must be nonnegative, got -1"),
         ("n_x", -1, "'n_x' must be nonnegative, got -1"),
         ("n_w", -3, "'n_w' must be nonnegative, got -3"),
@@ -214,6 +216,15 @@ class TestSimulateIdentify:
         code = main(["simulate", "--model", str(model), "--out", str(tmp_path)])
         assert code == 3
         assert named in capsys.readouterr().err
+
+    def test_model_file_that_is_not_json_is_an_io_error(self, tmp_path, capsys):
+        """The decoder's error reaches ``main``, which exits 5 with its message."""
+        model = tmp_path / "model.json"
+        model.write_text("not json\n")
+        code = main(["simulate", "--model", str(model), "--out", str(tmp_path / "o")])
+        assert code == 5
+        assert capsys.readouterr().err == "error: Expecting value: line 1 column 1 (char 0)\n"
+        assert not (tmp_path / "o").exists()
 
     def test_number_of_too_many_digits_in_a_model_names_the_file(self, tmp_path,
                                                                  capsys):
@@ -344,6 +355,26 @@ class TestSimulateIdentify:
                      "--out", str(tmp_path / "o")]) == 2
         assert "argument --tau: must be at least 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_simulate_zero_input_writes_zero_u_records(self, tmp_path,
+                                                       obs_ltv_model_file):
+        out = tmp_path / "o"
+        assert main(["simulate", "--model", str(obs_ltv_model_file), "--tau", "20",
+                     "--input-signal", "zero", "--out", str(out)]) == 0
+        data = io.read_data(out / "data.jsonl")
+        assert np.array_equal(data.n_u, np.ones(21, dtype=int))
+        assert np.array_equal(data.u, np.zeros(21))
+
+    def test_simulate_sine_input_needs_a_scalar_input(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({**self.SCALAR_MODEL, "G": [[1.0, 1.0]]}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--model", str(model), "--input-signal", "sine",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: the sine input signal needs a scalar input; use --input-signal "
+            "zero or none\n")
+        assert not out.exists()
 
     def test_simulate_requires_alpha_true(self, tmp_path):
         spec = preset("obs-ltv", tau=50)

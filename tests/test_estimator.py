@@ -269,6 +269,77 @@ def test_length_decisions_agree_at_a_drawn_threshold(case, data):
         assert set(hints) <= {built}
 
 
+class TestRefusals:
+    """What the estimator's entry points refuse, and the message they give."""
+
+    @staticmethod
+    def design(n_windows=None):
+        spec = preset("obs-ltv", tau=20)
+        traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
+                        input_signal=benchmark_input_signal(spec), seed=0)
+        return traj, build_design(spec.model, spec.structure, spec.L, KNOWN_INPUT,
+                                  n_windows=n_windows)
+
+    @pytest.mark.parametrize("n_windows, cut, message", [
+        (None, 1, "data has 20 records but the design's 20 windows of length L=2 "
+                  "span 21"),
+        (19, 0, "data has 21 records but the design's 19 windows of length L=2 "
+                "span 20"),
+    ])
+    def test_with_data_needs_the_records_the_windows_span(self, n_windows, cut,
+                                                          message):
+        traj, design = self.design(n_windows)
+        data = MeasurementData.from_records(traj.zs[:len(traj.zs) - cut],
+                                            traj.us[:len(traj.us) - cut])
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            design.with_data(data)
+
+    @pytest.mark.parametrize("shape", [(21,), (1, 20), (2, 22)])
+    def test_residues_need_runs_of_the_spanned_records(self, shape):
+        _, design = self.design()
+        with pytest.raises(DataError, match=re.escape(
+                f"measurement records of shape {shape}; the design's windows "
+                "span (runs, 21)")):
+            design.residues(np.zeros(shape))
+
+    @pytest.mark.parametrize("solve", [
+        ordinary_mdm,
+        lambda sys: weighted_mdm(sys, np.ones((1, sys.n_rows))),
+        weighted_pipeline,
+    ], ids=["ordinary_mdm", "weighted_mdm", "weighted_pipeline"])
+    def test_a_design_without_data_is_refused(self, solve):
+        _, design = self.design()
+        with pytest.raises(ValueError, match="^system carries no observations$"):
+            solve(design)
+
+    def test_weighted_mdm_refuses_a_rank_deficient_design(self, ge_equal_model,
+                                                          ge_equal_structure):
+        traj = simulate(ge_equal_model, ge_equal_structure, [1.0, 0.5],
+                        input_signal=np.sin(np.arange(61) / 60.0)[:, None], seed=1)
+        sys_full = build_stacked_system(ge_equal_model, ge_equal_structure, traj,
+                                        2, UNKNOWN_INPUT)
+        with pytest.raises(RankDeficientDesign, match="^design matrix rank 1 < 2 "):
+            weighted_mdm(sys_full, np.ones((1, sys_full.n_rows)))
+
+    def test_forced_full_rank_branch_refuses_a_singular_weight(self):
+        traj, design = self.design()
+        sys_full = design.with_data(traj)
+        ab = np.ones((1, sys_full.n_rows))
+        ab[0, 0] = 0.0
+        with pytest.raises(IndefiniteWeight, match="^full-rank branch forced but "
+                                                   "the weight is singular$"):
+            weighted_mdm(sys_full, ab, branch="full-rank")
+
+    def test_assemble_p_refuses_another_noise_dimension(self):
+        traj, design = self.design()
+        structure = NoiseStructure.from_pairs([(np.eye(2), np.zeros((1, 1))),
+                                               (np.zeros((2, 2)), np.eye(1))])
+        etas = gaussian_eta_covariances(structure, [1.0, 1.0], design.L)
+        with pytest.raises(ValueError, match="^band dimension n_eps=4 does not "
+                                             "match system n_eps=3$"):
+            assemble_p(design.with_data(traj), etas)
+
+
 class TestMinFeasibleWindow:
     def test_presets(self):
         for name, expected in (("obs-ltv", 2), ("clock-ensemble", 3)):

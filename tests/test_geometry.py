@@ -7,6 +7,7 @@ is not invariant to a re-mixing of a window's residue rows.
 """
 
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,15 +19,13 @@ from mdmest import (
     LtvModel,
     NoAnnihilator,
     NoiseStructure,
-    build_augmented_block,
     build_design,
     defining_replication,
     preset,
 )
 from mdmest.linalg import DEFAULT_TOL, block_diag, svd_rank, sym_pair_indices
-from mdmest.residue import AugmentedBlock
 
-from conftest import window_arrays
+from conftest import window_arrays, window_matrices
 
 
 def reference_block(model, k, L):
@@ -43,8 +42,8 @@ def reference_block(model, k, L):
             gamma[rows, j * n_x:(j + 1) * n_x] = t
             t = t @ model.F[k + j]
         obs[rows, :] = t
-    return AugmentedBlock(
-        k=k, L=L, O=obs, Gamma=gamma,
+    return SimpleNamespace(
+        O=obs, Gamma=gamma,
         scriptG=block_diag(*(model.G[k + i] for i in range(lg))),
         scriptE=block_diag(*(model.E[k + i] for i in range(lg))),
         scriptD=block_diag(*(model.D[k + i] for i in range(L))),
@@ -101,7 +100,7 @@ def assert_geometry_matches_reference(model, structure, L, mode):
         for name, value in ref.items():
             assert bitwise_equal(getattr(w, name), value), (k, name)
         for name in ("O", "Gamma", "scriptG", "scriptE", "scriptD"):
-            assert bitwise_equal(getattr(build_augmented_block(model, k, L), name),
+            assert bitwise_equal(getattr(window_matrices(model, k, L), name),
                                  getattr(reference_block(model, k, L), name))
     if model.is_lti:
         # ac and every group stack are stride-0 broadcasts of window 0

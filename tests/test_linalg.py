@@ -3,35 +3,11 @@ import pytest
 
 from mdmest import (
     Tolerance,
-    kron,
     replication_matrix,
     unification_matrix,
-    unvec,
     vec,
 )
 from mdmest.linalg import block_diag, svd_rank, swap_permutation, sym_pair_indices
-
-
-class TestKron:
-    def test_scalar_identity(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(kron([[1.0]], m), m)
-
-    def test_identity_times_scalar(self):
-        assert np.array_equal(kron(np.eye(2), [[5.0]]), np.diag([5.0, 5.0]))
-
-    def test_hand_expansion(self):
-        out = kron([[1.0, 2.0]], [[3.0], [4.0]])
-        assert np.array_equal(out, [[3.0, 6.0], [4.0, 8.0]])
-
-    def test_mixed_product_property(self, rng):
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((2, 5))
-        c = rng.standard_normal((4, 2))
-        d = rng.standard_normal((5, 3))
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
 
 class TestBlockDiag:
@@ -51,10 +27,6 @@ class TestVec:
     def test_column_wise(self):
         assert np.array_equal(vec([[1.0, 3.0], [2.0, 4.0]]), [1.0, 2.0, 3.0, 4.0])
 
-    def test_unvec_inverse(self):
-        assert np.array_equal(unvec([1.0, 2.0, 3.0, 4.0], 2, 2),
-                              [[1.0, 3.0], [2.0, 4.0]])
-
     def test_zero_matrix(self):
         assert np.array_equal(vec(np.zeros((2, 3))), np.zeros(6))
 
@@ -62,11 +34,7 @@ class TestVec:
         for _ in range(20):
             r, c = rng.integers(1, 7, size=2)
             m = rng.standard_normal((r, c))
-            assert np.array_equal(unvec(vec(m), r, c), m)
-
-    def test_unvec_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            unvec([1.0, 2.0, 3.0], 2, 2)
+            assert np.array_equal(vec(m).reshape((c, r)).T, m)
 
 
 def rank(m):

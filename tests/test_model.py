@@ -19,7 +19,6 @@ from mdmest import (
     assemble_qr,
     build_design,
     defining_replication,
-    kron,
     ordinary_estimates,
     ordinary_mdm,
     preset,
@@ -113,8 +112,13 @@ class TestDefiningReplication:
         ups = defining_replication(spec.structure, l_win)
         q, r = assemble_qr(spec.structure, alpha)
         direct = vec(scipy.linalg.block_diag(
-            kron(np.eye(l_win - 1), q), kron(np.eye(l_win), r)))
+            np.kron(np.eye(l_win - 1), q), np.kron(np.eye(l_win), r)))
         assert np.allclose(ups @ alpha, direct)
+
+    @pytest.mark.parametrize("L", [0, -1])
+    def test_window_length_below_one_is_rejected(self, scalar_structure, L):
+        with pytest.raises(ValueError, match="^window length L must be >= 1$"):
+            defining_replication(scalar_structure, L)
 
     def test_linear_in_alpha(self, scalar_structure, rng):
         ups = defining_replication(scalar_structure, 3)
@@ -191,6 +195,55 @@ class TestValidate:
                                 H=np.eye(1), D=np.eye(1))
         report = validate(model, s)
         assert any("symmetric" in f for f in report.findings)
+
+    ONE, ZERO, EYE2 = np.eye(1), np.zeros((1, 1)), np.eye(2)
+
+    @pytest.mark.parametrize("n_w, pairs, findings", [
+        (1, [(EYE2, ZERO), (ZERO, ONE)],
+         ["BQ^(2) has shape (1, 1), expected (2, 2)",
+          "structure BQ dimension does not match model n_w"]),
+        (1, [(ONE, ZERO), (ZERO, [[1.0, 2.0]])],
+         ["BR^(2) has shape (1, 2), expected (1, 1)"]),
+        (1, [(EYE2, ZERO), (np.zeros((2, 2)), ONE)],
+         ["structure BQ dimension does not match model n_w"]),
+        (1, [(ONE, EYE2), (ZERO, np.zeros((2, 2)))],
+         ["structure BR dimension does not match model n_v"]),
+        (1, [(ONE, [[np.inf]]), (ZERO, ONE)],
+         ["BR^(1) contains non-finite entries"]),
+        (1, [(ONE, ZERO), ([[np.nan]], ONE)],
+         ["BQ^(2) contains non-finite entries"]),
+        (2, [([[1.0, np.nan], [0.0, 1.0]], ZERO)],
+         ["BQ^(1) is not symmetric", "BQ^(1) contains non-finite entries"]),
+        (2, [([[1.0, np.nan], [np.nan, 1.0]], ZERO)],
+         ["BQ^(1) contains non-finite entries"]),
+    ])
+    def test_basis_findings(self, n_w, pairs, findings):
+        """A basis matrix of the wrong shape or dimension, or with an entry
+        that is not finite, is named; a NaN basis matrix is asymmetric only
+        where its transpose differs, NaN against a number."""
+        model = LtvModel.create(n_x=1, n_w=n_w, n_v=1, tau=3, F=np.eye(1), G=None,
+                                E=np.ones((1, n_w)), H=np.eye(1), D=np.eye(1))
+        assert validate(model, NoiseStructure.from_pairs(pairs)).findings == findings
+
+
+class TestNoiseStructure:
+    PAIRS = [(np.eye(1), np.zeros((1, 1))), (np.zeros((1, 1)), np.eye(1))]
+
+    @pytest.mark.parametrize("wrap", [
+        lambda pairs: zip(*zip(*pairs)),
+        lambda pairs: (p for p in pairs),
+    ], ids=["zip", "generator"])
+    def test_from_pairs_reads_an_iterator_once(self, wrap):
+        """A zip or a generator of pairs gives the structure the list gives."""
+        got = NoiseStructure.from_pairs(wrap(self.PAIRS))
+        want = NoiseStructure.from_pairs(self.PAIRS)
+        assert got.n_alpha == want.n_alpha == 2
+        for a, b in zip(got.bq + got.br, want.bq + want.br):
+            assert np.array_equal(a, b)
+
+    def test_no_pairs_refused(self):
+        with pytest.raises(ValidationError, match="at least one basis pair"):
+            NoiseStructure.from_pairs(iter([]))
 
 
 class TestSimulate:

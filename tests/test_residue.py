@@ -9,7 +9,6 @@ from mdmest import (
     InitialCondition,
     LtvModel,
     NoAnnihilator,
-    build_augmented_block,
     build_design,
     build_stacked_system,
     defining_replication,
@@ -20,8 +19,9 @@ from mdmest import (
 )
 from mdmest.benchmarks import benchmark_input_signal
 from mdmest.linalg import svd_rank, sym_pair_indices
+from mdmest.residue import window_blocks
 
-from conftest import noise_map, window_arrays
+from conftest import noise_map, window_arrays, window_matrices
 from test_geometry import window_cases
 
 
@@ -56,7 +56,7 @@ def regression_rows(ztilde, ac, upsilon):
 
 class TestBuildAugmentedBlock:
     def test_window_one_degenerate(self, scalar_lti_model):
-        block = build_augmented_block(scalar_lti_model, 3, 1)
+        block = window_matrices(scalar_lti_model, 3, 1)
         assert np.array_equal(block.O, scalar_lti_model.H[3])
         assert block.Gamma.shape == (1, 0)
         assert block.scriptG.shape == (0, 0)
@@ -67,12 +67,12 @@ class TestBuildAugmentedBlock:
         f, h = 0.7, 2.0
         model = LtvModel.create(n_x=1, n_w=1, n_v=1, tau=10,
                                 F=[[f]], G=None, E=[[1.0]], H=[[h]], D=[[1.0]])
-        block = build_augmented_block(model, 0, 3)
+        block = window_matrices(model, 0, 3)
         assert np.allclose(block.O[:, 0], [h, h * f, h * f * f])
 
     def test_obs_ltv_first_window(self):
         spec = preset("obs-ltv", tau=100)
-        block = build_augmented_block(spec.model, 0, 2)
+        block = window_matrices(spec.model, 0, 2)
         h0 = 1.0 + 0.99 * np.sin(0.0)
         h1 = 1.0 + 0.99 * np.sin(100.0 * np.pi / 100)
         f0 = 0.8 - 0.1 * np.sin(0.0)
@@ -86,7 +86,7 @@ class TestBuildAugmentedBlock:
         model = LtvModel.create(n_x=2, n_w=2, n_v=1, tau=4, F=f_seq, G=None,
                                 E=np.eye(2), H=h_seq, D=np.eye(1))
         k, L = 1, 3
-        block = build_augmented_block(model, k, L)
+        block = window_matrices(model, k, L)
         assert np.allclose(block.Gamma[1, :2], h_seq[2][0])          # H_{k+1}
         assert np.allclose(block.Gamma[2, :2], h_seq[3][0] @ f_seq[2])  # H_{k+2} F_{k+1}
         assert np.allclose(block.Gamma[2, 2:], h_seq[3][0])          # H_{k+2}
@@ -117,7 +117,12 @@ class TestBuildAugmentedBlock:
 
     def test_horizon_overrun(self, scalar_lti_model):
         with pytest.raises(DataError):
-            build_augmented_block(scalar_lti_model, 49, 3)
+            window_matrices(scalar_lti_model, 49, 3)
+
+    @pytest.mark.parametrize("L", [0, -2])
+    def test_window_length_below_one_is_rejected(self, scalar_lti_model, L):
+        with pytest.raises(ValueError, match="^window length L must be >= 1$"):
+            window_blocks(scalar_lti_model, [0, 1], L)
 
 
 class TestResidueKnownInput:
@@ -151,7 +156,7 @@ class TestResidueKnownInput:
                         seed=2)
         sys = build_stacked_system(spec.model, spec.structure, traj, 10)
         window_residue(sys, traj, 0)
-        rank = svd_rank(build_augmented_block(spec.model, 0, 10).O)[3]
+        rank = svd_rank(window_matrices(spec.model, 0, 10).O)[3]
         assert rank < 6
         assert window_arrays(sys, 0).n_a == 20 - rank
 

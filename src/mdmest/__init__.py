@@ -42,14 +42,12 @@ from .estimator import (
     Estimate,
     EtaCovariances,
     WeightedRuns,
-    IdentifiabilityReport,
     StackedSystem,
     assemble_p,
     build_design,
     build_stacked_system,
     feasible_design,
     gaussian_eta_covariances,
-    identifiability_report,
     min_feasible_window,
     ordinary_estimates,
     ordinary_mdm,

@@ -181,9 +181,12 @@ _PRESETS = {
 
 
 def preset(name: str, *, tau: int = 1000, n_mc: int = 500, seed: int = 0) -> BenchmarkSpec:
-    """Stock benchmark by name; tau / n_mc / seed are desk-scale defaults."""
+    """Stock benchmark by name; tau / n_mc / seed are desk-scale defaults.
+    An unknown name, or a horizon tau below 1, raises ValueError."""
     if name not in _PRESETS:
         raise ValueError(f"unknown preset '{name}'; choose from {PRESET_NAMES}")
+    if tau < 1:
+        raise ValueError(f"preset horizon tau={tau}; it must be at least 1")
     return _PRESETS[name](tau, n_mc, seed)
 
 

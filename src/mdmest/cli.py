@@ -23,7 +23,6 @@ from .errors import DataError, MdmError, RankDeficientDesign, ValidationError
 from .estimator import (
     build_design,
     feasible_design,
-    identifiability_report,
     ordinary_mdm,
     weighted_pipeline,
 )
@@ -112,21 +111,30 @@ def _with_tau(model: LtvModel, tau: int) -> LtvModel:
                     H=cut(model.H), D=cut(model.D))
 
 
-def _print_identifiability(report, L: int) -> None:
-    print(f"identifiability: L={L}, rank {report.rank} of {report.n_alpha} "
-          f"parameters (threshold {report.threshold:.3e})")
-    if report.null_basis is not None:
+def _load_model(path, simulating: bool = False) -> io.ModelBundle:
+    """The model file at ``path``, which must validate (and, ``simulating``,
+    carry 'alpha_true', checked first); else ValidationError."""
+    bundle = io.load_model(path)
+    if simulating and bundle.alpha_true is None:
+        raise ValidationError(["model file has no 'alpha_true'; cannot simulate"])
+    report = validate(bundle.model, bundle.structure)
+    if not report.ok:
+        raise ValidationError(report.findings)
+    return bundle
+
+
+def _print_identifiability(design) -> None:
+    print(f"identifiability: L={design.L}, rank {design.rank} of {design.n_alpha} "
+          f"parameters (threshold {design.rank_threshold:.3e})")
+    if design.null_basis is not None:
         print("unidentifiable directions (orthonormal basis columns):")
-        for row, score in zip(report.null_basis, report.participation):
+        for row, score in zip(design.null_basis, design.participation):
             cells = "  ".join(f"{v: .4e}" for v in row)
             print(f"  [{cells}]  participation {score:.3f}")
 
 
 def cmd_identify(args) -> int:
-    bundle = io.load_model(args.model)
-    report = validate(bundle.model, bundle.structure)
-    if not report.ok:
-        raise ValidationError(report.findings)
+    bundle = _load_model(args.model)
     data = io.read_data(args.data)
     tol = Tolerance(rank_tol=args.rank_tol, zero_tol=args.zero_tol)
     mode = _mode(args)
@@ -136,14 +144,13 @@ def cmd_identify(args) -> int:
     logger.info("identify: L=%d, %d windows, %d rows, design rank %d of %d",
                 sys_full.L, sys_full.n_windows, sys_full.n_rows, sys_full.rank,
                 sys_full.n_alpha)
-    ident = identifiability_report(sys_full)
     try:
         if args.method == "ordinary":
             est = ordinary_mdm(sys_full)
         else:
             est = weighted_pipeline(sys_full)
     except RankDeficientDesign:
-        _print_identifiability(ident, sys_full.L)
+        _print_identifiability(sys_full)
         raise
     wall = time.perf_counter() - t0
     logger.debug("identify: %s estimate in %.3f s, diagnostics %s", est.method, wall,
@@ -161,11 +168,11 @@ def cmd_identify(args) -> int:
         "input_mode": args.input_mode,
         "cov": est.cov.tolist() if est.cov is not None else None,
         "identifiability": {
-            "rank": ident.rank,
-            "n_alpha": ident.n_alpha,
-            "threshold": ident.threshold,
-            "participation": (ident.participation.tolist()
-                              if ident.participation is not None else None),
+            "rank": sys_full.rank,
+            "n_alpha": sys_full.n_alpha,
+            "threshold": sys_full.rank_threshold,
+            "participation": (sys_full.participation.tolist()
+                              if sys_full.null_basis is not None else None),
         },
         "tolerances": {"rank_tol": tol.rank_tol, "zero_tol": tol.zero_tol},
     }
@@ -178,7 +185,7 @@ def cmd_identify(args) -> int:
         fh.write("\n")
 
     print(f"method: {est.method}   L={sys_full.L}   mode={args.input_mode}")
-    _print_identifiability(ident, sys_full.L)
+    _print_identifiability(sys_full)
     print(f"{'param':>10} {'alpha_hat':>16}")
     for i, v in enumerate(est.alpha_hat):
         print(f"{'alpha_' + str(i + 1):>10} {v:>16.6e}")
@@ -187,12 +194,7 @@ def cmd_identify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    bundle = io.load_model(args.model)
-    if bundle.alpha_true is None:
-        raise ValidationError(["model file has no 'alpha_true'; cannot simulate"])
-    report = validate(bundle.model, bundle.structure)
-    if not report.ok:
-        raise ValidationError(report.findings)
+    bundle = _load_model(args.model, simulating=True)
     model = bundle.model if args.tau is None else _with_tau(bundle.model, args.tau)
 
     u = None
@@ -237,14 +239,10 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_identifiability(args) -> int:
-    bundle = io.load_model(args.model)
-    report = validate(bundle.model, bundle.structure)
-    if not report.ok:
-        raise ValidationError(report.findings)
+    bundle = _load_model(args.model)
     tol = Tolerance(rank_tol=args.rank_tol)
-    sys0 = _resolve_l(args, bundle.model, bundle.structure, _mode(args), tol,
-                      n_records=bundle.model.tau + 1)
-    _print_identifiability(identifiability_report(sys0), sys0.L)
+    _print_identifiability(_resolve_l(args, bundle.model, bundle.structure, _mode(args),
+                                      tol, n_records=bundle.model.tau + 1))
     return EXIT_OK
 
 

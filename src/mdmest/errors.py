@@ -82,7 +82,8 @@ class RankDeficientDesign(MdmError):
     """The stacked design matrix has numerical rank below n_alpha.
 
     Fewer noise covariance parameters are identifiable than were requested;
-    see ``identifiability_report`` for the unidentifiable directions.
+    the design's ``null_basis`` and ``participation`` give the
+    unidentifiable directions.
     """
 
     def __init__(self, rank: int, n_alpha: int):

@@ -52,7 +52,6 @@ __all__ = [
     "StackedSystem",
     "EtaCovariances",
     "Estimate",
-    "IdentifiabilityReport",
     "build_design",
     "build_stacked_system",
     "feasible_design",
@@ -65,7 +64,6 @@ __all__ = [
     "weighted_pipeline",
     "WeightedRuns",
     "BRANCHES",
-    "identifiability_report",
     "min_feasible_window",
 ]
 
@@ -113,10 +111,6 @@ class RowReduction:
     transforms: np.ndarray             # (n_kinds, max rows, max rows)
     row_offsets: np.ndarray            # window k keeps row_offsets[k]:row_offsets[k+1]
 
-    @property
-    def n_rows(self) -> int:
-        return int(self.row_offsets[-1])
-
     def apply(self, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """The kept rows of x, whose window k has rows offsets[k]:offsets[k+1]."""
         t = self.transforms[self.kinds]
@@ -142,6 +136,14 @@ class StackedSystem:
     from one SVD of design / scale, which ordinary LS reuses; ``reduction``
     is None when no window shares a residue direction with its predecessor.
     ``structure`` and ``tol`` are those it was built with, for every stage.
+
+    The design is also its own identifiability report, which needs no
+    data: ``rank`` of ``n_alpha`` parameters at ``rank_threshold``, the
+    unidentifiable directions ``null_basis`` and their ``participation``,
+    and ``near_threshold``, how close the annihilators' rank decisions came
+    to theirs: (count, sigma/threshold, k, rank kept) of the windows with a
+    singular value within a decade of their threshold, how many and the
+    closest call, or None when there are none.
     """
 
     obs: np.ndarray | None
@@ -162,10 +164,17 @@ class StackedSystem:
     s: np.ndarray
     vt: np.ndarray
     reduction: RowReduction | None
+    near_threshold: tuple | None
 
     @property
     def n_alpha(self) -> int:
         return self.design.shape[1]
+
+    @property
+    def participation(self) -> np.ndarray | None:
+        """Each parameter's weight in the unidentifiable directions: the
+        row norms of ``null_basis``; None at full rank."""
+        return None if self.null_basis is None else np.linalg.norm(self.null_basis, axis=1)
 
     @property
     def n_rows(self) -> int:
@@ -291,15 +300,6 @@ class Estimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-@dataclass
-class IdentifiabilityReport:
-    rank: int
-    n_alpha: int
-    threshold: float
-    null_basis: np.ndarray | None        # (n_alpha, deficiency), orthonormal columns
-    participation: np.ndarray | None     # per-parameter weight in the null space
-
-
 def _annihilated_target(blocks, mode: str) -> np.ndarray:
     """O, or [O, Gamma scriptG] when an unknown input must be cancelled too;
     per window for a WindowBlocks stack."""
@@ -315,9 +315,7 @@ def _all_window_blocks(model: LtvModel, L: int, n_windows: int):
 
 
 def _near_threshold(factored):
-    """(count, sigma/threshold, k, rank kept) of the windows of ``factored``
-    with singular values within a decade of their rank threshold: how many,
-    and the closest call; None when there are none."""
+    """``StackedSystem.near_threshold`` of the windows of ``factored``."""
     count, closest = 0, None
     for b, _, s, rank, thr in factored:
         t = thr[:, None]
@@ -333,14 +331,16 @@ def _near_threshold(factored):
     return (count,) + closest[1:] if count else None
 
 
-def _warn_near_threshold(near) -> None:
-    """The one warning, from its ``_near_threshold``, of a design returned."""
-    if near is not None:
+def _warned(design: StackedSystem) -> StackedSystem:
+    """``design``, after the one warning of its ``near_threshold``: a
+    builder logs it for the design it returns, never for one it rejects."""
+    if design.near_threshold is not None:
         logger.warning(
             "%d window(s) have singular values within a decade of the rank "
             "threshold; closest: sigma/threshold = %.3g at window k=%d, rank %d kept",
-            *near,
+            *design.near_threshold,
         )
+    return design
 
 
 def _annihilators(blocks, mode: str, tol: Tolerance) -> list:
@@ -366,11 +366,12 @@ def _annihilators(blocks, mode: str, tol: Tolerance) -> list:
     return factored
 
 
-def _window_geometries(model: LtvModel, blocks, mode: str, upsilon: np.ndarray,
-                       tol: Tolerance, n_windows: int):
-    """The geometry of ``n_windows`` windows from their matrices ``blocks``
-    (window 0 alone for an LTI model, whose windows all share it): (ac,
-    ann, n_a, groups, design, row_offsets, near).
+def _window_geometries(model: LtvModel, factored, mode: str, upsilon: np.ndarray,
+                       n_windows: int):
+    """The geometry of ``n_windows`` windows from their matrices and
+    annihilator SVDs ``factored`` (``_annihilators``; window 0 alone for an
+    LTI model, whose windows all share it): (ac, ann, n_a, groups, design,
+    row_offsets).
 
     ``ac`` stacks every window's ``ac`` as ``StackedSystem.ac`` holds it;
     ``ann`` stacks the annihilators of the windows in ``blocks`` the same
@@ -378,12 +379,10 @@ def _window_geometries(model: LtvModel, blocks, mode: str, upsilon: np.ndarray,
     rows.  ``groups`` are the ``ResidueGroup``s, and ``design`` holds window
     k's regression block at rows row_offsets[k]:row_offsets[k+1].
 
-    The annihilators come from ``_annihilators`` (a window without one
-    raises NoAnnihilator), ``near`` from their SVDs.  The windows are then
-    regrouped by rank and their products computed in stacks, bitwise equal
-    to the same steps taken for one window alone.
+    The windows are regrouped by rank and their products computed in
+    stacks, bitwise equal to the same steps taken for one window alone.
     """
-    factored = _annihilators(blocks, mode, tol)
+    blocks = [b for b, *_ in factored]
     n_a = np.empty(sum(b.ks.size for b in blocks), dtype=int)
     for b, u, _, rank, _ in factored:
         n_a[b.ks] = u.shape[1] - rank
@@ -427,7 +426,7 @@ def _window_geometries(model: LtvModel, blocks, mode: str, upsilon: np.ndarray,
             ))
     if model.is_lti:
         ac_all = np.broadcast_to(ac_all, (n_windows,) + ac_all.shape[1:])
-    return ac_all, ann_all, n_a, groups, design, row_offsets, _near_threshold(factored)
+    return ac_all, ann_all, n_a, groups, design, row_offsets
 
 
 def _kept_pair_transforms(q: np.ndarray, d: int) -> np.ndarray:
@@ -543,8 +542,8 @@ def _candidate_lengths(model: LtvModel, mode: str, n_records: int) -> range:
 
 def _scan(model: LtvModel, structure: NoiseStructure, mode: str, tol: Tolerance,
           n_records: int, lengths: range):
-    """(design, its ``_near_threshold``) of the ``--L auto`` search, or None
-    when no L has an annihilator; ``feasible_design`` says which design."""
+    """The design of the ``--L auto`` search, or None when no L has an
+    annihilator; ``feasible_design`` says which design."""
     best, skipped = None, []
     for L in lengths:
         upsilon = defining_replication(structure, L)
@@ -560,12 +559,11 @@ def _scan(model: LtvModel, structure: NoiseStructure, mode: str, tol: Tolerance,
             logger.info("L=%d passed over: window k=%d has no annihilator "
                         "(rank %d of %d rows)", L, exc.k, exc.rank, exc.rows)
             continue
-        rank = built[0].rank
-        if rank >= structure.n_alpha:
+        if built.rank >= structure.n_alpha:
             return built
-        logger.info("L=%d passed over: the design has rank %d of %d", L, rank,
+        logger.info("L=%d passed over: the design has rank %d of %d", L, built.rank,
                     structure.n_alpha)
-        if best is None or rank > best[0].rank:
+        if best is None or built.rank > best.rank:
             best = built
     for L in skipped if best is None else ():
         try:
@@ -596,10 +594,9 @@ def min_feasible_window(model: LtvModel, mode: str, tol: Tolerance = DEFAULT_TOL
     lengths = _candidate_lengths(model, mode, n_records)
     if structure is not None:
         found = _scan(model, structure, mode, tol, n_records, lengths)
-        if found is None or found[0].rank < structure.n_alpha:
+        if found is None or found.rank < structure.n_alpha:
             return None
-        _warn_near_threshold(found[1])
-        return found[0].L
+        return _warned(found).L
     for L in lengths:
         try:
             _annihilators(_all_window_blocks(model, L, n_records - L + 1), mode, tol)
@@ -627,16 +624,14 @@ def feasible_design(model: LtvModel, structure: NoiseStructure, mode: str,
     """
     n_records = model.tau + 1 if n_records is None else n_records
     lengths = _candidate_lengths(model, mode, n_records)
-    found = _scan(model, structure, mode, tol, n_records, lengths)
-    if found is None:
+    design = _scan(model, structure, mode, tol, n_records, lengths)
+    if design is None:
         raise MdmError(f"no window length up to L={len(lengths)} has an "
                        f"annihilator for {n_records} records")
-    design, near = found
     if design.rank < structure.n_alpha:
         logger.info("no L up to %d gives full rank; L=%d, rank %d of %d, is kept",
                     len(lengths), design.L, design.rank, structure.n_alpha)
-    _warn_near_threshold(near)
-    return design
+    return _warned(design)
 
 
 def build_design(model: LtvModel, structure: NoiseStructure, L: int, mode: str,
@@ -658,22 +653,22 @@ def build_design(model: LtvModel, structure: NoiseStructure, L: int, mode: str,
         raise DataError(f"horizon too short: no full window of length L={L}")
     _check_horizon(model, n_windows + L - 1)
     try:
-        design, near = _design(model, structure, defining_replication(structure, L),
-                               L, mode, tol, n_windows)
+        design = _design(model, structure, defining_replication(structure, L),
+                         L, mode, tol, n_windows)
     except NoAnnihilator as exc:
         exc.minimal_feasible_l = min_feasible_window(model, mode, tol,
                                                      n_records=n_windows + L - 1)
         raise
-    _warn_near_threshold(near)
-    return design
+    return _warned(design)
 
 
 def _design(model: LtvModel, structure: NoiseStructure, upsilon: np.ndarray, L: int,
             mode: str, tol: Tolerance, n_windows: int):
-    """(design, its ``_near_threshold``), upsilon the ``defining_replication``
-    of structure and L; the builder that returns the design logs ``near``."""
-    ac, ann, n_a, groups, design, row_offsets, near = _window_geometries(
-        model, _all_window_blocks(model, L, n_windows), mode, upsilon, tol, n_windows)
+    """The design, upsilon the ``defining_replication`` of structure and L;
+    the builder that returns it logs its ``near_threshold`` (``_warned``)."""
+    factored = _annihilators(_all_window_blocks(model, L, n_windows), mode, tol)
+    ac, ann, n_a, groups, design, row_offsets = _window_geometries(
+        model, factored, mode, upsilon, n_windows)
     reduction = _row_reduction(model, L, n_windows, n_a, ann, tol)
     (u, s, vt, rank, scale), thr = _equilibrated_svd(design, tol)
     null_basis = None
@@ -684,8 +679,8 @@ def _design(model: LtvModel, structure: NoiseStructure, upsilon: np.ndarray, L: 
         obs=None, design=design, row_offsets=row_offsets, L=L, mode=mode,
         residue_groups=groups, ac=ac, model=model, structure=structure, tol=tol,
         scale=scale, rank=rank, rank_threshold=thr, null_basis=null_basis,
-        u=u, s=s, vt=vt, reduction=reduction,
-    ), near
+        u=u, s=s, vt=vt, reduction=reduction, near_threshold=_near_threshold(factored),
+    )
 
 
 def _record_of(offsets: np.ndarray, pos) -> int:
@@ -993,7 +988,7 @@ def _assemble_bands(sys: StackedSystem, crosses: np.ndarray) -> np.ndarray:
     The lag loop runs on ac[None, :n] @ C[:, None] @ ac_t[None, j:], and
     the kept-row map on t[None, :n] @ blk @ t_t[None, j:]: per (run,
     window) each is the per-window product of one run, and so its bits.
-    The scatter positions are computed once per batch, not per run.
+    The scatter positions are computed once per call, not per run.
     """
     runs = crosses.shape[0]
     red, offsets = sys.reduction, sys._weight_offsets
@@ -1284,11 +1279,12 @@ def weighted_estimates(sys: StackedSystem, obs: np.ndarray) -> WeightedRuns:
     A design without full rank, or one whose full-row weight band
     (``band_rows`` x ``n_rows``) would exceed P_DENSE_MAX_ROWS**2 entries,
     fails every run and is raised first, with ``run`` None;
-    ``ordinary_estimates``' refusals of ``obs`` come next.  When a later
-    stage fails, the runs are solved again one at a time, as their one-run
-    case, and the first failing run's error is raised with its index as
-    ``run``, after the warnings one run at a time gives up to and
-    including that run.
+    ``ordinary_estimates``' refusals of ``obs`` come next.  A later
+    stage's error is raised with the index of the first failing run as
+    ``run``, after the warnings one run at a time gives up to and including
+    that run: a run alone raises it at once, its PSD projection warned of
+    before its weight is assembled; a batch of two or more that fails is
+    solved again one run at a time, as their one-run cases, to find it.
     """
     obs = np.asarray(obs, dtype=float)
     if obs.ndim != 2:
@@ -1303,10 +1299,16 @@ def weighted_estimates(sys: StackedSystem, obs: np.ndarray) -> WeightedRuns:
             "or a shorter horizon"
         )
     alphas = ordinary_estimates(sys, obs)
+    alone = len(obs) == 1
     try:
         crosses, projection = _eta_crosses(sys.structure, alphas, sys.L, sys.tol)
+        if alone:
+            _warn_projected(projection)
         runs = _weighted_solves(sys, obs, _assemble_bands(sys, crosses), "auto")
-    except _RUN_ERRORS:
+    except _RUN_ERRORS as exc:
+        if alone:
+            exc.run = 0
+            raise
         for r in range(len(obs)):
             one = slice(r, r + 1)
             try:
@@ -1318,7 +1320,8 @@ def weighted_estimates(sys: StackedSystem, obs: np.ndarray) -> WeightedRuns:
                 exc.run = r
                 raise exc from None
         raise
-    _warn_projected(projection)
+    if not alone:
+        _warn_projected(projection)
     runs.alpha_ordinary, runs.projection = alphas, projection
     return runs
 
@@ -1350,17 +1353,12 @@ def weighted_pipeline(sys: StackedSystem) -> Estimate:
 
 
 def identifiability_report(sys: StackedSystem,
-                           tol: Tolerance = DEFAULT_TOL) -> IdentifiabilityReport:
-    """Numerical rank of the design and, if deficient, the blind directions.
+                           tol: Tolerance = DEFAULT_TOL) -> StackedSystem:
+    """``sys``, which is its own identifiability report (see StackedSystem);
+    ``tol`` is unused.
 
-    The design depends on the known model and structure matrices only, so
-    this needs no measurement data.  The rank decision and null basis are
-    the ones ``build_design`` made with ``sys.tol``; ``tol`` is unused.
+    Not exported: only the perfbench traced replay calls it, and it goes
+    with that replay's move to the design's fields (the API trim on
+    ROADMAP.md).
     """
-    participation = None
-    if sys.null_basis is not None:
-        participation = np.linalg.norm(sys.null_basis, axis=1)
-    return IdentifiabilityReport(rank=sys.rank, n_alpha=sys.n_alpha,
-                                 threshold=sys.rank_threshold,
-                                 null_basis=sys.null_basis,
-                                 participation=participation)
+    return sys

@@ -44,16 +44,22 @@ def _read_text(path) -> str:
             raise
 
 
-def _too_many_digits() -> str:
-    """What json.loads' one ValueError that is not a JSONDecodeError means:
-    Python converts integers of at most sys.get_int_max_str_digits()
-    digits."""
-    return f"a number has more than {sys.get_int_max_str_digits()} digits"
-
-
-# what json.loads' RecursionError means: the decoder recurses once per
-# level of nesting, up to Python's recursion limit
-_TOO_DEEP = "a value is nested too deeply to decode"
+def _loads(text: str, fail):
+    """json.loads(text), whose JSONDecodeError for text that is not JSON
+    passes through; its other errors raise fail(message).  Its one other
+    ValueError means a number of more digits than Python converts (at most
+    sys.get_int_max_str_digits()), and a RecursionError a value nested
+    deeper than Python's recursion limit, the decoder recursing once per
+    level."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        raise fail(f"a number has more than {sys.get_int_max_str_digits()} "
+                   "digits") from None
+    except RecursionError:
+        raise fail("a value is nested too deeply to decode") from None
 
 
 @dataclass
@@ -84,15 +90,7 @@ def load_model(path) -> ModelBundle:
     raises ``json.loads``' error, and one that is not UTF-8 text the
     decoder's; a number of more digits than Python converts, or a value
     nested too deeply to decode, raises ValidationError naming the file."""
-    text = _read_text(path)
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError:
-        raise
-    except ValueError:
-        raise ValidationError([f"{path}: {_too_many_digits()}"]) from None
-    except RecursionError:
-        raise ValidationError([f"{path}: {_TOO_DEEP}"]) from None
+    raw = _loads(_read_text(path), lambda msg: ValidationError([f"{path}: {msg}"]))
     for key in ("n_x", "n_w", "n_v", "tau", "F", "E", "H", "D", "basis"):
         if key not in raw:
             raise ValidationError([f"model file is missing required key '{key}'"])
@@ -254,20 +252,6 @@ def _decode_lines(text: str):
     return records, line_nos, None
 
 
-def _raise_decode_error(line: str, line_no: int) -> None:
-    """Raise the error of the line that does not decode: ``json.loads``'
-    own, or a DataError naming the line for a number of too many digits or
-    a value nested too deeply."""
-    try:
-        json.loads(line)
-    except json.JSONDecodeError:
-        raise
-    except ValueError:
-        raise DataError(f"line {line_no + 1}: {_too_many_digits()}") from None
-    except RecursionError:
-        raise DataError(f"line {line_no + 1}: {_TOO_DEEP}") from None
-
-
 def read_data(path) -> MeasurementData:
     """Read a JSON Lines data file; records must cover k = 0..tau in order,
     each 'z' and 'u' a flat list of finite numbers.
@@ -286,7 +270,9 @@ def read_data(path) -> MeasurementData:
         for k, (record, line_no) in enumerate(zip(records, line_nos)):
             _check_record(record, k, line_no)
     if bad_line is not None:
-        _raise_decode_error(*bad_line)
+        # json.loads raises for the line that does not decode
+        line, line_no = bad_line
+        _loads(line, lambda msg: DataError(f"line {line_no + 1}: {msg}"))
     if not records:
         raise DataError(f"no records in {Path(path)}")
     (z, n_z), (u, n_u) = arrays

@@ -18,7 +18,6 @@ from mdmest import (
     build_design,
     build_stacked_system,
     gaussian_eta_covariances,
-    identifiability_report,
     ordinary_mdm,
     preset,
     replication_matrix,
@@ -364,18 +363,16 @@ def test_criterion_5g_identifiability():
     for name in ("obs-ltv", "unobs-unknown-input", "clock-ensemble"):
         spec = preset(name, tau=60)
         sys0 = build_design(spec.model, spec.structure, spec.L, spec.mode)
-        rep = identifiability_report(sys0)
-        details.append(f"{name}: rank {rep.rank}/{rep.n_alpha}")
-        full_ok &= rep.rank == rep.n_alpha
+        details.append(f"{name}: rank {sys0.rank}/{sys0.n_alpha}")
+        full_ok &= sys0.rank == sys0.n_alpha
 
     from conftest import make_ge_equal_model, make_ge_equal_structure
     sys_ge = build_design(make_ge_equal_model(), make_ge_equal_structure(), 2,
                           UNKNOWN_INPUT)
-    rep = identifiability_report(sys_ge)
-    drop_ok = rep.rank < rep.n_alpha and rep.participation[0] > 0.99
+    drop_ok = sys_ge.rank < sys_ge.n_alpha and sys_ge.participation[0] > 0.99
     details.append(
-        f"G=E model: rank {rep.rank}/{rep.n_alpha}, "
-        f"Q-direction participation={rep.participation[0]:.3f}")
+        f"G=E model: rank {sys_ge.rank}/{sys_ge.n_alpha}, "
+        f"Q-direction participation={sys_ge.participation[0]:.3f}")
     ok = report("criterion 5g (identifiability ranks)",
                 full_ok and drop_ok, "; ".join(details))
     assert ok

@@ -100,6 +100,15 @@ class TestPresetFidelity:
         with pytest.raises(ValueError):
             preset("nope")
 
+    @pytest.mark.parametrize("tau", [0, -1])
+    @pytest.mark.parametrize("name", ["obs-ltv", "unobs-unknown-input", "clock-ensemble"])
+    def test_horizon_below_one_is_refused(self, name, tau):
+        """tau=0 used to raise ZeroDivisionError and tau=-1 a shape error
+        (or build the clock with tau=-1)."""
+        with pytest.raises(ValueError, match=rf"^preset horizon tau={tau}; "
+                                             "it must be at least 1$"):
+            preset(name, tau=tau)
+
     def test_input_signal(self):
         spec = preset("obs-ltv", tau=100)
         u = benchmark_input_signal(spec)

@@ -297,7 +297,7 @@ class TestSimulateIdentify:
         # has a -1 diagonal entry, so it is indefinite whatever the data; the
         # message form is the one scripts match
         def indefinite_pipeline(sys_full):
-            bad = np.ones((1, sys_full.reduction.n_rows))
+            bad = np.ones((1, sys_full.weight_band_shape[1]))
             bad[0, 0] = -1.0
             return weighted_mdm(sys_full, bad)
 
@@ -567,17 +567,29 @@ class TestIdentifiabilityCommand:
         assert capsys.readouterr().out.startswith(
             "identifiability: L=3, rank 2 of 2 parameters (threshold ")
 
+    RANK_DEFICIENT_REPORT = (
+        "identifiability: L=2, rank 3 of 6 parameters (threshold 4.720e-01)\n"
+        "unidentifiable directions (orthonormal basis columns):\n"
+        "  [-4.8337e-01   1.3121e-01  -7.4557e-02]  participation 0.506\n"
+        "  [ 5.0896e-01  -7.4236e-01  -6.0924e-02]  participation 0.902\n"
+        "  [-2.9056e-01  -5.4478e-02  -2.1354e-02]  participation 0.296\n"
+        "  [ 6.1399e-01   6.2541e-01  -2.2636e-01]  participation 0.905\n"
+        "  [-5.1403e-02  -5.9519e-02   5.9855e-01]  participation 0.604\n"
+        "  [-2.0800e-01  -1.8448e-01  -7.6208e-01]  participation 0.811\n")
+
     def test_rank_deficient_auto_window_keeps_the_highest_rank(self, tmp_path, capsys):
         """With --rank-tol 1e-3 no L gives unobs at tau=40 full rank; --L auto
-        reports on L = 2 (rank 3 of 6), not on L = 1 (rank 1 of 6), and
-        identify exits 4 after the same report."""
+        reports on L = 2 (rank 3 of 6), not on L = 1 (rank 1 of 6): the
+        rank line, then a row of the null basis and its participation per
+        parameter, and nothing on stderr.  identify exits 4 after the same
+        report."""
         spec = preset("unobs-unknown-input", tau=40)
         model = tmp_path / "unobs.json"
         io.save_model(model, spec.model, spec.structure,
                       alpha_true=spec.alpha_true, init=spec.init)
         assert main(["identifiability", "--model", str(model), "--input-mode",
                      "unknown", "--rank-tol", "1e-3"]) == 0
-        assert "identifiability: L=2, rank 3 of 6" in capsys.readouterr().out
+        assert capsys.readouterr() == (self.RANK_DEFICIENT_REPORT, "")
         out = tmp_path / "o"
         assert main(["simulate", "--model", str(model), "--out", str(out)]) == 0
         capsys.readouterr()
@@ -585,7 +597,7 @@ class TestIdentifiabilityCommand:
                      str(out / "data.jsonl"), "--L", "auto", "--method", "weighted",
                      "--input-mode", "unknown", "--rank-tol", "1e-3",
                      "--out", str(out)]) == cli.EXIT_NUMERICAL
-        assert "identifiability: L=2, rank 3 of 6" in capsys.readouterr().out
+        assert self.RANK_DEFICIENT_REPORT in capsys.readouterr().out
         assert not (out / "identify_result.json").exists()
 
 
@@ -779,6 +791,7 @@ def is_json(lines) -> bool:
     return True
 
 
+@pytest.mark.bitwise
 @given(malformed_files())
 @example(({**MUTANT_MODEL, "tau": 3}, [json.dumps(r) for r in MUTANT_RECORDS]))
 @example(({**MUTANT_MODEL, "tau": -1}, [json.dumps(r) for r in MUTANT_RECORDS]))

@@ -27,6 +27,8 @@ from mdmest.linalg import DEFAULT_TOL, block_diag, svd_rank, sym_pair_indices
 
 from conftest import window_arrays, window_matrices
 
+pytestmark = pytest.mark.bitwise
+
 
 def reference_block(model, k, L):
     """O, Gamma, scriptG, scriptE, scriptD of window k, built alone."""
@@ -209,3 +211,5 @@ def test_near_threshold_windows_give_one_warning(caplog):
     message = caplog.records[0].getMessage()
     assert message.startswith("5 window(s) have singular values within a decade")
     assert "sigma/threshold = 1.33 at window k=3, rank 2 kept" in message
+    count, ratio, k, rank = sys0.near_threshold
+    assert (count, round(ratio, 2), k, rank) == (5, 1.33, 3, 2)

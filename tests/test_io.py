@@ -177,6 +177,7 @@ def obs_or_error(design, data):
         return str(err)
 
 
+@pytest.mark.bitwise
 @given(record_sequences())
 def test_measurement_records_read_back(case):
     """``from_records`` keeps the records bit for bit, a data file gives
@@ -294,6 +295,7 @@ def read_outcome(read, path):
                  for a in (data.z, data.n_z, data.u, data.n_u))
 
 
+@pytest.mark.bitwise
 @given(data_files())
 @example('{"k": 0, "z": [1.0]}\n{"k": 1, "z": [true]}\n{"k": 2, "z": [1.0],\n')
 @example('{"k": 0, "z": [1.0]}\n{"k": 1, "z": [1.0],\n{"k": 2, "z": [NaN]}\n')

@@ -141,6 +141,7 @@ def replication_cases(draw):
     return NoiseStructure.from_pairs(pairs), draw(st.integers(1, 6))
 
 
+@pytest.mark.bitwise
 @given(replication_cases())
 def test_defining_replication_is_the_kron_assembly(case):
     """Each column is bit for bit vec(blkdiag(I_{L-1} kron BQ_i, I_L kron BR_i))
@@ -443,6 +444,7 @@ def matrix_sequences(draw):
     return kind, mats, draw(st.sampled_from(forms))
 
 
+@pytest.mark.bitwise
 @given(matrix_sequences(), st.data())
 def test_matrix_sequence_reads_back_its_matrices(case, data):
     """A MatrixSequence gives back, bit for bit, the matrices it was made
@@ -515,6 +517,7 @@ def simulation_cases(draw):
     return model, structure, L, mode, alpha, u, draw(st.integers(0, 2**32 - 1))
 
 
+@pytest.mark.bitwise
 @given(simulation_cases())
 def test_simulate_is_bitwise_per_step(case):
     """With and without the input, the stacked products give the per-step
@@ -582,6 +585,7 @@ def assert_runs_are_bitwise_per_seed(model, structure, alpha, u, seeds):
                     assert all(bitwise_equal(a, b) for a, b in zip(got, want)), name
 
 
+@pytest.mark.bitwise
 @given(batched_simulation_cases())
 def test_simulate_runs_is_bitwise_per_seed(case):
     """Several runs simulated together give, seed by seed, the step-by-step
@@ -613,6 +617,7 @@ def test_simulate_runs_is_bitwise_on_shapes_no_case_draws(n_w, n_v, tau, n_seeds
                                      rng.standard_normal((tau + 1, 1)), seeds)
 
 
+@pytest.mark.bitwise
 @given(batched_simulation_cases())
 def test_run_batched_estimates_are_bitwise_per_run(case):
     """The squared residues of runs simulated together, formed from their
@@ -670,6 +675,7 @@ def assert_weighted_batch_is_bitwise(design, obs, ones):
     return list(batch.branch)
 
 
+@pytest.mark.bitwise
 @given(batched_simulation_cases())
 def test_run_batched_weighted_is_bitwise_per_run(case):
     """Runs simulated together, their residues formed by one ``residues``
@@ -701,6 +707,7 @@ def weighted_outcome(call):
     return outcome, sum("indefinite" in str(w.message) for w in caught)
 
 
+@pytest.mark.bitwise
 @given(batched_simulation_cases(), st.data())
 def test_weighted_batch_failure_is_the_first_failing_run(case, data):
     """A batch in which one run's squared residues are scaled by 1e160

@@ -36,7 +36,7 @@ from .model import (
     simulate_runs,
 )
 
-__all__ = ["BenchmarkSpec", "McResult", "PRESET_NAMES", "preset",
+__all__ = ["BenchmarkSpec", "McResult", "PRESET_NAMES", "preset", "sine_input",
            "benchmark_input_signal", "run_mc", "emit_table", "emit_plot_data"]
 
 PRESET_NAMES = ("clock-ensemble", "unobs-unknown-input", "obs-ltv")
@@ -48,8 +48,8 @@ PRESET_NAMES = ("clock-ensemble", "unobs-unknown-input", "obs-ltv")
 # weighted in assemble_p's (runs, b+1, m) bands.  No run count caps a chunk:
 # simulate_runs' per-run work is one generator's draws, and a larger chunk
 # spreads its per-step loop over more runs.  The chunk's drawn normals,
-# n_v + n_w wide, are not counted: they can hold up to twice the bound until
-# the noises are formed, so a chunk's simulation peaks at about twice it
+# about n_v + n_w wide, are not counted: they can hold up to twice the bound
+# until the noises are formed, so a chunk's simulation peaks at about twice it
 _CHUNK_ELEMENTS = 2 ** 15
 
 
@@ -190,23 +190,26 @@ def preset(name: str, *, tau: int = 1000, n_mc: int = 500, seed: int = 0) -> Ben
     return _PRESETS[name](tau, n_mc, seed)
 
 
+def sine_input(tau: int) -> np.ndarray:
+    """u_k = sin(k / tau), k = 0..tau, one scalar step per row (u_0 = 0 at
+    tau = 0): ``mdmest simulate --input-signal sine``'s input."""
+    return np.sin(np.arange(tau + 1) / max(tau, 1))[:, None]
+
+
 def benchmark_input_signal(spec: BenchmarkSpec) -> np.ndarray | None:
-    """The scalar input u_k = sin(k / tau) applied by every benchmark run of
-    a model with an input; None for a model without one."""
-    if not spec.model.has_input:
-        return None
-    return np.sin(np.arange(spec.tau + 1) / spec.tau)[:, None]
+    """``sine_input`` over the horizon, applied by every benchmark run of a
+    model with an input; None for a model without one."""
+    return sine_input(spec.tau) if spec.model.has_input else None
 
 
 def _chunk_sizes(spec: BenchmarkSpec, design,
                  method: str = "ordinary") -> tuple[int, int]:
     """Runs simulated together, and runs estimated together: as many as
     keep each (runs, tau+1, width) array of the simulation (width the
-    largest of n_x, n_w, n_v and n_z; the drawn normals, n_w + n_v wide,
-    can hold up to twice the bound and are freed before the states are
-    stepped), and the (runs, n_rows) squared residues (weighted: the
-    (runs, b+1, m) weight bands of ``design.weight_band_shape``), within
-    _CHUNK_ELEMENTS floats, and at least one."""
+    largest of n_x, n_w, n_v and n_z), and the (runs, n_rows) squared
+    residues (weighted: the (runs, b+1, m) weight bands of
+    ``design.weight_band_shape``), within _CHUNK_ELEMENTS floats, and at
+    least one."""
     model = spec.model
     width = max(model.n_x, model.n_w, model.n_v, int(model.n_z_steps().max()))
     rows = (int(np.prod(design.weight_band_shape)) if method == "weighted"
@@ -259,7 +262,7 @@ def _run_range(spec: BenchmarkSpec, method: str, indices, tol: Tolerance):
     """Identify runs ``indices``; the design is built once for all of them.
 
     The runs are simulated a chunk at a time (``simulate_runs``) and
-    identified from the chunk's measurement array (``_estimate_runs``),
+    identified from the chunk's measurement records (``_estimate_runs``),
     with no per-run trajectory or record list.  Every estimate is bitwise
     the per-run pipeline's.
     """
@@ -277,7 +280,8 @@ def _run_range(spec: BenchmarkSpec, method: str, indices, tol: Tolerance):
         seeds = [spec.seed + int(i) for i in indices[start:start + sim_size]]
         runs = simulate_runs(spec.model, spec.structure, spec.alpha_true, spec.init,
                              input_signal=u_sim, seeds=seeds)
-        z, u = runs.z_records, runs.u_records
+        z, u = runs.z, runs.u
+        del runs                        # only the records are estimated from
         chunk = slice(start, start + len(seeds))
         for first in range(0, len(seeds), res_size):
             part = slice(first, first + res_size)
@@ -285,8 +289,7 @@ def _run_range(spec: BenchmarkSpec, method: str, indices, tol: Tolerance):
             _estimate_runs(design, method, z[part], u, seeds[part], alphas[chunk][part],
                            None if ecovs is None else ecovs[chunk][part], branches)
             elapsed += time.perf_counter() - t0
-        # freed before the next chunk is simulated
-        del runs, z
+        del z                           # freed before the next chunk is simulated
     return alphas, ecovs, elapsed, branches
 
 

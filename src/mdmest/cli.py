@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .benchmarks import PRESET_NAMES, emit_plot_data, emit_table, preset, run_mc
+from .benchmarks import (PRESET_NAMES, emit_plot_data, emit_table, preset, run_mc,
+                         sine_input)
 from .errors import DataError, MdmError, RankDeficientDesign, ValidationError
 from .estimator import (
     build_design,
@@ -205,8 +206,7 @@ def cmd_simulate(args) -> int:
                 raise ValidationError(
                     ["the sine input signal needs a scalar input; use "
                      "--input-signal zero or none"])
-            ks = np.arange(model.tau + 1)
-            u = np.sin(ks / max(model.tau, 1))[:, None]
+            u = sine_input(model.tau)
         else:
             u = [np.zeros(n) for n in n_u.tolist()]
     traj = simulate(model, bundle.structure, bundle.alpha_true, bundle.init,

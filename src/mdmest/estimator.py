@@ -21,8 +21,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.lapack
 
 from .errors import (
     DataError,
@@ -1066,6 +1064,7 @@ P_DENSE_MAX_ROWS = 8000
 def _factors_shifted(ab: np.ndarray, shift: float) -> bool:
     """Whether P + shift * I, P in lower band storage, has a banded Cholesky
     factor."""
+    import scipy.linalg.lapack
     shifted = ab.copy()
     shifted[0] += shift
     return scipy.linalg.lapack.dpbtrf(shifted, lower=1)[1] == 0
@@ -1092,6 +1091,9 @@ def _whiten_run(sys: StackedSystem, ab: np.ndarray, xyt: np.ndarray, branch: str
     problem, transposed the same way, and ``balance`` the dense branch's c
     (1 on the banded one).
     """
+    # SciPy is loaded by the first weighted solve, not by ``import mdmest``
+    import scipy.linalg
+    import scipy.linalg.lapack
     if sys.reduction is None:
         design, xy = sys.design, xyt.T
     else:
@@ -1286,6 +1288,11 @@ def weighted_estimates(sys: StackedSystem, obs: np.ndarray) -> WeightedRuns:
     before its weight is assembled; a batch of two or more that fails is
     solved again one run at a time, as their one-run cases, to find it.
     """
+    return _weighted_runs(sys, obs)
+
+
+def _weighted_runs(sys: StackedSystem, obs: np.ndarray) -> WeightedRuns:
+    """``weighted_estimates``' body, which ``weighted_pipeline`` calls too."""
     obs = np.asarray(obs, dtype=float)
     if obs.ndim != 2:
         raise DataError(f"squared residues of shape {obs.shape}; weighted_estimates "
@@ -1328,9 +1335,10 @@ def weighted_estimates(sys: StackedSystem, obs: np.ndarray) -> WeightedRuns:
 
 def _warn_projected(projection: np.ndarray) -> None:
     """One warning per run whose first pass was projected (a nonzero
-    ``projection`` row), at the caller of ``weighted_estimates``."""
+    ``projection`` row), at the line that called ``weighted_estimates`` or
+    ``weighted_pipeline``: both call ``_weighted_runs``, which calls this."""
     for _ in range(np.count_nonzero(projection.any(axis=1))):
-        warnings.warn(_PROJECTED, RuntimeWarning, stacklevel=3)
+        warnings.warn(_PROJECTED, RuntimeWarning, stacklevel=4)
 
 
 def weighted_pipeline(sys: StackedSystem) -> Estimate:
@@ -1345,7 +1353,7 @@ def weighted_pipeline(sys: StackedSystem) -> Estimate:
     """
     if sys.obs is None:
         raise ValueError("system carries no observations")
-    runs = weighted_estimates(sys, sys.obs[None])
+    runs = _weighted_runs(sys, sys.obs[None])
     est = _weighted_estimate(sys, runs)
     est.diagnostics["alpha_ordinary"] = runs.alpha_ordinary[0]
     est.diagnostics["eta_projection"] = tuple(float(p) for p in runs.projection[0])

@@ -492,21 +492,20 @@ def _records(a: np.ndarray, n: np.ndarray) -> np.ndarray:
 @dataclass
 class SimulatedRuns:
     """Runs ``simulate_runs`` drew together, as arrays with a leading run
-    axis, and the input they share, as one zero-padded array and its
-    per-step widths.
+    axis, and the input they share.  The records are as the estimator
+    reads them (``StackedSystem.residues``): each run's z_0, z_1, ... end
+    to end, and the input's u_0, u_1, ... so, with their lengths.
 
     Iterating gives each run's ``Trajectory``, built only when it is
-    reached.  ``z_records`` and ``u_records`` give the records end to end,
-    as the estimator reads them.
+    reached.
     """
 
     xs: np.ndarray                      # (runs, tau+1, n_x), a view of step-major states
-    zs: np.ndarray                      # (runs, tau+1, max n_z), z_k in row k's first n_z[k]
+    z: np.ndarray                       # (runs, sum of n_z), the records end to end
     ws: np.ndarray                      # (runs, tau, n_w)
     vs: np.ndarray                      # (runs, tau+1, n_v)
     n_z: np.ndarray                     # (tau+1,) measurement dimension per step
-    u: np.ndarray | None                # (tau+1, max n_u), u_k in row k's first n_u[k];
-                                        # None without an input
+    u: np.ndarray | None                # (1, sum of n_u); None without an input
     n_u: np.ndarray                     # (tau+1,) input dimension per step
 
     def __len__(self) -> int:
@@ -516,23 +515,10 @@ class SimulatedRuns:
         return map(self.trajectory, range(len(self)))
 
     def trajectory(self, i: int) -> Trajectory:
-        """Run ``i`` as a Trajectory: views of these arrays, but for its
-        measurement records when n_z changes with k."""
-        return Trajectory(_records(self.zs[i], self.n_z), self.n_z,
-                          *(() if self.u is None else (self.u_records[0], self.n_u)),
+        """Run ``i`` as a Trajectory of views of these arrays."""
+        return Trajectory(self.z[i], self.n_z,
+                          *(() if self.u is None else (self.u[0], self.n_u)),
                           xs=self.xs[i], ws=self.ws[i], vs=self.vs[i])
-
-    @property
-    def z_records(self) -> np.ndarray:
-        """(runs, sum of n_z): each run's z_0, z_1, ... end to end (a view
-        when n_z does not change with k)."""
-        return _records(self.zs, self.n_z)
-
-    @property
-    def u_records(self) -> np.ndarray | None:
-        """(1, sum of n_u): u_0, u_1, ... end to end, the input the runs
-        share as ``StackedSystem.residues`` takes it; None without one."""
-        return None if self.u is None else _records(self.u, self.n_u)[None]
 
 
 def simulate_runs(model: LtvModel, structure: NoiseStructure, alpha_true,
@@ -542,17 +528,18 @@ def simulate_runs(model: LtvModel, structure: NoiseStructure, alpha_true,
     for that seed, simulated together.
 
     The checks, the noise factors and the input are made once for all
-    runs; only the generator is per run, and it draws the initial state's
-    and the noises' normals, in ``simulate``'s order, straight into the
-    runs' arrays.  The factor products (S_x x0, S_r v, S_q w) and E w, G u,
-    H x and D v are stacked products over the runs (and steps), whose
-    slices have the strides, and so the bits, of the one-run products.  The
-    state recursion steps all runs at once, in place, in a contiguous
-    (tau+1, runs, n_x, 1) buffer: X_{k+1} = np.matmul(F_k, X_k) + E w, a
-    per-matrix product that per run gives the bits of F_k @ x (X @ F_k.T
-    would not), then += G u, the roundings of F x + E w + G u.  Returns
-    the runs' arrays (the states a view of that buffer), which iterate as
-    the runs' trajectories.
+    runs; only the generator is per run, and one call of it draws the
+    initial state's and then the noises' normals, ``simulate``'s order,
+    into the run's row of one array (its normals are one stream, so one
+    call draws what two would).  The factor products (S_x x0, S_r v, S_q w)
+    and E w, G u, H x and D v are stacked products over the runs (and
+    steps), whose slices have the strides, and so the bits, of the one-run
+    products.  The state recursion steps all runs at once, in place, in a
+    contiguous (tau+1, runs, n_x, 1) buffer: X_{k+1} = np.matmul(F_k, X_k)
+    + E w, a per-matrix product that per run gives the bits of F_k @ x
+    (X @ F_k.T would not), then += G u, the roundings of F x + E w + G u.
+    Returns the runs' arrays (the states a view of that buffer), which
+    iterate as the runs' trajectories.
     """
     findings = _shape_findings(model, structure)
     if findings:
@@ -571,15 +558,14 @@ def simulate_runs(model: LtvModel, structure: NoiseStructure, alpha_true,
 
     tau, n_x, n_v = model.tau, model.n_x, model.n_v
     seeds = list(seeds)
-    x0 = np.empty((len(seeds), n_x))
-    noise = np.empty((len(seeds), tau + 1, n_v + model.n_w))
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        rng.standard_normal(out=x0[i])
-        rng.standard_normal(out=noise[i])
+    normals = np.empty((len(seeds), n_x + (tau + 1) * (n_v + model.n_w)))
+    for row, seed in zip(normals, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
+    noise = normals[:, n_x:].reshape(len(seeds), tau + 1, n_v + model.n_w)
     vs = noise[..., :n_v] @ s_r.T
     ws = noise[:, :tau, n_v:] @ s_q.T
-    del noise
+    x0 = mean + np.matmul(s_x, normals[:, :n_x, None])[..., 0]
+    del normals, noise
 
     ew = _step_products(model.E, ws, tau)
     gu = repeat(None)
@@ -590,7 +576,7 @@ def simulate_runs(model: LtvModel, structure: NoiseStructure, alpha_true,
     # step k of the state is the contiguous (runs, n_x, 1) block xk[k],
     # each step written in place
     xk = np.empty((tau + 1, len(seeds), n_x, 1))
-    xk[0, ..., 0] = mean + np.matmul(s_x, x0[..., None])[..., 0]
+    xk[0, ..., 0] = x0
     for f, e, g, x, x_next in zip(model.F.take(np.arange(tau)),
                                   ew.transpose(1, 0, 2)[..., None], gu, xk, xk[1:]):
         np.add(np.matmul(f, x), e, out=x_next)
@@ -600,7 +586,9 @@ def simulate_runs(model: LtvModel, structure: NoiseStructure, alpha_true,
     xs = xk[..., 0].transpose(1, 0, 2)
     zm = _step_products(model.H, xs, tau + 1)
     zm += _step_products(model.D, vs, tau + 1)
-    return SimulatedRuns(xs=xs, zs=zm, ws=ws, vs=vs, n_z=model.n_z_steps(), u=u, n_u=n_u)
+    n_z = model.n_z_steps()
+    return SimulatedRuns(xs=xs, z=_records(zm, n_z), ws=ws, vs=vs, n_z=n_z,
+                         u=None if u is None else _records(u, n_u)[None], n_u=n_u)
 
 
 def simulate(model: LtvModel, structure: NoiseStructure, alpha_true,

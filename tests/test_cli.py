@@ -2,7 +2,9 @@ import contextlib
 import io as io_
 import json
 import logging
+import os
 import re
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -407,6 +409,26 @@ class TestSimulateIdentify:
         assert main(["simulate", "--model", str(path), "--out", str(out)]) == 3
         assert capsys.readouterr().err == f"error: {finding}\n"
         assert not (out / "data.jsonl").exists()
+
+    def test_simulate_and_ordinary_identify_load_no_scipy(self, tmp_path,
+                                                          unknown_input_model_file):
+        """SciPy is loaded by a weighted solve alone: a fresh interpreter that
+        imports mdmest, simulates and identifies by the ordinary method has
+        not imported it."""
+        model, out = str(unknown_input_model_file), str(tmp_path / "o")
+        code = (
+            "import sys, mdmest\n"
+            "from mdmest.cli import main\n"
+            f"assert main(['simulate', '--model', {model!r}, '--out', {out!r}]) == 0\n"
+            f"assert main(['identify', '--model', {model!r}, '--data', "
+            f"{out + '/data.jsonl'!r}, '--method', 'ordinary', '--input-mode', "
+            f"'unknown', '--out', {out!r}]) == 0\n"
+            "sys.stderr.write(str(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "[]")
 
 
 class TestLogLevel:

@@ -177,7 +177,7 @@ class TestBatchEntryPoints:
         runs = simulate_runs(spec.model, spec.structure, spec.alpha_true, spec.init,
                              input_signal=benchmark_input_signal(spec),
                              seeds=range(3))
-        return spec, design, runs.z_records, runs.u_records
+        return spec, design, runs.z, runs.u
 
     @pytest.mark.parametrize("cut", ["short", "flat", "runs"])
     def test_residues_reject_misshapen_input(self, cut):
@@ -1166,6 +1166,20 @@ class TestThreeStepPipeline:
             repair=True)))
         assert any("overflow encountered" in w for w in once)
         assert warned(fails) == once
+
+    def test_projection_warning_points_at_the_caller(self):
+        """The warning of a projected first pass (unobs at tau=40) names the
+        line that called ``weighted_pipeline`` or ``weighted_estimates``,
+        not a line of the package."""
+        _, sys_full = simulated_system("unobs-unknown-input", tau=40, seed=0)
+        for call in (lambda: weighted_pipeline(sys_full),
+                     lambda: weighted_estimates(sys_full, sys_full.obs[None])):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert len(caught) == 1
+            assert "indefinite" in str(caught[0].message)
+            assert caught[0].filename == __file__
 
     def test_unknown_input_short_horizon_succeeds(self):
         """The paper's case at tau=100: most first passes need the projection,

@@ -617,6 +617,33 @@ def test_simulate_runs_is_bitwise_on_shapes_no_case_draws(n_w, n_v, tau, n_seeds
                                      rng.standard_normal((tau + 1, 1)), seeds)
 
 
+@pytest.mark.parametrize("ragged", [False, True])
+def test_simulated_runs_hold_the_records_end_to_end(ragged):
+    """``SimulatedRuns.z`` is (runs, sum n_z) and ``u`` (1, sum n_u): the
+    records as ``residues`` reads them, also when n_z and n_u change with
+    k; each run's trajectory is made of views of the runs' arrays."""
+    rng = np.random.default_rng(3)
+    tau = 6
+    n_z = [1 + k % 2 if ragged else 1 for k in range(tau + 1)]
+    n_u = [k % 3 if ragged else 1 for k in range(tau + 1)]
+    model = LtvModel.create(
+        n_x=2, n_w=2, n_v=2, tau=tau, F=0.5 * np.eye(2),
+        G=[rng.standard_normal((2, n)) for n in n_u], E=np.eye(2),
+        H=[rng.standard_normal((n, 2)) for n in n_z],
+        D=[rng.standard_normal((n, 2)) for n in n_z])
+    structure = NoiseStructure.from_pairs([(np.eye(2), np.zeros((2, 2))),
+                                           (np.zeros((2, 2)), np.eye(2))])
+    u = [rng.standard_normal(n) for n in n_u]
+    runs = simulate_runs(model, structure, [1.0, 0.5], input_signal=u, seeds=range(3))
+    assert runs.z.shape == (3, sum(n_z))
+    assert runs.u.shape == (1, sum(n_u))
+    assert np.array_equal(runs.u[0], np.concatenate(u))
+    for i, traj in enumerate(runs):
+        assert np.array_equal(traj.z, runs.z[i])
+        for name in ("z", "u", "xs", "ws", "vs"):
+            assert np.shares_memory(getattr(traj, name), getattr(runs, name)), name
+
+
 @pytest.mark.bitwise
 @given(batched_simulation_cases())
 def test_run_batched_estimates_are_bitwise_per_run(case):
@@ -632,7 +659,7 @@ def test_run_batched_estimates_are_bitwise_per_run(case):
         return
     for signal in (None, u):
         runs = simulate_runs(model, structure, alpha, input_signal=signal, seeds=seeds)
-        obs = design.residues(runs.z_records, runs.u_records)
+        obs = design.residues(runs.z, runs.u)
         assert obs.shape == (len(seeds), design.n_rows)
         try:
             alphas = ordinary_estimates(design, obs)
@@ -689,7 +716,7 @@ def test_run_batched_weighted_is_bitwise_per_run(case):
     except NoAnnihilator:
         return
     runs = simulate_runs(model, structure, alpha, input_signal=u, seeds=seeds)
-    obs = design.residues(runs.z_records, runs.u_records)
+    obs = design.residues(runs.z, runs.u)
     ones = [design.with_data(traj) for traj in runs]
     for took in assert_weighted_batch_is_bitwise(design, obs, ones):
         event(took)
@@ -723,7 +750,7 @@ def test_weighted_batch_failure_is_the_first_failing_run(case, data):
     except NoAnnihilator:
         return
     runs = simulate_runs(model, structure, alpha, input_signal=u, seeds=seeds)
-    obs = design.residues(runs.z_records, runs.u_records)
+    obs = design.residues(runs.z, runs.u)
     obs[data.draw(st.integers(0, len(seeds) - 1), label="scaled run")] *= 1e160
     batch, batch_warned = weighted_outcome(
         lambda: weighted_estimates(design, obs))
@@ -760,6 +787,6 @@ def test_run_batched_weighted_is_bitwise_on_the_presets(name, tau, seed, n_runs,
     runs = simulate_runs(spec.model, spec.structure, spec.alpha_true, spec.init,
                          input_signal=benchmark_input_signal(spec),
                          seeds=range(seed, seed + n_runs))
-    obs = design.residues(runs.z_records, runs.u_records)
+    obs = design.residues(runs.z, runs.u)
     ones = [design.with_data(traj) for traj in runs]
     assert set(assert_weighted_batch_is_bitwise(design, obs, ones)) == branches

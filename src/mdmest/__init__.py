@@ -18,9 +18,6 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
-    replication_matrix,
-    unification_matrix,
-    vec,
 )
 from .model import (
     KNOWN_INPUT,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -226,7 +227,8 @@ def _failed(exc: MdmError, seed: int) -> MdmError:
 def _estimate_runs(design, method, z, u, seeds, alphas, ecovs, branches):
     """Estimates of the runs whose measurement records are the rows of ``z``
     (seeds ``seeds``), written to the rows of ``alphas`` and ``ecovs``;
-    weighted runs are counted into ``branches``.
+    weighted runs are counted into ``branches``, a run whose first pass is
+    projected onto the PSD cone as "psd-repaired", without a warning.
 
     One ``residues`` call gives all their squared residues, and one
     ``ordinary_estimates`` or ``weighted_estimates`` call all their
@@ -244,7 +246,10 @@ def _estimate_runs(design, method, z, u, seeds, alphas, ecovs, branches):
             if method == "ordinary":
                 alphas[:len(obs)] = ordinary_estimates(design, obs)
             else:
-                runs = weighted_estimates(design, obs)
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "Q/R estimate is indefinite",
+                                            RuntimeWarning)
+                    runs = weighted_estimates(design, obs)
                 alphas[:len(obs)] = runs.alpha_hat
                 ecovs[:len(obs)] = np.diagonal(runs.cov, axis1=1, axis2=2)
                 for name in BRANCHES:

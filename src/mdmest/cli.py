@@ -137,7 +137,7 @@ def _print_identifiability(design) -> None:
 def cmd_identify(args) -> int:
     bundle = _load_model(args.model)
     data = io.read_data(args.data)
-    tol = Tolerance(rank_tol=args.rank_tol, zero_tol=args.zero_tol)
+    tol = Tolerance(rank_tol=args.rank_tol)
     mode = _mode(args)
     t0 = time.perf_counter()
     sys_full = _resolve_l(args, bundle.model, bundle.structure, mode, tol,
@@ -175,7 +175,7 @@ def cmd_identify(args) -> int:
             "participation": (sys_full.participation.tolist()
                               if sys_full.null_basis is not None else None),
         },
-        "tolerances": {"rank_tol": tol.rank_tol, "zero_tol": tol.zero_tol},
+        "tolerances": {"rank_tol": tol.rank_tol},
     }
     result_path = out_dir / "identify_result.json"
     with open(result_path, "w") as fh:
@@ -228,8 +228,8 @@ def cmd_benchmark(args) -> int:
     if args.preset == "clock-ensemble" and args.method == "weighted":
         print("note: weighted identification on the clock ensemble is expensive",
               file=sys.stderr)
-    tol = Tolerance(rank_tol=args.rank_tol, zero_tol=args.zero_tol)
-    result = run_mc(spec, args.method, workers=args.workers, tol=tol)
+    result = run_mc(spec, args.method, workers=args.workers,
+                    tol=Tolerance(rank_tol=args.rank_tol))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     txt_path, _ = emit_table(result, spec, out_dir)
@@ -263,11 +263,9 @@ def _build_parser() -> argparse.ArgumentParser:
     shared = {"--rank-tol": dict(type=_tolerance_value, default=DEFAULT_TOL.rank_tol, help=(
                   "a singular value counts towards a rank when above rank_tol * "
                   "sigma_max * max(rows, cols), so above 1/rows a matrix of that many "
-                  "rows has rank 0 (default %(default)s)")),
-              "--zero-tol": dict(type=_tolerance_value, default=DEFAULT_TOL.zero_tol, help=(
-                  "read only by the weighted first pass's PSD test, which projects its "
-                  "Q and R when an eigenvalue is below -zero_tol * max(1, largest "
-                  "|eigenvalue|) (default %(default)s)")),
+                  "rows has rank 0; the weighted first pass projects its Q and R when "
+                  "an n x n one has an eigenvalue below -rank_tol * n * max(1, largest "
+                  "|eigenvalue| of Q and R) (default %(default)s)")),
               "--out": dict(default=".", help="output directory")}
 
     def add_shared(p, *flags):
@@ -283,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       default="ordinary")
     p_id.add_argument("--input-mode", choices=("known", "unknown"),
                       default="known")
-    add_shared(p_id, "--rank-tol", "--zero-tol", "--out")
+    add_shared(p_id, "--rank-tol", "--out")
     p_id.set_defaults(func=cmd_identify)
 
     p_sim = sub.add_parser("simulate", help="simulate a trajectory to a data file")
@@ -303,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--tau", type=_int_at_least(1), default=1000)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--workers", type=_int_at_least(1), default=1)
-    add_shared(p_bench, "--rank-tol", "--zero-tol", "--out")
+    add_shared(p_bench, "--rank-tol", "--out")
     p_bench.set_defaults(func=cmd_benchmark)
 
     p_ident = sub.add_parser("identifiability",

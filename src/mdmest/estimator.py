@@ -33,6 +33,7 @@ from .errors import (
 from .linalg import (
     Tolerance,
     DEFAULT_TOL,
+    indefinite,
     svd_rank,
     sym_pair_indices,
 )
@@ -819,6 +820,10 @@ class EtaCovariances:
     maps without forming it.  ``projection`` holds, for Q and R, the
     most negative eigenvalue relative to the largest |eigenvalue| when they
     were projected onto the PSD cone first, and (0, 0) when they were not.
+    They are projected when either is indefinite by the rank rule
+    (``linalg.indefinite``: an n x n matrix's smallest eigenvalue below
+    -rank_tol * n * max(1, scale), the scale the larger of Q's and R's
+    largest |eigenvalue|).
     """
 
     crosses: np.ndarray                  # (L, n_eps, n_eps), C_j at [j]
@@ -886,18 +891,21 @@ def _eta_crosses(structure: NoiseStructure, alphas: np.ndarray, L: int,
     the runs that were projected.
 
     Q and R come from one row-vector product per run
-    (``NoiseStructure.covariances``), one stacked eigh each tests them,
-    and the runs that need it are projected together.  C_j is filled by
-    block slices: blkdiag(S_j kron Q, S_j kron R), S_j the shift by j.
+    (``NoiseStructure.covariances``), one stacked eigh each tests them
+    (``indefinite``, with the larger of Q's and R's largest |eigenvalue|
+    as scale), and the runs that need it are projected together.  C_j is
+    filled by block slices: blkdiag(S_j kron Q, S_j kron R), S_j the shift
+    by j.
     """
     q, r = structure.covariances(alphas)
     eigs = [np.linalg.eigh((m + m.swapaxes(-1, -2)) / 2.0) for m in (q, r)]
     runs = len(alphas)
     tops = [np.max(np.abs(lam), axis=-1, initial=0.0) for lam, _ in eigs]
-    floor = -tol.zero_tol * np.maximum(1.0, np.maximum(*tops))
+    scale = np.maximum(*tops)
     lows = [lam[:, 0] if lam.shape[-1] else np.zeros(runs) for lam, _ in eigs]
     projection = np.zeros((runs, 2))
-    fix = np.flatnonzero((lows[0] < floor) | (lows[1] < floor))
+    fix = np.flatnonzero(indefinite(lows[0], q.shape[-1], scale, tol)
+                         | indefinite(lows[1], r.shape[-1], scale, tol))
     if fix.size:
         q[fix], r[fix] = (np.matmul(v[fix] * np.clip(lam[fix], 0.0, None)[:, None, :],
                                     v[fix].swapaxes(-1, -2)) for lam, v in eigs)

@@ -1,12 +1,11 @@
 """Dense matrix utilities underlying the identification algebra.
 
-Block-diagonal assembly, column-wise vectorisation, the one SVD rank rule
-(``svd_rank``: a singular value counts when it exceeds
-rank_tol * sigma_max * max(rows, cols)), and the 0/1 unification
-(unique-element selection) and replication matrices for vectorised
-symmetric matrices.  A matrix's rank is ``svd_rank(m)[3]``, and with
-``full_matrices=True`` the rows of u[:, rank:].T are its left null space,
-the annihilator the estimator takes.
+Block-diagonal assembly, the one rank rule (``svd_rank``: a singular value
+counts when it exceeds rank_tol * sigma_max * max(rows, cols)) and its PSD
+test (``indefinite``), and the order of a symmetric matrix's unique
+entries (``sym_pair_indices``).  A matrix's rank is ``svd_rank(m)[3]``, and
+with ``full_matrices=True`` the rows of u[:, rank:].T are its left null
+space, the annihilator the estimator takes.
 """
 
 from __future__ import annotations
@@ -18,42 +17,31 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "block_diag",
-    "vec",
     "svd_rank",
+    "indefinite",
     "sym_pair_indices",
-    "unification_matrix",
-    "replication_matrix",
-    "swap_permutation",
 ]
 
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Thresholds for rank decisions and zero assertions.
+    """The threshold of the one rank rule.
 
     ``rank_tol`` is relative: a singular value counts towards the rank when
-    it exceeds rank_tol * sigma_max * max(rows, cols).  ``zero_tol`` is the
-    absolute scale for "is numerically zero" checks.  Both must be finite
+    it exceeds rank_tol * sigma_max * max(rows, cols), and an eigenvalue is
+    negative by ``indefinite``'s form of the same rule.  It must be finite
     and nonnegative.
     """
 
     rank_tol: float = 1e-10
-    zero_tol: float = 1e-8
 
     def __post_init__(self):
-        if not all(0.0 <= t < np.inf for t in (self.rank_tol, self.zero_tol)):
+        if not 0.0 <= self.rank_tol < np.inf:
             raise ValueError("tolerances must be finite and nonnegative, got "
-                             f"rank_tol={self.rank_tol}, zero_tol={self.zero_tol}")
+                             f"rank_tol={self.rank_tol}")
 
 
 DEFAULT_TOL = Tolerance()
-
-
-def _as_matrix(a) -> np.ndarray:
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    return m
 
 
 def block_diag(*blocks: np.ndarray) -> np.ndarray:
@@ -69,11 +57,6 @@ def block_diag(*blocks: np.ndarray) -> np.ndarray:
         r += b.shape[0]
         c += b.shape[1]
     return out
-
-
-def vec(m) -> np.ndarray:
-    """Column-wise stacking of a matrix into a vector."""
-    return _as_matrix(m).ravel(order="F")
 
 
 def svd_rank(m, tol: Tolerance = DEFAULT_TOL, full_matrices: bool = False):
@@ -96,52 +79,22 @@ def svd_rank(m, tol: Tolerance = DEFAULT_TOL, full_matrices: bool = False):
     return u, s, vt, (int(rank) if s.ndim == 1 else rank), thr
 
 
+def indefinite(low, n: int, scale, tol: Tolerance = DEFAULT_TOL):
+    """Whether a symmetric n x n matrix whose smallest eigenvalue is ``low``
+    is indefinite: low < -rank_tol * n * max(1, scale), the rank rule with
+    max(1, scale) for sigma_max.  ``low`` and ``scale`` may be arrays over
+    a stack of matrices.
+    """
+    return low < -tol.rank_tol * n * np.maximum(1.0, scale)
+
+
 def sym_pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j), i <= j, scanning columns j then rows i.
 
-    This is the fixed element order used by ``unification_matrix``: the
-    unique entries of a symmetric n x n matrix S are S[i_arr, j_arr].
+    This is the fixed order of the unique entries S[i_arr, j_arr] of a
+    symmetric n x n matrix S: a window's squared residues, and its rows of
+    the design, are its residue products in this order.
     """
     i_idx = np.concatenate([np.arange(j + 1) for j in range(n)]) if n else np.zeros(0, int)
     j_idx = np.repeat(np.arange(n), np.arange(1, n + 1)) if n else np.zeros(0, int)
     return i_idx, j_idx
-
-
-def unification_matrix(n: int) -> np.ndarray:
-    """0/1 selector of the unique elements of a vectorised symmetric matrix.
-
-    Xi has shape (n(n+1)/2, n^2); for symmetric S, Xi @ vec(S) lists each
-    unique element exactly once, in the ``sym_pair_indices`` order.
-    """
-    if n < 1:
-        raise ValueError("unification_matrix requires n >= 1")
-    i_idx, j_idx = sym_pair_indices(n)
-    xi = np.zeros((n * (n + 1) // 2, n * n))
-    xi[np.arange(i_idx.size), j_idx * n + i_idx] = 1.0
-    return xi
-
-
-def replication_matrix(n: int) -> np.ndarray:
-    """0/1 right inverse of the unification matrix on symmetric vecs.
-
-    Psi has shape (n^2, n(n+1)/2) and satisfies
-    Psi @ Xi @ vec(S) == vec(S) for every symmetric S.
-    """
-    if n < 1:
-        raise ValueError("replication_matrix requires n >= 1")
-    psi = np.zeros((n * n, n * (n + 1) // 2))
-    for col in range(n):
-        for row in range(n):
-            i, j = min(row, col), max(row, col)
-            psi[col * n + row, j * (j + 1) // 2 + i] = 1.0
-    return psi
-
-
-def swap_permutation(n: int) -> np.ndarray:
-    """Permutation p with (x kron y)[p] == (y kron x) for length-n vectors.
-
-    Equivalently, for the n^2 x n^2 commutation matrix K it holds
-    M @ K == M[:, p] for any matrix M with n^2 columns.
-    """
-    a, b = np.divmod(np.arange(n * n), n)
-    return b * n + a

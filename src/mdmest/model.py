@@ -22,7 +22,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import DataError, NotPositiveSemidefinite, ValidationError
-from .linalg import DEFAULT_TOL
+from .linalg import indefinite
 
 __all__ = [
     "MatrixSequence",
@@ -384,7 +384,9 @@ def psd_factor(m: np.ndarray) -> np.ndarray:
 
     Uses Cholesky when positive definite; falls back to an eigendecomposition
     for exactly singular PSD matrices (for example the all-zero covariance).
-    Indefinite input raises instead of being silently repaired.
+    Input that is indefinite by the rank rule (``linalg.indefinite`` with
+    the default tolerance, scale its largest |eigenvalue|) raises instead
+    of being silently repaired.
     """
     m = np.asarray(m, dtype=float)
     m = (m + m.T) / 2.0
@@ -393,8 +395,7 @@ def psd_factor(m: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         pass
     lam, v = np.linalg.eigh(m)
-    scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
-    if lam.size and lam[0] < -DEFAULT_TOL.zero_tol * scale:
+    if lam.size and indefinite(lam[0], lam.size, np.max(np.abs(lam))):
         raise NotPositiveSemidefinite(
             f"matrix has negative eigenvalue {lam[0]:.3e}"
         )

@@ -15,8 +15,56 @@ from mdmest import (
     MeasurementData,
     NoiseStructure,
 )
-from mdmest.linalg import swap_permutation, sym_pair_indices, vec
+from mdmest.linalg import sym_pair_indices
 from mdmest.residue import window_blocks
+
+
+def vec(m):
+    """Column-wise stacking of a matrix into a vector."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    return m.ravel(order="F")
+
+
+def unification_matrix(n):
+    """0/1 selector of the unique elements of a vectorised symmetric matrix.
+
+    Xi has shape (n(n+1)/2, n^2); for symmetric S, Xi @ vec(S) lists each
+    unique element exactly once, in the ``sym_pair_indices`` order.
+    """
+    if n < 1:
+        raise ValueError("unification_matrix requires n >= 1")
+    i_idx, j_idx = sym_pair_indices(n)
+    xi = np.zeros((n * (n + 1) // 2, n * n))
+    xi[np.arange(i_idx.size), j_idx * n + i_idx] = 1.0
+    return xi
+
+
+def replication_matrix(n):
+    """0/1 right inverse of the unification matrix on symmetric vecs.
+
+    Psi has shape (n^2, n(n+1)/2) and satisfies
+    Psi @ Xi @ vec(S) == vec(S) for every symmetric S.
+    """
+    if n < 1:
+        raise ValueError("replication_matrix requires n >= 1")
+    psi = np.zeros((n * n, n * (n + 1) // 2))
+    for col in range(n):
+        for row in range(n):
+            i, j = min(row, col), max(row, col)
+            psi[col * n + row, j * (j + 1) // 2 + i] = 1.0
+    return psi
+
+
+def swap_permutation(n):
+    """Permutation p with (x kron y)[p] == (y kron x) for length-n vectors.
+
+    Equivalently, for the n^2 x n^2 commutation matrix K it holds
+    M @ K == M[:, p] for any matrix M with n^2 columns.
+    """
+    a, b = np.divmod(np.arange(n * n), n)
+    return b * n + a
 
 
 def dense_from_band(ab):

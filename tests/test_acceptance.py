@@ -20,16 +20,14 @@ from mdmest import (
     gaussian_eta_covariances,
     ordinary_mdm,
     preset,
-    replication_matrix,
     run_mc,
     simulate,
-    unification_matrix,
-    vec,
     weighted_mdm,
 )
 from mdmest.benchmarks import benchmark_input_signal
 
-from conftest import eta_band, eta_mean, window_arrays, window_matrices
+from conftest import (eta_band, eta_mean, replication_matrix, unification_matrix, vec,
+                      window_arrays, window_matrices)
 from test_residue import window_residue
 
 # frozen reference statistics (sample variances of the published MC studies)

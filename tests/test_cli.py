@@ -60,6 +60,7 @@ class TestSimulateIdentify:
         assert result["L"] == 2
         assert result["identifiability"]["rank"] == 2
         assert result["cov"] is None
+        assert result["tolerances"] == {"rank_tol": 1e-10}
         assert np.array_equal(np.array(result["Q_hat"]), [[alpha[0]]])
         out_txt = capsys.readouterr().out
         assert "alpha_1" in out_txt
@@ -627,9 +628,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag, value, command", [
         (flag, value, command) for command in ("identify", "identifiability")
         for flag, value in [("--rank-tol", "-1"), ("--rank-tol", "nan"),
-                            ("--zero-tol", "nan"), ("--zero-tol", "inf"),
-                            ("--rank-tol", "-inf")]
-        if command == "identify" or flag == "--rank-tol"])
+                            ("--rank-tol", "inf"), ("--rank-tol", "-inf")]])
     def test_bad_tolerance_names_the_flag(self, tmp_path, capsys, obs_ltv_model_file,
                                           command, flag, value):
         argv = [command, "--model", str(obs_ltv_model_file), f"{flag}={value}"]
@@ -660,17 +659,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, flag, value", [
         ("simulate", "--rank-tol", "0.5"), ("simulate", "--zero-tol", "3"),
-        ("identifiability", "--zero-tol", "5"), ("identifiability", "--out", None)])
+        ("identifiability", "--zero-tol", "5"), ("identifiability", "--out", None),
+        ("identify", "--zero-tol", "1e-8"), ("benchmark", "--zero-tol", "1e-8")])
     def test_flag_the_command_does_not_read_is_refused(self, tmp_path, capsys,
                                                        obs_ltv_model_file, command,
                                                        flag, value):
         """A command takes only the flags it reads: one it would ignore is a
         usage error, and no output is written."""
         value = value or str(tmp_path / "o")
-        argv = [command, "--model", str(obs_ltv_model_file), flag, value]
-        if command == "simulate":
-            argv += ["--out", str(tmp_path / "o")]
-        assert main(argv) == 2
+        model, out = ["--model", str(obs_ltv_model_file)], ["--out", str(tmp_path / "o")]
+        argv = {"identify": model + ["--data", str(tmp_path / "nope.jsonl")] + out,
+                "benchmark": ["obs-ltv", "--tau", "50", "--n-mc", "1"] + out,
+                "simulate": model + out, "identifiability": model}[command]
+        assert main([command] + argv + [flag, value]) == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 

@@ -576,8 +576,20 @@ class TestGaussianEtaCovariances:
         assert np.array_equal(eta_band(etas, 5), np.zeros((9, 9)))
 
     def test_indefinite_alpha_raises_without_repair(self, scalar_structure):
-        with pytest.raises(NotPositiveSemidefinite):
-            gaussian_eta_covariances(scalar_structure, [-1.0, 1.0], 2)
+        """R = -1e-9 is indefinite by the rank rule at the default
+        tolerance: below -rank_tol * 1 * max(1, 1)."""
+        for alpha in ([-1.0, 1.0], [1.0, -1e-9]):
+            with pytest.raises(NotPositiveSemidefinite):
+                gaussian_eta_covariances(scalar_structure, alpha, 2)
+
+    def test_rank_tol_decides_the_psd_test(self, scalar_structure):
+        """At rank_tol 1e-8 the floor is -1e-8, and R = -1e-9 stays as it is."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            etas = gaussian_eta_covariances(scalar_structure, [1.0, -1e-9], 2,
+                                            tol=Tolerance(rank_tol=1e-8), repair=True)
+        assert etas.projection == (0.0, 0.0)
+        assert etas.crosses[0, -1, -1] == -1e-9
 
     def test_indefinite_alpha_repairs_with_warning(self, scalar_structure):
         with pytest.warns(RuntimeWarning):

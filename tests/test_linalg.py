@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
-from mdmest import (
-    Tolerance,
-    replication_matrix,
-    unification_matrix,
-    vec,
-)
-from mdmest.linalg import block_diag, svd_rank, swap_permutation, sym_pair_indices
+from mdmest import Tolerance
+from mdmest.linalg import block_diag, indefinite, svd_rank, sym_pair_indices
+
+from conftest import replication_matrix, swap_permutation, unification_matrix, vec
 
 
 class TestBlockDiag:
@@ -143,13 +140,34 @@ class TestSwapPermutation:
         assert np.array_equal(np.kron(x, y)[perm], np.kron(y, x))
 
 
+class TestIndefinite:
+    def test_floor_is_the_rank_rule(self):
+        """The floor is -rank_tol * n * max(1, scale): -3e-10 for a 3 x 3
+        matrix of scale below 1, -6e-8 at scale 200; a value on it is not
+        below it."""
+        floor = -1e-10 * 3
+        assert not indefinite(floor, 3, 0.5)
+        assert indefinite(np.nextafter(floor, -1.0), 3, 0.5)
+        assert not indefinite(-5e-8, 3, 200.0)
+        assert indefinite(-7e-8, 3, 200.0)
+        assert not indefinite(-7e-8, 3, 200.0, Tolerance(rank_tol=1e-9))
+
+    def test_stack(self):
+        lows = np.array([-1e-9, -1e-9, 0.0, -1e-12])
+        scales = np.array([1.0, 100.0, 0.0, 1e-17])
+        assert indefinite(lows, 2, scales).tolist() == [True, False, False, False]
+
+
 class TestTolerance:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             Tolerance(rank_tol=-1.0)
 
-    @pytest.mark.parametrize("field", ["rank_tol", "zero_tol"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_nonfinite_rejected(self, field, bad):
+    def test_nonfinite_rejected(self, bad):
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            Tolerance(**{field: bad})
+            Tolerance(rank_tol=bad)
+
+    def test_rank_tol_is_the_one_tolerance(self):
+        with pytest.raises(TypeError):
+            Tolerance(zero_tol=1e-8)

@@ -25,7 +25,6 @@ from mdmest import (
     simulate,
     simulate_runs,
     validate,
-    vec,
     weighted_estimates,
     weighted_pipeline,
 )
@@ -38,7 +37,7 @@ import scipy.linalg
 from test_geometry import bitwise_equal, layout, window_cases
 from test_residue import window_residue
 
-from conftest import window_arrays
+from conftest import vec, window_arrays
 
 
 def ncv_structure(ts=2.0):
@@ -287,8 +286,10 @@ class TestSimulate:
             assert np.max(np.abs(traj.zs[k] - z)) <= 1e-12 * scale
 
     def test_indefinite_q_rejected(self, scalar_lti_model, scalar_structure):
-        with pytest.raises(NotPositiveSemidefinite):
-            simulate(scalar_lti_model, scalar_structure, [-1.0, 1.0], seed=0)
+        """Q = -1, and R = -1e-9, below the rank rule's -1e-10 floor."""
+        for alpha in ([-1.0, 1.0], [1.0, -1e-9]):
+            with pytest.raises(NotPositiveSemidefinite):
+                simulate(scalar_lti_model, scalar_structure, alpha, seed=0)
 
     @pytest.mark.parametrize("case", ["d-rows-differ-from-h", "e-rows-differ-from-n_x"])
     def test_inconsistent_shapes_rejected(self, case, scalar_structure):

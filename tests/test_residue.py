@@ -12,16 +12,15 @@ from mdmest import (
     build_design,
     build_stacked_system,
     defining_replication,
-    replication_matrix,
     simulate,
-    unification_matrix,
     preset,
 )
 from mdmest.benchmarks import benchmark_input_signal
 from mdmest.linalg import svd_rank, sym_pair_indices
 from mdmest.residue import window_blocks
 
-from conftest import noise_map, window_arrays, window_matrices
+from conftest import (noise_map, replication_matrix, unification_matrix, window_arrays,
+                      window_matrices)
 from test_geometry import window_cases
 
 

@@ -21,7 +21,7 @@ class MdmError(Exception):
     run's alone, else None: a failure of the design itself (a rank-deficient
     design, a weight band over the assembly budget) fails every run alike
     and carries None.  ``weighted_estimates`` finds the run by solving a
-    failed batch again one run at a time.
+    failed batch again one run at a time, without a projection warning.
     An error pickles as its message and fields, so that one raised in a
     worker process (``run_mc(..., workers=N)``) reaches the caller as it
     was raised: the ``__init__`` of a subclass takes fields, not the

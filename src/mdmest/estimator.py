@@ -291,7 +291,9 @@ class StackedSystem:
 
 @dataclass
 class Estimate:
-    """A parameter estimate with its solver diagnostics."""
+    """A parameter estimate with its solver diagnostics.  ``method`` is
+    "ordinary" or "weighted-" and the weighted solve's branch
+    (``BRANCHES``)."""
 
     alpha_hat: np.ndarray
     cov: np.ndarray | None
@@ -855,7 +857,8 @@ class WeightedRuns:
     pivoted rank on the dense branch) and ``fit_j`` the fit statistic of a
     banded solve (NaN on the dense branch).  ``alpha_ordinary`` and
     ``projection`` are the first pass and its PSD projection
-    (``EtaCovariances.projection``); None when the weight was given.
+    (``EtaCovariances.projection``), reported here and not warned of
+    (``weighted_pipeline`` alone warns); None when the weight was given.
     """
 
     alpha_hat: np.ndarray                # (runs, n_alpha)
@@ -1216,8 +1219,7 @@ def _weighted_estimate(sys: StackedSystem, runs: WeightedRuns) -> Estimate:
     rows = int(runs.weight_rows[0]) if banded else None
     return Estimate(
         alpha_hat=runs.alpha_hat[0], cov=runs.cov[0],
-        method="weighted-full-rank" if runs.branch[0] == "full-rank"
-        else "weighted-constrained",
+        method="weighted-" + runs.branch[0],
         diagnostics={"fit_j": float(runs.fit_j[0]) if banded else None,
                      "fit_dof": rows - sys.n_alpha if banded else None,
                      "weight_rows": rows},
@@ -1240,16 +1242,17 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
     or "kept-row" on kept rows); P is indefinite, and IndefiniteWeight
     raised, when P + rank_tol max(d, ||design||_2^2) I has none.  A
     singular P (P == 0 on noise-free data, P singular beyond the shared
-    rows), or ``branch="constrained"``, takes Rao's estimator with a
-    g-inverse of T = c P + design design^T from its dense pivoted Cholesky
-    factor (pivot tolerance rank_tol max(diag T) m), c = ||design||_2^2 /
-    max diag P (1 when P == 0) balancing the terms; the reported covariance
-    subtracts the identity and divides by c.  This branch alone is refused
+    rows), or ``branch="constrained"``, takes the "dense" branch: Rao's
+    estimator with a g-inverse of T = c P + design design^T from its dense
+    pivoted Cholesky factor (pivot tolerance rank_tol max(diag T) m),
+    c = ||design||_2^2 / max diag P (1 when P == 0) balancing the terms;
+    the reported covariance subtracts the identity and divides by c.  This branch alone is refused
     above P_DENSE_MAX_ROWS rows.  Every whitened problem is solved like the
     ordinary one.  A banded solve reports the fit statistic J = r^T P^-1 r
     of the residual r on the rows solved on, its degrees of freedom (those
     rows minus n_alpha) and those rows (``weight_rows``); the dense branch
     reports None.  ``branch`` ("full-rank" / "constrained") forces a path.
+    ``Estimate.method`` is "weighted-" and the branch taken (``BRANCHES``).
     This is the one-run case of ``weighted_estimates``' solve.  rank_tol
     is that of ``sys.tol``; the ``tol`` argument is unused.
     """
@@ -1283,24 +1286,18 @@ def weighted_estimates(sys: StackedSystem, obs: np.ndarray) -> WeightedRuns:
     assembles every run's weight band (``assemble_p``); the branch tests
     and banded factorisations are per run, and one stacked equilibrated
     SVD per branch and row count solves the whitened problems
-    (``weighted_mdm``).  Every run whose first pass is projected onto the
-    PSD cone warns.
+    (``weighted_mdm``).  Each run's projection is reported in
+    ``projection`` and ``repaired``, not warned of.
 
     A design without full rank, or one whose full-row weight band
     (``band_rows`` x ``n_rows``) would exceed P_DENSE_MAX_ROWS**2 entries,
     fails every run and is raised first, with ``run`` None;
     ``ordinary_estimates``' refusals of ``obs`` come next.  A later
     stage's error is raised with the index of the first failing run as
-    ``run``, after the warnings one run at a time gives up to and including
-    that run: a run alone raises it at once, its PSD projection warned of
-    before its weight is assembled; a batch of two or more that fails is
-    solved again one run at a time, as their one-run cases, to find it.
+    ``run``: a run alone raises it at once; a batch of two or more that
+    fails is solved again one run at a time, as their one-run cases, to
+    find it.
     """
-    return _weighted_runs(sys, obs)
-
-
-def _weighted_runs(sys: StackedSystem, obs: np.ndarray) -> WeightedRuns:
-    """``weighted_estimates``' body, which ``weighted_pipeline`` calls too."""
     obs = np.asarray(obs, dtype=float)
     if obs.ndim != 2:
         raise DataError(f"squared residues of shape {obs.shape}; weighted_estimates "
@@ -1314,39 +1311,23 @@ def _weighted_runs(sys: StackedSystem, obs: np.ndarray) -> WeightedRuns:
             "or a shorter horizon"
         )
     alphas = ordinary_estimates(sys, obs)
-    alone = len(obs) == 1
     try:
         crosses, projection = _eta_crosses(sys.structure, alphas, sys.L, sys.tol)
-        if alone:
-            _warn_projected(projection)
         runs = _weighted_solves(sys, obs, _assemble_bands(sys, crosses), "auto")
     except _RUN_ERRORS as exc:
-        if alone:
+        if len(obs) == 1:
             exc.run = 0
             raise
         for r in range(len(obs)):
-            one = slice(r, r + 1)
             try:
-                crosses, projection = _eta_crosses(sys.structure, alphas[one], sys.L,
-                                                   sys.tol)
-                _warn_projected(projection)
-                _weighted_solves(sys, obs[one], _assemble_bands(sys, crosses), "auto")
+                crosses, _ = _eta_crosses(sys.structure, alphas[r:r + 1], sys.L, sys.tol)
+                _weighted_solves(sys, obs[r:r + 1], _assemble_bands(sys, crosses), "auto")
             except _RUN_ERRORS as exc:
                 exc.run = r
                 raise exc from None
         raise
-    if not alone:
-        _warn_projected(projection)
     runs.alpha_ordinary, runs.projection = alphas, projection
     return runs
-
-
-def _warn_projected(projection: np.ndarray) -> None:
-    """One warning per run whose first pass was projected (a nonzero
-    ``projection`` row), at the line that called ``weighted_estimates`` or
-    ``weighted_pipeline``: both call ``_weighted_runs``, which calls this."""
-    for _ in range(np.count_nonzero(projection.any(axis=1))):
-        warnings.warn(_PROJECTED, RuntimeWarning, stacklevel=4)
 
 
 def weighted_pipeline(sys: StackedSystem) -> Estimate:
@@ -1356,12 +1337,16 @@ def weighted_pipeline(sys: StackedSystem) -> Estimate:
     ``sys`` must carry observations (``build_stacked_system`` or
     ``with_data``); the first-pass estimate and the size of its PSD
     projection (``EtaCovariances.projection``) are kept in the diagnostics.
-    A design whose full-row weight band (``StackedSystem.band_rows`` x
-    ``n_rows``) would exceed P_DENSE_MAX_ROWS**2 entries is refused unbuilt.
+    A projected first pass warns once, at the caller's line, after the
+    solve succeeds.  A design whose full-row weight band
+    (``StackedSystem.band_rows`` x ``n_rows``) would exceed
+    P_DENSE_MAX_ROWS**2 entries is refused unbuilt.
     """
     if sys.obs is None:
         raise ValueError("system carries no observations")
-    runs = _weighted_runs(sys, sys.obs[None])
+    runs = weighted_estimates(sys, sys.obs[None])
+    if runs.repaired[0]:
+        warnings.warn(_PROJECTED, RuntimeWarning, stacklevel=2)
     est = _weighted_estimate(sys, runs)
     est.diagnostics["alpha_ordinary"] = runs.alpha_ordinary[0]
     est.diagnostics["eta_projection"] = tuple(float(p) for p in runs.projection[0])

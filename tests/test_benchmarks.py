@@ -146,19 +146,24 @@ class TestRunMc:
     @pytest.mark.parametrize("name, tau", [("obs-ltv", 200), ("unobs-unknown-input", 100)])
     def test_weighted_matches_public_pipeline(self, name, tau):
         """Each run's weighted estimate and covariance are, bit for bit,
-        ``weighted_pipeline`` on ``build_stacked_system`` of its trajectory."""
+        ``weighted_pipeline`` on ``build_stacked_system`` of its trajectory,
+        which warns once for each run that run_mc counts as psd-repaired."""
         spec = preset(name, tau=tau, n_mc=5, seed=11)
         res = run_mc(spec, "weighted")
         covs = []
-        for i in range(spec.n_mc):
-            traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
-                            input_signal=benchmark_input_signal(spec), seed=spec.seed + i)
-            sys_full = build_stacked_system(spec.model, spec.structure, traj, spec.L,
-                                            spec.mode)
-            est = weighted_pipeline(sys_full)
-            assert np.array_equal(res.estimates[i], est.alpha_hat), i
-            covs.append(np.diag(est.cov))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for i in range(spec.n_mc):
+                traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,
+                                input_signal=benchmark_input_signal(spec),
+                                seed=spec.seed + i)
+                sys_full = build_stacked_system(spec.model, spec.structure, traj,
+                                                spec.L, spec.mode)
+                est = weighted_pipeline(sys_full)
+                assert np.array_equal(res.estimates[i], est.alpha_hat), i
+                covs.append(np.diag(est.cov))
         assert np.array_equal(res.mean_est_cov_diag, np.array(covs).mean(axis=0))
+        assert len(caught) == res.weighted_branches["psd-repaired"]
 
     @pytest.mark.parametrize("n_mc", [0, -2])
     def test_run_count_below_one_is_rejected(self, n_mc):

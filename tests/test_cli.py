@@ -77,6 +77,21 @@ class TestSimulateIdentify:
         assert cov.shape == (2, 2)
         assert np.all(np.diag(cov) > 0)
 
+    def test_weighted_identify_names_the_kept_row_branch(self, tmp_path, capsys,
+                                                         unknown_input_model_file):
+        """The unobs weight is solved on its kept rows, and the method says
+        so in the result file and the printed summary."""
+        out = tmp_path / "o"
+        main(["simulate", "--model", str(unknown_input_model_file), "--out", str(out)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["identify", "--model", str(unknown_input_model_file),
+                         "--data", str(out / "data.jsonl"), "--method", "weighted",
+                         "--input-mode", "unknown", "--out", str(out)]) == 0
+        result = json.loads((out / "identify_result.json").read_text())
+        assert result["method"] == "weighted-kept-row"
+        assert "method: weighted-kept-row " in capsys.readouterr().out
+
     def test_unknown_input_mode_without_u(self, tmp_path, unknown_input_model_file):
         out = tmp_path / "o"
         main(["simulate", "--model", str(unknown_input_model_file),

@@ -793,7 +793,7 @@ class TestWeightedMdm:
         cov_scale = np.max(np.abs(est_full.cov))
         assert np.max(np.abs(est_full.cov - est_con.cov)) < 1e-6 * cov_scale
         assert est_full.method == "weighted-full-rank"
-        assert est_con.method == "weighted-constrained"
+        assert est_con.method == "weighted-dense"
 
     def test_indefinite_weight_rejected(self):
         spec, sys_full = simulated_system("obs-ltv", tau=30, seed=7)
@@ -806,7 +806,7 @@ class TestWeightedMdm:
         spec, sys_full = simulated_system("obs-ltv", tau=30, seed=7)
         ab = np.ones((1, sys_full.n_rows))
         ab[0, 0] = 0.0
-        assert weighted_mdm(sys_full, ab).method == "weighted-constrained"
+        assert weighted_mdm(sys_full, ab).method == "weighted-dense"
 
     def test_whitened_rank_uses_the_shared_rule(self):
         """The whitened solve decides rank by the shared SVD rule.
@@ -857,7 +857,8 @@ class TestWeightedMdm:
             ab = assemble_p(sys_full, etas)
             p = direct_p(sys_full, etas)
         est = weighted_mdm(sys_full, ab)
-        assert est.method == "weighted-constrained"
+        assert est.method == ("weighted-dense" if case == "noise-free"
+                              else "weighted-kept-row")
 
         alpha, gram_inv = rao_reference(p, sys_full)
         # cov = gram_inv - I loses the relative accuracy of gram_inv
@@ -913,7 +914,7 @@ class TestWeightedMdm:
         _, sys_full = simulated_system("obs-ltv", tau=40, seed=11)
         assert weighted_pipeline(sys_full).method == "weighted-full-rank"
         loose = replace(sys_full, tol=Tolerance(rank_tol=1e-3))
-        assert weighted_pipeline(loose).method == "weighted-constrained"
+        assert weighted_pipeline(loose).method == "weighted-dense"
 
     @pytest.mark.parametrize("name, tau, seed", [("obs-ltv", 40, 11),
                                                  ("unobs-unknown-input", 100, 0)])
@@ -981,7 +982,7 @@ class TestReducedRows:
             sys_full, etas, ab = self.unobs_weight(seed)
             est = weighted_mdm(sys_full, ab)
             dense = weighted_mdm(sys_full, ab, branch="constrained")
-            assert est.method == dense.method == "weighted-constrained"
+            assert (est.method, dense.method) == ("weighted-kept-row", "weighted-dense")
             # 6 rows of window 0, then 5 new rows for each of 99 windows
             assert sys_full.weight_band_shape[1] == est.diagnostics["weight_rows"] == 501
             assert dense.diagnostics["weight_rows"] is None
@@ -1013,7 +1014,7 @@ class TestReducedRows:
         whose T is balanced the same way."""
         sys_full, ab, p = clock_weight
         est = weighted_mdm(sys_full, ab)
-        assert est.method == "weighted-constrained"
+        assert est.method == "weighted-kept-row"
         assert (sys_full.n_rows, est.diagnostics["weight_rows"]) == (2992, 787)
         c = np.linalg.norm(sys_full.design, 2) ** 2 / np.max(ab[0])
         dense = weighted_mdm(sys_full, c * ab, branch="constrained")
@@ -1034,7 +1035,7 @@ class TestReducedRows:
         sys_full, ab, _ = clock_weight
         est = weighted_mdm(sys_full, ab)
         dense = weighted_mdm(sys_full, ab, branch="constrained")
-        assert dense.method == "weighted-constrained"
+        assert dense.method == "weighted-dense"
         assert dense.diagnostics["weight_rows"] is None
         scale = np.max(np.abs(dense.alpha_hat))
         assert np.max(np.abs(est.alpha_hat - dense.alpha_hat)) <= 1e-12 * scale
@@ -1052,7 +1053,7 @@ class TestReducedRows:
         assert build_design(spec.model, spec.structure, spec.L, spec.mode).reduction is None
         assert (sys_full.n_rows, sys_full.weight_band_shape[1]) == (40, 30)
         est = weighted_pipeline(sys_full)
-        assert est.method == "weighted-constrained"
+        assert est.method == "weighted-dense"
         assert est.diagnostics["weight_rows"] is None
         assert np.allclose(est.alpha_hat, [11.94353484, -8.68549093], rtol=1e-6, atol=0.0)
         all_rows = replace(sys_full, reduction=None)
@@ -1142,7 +1143,7 @@ class TestThreeStepPipeline:
                         input_signal=u, seed=0)
         sys_full = build_stacked_system(spec.model, spec.structure, traj, 2)
         est = weighted_pipeline(sys_full)
-        assert est.method == "weighted-constrained"
+        assert est.method == "weighted-dense"
         assert np.max(np.abs(est.alpha_hat)) < 1e-8
 
     def test_pipeline_records_first_pass(self):
@@ -1156,9 +1157,9 @@ class TestThreeStepPipeline:
     @pytest.mark.parametrize("name", ["obs-ltv", "unobs-unknown-input"])
     def test_failing_run_is_solved_once(self, name):
         """Residues scaled by 1e160 make the one run's weight overflow: the
-        pipeline raises at once, with ``run`` 0, after warning of its
-        projection and of each overflow as often as one pass of the weight
-        stages does (solving the run again used to warn twice)."""
+        pipeline raises at once, with ``run`` 0, after warning of each
+        overflow as often as one pass of the weight stages does (solving the
+        run again used to warn twice), and not of its projection."""
         _, sys_full = simulated_system(name, tau=100, seed=0)
         sys_full = replace(sys_full, obs=sys_full.obs * 1e160)
 
@@ -1176,22 +1177,26 @@ class TestThreeStepPipeline:
         once = warned(lambda: assemble_p(sys_full, gaussian_eta_covariances(
             sys_full.structure, ordinary_mdm(sys_full).alpha_hat, sys_full.L,
             repair=True)))
+        once = [w for w in once if "indefinite" not in w]
         assert any("overflow encountered" in w for w in once)
         assert warned(fails) == once
 
     def test_projection_warning_points_at_the_caller(self):
         """The warning of a projected first pass (unobs at tau=40) names the
-        line that called ``weighted_pipeline`` or ``weighted_estimates``,
-        not a line of the package."""
+        line that called ``weighted_pipeline``, not a line of the package;
+        ``weighted_estimates`` reports the projection without a warning."""
         _, sys_full = simulated_system("unobs-unknown-input", tau=40, seed=0)
-        for call in (lambda: weighted_pipeline(sys_full),
-                     lambda: weighted_estimates(sys_full, sys_full.obs[None])):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                call()
-            assert len(caught) == 1
-            assert "indefinite" in str(caught[0].message)
-            assert caught[0].filename == __file__
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            weighted_pipeline(sys_full)
+        assert len(caught) == 1
+        assert "indefinite" in str(caught[0].message)
+        assert caught[0].filename == __file__
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            runs = weighted_estimates(sys_full, sys_full.obs[None])
+        assert runs.repaired[0]
+        assert not caught
 
     def test_unknown_input_short_horizon_succeeds(self):
         """The paper's case at tau=100: most first passes need the projection,

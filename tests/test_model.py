@@ -679,27 +679,38 @@ def test_run_batched_estimates_are_bitwise_per_run(case):
 def assert_weighted_batch_is_bitwise(design, obs, ones):
     """``weighted_estimates`` on the residues ``obs`` of a batch of runs
     equals, run by run, ``weighted_pipeline`` on the runs' systems ``ones``:
-    alpha_hat and diag(cov) bit for bit.  A batch that fails raises the
-    first failing run's error, with its index as ``run``: the runs before
-    it succeed alone and it fails alone, with that text.  Returns the
-    branch each run took ("fails" for a failing batch)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    alpha_hat, diag(cov), the first pass and its PSD projection bit for
+    bit, and the batch warns of no projection.  A batch that fails raises
+    the first failing run's error, with its index as ``run``: the runs
+    before it succeed alone and it fails alone, with that text.  Returns
+    the branch each run took ("fails" for a failing batch)."""
+    failure = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             batch = weighted_estimates(design, obs)
         except Exception as exc:
+            failure = exc
+    assert not [w for w in caught if "indefinite" in str(w.message)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if failure is not None:
             # a design-level failure (run None) fails every run alike
-            first = getattr(exc, "run", None) or 0
+            first = getattr(failure, "run", None) or 0
             for one in ones[:first]:
                 weighted_pipeline(one)
-            with pytest.raises(type(exc)) as alone:
+            with pytest.raises(type(failure)) as alone:
                 weighted_pipeline(ones[first])
-            assert str(alone.value) == str(exc), first
+            assert str(alone.value) == str(failure), first
             return ["fails"]
         for r, one in enumerate(ones):
             est = weighted_pipeline(one)
             assert bitwise_equal(est.alpha_hat, batch.alpha_hat[r]), r
             assert bitwise_equal(np.diag(est.cov), np.diag(batch.cov[r])), r
+            assert bitwise_equal(np.array(est.diagnostics["eta_projection"]),
+                                 batch.projection[r]), r
+            assert bitwise_equal(est.diagnostics["alpha_ordinary"],
+                                 batch.alpha_ordinary[r]), r
     return list(batch.branch)
 
 

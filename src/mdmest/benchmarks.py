@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -317,6 +316,8 @@ def run_mc(spec: BenchmarkSpec, method: str = "ordinary",
     n = len(chunks)
     args = (_run_range, [spec] * n, [method] * n, chunks, [tol] * n)
     if n > 1:
+        # the process pool is loaded here, not by ``import mdmest``
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n) as pool:
             parts = list(pool.map(*args))
     else:

@@ -481,7 +481,7 @@ def _row_reduction(model: LtvModel, L: int, n_windows: int, n_a: np.ndarray,
         rows, cols = n_prev + n_cur, first + c_cur
         c = np.linalg.norm(a[:, :, first:] @ b[:, :, :c_prev - first].transpose(0, 2, 1),
                            axis=(1, 2))
-        thr = tol.rank_tol * np.sqrt(1.0 + c) * max(rows, cols)
+        thr = tol.floor(np.sqrt(1.0 + c), max(rows, cols))
         maybe = 1.0 - c <= np.maximum(1e-6, (2.0 * thr) ** 2)
         if not maybe.any():
             continue
@@ -745,7 +745,7 @@ def _equilibrated_svd(a: np.ndarray, tol: Tolerance):
     G == E model), and normalising them would disguise rank deficiency.
     """
     scale = np.linalg.norm(a, axis=-2)
-    dust = scale <= tol.rank_tol * np.max(scale, axis=-1, keepdims=True, initial=0.0)
+    dust = scale <= tol.floor(np.max(scale, axis=-1, keepdims=True, initial=0.0), 1)
     scale[dust] = 1.0
     u, s, vt, rank, thr = svd_rank(a / scale[..., None, :], tol)
     return (u, s, vt, rank, scale), thr
@@ -824,8 +824,8 @@ class EtaCovariances:
     were projected onto the PSD cone first, and (0, 0) when they were not.
     They are projected when either is indefinite by the rank rule
     (``linalg.indefinite``: an n x n matrix's smallest eigenvalue below
-    -rank_tol * n * max(1, scale), the scale the larger of Q's and R's
-    largest |eigenvalue|).
+    -floor(max(1, scale), n), the scale the larger of Q's and R's largest
+    |eigenvalue|).
     """
 
     crosses: np.ndarray                  # (L, n_eps, n_eps), C_j at [j]
@@ -1081,17 +1081,6 @@ def _factors_shifted(ab: np.ndarray, shift: float) -> bool:
     return scipy.linalg.lapack.dpbtrf(shifted, lower=1)[1] == 0
 
 
-def _rank_floor(diag: np.ndarray, tol: Tolerance) -> float:
-    # the shared rank rule, with max diag standing for sigma_max
-    return tol.rank_tol * float(np.max(diag)) * diag.size
-
-
-def _full_rank(band: np.ndarray, tol: Tolerance) -> bool:
-    """Whether the weight in lower band storage ``band`` is numerically
-    full rank: P - rank_tol max(diag P) m I factors."""
-    return np.max(band[0]) > 0.0 and _factors_shifted(band, -_rank_floor(band[0], tol))
-
-
 def _whiten_run(sys: StackedSystem, ab: np.ndarray, xyt: np.ndarray, branch: str):
     """One run's branch tests and whitened problem: (branch, w, balance).
 
@@ -1110,12 +1099,13 @@ def _whiten_run(sys: StackedSystem, ab: np.ndarray, xyt: np.ndarray, branch: str
     else:
         xy = sys.reduction.apply(xyt.T, sys.row_offsets)
         design = xy[:, :-1]
-    m, tol = xy.shape[0], sys.tol
-    is_full = _full_rank(ab, tol)
+    m, tol, d_max = xy.shape[0], sys.tol, float(np.max(ab[0]))
+    # P is numerically full rank when P - floor(max diag P, m) I factors
+    is_full = d_max > 0.0 and _factors_shifted(ab, -tol.floor(d_max, m))
     if not is_full:
         # the negativity floor uses the regression scale ||design||_2^2 too,
         # so a numerically-zero weight falls through to the constrained branch
-        floor = tol.rank_tol * max(float(np.max(ab[0])), sys._design_norm2)
+        floor = tol.floor(max(d_max, sys._design_norm2), 1)
         if not _factors_shifted(ab, floor):
             lam_min = float(scipy.linalg.eigvals_banded(
                 ab, lower=True, select="i", select_range=(0, 0))[0])
@@ -1145,14 +1135,13 @@ def _whiten_run(sys: StackedSystem, ab: np.ndarray, xyt: np.ndarray, branch: str
     # max diag P balances the two terms, so that P is not lost below
     # design design^T; the estimate does not depend on c, the
     # covariance scales with it
-    d_max = float(np.max(ab[0]))
     balance = sys._design_norm2 / d_max if d_max > 0.0 else 1.0
     t = (design @ design.T).T
     for j in range(ab.shape[0]):
         i = np.arange(j, m)
         t[i, i - j] += balance * ab[j, :m - j]
     c, piv, rank, _ = scipy.linalg.lapack.dpstrf(
-        t, tol=_rank_floor(np.diag(t), tol), lower=1, overwrite_a=1)
+        t, tol=tol.floor(float(np.max(np.diag(t))), m), lower=1, overwrite_a=1)
     # T[piv][:, piv] = F F^T, F = c[:, :rank] lower; with F_11 its leading
     # block, the pivot rows whitened by F_11 give the g-inverse form
     whitened = scipy.linalg.solve_triangular(c[:rank, :rank], xy[piv[:rank] - 1],
@@ -1237,17 +1226,17 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
     problem's weight in LAPACK lower band storage, as ``assemble_p``
     returns it: shape (b+1, m), p_hat[i-c, c] == P[i, c], zeros past the
     end of each diagonal (np.ones((1, m)) is the identity).  With
-    d = max diag P, P is numerically full rank when P - rank_tol d m I has
-    a banded Cholesky factor, which then whitens the problem ("full-rank",
-    or "kept-row" on kept rows); P is indefinite, and IndefiniteWeight
-    raised, when P + rank_tol max(d, ||design||_2^2) I has none.  A
-    singular P (P == 0 on noise-free data, P singular beyond the shared
-    rows), or ``branch="constrained"``, takes the "dense" branch: Rao's
-    estimator with a g-inverse of T = c P + design design^T from its dense
-    pivoted Cholesky factor (pivot tolerance rank_tol max(diag T) m),
-    c = ||design||_2^2 / max diag P (1 when P == 0) balancing the terms;
-    the reported covariance subtracts the identity and divides by c.  This branch alone is refused
-    above P_DENSE_MAX_ROWS rows.  Every whitened problem is solved like the
+    d = max diag P, P is numerically full rank when P - floor(d, m) I has
+    a banded Cholesky factor (``Tolerance.floor``), which then whitens the
+    problem ("full-rank", or "kept-row" on kept rows); P is indefinite, and
+    IndefiniteWeight raised, when P + floor(max(d, ||design||_2^2), 1) I
+    has none.  A singular P (P == 0 on noise-free data, P singular beyond
+    the shared rows), or ``branch="constrained"``, takes the "dense"
+    branch: Rao's estimator with a g-inverse of T = c P + design design^T
+    from its dense pivoted Cholesky factor (pivot tolerance floor(max diag
+    T, m)), c = ||design||_2^2 / max diag P (1 when P == 0) balancing the
+    terms; the reported covariance subtracts the identity and divides by c.
+    This branch alone is refused above P_DENSE_MAX_ROWS rows.  Every whitened problem is solved like the
     ordinary one.  A banded solve reports the fit statistic J = r^T P^-1 r
     of the residual r on the rows solved on, its degrees of freedom (those
     rows minus n_alpha) and those rows (``weight_rows``); the dense branch

@@ -1,7 +1,8 @@
 """Dense matrix utilities underlying the identification algebra.
 
-Block-diagonal assembly, the one rank rule (``svd_rank``: a singular value
-counts when it exceeds rank_tol * sigma_max * max(rows, cols)) and its PSD
+Block-diagonal assembly, the one rank rule (``Tolerance.floor`` =
+rank_tol * scale * size, whose docstring lists each caller's scale and
+size; ``svd_rank`` counts a singular value above its floor) and its PSD
 test (``indefinite``), and the order of a symmetric matrix's unique
 entries (``sym_pair_indices``).  A matrix's rank is ``svd_rank(m)[3]``, and
 with ``full_matrices=True`` the rows of u[:, rank:].T are its left null
@@ -25,12 +26,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerance:
-    """The threshold of the one rank rule.
+    """The one rank rule: a value counts when it exceeds ``floor(scale,
+    size)``, relative to its own scale and size.  The callers and theirs:
 
-    ``rank_tol`` is relative: a singular value counts towards the rank when
-    it exceeds rank_tol * sigma_max * max(rows, cols), and an eigenvalue is
-    negative by ``indefinite``'s form of the same rule.  It must be finite
-    and nonnegative.
+    * ``svd_rank``: sigma_max and max(rows, cols);
+    * ``indefinite`` (an eigenvalue below -floor): max(1, max |eig|) and n;
+    * the shared rows' pair SVD: sqrt(1 + c) and max(rows, cols);
+    * the equilibrated SVD's dust columns: the largest column norm and 1;
+    * the weighted solve's full-rank shift: max diag P and m; its
+      negativity floor: max(max diag P, ||design||_2^2) and 1; and the
+      dense branch's pivot tolerance: max diag T and m.
+
+    ``rank_tol`` must be finite and nonnegative.
     """
 
     rank_tol: float = 1e-10
@@ -39,6 +46,10 @@ class Tolerance:
         if not 0.0 <= self.rank_tol < np.inf:
             raise ValueError("tolerances must be finite and nonnegative, got "
                              f"rank_tol={self.rank_tol}")
+
+    def floor(self, scale, size):
+        """rank_tol * scale * size, in this order: ``svd_rank`` reports it."""
+        return self.rank_tol * scale * size
 
 
 DEFAULT_TOL = Tolerance()
@@ -74,18 +85,17 @@ def svd_rank(m, tol: Tolerance = DEFAULT_TOL, full_matrices: bool = False):
     if s.shape[-1] == 0:
         thr = np.zeros(s.shape[:-1]) if s.ndim > 1 else 0.0
     else:
-        thr = tol.rank_tol * s[..., 0] * max(m.shape[-2:])
+        thr = tol.floor(s[..., 0], max(m.shape[-2:]))
     rank = np.count_nonzero(s > np.expand_dims(thr, -1), axis=-1)
     return u, s, vt, (int(rank) if s.ndim == 1 else rank), thr
 
 
 def indefinite(low, n: int, scale, tol: Tolerance = DEFAULT_TOL):
     """Whether a symmetric n x n matrix whose smallest eigenvalue is ``low``
-    is indefinite: low < -rank_tol * n * max(1, scale), the rank rule with
-    max(1, scale) for sigma_max.  ``low`` and ``scale`` may be arrays over
-    a stack of matrices.
+    is indefinite: low < -tol.floor(max(1, scale), n).  ``low`` and
+    ``scale`` may be arrays over a stack of matrices.
     """
-    return low < -tol.rank_tol * n * np.maximum(1.0, scale)
+    return low < -tol.floor(np.maximum(1.0, scale), n)
 
 
 def sym_pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -404,7 +404,6 @@ def test_extra_weighted_bias_shrinks_with_horizon(obs_ltv_weighted):
     assert ok
 
 
-@pytest.mark.filterwarnings("ignore:Q/R estimate is indefinite:RuntimeWarning")
 def test_extra_unknown_input_weighted(ex2_ordinary):
     """The weighted estimator on the paper's headline case (unobservable,
     unknown input) at tau=1000, 500 runs from seed 0: unbiased within 3 SE,

@@ -428,9 +428,10 @@ class TestSimulateIdentify:
 
     def test_simulate_and_ordinary_identify_load_no_scipy(self, tmp_path,
                                                           unknown_input_model_file):
-        """SciPy is loaded by a weighted solve alone: a fresh interpreter that
+        """SciPy is loaded by a weighted solve alone, and multiprocessing by
+        a ``run_mc`` of two or more chunks alone: a fresh interpreter that
         imports mdmest, simulates and identifies by the ordinary method has
-        not imported it."""
+        imported neither."""
         model, out = str(unknown_input_model_file), str(tmp_path / "o")
         code = (
             "import sys, mdmest\n"
@@ -439,7 +440,8 @@ class TestSimulateIdentify:
             f"assert main(['identify', '--model', {model!r}, '--data', "
             f"{out + '/data.jsonl'!r}, '--method', 'ordinary', '--input-mode', "
             f"'unknown', '--out', {out!r}]) == 0\n"
-            "sys.stderr.write(str(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+            "sys.stderr.write(str(sorted(m for m in sys.modules\n"
+            "                            if m.split('.')[0] in ('scipy', 'multiprocessing'))))\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-c", code], env=env,
@@ -565,12 +567,13 @@ class TestBenchmarkCommand:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_tolerances_reach_the_runs(self, tmp_path, capsys, workers):
         """--rank-tol is the rank rule of every run, in one process or two:
-        at 0.9 the obs-ltv design is rank deficient, and the default still
-        writes its table."""
-        args = ["benchmark", "obs-ltv", "--tau", "50", "--n-mc", "3", "--workers", workers]
+        at 0.9 the obs-ltv design (tau=60, where H_k varies; at tau=50 it is
+        1 at every integer k) has rank 0, and the default still writes its
+        table."""
+        args = ["benchmark", "obs-ltv", "--tau", "60", "--n-mc", "3", "--workers", workers]
         assert main(args + ["--rank-tol", "0.9", "--out", str(tmp_path / "a")]) == \
             cli.EXIT_NUMERICAL
-        assert "design matrix rank" in capsys.readouterr().err
+        assert "design matrix rank 0 < 2" in capsys.readouterr().err
         assert main(args + ["--out", str(tmp_path / "b")]) == cli.EXIT_OK
         assert (tmp_path / "b" / "obs-ltv_ordinary_table.csv").exists()
 

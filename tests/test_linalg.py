@@ -1,10 +1,16 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mdmest import Tolerance
 from mdmest.linalg import block_diag, indefinite, svd_rank, sym_pair_indices
 
 from conftest import replication_matrix, swap_permutation, unification_matrix, vec
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mdmest"
 
 
 class TestBlockDiag:
@@ -54,6 +60,60 @@ class TestSvdRank:
 
     def test_zero(self):
         assert rank(np.zeros((4, 4))) == 0
+
+
+@pytest.mark.bitwise
+@given(st.lists(st.integers(1, 3), max_size=2), st.integers(1, 6), st.integers(0, 6),
+       st.integers(0, 2**32 - 1), st.floats(-12, 12), st.sampled_from([0.0, 1e-10, 1e-3, 0.5]))
+def test_svd_threshold_is_the_floor(stack, rows, cols, seed, log_scale, rank_tol):
+    """``svd_rank``'s threshold is ``Tolerance.floor`` of sigma_max and
+    max(rows, cols), bit for bit, on a matrix or a stack of them (0 without
+    columns), and the rank counts the singular values above it."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((*stack, rows, cols)) * 10.0 ** log_scale
+    tol = Tolerance(rank_tol=rank_tol)
+    _, s, _, r, thr = svd_rank(m, tol)
+    want = (tol.floor(s[..., 0], max(rows, cols)) if cols
+            else np.zeros(tuple(stack)) if stack else 0.0)
+    assert np.shape(thr) == np.shape(want)
+    assert np.asarray(thr).tobytes() == np.asarray(want, dtype=float).tobytes()
+    assert np.array_equal(r, np.count_nonzero(s > np.expand_dims(thr, -1), axis=-1))
+
+
+def rank_tol_products(tree):
+    """Line numbers of the multiplications in ``tree`` with ``rank_tol`` in
+    an operand, outside ``Tolerance.floor``."""
+    inside_floor = {id(n) for cls in ast.walk(tree)
+                    if isinstance(cls, ast.ClassDef) and cls.name == "Tolerance"
+                    for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "floor"
+                    for n in ast.walk(f)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult):
+            operands = (node.target, node.value)
+        else:
+            continue
+        if id(node) not in inside_floor and any(
+                isinstance(n, ast.Attribute) and n.attr == "rank_tol"
+                or isinstance(n, ast.Name) and n.id == "rank_tol"
+                for operand in operands for n in ast.walk(operand)):
+            yield node.lineno
+
+
+class TestOneFormula:
+    def test_rank_tol_is_multiplied_only_by_floor(self):
+        found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+                 for line in rank_tol_products(ast.parse(path.read_text()))]
+        assert found == []
+
+    def test_the_check_sees_a_product(self):
+        """The check finds a spelled-out rule, and finds none in floor."""
+        code = "def f(tol, s, n):\n    x = tol.rank_tol * s * n\n    x *= rank_tol\n"
+        assert sorted(rank_tol_products(ast.parse(code))) == [2, 2, 3]
+        linalg = ast.parse((PACKAGE / "linalg.py").read_text())
+        assert "self.rank_tol * scale * size" in ast.unparse(linalg)
+        assert list(rank_tol_products(linalg)) == []
 
 
 class TestSvdRankLeftNullSpace:
@@ -142,9 +202,9 @@ class TestSwapPermutation:
 
 class TestIndefinite:
     def test_floor_is_the_rank_rule(self):
-        """The floor is -rank_tol * n * max(1, scale): -3e-10 for a 3 x 3
-        matrix of scale below 1, -6e-8 at scale 200; a value on it is not
-        below it."""
+        """The floor is -floor(max(1, scale), n): -3e-10 for a 3 x 3 matrix
+        of scale below 1, -6e-8 at scale 200; a value on it is not below
+        it."""
         floor = -1e-10 * 3
         assert not indefinite(floor, 3, 0.5)
         assert indefinite(np.nextafter(floor, -1.0), 3, 0.5)

@@ -33,6 +33,7 @@ from .model import (
     simulate,
     simulate_runs,
     validate,
+    window_noise_covariance,
 )
 from .residue import WindowBlocks, window_blocks
 from .estimator import (

@@ -44,6 +44,7 @@ from .model import (
     MeasurementData,
     NoiseStructure,
     defining_replication,
+    window_noise_covariance,
 )
 from .residue import window_blocks
 
@@ -814,10 +815,10 @@ class EtaCovariances:
     """Second moments of the eta process, stored compactly per band offset.
 
     ``crosses`` is the (L, n_eps, n_eps) array whose j-th entry is the
-    lag-j cross covariance C_j of the stacked noise, j = 0..L-1 (the
-    stacked noise vectors of windows L or more apart share no components);
-    L and n_eps are read from its shape.  The band matrix
-    E[eta_k eta_{k+j}^T] follows from C_j by the Gaussian fourth-moment
+    lag-j cross covariance C_j = ``window_noise_covariance`` of the stacked
+    noise, j = 0..L-1, whose C_0 has vec Upsilon alpha (windows L or more
+    apart share no noise); L and n_eps are read from its shape.  The band
+    matrix E[eta_k eta_{k+j}^T] follows from C_j by the Gaussian fourth-moment
     factorisation, which ``assemble_p`` applies through the windows' noise
     maps without forming it.  ``projection`` holds, for Q and R, the
     most negative eigenvalue relative to the largest |eigenvalue| when they
@@ -897,8 +898,8 @@ def _eta_crosses(structure: NoiseStructure, alphas: np.ndarray, L: int,
     (``NoiseStructure.covariances``), one stacked eigh each tests them
     (``indefinite``, with the larger of Q's and R's largest |eigenvalue|
     as scale), and the runs that need it are projected together.  C_j is
-    filled by block slices: blkdiag(S_j kron Q, S_j kron R), S_j the shift
-    by j.
+    ``window_noise_covariance``'s lag j at the (projected) Q and R, the
+    lags 0..L-1 of the covariance whose lag 0 is the design's Upsilon alpha.
     """
     q, r = structure.covariances(alphas)
     eigs = [np.linalg.eigh((m + m.swapaxes(-1, -2)) / 2.0) for m in (q, r)]
@@ -917,16 +918,7 @@ def _eta_crosses(structure: NoiseStructure, alphas: np.ndarray, L: int,
             low, top = np.where(low[fix] > 0.0, 0.0, low[fix]), top[fix]
             projection[fix, i] = np.where(top > 0.0,
                                           low / np.where(top > 0.0, top, 1.0), 0.0)
-
-    lg = L - 1
-    n_eps = lg * q.shape[-1] + L * r.shape[-1]
-    crosses = np.zeros((runs, L, n_eps, n_eps))
-    for j in range(L):
-        for m, count, off in ((q, lg - j, 0), (r, L - j, lg * q.shape[-1])):
-            n = m.shape[-1]
-            for i in range(count):
-                crosses[:, j, off + (i + j) * n:off + (i + j + 1) * n,
-                        off + i * n:off + (i + 1) * n] = m
+    crosses = np.stack([window_noise_covariance(q, r, L, j) for j in range(L)], axis=1)
     return crosses, projection
 
 

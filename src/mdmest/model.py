@@ -36,6 +36,7 @@ __all__ = [
     "assemble_qr",
     "defining_replication",
     "validate",
+    "window_noise_covariance",
     "simulate",
     "simulate_runs",
     "psd_factor",
@@ -292,35 +293,40 @@ def assemble_qr(structure: NoiseStructure, alpha) -> tuple[np.ndarray, np.ndarra
     return q[0], r[0]
 
 
-def defining_replication(structure: NoiseStructure, L: int) -> np.ndarray:
-    """Map from alpha to the vectorised covariance of the stacked noise.
-
-    Column i is vec(blkdiag(I_{L-1} kron BQ_i, I_L kron BR_i)); hence
-    Upsilon @ alpha == vec(blkdiag(I_{L-1} kron Q, I_L kron R)) for all alpha.
-    Each kron is one broadcast product over the stack of BQ_i (or BR_i),
-    the products np.kron forms (so its -0.0 entries too), placed by slicing.
+def window_noise_covariance(q, r, L: int, j: int = 0) -> np.ndarray:
+    """Lag-j cross covariance E[eps_k eps_{k+j}^T] = blkdiag(S_j kron q,
+    S_j kron r) of a length-L window's stacked noise eps_k = [w_k..w_{k+L-2};
+    v_k..v_{k+L-1}], S_j = np.eye(copies, k=-j), for each q of the stack
+    ``q`` (m, n_w, n_w) and r of ``r`` (m, n_v, n_v): (m, n_eps, n_eps).
+    j = 0 is the window's own covariance.  Each kron is one broadcast
+    product, the products np.kron forms (so its -0.0 entries too).
     """
     if L < 1:
         raise ValueError("window length L must be >= 1")
-    blocks = [_stacked_kron(L - 1, np.stack(structure.bq)),
-              _stacked_kron(L, np.stack(structure.br))]
-    rows, cols = (sum(b.shape[axis] for b in blocks) for axis in (1, 2))
-    # (n_alpha, col, row): each matrix transposed, so its rows are vec(blk)
-    out = np.zeros((structure.n_alpha, cols, rows))
-    r = c = 0
-    for b in blocks:
-        out[:, c:c + b.shape[2], r:r + b.shape[1]] = b.transpose(0, 2, 1)
-        r += b.shape[1]
-        c += b.shape[2]
-    return np.ascontiguousarray(out.reshape(structure.n_alpha, -1).T)
+    if not 0 <= j < L:
+        raise ValueError(f"lag j={j} is outside 0..{L - 1}")
+    blocks = []
+    for copies, stack in ((L - 1, q), (L, r)):
+        count, n, _ = np.shape(stack)
+        shift = np.eye(copies, k=-j)[None, :, None, :, None]
+        blocks.append((shift * np.asarray(stack, dtype=float)[:, None, :, None, :])
+                      .reshape(count, copies * n, copies * n))
+    w, v = (b.shape[-1] for b in blocks)
+    out = np.zeros((count, w + v, w + v))
+    out[:, :w, :w], out[:, w:, w:] = blocks
+    return out
 
 
-def _stacked_kron(copies: int, stack: np.ndarray) -> np.ndarray:
-    """I_copies kron B of each B in the (count, rows, cols) ``stack``."""
-    count, rows, cols = stack.shape
-    eye = np.eye(copies)[None, :, None, :, None]
-    return (eye * stack[:, None, :, None, :]).reshape(count, copies * rows,
-                                                      copies * cols)
+def defining_replication(structure: NoiseStructure, L: int) -> np.ndarray:
+    """Map from alpha to the vectorised covariance of the stacked noise.
+
+    Column i is vec C_0 of ``window_noise_covariance`` at (BQ_i, BR_i),
+    vec(blkdiag(I_{L-1} kron BQ_i, I_L kron BR_i)); hence Upsilon @ alpha
+    == vec(blkdiag(I_{L-1} kron Q, I_L kron R)) for all alpha.
+    """
+    c0 = window_noise_covariance(np.stack(structure.bq), np.stack(structure.br), L)
+    # [col, row, i] = c0[i, row, col], so each column is vec(c0[i])
+    return np.ascontiguousarray(c0.transpose(2, 1, 0).reshape(-1, structure.n_alpha))
 
 
 def _shape_findings(model: LtvModel, structure: NoiseStructure) -> list[str]:

@@ -27,6 +27,7 @@ from mdmest import (
     validate,
     weighted_estimates,
     weighted_pipeline,
+    window_noise_covariance,
 )
 from mdmest import io
 from mdmest.benchmarks import benchmark_input_signal
@@ -154,6 +155,65 @@ def test_defining_replication_is_the_kron_assembly(case):
         got = defining_replication(structure, L)
     assert bitwise_equal(got, want)
     assert got.size == 0 or layout(got) == layout(want)
+
+
+@st.composite
+def noise_stacks(draw):
+    """Stacks of 1-3 q (n_w x n_w) and r (n_v x n_v) of ``ENTRY`` values,
+    n_w and n_v in 0..3, and an L of 1-6."""
+    m, n_w, n_v = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    q, r = (np.array(draw(st.lists(ENTRY, min_size=m * n * n, max_size=m * n * n)),
+                     dtype=float).reshape(m, n, n) for n in (n_w, n_v))
+    return q, r, draw(st.integers(1, 6))
+
+
+@pytest.mark.bitwise
+@given(noise_stacks())
+def test_window_noise_covariance_is_the_shifted_kron_assembly(case):
+    """Each lag j < L is bit for bit blkdiag(S_j kron q_i, S_j kron r_i) as
+    np.kron forms it, S_j = np.eye(copies, k=-j), per stack entry."""
+    q, r, L = case
+    for j in range(L):
+        with np.errstate(invalid="ignore"):
+            got = window_noise_covariance(q, r, L, j)
+            want = np.stack([block_diag(np.kron(np.eye(L - 1, k=-j), qi),
+                                        np.kron(np.eye(L, k=-j), ri))
+                             for qi, ri in zip(q, r)])
+        assert bitwise_equal(got, want)
+
+
+FINITE = st.floats(-1e3, 1e3, allow_subnormal=False)
+
+
+@pytest.mark.bitwise
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 3), st.integers(1, 6),
+       st.data())
+def test_upsilon_alpha_is_the_lag_zero_covariance(n_alpha, n_w, n_v, L, data):
+    """Upsilon alpha is vec C_0 at Q(alpha), R(alpha): the regression and
+    the weight's lag crosses read one window covariance."""
+    def matrix(n):
+        return np.array(data.draw(st.lists(FINITE, min_size=n * n, max_size=n * n)),
+                        dtype=float).reshape(n, n)
+
+    structure = NoiseStructure.from_pairs([(matrix(n_w), matrix(n_v))
+                                           for _ in range(n_alpha)])
+    alpha = np.array(data.draw(st.lists(FINITE, min_size=n_alpha, max_size=n_alpha)))
+    ups = defining_replication(structure, L)
+    q, r = assemble_qr(structure, alpha)
+    want = vec(window_noise_covariance(q[None], r[None], L)[0])
+    assert np.all(np.abs(ups @ alpha - want) <= 1e-14 * (np.abs(ups) @ np.abs(alpha)))
+
+
+@pytest.mark.parametrize("L, j, match", [
+    (0, 0, "^window length L must be >= 1$"),
+    (-1, 0, "^window length L must be >= 1$"),
+    (3, 3, r"^lag j=3 is outside 0\.\.2$"),
+    (3, -1, r"^lag j=-1 is outside 0\.\.2$"),
+    (1, 1, r"^lag j=1 is outside 0\.\.0$"),
+])
+def test_window_noise_covariance_rejects_window_and_lag(L, j, match):
+    with pytest.raises(ValueError, match=match):
+        window_noise_covariance(np.eye(2)[None], np.eye(1)[None], L, j)
 
 
 class TestValidate:

@@ -15,10 +15,14 @@ matrix is singular.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import logging
+import os
+import sys as _sys  # ``sys`` names a StackedSystem throughout this module
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -771,6 +775,19 @@ def _ls_solve(factors, b: np.ndarray):
             w @ w.swapaxes(-1, -2))
 
 
+def _refuse_nonfinite(sys: StackedSystem, obs: np.ndarray) -> None:
+    """DataError naming the window and, as ``run``, the index (None for one
+    run given as (n_rows,)) of the first run of ``obs`` with a squared
+    residue that is not finite."""
+    finite = np.isfinite(obs).reshape(-1, sys.n_rows)
+    bad = np.flatnonzero(~finite.all(axis=1))
+    if bad.size:
+        run = int(bad[0])
+        raise DataError(f"record k={_record_of(sys.row_offsets, np.argmin(finite[run]))}"
+                        ": squared residue is not finite",
+                        run=run if obs.ndim == 2 else None)
+
+
 def ordinary_estimates(sys: StackedSystem, obs: np.ndarray) -> np.ndarray:
     """``ordinary_mdm``'s alpha_hat for each row of ``obs`` ((runs, n_rows),
     as ``StackedSystem.residues`` gives them; (n_rows,) for one run).
@@ -786,13 +803,7 @@ def ordinary_estimates(sys: StackedSystem, obs: np.ndarray) -> np.ndarray:
                         f"has {sys.n_rows} rows")
     if sys.rank < sys.n_alpha:
         raise RankDeficientDesign(sys.rank, sys.n_alpha)
-    finite = np.isfinite(obs).reshape(-1, sys.n_rows)
-    bad = np.flatnonzero(~finite.all(axis=1))
-    if bad.size:
-        run = int(bad[0])
-        raise DataError(f"record k={_record_of(sys.row_offsets, np.argmin(finite[run]))}"
-                        ": squared residue is not finite",
-                        run=run if obs.ndim == 2 else None)
+    _refuse_nonfinite(sys, obs)
     return _ls_solve((sys.u, sys.s, sys.vt, sys.rank, sys.scale), obs)[0]
 
 
@@ -882,8 +893,9 @@ _PROJECTED = ("Q/R estimate is indefinite; projected it onto the positive "
               "semidefinite cone before the fourth-moment expansion")
 
 
-# what a run's own values can make its solve raise: the package's errors,
-# scipy's refusal of non-finite input and LAPACK failing to converge
+# what a run's own values can make its solve raise: the package's errors
+# (non-finite squared residues or weights among them), ValueError from numpy
+# or a LAPACK wrapper refusing its arguments, and LAPACK failing to converge
 _RUN_ERRORS = (MdmError, ValueError, np.linalg.LinAlgError)
 
 
@@ -1064,13 +1076,66 @@ def _scatter_blocks(ab: np.ndarray, blk: np.ndarray, offsets: np.ndarray, j: int
 P_DENSE_MAX_ROWS = 8000
 
 
+@cache
+def _lapack():
+    """SciPy's LAPACK wrappers: the f2py module ``scipy.linalg._flapack``,
+    whose functions ``scipy.linalg.lapack`` exports, loaded from its file
+    without running ``scipy.linalg``'s package import.
+
+    That import clones numpy's namespace (numpy.f2py, numpy.testing,
+    numpy.ma) and costs about half a cold weighted identify; the extension
+    alone loads in a few ms.  It is registered in sys.modules under its own
+    name, so a later ``import scipy.linalg`` reuses this module rather than
+    load a second copy.  The package then lacks a ``_flapack`` attribute,
+    which SciPy never reads: it imports the name.
+    """
+    name = "scipy.linalg._flapack"
+    if name in _sys.modules:
+        return _sys.modules[name]
+    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    paths = [os.path.join(root, "linalg", "_flapack" + suffix)
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    spec = importlib.util.spec_from_file_location(
+        name, next(filter(os.path.isfile, paths), paths[0]))
+    module = _sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _factors_shifted(ab: np.ndarray, shift: float) -> bool:
     """Whether P + shift * I, P in lower band storage, has a banded Cholesky
     factor."""
-    import scipy.linalg.lapack
     shifted = ab.copy()
     shifted[0] += shift
-    return scipy.linalg.lapack.dpbtrf(shifted, lower=1)[1] == 0
+    return _lapack().dpbtrf(shifted, lower=1)[1] == 0
+
+
+def _lowest_eigenvalue(ab: np.ndarray) -> float:
+    """The smallest eigenvalue of P, in lower band storage, by dsbevx with
+    the arguments ``scipy.linalg.eigvals_banded(ab, lower=True,
+    select="i", select_range=(0, 0))`` passes, and so its bits."""
+    lapack = _lapack()
+    w, _, _, _, info = lapack.dsbevx(ab, 0.0, 1.0, 1, 1, compute_v=0, mmax=1,
+                                     range=2, lower=1, overwrite_ab=0,
+                                     abstol=2 * lapack.dlamch("s"))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"banded eigenvalue solver failed (LAPACK info {info})")
+    return float(w[0])
+
+
+def _solve_lower(f: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """F^-1 b for a lower-triangular F, by dtrtrs with the arguments
+    ``scipy.linalg.solve_triangular(f, b, lower=True)`` passes, and so its
+    bits: F itself when it is Fortran-contiguous, else F^T as an upper
+    factor solved transposed.  A zero on F's diagonal raises LinAlgError."""
+    if f.flags.f_contiguous:
+        x, info = _lapack().dtrtrs(f, b, lower=1)
+    else:
+        x, info = _lapack().dtrtrs(f.T, b, lower=0, trans=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
 
 
 def _whiten_run(sys: StackedSystem, ab: np.ndarray, xyt: np.ndarray, branch: str):
@@ -1083,9 +1148,8 @@ def _whiten_run(sys: StackedSystem, ab: np.ndarray, xyt: np.ndarray, branch: str
     problem, transposed the same way, and ``balance`` the dense branch's c
     (1 on the banded one).
     """
-    # SciPy is loaded by the first weighted solve, not by ``import mdmest``
-    import scipy.linalg
-    import scipy.linalg.lapack
+    # LAPACK is reached through ``_lapack``, SciPy's wrappers without
+    # scipy.linalg, loaded by the first weighted solve, not by ``import mdmest``
     if sys.reduction is None:
         design, xy = sys.design, xyt.T
     else:
@@ -1099,8 +1163,7 @@ def _whiten_run(sys: StackedSystem, ab: np.ndarray, xyt: np.ndarray, branch: str
         # so a numerically-zero weight falls through to the constrained branch
         floor = tol.floor(max(d_max, sys._design_norm2), 1)
         if not _factors_shifted(ab, floor):
-            lam_min = float(scipy.linalg.eigvals_banded(
-                ab, lower=True, select="i", select_range=(0, 0))[0])
+            lam_min = _lowest_eigenvalue(ab)
             raise IndefiniteWeight(
                 f"weight matrix has eigenvalue {lam_min:.3e} below -{floor:.3e}"
             )
@@ -1108,10 +1171,9 @@ def _whiten_run(sys: StackedSystem, ab: np.ndarray, xyt: np.ndarray, branch: str
         raise IndefiniteWeight("full-rank branch forced but the weight is singular")
 
     if is_full and branch != "constrained":
-        chol, info = scipy.linalg.lapack.dpbtrf(ab, lower=1)
+        chol, info = _lapack().dpbtrf(ab, lower=1)
         if info == 0:
-            whitened, info = scipy.linalg.lapack.dtbtrs(chol, xy, uplo="L",
-                                                        overwrite_b=1)
+            whitened, info = _lapack().dtbtrs(chol, xy, uplo="L", overwrite_b=1)
         if info != 0:
             raise IndefiniteWeight(
                 f"banded Cholesky whitening of the weight failed (LAPACK info {info})")
@@ -1132,20 +1194,20 @@ def _whiten_run(sys: StackedSystem, ab: np.ndarray, xyt: np.ndarray, branch: str
     for j in range(ab.shape[0]):
         i = np.arange(j, m)
         t[i, i - j] += balance * ab[j, :m - j]
-    c, piv, rank, _ = scipy.linalg.lapack.dpstrf(
+    c, piv, rank, _ = _lapack().dpstrf(
         t, tol=tol.floor(float(np.max(np.diag(t))), m), lower=1, overwrite_a=1)
     # T[piv][:, piv] = F F^T, F = c[:, :rank] lower; with F_11 its leading
     # block, the pivot rows whitened by F_11 give the g-inverse form
-    whitened = scipy.linalg.solve_triangular(c[:rank, :rank], xy[piv[:rank] - 1],
-                                             lower=True)
+    whitened = _solve_lower(c[:rank, :rank], xy[piv[:rank] - 1])
     return "dense", whitened.T, balance
 
 
 def _weighted_solves(sys: StackedSystem, obs: np.ndarray, ab: np.ndarray,
                      branch: str) -> WeightedRuns:
     """``weighted_mdm``'s solve of each run: run r's squared residues
-    obs[r], its weight band ab[r].  Bands that are not finite raise
-    MdmError before any factorisation.
+    obs[r], its weight band ab[r].  Squared residues that are not finite
+    raise ``ordinary_estimates``' DataError, and then bands that are not
+    finite MdmError, before any factorisation.
 
     The branch tests, factorisations and whitening are per run (LAPACK has
     no batched banded routines).  The whitened problems of the runs that
@@ -1155,6 +1217,7 @@ def _weighted_solves(sys: StackedSystem, obs: np.ndarray, ab: np.ndarray,
     n_alpha+1, rows), transposed), so every run gets the bits of its own
     solve.
     """
+    _refuse_nonfinite(sys, obs)
     if not np.isfinite(ab).all():
         raise MdmError("weight matrix is not finite")
     k, runs = sys.n_alpha, len(obs)
@@ -1228,7 +1291,9 @@ def weighted_mdm(sys: StackedSystem, p_hat: np.ndarray,
     from its dense pivoted Cholesky factor (pivot tolerance floor(max diag
     T, m)), c = ||design||_2^2 / max diag P (1 when P == 0) balancing the
     terms; the reported covariance subtracts the identity and divides by c.
-    This branch alone is refused above P_DENSE_MAX_ROWS rows.  Every whitened problem is solved like the
+    This branch alone is refused above P_DENSE_MAX_ROWS rows.  Squared
+    residues that are not finite raise ``ordinary_mdm``'s DataError, with
+    ``run`` 0, on every branch.  Every whitened problem is solved like the
     ordinary one.  A banded solve reports the fit statistic J = r^T P^-1 r
     of the residual r on the rows solved on, its degrees of freedom (those
     rows minus n_alpha) and those rows (``weight_rows``); the dense branch

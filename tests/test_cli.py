@@ -428,10 +428,10 @@ class TestSimulateIdentify:
 
     def test_simulate_and_ordinary_identify_load_no_scipy(self, tmp_path,
                                                           unknown_input_model_file):
-        """SciPy is loaded by a weighted solve alone, and multiprocessing by
-        a ``run_mc`` of two or more chunks alone: a fresh interpreter that
-        imports mdmest, simulates and identifies by the ordinary method has
-        imported neither."""
+        """SciPy (its LAPACK wrappers) is loaded by a weighted solve alone,
+        and multiprocessing by a ``run_mc`` of two or more chunks alone: a
+        fresh interpreter that imports mdmest, simulates and identifies by
+        the ordinary method has imported neither."""
         model, out = str(unknown_input_model_file), str(tmp_path / "o")
         code = (
             "import sys, mdmest\n"
@@ -447,6 +447,44 @@ class TestSimulateIdentify:
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert (done.returncode, done.stderr) == (0, "[]")
+
+    def test_weighted_solves_load_no_scipy_linalg(self):
+        """A weighted solve reaches LAPACK through SciPy's wrappers alone: a
+        fresh interpreter that identifies obs-ltv (full-rank branch) and
+        unobs (kept-row branch) by the weighted method, forces the
+        constrained branch and has a weight refused as indefinite has
+        imported neither scipy.linalg nor SciPy's array-API layer."""
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from mdmest import (IndefiniteWeight, build_stacked_system, preset,\n"
+            "                    simulate, weighted_mdm, weighted_pipeline)\n"
+            "from mdmest.benchmarks import benchmark_input_signal\n"
+            "def system(name, tau):\n"
+            "    spec = preset(name, tau=tau)\n"
+            "    traj = simulate(spec.model, spec.structure, spec.alpha_true, spec.init,\n"
+            "                    input_signal=benchmark_input_signal(spec), seed=0)\n"
+            "    return build_stacked_system(spec.model, spec.structure, traj, spec.L,\n"
+            "                                spec.mode)\n"
+            "obs, unobs = system('obs-ltv', 200), system('unobs-unknown-input', 100)\n"
+            "assert weighted_pipeline(obs).method == 'weighted-full-rank'\n"
+            "assert weighted_pipeline(unobs).method == 'weighted-kept-row'\n"
+            "ones = np.ones((1, obs.n_rows))\n"
+            "assert weighted_mdm(obs, ones, branch='constrained').method == 'weighted-dense'\n"
+            "ones[0, 0] = -1.0\n"
+            "try:\n"
+            "    weighted_mdm(obs, ones)\n"
+            "except IndefiniteWeight as exc:\n"
+            "    assert str(exc).startswith('weight matrix has eigenvalue -1.000e+00')\n"
+            "else:\n"
+            "    raise AssertionError('no IndefiniteWeight')\n"
+            "print([m for m in ('scipy.linalg', 'scipy._lib._array_api')\n"
+            "       if m in sys.modules])\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 class TestLogLevel:

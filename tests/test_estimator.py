@@ -1,10 +1,15 @@
 import logging
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
 
 from mdmest import (
@@ -878,6 +883,23 @@ class TestWeightedMdm:
             with pytest.raises(MdmError, match="^weight matrix is not finite$"):
                 weighted_mdm(sys_full, ab, branch=branch)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_residue_rejected(self, bad):
+        """A squared residue that is not finite is refused on every branch
+        with the DataError ``ordinary_mdm`` gives, naming its record, instead
+        of an estimate of inf and NaN (the full-rank branch gave one)."""
+        spec, sys_full = simulated_system("obs-ltv", tau=60, seed=0)
+        obs = sys_full.obs.copy()
+        obs[17] = bad
+        sys_bad = replace(sys_full, obs=obs)
+        with pytest.raises(DataError) as want:
+            ordinary_mdm(sys_bad)
+        assert str(want.value) == "record k=17: squared residue is not finite"
+        for branch in ("auto", "constrained"):
+            with pytest.raises(DataError, match=f"^{want.value}$") as err:
+                weighted_mdm(sys_bad, np.ones((1, sys_full.n_rows)), branch=branch)
+            assert err.value.run == 0
+
     def test_unknown_branch_rejected(self):
         spec, sys_full = simulated_system("obs-ltv", tau=30, seed=7)
         with pytest.raises(ValueError, match="unknown branch 'bogus'"):
@@ -1254,6 +1276,68 @@ def test_ordinary_recovers_alpha_from_exact_moments(case, seed):
     alpha = np.random.default_rng(seed).uniform(-2.0, 2.0, structure.n_alpha)
     est = ordinary_mdm(replace(sys0, obs=sys0.design @ alpha))
     assert np.max(np.abs(est.alpha_hat - alpha)) <= 1e-10 * np.max(np.abs(alpha))
+
+
+@pytest.mark.bitwise
+@given(st.integers(1, 10), st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
+def test_dense_solve_is_solve_triangular(m, cols, seed, data):
+    """The dense branch's triangular solve, a direct dtrtrs call, equals
+    ``scipy.linalg.solve_triangular(..., lower=True)`` bit for bit on the
+    leading rank x rank block of a Fortran-ordered m x m factor: the block
+    is Fortran-contiguous at rank m (or 1) and a strided view below it."""
+    rank = data.draw(st.integers(1, m))
+    event("full rank" if rank == m else "rank below m")
+    rng = np.random.default_rng(seed)
+    factor = np.asfortranarray(np.tril(rng.standard_normal((m, m))))
+    factor[np.diag_indices(m)] = rng.uniform(0.1, 2.0, m)
+    block = factor[:rank, :rank]
+    assert block.flags.f_contiguous == (rank == m or rank == 1)
+    b = rng.standard_normal((rank, cols))
+    if data.draw(st.booleans()):
+        b = np.asfortranarray(b)
+    got = estimator._solve_lower(block, b)
+    assert bitwise_equal(got, scipy.linalg.solve_triangular(block, b, lower=True))
+
+
+@pytest.mark.bitwise
+@given(st.integers(1, 12), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_indefinite_eigenvalue_is_eigvals_banded(m, lower_diagonals, seed):
+    """The eigenvalue an IndefiniteWeight message reports, a direct dsbevx
+    call, equals ``scipy.linalg.eigvals_banded``'s smallest bit for bit on
+    random symmetric bands, definite or not."""
+    rng = np.random.default_rng(seed)
+    ab = rng.standard_normal((min(lower_diagonals, m - 1) + 1, m))
+    ab[np.arange(m) >= m - np.arange(ab.shape[0])[:, None]] = 0.0
+    want = scipy.linalg.eigvals_banded(ab, lower=True, select="i", select_range=(0, 0))
+    got = estimator._lowest_eigenvalue(ab)
+    assert bitwise_equal(np.array(got), want[0])
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("handle_first", [True, False])
+def test_lapack_handle_is_scipys_module(handle_first):
+    """In a fresh interpreter, the handle loaded before or after ``import
+    scipy.linalg`` is the one module whose functions scipy.linalg.lapack
+    exports, and scipy.linalg works after it."""
+    first, second = "h = _lapack()", "import scipy.linalg"
+    if not handle_first:
+        first, second = second, first
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from mdmest.estimator import _lapack\n"
+        f"{first}\n{second}\n"
+        "assert scipy.linalg.lapack.dpbtrf is h.dpbtrf\n"
+        "assert sys.modules['scipy.linalg._flapack'] is h is _lapack()\n"
+        "ab = np.array([[4.0, 5.0, 6.0], [1.0, 2.0, 0.0]])\n"
+        "c = scipy.linalg.cholesky_banded(ab, lower=True)\n"
+        "p = np.diag(ab[0]) + np.diag(ab[1, :2], -1) + np.diag(ab[1, :2], 1)\n"
+        "assert np.allclose(c[0], np.diag(np.linalg.cholesky(p)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(estimator.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 class TestIdentifiability:

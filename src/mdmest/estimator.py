@@ -37,6 +37,7 @@ from .errors import (
 from .linalg import (
     Tolerance,
     DEFAULT_TOL,
+    groups,
     indefinite,
     svd_rank,
     sym_pair_indices,
@@ -376,14 +377,14 @@ def _window_geometries(model: LtvModel, factored, mode: str, upsilon: np.ndarray
                        n_windows: int):
     """The geometry of ``n_windows`` windows from their matrices and
     annihilator SVDs ``factored`` (``_annihilators``; window 0 alone for an
-    LTI model, whose windows all share it): (ac, ann, n_a, groups, design,
-    row_offsets).
+    LTI model, whose windows all share it): (ac, ann, n_a, residue_groups,
+    design, row_offsets).
 
     ``ac`` stacks every window's ``ac`` as ``StackedSystem.ac`` holds it;
     ``ann`` stacks the annihilators of the windows in ``blocks`` the same
     way (zero-padded at the bottom and right) and ``n_a`` counts their
-    rows.  ``groups`` are the ``ResidueGroup``s, and ``design`` holds window
-    k's regression block at rows row_offsets[k]:row_offsets[k+1].
+    rows.  ``residue_groups`` are the ``ResidueGroup``s, and ``design``
+    holds window k's regression block at rows row_offsets[k]:row_offsets[k+1].
 
     The windows are regrouped by rank and their products computed in
     stacks, bitwise equal to the same steps taken for one window alone.
@@ -400,15 +401,14 @@ def _window_geometries(model: LtvModel, factored, mode: str, upsilon: np.ndarray
     design = np.empty((row_offsets[-1], upsilon.shape[1]))
     z_start = np.concatenate(([0], np.cumsum(model.n_z_steps())))
     u_start = np.concatenate(([0], np.cumsum(model.n_u_steps())))
-    groups = []
+    residue_groups = []
     for b, u, _, rank, _ in factored:
         gamma_g = None
         if mode == KNOWN_INPUT and b.scriptG.shape[-1] > 0:
             gamma_g = b.Gamma @ b.scriptG
         c_mat = b.C
-        for r in np.unique(rank).tolist():
-            idx = np.flatnonzero(rank == r)
-            ks = b.ks[idx]
+        for idx in groups(rank):
+            r, ks = int(rank[idx[0]]), b.ks[idx]
             n = u[idx][:, :, r:].transpose(0, 2, 1)
             g_g = None if gamma_g is None else gamma_g[idx]
             ac = np.concatenate([n @ b.Gamma[idx], n], axis=2) @ c_mat[idx]
@@ -424,7 +424,7 @@ def _window_geometries(model: LtvModel, factored, mode: str, upsilon: np.ndarray
                 if g_g is not None:
                     g_g = np.broadcast_to(g_g, (n_windows,) + g_g.shape[1:])
             design[row_offsets[ks, None] + np.arange(sel_i.size)] = block
-            groups.append(ResidueGroup(
+            residue_groups.append(ResidueGroup(
                 windows=ks, annihilator=n, gamma_g=g_g,
                 z_index=z_start[ks, None] + np.arange(n.shape[2]),
                 u_index=None if g_g is None
@@ -432,7 +432,7 @@ def _window_geometries(model: LtvModel, factored, mode: str, upsilon: np.ndarray
             ))
     if model.is_lti:
         ac_all = np.broadcast_to(ac_all, (n_windows,) + ac_all.shape[1:])
-    return ac_all, ann_all, n_a, groups, design, row_offsets
+    return ac_all, ann_all, n_a, residue_groups, design, row_offsets
 
 
 def _kept_pair_transforms(q: np.ndarray, d: int) -> np.ndarray:
@@ -474,12 +474,8 @@ def _row_reduction(model: LtvModel, L: int, n_windows: int, n_a: np.ndarray,
     cum = np.concatenate(([0], np.cumsum(n_z)))
     key = np.column_stack([n_a[prev], n_a[cur], n_z[ks - 1],
                            cum[ks - 1 + L] - cum[ks - 1], cum[ks + L] - cum[ks]])
-    group = np.zeros(ks.size, dtype=int)
-    if (key != key[0]).any():
-        group = np.unique(key, axis=0, return_inverse=True)[1].ravel()
     found = []                          # (windows, shared count, rotations)
-    for g in range(group.max() + 1):
-        idx = np.flatnonzero(group == g)
+    for idx in groups(key):
         n_prev, n_cur, first, c_prev, c_cur = key[idx[0]].tolist()
         a = ann[prev[idx], :n_prev, :c_prev]
         b = ann[cur[idx], :n_cur, :c_cur]
@@ -499,8 +495,10 @@ def _row_reduction(model: LtvModel, L: int, n_windows: int, n_a: np.ndarray,
         # max(n_prev, n_cur); a rank_tol so loose that it finds less is held
         # to that, and no window shares more directions than it has
         rank = np.maximum(rank, max(n_prev, n_cur))
-        for r in np.unique(rank[rank < rows]).tolist():
-            sel = rank == r
+        for sel in groups(rank):
+            r = int(rank[sel[0]])
+            if r == rows:               # no null vector: nothing shared
+                continue
             # window k's halves of the null vectors span the shared
             # directions; a complete QR appends the new ones
             q = np.linalg.qr(u[sel, n_prev:, r:], mode="complete")[0]
@@ -673,7 +671,7 @@ def _design(model: LtvModel, structure: NoiseStructure, upsilon: np.ndarray, L: 
     """The design, upsilon the ``defining_replication`` of structure and L;
     the builder that returns it logs its ``near_threshold`` (``_warned``)."""
     factored = _annihilators(_all_window_blocks(model, L, n_windows), mode, tol)
-    ac, ann, n_a, groups, design, row_offsets = _window_geometries(
+    ac, ann, n_a, residue_groups, design, row_offsets = _window_geometries(
         model, factored, mode, upsilon, n_windows)
     reduction = _row_reduction(model, L, n_windows, n_a, ann, tol)
     (u, s, vt, rank, scale), thr = _equilibrated_svd(design, tol)
@@ -683,7 +681,7 @@ def _design(model: LtvModel, structure: NoiseStructure, upsilon: np.ndarray, L: 
         null_basis, _ = np.linalg.qr(vt[rank:].T / scale[:, None])
     return StackedSystem(
         obs=None, design=design, row_offsets=row_offsets, L=L, mode=mode,
-        residue_groups=groups, ac=ac, model=model, structure=structure, tol=tol,
+        residue_groups=residue_groups, ac=ac, model=model, structure=structure, tol=tol,
         scale=scale, rank=rank, rank_threshold=thr, null_basis=null_basis,
         u=u, s=s, vt=vt, reduction=reduction, near_threshold=_near_threshold(factored),
     )
@@ -761,7 +759,8 @@ def _ls_solve(factors, b: np.ndarray):
     V diag(1/s), from ``_equilibrated_svd(a)``; W W^T is exactly symmetric.
     ``b`` is (m,) or (runs, m), one solution per run; for a stack of
     matrices a (runs, m, n) and their factors, (runs, m).  Raises
-    RankDeficientDesign when rank < columns (or rows < columns).
+    RankDeficientDesign when rank < columns (or rows < columns), and a
+    DataError naming, as ``run``, the first row of b whose solve overflows.
 
     W (U^T b) is a stacked np.matmul of matrix-vector products, so a run's
     solution has the bits of its own; W @ (U^T @ B) on the (m, runs) matrix
@@ -771,14 +770,25 @@ def _ls_solve(factors, b: np.ndarray):
     if np.min(rank) < scale.shape[-1]:
         raise RankDeficientDesign(int(np.min(rank)), scale.shape[-1])
     w = vt.swapaxes(-1, -2) / s[..., None, :] / scale[..., :, None]
-    return (np.matmul(w, np.matmul(u.swapaxes(-1, -2), b[..., None]))[..., 0],
-            w @ w.swapaxes(-1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.matmul(w, np.matmul(u.swapaxes(-1, -2), b[..., None]))[..., 0]
+    finite = np.isfinite(x).all(axis=-1)
+    if not finite.all():
+        raise DataError("squared residues overflow the least-squares solve",
+                        run=int(np.argmin(finite)) if b.ndim == 2 else None)
+    return x, w @ w.swapaxes(-1, -2)
 
 
-def _refuse_nonfinite(sys: StackedSystem, obs: np.ndarray) -> None:
-    """DataError naming the window and, as ``run``, the index (None for one
-    run given as (n_rows,)) of the first run of ``obs`` with a squared
-    residue that is not finite."""
+def _refuse_obs(sys: StackedSystem, obs: np.ndarray) -> None:
+    """``ordinary_estimates``' refusals of ``obs``, in order: DataError for a
+    shape other than (runs, n_rows) or (n_rows,), RankDeficientDesign, and
+    DataError naming the window and, as ``run``, the index (None for one run
+    given as (n_rows,)) of the first run with a non-finite squared residue."""
+    if obs.ndim not in (1, 2) or obs.shape[-1] != sys.n_rows:
+        raise DataError(f"squared residues of shape {obs.shape}; the design "
+                        f"has {sys.n_rows} rows")
+    if sys.rank < sys.n_alpha:
+        raise RankDeficientDesign(sys.rank, sys.n_alpha)
     finite = np.isfinite(obs).reshape(-1, sys.n_rows)
     bad = np.flatnonzero(~finite.all(axis=1))
     if bad.size:
@@ -792,18 +802,11 @@ def ordinary_estimates(sys: StackedSystem, obs: np.ndarray) -> np.ndarray:
     """``ordinary_mdm``'s alpha_hat for each row of ``obs`` ((runs, n_rows),
     as ``StackedSystem.residues`` gives them; (n_rows,) for one run).
 
-    ``obs`` of another shape raises DataError, a design without full rank
-    RankDeficientDesign, and then the first run with a squared residue that
-    is not finite DataError naming its window and, as ``run``, its index
-    (None for one run given as (n_rows,)).
+    ``_refuse_obs`` refuses ``obs`` first, and then ``_ls_solve`` the
+    first run whose squared residues overflow the solve.
     """
     obs = np.asarray(obs, dtype=float)
-    if obs.ndim not in (1, 2) or obs.shape[-1] != sys.n_rows:
-        raise DataError(f"squared residues of shape {obs.shape}; the design "
-                        f"has {sys.n_rows} rows")
-    if sys.rank < sys.n_alpha:
-        raise RankDeficientDesign(sys.rank, sys.n_alpha)
-    _refuse_nonfinite(sys, obs)
+    _refuse_obs(sys, obs)
     return _ls_solve((sys.u, sys.s, sys.vt, sys.rank, sys.scale), obs)[0]
 
 
@@ -1014,17 +1017,19 @@ def _assemble_bands(sys: StackedSystem, crosses: np.ndarray) -> np.ndarray:
         t = red.transforms[red.kinds][None]
         t_t = t.swapaxes(-1, -2)
     si, sj = sym_pair_indices(sys.ac.shape[1])
-    for j in range(min(sys.L, sys.n_windows)):
-        n = sys.n_windows - j
-        g = ac[:, :n] @ crosses[:, j, None] @ ac_t[:, j:]
-        blk = (g[..., sj[:, None], sj] * g[..., si[:, None], si]
-               + g[..., sj[:, None], si] * g[..., si[:, None], sj])
-        if j == 0:
-            # a diagonal block is symmetric up to roundoff; store its mean
-            blk = 0.5 * (blk + blk.swapaxes(-1, -2))
-        if red is not None:
-            blk = t[:, :n] @ blk @ t_t[:, j:]
-        _scatter_blocks(ab, blk, offsets, j)
+    # a band that is not finite is refused by the solve, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(min(sys.L, sys.n_windows)):
+            n = sys.n_windows - j
+            g = ac[:, :n] @ crosses[:, j, None] @ ac_t[:, j:]
+            blk = (g[..., sj[:, None], sj] * g[..., si[:, None], si]
+                   + g[..., sj[:, None], si] * g[..., si[:, None], sj])
+            if j == 0:
+                # a diagonal block is symmetric up to roundoff; store its mean
+                blk = 0.5 * (blk + blk.swapaxes(-1, -2))
+            if red is not None:
+                blk = t[:, :n] @ blk @ t_t[:, j:]
+            _scatter_blocks(ab, blk, offsets, j)
     return ab
 
 
@@ -1217,23 +1222,23 @@ def _weighted_solves(sys: StackedSystem, obs: np.ndarray, ab: np.ndarray,
     n_alpha+1, rows), transposed), so every run gets the bits of its own
     solve.
     """
-    _refuse_nonfinite(sys, obs)
+    _refuse_obs(sys, obs)
     if not np.isfinite(ab).all():
         raise MdmError("weight matrix is not finite")
     k, runs = sys.n_alpha, len(obs)
     xyt = np.empty((runs, k + 1, sys.n_rows))
     xyt[:, :k] = sys.design.T
     xyt[:, k] = obs
-    groups = {}
+    batches = {}
     for r in range(runs):
         name, w, balance = _whiten_run(sys, ab[r], xyt[r], branch)
-        groups.setdefault((name, w.shape[1]), []).append((r, w, balance))
+        batches.setdefault((name, w.shape[1]), []).append((r, w, balance))
 
     out = WeightedRuns(alpha_hat=np.empty((runs, k)), cov=np.empty((runs, k, k)),
                        branch=np.empty(runs, dtype=object),
                        weight_rows=np.zeros(runs, dtype=int),
                        fit_j=np.full(runs, np.nan))
-    for (name, rows), members in groups.items():
+    for (name, rows), members in batches.items():
         idx = [r for r, _, _ in members]
         wt = np.stack([w for _, w, _ in members]).swapaxes(1, 2)
         a_w, b_w = wt[..., :-1], wt[..., -1]
@@ -1339,10 +1344,10 @@ def weighted_estimates(sys: StackedSystem, obs: np.ndarray) -> WeightedRuns:
     (``band_rows`` x ``n_rows``) would exceed P_DENSE_MAX_ROWS**2 entries,
     fails every run and is raised first, with ``run`` None;
     ``ordinary_estimates``' refusals of ``obs`` come next.  A later
-    stage's error is raised with the index of the first failing run as
-    ``run``: a run alone raises it at once; a batch of two or more that
-    fails is solved again one run at a time, as their one-run cases, to
-    find it.
+    stage's error, an overflowed first pass's too, is raised with the
+    index of the first failing run as ``run``: a run alone raises it at
+    once; a batch of two or more that fails is solved again one run at a
+    time, as their one-run cases, to find it.
     """
     obs = np.asarray(obs, dtype=float)
     if obs.ndim != 2:
@@ -1356,8 +1361,10 @@ def weighted_estimates(sys: StackedSystem, obs: np.ndarray) -> WeightedRuns:
             f"assembly limit {P_DENSE_MAX_ROWS ** 2}; use the ordinary method "
             "or a shorter horizon"
         )
-    alphas = ordinary_estimates(sys, obs)
+    _refuse_obs(sys, obs)
+    factors = (sys.u, sys.s, sys.vt, sys.rank, sys.scale)
     try:
+        alphas = _ls_solve(factors, obs)[0]
         crosses, projection = _eta_crosses(sys.structure, alphas, sys.L, sys.tol)
         runs = _weighted_solves(sys, obs, _assemble_bands(sys, crosses), "auto")
     except _RUN_ERRORS as exc:
@@ -1366,7 +1373,8 @@ def weighted_estimates(sys: StackedSystem, obs: np.ndarray) -> WeightedRuns:
             raise
         for r in range(len(obs)):
             try:
-                crosses, _ = _eta_crosses(sys.structure, alphas[r:r + 1], sys.L, sys.tol)
+                alpha = _ls_solve(factors, obs[r:r + 1])[0]
+                crosses, _ = _eta_crosses(sys.structure, alpha, sys.L, sys.tol)
                 _weighted_solves(sys, obs[r:r + 1], _assemble_bands(sys, crosses), "auto")
             except _RUN_ERRORS as exc:
                 exc.run = r

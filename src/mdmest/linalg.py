@@ -1,12 +1,14 @@
 """Dense matrix utilities underlying the identification algebra.
 
-Block-diagonal assembly, the one rank rule (``Tolerance.floor`` =
-rank_tol * scale * size, whose docstring lists each caller's scale and
-size; ``svd_rank`` counts a singular value above its floor) and its PSD
-test (``indefinite``), and the order of a symmetric matrix's unique
-entries (``sym_pair_indices``).  A matrix's rank is ``svd_rank(m)[3]``, and
-with ``full_matrices=True`` the rows of u[:, rank:].T are its left null
-space, the annihilator the estimator takes.
+The one grouping rule (``groups``, which batches the windows, steps and
+window pairs that share a shape or rank), block-diagonal assembly of
+matrices or stacks of them (``block_diag``), the one rank rule
+(``Tolerance.floor`` = rank_tol * scale * size, whose docstring lists each
+caller's scale and size; ``svd_rank`` counts a singular value above its
+floor) and its PSD test (``indefinite``), and the order of a symmetric
+matrix's unique entries (``sym_pair_indices``).  A matrix's rank is
+``svd_rank(m)[3]``, and with ``full_matrices=True`` the rows of
+u[:, rank:].T are its left null space, the annihilator the estimator takes.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "block_diag",
+    "groups",
     "svd_rank",
     "indefinite",
     "sym_pair_indices",
@@ -56,18 +59,36 @@ DEFAULT_TOL = Tolerance()
 
 
 def block_diag(*blocks: np.ndarray) -> np.ndarray:
-    """Block-diagonal matrix of the 2-D float ``blocks``, in order.
+    """Block-diagonal matrix of the float ``blocks``, in order: 2-D
+    matrices, or stacks (..., r, c) that share one leading shape, each
+    matrix of the stack placed alone.
 
     Blocks with zero rows or columns still shift the placement of the next
     one; no blocks give a 0 x 0 matrix.
     """
-    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    lead = blocks[0].shape[:-2] if blocks else ()
+    out = np.zeros(lead + (sum(b.shape[-2] for b in blocks),
+                           sum(b.shape[-1] for b in blocks)))
     r = c = 0
     for b in blocks:
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
+        out[..., r:r + b.shape[-2], c:c + b.shape[-1]] = b
+        r += b.shape[-2]
+        c += b.shape[-1]
     return out
+
+
+def groups(keys) -> list[np.ndarray]:
+    """The positions of each distinct key of ``keys`` ((n,) or (n, width),
+    one per item) as increasing index arrays, in sorted key order (rows
+    compare element by element): equal keys give one group, no keys none."""
+    keys = np.asarray(keys)
+    if not len(keys):
+        return []
+    if (keys == keys[0]).all():
+        return [np.arange(len(keys))]
+    # numpy 2.0 shapes the inverse like the keys; ravel restores (n,)
+    inverse = np.unique(keys, axis=0, return_inverse=True)[1].ravel()
+    return [np.flatnonzero(inverse == g) for g in range(inverse.max() + 1)]
 
 
 def svd_rank(m, tol: Tolerance = DEFAULT_TOL, full_matrices: bool = False):
@@ -105,6 +126,5 @@ def sym_pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     symmetric n x n matrix S: a window's squared residues, and its rows of
     the design, are its residue products in this order.
     """
-    i_idx = np.concatenate([np.arange(j + 1) for j in range(n)]) if n else np.zeros(0, int)
-    j_idx = np.repeat(np.arange(n), np.arange(1, n + 1)) if n else np.zeros(0, int)
+    j_idx, i_idx = np.tril_indices(n)
     return i_idx, j_idx

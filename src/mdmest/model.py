@@ -22,7 +22,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import DataError, NotPositiveSemidefinite, ValidationError
-from .linalg import indefinite
+from .linalg import block_diag, groups, indefinite
 
 __all__ = [
     "MatrixSequence",
@@ -311,10 +311,7 @@ def window_noise_covariance(q, r, L: int, j: int = 0) -> np.ndarray:
         shift = np.eye(copies, k=-j)[None, :, None, :, None]
         blocks.append((shift * np.asarray(stack, dtype=float)[:, None, :, None, :])
                       .reshape(count, copies * n, copies * n))
-    w, v = (b.shape[-1] for b in blocks)
-    out = np.zeros((count, w + v, w + v))
-    out[:, :w, :w], out[:, w:, w:] = blocks
-    return out
+    return block_diag(*blocks)
 
 
 def defining_replication(structure: NoiseStructure, L: int) -> np.ndarray:
@@ -408,14 +405,6 @@ def psd_factor(m: np.ndarray) -> np.ndarray:
     return v * np.sqrt(np.clip(lam, 0.0, None))
 
 
-def _shape_groups(seq: MatrixSequence, n: int):
-    """(rows, cols, steps) for each matrix shape of ``seq`` at steps 0..n-1."""
-    shapes = np.broadcast_to(seq.shapes[:n], (n, 2))
-    key = shapes[:, 0] * (int(shapes[:, 1].max(initial=0)) + 1) + shapes[:, 1]
-    groups = [np.flatnonzero(key == v) for v in np.unique(key).tolist()]
-    return [(*shapes[ks[0]].tolist(), ks) for ks in groups]
-
-
 def _step_products(seq: MatrixSequence, vecs: np.ndarray, n: int,
                    fill: float = 0.0) -> np.ndarray:
     """``out[r, k]`` (k < n) holds seq[k] @ vecs[r, k, :cols] in its first
@@ -427,7 +416,9 @@ def _step_products(seq: MatrixSequence, vecs: np.ndarray, n: int,
     so the two agree bitwise.
     """
     out = np.full((vecs.shape[0], n, int(seq.shapes[:, 0].max())), fill)
-    for rows, cols, ks in _shape_groups(seq, n):
+    shapes = np.broadcast_to(seq.shapes[:n], (n, 2))
+    for ks in groups(shapes):
+        rows, cols = shapes[ks[0]].tolist()
         if cols:
             out[:, ks, :rows] = np.matmul(seq.take(ks), vecs[:, ks, :cols, None])[..., 0]
     return out

@@ -27,7 +27,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import DataError
-from .linalg import block_diag
+from .linalg import block_diag, groups
 from .model import LtvModel
 
 __all__ = ["WindowBlocks", "window_blocks"]
@@ -52,18 +52,7 @@ class WindowBlocks:
     def C(self) -> np.ndarray:
         """blkdiag(scriptE, scriptD) per window: the noises enter Z_k as
         [Gamma_k, I] C_k [W_k; V_k]."""
-        return _stacked_block_diag([self.scriptE, self.scriptD], self.ks.size)
-
-
-def _stacked_block_diag(blocks: list[np.ndarray], n: int) -> np.ndarray:
-    """Block diagonals of n windows at once; blocks[i] has shape (n, r_i, c_i)."""
-    rows = sum(b.shape[1] for b in blocks)
-    cols = sum(b.shape[2] for b in blocks)
-    # in (row, column, window) order each block is one 2-D r_i x (c_i n)
-    # block, so a single 2-D block_diag places every window's copy
-    flat = block_diag(*(b.transpose(1, 2, 0).reshape(b.shape[1], b.shape[2] * n)
-                        for b in blocks))
-    return np.ascontiguousarray(flat.reshape(rows, cols, n).transpose(2, 0, 1))
+        return block_diag(self.scriptE, self.scriptD)
 
 
 def _window_group(model: LtvModel, ks: np.ndarray, L: int) -> WindowBlocks:
@@ -83,23 +72,19 @@ def _window_group(model: LtvModel, ks: np.ndarray, L: int) -> WindowBlocks:
             t = t @ f[j]
         obs[:, rows] = t
 
-    # an L=1 window has no steps between measurements: scriptG and scriptE
-    # are 0 x 0 and Gamma has no columns
-    return WindowBlocks(
-        ks=ks, L=L, O=obs, Gamma=gamma,
-        scriptG=_stacked_block_diag([model.G.take(ks + i) for i in range(lg)], n),
-        scriptE=_stacked_block_diag([model.E.take(ks + i) for i in range(lg)], n),
-        scriptD=_stacked_block_diag([model.D.take(ks + i) for i in range(L)], n),
-    )
+    # the empty first block makes an L=1 window's scriptG and scriptE 0 x 0
+    script = [block_diag(np.zeros((n, 0, 0)), *(seq.take(ks + i) for i in range(copies)))
+              for seq, copies in ((model.G, lg), (model.E, lg), (model.D, L))]
+    return WindowBlocks(ks, L, obs, gamma, *script)
 
 
 def window_blocks(model: LtvModel, ks, L: int) -> list[WindowBlocks]:
     """The window matrices of the windows [k, k+L-1], k in ``ks``.
 
-    Windows are grouped by shape (their n_z and n_u sequences), one
-    WindowBlocks per group.  The work loops over the L^2 block positions of
-    a window, never over windows, and each window's matrices are bitwise
-    the ones it gets on its own.
+    Windows are grouped by shape (their n_z and n_u sequences, by
+    ``linalg.groups``), one WindowBlocks per group.  The work loops over
+    the L^2 block positions of a window, never over windows, and each
+    window's matrices are bitwise the ones it gets on its own.
     """
     if L < 1:
         raise ValueError("window length L must be >= 1")
@@ -110,15 +95,9 @@ def window_blocks(model: LtvModel, ks, L: int) -> list[WindowBlocks]:
             f"window k={ks[np.argmax(over)]}, L={L} overruns the model "
             f"horizon tau={model.tau}"
         )
-    if ks.size > 1:
-        steps = ks[:, None] + np.arange(L)
-        shape = np.hstack([model.n_z_steps()[steps], model.n_u_steps()[steps[:, :-1]]])
-        if (shape != shape[0]).any():
-            _, group = np.unique(shape, axis=0, return_inverse=True)
-            group = group.ravel()
-            return [_window_group(model, ks[group == g], L)
-                    for g in range(group.max() + 1)]
-    return [_window_group(model, ks, L)]
+    steps = ks[:, None] + np.arange(L)
+    shape = np.hstack([model.n_z_steps()[steps], model.n_u_steps()[steps[:, :-1]]])
+    return [_window_group(model, ks[idx], L) for idx in groups(shape)]
 
 
 def build_augmented_block(model: LtvModel, k: int, L: int) -> WindowBlocks:

@@ -253,28 +253,29 @@ class TestRunMc:
 
     # (chunk size, method, run_mc's error text).  The first run (seed 1)
     # of a state that doubles each step overflows its measurements at
-    # record 528; of noises near the largest float, the run with seed 6
-    # (the third) overflows a residue at record 51, while the weight band
-    # of the run with seed 4 overflows before it.
+    # record 528; of noises near the largest float, the run with seed 5
+    # (the second) has finite squared residues that overflow the ordinary
+    # solve, while the weight band of the run with seed 4 overflows before
+    # it.
     OVERFLOWS = [
         ("measurement", "ordinary",
          "run with seed 1 failed: record k=528: measurement or residue is not finite"),
         ("measurement", "weighted",
          "run with seed 1 failed: record k=528: measurement or residue is not finite"),
         ("residue", "ordinary",
-         "run with seed 6 failed: record k=51: measurement or residue is not finite"),
+         "run with seed 5 failed: squared residues overflow the least-squares solve"),
         ("residue", "weighted",
          "run with seed 4 failed: weight matrix is not finite"),
     ]
 
     @pytest.mark.parametrize("chunk", [1, 2, 32])
     @pytest.mark.parametrize("what, method, text", OVERFLOWS)
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning:mdmest.model")
     def test_overflow_names_the_run_and_record(self, monkeypatch, chunk, what,
                                                method, text):
-        """A run whose measurements or residues overflow fails with the
-        seed of the first run that fails and its record, whatever the
-        chunk size."""
+        """A run whose measurements, residues, solve or weight band
+        overflow fails with the seed of the first run that fails and what
+        overflowed, whatever the chunk size."""
         if what == "measurement":
             spec = preset("obs-ltv", tau=600, n_mc=3, seed=1)
             spec = replace(spec, model=replace(spec.model, F=MatrixSequence(np.array([[2.0]]))),
@@ -300,7 +301,6 @@ class TestRunMc:
 
     @pytest.mark.parametrize("chunk, workers", [(1, 1), (2, 1), (32, 1), (32, 2)])
     @pytest.mark.parametrize("name, tau, seed, n_mc, noise, rank_tol, text", MID_CHUNK)
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_weighted_failure_names_the_first_failing_run(
             self, monkeypatch, chunk, workers, name, tau, seed, n_mc, noise, rank_tol,
             text):

@@ -226,6 +226,38 @@ class TestBatchEntryPoints:
             else:
                 ordinary_estimates(design, obs)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_weight_band_is_refused_without_warning(self):
+        """Squared residues of 1e300 give a finite first pass whose weight
+        band overflows: it is refused as not finite, and numpy warns of
+        nothing on the way."""
+        spec = preset("obs-ltv", tau=60)
+        design = build_design(spec.model, spec.structure, spec.L, KNOWN_INPUT)
+        with pytest.raises(MdmError) as err:
+            weighted_estimates(design, np.full((1, design.n_rows), 1e300))
+        assert type(err.value) is MdmError
+        assert str(err.value) == "weight matrix is not finite"
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_solve_is_refused(self, weighted):
+        """Finite squared residues of +-1.7e308 overflow the least-squares
+        solve.  The run is refused with a DataError naming it, not returned
+        as NaN (ordinary) or failed by the eigensolver (weighted)."""
+        spec = preset("unobs-unknown-input", tau=40)
+        design = build_design(spec.model, spec.structure, spec.L, spec.mode)
+        big = np.where(np.arange(design.n_rows) % 2, 1.7e308, -1.7e308)
+        obs = np.vstack([np.ones(design.n_rows), big])
+        solve = weighted_estimates if weighted else ordinary_estimates
+        with pytest.raises(DataError, match="^squared residues overflow the "
+                                            "least-squares solve$") as err:
+            solve(design, obs)
+        assert err.value.run == 1
+        if not weighted:
+            with pytest.raises(DataError, match="^squared residues overflow") as err:
+                ordinary_estimates(design, big)
+            assert err.value.run is None
+
     def test_weighted_estimates_take_runs_of_rows(self):
         spec, design, z, u = self.batch()
         obs = design.residues(z, u)
@@ -1177,31 +1209,24 @@ class TestThreeStepPipeline:
         assert np.all(np.diag(est.cov) > 0)
 
     @pytest.mark.parametrize("name", ["obs-ltv", "unobs-unknown-input"])
-    def test_failing_run_is_solved_once(self, name):
+    def test_failing_run_is_solved_once(self, name, monkeypatch):
         """Residues scaled by 1e160 make the one run's weight overflow: the
-        pipeline raises at once, with ``run`` 0, after warning of each
-        overflow as often as one pass of the weight stages does (solving the
-        run again used to warn twice), and not of its projection."""
+        pipeline raises at once, with ``run`` 0, after one pass of the
+        weight stages (a run alone is not solved again), and warns of
+        nothing: not of the overflow, nor of its projection."""
         _, sys_full = simulated_system(name, tau=100, seed=0)
         sys_full = replace(sys_full, obs=sys_full.obs * 1e160)
-
-        def warned(call):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                call()
-            return [str(w.message) for w in caught]
-
-        def fails():
+        bands = estimator._assemble_bands
+        passes = []
+        monkeypatch.setattr(estimator, "_assemble_bands",
+                            lambda *args: passes.append(1) or bands(*args))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             with pytest.raises(MdmError, match="^weight matrix is not finite$") as err:
                 weighted_pipeline(sys_full)
-            assert err.value.run == 0
-
-        once = warned(lambda: assemble_p(sys_full, gaussian_eta_covariances(
-            sys_full.structure, ordinary_mdm(sys_full).alpha_hat, sys_full.L,
-            repair=True)))
-        once = [w for w in once if "indefinite" not in w]
-        assert any("overflow encountered" in w for w in once)
-        assert warned(fails) == once
+        assert err.value.run == 0
+        assert passes == [1]
+        assert [str(w.message) for w in caught] == []
 
     def test_projection_warning_points_at_the_caller(self):
         """The warning of a projected first pass (unobs at tau=40) names the

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mdmest import Tolerance
-from mdmest.linalg import block_diag, indefinite, svd_rank, sym_pair_indices
+from mdmest.linalg import block_diag, groups, indefinite, svd_rank, sym_pair_indices
 
 from conftest import replication_matrix, swap_permutation, unification_matrix, vec
 
@@ -24,6 +24,52 @@ class TestBlockDiag:
 
     def test_no_blocks(self):
         assert block_diag().shape == (0, 0)
+
+
+@pytest.mark.bitwise
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=4),
+       st.lists(st.integers(0, 3), max_size=2), st.integers(0, 2**32 - 1))
+def test_stacked_block_diag_is_scipy_per_matrix(shapes, lead, seed):
+    """Stacks (..., r, c) sharing one leading shape give, matrix by matrix,
+    scipy.linalg.block_diag's bits, -0.0 entries and zero-size blocks
+    included."""
+    import scipy.linalg
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for r, c in shapes:
+        b = rng.standard_normal((*lead, r, c))
+        b[rng.random(b.shape) < 0.2] = -0.0
+        blocks.append(b)
+    got = block_diag(*blocks)
+    rows, cols = (sum(dim) for dim in zip(*shapes))
+    assert got.shape == (*lead, rows, cols)
+    for index in np.ndindex(*lead):
+        want = scipy.linalg.block_diag(*(b[index] for b in blocks))
+        assert got[index].shape == want.shape
+        assert got[index].tobytes() == want.tobytes()
+
+
+@pytest.mark.bitwise
+@given(st.integers(0, 30), st.integers(0, 3), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_groups_partition_the_positions_by_sorted_key(n, width, values, seed):
+    """``groups`` covers every position exactly once, each group in
+    increasing order and of one key, the groups in sorted key order (rows
+    compared element by element); keys (n,) for width 0, else (n, width)."""
+    keys = np.random.default_rng(seed).integers(0, values, (n, width) if width else n)
+    found = groups(keys)
+    assert np.array_equal(np.sort(np.concatenate(found + [np.zeros(0, int)])), np.arange(n))
+    firsts = []
+    for idx in found:
+        assert idx.size and np.all(np.diff(idx) > 0)
+        assert (keys[idx] == keys[idx[0]]).all()
+        firsts.append(tuple(np.atleast_1d(keys[idx[0]]).tolist()))
+    assert firsts == sorted(set(firsts))
+
+
+def test_groups_of_equal_and_of_no_keys():
+    assert [g.tolist() for g in groups(np.full((4, 2), 3))] == [[0, 1, 2, 3]]
+    assert groups(np.zeros(0, int)) == [] and groups(np.zeros((0, 3), int)) == []
+    assert [g.tolist() for g in groups([2, 1, 2, 0])] == [[3], [1], [0, 2]]
 
 
 class TestVec:
@@ -99,6 +145,39 @@ def rank_tol_products(tree):
                 or isinstance(n, ast.Name) and n.id == "rank_tol"
                 for operand in operands for n in ast.walk(operand)):
             yield node.lineno
+
+
+def unique_calls(tree, allowed: str | None = None):
+    """Line numbers of the ``unique`` calls (np.unique and the like) in
+    ``tree``, outside the function named ``allowed``."""
+    inside = {id(n) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and f.name == allowed
+              for n in ast.walk(f)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in inside:
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr == "unique"
+                    or isinstance(f, ast.Name) and f.id == "unique"):
+                yield node.lineno
+
+
+class TestOneGroupingRule:
+    def test_unique_is_called_only_by_groups(self):
+        found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+                 for line in unique_calls(ast.parse(path.read_text()),
+                                          "groups" if path.name == "linalg.py" else None)]
+        assert found == []
+
+    def test_the_check_sees_a_grouping(self):
+        """The check finds a spelled-out grouping, and finds the one call
+        of ``linalg.groups`` when nothing is allowed."""
+        code = ("import numpy as np\n"
+                "def f(key):\n"
+                "    return [np.flatnonzero(key == v) for v in np.unique(key)]\n")
+        assert list(unique_calls(ast.parse(code))) == [3]
+        linalg = ast.parse((PACKAGE / "linalg.py").read_text())
+        assert len(list(unique_calls(linalg))) == 1
+        assert list(unique_calls(linalg, "groups")) == []
 
 
 class TestOneFormula:

@@ -31,7 +31,6 @@ from mdmest import (
 )
 from mdmest import io
 from mdmest.benchmarks import benchmark_input_signal
-from mdmest.linalg import block_diag
 from mdmest.model import MatrixSequence, MeasurementData, Trajectory, psd_factor
 import scipy.linalg
 
@@ -150,7 +149,7 @@ def test_defining_replication_is_the_kron_assembly(case):
     structure, L = case
     with np.errstate(invalid="ignore"):
         want = np.column_stack([
-            vec(block_diag(np.kron(np.eye(L - 1), bq), np.kron(np.eye(L), br)))
+            vec(scipy.linalg.block_diag(np.kron(np.eye(L - 1), bq), np.kron(np.eye(L), br)))
             for bq, br in zip(structure.bq, structure.br)])
         got = defining_replication(structure, L)
     assert bitwise_equal(got, want)
@@ -176,8 +175,8 @@ def test_window_noise_covariance_is_the_shifted_kron_assembly(case):
     for j in range(L):
         with np.errstate(invalid="ignore"):
             got = window_noise_covariance(q, r, L, j)
-            want = np.stack([block_diag(np.kron(np.eye(L - 1, k=-j), qi),
-                                        np.kron(np.eye(L, k=-j), ri))
+            want = np.stack([scipy.linalg.block_diag(np.kron(np.eye(L - 1, k=-j), qi),
+                                                     np.kron(np.eye(L, k=-j), ri))
                              for qi, ri in zip(q, r)])
         assert bitwise_equal(got, want)
 

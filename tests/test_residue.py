@@ -96,10 +96,16 @@ class TestBuildAugmentedBlock:
         and the residues bitwise as scipy.linalg.block_diag gives them."""
         import scipy.linalg
         from mdmest import residue
+
+        def per_window(*stacks):
+            # scipy.linalg.block_diag of each window's matrices, one at a time
+            return np.stack([scipy.linalg.block_diag(*(b[w] for b in stacks))
+                             for w in range(len(stacks[0]))])
+
         built = []
         for patched in (False, True):
             if patched:
-                monkeypatch.setattr(residue, "block_diag", scipy.linalg.block_diag)
+                monkeypatch.setattr(residue, "block_diag", per_window)
             for name in ("obs-ltv", "unobs-unknown-input"):
                 spec = preset(name, tau=40)
                 traj = simulate(spec.model, spec.structure, spec.alpha_true,

@@ -142,9 +142,9 @@ def cmd_identify(args) -> int:
     t0 = time.perf_counter()
     sys_full = _resolve_l(args, bundle.model, bundle.structure, mode, tol,
                           n_records=len(data)).with_data(data)
-    logger.info("identify: L=%d, %d windows, %d rows, design rank %d of %d",
-                sys_full.L, sys_full.n_windows, sys_full.n_rows, sys_full.rank,
-                sys_full.n_alpha)
+    logger.info("identify: L=%d, %d windows of %d kinds, %d rows, design rank %d of %d",
+                sys_full.L, sys_full.n_windows, sys_full.n_kinds, sys_full.n_rows,
+                sys_full.rank, sys_full.n_alpha)
     try:
         if args.method == "ordinary":
             est = ordinary_mdm(sys_full)

@@ -37,6 +37,7 @@ from .errors import (
 from .linalg import (
     Tolerance,
     DEFAULT_TOL,
+    group_index,
     groups,
     indefinite,
     svd_rank,
@@ -80,14 +81,14 @@ class ResidueGroup:
     """Windows whose residues N (Z - Gamma scriptG U) are one stacked product.
 
     ``annihilator`` and ``gamma_g`` are the stacks ``build_design`` computed
-    the windows' products with, and the only copy of them: every matrix
-    keeps the strides of its own one-window product, and an LTI model's one
-    window is broadcast with stride 0.  np.matmul over such a stack makes,
-    matrix by matrix, the BLAS call the window's own product makes, so the
-    residues are bitwise the per-window ones; a re-laid-out copy (C- or
-    F-contiguous, padded or np.stack-ed) changes the call and the last
-    bits.  Window ``windows[p]`` reads the concatenated records at
-    z[z_index[p]] and u[u_index[p]].
+    the windows' kinds' products with, and the only copy of them: every
+    matrix keeps the strides of its own one-window product, and a kind of
+    several windows is one matrix, broadcast with stride 0 over them.
+    np.matmul over such a stack makes, matrix by matrix, the BLAS call the
+    window's own product makes, so the residues are bitwise the per-window
+    ones; a re-laid-out copy (C- or F-contiguous, padded or np.stack-ed)
+    changes the call and the last bits.  Window ``windows[p]`` reads the
+    concatenated records at z[z_index[p]] and u[u_index[p]].
     """
 
     windows: np.ndarray                # (g,) window indices
@@ -106,21 +107,22 @@ class RowReduction:
     basis rotated to [shared | new], a product row of two shared directions
     is a combination of window k-1's product rows, in design, observations
     and eta alike; the kept rows are the products that involve a new
-    direction.  ``transforms[kinds[k]]`` maps window k's product rows
-    (zero-padded to the widest window) to its kept rows, first; a window
-    that shares nothing keeps its rows by the identity.  With M the map of
-    all windows, the design's weighted problem is (M design, M obs, M P M^T).
+    direction.  ``transforms[c]`` maps the product rows of a window of kind
+    c (``StackedSystem.kinds``; zero-padded to the widest kind) to its kept
+    rows, first; a kind that shares nothing keeps its rows by the identity.
+    With M the map of all windows, the design's weighted problem is
+    (M design, M obs, M P M^T).
     """
 
-    kinds: np.ndarray                  # (n_windows,) index into transforms
     transforms: np.ndarray             # (n_kinds, max rows, max rows)
     row_offsets: np.ndarray            # window k keeps row_offsets[k]:row_offsets[k+1]
 
-    def apply(self, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """The kept rows of x, whose window k has rows offsets[k]:offsets[k+1]."""
-        t = self.transforms[self.kinds]
+    def apply(self, x: np.ndarray, kinds: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """The kept rows of x, whose window k, of kind kinds[k], has rows
+        offsets[k]:offsets[k+1]."""
+        t = self.transforms[kinds]
         pos = np.arange(t.shape[-1])
-        padded = np.zeros((self.kinds.size, pos.size, x.shape[1]))
+        padded = np.zeros((kinds.size, pos.size, x.shape[1]))
         padded[pos < np.diff(offsets)[:, None]] = x
         return (t @ padded)[pos < np.diff(self.row_offsets)[:, None]]
 
@@ -130,17 +132,22 @@ class StackedSystem:
     """The full regression: obs = design @ alpha + blkdiag(noisemap blocks) @ eta.
 
     ``obs`` is None for design-only systems; ``with_data`` attaches data.
-    The stacks are the only copy of each window's geometry: window k's
-    regression block is design[row_offsets[k]:row_offsets[k+1]], its
-    n_a x n_eps map from the noises to its residue is ac[k, :n_a], and its
-    annihilator and known-input correction are in the ``ResidueGroup``
-    that holds it.  ``ac`` is zero-padded at the bottom to the widest
-    window's rows (a stride-0 broadcast for LTI models).  ``residue_groups``
-    cover every window once and give ``residues`` one stacked product per
-    group.  The design facts below are computed once, by ``build_design``,
-    from one SVD of design / scale, which ordinary LS reuses; ``reduction``
-    is None when no window shares a residue direction with its predecessor.
-    ``structure`` and ``tol`` are those it was built with, for every stage.
+    Window k is of kind kinds[k], a contiguous range of windows: each of an
+    LTV model's windows, or an LTI model's window 0 and the rest.  A kind's
+    geometry is stored once: its regression block at kind_design[
+    kind_offsets[c]:kind_offsets[c+1]], its n_a x n_eps map from the noises
+    to its residue at ac[c, :n_a] (zero-padded at the bottom to the widest
+    kind's rows), its kept-row transform in ``reduction``, and its
+    annihilator and known-input correction in the ``ResidueGroup`` of its
+    windows.  ``design``, all rows, is built when first read: window k's
+    are row_offsets[k]:row_offsets[k+1].  ``residue_groups`` cover every
+    window once and give ``residues`` one stacked product per group.  The
+    design facts below are computed once, by ``build_design``, from one SVD
+    of the kinds' blocks stacked with weights sqrt(count), over ``scale``:
+    the Gram matrix of all rows, whose rank floor is sized by ``n_rows``,
+    which ordinary LS reuses.  ``reduction`` is None when no window shares
+    a residue direction with its predecessor.  ``structure`` and ``tol``
+    are those it was built with, for every stage.
 
     The design is also its own identifiability report, which needs no
     data: ``rank`` of ``n_alpha`` parameters at ``rank_threshold``, the
@@ -152,20 +159,22 @@ class StackedSystem:
     """
 
     obs: np.ndarray | None
-    design: np.ndarray
+    kinds: np.ndarray                  # (n_windows,) window k is of kind kinds[k]
+    kind_design: np.ndarray            # (kind_offsets[-1], n_alpha)
+    kind_offsets: np.ndarray           # kind c's block: kind_offsets[c]:kind_offsets[c+1]
     row_offsets: np.ndarray
     L: int
     mode: str
     residue_groups: list[ResidueGroup]
-    ac: np.ndarray                     # (n_windows, max n_a, n_eps)
+    ac: np.ndarray                     # (n_kinds, max n_a, n_eps)
     model: LtvModel
     structure: NoiseStructure
     tol: Tolerance
-    scale: np.ndarray                  # column scale: design == (design / scale) * scale
+    scale: np.ndarray                  # column scale of the stacked kinds
     rank: int                          # numerical rank of design / scale
     rank_threshold: float
     null_basis: np.ndarray | None      # (n_alpha, deficiency), orthonormal columns
-    u: np.ndarray                      # thin SVD design / scale = u diag(s) vt
+    u: np.ndarray                      # thin SVD of the stacked kinds / scale = u diag(s) vt
     s: np.ndarray
     vt: np.ndarray
     reduction: RowReduction | None
@@ -173,7 +182,14 @@ class StackedSystem:
 
     @property
     def n_alpha(self) -> int:
-        return self.design.shape[1]
+        return self.kind_design.shape[1]
+
+    @cached_property
+    def design(self) -> np.ndarray:
+        """All rows, (n_rows, n_alpha): window k's are its kind's block."""
+        shift = self.kind_offsets[self.kinds] - self.row_offsets[:-1]
+        return self.kind_design[np.arange(self.n_rows)
+                                + np.repeat(shift, np.diff(self.row_offsets))]
 
     @property
     def participation(self) -> np.ndarray | None:
@@ -188,6 +204,10 @@ class StackedSystem:
     @property
     def n_windows(self) -> int:
         return self.row_offsets.size - 1
+
+    @property
+    def n_kinds(self) -> int:
+        return self.kind_offsets.size - 1
 
     @property
     def n_eps(self) -> int:
@@ -214,11 +234,34 @@ class StackedSystem:
     @cached_property
     def _design_norm2(self) -> float:
         """||design||_2^2 of the weighted problem: of the kept rows with a
-        ``reduction``, else from design == u diag(s) vt diag(scale)."""
+        ``reduction``, else from s, vt and scale."""
         if self.reduction is not None:
-            kept = self.reduction.apply(self.design, self.row_offsets)
+            kept = self.reduction.apply(self.design, self.kinds, self.row_offsets)
             return float(np.linalg.norm(kept, 2) ** 2)
         return float(np.linalg.norm(self.s[:, None] * self.vt * self.scale, 2) ** 2)
+
+    @cached_property
+    def _sum_slices(self) -> list[tuple[int, int, int]]:
+        """(start, stop, count) of the slices of obs ``_kind_sums`` reads: a
+        run of kinds of one window each, or one kind of ``count`` windows."""
+        counts = np.bincount(self.kinds)
+        multi = counts > 1
+        starts = np.flatnonzero(multi | np.concatenate(([True], multi[:-1])))
+        edges = self.row_offsets[np.append((np.cumsum(counts) - counts)[starts],
+                                           self.n_windows)].tolist()
+        return list(zip(edges, edges[1:], counts[starts].tolist()))
+
+    def _kind_sums(self, obs: np.ndarray) -> np.ndarray:
+        """The stacked kinds' right-hand side of ``obs`` (..., n_rows), each
+        kind's sum of its windows' rows over sqrt(count): X^T y of all rows.
+        Kinds of one window each give their rows of obs back exactly; no
+        row is gathered."""
+        # a sum that overflows is refused by the solve, not warned of
+        with np.errstate(over="ignore", invalid="ignore"):
+            parts = [obs[..., a:b] if c == 1 else
+                     obs[..., a:b].reshape(obs.shape[:-1] + (c, -1)).sum(axis=-2) / np.sqrt(c)
+                     for a, b, c in self._sum_slices]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
     def with_data(self, data) -> "StackedSystem":
         """This design with the squared residues of ``data`` (MeasurementData
@@ -315,21 +358,25 @@ def _annihilated_target(blocks, mode: str) -> np.ndarray:
     return blocks.O
 
 
-def _all_window_blocks(model: LtvModel, L: int, n_windows: int):
-    """Window matrices of windows 0..n_windows-1, or of window 0 alone for an
-    LTI model, whose windows all share it."""
-    return window_blocks(model, np.arange(1 if model.is_lti else n_windows), L)
+def _window_kinds(model: LtvModel, n_windows: int) -> np.ndarray:
+    """``StackedSystem.kinds`` of ``n_windows`` windows, by a key that grows
+    with k: the window itself for an LTV model; for an LTI model, whose
+    windows share their matrices, whether it has a predecessor (window 0
+    keeps all its rows)."""
+    k = np.arange(n_windows)
+    return group_index(np.minimum(k, 1) if model.is_lti else k)
 
 
-def _near_threshold(factored):
-    """``StackedSystem.near_threshold`` of the windows of ``factored``."""
+def _near_threshold(factored, counts: np.ndarray, kinds: np.ndarray):
+    """``StackedSystem.near_threshold`` of the windows whose kinds' first
+    windows are ``factored``: a kind's windows count as its count."""
     count, closest = 0, None
     for b, _, s, rank, thr in factored:
         t = thr[:, None]
         near = (t > 0.0) & (s > t / 10.0) & (s < t * 10.0)
         if not near.any():
             continue
-        count += int(np.count_nonzero(near.any(axis=1)))
+        count += int(counts[kinds[b.ks[near.any(axis=1)]]].sum())
         ratio = np.where(near, s / np.where(t > 0.0, t, 1.0), 1.0)
         dist = np.where(near, np.abs(np.log(ratio)), np.inf)
         w, i = np.unravel_index(np.argmin(dist), dist.shape)
@@ -373,32 +420,32 @@ def _annihilators(blocks, mode: str, tol: Tolerance) -> list:
     return factored
 
 
-def _window_geometries(model: LtvModel, factored, mode: str, upsilon: np.ndarray,
-                       n_windows: int):
-    """The geometry of ``n_windows`` windows from their matrices and
-    annihilator SVDs ``factored`` (``_annihilators``; window 0 alone for an
-    LTI model, whose windows all share it): (ac, ann, n_a, residue_groups,
-    design, row_offsets).
+def _window_geometries(model: LtvModel, factored, kinds: np.ndarray, mode: str,
+                       upsilon: np.ndarray):
+    """The geometry of the windows of ``kinds`` from the matrices and
+    annihilator SVDs ``factored`` (``_annihilators``) of each kind's first
+    window: (ac, ann, n_a, residue_groups, kind_design, kind_offsets).
 
-    ``ac`` stacks every window's ``ac`` as ``StackedSystem.ac`` holds it;
-    ``ann`` stacks the annihilators of the windows in ``blocks`` the same
-    way (zero-padded at the bottom and right) and ``n_a`` counts their
-    rows.  ``residue_groups`` are the ``ResidueGroup``s, and ``design``
-    holds window k's regression block at rows row_offsets[k]:row_offsets[k+1].
+    ``ac`` stacks each kind's ``ac`` as ``StackedSystem.ac`` holds it;
+    ``ann`` stacks the kinds' annihilators the same way (zero-padded at the
+    bottom and right) and ``n_a`` counts their rows.  ``kind_design`` holds
+    kind c's regression block at rows kind_offsets[c]:kind_offsets[c+1].
+    ``residue_groups`` are the ``ResidueGroup``s: the kinds of one window
+    each that share a rank, and each kind of several windows alone.
 
-    The windows are regrouped by rank and their products computed in
+    The kinds are regrouped by rank and their products computed in
     stacks, bitwise equal to the same steps taken for one window alone.
     """
     blocks = [b for b, *_ in factored]
-    n_a = np.empty(sum(b.ks.size for b in blocks), dtype=int)
+    counts = np.bincount(kinds)
+    n_a = np.empty(counts.size, dtype=int)
     for b, u, _, rank, _ in factored:
-        n_a[b.ks] = u.shape[1] - rank
-    n_rows = np.broadcast_to(n_a * (n_a + 1) // 2, (n_windows,))
-    row_offsets = np.concatenate(([0], np.cumsum(n_rows)))
+        n_a[kinds[b.ks]] = u.shape[1] - rank
+    kind_offsets = np.concatenate(([0], np.cumsum(n_a * (n_a + 1) // 2)))
     n_eps = blocks[0].scriptE.shape[-1] + blocks[0].scriptD.shape[-1]
-    ac_all = np.zeros((n_a.size, n_a.max(), n_eps))
-    ann_all = np.zeros((n_a.size, n_a.max(), max(b.O.shape[1] for b in blocks)))
-    design = np.empty((row_offsets[-1], upsilon.shape[1]))
+    ac_all = np.zeros((counts.size, n_a.max(), n_eps))
+    ann_all = np.zeros((counts.size, n_a.max(), max(b.O.shape[1] for b in blocks)))
+    kind_design = np.empty((kind_offsets[-1], upsilon.shape[1]))
     z_start = np.concatenate(([0], np.cumsum(model.n_z_steps())))
     u_start = np.concatenate(([0], np.cumsum(model.n_u_steps())))
     residue_groups = []
@@ -406,33 +453,31 @@ def _window_geometries(model: LtvModel, factored, mode: str, upsilon: np.ndarray
         gamma_g = None
         if mode == KNOWN_INPUT and b.scriptG.shape[-1] > 0:
             gamma_g = b.Gamma @ b.scriptG
-        c_mat = b.C
-        for idx in groups(rank):
-            r, ks = int(rank[idx[0]]), b.ks[idx]
+        c_mat, kind = b.C, kinds[b.ks]
+        # a kind of several windows is a group alone, its one matrix
+        # broadcast over them with stride 0
+        for idx in groups(np.column_stack([rank, np.where(counts[kind] > 1, kind, -1)])):
+            r, kk = int(rank[idx[0]]), kind[idx]
             n = u[idx][:, :, r:].transpose(0, 2, 1)
             g_g = None if gamma_g is None else gamma_g[idx]
             ac = np.concatenate([n @ b.Gamma[idx], n], axis=2) @ c_mat[idx]
-            ac_all[ks, :n.shape[1]] = ac
-            ann_all[ks, :n.shape[1], :n.shape[2]] = n
+            ac_all[kk, :n.shape[1]] = ac
+            ann_all[kk, :n.shape[1], :n.shape[2]] = n
             sel_i, sel_j = sym_pair_indices(n.shape[1])
-            block = np.einsum("wta,wtb->wtab", ac[:, sel_j], ac[:, sel_i]
-                              ).reshape(idx.size, sel_i.size, -1) @ upsilon
-            if model.is_lti:
-                # the one window stands for all, by stride-0 broadcast
-                ks = np.arange(n_windows)
-                n = np.broadcast_to(n, (n_windows,) + n.shape[1:])
-                if g_g is not None:
-                    g_g = np.broadcast_to(g_g, (n_windows,) + g_g.shape[1:])
-            design[row_offsets[ks, None] + np.arange(sel_i.size)] = block
+            kind_design[kind_offsets[kk, None] + np.arange(sel_i.size)] = np.einsum(
+                "wta,wtb->wtab", ac[:, sel_j], ac[:, sel_i]
+            ).reshape(idx.size, sel_i.size, -1) @ upsilon
+            ks = (b.ks[idx, None] + np.arange(counts[kk[0]])).ravel()
+            n = np.broadcast_to(n, (ks.size,) + n.shape[1:])
+            if g_g is not None:
+                g_g = np.broadcast_to(g_g, (ks.size,) + g_g.shape[1:])
             residue_groups.append(ResidueGroup(
                 windows=ks, annihilator=n, gamma_g=g_g,
                 z_index=z_start[ks, None] + np.arange(n.shape[2]),
                 u_index=None if g_g is None
                 else u_start[ks, None] + np.arange(g_g.shape[2]),
             ))
-    if model.is_lti:
-        ac_all = np.broadcast_to(ac_all, (n_windows,) + ac_all.shape[1:])
-    return ac_all, ann_all, n_a, residue_groups, design, row_offsets
+    return ac_all, ann_all, n_a, residue_groups, kind_design, kind_offsets
 
 
 def _kept_pair_transforms(q: np.ndarray, d: int) -> np.ndarray:
@@ -449,32 +494,31 @@ def _kept_pair_transforms(q: np.ndarray, d: int) -> np.ndarray:
     return m.transpose(0, 2, 1)
 
 
-def _row_reduction(model: LtvModel, L: int, n_windows: int, n_a: np.ndarray,
+def _row_reduction(model: LtvModel, L: int, kinds: np.ndarray, n_a: np.ndarray,
                    ann: np.ndarray, tol: Tolerance) -> RowReduction | None:
-    """The rows the weighted solve keeps among those of ``n_windows``
-    windows, or None when no window shares a residue direction with its
+    """The rows the weighted solve keeps among those of the windows of
+    ``kinds``, or None when no window shares a residue direction with its
     predecessor.
 
-    ``ann`` stacks the annihilators of the windows built (window 0 alone
-    for an LTI model, whose pairs all share one geometry), zero-padded, and
-    ``n_a`` counts their rows, as ``_window_geometries`` gives them.  The
-    directions windows k-1 and k share are the left null space of
+    ``ann`` stacks the kinds' annihilators, zero-padded, and ``n_a`` counts
+    their rows, as ``_window_geometries`` gives them.  A kind's windows
+    keep the rows its first window k (window 0's kind: all) keeps of the
+    directions it shares with window k-1.  Those are the left null space of
     [N_{k-1}, 0; 0, N_k] over the records the pair spans, by the shared
     rank rule.  The rows of N are orthonormal, so that matrix has singular
     values sqrt(1 +- c_i) with c_i those of the overlap N_{k-1} N_k^T; a
     pair whose overlap has Frobenius norm c with sqrt(1 - c) well above the
     rank threshold shares nothing, and its SVD is skipped.
     """
-    if L == 1 or n_windows == 1:
+    if L == 1 or kinds.size == 1:
         return None
-    lti = model.is_lti
-    ks = np.arange(1, 2 if lti else n_windows)
-    prev, cur = (ks * 0, ks * 0) if lti else (ks - 1, ks)
+    ks = np.flatnonzero(np.diff(kinds)) + 1      # each kind's first window but 0
+    prev, cur = kinds[ks - 1], kinds[ks]
     n_z = model.n_z_steps()
     cum = np.concatenate(([0], np.cumsum(n_z)))
     key = np.column_stack([n_a[prev], n_a[cur], n_z[ks - 1],
                            cum[ks - 1 + L] - cum[ks - 1], cum[ks + L] - cum[ks]])
-    found = []                          # (windows, shared count, rotations)
+    found = []                          # (kinds, shared count, rotations)
     for idx in groups(key):
         n_prev, n_cur, first, c_prev, c_cur = key[idx[0]].tolist()
         a = ann[prev[idx], :n_prev, :c_prev]
@@ -502,24 +546,21 @@ def _row_reduction(model: LtvModel, L: int, n_windows: int, n_a: np.ndarray,
             # window k's halves of the null vectors span the shared
             # directions; a complete QR appends the new ones
             q = np.linalg.qr(u[sel, n_prev:, r:], mode="complete")[0]
-            found.append((ks[idx[sel]], rows - r, q))
+            found.append((cur[idx[sel]], rows - r, q))
     if not found:
         return None
 
     n_rows = n_a * (n_a + 1) // 2
-    kinds = np.minimum(np.arange(n_windows), 1) if lti else np.arange(n_windows)
-    kind_rows = n_rows[[0, 0]] if lti else n_rows
     width = int(n_rows.max())
-    transforms = np.zeros((kind_rows.size, width, width))
-    kept = kind_rows.copy()
-    for win, d, q in found:
-        kind = kinds[win]
+    transforms = np.zeros((n_rows.size, width, width))
+    kept = n_rows.copy()
+    for kind, d, q in found:
         kept[kind] -= d * (d + 1) // 2
-        transforms[kind, :kept[kind[0]], :kind_rows[kind[0]]] = _kept_pair_transforms(q, d)
-    plain = np.flatnonzero(kept == kind_rows)
+        transforms[kind, :kept[kind[0]], :n_rows[kind[0]]] = _kept_pair_transforms(q, d)
+    plain = np.flatnonzero(kept == n_rows)
     pos = np.arange(width)
     transforms[plain[:, None], pos, pos] = pos < kept[plain, None]
-    return RowReduction(kinds=kinds, transforms=transforms,
+    return RowReduction(transforms=transforms,
                         row_offsets=np.concatenate(([0], np.cumsum(kept[kinds]))))
 
 
@@ -602,8 +643,9 @@ def min_feasible_window(model: LtvModel, mode: str, tol: Tolerance = DEFAULT_TOL
             return None
         return _warned(found).L
     for L in lengths:
+        counts = np.bincount(_window_kinds(model, n_records - L + 1))
         try:
-            _annihilators(_all_window_blocks(model, L, n_records - L + 1), mode, tol)
+            _annihilators(window_blocks(model, np.cumsum(counts) - counts, L), mode, tol)
         except NoAnnihilator:
             continue
         return L
@@ -670,20 +712,30 @@ def _design(model: LtvModel, structure: NoiseStructure, upsilon: np.ndarray, L: 
             mode: str, tol: Tolerance, n_windows: int):
     """The design, upsilon the ``defining_replication`` of structure and L;
     the builder that returns it logs its ``near_threshold`` (``_warned``)."""
-    factored = _annihilators(_all_window_blocks(model, L, n_windows), mode, tol)
-    ac, ann, n_a, residue_groups, design, row_offsets = _window_geometries(
-        model, factored, mode, upsilon, n_windows)
-    reduction = _row_reduction(model, L, n_windows, n_a, ann, tol)
-    (u, s, vt, rank, scale), thr = _equilibrated_svd(design, tol)
+    kinds = _window_kinds(model, n_windows)
+    counts = np.bincount(kinds)
+    # a kind's first window stands for its windows
+    factored = _annihilators(window_blocks(model, np.cumsum(counts) - counts, L), mode, tol)
+    ac, ann, n_a, residue_groups, kind_design, kind_offsets = _window_geometries(
+        model, factored, kinds, mode, upsilon)
+    row_offsets = np.concatenate(([0], np.cumsum(np.diff(kind_offsets)[kinds])))
+    reduction = _row_reduction(model, L, kinds, n_a, ann, tol)
+    # the kinds' blocks with weights sqrt(count) have the Gram matrix of all
+    # rows; zero rows up to n_alpha keep vt square
+    m, n_alpha = kind_design.shape
+    stacked = np.zeros((max(m, n_alpha), n_alpha))
+    stacked[:m] = kind_design * np.repeat(np.sqrt(counts), np.diff(kind_offsets))[:, None]
+    (u, s, vt, rank, scale), thr = _equilibrated_svd(stacked, tol, rows=int(row_offsets[-1]))
     null_basis = None
-    if rank < design.shape[1]:
+    if rank < n_alpha:
         # re-orthonormalise after undoing the column scaling
         null_basis, _ = np.linalg.qr(vt[rank:].T / scale[:, None])
     return StackedSystem(
-        obs=None, design=design, row_offsets=row_offsets, L=L, mode=mode,
-        residue_groups=residue_groups, ac=ac, model=model, structure=structure, tol=tol,
-        scale=scale, rank=rank, rank_threshold=thr, null_basis=null_basis,
-        u=u, s=s, vt=vt, reduction=reduction, near_threshold=_near_threshold(factored),
+        obs=None, kinds=kinds, kind_design=kind_design, kind_offsets=kind_offsets,
+        row_offsets=row_offsets, L=L, mode=mode, residue_groups=residue_groups, ac=ac,
+        model=model, structure=structure, tol=tol, scale=scale, rank=rank,
+        rank_threshold=thr, null_basis=null_basis, u=u[:m], s=s, vt=vt,
+        reduction=reduction, near_threshold=_near_threshold(factored, counts, kinds),
     )
 
 
@@ -739,9 +791,10 @@ def build_stacked_system(model: LtvModel, structure: NoiseStructure, data,
                         n_windows=len(data) - L + 1).with_data(data)
 
 
-def _equilibrated_svd(a: np.ndarray, tol: Tolerance):
+def _equilibrated_svd(a: np.ndarray, tol: Tolerance, rows: int | None = None):
     """((u, s, vt, rank, scale), threshold): ``svd_rank`` of the column-
-    equilibrated a / scale, and the column scales.
+    equilibrated a / scale, its floor sized by ``rows`` (default a's), and
+    the column scales.
 
     Columns whose norm is negligible against the largest column are left
     unscaled: they are cancellation dust (e.g. the state-noise columns of a
@@ -750,7 +803,7 @@ def _equilibrated_svd(a: np.ndarray, tol: Tolerance):
     scale = np.linalg.norm(a, axis=-2)
     dust = scale <= tol.floor(np.max(scale, axis=-1, keepdims=True, initial=0.0), 1)
     scale[dust] = 1.0
-    u, s, vt, rank, thr = svd_rank(a / scale[..., None, :], tol)
+    u, s, vt, rank, thr = svd_rank(a / scale[..., None, :], tol, rows=rows)
     return (u, s, vt, rank, scale), thr
 
 
@@ -807,15 +860,16 @@ def ordinary_estimates(sys: StackedSystem, obs: np.ndarray) -> np.ndarray:
     """
     obs = np.asarray(obs, dtype=float)
     _refuse_obs(sys, obs)
-    return _ls_solve((sys.u, sys.s, sys.vt, sys.rank, sys.scale), obs)[0]
+    return _ls_solve((sys.u, sys.s, sys.vt, sys.rank, sys.scale), sys._kind_sums(obs))[0]
 
 
 def ordinary_mdm(sys: StackedSystem, tol: Tolerance = DEFAULT_TOL) -> Estimate:
     """Unweighted LS solution of the stacked regression.
 
-    Solved with the SVD of the column-equilibrated design that
-    ``build_design`` computed (the clock benchmark spans 19 decades across
-    parameters); no covariance is reported.  The rank decision is the one
+    Solved with the SVD of the column-equilibrated, stacked window kinds
+    that ``build_design`` computed (the clock benchmark spans 19 decades
+    across parameters), whose normal equations are all rows'; no
+    covariance is reported.  The rank decision is the one
     ``build_design`` made with ``sys.tol``; the ``tol`` argument is unused.
     """
     if sys.obs is None:
@@ -1011,10 +1065,10 @@ def _assemble_bands(sys: StackedSystem, crosses: np.ndarray) -> np.ndarray:
     ab = np.zeros((runs,) + sys.weight_band_shape)
     if not runs:
         return ab
-    ac = sys.ac[None]
+    ac = sys.ac[sys.kinds][None]
     ac_t = ac.swapaxes(-1, -2)
     if red is not None:
-        t = red.transforms[red.kinds][None]
+        t = red.transforms[sys.kinds][None]
         t_t = t.swapaxes(-1, -2)
     si, sj = sym_pair_indices(sys.ac.shape[1])
     # a band that is not finite is refused by the solve, not warned of
@@ -1158,7 +1212,7 @@ def _whiten_run(sys: StackedSystem, ab: np.ndarray, xyt: np.ndarray, branch: str
     if sys.reduction is None:
         design, xy = sys.design, xyt.T
     else:
-        xy = sys.reduction.apply(xyt.T, sys.row_offsets)
+        xy = sys.reduction.apply(xyt.T, sys.kinds, sys.row_offsets)
         design = xy[:, :-1]
     m, tol, d_max = xy.shape[0], sys.tol, float(np.max(ab[0]))
     # P is numerically full rank when P - floor(max diag P, m) I factors
@@ -1364,7 +1418,7 @@ def weighted_estimates(sys: StackedSystem, obs: np.ndarray) -> WeightedRuns:
     _refuse_obs(sys, obs)
     factors = (sys.u, sys.s, sys.vt, sys.rank, sys.scale)
     try:
-        alphas = _ls_solve(factors, obs)[0]
+        alphas = _ls_solve(factors, sys._kind_sums(obs))[0]
         crosses, projection = _eta_crosses(sys.structure, alphas, sys.L, sys.tol)
         runs = _weighted_solves(sys, obs, _assemble_bands(sys, crosses), "auto")
     except _RUN_ERRORS as exc:
@@ -1373,7 +1427,7 @@ def weighted_estimates(sys: StackedSystem, obs: np.ndarray) -> WeightedRuns:
             raise
         for r in range(len(obs)):
             try:
-                alpha = _ls_solve(factors, obs[r:r + 1])[0]
+                alpha = _ls_solve(factors, sys._kind_sums(obs[r:r + 1]))[0]
                 crosses, _ = _eta_crosses(sys.structure, alpha, sys.L, sys.tol)
                 _weighted_solves(sys, obs[r:r + 1], _assemble_bands(sys, crosses), "auto")
             except _RUN_ERRORS as exc:

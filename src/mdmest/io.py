@@ -164,20 +164,25 @@ def save_model(path, model: LtvModel, structure: NoiseStructure,
 
 def write_data(path, data: MeasurementData) -> None:
     """Write measurements (and inputs, when present) as JSON Lines.  Input
-    records must number none or one per measurement record, as ``read_data``
-    reads them back; other counts raise DataError before the file is
-    opened."""
+    records must number none or one per measurement record, and values be
+    finite, as ``read_data`` reads them back; otherwise DataError, naming
+    the first record with a value that is not, before the file is opened."""
     us = data.us
     if us is not None and len(us) not in (0, len(data)):
         raise DataError(f"data has {len(data)} measurement records and {len(us)} "
                         "input records; a data file holds one input record per "
                         "measurement record, or none")
+    lines = []
+    for k, z in enumerate(data.zs):
+        record = {"k": k, "z": z.tolist()}
+        if us:
+            record["u"] = us[k].tolist()
+        try:
+            lines.append(json.dumps(record, allow_nan=False) + "\n")
+        except ValueError:
+            raise DataError(f"record k={k}: a value is not finite") from None
     with open(path, "w") as fh:
-        for k, z in enumerate(data.zs):
-            record = {"k": k, "z": z.tolist()}
-            if us:
-                record["u"] = us[k].tolist()
-            fh.write(json.dumps(record) + "\n")
+        fh.writelines(lines)
 
 
 def _check_record(record, k: int, line_no: int) -> None:

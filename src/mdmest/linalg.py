@@ -1,7 +1,8 @@
 """Dense matrix utilities underlying the identification algebra.
 
-The one grouping rule (``groups``, which batches the windows, steps and
-window pairs that share a shape or rank), block-diagonal assembly of
+The one grouping rule (``group_index``, and ``groups`` of its positions,
+which number the window kinds and batch the windows, steps and window
+pairs that share a shape or rank), block-diagonal assembly of
 matrices or stacks of them (``block_diag``), the one rank rule
 (``Tolerance.floor`` = rank_tol * scale * size, whose docstring lists each
 caller's scale and size; ``svd_rank`` counts a singular value above its
@@ -20,6 +21,7 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "block_diag",
+    "group_index",
     "groups",
     "svd_rank",
     "indefinite",
@@ -77,27 +79,34 @@ def block_diag(*blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def groups(keys) -> list[np.ndarray]:
-    """The positions of each distinct key of ``keys`` ((n,) or (n, width),
-    one per item) as increasing index arrays, in sorted key order (rows
-    compare element by element): equal keys give one group, no keys none."""
+def group_index(keys) -> np.ndarray:
+    """Each item's group: the distinct keys of ``keys`` ((n,) or (n, width),
+    one per item) numbered in sorted key order (rows compare element by
+    element), equal keys one number."""
     keys = np.asarray(keys)
-    if not len(keys):
-        return []
-    if (keys == keys[0]).all():
-        return [np.arange(len(keys))]
+    if not len(keys) or (keys == keys[0]).all():
+        return np.zeros(len(keys), dtype=int)
     # numpy 2.0 shapes the inverse like the keys; ravel restores (n,)
-    inverse = np.unique(keys, axis=0, return_inverse=True)[1].ravel()
-    return [np.flatnonzero(inverse == g) for g in range(inverse.max() + 1)]
+    return np.unique(keys, axis=0, return_inverse=True)[1].ravel()
 
 
-def svd_rank(m, tol: Tolerance = DEFAULT_TOL, full_matrices: bool = False):
+def groups(keys) -> list[np.ndarray]:
+    """The positions of each group of ``group_index(keys)``, in its order, as
+    increasing index arrays: equal keys give one group, no keys none."""
+    index = group_index(keys)
+    return np.split(np.argsort(index, kind="stable"),
+                    np.cumsum(np.bincount(index))[:-1]) if index.size else []
+
+
+def svd_rank(m, tol: Tolerance = DEFAULT_TOL, full_matrices: bool = False,
+             rows: int | None = None):
     """``np.linalg.svd(m, full_matrices)`` plus (rank, threshold) by the shared rule.
 
     Returns (u, s, vt, rank, threshold).  ``m`` may be a stack
     (..., rows, cols); rank and threshold are then arrays over the stack,
     and each matrix gets exactly the factors and rank it gets alone; the
-    threshold of a matrix without columns is 0.
+    threshold of a matrix without columns is 0.  ``rows`` (default m's)
+    sizes the floor of an m that stands for a taller matrix's Gram matrix.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim < 2:
@@ -106,7 +115,7 @@ def svd_rank(m, tol: Tolerance = DEFAULT_TOL, full_matrices: bool = False):
     if s.shape[-1] == 0:
         thr = np.zeros(s.shape[:-1]) if s.ndim > 1 else 0.0
     else:
-        thr = tol.floor(s[..., 0], max(m.shape[-2:]))
+        thr = tol.floor(s[..., 0], max(m.shape[-2] if rows is None else rows, m.shape[-1]))
     rank = np.count_nonzero(s > np.expand_dims(thr, -1), axis=-1)
     return u, s, vt, (int(rank) if s.ndim == 1 else rank), thr
 

@@ -575,15 +575,17 @@ def simulate_runs(model: LtvModel, structure: NoiseStructure, alpha_true,
     # each step written in place
     xk = np.empty((tau + 1, len(seeds), n_x, 1))
     xk[0, ..., 0] = x0
-    for f, e, g, x, x_next in zip(model.F.take(np.arange(tau)),
-                                  ew.transpose(1, 0, 2)[..., None], gu, xk, xk[1:]):
-        np.add(np.matmul(f, x), e, out=x_next)
-        if g is not None:
-            x_next += g
-    del ew
-    xs = xk[..., 0].transpose(1, 0, 2)
-    zm = _step_products(model.H, xs, tau + 1)
-    zm += _step_products(model.D, vs, tau + 1)
+    # records that overflow are refused where they are read or written
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f, e, g, x, x_next in zip(model.F.take(np.arange(tau)),
+                                      ew.transpose(1, 0, 2)[..., None], gu, xk, xk[1:]):
+            np.add(np.matmul(f, x), e, out=x_next)
+            if g is not None:
+                x_next += g
+        del ew
+        xs = xk[..., 0].transpose(1, 0, 2)
+        zm = _step_products(model.H, xs, tau + 1)
+        zm += _step_products(model.D, vs, tau + 1)
     n_z = model.n_z_steps()
     return SimulatedRuns(xs=xs, z=_records(zm, n_z), ws=ws, vs=vs, n_z=n_z,
                          u=None if u is None else _records(u, n_u)[None], n_u=n_u)

@@ -111,7 +111,7 @@ def window_matrices(model, k, L):
 def window_arrays(sys, k):
     """Window k's geometry, read from the stacks of ``sys``: its annihilator
     and ``gamma_g`` from the residue group that holds it, its ``ac`` from
-    sys.ac[k, :n_a], its unique pairs ``sel_i``/``sel_j`` from
+    its kind's sys.ac[sys.kinds[k], :n_a], its unique pairs ``sel_i``/``sel_j`` from
     sym_pair_indices(n_a) and its ``design_block`` from the design rows
     row_offsets[k]:row_offsets[k+1]."""
     g = next(g for g in sys.residue_groups if k in g.windows)
@@ -121,7 +121,7 @@ def window_arrays(sys, k):
     return SimpleNamespace(
         n_a=n_a, annihilator=g.annihilator[p],
         gamma_g=None if g.gamma_g is None else g.gamma_g[p],
-        ac=sys.ac[k, :n_a], sel_i=sel_i, sel_j=sel_j,
+        ac=sys.ac[sys.kinds[k], :n_a], sel_i=sel_i, sel_j=sel_j,
         design_block=sys.design[sys.row_offsets[k]:sys.row_offsets[k + 1]],
     )
 
@@ -170,7 +170,7 @@ def kept_rows(sys, p):
     """M P M^T for the row map M of ``sys.reduction``: ``RowReduction.apply``
     to the rows of the all-row matrix ``p``, then to the columns."""
     red, offs = sys.reduction, sys.row_offsets
-    return red.apply(red.apply(p, offs).T, offs)
+    return red.apply(red.apply(p, sys.kinds, offs).T, sys.kinds, offs)
 
 
 def rao_reference(p, sys_full):

@@ -270,7 +270,6 @@ class TestRunMc:
 
     @pytest.mark.parametrize("chunk", [1, 2, 32])
     @pytest.mark.parametrize("what, method, text", OVERFLOWS)
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning:mdmest.model")
     def test_overflow_names_the_run_and_record(self, monkeypatch, chunk, what,
                                                method, text):
         """A run whose measurements, residues, solve or weight band

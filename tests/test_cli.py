@@ -8,15 +8,17 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import event, example, given, strategies as st
 
-from mdmest import LtvModel, NoiseStructure, preset, weighted_mdm
+from mdmest import InitialCondition, LtvModel, NoiseStructure, preset, weighted_mdm
 from mdmest import cli, io
 from mdmest.cli import main
+from mdmest.model import MatrixSequence
 
 from conftest import make_switching_h_model, make_switching_h_structure
 
@@ -342,6 +344,23 @@ class TestSimulateIdentify:
               "--out", str(out2)])
         assert (out1 / "data.jsonl").read_bytes() == (out2 / "data.jsonl").read_bytes()
 
+    def test_simulate_refuses_records_that_overflow(self, tmp_path, capsys):
+        """A state that doubles each step from a variance of 1e300 overflows
+        its measurements at record 529: simulate warns of nothing, exits 3
+        naming that record, and writes no file ``identify`` would refuse."""
+        spec = preset("obs-ltv", tau=600)
+        model_path, out = tmp_path / "model.json", tmp_path / "o"
+        io.save_model(model_path, replace(spec.model, F=MatrixSequence(np.array([[2.0]]))),
+                      spec.structure, alpha_true=spec.alpha_true,
+                      init=InitialCondition(mean=np.zeros(1), cov=np.array([[1e300]])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--model", str(model_path), "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: record k=529: a value is not finite\n")
+        assert list(out.iterdir()) == []
+
     def test_simulate_tau_zero_writes_one_record(self, tmp_path, obs_ltv_model_file):
         out = tmp_path / "o"
         assert main(["simulate", "--model", str(obs_ltv_model_file), "--tau", "0",
@@ -514,6 +533,26 @@ class TestLogLevel:
         assert seen["INFO"] == {("INFO", "L=1 passed over"), ("INFO", "identify"),
                                 ("INFO", "weighted solve")}
         assert seen["DEBUG"] == seen["INFO"] | {("DEBUG", "identify")}
+
+    @pytest.mark.parametrize("name, tau, L, line", [
+        ("obs-ltv", 60, "2", "L=2, 60 windows of 60 kinds, 60 rows, design rank 2 of 2"),
+        ("clock-ensemble", 40, "10",
+         "L=10, 32 windows of 2 kinds, 4352 rows, design rank 8 of 8"),
+    ])
+    def test_identify_info_line_counts_the_window_kinds(self, tmp_path, caplog, name,
+                                                         tau, L, line):
+        """Every window of an LTV model is its own kind; an LTI model has
+        two, window 0 and the rest."""
+        spec = preset(name, tau=tau)
+        model_path, out = tmp_path / "model.json", tmp_path / "o"
+        io.save_model(model_path, spec.model, spec.structure,
+                      alpha_true=spec.alpha_true, init=spec.init)
+        assert main(["simulate", "--model", str(model_path), "--out", str(out)]) == 0
+        caplog.clear()
+        assert main(["--log-level", "INFO", "identify", "--model", str(model_path),
+                     "--data", str(out / "data.jsonl"), "--L", L, "--out", str(out)]) == 0
+        assert [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("identify: ")] == ["identify: " + line]
 
     def test_unknown_level_is_a_usage_error(self, capsys):
         assert main(["--log-level", "LOUD", "identify"]) == 2

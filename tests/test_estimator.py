@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -407,8 +408,8 @@ class TestMinFeasibleWindow:
         want = build_design(model, structure, got.L, mode)
         assert (got.L, got.rank, got.rank_threshold) == (want.L, want.rank,
                                                          want.rank_threshold)
-        for field in ("design", "row_offsets", "ac", "scale", "u", "s", "vt",
-                      "null_basis"):
+        for field in ("kinds", "kind_design", "kind_offsets", "design", "row_offsets",
+                      "ac", "scale", "u", "s", "vt", "null_basis"):
             assert bitwise_equal(getattr(got, field), getattr(want, field)), field
         assert len(got.residue_groups) == len(want.residue_groups)
         for g1, g2 in zip(got.residue_groups, want.residue_groups):
@@ -416,7 +417,7 @@ class TestMinFeasibleWindow:
                 assert bitwise_equal(getattr(g1, field), getattr(g2, field)), field
         assert (got.reduction is None) == (want.reduction is None)
         if got.reduction is not None:
-            for field in ("kinds", "transforms", "row_offsets"):
+            for field in ("transforms", "row_offsets"):
                 assert bitwise_equal(getattr(got.reduction, field),
                                      getattr(want.reduction, field)), field
 
@@ -433,8 +434,9 @@ class TestMinFeasibleWindow:
         rank: the clock at tau=40 with rank_tol 1e-2 has a singular value
         within a decade of its threshold at every L from 2 to 12, each
         passed over for the design's rank; L = 2, the highest rank, is kept
-        and logs its warning after the scan.  ``min_feasible_window`` takes
-        no design and logs no warning."""
+        and logs its warning after the scan, for all 40 of its windows,
+        which share one geometry.  ``min_feasible_window`` takes no design
+        and logs no warning."""
         if rejected_by == "rank":
             spec = preset("clock-ensemble", tau=40)
             tol = Tolerance(rank_tol=1e-2)
@@ -444,7 +446,7 @@ class TestMinFeasibleWindow:
             assert [r.levelno for r in caplog.records] == (
                 [logging.INFO] * 13 + [logging.WARNING])
             assert caplog.records[-1].getMessage() == (
-                "1 window(s) have singular values within a decade of the rank "
+                "40 window(s) have singular values within a decade of the rank "
                 "threshold; closest: sigma/threshold = 0.953 at window k=0, rank 3 kept")
             caplog.clear()
             with caplog.at_level(logging.INFO, logger="mdmest.estimator"):
@@ -1301,6 +1303,81 @@ def test_ordinary_recovers_alpha_from_exact_moments(case, seed):
     alpha = np.random.default_rng(seed).uniform(-2.0, 2.0, structure.n_alpha)
     est = ordinary_mdm(replace(sys0, obs=sys0.design @ alpha))
     assert np.max(np.abs(est.alpha_hat - alpha)) <= 1e-10 * np.max(np.abs(alpha))
+
+
+@given(window_cases(lti=True, longest=40), st.integers(0, 2**32 - 1))
+def test_lti_kinds_solve_as_the_expanded_design(case, seed):
+    """On random LTI models, the stacked window kinds stand for all rows:
+    ``rank`` and ``rank_threshold`` are ``svd_rank``'s of the expanded
+    design / scale, whose floor is sized by n_rows, and the ordinary
+    estimate is ``np.linalg.lstsq``'s on it.  Where the equilibrated
+    design's condition number is below 1e3, the LS sensitivity (cond +
+    cond^2 ||r|| / (||X|| ||x||)) times eps is below 2e-10, and the
+    estimates agree to 1e-8 relative."""
+    model, structure, L, mode = case
+    try:
+        sys0 = build_design(model, structure, L, mode)
+    except NoAnnihilator:
+        assume(False)
+    assert "design" not in vars(sys0)
+    design = sys0.design
+    assert design.shape == (sys0.n_rows, sys0.n_alpha)
+    equilibrated = design / sys0.scale
+    _, s, _, rank, thr = svd_rank(equilibrated)
+    assert np.isclose(sys0.rank_threshold, thr, rtol=1e-12, atol=0.0)
+    # a singular value within roundoff of the floor may fall either way
+    assume(not np.any((s > thr / 2.0) & (s < 2.0 * thr)))
+    assert sys0.rank == rank
+    if rank < sys0.n_alpha:
+        assert sys0.null_basis.shape == (sys0.n_alpha, sys0.n_alpha - rank)
+        assert np.allclose(design @ sys0.null_basis, 0.0,
+                           atol=1e-8 * np.linalg.norm(design, 2))
+        return
+    assume(s[0] < 1e3 * s[-1])
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(-2.0, 2.0, sys0.n_alpha)
+    obs = design @ alpha + 0.1 * rng.standard_normal((2, sys0.n_rows))
+    ref = np.linalg.lstsq(equilibrated, obs.T, rcond=None)[0].T / sys0.scale
+    got = ordinary_estimates(sys0, obs)
+    assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+def test_null_basis_of_a_design_with_fewer_rows_than_parameters():
+    """One window of one row and two parameters: rank 1, and the null basis
+    is the direction the row does not see, though a thin SVD of one row has
+    one right vector."""
+    one = np.ones((1, 1))
+    model = LtvModel.create(n_x=1, n_w=1, n_v=1, tau=1, F=0.5 * one, G=None,
+                            E=one, H=one, D=one)
+    structure = NoiseStructure.from_pairs([(one, 0 * one), (0 * one, one)])
+    sys0 = build_design(model, structure, 2, KNOWN_INPUT)
+    assert (sys0.n_rows, sys0.rank) == (1, 1)
+    assert sys0.null_basis.shape == (2, 1)
+    assert np.allclose(sys0.design @ sys0.null_basis, 0.0, atol=1e-14)
+
+
+def test_lti_design_does_not_grow_with_the_horizon():
+    """The clock's design at L=10 holds its two window kinds, not n_rows
+    rows: at tau=5000 (678,912 rows) ``build_design`` peaks under 10 MiB
+    of traced memory, a 136 x 74 x 74 product of one kind's noise map
+    among it, and no array it holds has n_rows rows until ``design`` is
+    read.  Only per-window index arrays grow, 20 ints a window for the
+    residues' record index."""
+    spec = preset("clock-ensemble", tau=5000)
+    tracemalloc.start()
+    try:
+        sys0 = build_design(spec.model, spec.structure, 10, spec.mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    held = [v for v in vars(sys0).values() if isinstance(v, np.ndarray)]
+    held += [getattr(g, name) for g in sys0.residue_groups for name in
+             ("windows", "annihilator", "gamma_g", "z_index", "u_index")]
+    held += [sys0.reduction.transforms, sys0.reduction.row_offsets]
+    assert sys0.n_kinds == 2 and sys0.kind_design.shape == (272, 8)
+    assert all(a.shape[0] != sys0.n_rows for a in held if a is not None and a.ndim)
+    assert sys0.design.shape == (sys0.n_rows, 8) == (678_912, 8)
 
 
 @pytest.mark.bitwise

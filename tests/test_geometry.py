@@ -105,10 +105,18 @@ def assert_geometry_matches_reference(model, structure, L, mode):
             assert bitwise_equal(getattr(window_matrices(model, k, L), name),
                                  getattr(reference_block(model, k, L), name))
     if model.is_lti:
-        # ac and every group stack are stride-0 broadcasts of window 0
-        stacks = [sys0.ac] + [a for g in sys0.residue_groups
-                              for a in (g.annihilator, g.gamma_g) if a is not None]
-        assert all(a.shape[0] == 1 or a.strides[0] == 0 for a in stacks)
+        # two kinds, window 0 and the rest, each stored once: a group
+        # stack over more than one window is its kind's one matrix,
+        # broadcast with stride 0
+        assert np.array_equal(sys0.kinds, np.minimum(np.arange(n_windows), 1))
+        assert sys0.ac.shape[0] == min(n_windows, 2)
+        for g in sys0.residue_groups:
+            if np.count_nonzero(sys0.kinds == sys0.kinds[g.windows[0]]) > 1:
+                assert g.windows.size == n_windows - 1
+                assert all(a.strides[0] == 0 for a in (g.annihilator, g.gamma_g)
+                           if a is not None)
+    else:
+        assert np.array_equal(sys0.kinds, np.arange(n_windows))
     # the residue groups cover every window once, and their stacks hold
     # each window's own arrays at the strides of the window's own products
     covered = np.concatenate([g.windows for g in sys0.residue_groups])
@@ -131,19 +139,21 @@ ENTRIES = (-1.0, 0.0, 0.5, 1.0, 2.0)
 
 
 @st.composite
-def window_cases(draw):
-    """A random small model, window length and input mode.
+def window_cases(draw, lti=None, longest=4):
+    """A random small model, window length and input mode: LTI a quarter
+    of the time, or as ``lti`` says, and tau up to L + ``longest``.
 
     Entries come from a short list half the time, so that rank drops (a
     window whose annihilated map loses rank) are common; some steps get an
     all-zero H for the same reason.  LTV models may change n_z with k.
     """
     L = draw(st.integers(1, 4))
-    tau = draw(st.integers(L - 1, L + 4))
+    tau = draw(st.integers(L - 1, L + longest))
     n_x, n_w, n_v = (draw(st.integers(1, 3)), draw(st.integers(1, 2)),
                      draw(st.integers(1, 2)))
     n_u = draw(st.integers(0, 2))
-    lti = draw(st.integers(0, 3)) == 0
+    if lti is None:
+        lti = draw(st.integers(0, 3)) == 0
     steps = 1 if lti else tau + 1
     n_z = ([draw(st.integers(1, 3))] * steps if lti or draw(st.booleans())
            else [draw(st.integers(1, 3)) for _ in range(steps)])

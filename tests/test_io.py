@@ -129,6 +129,21 @@ class TestDataFiles:
             io.write_data(path, data)
         assert not path.exists()
 
+    @pytest.mark.parametrize("z, u, k", [
+        ([[1.0], [np.inf], [np.nan]], [[0.0], [0.0], [0.0]], 1),
+        ([[1.0], [2.0], [np.nan]], [[0.0], [-np.inf], [0.0]], 1),
+        ([[1.0], [2.0], [3.0]], [[0.0], [0.0], [np.nan]], 2),
+    ])
+    def test_write_data_refuses_values_that_are_not_finite(self, tmp_path, z, u, k):
+        """The first record with a measurement or input that is not finite
+        is named, and no file is created: ``read_data`` would refuse it."""
+        data = MeasurementData.from_records([np.array(r) for r in z],
+                                            [np.array(r) for r in u])
+        path = tmp_path / "d.jsonl"
+        with pytest.raises(DataError, match=f"^record k={k}: a value is not finite$"):
+            io.write_data(path, data)
+        assert not path.exists()
+
     def test_write_data_without_input_records_writes_no_u(self, tmp_path):
         data = MeasurementData(np.ones(3), np.ones(3, dtype=int), np.zeros(0),
                                np.zeros(0, dtype=int))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mdmest import Tolerance
-from mdmest.linalg import block_diag, groups, indefinite, svd_rank, sym_pair_indices
+from mdmest.linalg import block_diag, group_index, groups, indefinite, svd_rank, sym_pair_indices
 
 from conftest import replication_matrix, swap_permutation, unification_matrix, vec
 
@@ -58,6 +58,9 @@ def test_groups_partition_the_positions_by_sorted_key(n, width, values, seed):
     keys = np.random.default_rng(seed).integers(0, values, (n, width) if width else n)
     found = groups(keys)
     assert np.array_equal(np.sort(np.concatenate(found + [np.zeros(0, int)])), np.arange(n))
+    index = group_index(keys)
+    for g, idx in enumerate(found):
+        assert np.array_equal(np.flatnonzero(index == g), idx)
     firsts = []
     for idx in found:
         assert idx.size and np.all(np.diff(idx) > 0)
@@ -70,6 +73,9 @@ def test_groups_of_equal_and_of_no_keys():
     assert [g.tolist() for g in groups(np.full((4, 2), 3))] == [[0, 1, 2, 3]]
     assert groups(np.zeros(0, int)) == [] and groups(np.zeros((0, 3), int)) == []
     assert [g.tolist() for g in groups([2, 1, 2, 0])] == [[3], [1], [0, 2]]
+    assert group_index([2, 1, 2, 0]).tolist() == [2, 1, 2, 0]
+    assert group_index(np.full((4, 2), 3)).tolist() == [0, 0, 0, 0]
+    assert group_index(np.zeros((0, 3), int)).shape == (0,)
 
 
 class TestVec:
@@ -162,22 +168,23 @@ def unique_calls(tree, allowed: str | None = None):
 
 
 class TestOneGroupingRule:
-    def test_unique_is_called_only_by_groups(self):
+    def test_unique_is_called_only_by_group_index(self):
         found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
                  for line in unique_calls(ast.parse(path.read_text()),
-                                          "groups" if path.name == "linalg.py" else None)]
+                                          "group_index" if path.name == "linalg.py"
+                                          else None)]
         assert found == []
 
     def test_the_check_sees_a_grouping(self):
         """The check finds a spelled-out grouping, and finds the one call
-        of ``linalg.groups`` when nothing is allowed."""
+        of ``linalg.group_index`` when nothing is allowed."""
         code = ("import numpy as np\n"
                 "def f(key):\n"
                 "    return [np.flatnonzero(key == v) for v in np.unique(key)]\n")
         assert list(unique_calls(ast.parse(code))) == [3]
         linalg = ast.parse((PACKAGE / "linalg.py").read_text())
         assert len(list(unique_calls(linalg))) == 1
-        assert list(unique_calls(linalg, "groups")) == []
+        assert list(unique_calls(linalg, "group_index")) == []
 
 
 class TestOneFormula:
